@@ -3,8 +3,8 @@
 
 Runs the fock-fit suite on the bundled two-spin configuration with the
 default scale ladder and prints the fitted coefficient, the remainder
-slope, and the photon-number exponent.  Takes a few minutes at the
-default grid.
+slope, and the photon-number exponent.  Takes about 2 s at the default
+grid on a 2-core x86 machine (Python 3.10, numpy 2.4), start-up included.
 """
 
 import sys

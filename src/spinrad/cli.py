@@ -18,7 +18,6 @@ import yaml
 
 from . import __version__
 from .config import parse_config, run_manifest
-from .cutoff import CutoffProfile
 from .errors import SpinradError
 from .field_energy import classical_current, classical_decomposition_check, \
     field_energy, vector_current
@@ -262,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"output directory (default ${OUT_ENV_VAR} or .)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the configuration seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="advisory thread count for BLAS backends")
 
     p = sub.add_parser("kernel", help="evaluate the transverse kernel matrix")
     common(p)
@@ -302,10 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         return args.func(args)
     except SpinradError as exc:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import platform
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -32,7 +32,6 @@ class RunConfig:
     grids: dict
     tolerances: dict
     seed: int = 1234
-    output: dict = field(default_factory=dict)
 
     def system(self) -> SpinSystem:
         return SpinSystem(
@@ -49,8 +48,7 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {"particles": self.particles, "spin": self.spin,
                 "cutoff": self.cutoff, "grids": self.grids,
-                "tolerances": self.tolerances, "seed": self.seed,
-                "output": self.output}
+                "tolerances": self.tolerances, "seed": self.seed}
 
 
 def _require(cond, message):
@@ -69,8 +67,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"configuration syntax error{where}: {exc}") from exc
     _require(isinstance(raw, dict), "configuration must be a key-value tree")
 
-    known = {"particles", "spin", "cutoff", "grids", "tolerances", "seed",
-             "output"}
+    known = {"particles", "spin", "cutoff", "grids", "tolerances", "seed"}
     for key in raw:
         _require(key in known, f"unknown configuration key {key!r}")
 
@@ -101,12 +98,16 @@ def parse_config(text: str) -> RunConfig:
 
     grids = {**DEFAULT_GRIDS, **dict(raw.get("grids", {}))}
     for name, value in grids.items():
+        _require(name in DEFAULT_GRIDS,
+                 f"unknown configuration key 'grids.{name}'")
         try:
             grids[name] = int(value)
         except (TypeError, ValueError):
             raise ConfigError(f"key 'grids.{name}' must be an integer")
     tolerances = {**DEFAULT_TOLERANCES, **dict(raw.get("tolerances", {}))}
     for name, tol in tolerances.items():
+        _require(name in DEFAULT_TOLERANCES,
+                 f"unknown configuration key 'tolerances.{name}'")
         try:
             # plain scalars like 1e-8 reach us as strings under YAML 1.1
             tolerances[name] = float(tol)
@@ -116,10 +117,8 @@ def parse_config(text: str) -> RunConfig:
                  f"key 'tolerances.{name}' must be positive")
 
     seed = int(raw.get("seed", 1234))
-    output = dict(raw.get("output", {}))
     return RunConfig(particles=particles, spin=spin, cutoff=cutoff,
-                     grids=grids, tolerances=tolerances, seed=seed,
-                     output=output)
+                     grids=grids, tolerances=tolerances, seed=seed)
 
 
 def run_manifest(config: RunConfig, extra: dict | None = None) -> str:

@@ -15,7 +15,7 @@ kernel; without it the discrete A_M would not be Hermitian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -24,13 +24,12 @@ import scipy.sparse.linalg as spla
 
 from .cutoff import CutoffProfile, phi_eval
 from .errors import ConvergenceError, DomainError, ResourceError
+from .spin_algebra import bilinear_spin_operator
 from .spin_operator import HermitianSpinOperator, SpinSystem, _assemble, \
     _check_operator, site_spin_operators
 
 # Hard ceiling on dim(Fock) * dim(spin) for assembled operators.
 MAX_TOTAL_DIM = 400_000
-
-ANTIPODE_TOL = 0.0  # symmetry is enforced exactly at construction
 
 
 @dataclass(frozen=True)
@@ -408,21 +407,13 @@ def _discrete_k_bound(system: SpinSystem, profile: CutoffProfile,
     Computed as the operator norm of the quadratic form
     X -> ||u||^2 + ||dGamma(omega) u||^2, via its spin-space Gram matrix.
     """
-    P, dim = system.P, system.spin_dim
-    emb = site_spin_operators(system.s, P)
-    vs = [[coupling_vector(profile, grid, system.positions[lam], m + 1)
-           for m in range(3)] for lam in range(P)]
-    inv_w = 1.0 / np.repeat(grid.omega, 2)
-    G = np.zeros((dim, dim), dtype=complex)
     M = system.moments
-    for lam in range(P):
-        for m in range(3):
-            for lam2 in range(P):
-                for m2 in range(3):
-                    ip = np.vdot(vs[lam][m], vs[lam2][m2]) \
-                        + np.vdot(inv_w * vs[lam][m], inv_w * vs[lam2][m2])
-                    G += 0.5 * M[lam] * M[lam2] * ip \
-                        * (emb[lam][m].conj().T @ emb[lam2][m2])
+    V = np.array([coupling_vector(profile, grid, system.positions[lam], m + 1)
+                  for lam in range(system.P) for m in range(3)])
+    Vw = V / np.repeat(grid.omega, 2)
+    gram = V.conj() @ V.T + Vw.conj() @ Vw.T
+    Mj = np.repeat(M, 3)
+    G = bilinear_spin_operator(0.5 * np.outer(Mj, Mj) * gram, system.s)
     norm_m = float(np.linalg.norm(M))
     if norm_m == 0.0:
         return 0.0

@@ -15,8 +15,7 @@ quadrature oracle is provided for cross-validation in tests.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import spherical_jn
@@ -52,11 +51,13 @@ def a11_origin(profile: CutoffProfile, tol: float = KERNEL_TOL) -> float:
         / (3.0 * math.pi ** 2)
 
 
-def _kernel_entries(profile, x, tol):
+def kernel_matrix(profile: CutoffProfile, x, tol: float = KERNEL_TOL) -> KernelMatrix:
+    """Evaluate the transverse kernel matrix at displacement x."""
     x = np.asarray(x, dtype=float)
     t = float(np.linalg.norm(x))
     if t < 1e-12:
-        return a11_origin(profile, tol) * np.eye(3)
+        return KernelMatrix(entries=a11_origin(profile, tol) * np.eye(3),
+                            displacement=x.copy())
     r_far = profile.far_radius()
     a = _radial_quad(
         lambda r: _phi2(profile, r) * r * r
@@ -66,26 +67,8 @@ def _kernel_entries(profile, x, tol):
         lambda r: _phi2(profile, r) * r * r * spherical_jn(2, r * t),
         r_far, tol) / (2.0 * math.pi ** 2)
     xhat = x / t
-    return a * np.eye(3) + b * np.outer(xhat, xhat)
-
-
-# Per-run memoization: A_M assembly queries O(P^2) displacements repeatedly.
-_cache: dict = {}
-_cache_lock = threading.Lock()
-
-
-def kernel_matrix(profile: CutoffProfile, x, tol: float = KERNEL_TOL) -> KernelMatrix:
-    """Evaluate the transverse kernel matrix at displacement x."""
-    x = np.asarray(x, dtype=float)
-    key = (profile, tuple(np.round(x, 14)), tol)
-    with _cache_lock:
-        hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    out = KernelMatrix(entries=_kernel_entries(profile, x, tol), displacement=x.copy())
-    with _cache_lock:
-        _cache[key] = out
-    return out
+    return KernelMatrix(entries=a * np.eye(3) + b * np.outer(xhat, xhat),
+                        displacement=x.copy())
 
 
 def kernel_oracle_3d(profile: CutoffProfile, x, n: int = 128) -> KernelMatrix:

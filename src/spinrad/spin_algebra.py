@@ -57,16 +57,46 @@ def spin_matrices(s) -> SpinMatrices:
 
 def embed_site_operator(op: np.ndarray, lam: int, P: int) -> np.ndarray:
     """I (x) ... (x) op (x) ... (x) I with op at slot lam (1-based)."""
-    op = np.asarray(op)
-    d = op.shape[0]
-    if not 1 <= lam <= P:
-        raise DomainError(f"site index {lam} outside 1..{P}")
+    return embed_site_operators({lam: op}, P)
+
+
+def embed_site_operators(ops: dict, P: int) -> np.ndarray:
+    """Kronecker chain with ops[lam] at slot lam (1-based) and I elsewhere."""
+    ops = {lam: np.asarray(op) for lam, op in ops.items()}
+    d = next(iter(ops.values())).shape[0]
+    for lam in ops:
+        if not 1 <= lam <= P:
+            raise DomainError(f"site index {lam} outside 1..{P}")
     if d ** P > MAX_DENSE_DIM:
         raise ResourceError(f"tensor dimension {d}^{P} exceeds the dense budget")
-    out = np.eye(d ** (lam - 1))
-    out = np.kron(out, op)
-    out = np.kron(out, np.eye(d ** (P - lam)))
-    return out
+    out = np.eye(1)
+    last = 0
+    for lam in sorted(ops):
+        out = np.kron(np.kron(out, np.eye(d ** (lam - last - 1))), ops[lam])
+        last = lam
+    return np.kron(out, np.eye(d ** (P - last)))
+
+
+def bilinear_spin_operator(coef: np.ndarray, s) -> np.ndarray:
+    """sum_{a,b} coef[a, b] S_a S_b with S_{3 lam + j} = sigma_j^[lam].
+
+    coef must be Hermitian: the site pairs mu > lam then give the adjoint of
+    the pairs lam < mu, which alone are built.
+    """
+    sig = np.array(spin_matrices(s).sigma)
+    P = coef.shape[0] // 3
+    c = np.asarray(coef).reshape(P, 3, P, 3)
+    out = sum(embed_site_operators(
+        {lam + 1: np.einsum("jm,jab,mbc->ac", c[lam, :, lam], sig, sig)}, P)
+        for lam in range(P))
+    upper = np.zeros_like(out)
+    for lam in range(P):
+        for mu in range(lam + 1, P):
+            tau = np.tensordot(c[lam, :, mu], sig, 1)  # sum_m c_jm sigma_m
+            for j in range(3):
+                upper += embed_site_operators(
+                    {lam + 1: sig[j], mu + 1: tau[j]}, P)
+    return out + upper + upper.conj().T
 
 
 def hopf_map(X, s) -> np.ndarray:

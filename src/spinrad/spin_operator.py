@@ -10,15 +10,15 @@ ground-energy expansion in the magnetic moments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cutoff import CutoffProfile
 from .errors import DomainError, ResourceError, SpinradError
 from .kernel import kernel_matrix
-from .spin_algebra import MAX_DENSE_DIM, _check_half_integer, embed_site_operator, \
-    spin_matrices
+from .spin_algebra import MAX_DENSE_DIM, _check_half_integer, \
+    bilinear_spin_operator, embed_site_operator, spin_matrices
 
 # Relative ceiling on positive eigenvalues of an assembled A_M; anything
 # larger diagnoses a kernel or assembly bug and is raised, not clipped.
@@ -82,20 +82,21 @@ def site_spin_operators(s, P):
 
 
 def _assemble(system: SpinSystem, kernel_at) -> np.ndarray:
-    P, dim = system.P, system.spin_dim
-    M = system.moments
-    x = system.positions
-    emb = site_spin_operators(system.s, P)
-    A = np.zeros((dim, dim), dtype=complex)
+    """A_M from one kernel_at call per site pair and one at the origin.
+
+    Exact because kernel_at(d) is real symmetric and even in d.
+    """
+    P, x = system.P, system.positions
+    K = np.empty((P, 3, P, 3))
+    K0 = kernel_at(np.zeros(3))
     for lam in range(P):
-        for mu in range(P):
-            K = kernel_at(x[mu] - x[lam])
-            for j in range(3):
-                for m in range(3):
-                    if K[j, m] == 0.0:
-                        continue
-                    A -= 0.5 * M[lam] * M[mu] * K[j, m] * (emb[mu][m] @ emb[lam][j])
-    return A
+        K[lam, :, lam] = K0
+        for mu in range(lam + 1, P):
+            K[lam, :, mu] = kernel_at(x[mu] - x[lam])
+            K[mu, :, lam] = K[lam, :, mu].T
+    Mj = np.repeat(system.moments, 3)
+    return bilinear_spin_operator(
+        -0.5 * np.outer(Mj, Mj) * K.reshape(3 * P, 3 * P), system.s)
 
 
 def _check_operator(A: np.ndarray) -> None:

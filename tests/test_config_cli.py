@@ -76,6 +76,16 @@ def test_parse_unknown_key():
         parse_config(MINIMAL + "\nbogus: 1\n")
 
 
+@pytest.mark.parametrize("extra, key", [
+    ("tolerances: {identiy: 1e-8}", "tolerances.identiy"),
+    ("grids: {nmax: 3}", "grids.nmax"),
+    ("output: {dir: results}", "output"),
+])
+def test_parse_unknown_nested_key(extra, key):
+    with pytest.raises(ConfigError, match=f"unknown configuration key '{key}'"):
+        parse_config(MINIMAL + "\n" + extra + "\n")
+
+
 def test_manifest_round_trip():
     cfg = parse_config(MINIMAL)
     doc = json.loads(run_manifest(cfg, {"suite": "unit"}))

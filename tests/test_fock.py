@@ -7,11 +7,11 @@ import scipy.sparse as sp
 
 from spinrad.cutoff import phi_eval
 from spinrad.errors import DomainError, ResourceError
-from spinrad.fock import ModeGrid, build_fock_space, build_hamiltonian, \
-    build_mode_grid, coupling_vector, discrete_am, discrete_kernel_matrix, \
-    ground_state, mode_coefficients, multiplicity_scan, photon_number, \
-    quadratic_fit, variational_trial_check
-from spinrad.spin_operator import SpinSystem, assemble_am
+from spinrad.fock import ModeGrid, _discrete_k_bound, build_fock_space, \
+    build_hamiltonian, build_mode_grid, coupling_vector, discrete_am, \
+    discrete_kernel_matrix, ground_state, mode_coefficients, \
+    multiplicity_scan, photon_number, quadratic_fit, variational_trial_check
+from spinrad.spin_operator import SpinSystem, assemble_am, site_spin_operators
 
 from conftest import random_state
 
@@ -155,6 +155,29 @@ def test_variational_trial_identity(profile, small_grid, two_spin_system):
         assert tc.residual <= 1e-10
         assert tc.u_norm_dh <= tc.k_bound \
             * np.linalg.norm(two_spin_system.moments) + 1e-12
+
+
+def test_discrete_k_bound_matches_reference(profile, small_grid):
+    system = SpinSystem(positions=[[0, 0, 0], [0.7, -0.2, 0.4], [0, 1.1, 0]],
+                        moments=[0.8, -0.5, 0.3], s=0.5)
+    P, M = system.P, system.moments
+    # Gram matrix term by term over all (3P)^2 ordered pairs of site spins
+    emb = site_spin_operators(system.s, P)
+    vs = [[coupling_vector(profile, small_grid, system.positions[lam], m + 1)
+           for m in range(3)] for lam in range(P)]
+    inv_w = 1.0 / np.repeat(small_grid.omega, 2)
+    G = np.zeros((system.spin_dim,) * 2, dtype=complex)
+    for lam in range(P):
+        for m in range(3):
+            for lam2 in range(P):
+                for m2 in range(3):
+                    ip = np.vdot(vs[lam][m], vs[lam2][m2]) \
+                        + np.vdot(inv_w * vs[lam][m], inv_w * vs[lam2][m2])
+                    G += 0.5 * M[lam] * M[lam2] * ip \
+                        * (emb[lam][m].conj().T @ emb[lam2][m2])
+    expected = math.sqrt(np.linalg.eigvalsh(G)[-1]) / np.linalg.norm(M)
+    assert _discrete_k_bound(system, profile, small_grid) \
+        == pytest.approx(expected, rel=1e-12)
 
 
 def test_variational_trial_zero_moments(profile, small_grid):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import spinrad.spin_operator as spin_operator
 from spinrad.errors import DomainError
+from spinrad.fock import discrete_kernel_matrix
 from spinrad.kernel import a11_origin, kernel_matrix
 from spinrad.spin_operator import HermitianSpinOperator, SpinSystem, \
-    _assemble, assemble_am, ground_eigenspace, quadratic_form
+    _assemble, assemble_am, ground_eigenspace, quadratic_form, \
+    site_spin_operators
 
 from conftest import random_state
 
@@ -60,6 +63,67 @@ def test_widely_separated_spins_decouple(profile):
 
     A_decoupled = _assemble(system, kernel_no_cross)
     assert np.abs(A - A_decoupled).max() <= 1e-6
+
+
+def _assemble_reference(system, kernel_at):
+    """A_M term by term: all P^2 ordered pairs, nine embedded products each."""
+    P, dim = system.P, system.spin_dim
+    M, x = system.moments, system.positions
+    emb = site_spin_operators(system.s, P)
+    A = np.zeros((dim, dim), dtype=complex)
+    for lam in range(P):
+        for mu in range(P):
+            K = kernel_at(x[mu] - x[lam])
+            for j in range(3):
+                for m in range(3):
+                    A -= 0.5 * M[lam] * M[mu] * K[j, m] \
+                        * (emb[mu][m] @ emb[lam][j])
+    return A
+
+
+@pytest.mark.parametrize("s, moments", [
+    (0.5, [0.8, -0.5]),
+    (0.5, [0.7, 0.0, -0.4]),
+    (0.5, [0.3, -0.9, 0.6, 0.5]),
+    (0.5, [0.4, 0.8, -0.2, 0.6, -0.7]),
+    (1.0, [0.6, -0.3, 0.9]),
+    (1.5, [-0.5, 0.7]),
+])
+@pytest.mark.parametrize("kernel", ["continuum", "discrete"])
+def test_assemble_matches_reference(profile, small_grid, s, moments, kernel):
+    rng = np.random.default_rng(len(moments) + int(2 * s))
+    system = SpinSystem(positions=rng.normal(size=(len(moments), 3)),
+                        moments=moments, s=s)
+    if kernel == "continuum":
+        cache = {}
+
+        def kernel_at(d):
+            key = tuple(d)
+            if key not in cache:
+                cache[key] = kernel_matrix(profile, d).entries
+            return cache[key]
+    else:
+        def kernel_at(d):
+            return discrete_kernel_matrix(profile, small_grid, d)
+
+    A = _assemble(system, kernel_at)
+    ref = _assemble_reference(system, kernel_at)
+    assert np.abs(A - ref).max() <= 1e-12 * max(1.0, np.linalg.norm(ref))
+
+
+def test_assemble_calls_kernel_once_per_pair(profile, monkeypatch):
+    calls = []
+
+    def counting(prof, x, *args, **kwargs):
+        calls.append(x)
+        return kernel_matrix(prof, x, *args, **kwargs)
+
+    monkeypatch.setattr(spin_operator, "kernel_matrix", counting)
+    system = SpinSystem(positions=[[0, 0, 0], [1, 0, 0], [0, 1.5, 0]],
+                        moments=[0.5, -0.4, 0.3])
+    assemble_am(system, profile)
+    P = system.P
+    assert len(calls) == P * (P - 1) // 2 + 1
 
 
 def test_permutation_equivariance(profile):

@@ -72,7 +72,7 @@ def suite_kernel(args) -> int:
     cfg = _load_config(args)
     profile = cfg.profile()
     x = np.array(args.at, dtype=float)
-    K = kernel_matrix(profile, x, tol=cfg.tolerances["kernel"])
+    K = kernel_matrix(profile, x)
     doc = {"displacement": list(map(float, x)),
            "matrix": [[float(v) for v in row] for row in K.entries],
            "a11_origin": a11_origin(profile)}

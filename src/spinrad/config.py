@@ -14,13 +14,14 @@ from .cutoff import CutoffProfile
 from .errors import ConfigError
 from .spin_operator import SpinSystem
 
+DEFAULT_CUTOFF = {"kind": "gaussian", "lambda": 1.0}
+
 DEFAULT_GRIDS = {"n_radial": 24, "n_angular": 12, "n_max": 1}
 
 DEFAULT_TOLERANCES = {
     "identity": 1e-6,       # energy-identity residuals (relative)
     "degeneracy": 1e-7,     # eigenvalue clustering (relative)
     "eigensolver": 1e-10,   # iterative eigenpair residual (absolute)
-    "kernel": 1e-9,         # kernel quadrature (absolute)
 }
 
 
@@ -56,6 +57,27 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _cast(kind, value, key: str):
+    try:
+        # plain scalars like 1e-8 reach us as strings under YAML 1.1
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"key '{key}' must be {what}") from None
+
+
+def _section(raw: dict, name: str, defaults: dict) -> dict:
+    """The mapping under `name` over `defaults`, cast to the defaults' types."""
+    given = raw.get(name, {})
+    _require(isinstance(given, dict), f"key '{name}' must be a mapping")
+    out = dict(defaults)
+    for key, value in given.items():
+        path = f"{name}.{key}"
+        _require(key in defaults, f"unknown configuration key '{path}'")
+        out[key] = _cast(type(defaults[key]), value, path)
+    return out
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a YAML run configuration; defaults are filled in."""
     try:
@@ -81,42 +103,26 @@ def parse_config(text: str) -> RunConfig:
         pos = part["position"]
         _require(isinstance(pos, list) and len(pos) == 3,
                  f"particles[{i}].position must have 3 components")
+        for value in [*pos, part["moment"]]:
+            _cast(float, value, f"particles[{i}]")
     positions = np.array([p["position"] for p in particles], dtype=float)
     for a in range(len(particles)):
         for b in range(a + 1, len(particles)):
             _require(np.linalg.norm(positions[a] - positions[b]) > 1e-12,
                      "key 'particles': positions pairwise distinct")
 
-    spin = float(raw.get("spin", 0.5))
+    spin = _cast(float, raw.get("spin", 0.5), "spin")
     _require(abs(2 * spin - round(2 * spin)) < 1e-12 and spin > 0,
              "key 'spin': 2s must be integer")
 
-    cutoff = dict(raw.get("cutoff", {}))
-    cutoff.setdefault("kind", "gaussian")
-    cutoff.setdefault("lambda", 1.0)
+    cutoff = _section(raw, "cutoff", DEFAULT_CUTOFF)
     _require(cutoff["lambda"] > 0, "key 'cutoff.lambda' must be positive")
-
-    grids = {**DEFAULT_GRIDS, **dict(raw.get("grids", {}))}
-    for name, value in grids.items():
-        _require(name in DEFAULT_GRIDS,
-                 f"unknown configuration key 'grids.{name}'")
-        try:
-            grids[name] = int(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"key 'grids.{name}' must be an integer")
-    tolerances = {**DEFAULT_TOLERANCES, **dict(raw.get("tolerances", {}))}
+    grids = _section(raw, "grids", DEFAULT_GRIDS)
+    tolerances = _section(raw, "tolerances", DEFAULT_TOLERANCES)
     for name, tol in tolerances.items():
-        _require(name in DEFAULT_TOLERANCES,
-                 f"unknown configuration key 'tolerances.{name}'")
-        try:
-            # plain scalars like 1e-8 reach us as strings under YAML 1.1
-            tolerances[name] = float(tol)
-        except (TypeError, ValueError):
-            raise ConfigError(f"key 'tolerances.{name}' must be a number")
-        _require(tolerances[name] > 0,
-                 f"key 'tolerances.{name}' must be positive")
+        _require(tol > 0, f"key 'tolerances.{name}' must be positive")
 
-    seed = int(raw.get("seed", 1234))
+    seed = _cast(int, raw.get("seed", 1234), "seed")
     return RunConfig(particles=particles, spin=spin, cutoff=cutoff,
                      grids=grids, tolerances=tolerances, seed=seed)
 

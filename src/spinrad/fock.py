@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import accumulate, chain, combinations_with_replacement
 
 import numpy as np
 import scipy.sparse as sp
@@ -138,19 +138,23 @@ def coupling_vector(profile, grid, x, m) -> np.ndarray:
 
 @dataclass
 class FockSpace:
-    """Occupation basis over 2N oscillators with total photon number <= n_max."""
+    """Occupation basis over 2N oscillators with total photon number <= n_max.
+
+    Photon sector n is a (C(2N + n - 1, n), n) array of occupied oscillators,
+    rows in combinations_with_replacement (lexicographic) order; the basis
+    is sectors 0..n_max in turn.
+    """
 
     grid: ModeGrid
     n_max: int
-    states: list                 # sorted tuples of occupied oscillators
-    index: dict                  # tuple -> basis position
+    sectors: list                # sector n: (size_n, n) occupied oscillators
     sector_offsets: list         # first index of each photon sector
     omega_osc: np.ndarray        # (2N,) oscillator frequencies
     n_total: np.ndarray          # (dim,) photon number per basis state
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.n_total)
 
     @property
     def n_osc(self) -> int:
@@ -162,56 +166,44 @@ def build_fock_space(grid: ModeGrid, n_max: int,
     if n_max < 1:
         raise DomainError("need n_max >= 1")
     n_osc = 2 * grid.n_modes
-    states, offsets = [], []
-    for n in range(n_max + 1):
-        offsets.append(len(states))
-        states.extend(combinations_with_replacement(range(n_osc), n))
-        if len(states) * spin_dim > MAX_TOTAL_DIM:
-            raise ResourceError(
-                f"Fock dimension {len(states)} x spin {spin_dim} exceeds "
-                f"budget {MAX_TOTAL_DIM}")
-    index = {s: i for i, s in enumerate(states)}
-    omega_osc = np.repeat(grid.omega, 2)
-    n_total = np.array([len(s) for s in states])
-    return FockSpace(grid=grid, n_max=n_max, states=states, index=index,
-                     sector_offsets=offsets, omega_osc=omega_osc,
-                     n_total=n_total)
+    sizes = [math.comb(n_osc + n - 1, n) for n in range(n_max + 1)]
+    if sum(sizes) * spin_dim > MAX_TOTAL_DIM:
+        raise ResourceError(
+            f"Fock dimension {sum(sizes)} x spin {spin_dim} exceeds "
+            f"budget {MAX_TOTAL_DIM}")
+    sectors = [np.fromiter(
+        chain.from_iterable(combinations_with_replacement(range(n_osc), n)),
+        dtype=np.intp, count=size * n).reshape(size, n)
+        for n, size in enumerate(sizes)]
+    return FockSpace(grid=grid, n_max=n_max, sectors=sectors,
+                     sector_offsets=[0, *accumulate(sizes[:-1])],
+                     omega_osc=np.repeat(grid.omega, 2),
+                     n_total=np.repeat(np.arange(n_max + 1), sizes))
 
 
 def _creation_entries(space: FockSpace, v: np.ndarray):
     """Sparse entries of T = sum_o v_o a_o^dagger restricted to the truncation.
 
-    Returns (rows, cols, vals) with rows in sector n+1 and cols in sector n.
-    The transitions 0 -> 1 and 1 -> 2 are vectorized; higher sectors fall
-    back to a generic loop (used only with small grids).
+    Returns (rows, cols, vals) with rows in sector n+1 and cols in sector n,
+    ordered by column, then oscillator o.  Each transition n -> n+1 is one
+    vectorized step: o joins every state, the sorted row is ranked in sector
+    n+1 by binary search on its base-2N key (exact, as every sector is
+    complete and sorted), and the entry is sqrt(occupation of o) v_o.
     """
     n_osc = space.n_osc
     rows, cols, vals = [], [], []
-    # 0 -> 1
-    rows.append(np.arange(1, 1 + n_osc))
-    cols.append(np.zeros(n_osc, dtype=int))
-    vals.append(v.copy())
-    if space.n_max >= 2:
-        # 1 -> 2: pair (i <= j) has index i*n_osc - i(i-1)/2 + (j - i)
-        base2 = space.sector_offsets[2]
-        i_ = np.repeat(np.arange(n_osc), n_osc)
-        o_ = np.tile(np.arange(n_osc), n_osc)
-        lo = np.minimum(i_, o_)
-        hi = np.maximum(i_, o_)
-        pair = base2 + lo * n_osc - lo * (lo - 1) // 2 + (hi - lo)
-        fac = np.where(i_ == o_, math.sqrt(2.0), 1.0)
-        rows.append(pair)
-        cols.append(1 + i_)
-        vals.append(fac * v[o_])
-    for n in range(2, space.n_max):
-        lo_off, hi_off = space.sector_offsets[n], space.sector_offsets[n + 1]
-        for col in range(lo_off, hi_off):
-            s = space.states[col]
-            for o in range(n_osc):
-                t = tuple(sorted(s + (o,)))
-                rows.append(np.array([space.index[t]]))
-                cols.append(np.array([col]))
-                vals.append(np.array([v[o] * math.sqrt(s.count(o) + 1.0)]))
+    for n in range(space.n_max):
+        src = space.sectors[n]
+        o = np.tile(np.arange(n_osc), len(src))
+        new = np.sort(np.column_stack([np.repeat(src, n_osc, axis=0), o]),
+                      axis=1)
+        radix = (n_osc,) * (n + 1)
+        keys = np.ravel_multi_index(space.sectors[n + 1].T, radix)
+        rank = np.searchsorted(keys, np.ravel_multi_index(new.T, radix))
+        rows.append(space.sector_offsets[n + 1] + rank)
+        cols.append(space.sector_offsets[n]
+                    + np.repeat(np.arange(len(src)), n_osc))
+        vals.append(np.sqrt(np.sum(new == o[:, None], axis=1)) * v[o])
     return (np.concatenate(rows), np.concatenate(cols),
             np.concatenate(vals).astype(complex))
 
@@ -259,8 +251,8 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
     space = build_fock_space(grid, n_max, spin_dim)
     emb = site_spin_operators(system.s, system.P)
     h_free = sp.kron(
-        sp.diags(np.array([sum(space.omega_osc[o] for o in s)
-                           for s in space.states])),
+        sp.diags(np.concatenate([space.omega_osc[occ].sum(axis=1)
+                                 for occ in space.sectors])),
         sp.identity(spin_dim), format="csr")
     h_int = sp.csr_matrix((space.dim * spin_dim,) * 2, dtype=complex)
     for lam in range(system.P):

@@ -80,10 +80,39 @@ def test_parse_unknown_key():
     ("tolerances: {identiy: 1e-8}", "tolerances.identiy"),
     ("grids: {nmax: 3}", "grids.nmax"),
     ("output: {dir: results}", "output"),
+    ("cutoff: {lamda: 2.0}", "cutoff.lamda"),
+    ("tolerances: {kernel: 1.0e-9}", "tolerances.kernel"),
 ])
 def test_parse_unknown_nested_key(extra, key):
     with pytest.raises(ConfigError, match=f"unknown configuration key '{key}'"):
         parse_config(MINIMAL + "\n" + extra + "\n")
+
+
+BAD_CONFIGS = [(MINIMAL + "\n" + extra + "\n", message) for extra, message in [
+    ("grids: 5", "key 'grids' must be a mapping"),
+    ("cutoff: 3", "key 'cutoff' must be a mapping"),
+    ("tolerances: [1.0e-6]", "key 'tolerances' must be a mapping"),
+    ("grids: {n_max: two}", "key 'grids.n_max' must be an integer"),
+    ("tolerances: {identity: tight}",
+     "key 'tolerances.identity' must be a number"),
+    ("cutoff: {lambda: wide}", "key 'cutoff.lambda' must be a number"),
+    ("seed: abc", "key 'seed' must be an integer"),
+    ("spin: half", "key 'spin' must be a number"),
+]] + [(MINIMAL.replace("moment: -0.5", "moment: big"),
+       r"key 'particles\[1\]' must be a number")]
+
+
+@pytest.mark.parametrize("text, message", BAD_CONFIGS)
+def test_parse_bad_value(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+
+
+def test_parse_yaml11_exponent():
+    # YAML 1.1 reads 1e-1 (no dot) as a string; it is still a number here
+    cfg = parse_config(MINIMAL + "\ncutoff: {lambda: 1e-1}\n")
+    assert cfg.cutoff["lambda"] == 0.1
+    assert cfg.profile().lam == 0.1
 
 
 def test_manifest_round_trip():
@@ -178,6 +207,15 @@ def test_cli_config_error_exit_one(tmp_path):
     bad.write_text("particles: []\n")
     assert main(["verify", "--config", str(bad),
                  "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("text", [text for text, _ in BAD_CONFIGS]
+                         + [MINIMAL + "cutoff: {lamda: 2.0}"])
+def test_cli_bad_config_value_exit_one(tmp_path, capsys, text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text + "\n")
+    assert main(["e2", "--config", str(bad), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("ERROR ")
 
 
 def test_cli_missing_config_exit_one(tmp_path):

@@ -1,16 +1,19 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 from scipy import integrate
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from spinrad.cutoff import phi_eval
-from spinrad.errors import DomainError, ResourceError
-from spinrad.fock import ModeGrid, _discrete_k_bound, build_fock_space, \
-    build_hamiltonian, build_mode_grid, coupling_vector, discrete_am, \
-    discrete_kernel_matrix, ground_state, mode_coefficients, \
-    multiplicity_scan, photon_number, quadratic_fit, variational_trial_check
+from spinrad.errors import ConvergenceError, DomainError, ResourceError
+from spinrad.fock import MAX_TOTAL_DIM, ModeGrid, _discrete_k_bound, \
+    build_fock_space, build_hamiltonian, build_mode_grid, coupling_vector, \
+    discrete_am, discrete_kernel_matrix, ground_state, mode_coefficients, \
+    multiplicity_scan, photon_number, quadratic_fit, segal_field, \
+    variational_trial_check
 from spinrad.spin_operator import SpinSystem, assemble_am, site_spin_operators
 
 from conftest import random_state
@@ -126,6 +129,78 @@ def test_fock_space_budget(profile, default_grid):
         build_fock_space(default_grid, 3, spin_dim=4)
 
 
+def test_fock_space_budget_edge(profile):
+    grid = build_mode_grid(profile, 2, 6)  # 72 oscillators
+    space = build_fock_space(grid, 3, spin_dim=5)
+    assert space.dim == 67_525 and 5 * space.dim <= MAX_TOTAL_DIM
+    with pytest.raises(ResourceError, match="67525 x spin 6"):
+        build_fock_space(grid, 3, spin_dim=6)
+
+
+def _reference_fock_basis(n_osc, n_max):
+    """Basis as a tuple list with a tuple -> index dict, sector by sector."""
+    states, offsets = [], []
+    for n in range(n_max + 1):
+        offsets.append(len(states))
+        states.extend(combinations_with_replacement(range(n_osc), n))
+    return states, {s: i for i, s in enumerate(states)}, offsets
+
+
+def _reference_creation_entries(n_osc, n_max, v):
+    """Creation entries built branch by branch: 0 -> 1 and 1 -> 2 in closed
+    form, higher sectors one state and one oscillator at a time."""
+    states, index, offsets = _reference_fock_basis(n_osc, n_max)
+    rows, cols, vals = [], [], []
+    rows.append(np.arange(1, 1 + n_osc))
+    cols.append(np.zeros(n_osc, dtype=int))
+    vals.append(v.copy())
+    if n_max >= 2:
+        # pair (i <= j) has index i*n_osc - i(i-1)/2 + (j - i)
+        i_ = np.repeat(np.arange(n_osc), n_osc)
+        o_ = np.tile(np.arange(n_osc), n_osc)
+        lo = np.minimum(i_, o_)
+        hi = np.maximum(i_, o_)
+        rows.append(offsets[2] + lo * n_osc - lo * (lo - 1) // 2 + (hi - lo))
+        cols.append(1 + i_)
+        vals.append(np.where(i_ == o_, math.sqrt(2.0), 1.0) * v[o_])
+    for n in range(2, n_max):
+        for col in range(offsets[n], offsets[n + 1]):
+            s = states[col]
+            for o in range(n_osc):
+                rows.append(np.array([index[tuple(sorted(s + (o,)))]]))
+                cols.append(np.array([col]))
+                vals.append(np.array([v[o] * math.sqrt(s.count(o) + 1.0)]))
+    return (np.concatenate(rows), np.concatenate(cols),
+            np.concatenate(vals).astype(complex))
+
+
+@pytest.mark.parametrize("n_radial, n_angular, n_max", [
+    (2, 6, 1), (2, 6, 2), (2, 6, 3), (4, 6, 2)])
+def test_fock_ladder_matches_reference(profile, n_radial, n_angular, n_max):
+    grid = build_mode_grid(profile, n_radial, n_angular)
+    space = build_fock_space(grid, n_max)
+    states, _, offsets = _reference_fock_basis(space.n_osc, n_max)
+    assert [tuple(int(o) for o in row) for occ in space.sectors
+            for row in occ] == states
+    assert space.sector_offsets == offsets
+    assert np.array_equal(space.n_total, [len(s) for s in states])
+
+    v = coupling_vector(profile, grid, [0.3, -0.1, 0.2], 2)
+    rows, cols, vals = _reference_creation_entries(space.n_osc, n_max, v)
+    T = sp.csr_matrix((vals / math.sqrt(2.0), (rows, cols)),
+                      shape=(len(states),) * 2)
+    expected = T + T.conj().T
+    got = segal_field(space, v)
+    for part in ("indptr", "indices", "data"):
+        assert getattr(got, part).tobytes() == getattr(expected, part).tobytes()
+
+    single = SpinSystem(positions=[[0.0, 0.0, 0.0]], moments=[0.6])
+    h_free = build_hamiltonian(single, profile, grid, n_max).h_free.diagonal()
+    omega_osc = np.repeat(grid.omega, 2)
+    reference = np.array([sum(omega_osc[o] for o in s) for s in states])
+    assert h_free.tobytes() == np.repeat(reference, 2).tobytes()
+
+
 def test_ground_state_diagonal_and_free(profile, small_grid, two_spin_system):
     D = sp.diags(np.array([3.0, -2.0, 5.0, 0.5]))
     vals, vecs, res = ground_state(D, k_pairs=1)
@@ -136,6 +211,16 @@ def test_ground_state_diagonal_and_free(profile, small_grid, two_spin_system):
                                    spin_dim=4)
     assert np.abs(vals).max() <= 1e-10
     assert res.max() <= 1e-10
+
+
+def test_ground_state_no_convergence(monkeypatch):
+    def stalled(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0),
+                                       np.empty((0, 0)))
+
+    monkeypatch.setattr("spinrad.fock.spla.eigsh", stalled)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        ground_state(sp.diags(np.arange(64.0)), k_pairs=1)
 
 
 def test_ground_state_deterministic(profile, default_grid, two_spin_system):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import spherical_jn
 
 from .errors import DomainError, QuadratureError
 
@@ -67,6 +66,61 @@ def phi_eval(profile: CutoffProfile, r):
     return PROFILES[profile.kind][0](r, profile.lam)
 
 
+def _profile_fn(profile: CutoffProfile):
+    """Scalar phi(r) for quadrature integrands.
+
+    Skips phi_eval's array conversion and sign check, which cost more than
+    the profile itself on every node; quadrature nodes lie in [0, r_far].
+    """
+    phi, lam = PROFILES[profile.kind][0], profile.lam
+    return lambda r: phi(r, lam)
+
+
+def _series_coefficients(n, terms=10):
+    # j_n(z) = z^n sum_k (-1)^k z^(2k) / (2^k k! (2n + 2k + 1)!!)
+    return tuple((-1) ** k / (2 ** k * math.factorial(k)
+                              * math.prod(range(1, 2 * n + 2 * k + 2, 2)))
+                 for k in range(terms))
+
+
+_J0_SERIES = _series_coefficients(0)
+_J1_SERIES = _series_coefficients(1)
+_J2_SERIES = _series_coefficients(2)
+
+
+def _series(coef, z2):
+    acc = 0.0
+    for c in reversed(coef):
+        acc = acc * z2 + c
+    return acc
+
+
+# Scalar spherical Bessel functions j0, j1, j2 for quadrature integrands.
+# Below z = 1 a power series replaces the closed forms, whose cancellation
+# (j2 ~ z^2/15 from terms of order 1) would lose digits there.
+
+def j0(z: float) -> float:
+    """Spherical Bessel j0(z) = sin z / z for z >= 0."""
+    if z < 1.0:
+        return _series(_J0_SERIES, z * z)
+    return math.sin(z) / z
+
+
+def j1(z: float) -> float:
+    """Spherical Bessel j1(z) = sin z / z^2 - cos z / z for z >= 0."""
+    if z < 1.0:
+        return z * _series(_J1_SERIES, z * z)
+    return (math.sin(z) / z - math.cos(z)) / z
+
+
+def j2(z: float) -> float:
+    """Spherical Bessel j2(z) = (3/z^2 - 1) j0(z) - 3 cos z / z^2, z >= 0."""
+    if z < 1.0:
+        return z * z * _series(_J2_SERIES, z * z)
+    z2 = z * z
+    return (3.0 / z2 - 1.0) * math.sin(z) / z - 3.0 * math.cos(z) / z2
+
+
 def _radial_quad(f, r_far, tol):
     """Adaptive quadrature of f on [0, r_far] with an error check."""
     val, err = integrate.quad(f, 0.0, r_far, epsabs=tol * 1e-2, epsrel=1e-12,
@@ -87,11 +141,11 @@ def rho_eval(profile: CutoffProfile, x, tol: float = 1e-10) -> float:
     x = np.asarray(x, dtype=float)
     t = float(np.linalg.norm(x))
     r_far = profile.far_radius()
+    phi = _profile_fn(profile)
     if t < 1e-12:
         return _radial_quad(
-            lambda r: phi_eval(profile, r) * r * r, r_far, tol) / (2.0 * math.pi ** 2)
-    val = _radial_quad(
-        lambda r: phi_eval(profile, r) * r * math.sin(r * t), r_far, tol)
+            lambda r: phi(r) * r * r, r_far, tol) / (2.0 * math.pi ** 2)
+    val = _radial_quad(lambda r: phi(r) * r * math.sin(r * t), r_far, tol)
     return val / (2.0 * math.pi ** 2 * t)
 
 
@@ -106,7 +160,7 @@ def grad_rho(profile: CutoffProfile, x, tol: float = 1e-10) -> np.ndarray:
     if t < 1e-12:
         return np.zeros(3)
     r_far = profile.far_radius()
-    dval = -_radial_quad(
-        lambda r: phi_eval(profile, r) * r ** 3 * spherical_jn(1, r * t),
-        r_far, tol) / (2.0 * math.pi ** 2)
+    phi = _profile_fn(profile)
+    dval = -_radial_quad(lambda r: phi(r) * r ** 3 * j1(r * t),
+                         r_far, tol) / (2.0 * math.pi ** 2)
     return dval * x / t

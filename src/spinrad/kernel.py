@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import spherical_jn
 
-from .cutoff import CutoffProfile, phi_eval, _radial_quad
+from .cutoff import CutoffProfile, phi_eval, _profile_fn, _radial_quad, j0, j2
 from .errors import DomainError
 
 # Absolute error target of the production kernel; downstream identity checks
@@ -36,18 +35,14 @@ class KernelMatrix:
     displacement: np.ndarray
 
 
-def _phi2(profile, r):
-    p = phi_eval(profile, r)
-    return p * p
-
-
 def a11_origin(profile: CutoffProfile, tol: float = KERNEL_TOL) -> float:
     """Diagonal kernel value at zero displacement.
 
     A_11(0) = (3 pi^2)^-1 int_0^inf |phi(r)|^2 r^2 dr; strictly positive.
     """
     r_far = profile.far_radius()
-    return _radial_quad(lambda r: _phi2(profile, r) * r * r, r_far, tol) \
+    phi = _profile_fn(profile)
+    return _radial_quad(lambda r: phi(r) ** 2 * r * r, r_far, tol) \
         / (3.0 * math.pi ** 2)
 
 
@@ -59,13 +54,12 @@ def kernel_matrix(profile: CutoffProfile, x, tol: float = KERNEL_TOL) -> KernelM
         return KernelMatrix(entries=a11_origin(profile, tol) * np.eye(3),
                             displacement=x.copy())
     r_far = profile.far_radius()
+    phi = _profile_fn(profile)
     a = _radial_quad(
-        lambda r: _phi2(profile, r) * r * r
-        * (2.0 * spherical_jn(0, r * t) - spherical_jn(2, r * t)),
+        lambda r: phi(r) ** 2 * r * r * (2.0 * j0(r * t) - j2(r * t)),
         r_far, tol) / (6.0 * math.pi ** 2)
-    b = _radial_quad(
-        lambda r: _phi2(profile, r) * r * r * spherical_jn(2, r * t),
-        r_far, tol) / (2.0 * math.pi ** 2)
+    b = _radial_quad(lambda r: phi(r) ** 2 * r * r * j2(r * t),
+                     r_far, tol) / (2.0 * math.pi ** 2)
     xhat = x / t
     return KernelMatrix(entries=a * np.eye(3) + b * np.outer(xhat, xhat),
                         displacement=x.copy())
@@ -98,7 +92,7 @@ def kernel_oracle_3d_complex(profile: CutoffProfile, x, n: int = 128) -> np.ndar
     k = np.stack([kx, ky, kz], axis=-1)
     k2 = kx * kx + ky * ky + kz * kz
     phase = np.exp(-1j * (k @ x))
-    f = _phi2(profile, np.sqrt(k2)) * phase * w / k2
+    f = phi_eval(profile, np.sqrt(k2)) ** 2 * phase * w / k2
     out = np.empty((3, 3), dtype=complex)
     for j in range(3):
         for m_ in range(3):

@@ -142,15 +142,26 @@ class ProductState:
     spin_vectors: np.ndarray  # (P, 3) Hopf image of each factor
 
 
+def product_vectors(factors) -> np.ndarray:
+    """Kronecker products V1 (x) ... (x) VP of a stack of factor lists.
+
+    factors has shape (n, P, d), each factor normalized; returns (n, d^P).
+    """
+    facs = np.asarray(factors, dtype=complex)
+    bad = np.nonzero(np.abs(np.linalg.norm(facs, axis=-1) - 1.0) > _NORM_TOL)
+    if bad[0].size:
+        raise DomainError(f"factor {bad[1][0] + 1} is not normalized")
+    n, P, d = facs.shape
+    vec = facs[:, 0]
+    for lam in range(1, P):
+        vec = (vec[:, :, None] * facs[:, lam, None, :]).reshape(n, -1)
+    return vec
+
+
 def product_state(factors, s) -> ProductState:
     """Assemble a product state from P normalized single-site vectors."""
-    facs = [np.asarray(f, dtype=complex) for f in factors]
-    for i, f in enumerate(facs):
-        if abs(np.linalg.norm(f) - 1.0) > _NORM_TOL:
-            raise DomainError(f"factor {i + 1} is not normalized")
-    vec = facs[0]
-    for f in facs[1:]:
-        vec = np.kron(vec, f)
+    facs = np.asarray(factors, dtype=complex)
+    vec = product_vectors(facs[None])[0]
     spins = np.array([hopf_map(f, s) for f in facs])
     return ProductState(s=_check_half_integer(s) / 2.0, factors=tuple(facs),
                         vector=vec, spin_vectors=spins)

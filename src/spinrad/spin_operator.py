@@ -117,13 +117,16 @@ def assemble_am(system: SpinSystem, profile: CutoffProfile) -> HermitianSpinOper
     return HermitianSpinOperator(matrix=A, system=system, profile=profile)
 
 
-def quadratic_form(A: HermitianSpinOperator, X) -> float:
-    """Real Rayleigh value <A X, X> for a normalized X."""
+def quadratic_form(A: HermitianSpinOperator, X):
+    """Real Rayleigh value <A X, X> for a normalized X.
+
+    X is one state of shape (dim,) or a stack of shape (n, dim); a stack
+    gives one value per row.
+    """
     X = np.asarray(X, dtype=complex)
-    if abs(np.linalg.norm(X) - 1.0) > 1e-12:
+    if np.any(np.abs(np.linalg.norm(X, axis=-1) - 1.0) > 1e-12):
         raise DomainError("quadratic_form requires a normalized state")
-    val = np.vdot(X, A.matrix @ X)
-    return val.real
+    return np.einsum("...i,...i->...", X.conj(), X @ A.matrix.T).real
 
 
 def ground_eigenspace(A: HermitianSpinOperator,

@@ -4,10 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinrad.cli import main
+from spinrad.cli import _sampled_product_min, main
 from spinrad.config import DEFAULT_GRIDS, DEFAULT_TOLERANCES, parse_config, \
     run_manifest
+from spinrad.cutoff import CutoffProfile
 from spinrad.errors import ConfigError
+from spinrad.spin_operator import SpinSystem, assemble_am
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TWO = str(CONFIG_DIR / "two_spins.yaml")
@@ -144,6 +146,32 @@ def test_cli_e2(tmp_path):
     assert len(doc["eigenbasis"]) == doc["multiplicity"]
 
 
+def loop_sampled_min(A, system, rng):
+    """Per-state sampling: one kron chain and one vdot per product state."""
+    d1 = int(round(2 * system.s + 1))
+    best = 0.0
+    for _ in range(200):
+        vec = np.ones(1, dtype=complex)
+        for _ in range(system.P):
+            v = rng.normal(size=d1) + 1j * rng.normal(size=d1)
+            vec = np.kron(vec, v / np.linalg.norm(v))
+        best = min(best, np.vdot(vec, A.matrix @ vec).real)
+    return best
+
+
+@pytest.mark.parametrize("s, P", [(0.5, 1), (0.5, 2), (0.5, 3), (0.5, 4),
+                                  (1.0, 3), (2.5, 2)])
+def test_e2_batched_sampling_matches_loop(s, P):
+    rng = np.random.default_rng(int(10 * s) + P)
+    system = SpinSystem(positions=rng.normal(size=(P, 3)),
+                        moments=rng.uniform(-1.0, 1.0, size=P), s=s)
+    A = assemble_am(system, CutoffProfile("gaussian", 1.0))
+    ref = loop_sampled_min(A, system, np.random.default_rng(99))
+    got = _sampled_product_min(A, system, np.random.default_rng(99))
+    assert ref < 0.0
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
 def test_cli_verify_passes_and_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["verify", "--config", TWO, "--out", str(out1)]) == 0
@@ -230,3 +258,13 @@ def test_cli_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("suite, flag", [("fock-fit", "--scales"),
+                                         ("multiplicity", "--g")])
+@pytest.mark.parametrize("value", ["0.4,abc", "0.4,"])
+def test_cli_bad_number_list_exit_two(capsys, suite, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([suite, "--config", TWO, flag, value])
+    assert exc.value.code == 2
+    assert "comma-separated numbers" in capsys.readouterr().err

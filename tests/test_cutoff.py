@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
+from scipy.special import spherical_jn
 
-from spinrad.cutoff import CutoffProfile, grad_rho, phi_eval, rho_eval
+from spinrad.cutoff import CutoffProfile, grad_rho, j0, j1, j2, phi_eval, \
+    rho_eval
 from spinrad.errors import DomainError
 
 INV_2PI_32 = (2.0 * math.pi) ** -1.5
@@ -86,3 +88,14 @@ def test_unknown_profile_kind_rejected():
         CutoffProfile("lorentzian", 1.0)
     with pytest.raises(DomainError):
         CutoffProfile("gaussian", -1.0)
+
+
+@pytest.mark.parametrize("n, fn", [(0, j0), (1, j1), (2, j2)])
+def test_spherical_bessel_helpers_match_scipy(n, fn):
+    # dense around the series/closed-form switch at z = 1, then out to the
+    # largest r |x| a far-field kernel integrand reaches
+    z = np.concatenate([np.linspace(0.0, 2.0, 20001),
+                        np.nextafter(1.0, [0.0, 2.0]),
+                        np.linspace(2.0, 800.0, 100001)])
+    ours = np.array([fn(float(v)) for v in z])
+    assert np.abs(ours - spherical_jn(n, z)).max() <= 1e-15

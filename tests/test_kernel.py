@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import spherical_jn
 
-from spinrad.cutoff import CutoffProfile
+from spinrad.cutoff import CutoffProfile, _radial_quad, phi_eval
 from spinrad.errors import DomainError
-from spinrad.kernel import a11_origin, kernel_matrix, kernel_oracle_3d, \
-    kernel_oracle_3d_complex
+from spinrad.kernel import KERNEL_TOL, a11_origin, kernel_matrix, \
+    kernel_oracle_3d, kernel_oracle_3d_complex
 
 A11_GAUSS = 1.0 / (12.0 * math.pi ** 1.5)
 
@@ -55,6 +56,47 @@ def test_far_field_dipole_tail(profile):
     tail = np.diag([2.0, -1.0, -1.0]) / (4.0 * math.pi * r ** 3)
     assert np.abs(K - tail).max() <= 1e-9
     assert abs(np.trace(K)) <= 1e-9
+
+
+@pytest.mark.parametrize("r", [40.0, 80.0])
+def test_far_field_dipole_tail_relative(profile, r):
+    # at these distances the Gaussian smearing is below roundoff, so the
+    # oscillatory radial integrals must reproduce the tail to its own scale
+    xhat = np.array([0.48, -0.6, 0.64])
+    K = kernel_matrix(profile, r * xhat).entries
+    tail = -(np.eye(3) - 3.0 * np.outer(xhat, xhat)) / (4.0 * math.pi * r ** 3)
+    assert np.abs(K - tail).max() <= 1e-9 * np.abs(tail).max()
+
+
+def reference_kernel(profile, x, tol=KERNEL_TOL):
+    """The radial kernel with scipy's spherical_jn and phi_eval integrands."""
+    t = float(np.linalg.norm(x))
+    r_far = profile.far_radius()
+
+    def phi2(r):
+        return phi_eval(profile, r) ** 2
+
+    a = _radial_quad(
+        lambda r: phi2(r) * r * r
+        * (2.0 * spherical_jn(0, r * t) - spherical_jn(2, r * t)),
+        r_far, tol) / (6.0 * math.pi ** 2)
+    b = _radial_quad(
+        lambda r: phi2(r) * r * r * spherical_jn(2, r * t),
+        r_far, tol) / (2.0 * math.pi ** 2)
+    xhat = np.asarray(x) / t
+    return a * np.eye(3) + b * np.outer(xhat, xhat)
+
+
+def test_matches_scipy_bessel_reference():
+    rng = np.random.default_rng(17)
+    for lam in (1.0, 1.7):
+        p = CutoffProfile("gaussian", lam)
+        radii = np.exp(rng.uniform(math.log(0.05), math.log(80.0), 4))
+        for radius in [0.05, 80.0, *radii]:
+            v = rng.normal(size=3)
+            x = radius * v / np.linalg.norm(v)
+            K = kernel_matrix(p, x).entries
+            assert np.abs(K - reference_kernel(p, x)).max() <= 1e-13
 
 
 def test_matches_oracle(profile):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinrad.errors import DomainError
 from spinrad.spin_algebra import embed_site_operator, hopf_map, omega_state, \
-    product_state, spin_matrices, su2_rotate
+    product_state, product_vectors, spin_matrices, su2_rotate
 
 ALL_SPINS = [0.5, 1.0, 1.5, 2.0, 2.5]
 
@@ -127,6 +127,23 @@ def test_product_state_assembly():
     assert abs(np.linalg.norm(ps.vector) - 1.0) <= 1e-12
     for f, sv in zip(facs, ps.spin_vectors):
         assert np.allclose(sv, hopf_map(f, 0.5))
+
+
+def test_product_vectors_match_kron_chain():
+    rng = np.random.default_rng(8)
+    for d, P in [(2, 1), (2, 4), (3, 3), (6, 2)]:
+        facs = np.array([[normalized(rng, d) for _ in range(P)]
+                         for _ in range(5)])
+        stack = product_vectors(facs)
+        assert stack.shape == (5, d ** P)
+        for row, fs in zip(stack, facs):
+            ref = fs[0]
+            for f in fs[1:]:
+                ref = np.kron(ref, f)
+            assert np.array_equal(row, ref)
+    facs[2, 1] *= 2.0
+    with pytest.raises(DomainError, match="factor 2"):
+        product_vectors(facs)
 
 
 def test_product_state_rejects_unnormalized():

@@ -158,6 +158,19 @@ def test_quadratic_form_basics(profile, two_spin_system):
     assert lam_min - 1e-12 <= val <= 1e-12
 
 
+def test_quadratic_form_stack(profile, two_spin_system):
+    A = assemble_am(two_spin_system, profile)
+    rng = np.random.default_rng(5)
+    X = np.array([random_state(rng, 4) for _ in range(5)])
+    vals = quadratic_form(A, X)
+    assert vals.shape == (5,)
+    for x, v in zip(X, vals):
+        assert abs(v - np.vdot(x, A.matrix @ x).real) <= 1e-15
+    X[3] *= 1.0 + 1e-9
+    with pytest.raises(DomainError):
+        quadratic_form(A, X)
+
+
 def test_rayleigh_consistency(profile, two_spin_system):
     A = assemble_am(two_spin_system, profile)
     lam_min = np.linalg.eigvalsh(A.matrix)[0]

@@ -14,16 +14,16 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
-from .config import parse_config, run_manifest
-from .errors import SpinradError
+from .config import load_yaml, parse_config, run_manifest
+from .errors import ConfigError, SpinradError
 from .field_energy import classical_current, classical_decomposition_check, \
     field_energy, vector_current
 from .fock import build_mode_grid, multiplicity_scan, quadratic_fit
 from .kernel import a11_origin, kernel_matrix, kernel_oracle_3d
-from .spin_algebra import product_state, product_vectors
+from .spin_algebra import omega_state, product_state, product_vectors, \
+    su2_rotate
 from .spin_operator import assemble_am, ground_eigenspace, quadratic_form
 
 OUT_ENV_VAR = "SPINRAD_OUT"
@@ -73,6 +73,16 @@ def _sampled_product_min(A, system, rng, count=200):
     factors = _random_states(rng, d1, count * system.P)
     vectors = product_vectors(factors.reshape(count, system.P, d1))
     return min(0.0, float(quadratic_form(A, vectors).min()))
+
+
+def _load_orientations(path):
+    """Float array of a YAML list of orientation vectors."""
+    what = f"orientations file {path}"
+    spins = load_yaml(Path(path).read_text(), what)
+    try:
+        return np.array(spins, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 def _float_list(text):
@@ -139,8 +149,7 @@ def _verify_rows(cfg):
         add(f"kernel_vs_oracle_{i}", np.abs(K - O).max(), 0.0, 1e-6)
 
     A = assemble_am(system, profile)
-    top = float(np.linalg.eigvalsh(A.matrix)[-1])
-    add("negative_semidefinite", max(top, 0.0), 0.0,
+    add("negative_semidefinite", max(float(A.eigenvalues[-1]), 0.0), 0.0,
         1e-10 * max(1.0, np.linalg.norm(A.matrix)))
 
     A2 = assemble_am(system.with_moments(2.0 * system.moments), profile)
@@ -152,9 +161,11 @@ def _verify_rows(cfg):
         energy = field_energy(vector_current(system, profile, X))
         add(f"th_egal_{i}", qf, -energy, tol_id * max(1.0, abs(qf)))
 
-    d1 = int(round(2 * system.s + 1))
+    # product states on the SU(2) orbit of omega_state: unit Hopf vectors
+    X0 = omega_state(system.s)
     for i in range(2):
-        ps = product_state(_random_states(rng, d1, system.P), system.s)
+        ps = product_state([su2_rotate(system.s, 2.0 * rng.normal(size=3)) @ X0
+                            for _ in range(system.P)], system.s)
         lhs, rhs, resid = classical_decomposition_check(system, profile, ps)
         add(f"class_decomposition_{i}", lhs, rhs, tol_id * max(1.0, abs(lhs)))
     return rows
@@ -181,8 +192,7 @@ def suite_verify(args) -> int:
 def suite_classical(args) -> int:
     cfg = _load_config(args)
     system, profile = cfg.system(), cfg.profile()
-    spins = yaml.safe_load(Path(args.orientations).read_text())
-    S = np.array(spins, dtype=float)
+    S = _load_orientations(args.orientations)
     energy = field_energy(classical_current(system, profile, S))
     out = _out_dir(args)
     _write_csv(out / "classical.csv",

@@ -78,15 +78,21 @@ def _section(raw: dict, name: str, defaults: dict) -> dict:
     return out
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a YAML run configuration; defaults are filled in."""
+def load_yaml(text: str, what: str):
+    """YAML document of text; a syntax error raises a one-line ConfigError."""
     try:
-        raw = yaml.safe_load(text)
+        return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" \
             if mark else ""
-        raise ConfigError(f"configuration syntax error{where}: {exc}") from exc
+        problem = getattr(exc, "problem", None) or exc
+        raise ConfigError(f"{what} syntax error{where}: {problem}") from exc
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate a YAML run configuration; defaults are filled in."""
+    raw = load_yaml(text, "configuration")
     _require(isinstance(raw, dict), "configuration must be a key-value tree")
 
     known = {"particles", "spin", "cutoff", "grids", "tolerances", "seed"}

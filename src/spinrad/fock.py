@@ -26,7 +26,7 @@ from .cutoff import CutoffProfile, phi_eval
 from .errors import ConvergenceError, DomainError, ResourceError
 from .spin_algebra import bilinear_spin_operator
 from .spin_operator import HermitianSpinOperator, SpinSystem, _assemble, \
-    _check_operator, site_spin_operators
+    _checked_operator, ground_eigenspace, site_spin_operators
 
 # Hard ceiling on dim(Fock) * dim(spin) for assembled operators.
 MAX_TOTAL_DIM = 400_000
@@ -74,25 +74,16 @@ def build_mode_grid(profile: CutoffProfile, n_radial: int,
     ph = 2.0 * math.pi * np.arange(n_phi) / n_phi
     pw = 2.0 * math.pi / n_phi
 
-    ks, ws = [], []
-    for r, wr in zip(rn, rw):
-        for c, wc in zip(cn, cw):
-            s_ = math.sqrt(1.0 - c * c)
-            for f in ph:
-                ks.append([r * s_ * math.cos(f), r * s_ * math.sin(f), r * c])
-                ws.append(wr * r * r * wc * pw)
-    k = np.array(ks)
-    w = np.array(ws)
+    R, C, F = np.meshgrid(rn, cn, ph, indexing="ij")
+    RS = R * np.sqrt(1.0 - C * C)
+    k = np.stack([RS * np.cos(F), RS * np.sin(F), R * C], axis=-1)
+    k = k.reshape(-1, 3)
+    w = np.repeat((rw * rn * rn)[:, None] * cw * pw, n_phi)
 
     # antipode: same radius, mirrored polar node, azimuth shifted by pi
     N = len(w)
     idx = np.arange(N).reshape(n_radial, n_theta, n_phi)
-    anti = np.empty(N, dtype=int)
-    for ir in range(n_radial):
-        for ic in range(n_theta):
-            for jf in range(n_phi):
-                anti[idx[ir, ic, jf]] = idx[ir, n_theta - 1 - ic,
-                                            (jf + n_phi // 2) % n_phi]
+    anti = np.roll(idx[:, ::-1, :], -(n_phi // 2), axis=2).ravel()
     if not np.allclose(k[anti], -k, atol=1e-13 * r_far) or \
             not np.array_equal(w[anti], w):
         raise DomainError("mode grid lost antipodal symmetry")
@@ -336,8 +327,7 @@ def discrete_am(system: SpinSystem, profile: CutoffProfile,
     """A_M with the mode sum replacing the continuum kernel integral."""
     _require_symmetric(grid)
     A = _assemble(system, lambda d: discrete_kernel_matrix(profile, grid, d))
-    _check_operator(A)
-    return HermitianSpinOperator(matrix=A, system=system, profile=profile)
+    return _checked_operator(A, system, profile)
 
 
 def _require_symmetric(grid: ModeGrid) -> None:
@@ -464,8 +454,7 @@ def quadratic_fit(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
     else:
         slope = float(np.polyfit(np.log(scales[usable]),
                                  np.log(np.abs(resid[usable])), 1)[0])
-    a_min = float(np.linalg.eigvalsh(
-        discrete_am(system, profile, grid).matrix)[0])
+    a_min = float(discrete_am(system, profile, grid).eigenvalues[0])
     return QuadraticFit(c2=c2, residual_slope=slope, a_disc_min=a_min,
                         scales=scales, energies=energies,
                         photon_numbers=photons,
@@ -494,12 +483,10 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
         raise DomainError("multiplicity scan requires equal moments")
     unit = system.with_moments(np.ones(system.P))
     toy = build_hamiltonian(unit, profile, grid, n_max)
-    a1 = discrete_am(unit, profile, grid)
-    a_vals, a_vecs = np.linalg.eigh(a1.matrix)
-    a_width = degeneracy_tol * max(1.0, abs(a_vals[0]))
-    mult_a1 = int(np.sum(a_vals <= a_vals[0] + a_width))
-    proj_basis = np.array([toy.vacuum_embed(a_vecs[:, i])
-                           for i in range(mult_a1)])  # rows orthonormal
+    _, mult_a1, a_basis = ground_eigenspace(
+        discrete_am(unit, profile, grid), degeneracy_tol)
+    proj_basis = np.array([toy.vacuum_embed(v)
+                           for v in a_basis.T])  # rows orthonormal
     rows = []
     k_pairs = min(toy.spin_dim + 1, toy.dim - 2)
     for g in np.asarray(g_points, dtype=float):

@@ -15,7 +15,11 @@ from scipy.linalg import expm
 from .errors import DomainError, ResourceError
 
 # Largest tensor-product dimension this module will materialize densely.
-MAX_DENSE_DIM = 1 << 14
+# A complex dim x dim matrix takes 16 dim^2 bytes: 256 MiB at 2^12, 1 GiB at
+# 2^13, 4 GiB at 2^14.  bilinear_spin_operator holds at least four at once
+# (the sum, the upper site pairs, one Kronecker term and the adjoint) before
+# the eigh adds its own: 1 GiB at 2^12 but 4 GiB at 2^13, on an 8 GB machine.
+MAX_DENSE_DIM = 1 << 12
 
 _NORM_TOL = 1e-12
 

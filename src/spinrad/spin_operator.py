@@ -10,7 +10,7 @@ ground-energy expansion in the magnetic moments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,11 +67,16 @@ class SpinSystem:
 
 @dataclass
 class HermitianSpinOperator:
-    """Dense Hermitian matrix on the spin space with its provenance."""
+    """Dense Hermitian matrix on the spin space, its spectrum and provenance."""
 
     matrix: np.ndarray
     system: SpinSystem = None
     profile: CutoffProfile = None
+    eigenvalues: np.ndarray = field(init=False, repr=False)  # ascending
+    eigenvectors: np.ndarray = field(init=False, repr=False)  # columns
+
+    def __post_init__(self):
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.matrix)
 
 
 def site_spin_operators(s, P):
@@ -99,22 +104,23 @@ def _assemble(system: SpinSystem, kernel_at) -> np.ndarray:
         -0.5 * np.outer(Mj, Mj) * K.reshape(3 * P, 3 * P), system.s)
 
 
-def _check_operator(A: np.ndarray) -> None:
-    norm = np.linalg.norm(A)
+def _checked_operator(A, system, profile) -> HermitianSpinOperator:
+    """The operator of an assembled A_M; raises unless Hermitian and NSD."""
+    scale = max(1.0, np.linalg.norm(A))
     herm = np.linalg.norm(A - A.conj().T)
-    if herm > 1e-12 * max(1.0, norm):
+    if herm > 1e-12 * scale:
         raise SpinradError(f"assembled operator is not Hermitian ({herm:.3e})")
-    top = np.linalg.eigvalsh((A + A.conj().T) / 2.0)[-1]
-    if top > PSD_VIOLATION_TOL * max(1.0, norm):
-        raise SpinradError(
-            f"A_M has a positive eigenvalue {top:.3e}; kernel/assembly bug")
+    op = HermitianSpinOperator(matrix=A, system=system, profile=profile)
+    if op.eigenvalues[-1] > PSD_VIOLATION_TOL * scale:
+        raise SpinradError(f"A_M has a positive eigenvalue "
+                           f"{op.eigenvalues[-1]:.3e}; kernel/assembly bug")
+    return op
 
 
 def assemble_am(system: SpinSystem, profile: CutoffProfile) -> HermitianSpinOperator:
     """Assemble A_M from continuum kernel evaluations."""
     A = _assemble(system, lambda d: kernel_matrix(profile, d).entries)
-    _check_operator(A)
-    return HermitianSpinOperator(matrix=A, system=system, profile=profile)
+    return _checked_operator(A, system, profile)
 
 
 def quadratic_form(A: HermitianSpinOperator, X):
@@ -136,8 +142,7 @@ def ground_eigenspace(A: HermitianSpinOperator,
     The cluster gathers eigenvalues within degeneracy_tol * max(1, |lam_min|)
     of the minimum.
     """
-    vals, vecs = np.linalg.eigh(A.matrix)
-    lam_min = vals[0]
+    lam_min = A.eigenvalues[0]
     width = degeneracy_tol * max(1.0, abs(lam_min))
-    mult = int(np.sum(vals <= lam_min + width))
-    return lam_min, mult, vecs[:, :mult]
+    mult = int(np.sum(A.eigenvalues <= lam_min + width))
+    return lam_min, mult, A.eigenvectors[:, :mult]

@@ -195,6 +195,15 @@ def test_cli_verify_seed_changes_samples(tmp_path):
         != (out2 / "verify.csv").read_bytes()
 
 
+@pytest.mark.parametrize("spin", [1.0, 1.5])
+def test_cli_verify_higher_spin(tmp_path, capsys, spin):
+    cfg = small_config(tmp_path, extra=f"spin: {spin}\n")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 10
+    assert all(line.startswith("PASS ") for line in lines)
+
+
 def test_cli_classical(tmp_path):
     ori = tmp_path / "ori.yaml"
     ori.write_text("- [0.0, 0.0, 1.0]\n- [1.0, 0.0, 0.0]\n")
@@ -203,6 +212,21 @@ def test_cli_classical(tmp_path):
     assert rc == 0
     lines = (tmp_path / "classical.csv").read_text().strip().splitlines()
     assert float(lines[1].split(",")[1]) > 0.0
+
+
+@pytest.mark.parametrize("text", [
+    "- [0.0, 0.0, 1.0]\n- [1.0, 0.0]\n",
+    "- [0.0, 0.0, 1.0]\n- [1.0, 0.0, east]\n",
+    "- [0.0, 0.0, 1.0\n- [1.0, 0.0, 0.0]\n",
+])
+def test_cli_classical_bad_orientations_exit_one(tmp_path, capsys, text):
+    ori = tmp_path / "ori.yaml"
+    ori.write_text(text)
+    assert main(["classical", "--config", TWO, "--out", str(tmp_path),
+                 "--orientations", str(ori)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR orientations file")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_cli_fock_fit(tmp_path):

@@ -7,7 +7,7 @@ from scipy import integrate
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from spinrad.cutoff import phi_eval
+from spinrad.cutoff import CutoffProfile, phi_eval
 from spinrad.errors import ConvergenceError, DomainError, ResourceError
 from spinrad.fock import MAX_TOTAL_DIM, ModeGrid, _discrete_k_bound, \
     build_fock_space, build_hamiltonian, build_mode_grid, coupling_vector, \
@@ -48,6 +48,45 @@ def test_grid_validation(profile):
         build_mode_grid(profile, 1, 12)
     with pytest.raises(DomainError):
         build_mode_grid(profile, 8, 7)
+
+
+def _loop_mode_grid(profile, n_radial, n_angular):
+    """Nodes, weights and antipodes of the mode grid, one node at a time."""
+    r_far = profile.far_radius()
+    rn, rw = np.polynomial.legendre.leggauss(n_radial)
+    rn, rw = 0.5 * r_far * (rn + 1.0), 0.5 * r_far * rw
+    n_theta, n_phi = n_angular // 2, n_angular
+    cn, cw = np.polynomial.legendre.leggauss(n_theta)
+    cn, cw = 0.5 * (cn - cn[::-1]), 0.5 * (cw + cw[::-1])
+    ph = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    pw = 2.0 * math.pi / n_phi
+    ks, ws = [], []
+    for r, wr in zip(rn, rw):
+        for c, wc in zip(cn, cw):
+            s_ = math.sqrt(1.0 - c * c)
+            for f in ph:
+                ks.append([r * s_ * math.cos(f), r * s_ * math.sin(f), r * c])
+                ws.append(wr * r * r * wc * pw)
+    idx = np.arange(len(ws)).reshape(n_radial, n_theta, n_phi)
+    anti = np.empty(len(ws), dtype=int)
+    for ir in range(n_radial):
+        for ic in range(n_theta):
+            for jf in range(n_phi):
+                anti[idx[ir, ic, jf]] = idx[ir, n_theta - 1 - ic,
+                                            (jf + n_phi // 2) % n_phi]
+    return np.array(ks), np.array(ws), anti
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.7])
+@pytest.mark.parametrize("n_radial, n_angular", [
+    (24, 12), (2, 6), (4, 6), (6, 6), (5, 10), (96, 64)])
+def test_mode_grid_matches_loop_reference(lam, n_radial, n_angular):
+    profile = CutoffProfile("gaussian", lam)
+    grid = build_mode_grid(profile, n_radial, n_angular)
+    k, w, anti = _loop_mode_grid(profile, n_radial, n_angular)
+    assert np.array_equal(grid.antipode, anti)
+    assert np.array_equal(grid.w, w)
+    assert np.abs(grid.k - k).max() <= 1e-15 * profile.far_radius()
 
 
 def test_mode_coefficients_structure(profile, small_grid):

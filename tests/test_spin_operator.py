@@ -1,8 +1,14 @@
+import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import spinrad.fock as fock
 import spinrad.spin_operator as spin_operator
-from spinrad.errors import DomainError
+from spinrad.cli import main
+from spinrad.errors import DomainError, ResourceError, SpinradError
 from spinrad.fock import discrete_kernel_matrix
 from spinrad.kernel import a11_origin, kernel_matrix
 from spinrad.spin_operator import HermitianSpinOperator, SpinSystem, \
@@ -10,6 +16,8 @@ from spinrad.spin_operator import HermitianSpinOperator, SpinSystem, \
     site_spin_operators
 
 from conftest import random_state
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_system_validation():
@@ -195,3 +203,71 @@ def test_ground_eigenspace_spectral_shift(profile, two_spin_system):
     lam2, mult2, _ = ground_eigenspace(shifted)
     assert mult2 == mult
     assert lam2 == pytest.approx(lam + 0.37, abs=1e-12)
+
+
+def _break(K, d, fault):
+    """K with its sign flipped, or made asymmetric at the origin."""
+    K = -K if fault == "flip" else np.array(K)
+    if fault == "asymmetric" and not np.any(d):
+        K[0, 1] += 1e-3 * np.abs(K).max()
+    return K
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("flip", "positive eigenvalue"), ("asymmetric", "not Hermitian")])
+@pytest.mark.parametrize("kernel", ["continuum", "discrete"])
+def test_assembly_checks_raise(profile, small_grid, two_spin_system,
+                               monkeypatch, kernel, fault, message):
+    if kernel == "continuum":
+        monkeypatch.setattr(spin_operator, "kernel_matrix", lambda prof, x:
+                            SimpleNamespace(entries=_break(
+                                kernel_matrix(prof, x).entries, x, fault)))
+        with pytest.raises(SpinradError, match=message):
+            assemble_am(two_spin_system, profile)
+    else:
+        monkeypatch.setattr(fock, "discrete_kernel_matrix", lambda prof, g, d:
+                            _break(discrete_kernel_matrix(prof, g, d), d,
+                                   fault))
+        with pytest.raises(SpinradError, match=message):
+            fock.discrete_am(two_spin_system, profile, small_grid)
+
+
+def _count_decompositions(monkeypatch):
+    """Route numpy's dense Hermitian eigensolvers through a call counter."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _solver=getattr(np.linalg, name), **kwargs):
+            calls.append(np.shape(a))
+            return _solver(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
+                                  monkeypatch):
+    grid = fock.build_mode_grid(profile, 4, 6)  # Fock dim > 32: Lanczos
+    calls = _count_decompositions(monkeypatch)
+    assert main(["e2", "--config", str(CONFIGS / "two_spins.yaml"),
+                 "--out", str(tmp_path)]) == 0
+    assert calls == [(4, 4)]
+    calls.clear()
+    fock.quadratic_fit(two_spin_system, profile, grid, 1,
+                       [0.4, 0.2, 0.1, 0.05])
+    assert calls == [(4, 4)]
+    calls.clear()
+    fock.multiplicity_scan(two_spin_system.with_moments([1.0, 1.0]), profile,
+                           grid, 1, [0.2, 0.1])
+    assert calls == [(4, 4)]
+
+
+def test_dense_budget_rejects_thirteen_spins():
+    # 2^13 > MAX_DENSE_DIM; nothing of that size may be allocated first
+    positions = np.arange(39, dtype=float).reshape(13, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="dense budget"):
+            SpinSystem(positions=positions, moments=np.ones(13), s=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -59,9 +59,13 @@ def _require(cond, message):
 
 def _cast(kind, value, key: str):
     try:
+        # int() would truncate 2.7 to 2 and read true as 1
+        if kind is int and (isinstance(value, bool) or isinstance(
+                value, float) and not value.is_integer()):
+            raise ValueError
         # plain scalars like 1e-8 reach us as strings under YAML 1.1
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"key '{key}' must be {what}") from None
 

@@ -58,9 +58,8 @@ def vector_current(system: SpinSystem, profile: CutoffProfile, X) -> FourierCurr
     X = np.asarray(X, dtype=complex)
     if abs(np.linalg.norm(X) - 1.0) > 1e-12:
         raise DomainError("vector current requires a normalized state")
-    emb = site_spin_operators(system.s, system.P)
-    sigX = np.array([[emb[lam][m] @ X for m in range(3)]
-                     for lam in range(system.P)])  # (P, 3, dim)
+    sigX = (site_spin_operators(system.s, system.P) @ X).reshape(
+        system.P, 3, -1)  # (P, 3, dim)
 
     def evaluator(xi):
         xi = np.atleast_2d(xi)

@@ -24,9 +24,9 @@ import scipy.sparse.linalg as spla
 
 from .cutoff import CutoffProfile, phi_eval
 from .errors import ConvergenceError, DomainError, ResourceError
-from .spin_algebra import bilinear_spin_operator
 from .spin_operator import HermitianSpinOperator, SpinSystem, _assemble, \
-    _checked_operator, ground_eigenspace, site_spin_operators
+    _checked_operator, bilinear_spin_operator, ground_eigenspace, \
+    site_spin_operators
 
 # Hard ceiling on dim(Fock) * dim(spin) for assembled operators.
 MAX_TOTAL_DIM = 400_000
@@ -240,7 +240,7 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
     """Assemble the truncated spin-photon Hamiltonian."""
     spin_dim = system.spin_dim
     space = build_fock_space(grid, n_max, spin_dim)
-    emb = site_spin_operators(system.s, system.P)
+    S = site_spin_operators(system.s, system.P)
     h_free = sp.kron(
         sp.diags(np.concatenate([space.omega_osc[occ].sum(axis=1)
                                  for occ in space.sectors])),
@@ -250,8 +250,9 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
         for m in range(3):
             v = coupling_vector(profile, grid, system.positions[lam], m + 1)
             phi_s = segal_field(space, v)
+            a = 3 * lam + m
             h_int = h_int + system.moments[lam] * sp.kron(
-                phi_s, sp.csr_matrix(emb[lam][m]), format="csr")
+                phi_s, S[a * spin_dim:(a + 1) * spin_dim], format="csr")
     return ToyHamiltonian(h_free=h_free, h_int=h_int.tocsr(), space=space,
                           system=system, spin_dim=spin_dim)
 

@@ -1,4 +1,4 @@
-"""Spin-s matrices, Kronecker site embeddings, Hopf maps and SU(2) rotations.
+"""Spin-s matrices, sparse site embeddings, Hopf maps and SU(2) rotations.
 
 Conventions: sigma_j(s) = 2 J_j in the weight basis |s,s>, ..., |s,-s>, so
 that s = 1/2 reproduces the Pauli matrices, [sigma_1, sigma_2] = 2i sigma_3
@@ -10,15 +10,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import expm
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 
-# Largest tensor-product dimension this module will materialize densely.
+# Largest tensor-product dimension materialized densely (one dense A_M).
 # A complex dim x dim matrix takes 16 dim^2 bytes: 256 MiB at 2^12, 1 GiB at
-# 2^13, 4 GiB at 2^14.  bilinear_spin_operator holds at least four at once
-# (the sum, the upper site pairs, one Kronecker term and the adjoint) before
-# the eigh adds its own: 1 GiB at 2^12 but 4 GiB at 2^13, on an 8 GB machine.
+# 2^13.  The sparse site-spin stack and coef (x) I that build it hold
+# O(P^2 dim) entries, 5.3e6 at 2^12 against the 1.7e7 of the dense result
+# (0.37 GB process peak for the whole build).  The peak is the eigh of A_M,
+# which holds about five dense dim x dim arrays (input copy, eigenvectors,
+# LAPACK workspace): 0.34 GB measured at 2^11, so about 1.4 GB at 2^12 but
+# 5.5 GB at 2^13, on an 8 GB machine.
 MAX_DENSE_DIM = 1 << 12
 
 _NORM_TOL = 1e-12
@@ -59,48 +63,24 @@ def spin_matrices(s) -> SpinMatrices:
                                     2.0 * j3.astype(complex)))
 
 
-def embed_site_operator(op: np.ndarray, lam: int, P: int) -> np.ndarray:
-    """I (x) ... (x) op (x) ... (x) I with op at slot lam (1-based)."""
-    return embed_site_operators({lam: op}, P)
+def embed_site_operator(op: np.ndarray, lam: int, P: int) -> sp.csr_matrix:
+    """Sparse I (x) ... (x) op (x) ... (x) I with op at slot lam (1-based).
 
-
-def embed_site_operators(ops: dict, P: int) -> np.ndarray:
-    """Kronecker chain with ops[lam] at slot lam (1-based) and I elsewhere."""
-    ops = {lam: np.asarray(op) for lam, op in ops.items()}
-    d = next(iter(ops.values())).shape[0]
-    for lam in ops:
-        if not 1 <= lam <= P:
-            raise DomainError(f"site index {lam} outside 1..{P}")
-    if d ** P > MAX_DENSE_DIM:
-        raise ResourceError(f"tensor dimension {d}^{P} exceeds the dense budget")
-    out = np.eye(1)
-    last = 0
-    for lam in sorted(ops):
-        out = np.kron(np.kron(out, np.eye(d ** (lam - last - 1))), ops[lam])
-        last = lam
-    return np.kron(out, np.eye(d ** (P - last)))
-
-
-def bilinear_spin_operator(coef: np.ndarray, s) -> np.ndarray:
-    """sum_{a,b} coef[a, b] S_a S_b with S_{3 lam + j} = sigma_j^[lam].
-
-    coef must be Hermitian: the site pairs mu > lam then give the adjoint of
-    the pairs lam < mu, which alone are built.
+    With b the base-d digit of site lam in column index i, column i holds
+    op[a, b] in the row that has digit a there and agrees with i elsewhere.
     """
-    sig = np.array(spin_matrices(s).sigma)
-    P = coef.shape[0] // 3
-    c = np.asarray(coef).reshape(P, 3, P, 3)
-    out = sum(embed_site_operators(
-        {lam + 1: np.einsum("jm,jab,mbc->ac", c[lam, :, lam], sig, sig)}, P)
-        for lam in range(P))
-    upper = np.zeros_like(out)
-    for lam in range(P):
-        for mu in range(lam + 1, P):
-            tau = np.tensordot(c[lam, :, mu], sig, 1)  # sum_m c_jm sigma_m
-            for j in range(3):
-                upper += embed_site_operators(
-                    {lam + 1: sig[j], mu + 1: tau[j]}, P)
-    return out + upper + upper.conj().T
+    op = np.asarray(op)
+    d = op.shape[0]
+    if not 1 <= lam <= P:
+        raise DomainError(f"site index {lam} outside 1..{P}")
+    stride = d ** (P - lam)
+    cols = np.broadcast_to(np.arange(d ** P), (d, d ** P))
+    b = cols[0] // stride % d
+    rows = cols + (np.arange(d)[:, None] - b) * stride
+    vals = op[:, b]
+    keep = vals != 0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(d ** P, d ** P))
 
 
 def hopf_map(X, s) -> np.ndarray:

@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cutoff import CutoffProfile
 from .errors import DomainError, ResourceError, SpinradError
 from .kernel import kernel_matrix
 from .spin_algebra import MAX_DENSE_DIM, _check_half_integer, \
-    bilinear_spin_operator, embed_site_operator, spin_matrices
+    embed_site_operator, spin_matrices
 
 # Relative ceiling on positive eigenvalues of an assembled A_M; anything
 # larger diagnoses a kernel or assembly bug and is raised, not clipped.
@@ -79,11 +80,21 @@ class HermitianSpinOperator:
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.matrix)
 
 
-def site_spin_operators(s, P):
-    """Embedded matrices sigma_m^[lam]; shape indexable as [lam][m]."""
+def site_spin_operators(s, P) -> sp.csr_matrix:
+    """Sparse stack S of shape (3 P dim, dim) of the embedded spins.
+
+    Row block a = 3 lam + m (0-based) is S_a = sigma_(m+1) on site lam + 1.
+    """
     sig = spin_matrices(s).sigma
-    return [[embed_site_operator(sig[m], lam + 1, P) for m in range(3)]
-            for lam in range(P)]
+    return sp.vstack([embed_site_operator(sig[m], lam + 1, P)
+                      for lam in range(P) for m in range(3)], format="csr")
+
+
+def bilinear_spin_operator(coef: np.ndarray, s) -> np.ndarray:
+    """Dense sum_{a,b} coef[a, b] S_a S_b, as S^H (coef (x) I) S."""
+    S = site_spin_operators(s, coef.shape[0] // 3)
+    return (S.conj().T @ sp.kron(coef, sp.identity(S.shape[1]))
+            @ S).toarray()
 
 
 def _assemble(system: SpinSystem, kernel_at) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 
 from spinrad import CutoffProfile, SpinSystem
 from spinrad.fock import build_mode_grid
+from spinrad.spin_algebra import spin_matrices
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +30,16 @@ def small_grid(profile):
 def random_state(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def kron_embed(op, lam, P):
+    """Dense I (x) ... (x) op (x) ... (x) I (op at 1-based slot lam) by np.kron."""
+    d = np.shape(op)[0]
+    return np.kron(np.kron(np.eye(d ** (lam - 1)), op), np.eye(d ** (P - lam)))
+
+
+def kron_site_spins(s, P):
+    """Dense sigma_m^[lam+1] as [lam][m], each an np.kron chain."""
+    sig = spin_matrices(s).sigma
+    return [[kron_embed(sig[m], lam + 1, P) for m in range(3)]
+            for lam in range(P)]

@@ -100,6 +100,11 @@ BAD_CONFIGS = [(MINIMAL + "\n" + extra + "\n", message) for extra, message in [
     ("cutoff: {lambda: wide}", "key 'cutoff.lambda' must be a number"),
     ("seed: abc", "key 'seed' must be an integer"),
     ("spin: half", "key 'spin' must be a number"),
+    # integer keys refuse what int() would truncate or reinterpret
+    ("grids: {n_max: 2.7}", "key 'grids.n_max' must be an integer"),
+    ("seed: 3.5", "key 'seed' must be an integer"),
+    ("seed: true", "key 'seed' must be an integer"),
+    ("seed: .inf", "key 'seed' must be an integer"),
 ]] + [(MINIMAL.replace("moment: -0.5", "moment: big"),
        r"key 'particles\[1\]' must be a number")]
 

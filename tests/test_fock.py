@@ -14,9 +14,9 @@ from spinrad.fock import MAX_TOTAL_DIM, ModeGrid, _discrete_k_bound, \
     discrete_am, discrete_kernel_matrix, ground_state, mode_coefficients, \
     multiplicity_scan, photon_number, quadratic_fit, segal_field, \
     variational_trial_check
-from spinrad.spin_operator import SpinSystem, assemble_am, site_spin_operators
+from spinrad.spin_operator import SpinSystem, assemble_am
 
-from conftest import random_state
+from conftest import kron_site_spins, random_state
 
 
 def test_grid_antipodal_symmetry(default_grid):
@@ -286,7 +286,7 @@ def test_discrete_k_bound_matches_reference(profile, small_grid):
                         moments=[0.8, -0.5, 0.3], s=0.5)
     P, M = system.P, system.moments
     # Gram matrix term by term over all (3P)^2 ordered pairs of site spins
-    emb = site_spin_operators(system.s, P)
+    emb = kron_site_spins(system.s, P)
     vs = [[coupling_vector(profile, small_grid, system.positions[lam], m + 1)
            for m in range(3)] for lam in range(P)]
     inv_w = 1.0 / np.repeat(small_grid.omega, 2)

@@ -49,8 +49,11 @@ def test_non_half_integer_rejected():
 
 def test_embed_site_operator():
     sz = PAULI[2]
-    assert np.allclose(np.diag(embed_site_operator(sz, 1, 2)), [1, 1, -1, -1])
-    assert np.allclose(np.diag(embed_site_operator(sz, 2, 2)), [1, -1, 1, -1])
+    e1, e2 = embed_site_operator(sz, 1, 2), embed_site_operator(sz, 2, 2)
+    assert np.array_equal(e1.toarray(), np.kron(sz, np.eye(2)))
+    assert np.array_equal(e2.toarray(), np.kron(np.eye(2), sz))
+    assert np.allclose(e1.diagonal(), [1, 1, -1, -1])
+    assert np.allclose(e2.diagonal(), [1, -1, 1, -1])
 
 
 def test_embedded_disjoint_slots_commute():

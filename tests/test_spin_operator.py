@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinrad.fock as fock
 import spinrad.spin_operator as spin_operator
@@ -11,11 +12,12 @@ from spinrad.cli import main
 from spinrad.errors import DomainError, ResourceError, SpinradError
 from spinrad.fock import discrete_kernel_matrix
 from spinrad.kernel import a11_origin, kernel_matrix
+from spinrad.spin_algebra import embed_site_operator
 from spinrad.spin_operator import HermitianSpinOperator, SpinSystem, \
-    _assemble, assemble_am, ground_eigenspace, quadratic_form, \
-    site_spin_operators
+    _assemble, assemble_am, bilinear_spin_operator, ground_eigenspace, \
+    quadratic_form
 
-from conftest import random_state
+from conftest import kron_embed, kron_site_spins, random_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -77,7 +79,7 @@ def _assemble_reference(system, kernel_at):
     """A_M term by term: all P^2 ordered pairs, nine embedded products each."""
     P, dim = system.P, system.spin_dim
     M, x = system.moments, system.positions
-    emb = site_spin_operators(system.s, P)
+    emb = kron_site_spins(system.s, P)
     A = np.zeros((dim, dim), dtype=complex)
     for lam in range(P):
         for mu in range(P):
@@ -271,3 +273,37 @@ def test_dense_budget_rejects_thirteen_spins():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@st.composite
+def spin_clusters(draw):
+    """s in {1/2, ..., 5/2} and P >= 1 with (2s+1)^P <= 256."""
+    two_s = draw(st.integers(1, 5))
+    P_max = int(np.floor(np.log(256) / np.log(two_s + 1) + 1e-12))
+    return two_s / 2.0, draw(st.integers(1, P_max))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spin_clusters(), st.integers(0, 2 ** 32 - 1))
+def test_sparse_stack_matches_kron_chains(cluster, seed):
+    s, P = cluster
+    rng = np.random.default_rng(seed)
+    d = int(round(2 * s + 1))
+    op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    op[rng.random((d, d)) < 0.3] = 0.0
+    for lam in range(1, P + 1):
+        assert np.array_equal(embed_site_operator(op, lam, P).toarray(),
+                              kron_embed(op, lam, P))
+    for lam in (0, P + 1):
+        with pytest.raises(DomainError, match="site index"):
+            embed_site_operator(op, lam, P)
+
+    # random Hermitian coef; sites with zero moment lose their rows/columns
+    n = 3 * P
+    coef = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    live = np.repeat(rng.random(P) < 0.7, 3)
+    coef = (coef + coef.conj().T) * np.outer(live, live)
+    E = np.array([e for site in kron_site_spins(s, P) for e in site])
+    ref = np.matmul(np.tensordot(coef, E, axes=(0, 0)), E).sum(axis=0)
+    A = bilinear_spin_operator(coef, s)
+    assert np.abs(A - ref).max() <= 1e-12 * max(1.0, np.linalg.norm(ref))

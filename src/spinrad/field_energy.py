@@ -25,6 +25,7 @@ from .errors import DomainError
 DEFAULT_N_RADIAL = 96
 DEFAULT_N_THETA = 32
 DEFAULT_N_PHI = 64
+_BATCH_NODES = 2048  # per evaluator call: 1.5 MB of amplitudes at s=3/2, P=2
 
 
 @dataclass
@@ -41,36 +42,46 @@ class FourierCurrent:
     profile: CutoffProfile
 
 
-def _cross_batch(xi, V):
-    """Cross product of xi (N, 3) with V (N, 3, ...) along the 3-axis."""
-    out = np.empty_like(V)
-    a, b, c = (xi[:, i] for i in range(3))
-    sl = (slice(None),) + (None,) * (V.ndim - 2)
-    a, b, c = a[sl], b[sl], c[sl]
-    out[:, 0] = b * V[:, 2] - c * V[:, 1]
-    out[:, 1] = c * V[:, 0] - a * V[:, 2]
-    out[:, 2] = a * V[:, 1] - b * V[:, 0]
-    return out
+def _transverse_current(system: SpinSystem, profile: CutoffProfile, V):
+    """Evaluator of jhat(xi) = i phi(|xi|) sum_lam e^{i xi.x_lam} xi x V_lam.
+
+    V (P, 3, ...) holds the moment-weighted site vectors.  The cross product
+    is folded into E[(lam, j), (m, e)] = sum_k eps_mjk V[lam, k, e], so N
+    nodes cost one (N, 3P) @ (3P, 3d) product.
+    """
+    P = system.P
+    V3 = np.asarray(V, dtype=complex).reshape(P, 3, -1)
+    E = np.zeros((P, 3, 3, V3.shape[2]), dtype=complex)  # [lam, j, m, e]
+    for m, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        E[:, j, m], E[:, k, m] = V3[:, k], -V3[:, j]
+    # B @ E as a real product on (re, im) pairs: a complex one (zgemm,
+    # OpenBLAS 0.3.31, AVX-512 Xeon) slowed the float code after it 3-20x.
+    E_real = np.stack([E, 1j * E], axis=2).view(float).reshape(6 * P, -1)
+
+    def evaluator(xi):
+        xi = np.atleast_2d(xi)
+        # real (N, P) product: exp right after a complex one ran ~10x slower
+        phases = np.exp(1j * (xi @ system.positions.T))
+        phases *= 1j * phi_eval(profile, np.linalg.norm(xi, axis=1))[:, None]
+        B = (phases[:, :, None] * xi[:, None, :]).reshape(len(xi), 3 * P)
+        amp = (B.view(float) @ E_real).view(complex)
+        return amp.reshape((len(xi),) + np.shape(V)[1:])
+
+    return evaluator
 
 
 def vector_current(system: SpinSystem, profile: CutoffProfile, X) -> FourierCurrent:
     """Spin-space-valued current jhat(xi, X) of a spin state X."""
     X = np.asarray(X, dtype=complex)
+    if X.shape != (system.spin_dim,):
+        raise DomainError(f"spin state needs {system.spin_dim} components")
     if abs(np.linalg.norm(X) - 1.0) > 1e-12:
         raise DomainError("vector current requires a normalized state")
     sigX = (site_spin_operators(system.s, system.P) @ X).reshape(
         system.P, 3, -1)  # (P, 3, dim)
-
-    def evaluator(xi):
-        xi = np.atleast_2d(xi)
-        r = np.linalg.norm(xi, axis=1)
-        phases = np.exp(1j * xi @ system.positions.T)  # (N, P)
-        amp = np.einsum("l,nl,lmd->nmd", system.moments.astype(complex),
-                        phases, sigX)
-        out = 1j * phi_eval(profile, r)[:, None, None] * _cross_batch(xi, amp)
-        return out
-
-    return FourierCurrent(evaluator=evaluator, flavor="vector", profile=profile)
+    V = system.moments[:, None, None] * sigX
+    return FourierCurrent(evaluator=_transverse_current(system, profile, V),
+                          flavor="vector", profile=profile)
 
 
 def classical_current(system: SpinSystem, profile: CutoffProfile, S) -> FourierCurrent:
@@ -80,16 +91,9 @@ def classical_current(system: SpinSystem, profile: CutoffProfile, S) -> FourierC
         raise DomainError("need one unit orientation per particle")
     if np.any(np.abs(np.linalg.norm(S, axis=1) - 1.0) > 1e-10):
         raise DomainError("orientations must be unit vectors")
-    MS = system.moments[:, None] * S  # (P, 3)
-
-    def evaluator(xi):
-        xi = np.atleast_2d(xi)
-        r = np.linalg.norm(xi, axis=1)
-        phases = np.exp(1j * xi @ system.positions.T)  # (N, P)
-        amp = phases @ MS.astype(complex)  # (N, 3)
-        return 1j * phi_eval(profile, r)[:, None] * _cross_batch(xi, amp)
-
-    return FourierCurrent(evaluator=evaluator, flavor="classical", profile=profile)
+    V = system.moments[:, None] * S  # (P, 3)
+    return FourierCurrent(evaluator=_transverse_current(system, profile, V),
+                          flavor="classical", profile=profile)
 
 
 def jvect_fourier(system, profile, X, xi) -> np.ndarray:
@@ -129,9 +133,14 @@ def field_energy(current: FourierCurrent,
     Integrable at xi = 0 because jhat(xi) = O(|xi|); the radial Gauss rule
     keeps the origin off the node set.
     """
+    if min(n_radial, n_theta, n_phi) < 1:
+        raise DomainError("field energy needs at least one node per axis")
     xi, w = _spherical_nodes(current.profile, n_radial, n_theta, n_phi)
-    amp = current.evaluator(xi)
-    mag2 = np.sum(np.abs(amp) ** 2, axis=tuple(range(1, amp.ndim)))
+    mag2 = np.empty(len(xi))
+    for a in range(0, len(xi), _BATCH_NODES):
+        amp = np.ascontiguousarray(current.evaluator(xi[a:a + _BATCH_NODES]))
+        parts = amp.reshape(len(amp), -1).view(amp.real.dtype)  # (re, im)
+        mag2[a:a + _BATCH_NODES] = np.sum(parts * parts, axis=1)
     r2 = np.sum(xi * xi, axis=1)
     return 0.5 * (2.0 * math.pi) ** -3 * float(np.sum(w * mag2 / r2))
 

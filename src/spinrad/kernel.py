@@ -87,15 +87,19 @@ def kernel_oracle_3d_complex(profile: CutoffProfile, x, n: int = 128) -> np.ndar
     nodes, weights = np.polynomial.legendre.leggauss(n)
     nodes = nodes * half
     weights = weights * half
-    kx, ky, kz = np.meshgrid(nodes, nodes, nodes, indexing="ij")
-    w = (weights[:, None, None] * weights[None, :, None] * weights[None, None, :])
-    k = np.stack([kx, ky, kz], axis=-1)
-    k2 = kx * kx + ky * ky + kz * kz
-    phase = np.exp(-1j * (k @ x))
-    f = phi_eval(profile, np.sqrt(k2)) ** 2 * phase * w / k2
-    out = np.empty((3, 3), dtype=complex)
-    for j in range(3):
-        for m_ in range(3):
-            proj = (k2 if j == m_ else 0.0) - k[..., j] * k[..., m_]
-            out[j, m_] = np.sum(f * proj)
+    sq = nodes * nodes
+    k2 = sq[:, None, None] + sq[:, None] + sq
+    # e^{-i k.x} w factors into one weighted 1-D phase per axis
+    ex, ey, ez = weights * np.exp(-1j * np.outer(x, nodes))
+    f = phi_eval(profile, np.sqrt(k2)) ** 2 / k2 \
+        * (ex[:, None, None] * np.outer(ey, ez))
+    # S_jm = sum f k_j k_m from the three 2-D marginals of f
+    fxy, fxz, fyz = f.sum(axis=2), f.sum(axis=1), f.sum(axis=0)
+    S = np.empty((3, 3), dtype=complex)
+    S[0, 0], S[1, 1], S[2, 2] = \
+        sq @ fxy.sum(axis=1), sq @ fxy.sum(axis=0), sq @ fxz.sum(axis=0)
+    S[0, 1] = S[1, 0] = nodes @ fxy @ nodes
+    S[0, 2] = S[2, 0] = nodes @ fxz @ nodes
+    S[1, 2] = S[2, 1] = nodes @ fyz @ nodes
+    out = np.trace(S) * np.eye(3) - S
     return out / (2.0 * math.pi) ** 3

@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spinrad.cutoff import phi_eval
 from spinrad.errors import DomainError
-from spinrad.field_energy import classical_current, \
+from spinrad.field_energy import _spherical_nodes, classical_current, \
     classical_decomposition_check, field_energy, higher_spin_constant, \
     jclass_fourier, jvect_fourier, vector_current
 from spinrad.spin_algebra import omega_state, product_state, spin_matrices, \
     su2_rotate
-from spinrad.spin_operator import SpinSystem, assemble_am, quadratic_form
+from spinrad.spin_operator import SpinSystem, assemble_am, quadratic_form, \
+    site_spin_operators
 
 from conftest import random_state
 
@@ -133,3 +138,113 @@ def test_classical_decomposition(profile, s):
         ps = orbit_product_state(rng, 2, s)
         lhs, rhs, resid = classical_decomposition_check(system, profile, ps)
         assert resid <= 1e-6 * max(1.0, abs(lhs))
+
+
+def _cross_reference(xi, V):
+    """Cross product of xi (N, 3) with V (N, 3, ...) along the 3-axis."""
+    out = np.empty_like(V)
+    a, b, c = (xi[:, i] for i in range(3))
+    sl = (slice(None),) + (None,) * (V.ndim - 2)
+    a, b, c = a[sl], b[sl], c[sl]
+    out[:, 0] = b * V[:, 2] - c * V[:, 1]
+    out[:, 1] = c * V[:, 0] - a * V[:, 2]
+    out[:, 2] = a * V[:, 1] - b * V[:, 0]
+    return out
+
+
+def _vector_reference(system, profile, X, xi):
+    """Vector amplitudes by einsum over sites, then the cross product."""
+    sigX = (site_spin_operators(system.s, system.P) @ X).reshape(
+        system.P, 3, -1)
+    phases = np.exp(1j * (xi @ system.positions.T))
+    amp = np.einsum("l,nl,lmd->nmd", system.moments.astype(complex),
+                    phases, sigX)
+    r = np.linalg.norm(xi, axis=1)
+    return 1j * phi_eval(profile, r)[:, None, None] * _cross_reference(xi, amp)
+
+
+def _classical_reference(system, profile, S, xi):
+    phases = np.exp(1j * (xi @ system.positions.T))
+    amp = phases @ (system.moments[:, None] * np.asarray(S)).astype(complex)
+    r = np.linalg.norm(xi, axis=1)
+    return 1j * phi_eval(profile, r)[:, None] * _cross_reference(xi, amp)
+
+
+def _energy_reference(amplitudes, profile, **quad_sizes):
+    """Field energy of an amplitude function, all nodes in one call."""
+    xi, w = _spherical_nodes(profile, **quad_sizes)
+    amp = amplitudes(xi)
+    mag2 = np.sum(np.abs(amp) ** 2, axis=tuple(range(1, amp.ndim)))
+    return 0.5 * (2.0 * math.pi) ** -3 * float(
+        np.sum(w * mag2 / np.sum(xi * xi, axis=1)))
+
+
+# 24 x 8 x 16 = 3072 nodes: more than one evaluator batch
+SMALL_QUAD = {"n_radial": 24, "n_theta": 8, "n_phi": 16}
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.5])
+@pytest.mark.parametrize("P", [1, 2, 3])
+def test_currents_match_reference(profile, s, P):
+    rng = np.random.default_rng(int(10 * s) + P)
+    system = random_system(rng, P, s=s)
+    if P > 1:
+        system = system.with_moments(np.where(np.arange(P) == 1, 0.0,
+                                              system.moments))
+    X = random_state(rng, system.spin_dim)
+    S = rng.normal(size=(P, 3))
+    S /= np.linalg.norm(S, axis=1)[:, None]
+    xi = rng.normal(size=(40, 3)) * rng.uniform(0.05, 4.0, size=(40, 1))
+    xi[0] = 0.0
+
+    cases = [(vector_current(system, profile, X),
+              lambda q: _vector_reference(system, profile, X, q)),
+             (classical_current(system, profile, S),
+              lambda q: _classical_reference(system, profile, S, q))]
+    for current, reference in cases:
+        amp, ref = current.evaluator(xi), reference(xi)
+        assert amp.shape == ref.shape
+        assert np.abs(amp - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(amp[0]).max() == 0.0
+        e = field_energy(current, **SMALL_QUAD)
+        e_ref = _energy_reference(reference, profile, **SMALL_QUAD)
+        assert abs(e - e_ref) <= 1e-13 * e_ref
+
+
+def test_vector_current_rejects_wrong_dimension(profile, two_spin_system):
+    for X in (np.ones(2) / math.sqrt(2.0), np.ones(8) / math.sqrt(8.0),
+              np.eye(4)[:, :1]):
+        with pytest.raises(DomainError, match="spin state"):
+            vector_current(two_spin_system, profile, X)
+
+
+@pytest.mark.parametrize("sizes", [{"n_radial": 0}, {"n_theta": 0},
+                                   {"n_phi": 0}, {"n_phi": -3},
+                                   {"n_radial": -1, "n_theta": 4}])
+def test_field_energy_rejects_empty_rules(profile, two_spin_system, sizes):
+    cur = classical_current(two_spin_system, profile,
+                            [[0, 0, 1.0], [1.0, 0, 0]])
+    with pytest.raises(DomainError, match="node"):
+        field_energy(cur, **sizes)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([(0.5, 1), (0.5, 2), (0.5, 3), (0.5, 4), (1.0, 2),
+                        (1.5, 2), (2.5, 1)]),
+       st.floats(-6.0, 0.8), st.integers(0, 2 ** 32 - 1))
+def test_field_energy_identity_boundary_regimes(profile, cluster, log_d,
+                                                seed):
+    # dim <= 16, some zero moments, and one pair at 10^log_d: down to the
+    # series branch of j1/j2 in the kernel
+    s, P = cluster
+    rng = np.random.default_rng(seed)
+    positions = rng.normal(size=(P, 3)) * 2.0
+    if P > 1:
+        v = rng.normal(size=3)
+        positions[1] = positions[0] + 10.0 ** log_d * v / np.linalg.norm(v)
+    moments = rng.uniform(-1.0, 1.0, size=P) * (rng.random(P) < 0.7)
+    system = SpinSystem(positions=positions, moments=moments, s=s)
+    X = random_state(rng, system.spin_dim)
+    qf = quadratic_form(assemble_am(system, profile), X)
+    energy = field_energy(vector_current(system, profile, X))
+    assert abs(qf + energy) <= 1e-6 * max(1.0, abs(qf))

@@ -117,6 +117,39 @@ def test_oracle_imaginary_part_cancels(profile):
     assert np.abs(raw.imag).max() <= 1e-12
 
 
+def _oracle_reference(profile, x, n):
+    """The 3D oracle as nine full sums over a meshgrid of k."""
+    half = profile.far_radius(1e-8)
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = nodes * half, weights * half
+    kx, ky, kz = np.meshgrid(nodes, nodes, nodes, indexing="ij")
+    w = weights[:, None, None] * weights[None, :, None] \
+        * weights[None, None, :]
+    k = np.stack([kx, ky, kz], axis=-1)
+    k2 = kx * kx + ky * ky + kz * kz
+    f = phi_eval(profile, np.sqrt(k2)) ** 2 * np.exp(-1j * (k @ x)) * w / k2
+    out = np.empty((3, 3), dtype=complex)
+    for j in range(3):
+        for m in range(3):
+            proj = (k2 if j == m else 0.0) - k[..., j] * k[..., m]
+            out[j, m] = np.sum(f * proj)
+    return out / (2.0 * math.pi) ** 3
+
+
+@pytest.mark.parametrize("n, x", [
+    (32, [0.7, -0.4, 1.1]),
+    (32, [0.0, 0.0, 0.0]),
+    (32, [-3.2, 0.5, 2.4]),
+    (128, [0.7, -0.4, 1.1]),
+    (128, [1.9, 2.6, -0.8]),
+])
+def test_oracle_matches_nine_sum_reference(profile, n, x):
+    raw = kernel_oracle_3d_complex(profile, x, n)
+    ref = _oracle_reference(profile, np.asarray(x, dtype=float), n)
+    assert np.abs(raw - ref).max() <= 1e-15
+    assert np.abs(raw.imag).max() <= 1e-15
+
+
 def test_oracle_rejects_tiny_node_count(profile):
     with pytest.raises(DomainError):
         kernel_oracle_3d(profile, [0.0, 0.0, 0.0], n=4)

@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 
 from .cutoff import CutoffProfile, grad_rho, phi_eval, rho_eval
 from .kernel import KernelMatrix, a11_origin, kernel_matrix, kernel_oracle_3d
-from .spin_algebra import ProductState, SpinMatrices, embed_site_operator, \
-    hopf_map, omega_state, product_state, spin_matrices, su2_rotate
+from .spin_algebra import ProductState, embed_site_operator, hopf_map, \
+    omega_state, product_state, spin_matrices, su2_rotate
 from .spin_operator import HermitianSpinOperator, SpinSystem, assemble_am, \
     ground_eigenspace, quadratic_form
 from .field_energy import FourierCurrent, classical_current, \

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import platform
 from dataclasses import dataclass
 
@@ -11,17 +12,18 @@ import scipy
 import yaml
 
 from .cutoff import CutoffProfile
-from .errors import ConfigError
-from .spin_operator import SpinSystem
+from .errors import ConfigError, DomainError
+from .fock import DEFAULT_EIGENSOLVER_TOL
+from .spin_operator import DEFAULT_DEGENERACY_TOL, SpinSystem
 
 DEFAULT_CUTOFF = {"kind": "gaussian", "lambda": 1.0}
 
 DEFAULT_GRIDS = {"n_radial": 24, "n_angular": 12, "n_max": 1}
 
 DEFAULT_TOLERANCES = {
-    "identity": 1e-6,       # energy-identity residuals (relative)
-    "degeneracy": 1e-7,     # eigenvalue clustering (relative)
-    "eigensolver": 1e-10,   # iterative eigenpair residual (absolute)
+    "identity": 1e-6,  # energy-identity residuals (relative)
+    "degeneracy": DEFAULT_DEGENERACY_TOL,  # eigenvalue clustering (relative)
+    "eigensolver": DEFAULT_EIGENSOLVER_TOL,  # eigenpair residual (absolute)
 }
 
 
@@ -59,9 +61,10 @@ def _require(cond, message):
 
 def _cast(kind, value, key: str):
     try:
-        # int() would truncate 2.7 to 2 and read true as 1
-        if kind is int and (isinstance(value, bool) or isinstance(
-                value, float) and not value.is_integer()):
+        # int() and float() read true as 1; int() would truncate 2.7 to 2
+        if isinstance(value, bool) and kind is not str:
+            raise ValueError
+        if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError
         # plain scalars like 1e-8 reach us as strings under YAML 1.1
         return kind(value)
@@ -114,7 +117,8 @@ def parse_config(text: str) -> RunConfig:
         _require(isinstance(pos, list) and len(pos) == 3,
                  f"particles[{i}].position must have 3 components")
         for value in [*pos, part["moment"]]:
-            _cast(float, value, f"particles[{i}]")
+            _require(math.isfinite(_cast(float, value, f"particles[{i}]")),
+                     f"key 'particles[{i}]' must be finite")
     positions = np.array([p["position"] for p in particles], dtype=float)
     for a in range(len(particles)):
         for b in range(a + 1, len(particles)):
@@ -122,11 +126,14 @@ def parse_config(text: str) -> RunConfig:
                      "key 'particles': positions pairwise distinct")
 
     spin = _cast(float, raw.get("spin", 0.5), "spin")
-    _require(abs(2 * spin - round(2 * spin)) < 1e-12 and spin > 0,
+    _require(0 < spin < math.inf and abs(2 * spin - round(2 * spin)) < 1e-12,
              "key 'spin': 2s must be integer")
 
     cutoff = _section(raw, "cutoff", DEFAULT_CUTOFF)
-    _require(cutoff["lambda"] > 0, "key 'cutoff.lambda' must be positive")
+    try:
+        CutoffProfile(kind=cutoff["kind"], lam=cutoff["lambda"])
+    except DomainError as exc:
+        raise ConfigError(f"key 'cutoff': {exc}") from None
     grids = _section(raw, "grids", DEFAULT_GRIDS)
     tolerances = _section(raw, "tolerances", DEFAULT_TOLERANCES)
     for name, tol in tolerances.items():

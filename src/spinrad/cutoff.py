@@ -1,6 +1,6 @@
-"""Radial ultraviolet cutoff profiles and their real-space smearing.
+"""Gaussian ultraviolet cutoff and its real-space smearing.
 
-The cutoff phi is a radial Schwartz-class weight on momentum space.  Its
+The cutoff phi is a radial Gaussian weight on momentum space.  Its
 inverse Fourier transform rho(x) = (2 pi)^-3 int phi(|k|) e^{ik.x} dk is the
 smearing that enters every current density.  All 3D Fourier integrals of
 radial functions are reduced to 1D radial quadratures against spherical
@@ -28,34 +28,27 @@ def _gaussian_phi(r, lam):
     return np.exp(-(r * r) / (2.0 * lam * lam))
 
 
-def _gaussian_far(lam, tol):
-    return lam * math.sqrt(-2.0 * math.log(tol))
-
-
-# Registry of radial profile families.  Each entry maps kind -> (phi(r, lam),
-# far_radius(lam, tol)).  Only "gaussian" is required; additional radial
-# Schwartz profiles can be registered here.
-PROFILES = {
-    "gaussian": (_gaussian_phi, _gaussian_far),
-}
-
-
 @dataclass(frozen=True)
 class CutoffProfile:
-    """Radial ultraviolet cutoff with inverse-length scale lam > 0."""
+    """Gaussian ultraviolet cutoff phi(r) = exp(-r^2 / (2 lam^2)).
+
+    lam is a finite positive inverse length.  `kind` names the profile
+    family; "gaussian" is the only one.
+    """
 
     kind: str = "gaussian"
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in PROFILES:
+        if self.kind != "gaussian":
             raise DomainError(f"unknown cutoff profile kind {self.kind!r}")
-        if not self.lam > 0:
-            raise DomainError(f"cutoff scale must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise DomainError(
+                f"cutoff scale must be positive and finite, got {self.lam}")
 
     def far_radius(self, tol: float = FAR_TOL) -> float:
         """Radius beyond which |phi| < tol."""
-        return PROFILES[self.kind][1](self.lam, tol)
+        return self.lam * math.sqrt(-2.0 * math.log(tol))
 
 
 def phi_eval(profile: CutoffProfile, r):
@@ -63,7 +56,7 @@ def phi_eval(profile: CutoffProfile, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError("phi_eval requires r >= 0")
-    return PROFILES[profile.kind][0](r, profile.lam)
+    return _gaussian_phi(r, profile.lam)
 
 
 def _profile_fn(profile: CutoffProfile):
@@ -72,8 +65,8 @@ def _profile_fn(profile: CutoffProfile):
     Skips phi_eval's array conversion and sign check, which cost more than
     the profile itself on every node; quadrature nodes lie in [0, r_far].
     """
-    phi, lam = PROFILES[profile.kind][0], profile.lam
-    return lambda r: phi(r, lam)
+    lam = profile.lam
+    return lambda r: _gaussian_phi(r, lam)
 
 
 def _series_coefficients(n, terms=10):

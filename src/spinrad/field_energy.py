@@ -33,12 +33,11 @@ class FourierCurrent:
     """Transverse current in Fourier space.
 
     evaluator maps a batch of points xi (N, 3) to amplitudes of shape
-    (N, 3) for the classical flavor or (N, 3, spin_dim) for the
-    vector-valued flavor.
+    (N, 3) for a classical current or (N, 3, spin_dim) for a
+    spin-valued one.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    flavor: str  # "vector" or "classical"
     profile: CutoffProfile
 
 
@@ -81,7 +80,7 @@ def vector_current(system: SpinSystem, profile: CutoffProfile, X) -> FourierCurr
         system.P, 3, -1)  # (P, 3, dim)
     V = system.moments[:, None, None] * sigX
     return FourierCurrent(evaluator=_transverse_current(system, profile, V),
-                          flavor="vector", profile=profile)
+                          profile=profile)
 
 
 def classical_current(system: SpinSystem, profile: CutoffProfile, S) -> FourierCurrent:
@@ -93,7 +92,7 @@ def classical_current(system: SpinSystem, profile: CutoffProfile, S) -> FourierC
         raise DomainError("orientations must be unit vectors")
     V = system.moments[:, None] * S  # (P, 3)
     return FourierCurrent(evaluator=_transverse_current(system, profile, V),
-                          flavor="classical", profile=profile)
+                          profile=profile)
 
 
 def jvect_fourier(system, profile, X, xi) -> np.ndarray:

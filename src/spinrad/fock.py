@@ -24,12 +24,15 @@ import scipy.sparse.linalg as spla
 
 from .cutoff import CutoffProfile, phi_eval
 from .errors import ConvergenceError, DomainError, ResourceError
-from .spin_operator import HermitianSpinOperator, SpinSystem, _assemble, \
-    _checked_operator, bilinear_spin_operator, ground_eigenspace, \
-    site_spin_operators
+from .spin_operator import DEFAULT_DEGENERACY_TOL, HermitianSpinOperator, \
+    SpinSystem, _assemble, _checked_operator, bilinear_spin_operator, \
+    ground_eigenspace, site_spin_operators
 
 # Hard ceiling on dim(Fock) * dim(spin) for assembled operators.
 MAX_TOTAL_DIM = 400_000
+
+# Eigenpair residual tolerance ||H v - E v|| of ground_state (absolute).
+DEFAULT_EIGENSOLVER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -214,7 +217,6 @@ class ToyHamiltonian:
     h_free: sp.csr_matrix
     h_int: sp.csr_matrix
     space: FockSpace
-    system: SpinSystem
     spin_dim: int
 
     @property
@@ -254,7 +256,7 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
             h_int = h_int + system.moments[lam] * sp.kron(
                 phi_s, S[a * spin_dim:(a + 1) * spin_dim], format="csr")
     return ToyHamiltonian(h_free=h_free, h_int=h_int.tocsr(), space=space,
-                          system=system, spin_dim=spin_dim)
+                          spin_dim=spin_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +271,8 @@ def _start_vector(toy_dim: int, spin_dim: int, seed: int) -> np.ndarray:
     return v0 / np.linalg.norm(v0)
 
 
-def ground_state(H, tol: float = 1e-10, k_pairs: int = 1, seed: int = 1234,
-                 spin_dim: int = 1):
+def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, k_pairs: int = 1,
+                 seed: int = 1234, spin_dim: int = 1):
     """Lowest k_pairs eigenpairs of a sparse Hermitian matrix.
 
     Returns (energies, vectors, residuals) with vectors as columns;
@@ -328,7 +330,7 @@ def discrete_am(system: SpinSystem, profile: CutoffProfile,
     """A_M with the mode sum replacing the continuum kernel integral."""
     _require_symmetric(grid)
     A = _assemble(system, lambda d: discrete_kernel_matrix(profile, grid, d))
-    return _checked_operator(A, system, profile)
+    return _checked_operator(A)
 
 
 def _require_symmetric(grid: ModeGrid) -> None:
@@ -424,7 +426,8 @@ def photon_number(toy: ToyHamiltonian, U: np.ndarray) -> float:
 
 
 def quadratic_fit(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
-                  n_max: int, scale_points, tol: float = 1e-10,
+                  n_max: int, scale_points,
+                  tol: float = DEFAULT_EIGENSOLVER_TOL,
                   seed: int = 1234) -> QuadraticFit:
     """Ground energy E(t) of H(t M) fitted against c2 t^2.
 
@@ -473,7 +476,8 @@ class MultiplicityRow:
 
 def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
                       grid: ModeGrid, n_max: int, g_points,
-                      degeneracy_tol: float = 1e-7, tol: float = 1e-10,
+                      degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
+                      tol: float = DEFAULT_EIGENSOLVER_TOL,
                       seed: int = 1234) -> list:
     """Ground multiplicity of H(g 1) versus that of the minimum of A_1^disc.
 

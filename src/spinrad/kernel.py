@@ -32,7 +32,6 @@ class KernelMatrix:
     """Real symmetric 3x3 kernel evaluated at a displacement."""
 
     entries: np.ndarray
-    displacement: np.ndarray
 
 
 def a11_origin(profile: CutoffProfile, tol: float = KERNEL_TOL) -> float:
@@ -51,8 +50,7 @@ def kernel_matrix(profile: CutoffProfile, x, tol: float = KERNEL_TOL) -> KernelM
     x = np.asarray(x, dtype=float)
     t = float(np.linalg.norm(x))
     if t < 1e-12:
-        return KernelMatrix(entries=a11_origin(profile, tol) * np.eye(3),
-                            displacement=x.copy())
+        return KernelMatrix(entries=a11_origin(profile, tol) * np.eye(3))
     r_far = profile.far_radius()
     phi = _profile_fn(profile)
     a = _radial_quad(
@@ -61,8 +59,7 @@ def kernel_matrix(profile: CutoffProfile, x, tol: float = KERNEL_TOL) -> KernelM
     b = _radial_quad(lambda r: phi(r) ** 2 * r * r * j2(r * t),
                      r_far, tol) / (2.0 * math.pi ** 2)
     xhat = x / t
-    return KernelMatrix(entries=a * np.eye(3) + b * np.outer(xhat, xhat),
-                        displacement=x.copy())
+    return KernelMatrix(entries=a * np.eye(3) + b * np.outer(xhat, xhat))
 
 
 def kernel_oracle_3d(profile: CutoffProfile, x, n: int = 128) -> KernelMatrix:
@@ -72,7 +69,7 @@ def kernel_oracle_3d(profile: CutoffProfile, x, n: int = 128) -> KernelMatrix:
     for tests only.
     """
     m = kernel_oracle_3d_complex(profile, x, n)
-    return KernelMatrix(entries=m.real, displacement=np.asarray(x, dtype=float))
+    return KernelMatrix(entries=m.real)
 
 
 def kernel_oracle_3d_complex(profile: CutoffProfile, x, n: int = 128) -> np.ndarray:

@@ -35,20 +35,8 @@ def _check_half_integer(s) -> int:
     return int(round(two_s))
 
 
-@dataclass(frozen=True)
-class SpinMatrices:
-    """The three Hermitian spin matrices sigma_j(s) on C^(2s+1)."""
-
-    s: float
-    sigma: tuple  # (sigma_1, sigma_2, sigma_3)
-
-    @property
-    def dim(self) -> int:
-        return self.sigma[0].shape[0]
-
-
-def spin_matrices(s) -> SpinMatrices:
-    """Build sigma_j(s) = 2 J_j from ladder operators in the weight basis."""
+def spin_matrices(s) -> tuple:
+    """(sigma_1, sigma_2, sigma_3) = 2 J_j, built from ladder operators."""
     two_s = _check_half_integer(s)
     s = two_s / 2.0
     m = np.arange(s, -s - 1.0, -1.0)
@@ -58,9 +46,8 @@ def spin_matrices(s) -> SpinMatrices:
     j1 = (jp + jm) / 2.0
     j2 = (jp - jm) / 2.0j
     j3 = np.diag(m)
-    return SpinMatrices(s=s, sigma=(2.0 * j1.astype(complex),
-                                    2.0 * j2.astype(complex),
-                                    2.0 * j3.astype(complex)))
+    return (2.0 * j1.astype(complex), 2.0 * j2.astype(complex),
+            2.0 * j3.astype(complex))
 
 
 def embed_site_operator(op: np.ndarray, lam: int, P: int) -> sp.csr_matrix:
@@ -88,8 +75,7 @@ def hopf_map(X, s) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     if abs(np.linalg.norm(X) - 1.0) > _NORM_TOL:
         raise DomainError("hopf_map requires a normalized state")
-    sig = spin_matrices(s).sigma
-    return np.array([np.vdot(X, m @ X).real for m in sig])
+    return np.array([np.vdot(X, m @ X).real for m in spin_matrices(s)])
 
 
 def omega_state(s) -> np.ndarray:
@@ -111,8 +97,7 @@ def omega_state(s) -> np.ndarray:
 def su2_rotate(s, theta) -> np.ndarray:
     """Unitary exp(-(i/2) sum_j theta_j sigma_j(s)) on C^(2s+1)."""
     theta = np.asarray(theta, dtype=float)
-    sig = spin_matrices(s).sigma
-    gen = sum(t * m for t, m in zip(theta, sig))
+    gen = sum(t * m for t, m in zip(theta, spin_matrices(s)))
     return expm(-0.5j * gen)
 
 
@@ -120,8 +105,6 @@ def su2_rotate(s, theta) -> np.ndarray:
 class ProductState:
     """Tensor product V1 (x) ... (x) VP with per-site Hopf images."""
 
-    s: float
-    factors: tuple
     vector: np.ndarray
     spin_vectors: np.ndarray  # (P, 3) Hopf image of each factor
 
@@ -147,5 +130,4 @@ def product_state(factors, s) -> ProductState:
     facs = np.asarray(factors, dtype=complex)
     vec = product_vectors(facs[None])[0]
     spins = np.array([hopf_map(f, s) for f in facs])
-    return ProductState(s=_check_half_integer(s) / 2.0, factors=tuple(facs),
-                        vector=vec, spin_vectors=spins)
+    return ProductState(vector=vec, spin_vectors=spins)

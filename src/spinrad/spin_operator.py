@@ -55,7 +55,7 @@ class SpinSystem:
 
     @property
     def P(self) -> int:
-        return len(np.atleast_1d(np.asarray(self.moments)))
+        return len(self.moments)
 
     @property
     def spin_dim(self) -> int:
@@ -68,11 +68,9 @@ class SpinSystem:
 
 @dataclass
 class HermitianSpinOperator:
-    """Dense Hermitian matrix on the spin space, its spectrum and provenance."""
+    """Dense Hermitian matrix on the spin space and its spectrum."""
 
     matrix: np.ndarray
-    system: SpinSystem = None
-    profile: CutoffProfile = None
     eigenvalues: np.ndarray = field(init=False, repr=False)  # ascending
     eigenvectors: np.ndarray = field(init=False, repr=False)  # columns
 
@@ -85,7 +83,7 @@ def site_spin_operators(s, P) -> sp.csr_matrix:
 
     Row block a = 3 lam + m (0-based) is S_a = sigma_(m+1) on site lam + 1.
     """
-    sig = spin_matrices(s).sigma
+    sig = spin_matrices(s)
     return sp.vstack([embed_site_operator(sig[m], lam + 1, P)
                       for lam in range(P) for m in range(3)], format="csr")
 
@@ -115,13 +113,13 @@ def _assemble(system: SpinSystem, kernel_at) -> np.ndarray:
         -0.5 * np.outer(Mj, Mj) * K.reshape(3 * P, 3 * P), system.s)
 
 
-def _checked_operator(A, system, profile) -> HermitianSpinOperator:
+def _checked_operator(A) -> HermitianSpinOperator:
     """The operator of an assembled A_M; raises unless Hermitian and NSD."""
     scale = max(1.0, np.linalg.norm(A))
     herm = np.linalg.norm(A - A.conj().T)
     if herm > 1e-12 * scale:
         raise SpinradError(f"assembled operator is not Hermitian ({herm:.3e})")
-    op = HermitianSpinOperator(matrix=A, system=system, profile=profile)
+    op = HermitianSpinOperator(matrix=A)
     if op.eigenvalues[-1] > PSD_VIOLATION_TOL * scale:
         raise SpinradError(f"A_M has a positive eigenvalue "
                            f"{op.eigenvalues[-1]:.3e}; kernel/assembly bug")
@@ -131,7 +129,7 @@ def _checked_operator(A, system, profile) -> HermitianSpinOperator:
 def assemble_am(system: SpinSystem, profile: CutoffProfile) -> HermitianSpinOperator:
     """Assemble A_M from continuum kernel evaluations."""
     A = _assemble(system, lambda d: kernel_matrix(profile, d).entries)
-    return _checked_operator(A, system, profile)
+    return _checked_operator(A)
 
 
 def quadratic_form(A: HermitianSpinOperator, X):

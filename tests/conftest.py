@@ -40,6 +40,6 @@ def kron_embed(op, lam, P):
 
 def kron_site_spins(s, P):
     """Dense sigma_m^[lam+1] as [lam][m], each an np.kron chain."""
-    sig = spin_matrices(s).sigma
+    sig = spin_matrices(s)
     return [[kron_embed(sig[m], lam + 1, P) for m in range(3)]
             for lam in range(P)]

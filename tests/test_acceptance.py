@@ -62,7 +62,7 @@ def test_criterion_02_a11_closed_form():
 def test_criterion_03_casimir_and_commutators():
     worst = 0.0
     for s in SPINS:
-        sig = spin_matrices(s).sigma
+        sig = spin_matrices(s)
         dim = sig[0].shape[0]
         cas = sum(m @ m for m in sig) - 4.0 * s * (s + 1.0) * np.eye(dim)
         worst = max(worst, float(np.abs(cas).max()))

@@ -105,8 +105,22 @@ BAD_CONFIGS = [(MINIMAL + "\n" + extra + "\n", message) for extra, message in [
     ("seed: 3.5", "key 'seed' must be an integer"),
     ("seed: true", "key 'seed' must be an integer"),
     ("seed: .inf", "key 'seed' must be an integer"),
-]] + [(MINIMAL.replace("moment: -0.5", "moment: big"),
-       r"key 'particles\[1\]' must be a number")]
+    # number keys refuse YAML booleans, which float() would read as 1 or 0
+    ("spin: true", "key 'spin' must be a number"),
+    ("tolerances: {identity: on}",
+     "key 'tolerances.identity' must be a number"),
+    # the cutoff is checked as it is parsed, not when first used
+    ("cutoff: {kind: lorentz}",
+     "key 'cutoff': unknown cutoff profile kind 'lorentz'"),
+    ("cutoff: {lambda: -1.0}", "key 'cutoff': cutoff scale must be positive"),
+    ("cutoff: {lambda: .inf}", "key 'cutoff': cutoff scale must be positive"),
+    # round() of a non-finite spin raises, so these are refused first
+    ("spin: .nan", "key 'spin': 2s must be integer"),
+    ("spin: .inf", "key 'spin': 2s must be integer"),
+]] + [(MINIMAL.replace("moment: -0.5", "moment: " + value),
+       rf"key 'particles\[1\]' must be {what}")
+      for value, what in [("big", "a number"), ("true", "a number"),
+                          (".nan", "finite")]]
 
 
 @pytest.mark.parametrize("text, message", BAD_CONFIGS)

@@ -42,7 +42,7 @@ def test_vector_current_vanishes_at_zero_xi(profile, two_spin_system):
 def test_vector_current_single_spin_structure(profile):
     # P=1 at origin, xi along e3: j = i phi(q) M q (-sigma2 X, sigma1 X, 0)
     system = SpinSystem(positions=[[0.0, 0.0, 0.0]], moments=[0.9], s=0.5)
-    sig = spin_matrices(0.5).sigma
+    sig = spin_matrices(0.5)
     X = np.array([1.0, 0.0], dtype=complex)
     q = 0.8
     j = jvect_fourier(system, profile, X, [0.0, 0.0, q])

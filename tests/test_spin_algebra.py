@@ -20,7 +20,7 @@ def normalized(rng, dim):
 
 @pytest.mark.parametrize("s", ALL_SPINS)
 def test_casimir_and_commutators(s):
-    sig = spin_matrices(s).sigma
+    sig = spin_matrices(s)
     dim = sig[0].shape[0]
     cas = sum(m @ m for m in sig)
     assert np.abs(cas - 4.0 * s * (s + 1.0) * np.eye(dim)).max() <= 1e-13
@@ -32,13 +32,13 @@ def test_casimir_and_commutators(s):
 
 
 def test_spin_half_is_pauli():
-    sig = spin_matrices(0.5).sigma
+    sig = spin_matrices(0.5)
     for m, ref in zip(sig, PAULI):
         assert np.array_equal(m, ref)
 
 
 def test_spin_three_half_weights():
-    sig = spin_matrices(1.5).sigma
+    sig = spin_matrices(1.5)
     assert np.allclose(np.diag(sig[2]), [3.0, 1.0, -1.0, -3.0])
 
 

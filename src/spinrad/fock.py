@@ -263,18 +263,28 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
 # Eigensolver
 # ---------------------------------------------------------------------------
 
-def _start_vector(toy_dim: int, spin_dim: int, seed: int) -> np.ndarray:
-    """Deterministic Lanczos start: vacuum (x) random spin plus small noise."""
-    rng = np.random.default_rng(seed)
-    v0 = 1e-3 * rng.normal(size=toy_dim)
-    v0[:spin_dim] += rng.normal(size=spin_dim)
-    return v0 / np.linalg.norm(v0)
+def _start_block(diag: np.ndarray, m: int, spin_dim: int,
+                 seed: int) -> np.ndarray:
+    """Unit vectors on the m smallest diagonal entries (stable order).
+
+    The first spin_dim span the free ground space vacuum (x) spin, so every
+    dressed spin state is in reach, degenerate or not.  The others sit on
+    the one-photon continuum edge, which H maps into the vacuum columns'
+    span; 1e-3 noise keeps them from stalling the block there.
+    """
+    X = np.zeros((len(diag), m))
+    X[np.argsort(diag, kind="stable")[:m], np.arange(m)] = 1.0
+    X[:, spin_dim:] += 1e-3 * np.random.default_rng(seed).normal(
+        size=(len(diag), m - spin_dim))
+    return X
 
 
 def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, k_pairs: int = 1,
                  seed: int = 1234, spin_dim: int = 1):
     """Lowest k_pairs eigenpairs of a sparse Hermitian matrix.
 
+    Block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) from
+    _start_block, preconditioned by the shifted inverse diagonal.
     Returns (energies, vectors, residuals) with vectors as columns;
     residuals are recomputed by an independent matrix-vector product.
     """
@@ -284,19 +294,16 @@ def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, k_pairs: int = 1,
         vals, vecs = np.linalg.eigh(H.toarray())
         vals, vecs = vals[:k_pairs], vecs[:, :k_pairs]
     else:
-        v0 = _start_vector(dim, min(spin_dim, dim), seed)
-        # Shift the spectrum away from zero: Lanczos is unreliable on
-        # eigenvalues the operator annihilates (the free-field vacuum).
-        shift = float(np.abs(H.diagonal()).max()) + 1.0
-        try:
-            vals, vecs = spla.eigsh(H - shift * sp.identity(dim), k=k_pairs,
-                                    which="SA", v0=v0, tol=tol * 1e-2,
-                                    maxiter=20_000)
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError("Lanczos iteration did not converge",
-                                   best_residual=None) from exc
-        vals = vals + shift
-        order = np.argsort(vals)
+        d = H.diagonal().real
+        spin_dim = min(spin_dim, dim)
+        X = _start_block(d, max(k_pairs, spin_dim), spin_dim, seed)
+        # Shift 0.1: on the 24x12 fit a shift of 1.0 took 13-18 iterations
+        # instead of 8.
+        precond = sp.diags(1.0 / (d - d.min() + 0.1))
+        # A stalled block is left to the residual gate below.
+        vals, vecs = spla.lobpcg(H, X, M=precond, tol=tol / 10, maxiter=1000,
+                                 largest=False)
+        order = np.argsort(vals)[:k_pairs]
         vals, vecs = vals[order], vecs[:, order]
     residuals = np.array([np.linalg.norm(H @ vecs[:, i] - vals[i] * vecs[:, i])
                           for i in range(len(vals))])
@@ -493,7 +500,8 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
     proj_basis = np.array([toy.vacuum_embed(v)
                            for v in a_basis.T])  # rows orthonormal
     rows = []
-    k_pairs = min(toy.spin_dim + 1, toy.dim - 2)
+    # One pair past the bound decides PASS; mult_h is capped at mult_a1 + 1.
+    k_pairs = min(mult_a1 + 1, toy.dim - 2)
     for g in np.asarray(g_points, dtype=float):
         vals, vecs, _ = ground_state(toy.matrix(g), tol=tol, k_pairs=k_pairs,
                                      seed=seed, spin_dim=toy.spin_dim)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +274,37 @@ def test_cli_multiplicity(tmp_path):
         g, energy, mh, ma, ov = line.split(",")
         assert int(mh) <= int(ma)
         assert float(energy) < 0.0
+
+
+def test_cli_multiplicity_spin_one_cluster_whole(tmp_path):
+    cfg = tmp_path / "spin_one.yaml"
+    cfg.write_text("particles:\n"
+                   "  - {position: [0.0, 0.0, 0.0], moment: 1.0}\n"
+                   "spin: 1.0\n")
+    rc = main(["multiplicity", "--config", str(cfg), "--out", str(tmp_path),
+               "--g", "0.2,0.1"])
+    assert rc == 0
+    rows = (tmp_path / "multiplicity.csv").read_text().strip().splitlines()
+    assert len(rows) == 3
+    for line in rows[1:]:
+        g, energy, mh, ma, ov = line.split(",")
+        assert (int(mh), int(ma)) == (3, 3)
+
+
+def test_fock_fit_bytes_independent_of_blas_threads(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    blobs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=path)
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "spinrad.cli", "fock-fit",
+                        "--config", TWO, "--scales", "0.4,0.2,0.1,0.05",
+                        "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        blobs.append((out / "fock_fit.csv").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_cli_config_error_exit_one(tmp_path):

@@ -4,8 +4,8 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.optimize import brentq
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from spinrad.cutoff import CutoffProfile, phi_eval
 from spinrad.errors import ConvergenceError, DomainError, ResourceError
@@ -14,7 +14,8 @@ from spinrad.fock import MAX_TOTAL_DIM, ModeGrid, _discrete_k_bound, \
     discrete_am, discrete_kernel_matrix, ground_state, mode_coefficients, \
     multiplicity_scan, photon_number, quadratic_fit, segal_field, \
     variational_trial_check
-from spinrad.spin_operator import SpinSystem, assemble_am
+from spinrad.spin_operator import DEFAULT_DEGENERACY_TOL, SpinSystem, \
+    assemble_am
 
 from conftest import kron_site_spins, random_state
 
@@ -253,13 +254,14 @@ def test_ground_state_diagonal_and_free(profile, small_grid, two_spin_system):
 
 
 def test_ground_state_no_convergence(monkeypatch):
-    def stalled(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", np.empty(0),
-                                       np.empty((0, 0)))
+    def stalled(A, X, **kwargs):  # hands back its start block unimproved
+        return np.einsum("ij,ij->j", X.conj(), A @ X).real, X
 
-    monkeypatch.setattr("spinrad.fock.spla.eigsh", stalled)
-    with pytest.raises(ConvergenceError, match="did not converge"):
-        ground_state(sp.diags(np.arange(64.0)), k_pairs=1)
+    monkeypatch.setattr("spinrad.fock.spla.lobpcg", stalled)
+    laplacian = sp.diags([-np.ones(63), 2.0 * np.ones(64), -np.ones(63)],
+                         [-1, 0, 1])
+    with pytest.raises(ConvergenceError, match="above tolerance"):
+        ground_state(laplacian, k_pairs=1)
 
 
 def test_ground_state_deterministic(profile, default_grid, two_spin_system):
@@ -269,6 +271,73 @@ def test_ground_state_deterministic(profile, default_grid, two_spin_system):
     v2 = ground_state(H, k_pairs=2, seed=77, spin_dim=4)
     assert np.array_equal(v1[0], v2[0])
     assert np.array_equal(v1[1], v2[1])
+
+
+def _schur_energies(toy, t):
+    """Eigenvalues of H(t) below the photon continuum at n_max = 1, ascending.
+
+    There H = [[0, t B^dag], [t B, Omega (x) I]] with B the vacuum ->
+    one-photon block of h_int, and E < omega_min is an eigenvalue exactly
+    when it is one of F(E) = -t^2 B^dag (Omega - E)^-1 B (Feshbach-Schur;
+    Bach, Chen, Froehlich & Sigal, J. Funct. Anal. 203 (2003) 44).  Every
+    eigenvalue branch of F decreases in E, so branch j meets the diagonal
+    once, in (-2 t |B|_F, 0]: one root per spin state, multiplicities
+    included.
+    """
+    sd = toy.spin_dim
+    B = toy.h_int[sd:, :sd].toarray()
+    omega = toy.h_free.diagonal()[sd:]
+
+    def branch_minus_e(E, j):
+        F = -t * t * (B.conj().T @ (B / (omega - E)[:, None]))
+        return np.linalg.eigvalsh(F)[j] - E
+
+    lo = -2.0 * t * np.linalg.norm(B)
+    return np.array([brentq(branch_minus_e, lo, 0.0, args=(j,), xtol=1e-300,
+                            rtol=4 * np.finfo(float).eps)
+                     for j in range(sd)])
+
+
+@pytest.mark.parametrize("grid_name", ["default_grid", "small_grid"])
+def test_ground_state_matches_schur_oracle(request, profile, two_spin_system,
+                                           grid_name):
+    grid = request.getfixturevalue(grid_name)
+    toy = build_hamiltonian(two_spin_system, profile, grid, 1)
+    for t in (0.4, 0.2, 0.1, 0.05):
+        vals, _, _ = ground_state(toy.matrix(t), k_pairs=1,
+                                  spin_dim=toy.spin_dim)
+        exact = _schur_energies(toy, t)[0]
+        assert abs(vals[0] - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("positions, s, expected", [
+    ([[0.0, 0.0, 0.0]], 0.5, 2),
+    ([[0.0, 0.0, 0.0]], 1.0, 3),
+    ([[0.0, 0.0, 0.0], [0.9, -0.3, 0.4]], 0.5, 2)])
+def test_multiplicity_matches_schur_oracle(profile, default_grid, positions,
+                                           s, expected):
+    system = SpinSystem(positions=positions, moments=np.ones(len(positions)),
+                        s=s)
+    toy = build_hamiltonian(system, profile, default_grid, 1)
+    for r in multiplicity_scan(system, profile, default_grid, 1, [0.2, 0.1]):
+        exact = _schur_energies(toy, r.g)
+        width = DEFAULT_DEGENERACY_TOL * max(r.g * r.g, abs(exact[0]))
+        assert r.mult_h == int(np.sum(exact <= exact[0] + width)) == expected
+        assert r.mult_h <= r.mult_a1
+        assert abs(r.energy - exact[0]) <= 1e-12 * abs(exact[0])
+
+
+def test_ground_state_finds_degenerate_pair(profile, default_grid):
+    pair = SpinSystem(positions=[[0, 0, 0], [0.9, -0.3, 0.4]],
+                      moments=[1.0, 1.0])
+    toy = build_hamiltonian(pair, profile, default_grid, 1)
+    vals, vecs, _ = ground_state(toy.matrix(0.1), k_pairs=3,
+                                 spin_dim=toy.spin_dim)
+    exact = _schur_energies(toy, 0.1)
+    assert np.all(np.abs(vals - exact[:3]) <= 1e-12 * abs(exact[0]))
+    width = DEFAULT_DEGENERACY_TOL * abs(exact[0])
+    assert vals[1] - vals[0] <= width < vals[2] - vals[0]
+    assert np.allclose(vecs.conj().T @ vecs, np.eye(3), atol=1e-12)
 
 
 def test_variational_trial_identity(profile, small_grid, two_spin_system):

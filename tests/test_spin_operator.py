@@ -247,7 +247,7 @@ def _count_decompositions(monkeypatch):
 
 def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
                                   monkeypatch):
-    grid = fock.build_mode_grid(profile, 4, 6)  # Fock dim > 32: Lanczos
+    grid = fock.build_mode_grid(profile, 4, 6)  # Fock dim > 32: LOBPCG
     calls = _count_decompositions(monkeypatch)
     assert main(["e2", "--config", str(CONFIGS / "two_spins.yaml"),
                  "--out", str(tmp_path)]) == 0

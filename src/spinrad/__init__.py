@@ -4,6 +4,14 @@ cross-checks, and a truncated-Fock exact-diagonalization toy model."""
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread, set before any submodule loads numpy: the single-vector
+# reductions of a one-column LOBPCG solve change their last bits with the
+# OpenBLAS thread count, and artifacts must not depend on it.
+os.environ.update(dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 from .cutoff import CutoffProfile, grad_rho, phi_eval, rho_eval
 from .kernel import KernelMatrix, a11_origin, kernel_matrix, kernel_oracle_3d
 from .spin_algebra import ProductState, embed_site_operator, hopf_map, \

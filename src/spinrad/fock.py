@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, combinations_with_replacement
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -279,12 +280,42 @@ def _start_block(diag: np.ndarray, m: int, spin_dim: int,
     return X
 
 
+def _ritz_start(H: sp.csr_matrix, diag: np.ndarray, spin_dim: int,
+                precond: np.ndarray) -> np.ndarray:
+    """Lowest Rayleigh-Ritz vector of H on span[V, M H V], one column.
+
+    V holds the unit vectors on the spin_dim smallest diagonal entries
+    (vacuum (x) spin) and M = diag(precond).  The span is the dressed spin
+    space to first order, so its lowest Ritz vector is the lowest state of
+    the second-order operator of H itself.  [V, M H V] is zero outside the
+    rows of V and the columns H couples to them; the QR and the projected
+    eigenproblem run on those rows only.  Rank deficiency (H diagonal on V)
+    only adds orthonormal directions to the span.
+    """
+    cols = np.argsort(diag, kind="stable")[:spin_dim]
+    support = np.zeros(H.shape[0], dtype=bool)
+    support[cols] = True
+    support[H[cols].indices] = True
+    rows = np.flatnonzero(support)
+    Hr = H[rows][:, rows]
+    pos = np.searchsorted(rows, cols)
+    B = np.zeros((len(rows), 2 * spin_dim), dtype=complex)
+    B[pos, np.arange(spin_dim)] = 1.0
+    B[:, spin_dim:] = precond[rows, None] * Hr[:, pos].toarray()
+    Q = sla.qr(B, mode="economic")[0]
+    _, y = sla.eigh(Q.conj().T @ (Hr @ Q), subset_by_index=(0, 0))
+    x = np.zeros((H.shape[0], 1), dtype=complex)
+    x[rows] = Q @ y
+    return x
+
+
 def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, k_pairs: int = 1,
                  seed: int = 1234, spin_dim: int = 1):
     """Lowest k_pairs eigenpairs of a sparse Hermitian matrix.
 
-    Block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) from
-    _start_block, preconditioned by the shifted inverse diagonal.
+    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) preconditioned by
+    the shifted inverse diagonal.  One pair starts from the single column
+    _ritz_start; more pairs start from the block _start_block.
     Returns (energies, vectors, residuals) with vectors as columns;
     residuals are recomputed by an independent matrix-vector product.
     """
@@ -296,13 +327,21 @@ def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, k_pairs: int = 1,
     else:
         d = H.diagonal().real
         spin_dim = min(spin_dim, dim)
-        X = _start_block(d, max(k_pairs, spin_dim), spin_dim, seed)
-        # Shift 0.1: on the 24x12 fit a shift of 1.0 took 13-18 iterations
-        # instead of 8.
-        precond = sp.diags(1.0 / (d - d.min() + 0.1))
+        # Shift 0.1: on the 24x12 fit a one-column solve takes 10-13
+        # iterations; a shift of 1.0 took 17-24.
+        precond = 1.0 / (d - d.min() + 0.1)
+        if k_pairs == 1:
+            X = _ritz_start(H, d, spin_dim, precond)
+            # The energy error is about residual^2 / gap, and a lone column
+            # leaves a near-degenerate partner outside the block: on the 4x6
+            # equal-moment pair at t = 0.05, tol/10 gave 3.2e-12 relative.
+            stop = tol / 100
+        else:
+            X = _start_block(d, max(k_pairs, spin_dim), spin_dim, seed)
+            stop = tol / 10
         # A stalled block is left to the residual gate below.
-        vals, vecs = spla.lobpcg(H, X, M=precond, tol=tol / 10, maxiter=1000,
-                                 largest=False)
+        vals, vecs = spla.lobpcg(H, X, M=sp.diags(precond), tol=stop,
+                                 maxiter=1000, largest=False)
         order = np.argsort(vals)[:k_pairs]
         vals, vecs = vals[order], vecs[:, order]
     residuals = np.array([np.linalg.norm(H @ vecs[:, i] - vals[i] * vecs[:, i])

@@ -307,6 +307,34 @@ def test_fock_fit_bytes_independent_of_blas_threads(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_artifacts_bytes_independent_of_blas_threads(tmp_path):
+    # One interpreter per thread count runs every suite on both configs.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    suites = [("e2",), ("verify",),
+              ("fock-fit", "--scales", "0.4,0.2,0.1,0.05"),
+              ("multiplicity", "--g", "0.4,0.2,0.1")]
+    calls = [[suite, "--config", str(CONFIG_DIR / f"{name}.yaml"), *flags,
+              "--out", name]
+             for name in ("two_spins_equal", "single_spin")
+             for suite, *flags in suites]
+    script = ("import json, sys\n"
+              "from spinrad.cli import main\n"
+              "sys.exit(max([main(c) for c in json.loads(sys.argv[1])]))")
+    artifacts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=path)
+        out = tmp_path / threads
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                       cwd=out, env=env, check=True, capture_output=True)
+        artifacts.append({str(f.relative_to(out)): f.read_bytes()
+                          for f in sorted(out.rglob("*")) if f.is_file()})
+    assert len(artifacts[0]) == 14
+    assert artifacts[0] == artifacts[1]
+
+
 def test_cli_config_error_exit_one(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("particles: []\n")

@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate
 from scipy.optimize import brentq
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from spinrad.cutoff import CutoffProfile, phi_eval
 from spinrad.errors import ConvergenceError, DomainError, ResourceError
@@ -308,6 +309,44 @@ def test_ground_state_matches_schur_oracle(request, profile, two_spin_system,
                                   spin_dim=toy.spin_dim)
         exact = _schur_energies(toy, t)[0]
         assert abs(vals[0] - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("positions, s", [
+    ([[0.0, 0.0, 0.0], [0.9, -0.3, 0.4]], 0.5),  # degenerate A_M ground pair
+    ([[0.0, 0.0, 0.0]], 0.5),
+    ([[0.0, 0.0, 0.0]], 1.0),
+    ([[0.0, 0.0, 0.0], [0.9, -0.3, 0.4]], 1.5)])
+def test_one_column_solve_matches_block(profile, monkeypatch, positions, s):
+    grid = build_mode_grid(profile, 4, 6)
+    system = SpinSystem(positions=positions, moments=np.ones(len(positions)),
+                        s=s)
+    toy = build_hamiltonian(system, profile, grid, 1)
+    widths = []
+    lobpcg = spla.lobpcg
+
+    def recorded(A, X, **kwargs):
+        widths.append(X.shape[1])
+        return lobpcg(A, X, **kwargs)
+
+    monkeypatch.setattr("spinrad.fock.spla.lobpcg", recorded)
+    for t in (0.4, 0.2, 0.1, 0.05):
+        H = toy.matrix(t)
+        one = ground_state(H, k_pairs=1, spin_dim=toy.spin_dim)[0][0]
+        block = ground_state(H, k_pairs=toy.spin_dim,
+                             spin_dim=toy.spin_dim)[0][0]
+        assert abs(one - block) <= 1e-12 * abs(block)
+    assert widths == [1, toy.spin_dim] * 4
+
+
+def test_one_column_solve_on_diagonal():
+    # H V is parallel to V, so the Ritz space [V, M H V] has rank spin_dim.
+    d = np.random.default_rng(5).permutation(np.linspace(-1.0, 2.0, 64))
+    D = sp.diags(d)
+    one = ground_state(D, k_pairs=1, spin_dim=4)
+    block = ground_state(D, k_pairs=4, spin_dim=4)
+    assert one[0][0] == block[0][0] == -1.0
+    assert np.abs(one[1][:, 0]) @ np.abs(block[1][:, 0]) == \
+        pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("positions, s, expected", [

@@ -12,7 +12,7 @@ import os
 os.environ.update(dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
-from .cutoff import CutoffProfile, grad_rho, phi_eval, rho_eval
+from .cutoff import CutoffProfile, phi_eval
 from .kernel import KernelMatrix, a11_origin, kernel_matrix, kernel_oracle_3d
 from .spin_algebra import ProductState, embed_site_operator, hopf_map, \
     omega_state, product_state, spin_matrices, su2_rotate
@@ -20,7 +20,7 @@ from .spin_operator import HermitianSpinOperator, SpinSystem, assemble_am, \
     ground_eigenspace, quadratic_form
 from .field_energy import FourierCurrent, classical_current, \
     classical_decomposition_check, field_energy, higher_spin_constant, \
-    jclass_fourier, jvect_fourier, vector_current
+    vector_current
 from .fock import ModeGrid, ToyHamiltonian, build_hamiltonian, \
     build_mode_grid, discrete_am, ground_state, mode_coefficients, \
     multiplicity_scan, photon_number, quadratic_fit, variational_trial_check

@@ -1,10 +1,8 @@
-"""Gaussian ultraviolet cutoff and its real-space smearing.
+"""Gaussian ultraviolet cutoff and the radial quadrature of its transforms.
 
-The cutoff phi is a radial Gaussian weight on momentum space.  Its
-inverse Fourier transform rho(x) = (2 pi)^-3 int phi(|k|) e^{ik.x} dk is the
-smearing that enters every current density.  All 3D Fourier integrals of
-radial functions are reduced to 1D radial quadratures against spherical
-Bessel weights.
+The cutoff phi is a radial Gaussian weight on momentum space.  3D Fourier
+integrals of radial functions reduce to 1D radial integrals against
+spherical Bessel weights, evaluated by one composite Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, QuadratureError
 
@@ -21,11 +18,8 @@ from .errors import DomainError, QuadratureError
 # that |phi(r_far)| < FAR_TOL, making the tail contribution negligible.
 FAR_TOL = 1e-16
 
-_QUAD_LIMIT = 200
-
-
-def _gaussian_phi(r, lam):
-    return np.exp(-(r * r) / (2.0 * lam * lam))
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_PANEL_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -56,104 +50,66 @@ def phi_eval(profile: CutoffProfile, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError("phi_eval requires r >= 0")
-    return _gaussian_phi(r, profile.lam)
+    return np.exp(-(r * r) / (2.0 * profile.lam * profile.lam))
 
 
-def _profile_fn(profile: CutoffProfile):
-    """Scalar phi(r) for quadrature integrands.
-
-    Skips phi_eval's array conversion and sign check, which cost more than
-    the profile itself on every node; quadrature nodes lie in [0, r_far].
-    """
-    lam = profile.lam
-    return lambda r: _gaussian_phi(r, lam)
+# j2(z) = z^2 sum_k (-1)^k z^(2k) / (2^k k! (2k + 5)!!) to ten terms,
+# highest power first for np.polyval
+_J2_SERIES = [(-1) ** k / (2 ** k * math.factorial(k)
+                           * math.prod(range(1, 2 * k + 6, 2)))
+              for k in reversed(range(10))]
 
 
-def _series_coefficients(n, terms=10):
-    # j_n(z) = z^n sum_k (-1)^k z^(2k) / (2^k k! (2n + 2k + 1)!!)
-    return tuple((-1) ** k / (2 ** k * math.factorial(k)
-                              * math.prod(range(1, 2 * n + 2 * k + 2, 2)))
-                 for k in range(terms))
+# Spherical Bessel functions j0 and j2 on arrays z >= 0.  Below z = 1 a
+# power series replaces the j2 closed form, whose cancellation (j2 ~ z^2/15
+# from terms of order 1) would lose digits there.
 
-
-_J0_SERIES = _series_coefficients(0)
-_J1_SERIES = _series_coefficients(1)
-_J2_SERIES = _series_coefficients(2)
-
-
-def _series(coef, z2):
-    acc = 0.0
-    for c in reversed(coef):
-        acc = acc * z2 + c
-    return acc
-
-
-# Scalar spherical Bessel functions j0, j1, j2 for quadrature integrands.
-# Below z = 1 a power series replaces the closed forms, whose cancellation
-# (j2 ~ z^2/15 from terms of order 1) would lose digits there.
-
-def j0(z: float) -> float:
+def j0(z):
     """Spherical Bessel j0(z) = sin z / z for z >= 0."""
-    if z < 1.0:
-        return _series(_J0_SERIES, z * z)
-    return math.sin(z) / z
+    return np.sinc(np.asarray(z, dtype=float) / math.pi)
 
 
-def j1(z: float) -> float:
-    """Spherical Bessel j1(z) = sin z / z^2 - cos z / z for z >= 0."""
-    if z < 1.0:
-        return z * _series(_J1_SERIES, z * z)
-    return (math.sin(z) / z - math.cos(z)) / z
-
-
-def j2(z: float) -> float:
+def j2(z):
     """Spherical Bessel j2(z) = (3/z^2 - 1) j0(z) - 3 cos z / z^2, z >= 0."""
-    if z < 1.0:
-        return z * z * _series(_J2_SERIES, z * z)
-    z2 = z * z
-    return (3.0 / z2 - 1.0) * math.sin(z) / z - 3.0 * math.cos(z) / z2
+    z = np.asarray(z, dtype=float)
+    small = z < 1.0
+    zc = np.where(small, 1.0, z)
+    z2 = zc * zc
+    closed = (3.0 / z2 - 1.0) * np.sin(zc) / zc - 3.0 * np.cos(zc) / z2
+    return np.where(small, z * z * np.polyval(_J2_SERIES, z * z), closed)
 
 
-def _radial_quad(f, r_far, tol):
-    """Adaptive quadrature of f on [0, r_far] with an error check."""
-    val, err = integrate.quad(f, 0.0, r_far, epsabs=tol * 1e-2, epsrel=1e-12,
-                              limit=_QUAD_LIMIT)
-    if err > tol:
-        raise QuadratureError(
-            f"radial quadrature error estimate {err:.3e} exceeds {tol:.3e}",
-            estimate=err)
-    return val
+def _panel_sum(f, r_far, n):
+    """n-panel 16-node Gauss-Legendre sum of f over [0, r_far]."""
+    h = r_far / n
+    r = (h * np.arange(n)[:, None] + 0.5 * h * (_GL_NODES + 1.0)).ravel()
+    return f(r) @ np.tile(0.5 * h * _GL_WEIGHTS, n)
 
 
-def rho_eval(profile: CutoffProfile, x, tol: float = 1e-10) -> float:
-    """Real-space smearing rho(x) = (2 pi)^-3 int phi(|k|) e^{ik.x} dk.
+def _radial_quad(f, r_far, tol, t):
+    """Composite Gauss-Legendre quadrature of f on [0, r_far].
 
-    Radial and real; for |x| > 0 computed as the 1D integral
-    (2 pi^2 |x|)^-1 int_0^inf phi(r) r sin(r|x|) dr.
+    f maps an array of radii to an array whose last axis runs over them,
+    so one call integrates several integrands on the same nodes.  t is the
+    frequency of their Bessel factors.  The rule starts at one panel per
+    period, at least 4: fewer panels alias the oscillation, and two aliased
+    counts can agree on a wrong value.  It doubles the count until two
+    successive sums agree to max(tol 1e-2, 1e-12 |value|) and raises
+    QuadratureError when that needs more than _PANEL_CAP panels.
     """
-    x = np.asarray(x, dtype=float)
-    t = float(np.linalg.norm(x))
-    r_far = profile.far_radius()
-    phi = _profile_fn(profile)
-    if t < 1e-12:
-        return _radial_quad(
-            lambda r: phi(r) * r * r, r_far, tol) / (2.0 * math.pi ** 2)
-    val = _radial_quad(lambda r: phi(r) * r * math.sin(r * t), r_far, tol)
-    return val / (2.0 * math.pi ** 2 * t)
-
-
-def grad_rho(profile: CutoffProfile, x, tol: float = 1e-10) -> np.ndarray:
-    """Gradient of rho at x.
-
-    Uses d rho / d|x| = -(2 pi^2)^-1 int phi(r) r^3 j_1(r |x|) dr, which
-    follows from j_0' = -j_1; vanishes at the origin by radial symmetry.
-    """
-    x = np.asarray(x, dtype=float)
-    t = float(np.linalg.norm(x))
-    if t < 1e-12:
-        return np.zeros(3)
-    r_far = profile.far_radius()
-    phi = _profile_fn(profile)
-    dval = -_radial_quad(lambda r: phi(r) * r ** 3 * j1(r * t),
-                         r_far, tol) / (2.0 * math.pi ** 2)
-    return dval * x / t
+    periods = t * r_far / (2.0 * math.pi)
+    n, err = 4, math.inf
+    while n < periods and n <= _PANEL_CAP:
+        n *= 2
+    if 2 * n <= _PANEL_CAP:
+        val = _panel_sum(f, r_far, n)
+        while 2 * n <= _PANEL_CAP:
+            n *= 2
+            prev, val = val, _panel_sum(f, r_far, n)
+            diff = np.abs(val - prev)
+            if np.all(diff <= np.maximum(tol * 1e-2, 1e-12 * np.abs(val))):
+                return val
+            err = float(np.max(diff))
+    raise QuadratureError(
+        f"radial quadrature at frequency {t:.3e} did not settle within "
+        f"{_PANEL_CAP} panels; error estimate {err:.3e}", estimate=err)

@@ -95,16 +95,6 @@ def classical_current(system: SpinSystem, profile: CutoffProfile, S) -> FourierC
                           profile=profile)
 
 
-def jvect_fourier(system, profile, X, xi) -> np.ndarray:
-    """Vector-valued current amplitude at a single point xi; shape (3, dim)."""
-    return vector_current(system, profile, X).evaluator(np.atleast_2d(xi))[0]
-
-
-def jclass_fourier(system, profile, S, xi) -> np.ndarray:
-    """Classical current amplitude at a single point xi; shape (3,)."""
-    return classical_current(system, profile, S).evaluator(np.atleast_2d(xi))[0]
-
-
 def _spherical_nodes(profile, n_radial, n_theta, n_phi):
     r_far = profile.far_radius()
     rn, rw = np.polynomial.legendre.leggauss(n_radial)

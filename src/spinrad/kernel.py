@@ -8,8 +8,13 @@ The production path reduces the angular integral analytically:
     a(t) = (6 pi^2)^-1 int |phi(r)|^2 r^2 (2 j0(rt) - j2(rt)) dr,
     b(t) = (2 pi^2)^-1 int |phi(r)|^2 r^2 j2(rt) dr,
 
-with j0, j2 spherical Bessel functions.  A brute-force 3D tensor-product
-quadrature oracle is provided for cross-validation in tests.
+with j0, j2 spherical Bessel functions.  Both radial integrals share the
+nodes of one composite 16-node Gauss-Legendre rule on [0, r_far]
+(cutoff._radial_quad), which starts at one panel per period of j0(rt) and
+doubles until two panel counts agree.  Past |x| of about 1500 lam^-1 the
+rule would need more than 4096 panels and raises QuadratureError.  A
+brute-force 3D tensor-product quadrature oracle is provided for
+cross-validation in tests.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoff import CutoffProfile, phi_eval, _profile_fn, _radial_quad, j0, j2
+from .cutoff import CutoffProfile, phi_eval, _radial_quad, j0, j2
 from .errors import DomainError
 
 # Absolute error target of the production kernel; downstream identity checks
@@ -39,10 +44,9 @@ def a11_origin(profile: CutoffProfile, tol: float = KERNEL_TOL) -> float:
 
     A_11(0) = (3 pi^2)^-1 int_0^inf |phi(r)|^2 r^2 dr; strictly positive.
     """
-    r_far = profile.far_radius()
-    phi = _profile_fn(profile)
-    return _radial_quad(lambda r: phi(r) ** 2 * r * r, r_far, tol) \
-        / (3.0 * math.pi ** 2)
+    val = _radial_quad(lambda r: (phi_eval(profile, r) * r) ** 2,
+                       profile.far_radius(), tol, 0.0)
+    return float(val) / (3.0 * math.pi ** 2)
 
 
 def kernel_matrix(profile: CutoffProfile, x, tol: float = KERNEL_TOL) -> KernelMatrix:
@@ -51,13 +55,14 @@ def kernel_matrix(profile: CutoffProfile, x, tol: float = KERNEL_TOL) -> KernelM
     t = float(np.linalg.norm(x))
     if t < 1e-12:
         return KernelMatrix(entries=a11_origin(profile, tol) * np.eye(3))
-    r_far = profile.far_radius()
-    phi = _profile_fn(profile)
-    a = _radial_quad(
-        lambda r: phi(r) ** 2 * r * r * (2.0 * j0(r * t) - j2(r * t)),
-        r_far, tol) / (6.0 * math.pi ** 2)
-    b = _radial_quad(lambda r: phi(r) ** 2 * r * r * j2(r * t),
-                     r_far, tol) / (2.0 * math.pi ** 2)
+
+    def integrands(r):
+        j2r = j2(r * t)
+        return (phi_eval(profile, r) * r) ** 2 \
+            * np.stack([2.0 * j0(r * t) - j2r, j2r])
+
+    a, b = _radial_quad(integrands, profile.far_radius(), tol, t) \
+        / (6.0 * math.pi ** 2, 2.0 * math.pi ** 2)
     xhat = x / t
     return KernelMatrix(entries=a * np.eye(3) + b * np.outer(xhat, xhat))
 

@@ -8,7 +8,7 @@ from spinrad.cutoff import phi_eval
 from spinrad.errors import DomainError
 from spinrad.field_energy import _spherical_nodes, classical_current, \
     classical_decomposition_check, field_energy, higher_spin_constant, \
-    jclass_fourier, jvect_fourier, vector_current
+    vector_current
 from spinrad.spin_algebra import omega_state, product_state, spin_matrices, \
     su2_rotate
 from spinrad.spin_operator import SpinSystem, assemble_am, quadratic_form, \
@@ -29,13 +29,19 @@ def orbit_product_state(rng, P, s):
                           for _ in range(P)], s)
 
 
+def at_point(current, xi):
+    """A current's amplitude at the single point xi."""
+    return current.evaluator(np.atleast_2d(xi))[0]
+
+
 def test_vector_current_vanishes_at_zero_xi(profile, two_spin_system):
     rng = np.random.default_rng(0)
     X = random_state(rng, 4)
-    j = jvect_fourier(two_spin_system, profile, X, [0.0, 0.0, 0.0])
+    j = at_point(vector_current(two_spin_system, profile, X), [0.0, 0.0, 0.0])
     assert np.abs(j).max() == 0.0
-    jz = jvect_fourier(two_spin_system.with_moments([0.0, 0.0]), profile, X,
-                       [0.3, 0.1, -0.5])
+    silent = vector_current(two_spin_system.with_moments([0.0, 0.0]),
+                            profile, X)
+    jz = at_point(silent, [0.3, 0.1, -0.5])
     assert np.abs(jz).max() == 0.0
 
 
@@ -45,7 +51,7 @@ def test_vector_current_single_spin_structure(profile):
     sig = spin_matrices(0.5)
     X = np.array([1.0, 0.0], dtype=complex)
     q = 0.8
-    j = jvect_fourier(system, profile, X, [0.0, 0.0, q])
+    j = at_point(vector_current(system, profile, X), [0.0, 0.0, q])
     from spinrad.cutoff import phi_eval
     pref = 1j * phi_eval(profile, q) * 0.9 * q
     assert np.allclose(j[0], -pref * (sig[1] @ X))
@@ -58,26 +64,30 @@ def test_transversality(profile, two_spin_system):
     X = random_state(rng, 4)
     S = rng.normal(size=(2, 3))
     S /= np.linalg.norm(S, axis=1)[:, None]
+    vector = vector_current(two_spin_system, profile, X)
+    classical = classical_current(two_spin_system, profile, S)
     for _ in range(10):
         xi = rng.normal(size=3) * rng.uniform(0.1, 3.0)
-        jv = jvect_fourier(two_spin_system, profile, X, xi)
+        jv = at_point(vector, xi)
         assert np.abs(np.tensordot(xi, jv, axes=(0, 0))).max() <= 1e-10
-        jc = jclass_fourier(two_spin_system, profile, S, xi)
+        jc = at_point(classical, xi)
         assert abs(np.dot(xi, jc)) <= 1e-10
 
 
 def test_classical_current_parallel_orientation(profile):
     system = SpinSystem(positions=[[0.0, 0.0, 0.0]], moments=[1.0], s=0.5)
-    j = jclass_fourier(system, profile, [[0.0, 0.0, 1.0]], [0.0, 0.0, 1.3])
+    j = at_point(classical_current(system, profile, [[0.0, 0.0, 1.0]]),
+                 [0.0, 0.0, 1.3])
     assert np.abs(j).max() <= 1e-15
-    j2 = jclass_fourier(system, profile, [[1.0, 0.0, 0.0]], [0.0, 0.0, 1.3])
+    j2 = at_point(classical_current(system, profile, [[1.0, 0.0, 0.0]]),
+                  [0.0, 0.0, 1.3])
     assert np.abs(j2).max() > 1e-3
 
 
 def test_classical_current_rejects_non_unit(profile, two_spin_system):
     with pytest.raises(DomainError):
-        jclass_fourier(two_spin_system, profile,
-                       [[0.0, 0.0, 2.0], [1.0, 0.0, 0.0]], [0.1, 0.2, 0.3])
+        classical_current(two_spin_system, profile,
+                          [[0.0, 0.0, 2.0], [1.0, 0.0, 0.0]])
 
 
 def test_expectation_bridge(profile):
@@ -86,10 +96,12 @@ def test_expectation_bridge(profile):
     rng = np.random.default_rng(8)
     system = random_system(rng, 2)
     ps = product_state([random_state(rng, 2) for _ in range(2)], 0.5)
+    vector = vector_current(system, profile, ps.vector)
+    classical = classical_current(system, profile, ps.spin_vectors)
     for _ in range(10):
         xi = rng.normal(size=3) * rng.uniform(0.1, 3.0)
-        jv = jvect_fourier(system, profile, ps.vector, xi)
-        jc = jclass_fourier(system, profile, ps.spin_vectors, xi)
+        jv = at_point(vector, xi)
+        jc = at_point(classical, xi)
         expect = np.array([np.vdot(ps.vector, jv[a]) for a in range(3)])
         assert np.abs(expect - jc).max() <= 1e-10
 

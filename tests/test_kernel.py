@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import integrate, optimize
 from scipy.special import spherical_jn
 
-from spinrad.cutoff import CutoffProfile, _radial_quad, phi_eval
-from spinrad.errors import DomainError
+from spinrad.cutoff import CutoffProfile, _panel_sum, _radial_quad, phi_eval
+from spinrad.errors import DomainError, QuadratureError
 from spinrad.kernel import KERNEL_TOL, a11_origin, kernel_matrix, \
     kernel_oracle_3d, kernel_oracle_3d_complex
 
@@ -58,7 +61,7 @@ def test_far_field_dipole_tail(profile):
     assert abs(np.trace(K)) <= 1e-9
 
 
-@pytest.mark.parametrize("r", [40.0, 80.0])
+@pytest.mark.parametrize("r", [40.0, 80.0, 500.0, 1000.0])
 def test_far_field_dipole_tail_relative(profile, r):
     # at these distances the Gaussian smearing is below roundoff, so the
     # oscillatory radial integrals must reproduce the tail to its own scale
@@ -68,21 +71,25 @@ def test_far_field_dipole_tail_relative(profile, r):
     assert np.abs(K - tail).max() <= 1e-9 * np.abs(tail).max()
 
 
-def reference_kernel(profile, x, tol=KERNEL_TOL):
-    """The radial kernel with scipy's spherical_jn and phi_eval integrands."""
+def reference_radial(profile, f):
+    """int_0^r_far |phi(r)|^2 r^2 f(r) dr by scipy's adaptive quad."""
+    with warnings.catch_warnings():
+        # quad flags roundoff once it is at the 1e-16 level asked for
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, _ = integrate.quad(
+            lambda r: phi_eval(profile, r) ** 2 * r * r * f(r), 0.0,
+            profile.far_radius(), epsabs=1e-16, epsrel=1e-14, limit=2000)
+    return val
+
+
+def reference_kernel(profile, x):
+    """The radial kernel by scipy's adaptive quad and spherical_jn."""
     t = float(np.linalg.norm(x))
-    r_far = profile.far_radius()
-
-    def phi2(r):
-        return phi_eval(profile, r) ** 2
-
-    a = _radial_quad(
-        lambda r: phi2(r) * r * r
-        * (2.0 * spherical_jn(0, r * t) - spherical_jn(2, r * t)),
-        r_far, tol) / (6.0 * math.pi ** 2)
-    b = _radial_quad(
-        lambda r: phi2(r) * r * r * spherical_jn(2, r * t),
-        r_far, tol) / (2.0 * math.pi ** 2)
+    a = reference_radial(
+        profile, lambda r: 2.0 * spherical_jn(0, r * t)
+        - spherical_jn(2, r * t)) / (6.0 * math.pi ** 2)
+    b = reference_radial(profile, lambda r: spherical_jn(2, r * t)) \
+        / (2.0 * math.pi ** 2)
     xhat = np.asarray(x) / t
     return a * np.eye(3) + b * np.outer(xhat, xhat)
 
@@ -97,6 +104,71 @@ def test_matches_scipy_bessel_reference():
             x = radius * v / np.linalg.norm(v)
             K = kernel_matrix(p, x).entries
             assert np.abs(K - reference_kernel(p, x)).max() <= 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(lam=st.floats(0.5, 2.0),
+       log_radius=st.floats(math.log(1e-3), math.log(80.0)),
+       direction=st.tuples(*3 * [st.floats(-1.0, 1.0)]).filter(
+           lambda v: np.linalg.norm(v) > 0.1))
+def test_matches_reference_up_to_far_field(lam, log_radius, direction):
+    p = CutoffProfile("gaussian", lam)
+    xhat = np.asarray(direction) / np.linalg.norm(direction)
+    x = math.exp(log_radius) * xhat
+    K = kernel_matrix(p, x).entries
+    assert np.abs(K - reference_kernel(p, x)).max() <= 1e-13
+
+
+def test_a11_origin_matches_reference():
+    for lam in (0.5, 1.0, 1.7):
+        p = CutoffProfile("gaussian", lam)
+        ref = reference_radial(p, lambda r: 1.0) / (3.0 * math.pi ** 2)
+        assert abs(a11_origin(p) - ref) <= 1e-13
+
+
+def test_kernel_beyond_panel_cap_raises(profile):
+    # one panel per period of j0(r |x|) would be 16384 panels, over the cap
+    with pytest.raises(QuadratureError) as err:
+        kernel_matrix(profile, [1e4, 0.0, 0.0])
+    assert err.value.estimate is not None
+
+
+def test_radial_quad_raises_when_doubling_does_not_settle(profile):
+    # a step converges only like the panel width, far too slowly for 4096
+    r_far = profile.far_radius()
+    with pytest.raises(QuadratureError) as err:
+        _radial_quad(lambda r: np.where(r < r_far / math.pi, 1.0, 0.0),
+                     r_far, KERNEL_TOL, 0.0)
+    assert 0.0 < err.value.estimate < math.inf
+
+
+def test_panel_floor_defeats_aliasing(profile):
+    # exp(-r^2/2) cos(w r) at a frequency w where the 4- and 8-panel sums
+    # agree: doubling from 4 panels would accept their wrong value
+    r_far = profile.far_radius()
+
+    def f(w):
+        return lambda r: np.exp(-r * r / 2.0) * np.cos(w * r)
+
+    def gap(w):
+        return _panel_sum(f(w), r_far, 4) - _panel_sum(f(w), r_far, 8)
+
+    grid = np.linspace(40.0, 60.0, 401)
+    gaps = np.array([gap(w) for w in grid])
+    roots = [optimize.brentq(gap, lo, hi, xtol=1e-15)
+             for lo, hi, g0, g1 in zip(grid, grid[1:], gaps, gaps[1:])
+             if g0 * g1 < 0.0]
+    w = max(roots, key=lambda w: abs(_panel_sum(f(w), r_far, 4)))
+    four, eight = _panel_sum(f(w), r_far, 4), _panel_sum(f(w), r_far, 8)
+    exact = math.sqrt(math.pi / 2.0) * math.exp(-w * w / 2.0)
+    assert abs(four - eight) <= KERNEL_TOL * 1e-2
+    assert abs(four - exact) > 1e-6
+    try:
+        val = _radial_quad(f(w), r_far, KERNEL_TOL, w)
+    except QuadratureError as err:
+        assert err.estimate is not None
+    else:
+        assert abs(val - exact) <= KERNEL_TOL * 1e-2
 
 
 def test_matches_oracle(profile):

@@ -12,9 +12,13 @@ with j0, j2 spherical Bessel functions.  Both radial integrals share the
 nodes of one composite 16-node Gauss-Legendre rule on [0, r_far]
 (cutoff._radial_quad), which starts at one panel per period of j0(rt) and
 doubles until two panel counts agree.  Past |x| of about 1500 lam^-1 the
-rule would need more than 4096 panels and raises QuadratureError.  A
-brute-force 3D tensor-product quadrature oracle is provided for
-cross-validation in tests.
+rule would need more than 4096 panels and raises QuadratureError.
+
+kernel_oracle_3d cross-checks that reduction with a brute-force 3D
+tensor-product Gauss-Legendre rule on the defining integral; `spinrad
+verify` and the tests run it.  It sums each symmetric node pair +-k_a in
+closed form (cosines for even factors, sines for the odd k_a), so it
+visits only the positive octant and returns a real matrix.
 """
 
 from __future__ import annotations
@@ -70,15 +74,17 @@ def kernel_matrix(profile: CutoffProfile, x, tol: float = KERNEL_TOL) -> KernelM
 def kernel_oracle_3d(profile: CutoffProfile, x, n: int = 128) -> KernelMatrix:
     """Brute-force 3D tensor-product quadrature of the defining integral.
 
-    Gauss-Legendre nodes on a symmetric box, no radial reduction; intended
-    for tests only.
+    Gauss-Legendre nodes on a symmetric box, no radial reduction.  The
+    nodes pair up as +-k_a on every axis with equal weights, and
+    g(k) = |phi(|k|)|^2 / |k|^2 is even in each k_a, so each pair sums in
+    closed form: e^{-i k_a x_a} becomes c_a = 2 w cos(k_a x_a) and the odd
+    factor k_a e^{-i k_a x_a} becomes -i s_a, s_a = 2 w k_a sin(k_a x_a).
+    Over the positive octant, (n/2)^3 real nodes,
+
+        S_jj = sum g k_j^2 c_x c_y c_z,   S_jm = -sum g s_j s_m c_l,
+
+    with l the third axis, and A = (tr S - S) / (2 pi)^3 is real exactly.
     """
-    m = kernel_oracle_3d_complex(profile, x, n)
-    return KernelMatrix(entries=m.real)
-
-
-def kernel_oracle_3d_complex(profile: CutoffProfile, x, n: int = 128) -> np.ndarray:
-    """Complex raw sum of the 3D oracle (imaginary part cancels by symmetry)."""
     if n < 8:
         raise DomainError("oracle needs at least 8 nodes per axis")
     if n % 2:
@@ -87,21 +93,24 @@ def kernel_oracle_3d_complex(profile: CutoffProfile, x, n: int = 128) -> np.ndar
     # |phi|^2 decays twice as fast as phi: half the usual log-threshold.
     half = profile.far_radius(1e-8)
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes = nodes * half
-    weights = weights * half
-    sq = nodes * nodes
+    # leggauss returns exactly symmetric nodes and weights, ascending: keep
+    # the positive half, its weights doubled for the +-k pair
+    k = nodes[n // 2:] * half
+    w = 2.0 * weights[n // 2:] * half
+    phase = np.outer(x, k)
+    cx, cy, cz = w * np.cos(phase)
+    sx, sy, sz = w * k * np.sin(phase)
+    sq = k * k
     k2 = sq[:, None, None] + sq[:, None] + sq
-    # e^{-i k.x} w factors into one weighted 1-D phase per axis
-    ex, ey, ez = weights * np.exp(-1j * np.outer(x, nodes))
-    f = phi_eval(profile, np.sqrt(k2)) ** 2 / k2 \
-        * (ex[:, None, None] * np.outer(ey, ez))
-    # S_jm = sum f k_j k_m from the three 2-D marginals of f
-    fxy, fxz, fyz = f.sum(axis=2), f.sum(axis=1), f.sum(axis=0)
-    S = np.empty((3, 3), dtype=complex)
-    S[0, 0], S[1, 1], S[2, 2] = \
-        sq @ fxy.sum(axis=1), sq @ fxy.sum(axis=0), sq @ fxz.sum(axis=0)
-    S[0, 1] = S[1, 0] = nodes @ fxy @ nodes
-    S[0, 2] = S[2, 0] = nodes @ fxz @ nodes
-    S[1, 2] = S[2, 1] = nodes @ fyz @ nodes
+    g = phi_eval(profile, np.sqrt(k2)) ** 2 / k2
+    # the three 2-D marginals of g, each weighted along the summed axis
+    gxy, gxz, gyz = g @ cz, cy @ g, np.tensordot(cx, g, 1)
+    S = np.empty((3, 3))
+    S[0, 0] = (sq * cx) @ gxy @ cy
+    S[1, 1] = cx @ gxy @ (sq * cy)
+    S[2, 2] = cx @ gxz @ (sq * cz)
+    S[0, 1] = S[1, 0] = -(sx @ gxy @ sy)
+    S[0, 2] = S[2, 0] = -(sx @ gxz @ sz)
+    S[1, 2] = S[2, 1] = -(sy @ gyz @ sz)
     out = np.trace(S) * np.eye(3) - S
-    return out / (2.0 * math.pi) ** 3
+    return KernelMatrix(entries=out / (2.0 * math.pi) ** 3)

@@ -1,7 +1,9 @@
+# spinrad first: its BLAS one-thread pin only acts before numpy loads
+from spinrad import CutoffProfile, SpinSystem
+
 import numpy as np
 import pytest
 
-from spinrad import CutoffProfile, SpinSystem
 from spinrad.fock import build_mode_grid
 from spinrad.spin_algebra import spin_matrices
 

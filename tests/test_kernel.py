@@ -10,7 +10,7 @@ from scipy.special import spherical_jn
 from spinrad.cutoff import CutoffProfile, _panel_sum, _radial_quad, phi_eval
 from spinrad.errors import DomainError, QuadratureError
 from spinrad.kernel import KERNEL_TOL, a11_origin, kernel_matrix, \
-    kernel_oracle_3d, kernel_oracle_3d_complex
+    kernel_oracle_3d
 
 A11_GAUSS = 1.0 / (12.0 * math.pi ** 1.5)
 
@@ -184,11 +184,6 @@ def test_oracle_origin_value(profile):
     assert np.abs(O - np.diag(np.diag(O))).max() <= 1e-9
 
 
-def test_oracle_imaginary_part_cancels(profile):
-    raw = kernel_oracle_3d_complex(profile, [0.7, -0.4, 1.1], 32)
-    assert np.abs(raw.imag).max() <= 1e-12
-
-
 def _oracle_reference(profile, x, n):
     """The 3D oracle as nine full sums over a meshgrid of k."""
     half = profile.far_radius(1e-8)
@@ -216,10 +211,26 @@ def _oracle_reference(profile, x, n):
     (128, [1.9, 2.6, -0.8]),
 ])
 def test_oracle_matches_nine_sum_reference(profile, n, x):
-    raw = kernel_oracle_3d_complex(profile, x, n)
+    O = kernel_oracle_3d(profile, x, n).entries
     ref = _oracle_reference(profile, np.asarray(x, dtype=float), n)
-    assert np.abs(raw - ref).max() <= 1e-15
-    assert np.abs(raw.imag).max() <= 1e-15
+    assert np.abs(O - ref.real).max() <= 1e-15
+    assert np.abs(ref.imag).max() <= 1e-15
+
+
+@settings(max_examples=25, deadline=None)
+@given(lam=st.floats(0.5, 2.0), radius=st.floats(0.0, 8.0),
+       direction=st.tuples(*3 * [st.floats(-1.0, 1.0)]).filter(
+           lambda v: np.linalg.norm(v) > 0.1),
+       n=st.sampled_from([8, 9, 16, 32]))
+def test_oracle_pairing_matches_reference(lam, radius, direction, n):
+    p = CutoffProfile("gaussian", lam)
+    x = radius * np.asarray(direction) / np.linalg.norm(direction)
+    O = kernel_oracle_3d(p, x, n).entries
+    assert np.abs(O - _oracle_reference(p, x, n + n % 2).real).max() <= 1e-15
+    # cos is even and sin odd, so the pairing is exact under x -> -x
+    assert np.array_equal(O, kernel_oracle_3d(p, -x, n).entries)
+    if n % 2:
+        assert np.array_equal(O, kernel_oracle_3d(p, x, n + 1).entries)
 
 
 def test_oracle_rejects_tiny_node_count(profile):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,6 +19,7 @@ from spinrad.spin_operator import HermitianSpinOperator, SpinSystem, \
     quadratic_form
 
 from conftest import kron_embed, kron_site_spins, random_state
+from test_kernel import reference_kernel, reference_radial
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -118,6 +120,30 @@ def test_assemble_matches_reference(profile, small_grid, s, moments, kernel):
 
     A = _assemble(system, kernel_at)
     ref = _assemble_reference(system, kernel_at)
+    assert np.abs(A - ref).max() <= 1e-12 * max(1.0, np.linalg.norm(ref))
+
+
+@settings(max_examples=20, deadline=None)
+@given(s=st.sampled_from([0.5, 1.0]),
+       log_radius=st.floats(math.log(1e-3), math.log(80.0)),
+       direction=st.tuples(*3 * [st.floats(-1.0, 1.0)]).filter(
+           lambda v: np.linalg.norm(v) > 0.1),
+       moments=st.tuples(*2 * [st.floats(-1.0, 1.0)]))
+def test_assemble_am_matches_quad_reference(profile, s, log_radius,
+                                            direction, moments):
+    # a pair out to the far field, against kron chains and quad kernels
+    xhat = np.asarray(direction) / np.linalg.norm(direction)
+    x = math.exp(log_radius) * xhat
+    system = SpinSystem(positions=[[0.0, 0.0, 0.0], x], moments=moments, s=s)
+    origin = reference_radial(profile, lambda r: 1.0) / (3.0 * math.pi ** 2)
+    # reference_kernel is even in x to the bit: evaluate the pair once
+    cross = reference_kernel(profile, x)
+
+    def kernel_at(d):
+        return cross if d.any() else origin * np.eye(3)
+
+    ref = _assemble_reference(system, kernel_at)
+    A = assemble_am(system, profile).matrix
     assert np.abs(A - ref).max() <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
 

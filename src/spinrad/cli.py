@@ -141,12 +141,15 @@ def _verify_rows(cfg):
         rows.append([name, float(lhs), float(rhs), float(resid), float(tol),
                      resid <= tol])
 
+    # The oracle's error scales as lam^5 |x|^2 and the kernel as lam^3, so
+    # |x| is drawn in units of 1/lam and the gate scales as lam^3.
     for i in range(3):
         x = rng.normal(size=3)
-        x *= rng.uniform(0.2, 4.0) / np.linalg.norm(x)
+        x *= rng.uniform(0.2, 4.0) / (profile.lam * np.linalg.norm(x))
         K = kernel_matrix(profile, x).entries
         O = kernel_oracle_3d(profile, x).entries
-        add(f"kernel_vs_oracle_{i}", np.abs(K - O).max(), 0.0, 1e-6)
+        add(f"kernel_vs_oracle_{i}", np.abs(K - O).max(), 0.0,
+            1e-6 * profile.lam ** 3)
 
     A = assemble_am(system, profile)
     add("negative_semidefinite", max(float(A.eigenvalues[-1]), 0.0), 0.0,

@@ -10,6 +10,20 @@ is assembled sparse on the occupation basis with total photon number
 <= n_max, tensored with the spin space (Fock index major).  The antipodal
 symmetry is the discrete analogue of the k -> -k evenness of the continuum
 kernel; without it the discrete A_M would not be Hermitian.
+
+Only the oscillators the spins couple to are kept (the "effective mode"
+reduction: Cederbaum, Gindensperger & Burghardt, PRL 94 (2005) 113003).
+All oscillators of one radial shell of the grid share one frequency, so a
+unitary that mixes only that shell's oscillators leaves dGamma(omega)
+unchanged.  QR of the shell's (m x 3P) block of coupling vectors,
+V^T = U R, picks such a unitary: a^dagger(v_a) = sum_j R[j, a] b_j^dagger,
+and the other m - min(3P, m) new oscillators do not couple.  The truncated
+H is then block diagonal in the number n of photons in those uncoupled
+oscillators, and block n has the spectrum of the reduced H at cap n_max - n
+shifted by at least n omega_min.  So the ground state, and every level
+below E_0 + omega_min, is that of the reduced H at cap n_max with the
+uncoupled oscillators empty.  The reduced space grows with the number of
+radial shells only; angular refinement is free.
 """
 
 from __future__ import annotations
@@ -29,7 +43,8 @@ from .spin_operator import DEFAULT_DEGENERACY_TOL, HermitianSpinOperator, \
     SpinSystem, _assemble, _checked_operator, bilinear_spin_operator, \
     ground_eigenspace, site_spin_operators
 
-# Hard ceiling on dim(Fock) * dim(spin) for assembled operators.
+# Hard ceiling on dim(Fock) * dim(spin) for assembled operators.  The Fock
+# space is that of the coupled oscillators only, at most 3P per radial shell.
 MAX_TOTAL_DIM = 400_000
 
 # Eigenpair residual tolerance ||H v - E v|| of ground_state (absolute).
@@ -44,6 +59,7 @@ class ModeGrid:
     w: np.ndarray        # (N,) positive weights for int dk
     eps: np.ndarray      # (N, 2, 3) orthonormal transverse polarizations
     antipode: np.ndarray  # (N,) index of the mode at -k
+    shell: np.ndarray    # (N,) radial node of each mode; equal |k| within one
 
     @property
     def n_modes(self) -> int:
@@ -100,7 +116,8 @@ def build_mode_grid(profile: CutoffProfile, n_radial: int,
     e1 /= np.linalg.norm(e1, axis=1)[:, None]
     eps[:, 0] = e1
     eps[:, 1] = np.cross(khat, e1)
-    return ModeGrid(k=k, w=w, eps=eps, antipode=anti)
+    return ModeGrid(k=k, w=w, eps=eps, antipode=anti,
+                    shell=np.repeat(np.arange(n_radial), n_theta * n_phi))
 
 
 def mode_coefficients(profile: CutoffProfile, grid: ModeGrid, x,
@@ -127,24 +144,49 @@ def coupling_vector(profile, grid, x, m) -> np.ndarray:
     return (np.sqrt(grid.w)[:, None] * c).ravel()
 
 
+def _coupling_matrix(system: SpinSystem, profile: CutoffProfile,
+                     grid: ModeGrid) -> np.ndarray:
+    """Site spin coupling vectors, row 3 lam + m, (3P, 2N)."""
+    return np.array([coupling_vector(profile, grid, x, m + 1)
+                     for x in system.positions for m in range(3)])
+
+
+def _coupled_oscillators(grid: ModeGrid, V: np.ndarray):
+    """Frequencies and couplings of the oscillators V reaches, shell by shell.
+
+    Within a shell of m oscillators, QR of the (m x 3P) block V_s^T = U R
+    gives a^dagger(v_a) = sum_j R[j, a] b_j^dagger for the min(3P, m)
+    oscillators b_j = U^H a.  Returns (omega_osc, W) with W (3P, n_osc)
+    holding the couplings in place of V's columns.
+    """
+    shell = np.repeat(grid.shell, 2)
+    omega = np.repeat(grid.omega, 2)
+    freqs, couplings = [], []
+    for s in np.unique(shell):
+        osc = np.flatnonzero(shell == s)
+        R = np.linalg.qr(V[:, osc].T, mode="r")
+        freqs.append(np.full(len(R), omega[osc[0]]))
+        couplings.append(R.T)
+    return np.concatenate(freqs), np.concatenate(couplings, axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Truncated Fock space
 # ---------------------------------------------------------------------------
 
 @dataclass
 class FockSpace:
-    """Occupation basis over 2N oscillators with total photon number <= n_max.
+    """Occupation basis over n_osc oscillators, total photon number <= n_max.
 
-    Photon sector n is a (C(2N + n - 1, n), n) array of occupied oscillators,
-    rows in combinations_with_replacement (lexicographic) order; the basis
-    is sectors 0..n_max in turn.
+    Photon sector n is a (C(n_osc + n - 1, n), n) array of occupied
+    oscillators, rows in combinations_with_replacement (lexicographic)
+    order; the basis is sectors 0..n_max in turn.
     """
 
-    grid: ModeGrid
     n_max: int
     sectors: list                # sector n: (size_n, n) occupied oscillators
     sector_offsets: list         # first index of each photon sector
-    omega_osc: np.ndarray        # (2N,) oscillator frequencies
+    omega_osc: np.ndarray        # (n_osc,) oscillator frequencies
     n_total: np.ndarray          # (dim,) photon number per basis state
 
     @property
@@ -153,14 +195,14 @@ class FockSpace:
 
     @property
     def n_osc(self) -> int:
-        return 2 * self.grid.n_modes
+        return len(self.omega_osc)
 
 
-def build_fock_space(grid: ModeGrid, n_max: int,
+def build_fock_space(omega_osc: np.ndarray, n_max: int,
                      spin_dim: int = 1) -> FockSpace:
     if n_max < 1:
         raise DomainError("need n_max >= 1")
-    n_osc = 2 * grid.n_modes
+    n_osc = len(omega_osc)
     sizes = [math.comb(n_osc + n - 1, n) for n in range(n_max + 1)]
     if sum(sizes) * spin_dim > MAX_TOTAL_DIM:
         raise ResourceError(
@@ -170,9 +212,9 @@ def build_fock_space(grid: ModeGrid, n_max: int,
         chain.from_iterable(combinations_with_replacement(range(n_osc), n)),
         dtype=np.intp, count=size * n).reshape(size, n)
         for n, size in enumerate(sizes)]
-    return FockSpace(grid=grid, n_max=n_max, sectors=sectors,
+    return FockSpace(n_max=n_max, sectors=sectors,
                      sector_offsets=[0, *accumulate(sizes[:-1])],
-                     omega_osc=np.repeat(grid.omega, 2),
+                     omega_osc=np.asarray(omega_osc, dtype=float),
                      n_total=np.repeat(np.arange(n_max + 1), sizes))
 
 
@@ -182,7 +224,7 @@ def _creation_entries(space: FockSpace, v: np.ndarray):
     Returns (rows, cols, vals) with rows in sector n+1 and cols in sector n,
     ordered by column, then oscillator o.  Each transition n -> n+1 is one
     vectorized step: o joins every state, the sorted row is ranked in sector
-    n+1 by binary search on its base-2N key (exact, as every sector is
+    n+1 by binary search on its base-n_osc key (exact, as every sector is
     complete and sorted), and the entry is sqrt(occupation of o) v_o.
     """
     n_osc = space.n_osc
@@ -240,22 +282,27 @@ class ToyHamiltonian:
 
 def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
                       grid: ModeGrid, n_max: int) -> ToyHamiltonian:
-    """Assemble the truncated spin-photon Hamiltonian."""
+    """Truncated spin-photon Hamiltonian on the coupled oscillators only.
+
+    Each radial shell keeps the min(3P, m) oscillators of _coupled_oscillators;
+    the dropped ones carry no coupling, so every level below
+    E_0 + omega_min, the ground state included, is that of the full grid
+    (module docstring).
+    """
     spin_dim = system.spin_dim
-    space = build_fock_space(grid, n_max, spin_dim)
+    omega_osc, W = _coupled_oscillators(
+        grid, _coupling_matrix(system, profile, grid))
+    space = build_fock_space(omega_osc, n_max, spin_dim)
     S = site_spin_operators(system.s, system.P)
     h_free = sp.kron(
         sp.diags(np.concatenate([space.omega_osc[occ].sum(axis=1)
                                  for occ in space.sectors])),
         sp.identity(spin_dim), format="csr")
     h_int = sp.csr_matrix((space.dim * spin_dim,) * 2, dtype=complex)
-    for lam in range(system.P):
-        for m in range(3):
-            v = coupling_vector(profile, grid, system.positions[lam], m + 1)
-            phi_s = segal_field(space, v)
-            a = 3 * lam + m
-            h_int = h_int + system.moments[lam] * sp.kron(
-                phi_s, S[a * spin_dim:(a + 1) * spin_dim], format="csr")
+    for a, w in enumerate(W):
+        phi_s = segal_field(space, w)
+        h_int = h_int + system.moments[a // 3] * sp.kron(
+            phi_s, S[a * spin_dim:(a + 1) * spin_dim], format="csr")
     return ToyHamiltonian(h_free=h_free, h_int=h_int.tocsr(), space=space,
                           spin_dim=spin_dim)
 
@@ -439,8 +486,7 @@ def _discrete_k_bound(system: SpinSystem, profile: CutoffProfile,
     X -> ||u||^2 + ||dGamma(omega) u||^2, via its spin-space Gram matrix.
     """
     M = system.moments
-    V = np.array([coupling_vector(profile, grid, system.positions[lam], m + 1)
-                  for lam in range(system.P) for m in range(3)])
+    V = _coupling_matrix(system, profile, grid)
     Vw = V / np.repeat(grid.omega, 2)
     gram = V.conj() @ V.T + Vw.conj() @ Vw.T
     Mj = np.repeat(M, 3)

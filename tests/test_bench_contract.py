@@ -60,7 +60,8 @@ def test_result_fields():
     assert assemble_am(SYSTEM, PROFILE).matrix.shape == (4, 4)
     grid = build_mode_grid(PROFILE, 2, 6)
     toy = build_hamiltonian(SYSTEM, PROFILE, grid, 1)
-    assert toy.dim == (1 + 2 * grid.n_modes) * SYSTEM.spin_dim
+    # vacuum + min(3P, 2 n_theta n_phi) coupled oscillators per radial shell
+    assert toy.dim == (1 + 2 * min(3 * SYSTEM.P, 2 * 3 * 6)) * SYSTEM.spin_dim
 
 
 def test_current_evaluator_is_replaceable():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinrad.cli import _sampled_product_min, main
+from spinrad.cli import _sampled_product_min, _verify_rows, main
 from spinrad.config import DEFAULT_GRIDS, DEFAULT_TOLERANCES, parse_config, \
     run_manifest
 from spinrad.cutoff import CutoffProfile
@@ -224,6 +224,18 @@ def test_cli_verify_higher_spin(tmp_path, capsys, spin):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 10
     assert all(line.startswith("PASS ") for line in lines)
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+def test_verify_rows_scale_with_the_cutoff(lam):
+    # Seeds 1, 6 and 7 failed a kernel_vs_oracle row at lam = 2 while |x|
+    # was drawn in [0.2, 4] absolute and gated at 1e-6 absolute.
+    text = Path(TWO).read_text()
+    assert "lambda: 1.0" in text
+    cfg = parse_config(text.replace("lambda: 1.0", f"lambda: {lam}"))
+    for seed in (1, 6, 7):
+        cfg.seed = seed
+        assert [row[0] for row in _verify_rows(cfg) if not row[-1]] == []
 
 
 def test_cli_classical(tmp_path):

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 from itertools import combinations_with_replacement
 
+from hypothesis import assume, example, given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy import integrate
@@ -10,13 +12,13 @@ import scipy.sparse.linalg as spla
 
 from spinrad.cutoff import CutoffProfile, phi_eval
 from spinrad.errors import ConvergenceError, DomainError, ResourceError
-from spinrad.fock import MAX_TOTAL_DIM, ModeGrid, _discrete_k_bound, \
+from spinrad.fock import MAX_TOTAL_DIM, ToyHamiltonian, _discrete_k_bound, \
     build_fock_space, build_hamiltonian, build_mode_grid, coupling_vector, \
     discrete_am, discrete_kernel_matrix, ground_state, mode_coefficients, \
     multiplicity_scan, photon_number, quadratic_fit, segal_field, \
     variational_trial_check
 from spinrad.spin_operator import DEFAULT_DEGENERACY_TOL, SpinSystem, \
-    assemble_am
+    assemble_am, site_spin_operators
 
 from conftest import kron_site_spins, random_state
 
@@ -135,8 +137,7 @@ def test_discrete_am_zero_and_single(profile, default_grid):
 
 def test_discrete_am_rejects_asymmetric_grid(profile, small_grid,
                                              two_spin_system):
-    bad = ModeGrid(k=small_grid.k + [0.05, 0.0, 0.0], w=small_grid.w,
-                   eps=small_grid.eps, antipode=small_grid.antipode)
+    bad = dataclasses.replace(small_grid, k=small_grid.k + [0.05, 0.0, 0.0])
     with pytest.raises(DomainError):
         discrete_am(two_spin_system, profile, bad)
 
@@ -167,15 +168,24 @@ def test_interaction_changes_photon_number_by_one(profile, small_grid,
 
 def test_fock_space_budget(profile, default_grid):
     with pytest.raises(ResourceError):
-        build_fock_space(default_grid, 3, spin_dim=4)
+        build_fock_space(np.repeat(default_grid.omega, 2), 3, spin_dim=4)
 
 
 def test_fock_space_budget_edge(profile):
     grid = build_mode_grid(profile, 2, 6)  # 72 oscillators
-    space = build_fock_space(grid, 3, spin_dim=5)
+    space = build_fock_space(np.repeat(grid.omega, 2), 3, spin_dim=5)
     assert space.dim == 67_525 and 5 * space.dim <= MAX_TOTAL_DIM
     with pytest.raises(ResourceError, match="67525 x spin 6"):
-        build_fock_space(grid, 3, spin_dim=6)
+        build_fock_space(np.repeat(grid.omega, 2), 3, spin_dim=6)
+
+
+def test_budget_bounds_the_coupled_oscillators(profile, default_grid,
+                                               two_spin_system):
+    # 24 shells x 3P = 144 coupled oscillators of the grid's 3456
+    toy = build_hamiltonian(two_spin_system, profile, default_grid, 2)
+    assert toy.space.n_osc == 144 and toy.dim == 42_340
+    with pytest.raises(ResourceError, match="518665 x spin 4"):
+        build_hamiltonian(two_spin_system, profile, default_grid, 3)
 
 
 def _reference_fock_basis(n_osc, n_max):
@@ -219,7 +229,7 @@ def _reference_creation_entries(n_osc, n_max, v):
     (2, 6, 1), (2, 6, 2), (2, 6, 3), (4, 6, 2)])
 def test_fock_ladder_matches_reference(profile, n_radial, n_angular, n_max):
     grid = build_mode_grid(profile, n_radial, n_angular)
-    space = build_fock_space(grid, n_max)
+    space = build_fock_space(np.repeat(grid.omega, 2), n_max)
     states, _, offsets = _reference_fock_basis(space.n_osc, n_max)
     assert [tuple(int(o) for o in row) for occ in space.sectors
             for row in occ] == states
@@ -235,11 +245,77 @@ def test_fock_ladder_matches_reference(profile, n_radial, n_angular, n_max):
     for part in ("indptr", "indices", "data"):
         assert getattr(got, part).tobytes() == getattr(expected, part).tobytes()
 
+    # one site couples to 3 oscillators per shell, each at the shell's |k|
     single = SpinSystem(positions=[[0.0, 0.0, 0.0]], moments=[0.6])
-    h_free = build_hamiltonian(single, profile, grid, n_max).h_free.diagonal()
-    omega_osc = np.repeat(grid.omega, 2)
+    toy = build_hamiltonian(single, profile, grid, n_max)
+    omega_osc = toy.space.omega_osc
+    shell_omega = grid.omega.reshape(n_radial, -1)
+    assert np.abs(omega_osc - np.repeat(shell_omega, 3, axis=1)[:, :3].ravel()
+                  ).max() <= 1e-15 * shell_omega.max()
+    states, _, _ = _reference_fock_basis(3 * n_radial, n_max)
     reference = np.array([sum(omega_osc[o] for o in s) for s in states])
-    assert h_free.tobytes() == np.repeat(reference, 2).tobytes()
+    assert toy.h_free.diagonal().tobytes() == np.repeat(reference, 2).tobytes()
+
+
+def _full_grid_hamiltonian(system, profile, grid, n_max):
+    """H on all 2N (mode, polarization) oscillators of the grid.
+
+    The reference for build_hamiltonian, which keeps only the coupled
+    oscillators of each shell: here each site spin component gets one
+    Segal field on its full coupling vector.
+    """
+    spin_dim = system.spin_dim
+    space = build_fock_space(np.repeat(grid.omega, 2), n_max, spin_dim)
+    S = site_spin_operators(system.s, system.P)
+    h_free = sp.kron(
+        sp.diags(np.concatenate([space.omega_osc[occ].sum(axis=1)
+                                 for occ in space.sectors])),
+        sp.identity(spin_dim), format="csr")
+    h_int = sp.csr_matrix((space.dim * spin_dim,) * 2, dtype=complex)
+    for lam in range(system.P):
+        for m in range(3):
+            v = coupling_vector(profile, grid, system.positions[lam], m + 1)
+            a = 3 * lam + m
+            h_int = h_int + system.moments[lam] * sp.kron(
+                segal_field(space, v), S[a * spin_dim:(a + 1) * spin_dim],
+                format="csr")
+    return ToyHamiltonian(h_free=h_free, h_int=h_int.tocsr(), space=space,
+                          spin_dim=spin_dim)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(s=st.sampled_from([0.5, 1.0, 1.5]), P=st.sampled_from([1, 2]),
+       n_max=st.sampled_from([1, 2, 3]), n_radial=st.sampled_from([2, 3]),
+       k_pairs=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 16))
+@example(s=0.5, P=1, n_max=2, n_radial=2, k_pairs=3, seed=0)  # 3 pairs
+@example(s=0.5, P=1, n_max=3, n_radial=2, k_pairs=1, seed=1)  # full 135,050
+def test_reduced_hamiltonian_matches_full_grid(profile, s, P, n_max,
+                                               n_radial, k_pairs, seed):
+    """Every level below E_0 + omega_min is exact; the ones above can only
+    rise, as the full spectrum contains the reduced one."""
+    grid = build_mode_grid(profile, n_radial, 6)
+    spin_dim = round(2 * s + 1) ** P
+    # block solves on a large full space take seconds; one column does not
+    full_dim = spin_dim * sum(math.comb(2 * grid.n_modes + n - 1, n)
+                              for n in range(n_max + 1))
+    assume(full_dim <= (140_000 if k_pairs == 1 else 30_000))
+    rng = np.random.default_rng(seed)
+    system = SpinSystem(
+        positions=np.vstack([np.zeros(3), rng.uniform(-1.0, 1.0, (1, 3))])[:P],
+        moments=rng.choice([-1.0, 1.0], P) * rng.uniform(0.3, 1.0, P), s=s)
+    reduced = build_hamiltonian(system, profile, grid, n_max)
+    full = _full_grid_hamiltonian(system, profile, grid, n_max)
+    assert reduced.space.n_osc == n_radial * min(3 * P, 2 * grid.n_modes
+                                                 // n_radial)
+    got, got_v, _ = ground_state(reduced.matrix(), k_pairs=k_pairs,
+                                 spin_dim=spin_dim)
+    exact, exact_v, _ = ground_state(full.matrix(), k_pairs=k_pairs,
+                                     spin_dim=spin_dim)
+    below = exact < exact[0] + grid.omega.min()
+    assert np.all(np.abs(got - exact)[below] <= 1e-12 * np.abs(exact)[below])
+    assert np.all(got[~below] >= exact[~below] - 1e-12 * np.abs(exact[~below]))
+    assert photon_number(reduced, got_v[:, 0]) == pytest.approx(
+        photon_number(full, exact_v[:, 0]), rel=1e-12)
 
 
 def test_ground_state_diagonal_and_free(profile, small_grid, two_spin_system):
@@ -274,7 +350,7 @@ def test_ground_state_deterministic(profile, default_grid, two_spin_system):
     assert np.array_equal(v1[1], v2[1])
 
 
-def _schur_energies(toy, t):
+def _schur_energies(system, profile, grid, t):
     """Eigenvalues of H(t) below the photon continuum at n_max = 1, ascending.
 
     There H = [[0, t B^dag], [t B, Omega (x) I]] with B the vacuum ->
@@ -283,11 +359,16 @@ def _schur_energies(toy, t):
     Bach, Chen, Froehlich & Sigal, J. Funct. Anal. 203 (2003) 44).  Every
     eigenvalue branch of F decreases in E, so branch j meets the diagonal
     once, in (-2 t |B|_F, 0]: one root per spin state, multiplicities
-    included.
+    included.  B is built on all 2N oscillators of the grid, from the
+    coupling vectors and the site spins, not from build_hamiltonian.
     """
-    sd = toy.spin_dim
-    B = toy.h_int[sd:, :sd].toarray()
-    omega = toy.h_free.diagonal()[sd:]
+    sd = system.spin_dim
+    S = site_spin_operators(system.s, system.P).toarray()
+    B = sum(system.moments[a // 3] / math.sqrt(2.0) * np.kron(
+        coupling_vector(profile, grid, system.positions[a // 3],
+                        a % 3 + 1)[:, None], S[a * sd:(a + 1) * sd])
+        for a in range(3 * system.P))
+    omega = np.repeat(grid.omega, 2 * sd)
 
     def branch_minus_e(E, j):
         F = -t * t * (B.conj().T @ (B / (omega - E)[:, None]))
@@ -307,7 +388,7 @@ def test_ground_state_matches_schur_oracle(request, profile, two_spin_system,
     for t in (0.4, 0.2, 0.1, 0.05):
         vals, _, _ = ground_state(toy.matrix(t), k_pairs=1,
                                   spin_dim=toy.spin_dim)
-        exact = _schur_energies(toy, t)[0]
+        exact = _schur_energies(two_spin_system, profile, grid, t)[0]
         assert abs(vals[0] - exact) <= 1e-12 * abs(exact)
 
 
@@ -317,7 +398,9 @@ def test_ground_state_matches_schur_oracle(request, profile, two_spin_system,
     ([[0.0, 0.0, 0.0]], 1.0),
     ([[0.0, 0.0, 0.0], [0.9, -0.3, 0.4]], 1.5)])
 def test_one_column_solve_matches_block(profile, monkeypatch, positions, s):
-    grid = build_mode_grid(profile, 4, 6)
+    # 6 shells: one spin-1/2 site couples to 3 oscillators per shell, so H
+    # has dimension 38; 4 shells give 26, which takes the dense branch.
+    grid = build_mode_grid(profile, 6, 6)
     system = SpinSystem(positions=positions, moments=np.ones(len(positions)),
                         s=s)
     toy = build_hamiltonian(system, profile, grid, 1)
@@ -357,9 +440,8 @@ def test_multiplicity_matches_schur_oracle(profile, default_grid, positions,
                                            s, expected):
     system = SpinSystem(positions=positions, moments=np.ones(len(positions)),
                         s=s)
-    toy = build_hamiltonian(system, profile, default_grid, 1)
     for r in multiplicity_scan(system, profile, default_grid, 1, [0.2, 0.1]):
-        exact = _schur_energies(toy, r.g)
+        exact = _schur_energies(system, profile, default_grid, r.g)
         width = DEFAULT_DEGENERACY_TOL * max(r.g * r.g, abs(exact[0]))
         assert r.mult_h == int(np.sum(exact <= exact[0] + width)) == expected
         assert r.mult_h <= r.mult_a1
@@ -372,7 +454,7 @@ def test_ground_state_finds_degenerate_pair(profile, default_grid):
     toy = build_hamiltonian(pair, profile, default_grid, 1)
     vals, vecs, _ = ground_state(toy.matrix(0.1), k_pairs=3,
                                  spin_dim=toy.spin_dim)
-    exact = _schur_energies(toy, 0.1)
+    exact = _schur_energies(pair, profile, default_grid, 0.1)
     assert np.all(np.abs(vals - exact[:3]) <= 1e-12 * abs(exact[0]))
     width = DEFAULT_DEGENERACY_TOL * abs(exact[0])
     assert vals[1] - vals[0] <= width < vals[2] - vals[0]

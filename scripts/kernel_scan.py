@@ -11,10 +11,11 @@ last column shows how far out it still checks the radial kernel.
 
 import math
 
-import numpy as np
-
+# spinrad first: its BLAS one-thread pin only acts before numpy loads
 from spinrad.cutoff import CutoffProfile
 from spinrad.kernel import a11_origin, kernel_matrix, kernel_oracle_3d
+
+import numpy as np
 
 
 if __name__ == "__main__":

@@ -5,12 +5,22 @@ cross-checks, and a truncated-Fock exact-diagonalization toy model."""
 __version__ = "0.1.0"
 
 import os
+import sys
+import warnings
 
 # One BLAS thread, set before any submodule loads numpy: the single-vector
 # reductions of a one-column LOBPCG solve change their last bits with the
-# OpenBLAS thread count, and artifacts must not depend on it.
-os.environ.update(dict.fromkeys(
-    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+# OpenBLAS thread count, and artifacts must not depend on it.  BLAS reads
+# these variables once, when numpy loads it.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and any(os.environ.get(v) != "1"
+                                  for v in _BLAS_VARS):
+    warnings.warn(
+        "numpy was imported before spinrad, so spinrad's one-thread BLAS pin "
+        "cannot act and artifacts may depend on the thread count; import "
+        "spinrad first or set " + ", ".join(_BLAS_VARS) + " to 1",
+        RuntimeWarning, stacklevel=2)
+os.environ.update(dict.fromkeys(_BLAS_VARS, "1"))
 
 from .cutoff import CutoffProfile, phi_eval
 from .kernel import KernelMatrix, a11_origin, kernel_matrix, kernel_oracle_3d

@@ -263,6 +263,18 @@ def test_cli_classical_bad_orientations_exit_one(tmp_path, capsys, text):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("row", ["[.nan, 0.0, 1.0]", "[.inf, 0.0, 0.0]"])
+def test_cli_classical_non_finite_orientation_exit_one(tmp_path, capsys, row):
+    ori = tmp_path / "ori.yaml"
+    ori.write_text(f"- [0.0, 0.0, 1.0]\n- {row}\n")
+    assert main(["classical", "--config", TWO, "--out", str(tmp_path),
+                 "--orientations", str(ori)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR ") and "unit vectors" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "classical.csv").exists()
+
+
 def test_cli_fock_fit(tmp_path):
     cfg = small_config(tmp_path)
     rc = main(["fock-fit", "--config", cfg, "--out", str(tmp_path),
@@ -317,6 +329,22 @@ def test_fock_fit_bytes_independent_of_blas_threads(tmp_path):
                        env=env, check=True, capture_output=True)
         blobs.append((out / "fock_fit.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("imports, pinned, warns", [
+    ("numpy, spinrad", "2", True), ("spinrad, numpy", "2", False),
+    ("numpy, spinrad", "1", False)])
+def test_blas_pin_warns_when_numpy_came_first(imports, pinned, warns):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=pinned,
+               OMP_NUM_THREADS=pinned, MKL_NUM_THREADS=pinned,
+               PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", f"import {imports}"],
+                         env=env, check=True, capture_output=True, text=True)
+    lines = run.stderr.splitlines()
+    assert sum("RuntimeWarning" in line for line in lines) == int(warns)
+    assert ("pin cannot act" in run.stderr) == warns
 
 
 def test_artifacts_bytes_independent_of_blas_threads(tmp_path):

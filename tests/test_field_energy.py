@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -6,15 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from spinrad.cutoff import phi_eval
 from spinrad.errors import DomainError
-from spinrad.field_energy import _spherical_nodes, classical_current, \
-    classical_decomposition_check, field_energy, higher_spin_constant, \
-    vector_current
+from spinrad.field_energy import FourierCurrent, _spherical_nodes, \
+    classical_current, classical_decomposition_check, field_energy, \
+    higher_spin_constant, vector_current
 from spinrad.spin_algebra import omega_state, product_state, spin_matrices, \
     su2_rotate
 from spinrad.spin_operator import SpinSystem, assemble_am, quadratic_form, \
     site_spin_operators
 
 from conftest import random_state
+
+# the module: spinrad.field_energy as an attribute is the function
+field_energy_module = importlib.import_module("spinrad.field_energy")
 
 
 def random_system(rng, P, s=0.5):
@@ -29,9 +33,24 @@ def orbit_product_state(rng, P, s):
                           for _ in range(P)], s)
 
 
+def amplitudes(current, xi):
+    """jhat(xi) = i phi(|xi|) |xi| sum_lam e^{i xi.x_lam} c_lam(xi/|xi|).
+
+    Built from the current's sites and site terms c_lam, at points xi (N, 3);
+    0 at xi = 0.
+    """
+    xi = np.atleast_2d(xi)
+    r = np.linalg.norm(xi, axis=1)
+    terms = current.evaluator(xi / np.where(r > 0.0, r, 1.0)[:, None])
+    phases = np.exp(1j * (xi @ current.positions.T))
+    amp = np.einsum("nl,nl...->n...", phases, terms)
+    pref = 1j * phi_eval(current.profile, r) * r
+    return pref.reshape((-1,) + (1,) * (amp.ndim - 1)) * amp
+
+
 def at_point(current, xi):
     """A current's amplitude at the single point xi."""
-    return current.evaluator(np.atleast_2d(xi))[0]
+    return amplitudes(current, xi)[0]
 
 
 def test_vector_current_vanishes_at_zero_xi(profile, two_spin_system):
@@ -182,22 +201,31 @@ def _classical_reference(system, profile, S, xi):
     return 1j * phi_eval(profile, r)[:, None] * _cross_reference(xi, amp)
 
 
+def _product_grid(profile, n_radial, n_theta, n_phi):
+    """The rule's nodes xi = r u (N, 3) and weights rw r^2 dw, node by node."""
+    rn, rw, dirs, dw = _spherical_nodes(profile, n_radial, n_theta, n_phi)
+    xi = (rn[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
+    w = (rw[:, None] * rn[:, None] ** 2 * dw[None, :]).ravel()
+    return xi, w
+
+
 def _energy_reference(amplitudes, profile, **quad_sizes):
-    """Field energy of an amplitude function, all nodes in one call."""
-    xi, w = _spherical_nodes(profile, **quad_sizes)
+    """Field energy of an amplitude function, summed node by node."""
+    xi, w = _product_grid(profile, **quad_sizes)
     amp = amplitudes(xi)
     mag2 = np.sum(np.abs(amp) ** 2, axis=tuple(range(1, amp.ndim)))
     return 0.5 * (2.0 * math.pi) ** -3 * float(
         np.sum(w * mag2 / np.sum(xi * xi, axis=1)))
 
 
-# 24 x 8 x 16 = 3072 nodes: more than one evaluator batch
 SMALL_QUAD = {"n_radial": 24, "n_theta": 8, "n_phi": 16}
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.5])
 @pytest.mark.parametrize("P", [1, 2, 3])
-def test_currents_match_reference(profile, s, P):
+def test_currents_match_reference(profile, s, P, monkeypatch):
+    # 13-40 of the 128 directions per batch: several batches, the last short
+    monkeypatch.setattr(field_energy_module, "_BATCH_NODES", 24 * 40)
     rng = np.random.default_rng(int(10 * s) + P)
     system = random_system(rng, P, s=s)
     if P > 1:
@@ -214,13 +242,103 @@ def test_currents_match_reference(profile, s, P):
              (classical_current(system, profile, S),
               lambda q: _classical_reference(system, profile, S, q))]
     for current, reference in cases:
-        amp, ref = current.evaluator(xi), reference(xi)
+        amp, ref = amplitudes(current, xi), reference(xi)
         assert amp.shape == ref.shape
         assert np.abs(amp - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.abs(amp[0]).max() == 0.0
         e = field_energy(current, **SMALL_QUAD)
         e_ref = _energy_reference(reference, profile, **SMALL_QUAD)
         assert abs(e - e_ref) <= 1e-13 * e_ref
+
+
+def _diagonal_reference(system, energy_of):
+    """Sum over sites of the energy of that site alone: the diagonal terms."""
+    return sum(energy_of(system.with_moments(
+        np.where(np.arange(system.P) == lam, system.moments, 0.0)))
+        for lam in range(system.P))
+
+
+# every (s, P) with s in {1/2, 1, 3/2, 5/2} and P <= 5 but the 7776-dim
+# 5/2^5, whose node-by-node reference would need 0.4 GB
+PAIR_CLUSTERS = [(s, P) for s in (0.5, 1.0, 1.5, 2.5) for P in range(1, 6)
+                 if (2 * s + 1) ** P <= 1296]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(PAIR_CLUSTERS), st.integers(1, 8), st.integers(1, 4),
+       st.integers(1, 7), st.floats(-6.0, math.log10(40.0)),
+       st.integers(0, 2 ** 32 - 1))
+def test_pair_sum_matches_node_sum(profile, cluster, n_radial, n_theta,
+                                   n_phi, log_d, seed):
+    # the pair form against |jhat|^2 summed node by node on the same rule:
+    # n_theta = 1 and odd n_phi, zero moments, and sites 0, 1 from 1e-6 to
+    # 40 / lam apart, where cos(r tau) oscillates across the radial nodes
+    s, P = cluster
+    quad = {"n_radial": n_radial, "n_theta": n_theta, "n_phi": n_phi}
+    rng = np.random.default_rng(seed)
+    positions = rng.normal(size=(P, 3)) * 2.0
+    if P > 1:
+        v = rng.normal(size=3)
+        positions[1] = positions[0] + 10.0 ** log_d / profile.lam * v \
+            / np.linalg.norm(v)
+    moments = rng.uniform(-1.0, 1.0, size=P) * (rng.random(P) < 0.7)
+    system = SpinSystem(positions=positions, moments=moments, s=s)
+    X = random_state(rng, system.spin_dim)
+    S = rng.normal(size=(P, 3))
+    S /= np.linalg.norm(S, axis=1)[:, None]
+
+    def node_sums(sy):
+        """Node-by-node energies of sy's vector and classical currents."""
+        refs = (lambda q: _vector_reference(sy, profile, X, q),
+                lambda q: _classical_reference(sy, profile, S, q))
+        return np.array([_energy_reference(f, profile, **quad) for f in refs])
+
+    e = np.array([field_energy(vector_current(system, profile, X), **quad),
+                  field_energy(classical_current(system, profile, S), **quad)])
+    diagonal = _diagonal_reference(system, node_sums)
+    assert np.all(np.abs(e - node_sums(system)) <= 1e-13 * diagonal)
+
+
+@pytest.mark.parametrize("P", [2, 4])
+def test_pair_sum_keeps_complex_cross_terms(profile, P):
+    # Im <c_lam, c_mu> vanishes for spin and classical currents (spin
+    # operators on different sites commute), so only generic complex site
+    # vectors V check the sine sums; n_phi = 15 breaks the rule's u -> -u
+    # symmetry, under which they would cancel
+    rng = np.random.default_rng(P)
+    V = rng.normal(size=(P, 3, 2)) + 1j * rng.normal(size=(P, 3, 2))
+    current = FourierCurrent(
+        evaluator=lambda u: np.cross(u[:, None, :, None], V[None],
+                                     axisa=2, axisb=2, axisc=2),
+        positions=rng.normal(size=(P, 3)), profile=profile)
+    quad = dict(SMALL_QUAD, n_phi=15)
+    e = field_energy(current, **quad)
+    e_ref = _energy_reference(lambda q: amplitudes(current, q), profile,
+                              **quad)
+    assert abs(e - e_ref) <= 1e-13 * e_ref
+
+
+@pytest.mark.parametrize("quad", [{}, SMALL_QUAD,
+                                  {"n_radial": 5, "n_theta": 1, "n_phi": 3}])
+def test_opposite_moments_close_together_nonnegative(profile, quad):
+    # site terms cancel to 1e-6: the pair sum is a difference of nearly
+    # equal diagonal and cross terms, and is not clipped at zero
+    system = SpinSystem(positions=[[0.1, -0.2, 0.3], [0.1, -0.2, 0.300001]],
+                        moments=[0.7, -0.7])
+    up_up = np.eye(4)[0]
+    for current in (classical_current(system, profile,
+                                      [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+                    vector_current(system, profile, up_up)):
+        assert field_energy(current, **quad) >= 0.0
+
+
+def test_non_finite_inputs_rejected(profile, two_spin_system):
+    with pytest.raises(DomainError, match="normalized"):
+        vector_current(two_spin_system, profile, np.full(4, np.nan))
+    for bad in ([[np.nan, 0.0, 1.0], [1.0, 0.0, 0.0]],
+                [[0.0, 0.0, 1.0], [np.inf, 0.0, 0.0]]):
+        with pytest.raises(DomainError, match="unit vectors"):
+            classical_current(two_spin_system, profile, bad)
 
 
 def test_vector_current_rejects_wrong_dimension(profile, two_spin_system):

@@ -51,7 +51,7 @@ def _out_dir(args) -> Path:
 
 def _load_config(args):
     cfg = parse_config(Path(args.config).read_text())
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     return cfg
 
@@ -212,7 +212,7 @@ def suite_fock_fit(args) -> int:
     grid = build_mode_grid(profile, cfg.grids["n_radial"],
                            cfg.grids["n_angular"])
     fit = quadratic_fit(system, profile, grid, cfg.grids["n_max"], args.scales,
-                        tol=cfg.tolerances["eigensolver"], seed=cfg.seed)
+                        tol=cfg.tolerances["eigensolver"])
     out = _out_dir(args)
     _write_csv(out / "fock_fit.csv",
                ["scale", "energy", "photon_number"],
@@ -281,12 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="suite", required=True)
 
-    def common(p):
+    def common(p, seeded=False):
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--out", default=None,
                        help=f"output directory (default ${OUT_ENV_VAR} or .)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the configuration seed")
+        if seeded:  # only the suites that read the seed take --seed
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the configuration seed")
 
     p = sub.add_parser("kernel", help="evaluate the transverse kernel matrix")
     common(p)
@@ -295,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=suite_kernel)
 
     p = sub.add_parser("e2", help="smallest eigenvalue of A_M with multiplicity")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--eigenbasis", action="store_true")
     p.set_defaults(func=suite_e2)
 
     p = sub.add_parser("verify", help="energy-identity verification suite")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=suite_verify)
 
     p = sub.add_parser("classical", help="magnet field energy for given orientations")
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=suite_fock_fit)
 
     p = sub.add_parser("multiplicity", help="ground multiplicity scan")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--g", type=_float_list, required=True,
                    help="comma-separated common moment values")
     p.set_defaults(func=suite_multiplicity)

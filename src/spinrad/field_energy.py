@@ -178,7 +178,7 @@ def higher_spin_constant(s) -> float:
 
 
 def classical_decomposition_check(system: SpinSystem, profile: CutoffProfile,
-                                  X: ProductState, **quad_sizes):
+                                  X: ProductState):
     """Compare <A_M X, X> against the magnet-energy decomposition.
 
     lhs = <A_M X, X>;
@@ -188,7 +188,7 @@ def classical_decomposition_check(system: SpinSystem, profile: CutoffProfile,
     """
     lhs = quadratic_form(assemble_am(system, profile), X.vector)
     e_class = field_energy(
-        classical_current(system, profile, X.spin_vectors), **quad_sizes)
+        classical_current(system, profile, X.spin_vectors))
     rhs = -e_class - higher_spin_constant(system.s) * a11_origin(profile) \
         * float(np.sum(system.moments ** 2))
     return lhs, rhs, abs(lhs - rhs)

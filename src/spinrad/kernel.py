@@ -43,29 +43,29 @@ class KernelMatrix:
     entries: np.ndarray
 
 
-def a11_origin(profile: CutoffProfile, tol: float = KERNEL_TOL) -> float:
+def a11_origin(profile: CutoffProfile) -> float:
     """Diagonal kernel value at zero displacement.
 
     A_11(0) = (3 pi^2)^-1 int_0^inf |phi(r)|^2 r^2 dr; strictly positive.
     """
     val = _radial_quad(lambda r: (phi_eval(profile, r) * r) ** 2,
-                       profile.far_radius(), tol, 0.0)
+                       profile.far_radius(), KERNEL_TOL, 0.0)
     return float(val) / (3.0 * math.pi ** 2)
 
 
-def kernel_matrix(profile: CutoffProfile, x, tol: float = KERNEL_TOL) -> KernelMatrix:
+def kernel_matrix(profile: CutoffProfile, x) -> KernelMatrix:
     """Evaluate the transverse kernel matrix at displacement x."""
     x = np.asarray(x, dtype=float)
     t = float(np.linalg.norm(x))
     if t < 1e-12:
-        return KernelMatrix(entries=a11_origin(profile, tol) * np.eye(3))
+        return KernelMatrix(entries=a11_origin(profile) * np.eye(3))
 
     def integrands(r):
         j2r = j2(r * t)
         return (phi_eval(profile, r) * r) ** 2 \
             * np.stack([2.0 * j0(r * t) - j2r, j2r])
 
-    a, b = _radial_quad(integrands, profile.far_radius(), tol, t) \
+    a, b = _radial_quad(integrands, profile.far_radius(), KERNEL_TOL, t) \
         / (6.0 * math.pi ** 2, 2.0 * math.pi ** 2)
     xhat = x / t
     return KernelMatrix(entries=a * np.eye(3) + b * np.outer(xhat, xhat))

@@ -73,7 +73,8 @@ def embed_site_operator(op: np.ndarray, lam: int, P: int) -> sp.csr_matrix:
 def hopf_map(X, s) -> np.ndarray:
     """Spin-expectation vector (<sigma_1 X, X>, <sigma_2 X, X>, <sigma_3 X, X>)."""
     X = np.asarray(X, dtype=complex)
-    if abs(np.linalg.norm(X) - 1.0) > _NORM_TOL:
+    # written so that a NaN norm fails too
+    if not abs(np.linalg.norm(X) - 1.0) <= _NORM_TOL:
         raise DomainError("hopf_map requires a normalized state")
     return np.array([np.vdot(X, m @ X).real for m in spin_matrices(s)])
 
@@ -115,7 +116,8 @@ def product_vectors(factors) -> np.ndarray:
     factors has shape (n, P, d), each factor normalized; returns (n, d^P).
     """
     facs = np.asarray(factors, dtype=complex)
-    bad = np.nonzero(np.abs(np.linalg.norm(facs, axis=-1) - 1.0) > _NORM_TOL)
+    # written so that a NaN norm fails too
+    bad = np.nonzero(~(abs(np.linalg.norm(facs, axis=-1) - 1.0) <= _NORM_TOL))
     if bad[0].size:
         raise DomainError(f"factor {bad[1][0] + 1} is not normalized")
     n, P, d = facs.shape

@@ -43,6 +43,8 @@ class SpinSystem:
             raise DomainError("positions must be a (P, 3) array")
         if self.moments.shape != (self.P,):
             raise DomainError("moments must have one entry per particle")
+        if not np.isfinite(np.append(self.positions, self.moments)).all():
+            raise DomainError("positions and moments must be finite")
         for a in range(self.P):
             for b in range(a + 1, self.P):
                 if np.linalg.norm(self.positions[a] - self.positions[b]) < 1e-12:
@@ -139,7 +141,8 @@ def quadratic_form(A: HermitianSpinOperator, X):
     gives one value per row.
     """
     X = np.asarray(X, dtype=complex)
-    if np.any(np.abs(np.linalg.norm(X, axis=-1) - 1.0) > 1e-12):
+    # written so that a NaN norm fails too
+    if not np.all(np.abs(np.linalg.norm(X, axis=-1) - 1.0) <= 1e-12):
         raise DomainError("quadratic_form requires a normalized state")
     return np.einsum("...i,...i->...", X.conj(), X @ A.matrix.T).real
 

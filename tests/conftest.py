@@ -1,9 +1,12 @@
 # spinrad first: its BLAS one-thread pin only acts before numpy loads
 from spinrad import CutoffProfile, SpinSystem
 
+import math
+
 import numpy as np
 import pytest
 
+from spinrad.cutoff import phi_eval
 from spinrad.fock import build_mode_grid
 from spinrad.spin_algebra import spin_matrices
 
@@ -45,3 +48,20 @@ def kron_site_spins(s, P):
     sig = spin_matrices(s)
     return [[kron_embed(sig[m], lam + 1, P) for m in range(3)]
             for lam in range(P)]
+
+
+def projector_kernel(profile, grid, d):
+    """Mode-sum kernel (2 pi)^-3 sum_i w_i |phi|^2 e^{-i k_i.d} (I - khat khat).
+
+    The transverse-projector form of the discrete kernel, one displacement
+    at a time: the reference for the Gram form that fock.discrete_am builds
+    from the coupling matrix.
+    """
+    r = grid.omega
+    khat = grid.k / r[:, None]
+    f = grid.w * phi_eval(profile, r) ** 2 \
+        * np.exp(-1j * grid.k @ np.asarray(d, dtype=float))
+    proj = np.eye(3)[None] - khat[:, :, None] * khat[:, None, :]
+    out = np.einsum("n,nab->ab", f, proj) * (2.0 * math.pi) ** -3
+    assert np.abs(out.imag).max() <= 1e-12 * max(1.0, np.abs(out.real).max())
+    return out.real

@@ -413,3 +413,15 @@ def test_cli_bad_number_list_exit_two(capsys, suite, flag, value):
         main([suite, "--config", TWO, flag, value])
     assert exc.value.code == 2
     assert "comma-separated numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite, args", [
+    ("kernel", ["--at", "0.3", "0.1", "-0.5"]),
+    ("classical", ["--orientations", "ori.yaml"]),
+    ("fock-fit", ["--scales", "0.4,0.2,0.1,0.05"])])
+def test_cli_seed_only_where_read(capsys, suite, args):
+    # the seed changes nothing in these suites, so they do not take --seed
+    with pytest.raises(SystemExit) as exc:
+        main([suite, "--config", TWO, *args, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err

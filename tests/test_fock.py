@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 from itertools import combinations_with_replacement
@@ -12,15 +13,15 @@ import scipy.sparse.linalg as spla
 
 from spinrad.cutoff import CutoffProfile, phi_eval
 from spinrad.errors import ConvergenceError, DomainError, ResourceError
+import spinrad.fock as fock
 from spinrad.fock import MAX_TOTAL_DIM, ToyHamiltonian, _discrete_k_bound, \
-    build_fock_space, build_hamiltonian, build_mode_grid, coupling_vector, \
-    discrete_am, discrete_kernel_matrix, ground_state, mode_coefficients, \
-    multiplicity_scan, photon_number, quadratic_fit, segal_field, \
-    variational_trial_check
+    build_fock_space, build_hamiltonian, build_mode_grid, coupling_matrix, \
+    discrete_am, ground_state, multiplicity_scan, photon_number, \
+    quadratic_fit, segal_field, variational_trial_check
 from spinrad.spin_operator import DEFAULT_DEGENERACY_TOL, SpinSystem, \
-    assemble_am, site_spin_operators
+    _assemble, assemble_am, site_spin_operators
 
-from conftest import kron_site_spins, random_state
+from conftest import kron_site_spins, projector_kernel, random_state
 
 
 def test_grid_antipodal_symmetry(default_grid):
@@ -93,26 +94,71 @@ def test_mode_grid_matches_loop_reference(lam, n_radial, n_angular):
     assert np.abs(grid.k - k).max() <= 1e-15 * profile.far_radius()
 
 
-def test_mode_coefficients_structure(profile, small_grid):
-    c = mode_coefficients(profile, small_grid, [0.0, 0.0, 0.0], 3)
-    assert c.shape == (small_grid.n_modes, 2)
-    # amplitude decays like phi at large |k|
-    far = small_grid.omega > 0.8 * profile.far_radius()
-    assert np.abs(c[far]).max() <= 1e-10
-    with pytest.raises(DomainError):
-        mode_coefficients(profile, small_grid, [0.0, 0.0, 0.0], 0)
+def test_coupling_matrix_structure(profile, small_grid, two_spin_system):
+    V = coupling_matrix(two_spin_system, profile, small_grid)
+    assert V.shape == (3 * two_spin_system.P, 2 * small_grid.n_modes)
+    assert V.dtype == complex
+    # coupling decays like phi at large |k|
+    far = np.repeat(small_grid.omega > 0.8 * profile.far_radius(), 2)
+    assert np.abs(V[:, far]).max() <= 1e-10
 
 
-def test_mode_coefficients_self_consistency(profile, small_grid):
-    # weighted |amplitude|^2 / omega sums to the discrete kernel diagonal
-    for m in (1, 2, 3):
-        v = coupling_vector(profile, small_grid, [0.0, 0.0, 0.0], m)
-        total = float(np.sum(np.abs(v) ** 2
-                             / np.repeat(small_grid.omega, 2)))
-        # <omega^-1 B_m, B_m> = |k| (2 pi)^-3 |phi|^2 |k x e_m|^2/|k|^2 summed
-        diag = discrete_kernel_matrix(profile, small_grid,
-                                      [0.0, 0.0, 0.0])[m - 1, m - 1]
-        assert total == pytest.approx(diag, rel=1e-12)
+def _loop_coupling_matrix(system, profile, grid):
+    """V one entry at a time: sqrt(w_i) <eps_ia, B_{m,x}(k_i)> with
+    B_{m,x}(k) = i phi(|k|) |k|^(1/2) (2 pi)^(-3/2) e^{-i k.x} (k x e_m)/|k|."""
+    V = np.empty((3 * system.P, 2 * grid.n_modes), dtype=complex)
+    for lam, x in enumerate(system.positions):
+        for m in range(3):
+            for i, k in enumerate(grid.k):
+                r = math.sqrt(k @ k)
+                B = 1j * float(phi_eval(profile, r)) * math.sqrt(r) \
+                    * (2.0 * math.pi) ** -1.5 * cmath.exp(-1j * (k @ x)) \
+                    * np.cross(k, np.eye(3)[m]) / r
+                for a in range(2):
+                    V[3 * lam + m, 2 * i + a] = math.sqrt(grid.w[i]) \
+                        * (grid.eps[i, a] @ B)
+    return V
+
+
+@pytest.mark.parametrize("lam", [0.7, 1.6])
+@pytest.mark.parametrize("P", [1, 2, 3])
+def test_coupling_matrix_matches_loop(lam, P):
+    profile = CutoffProfile("gaussian", lam)
+    grid = build_mode_grid(profile, 4, 6)
+    rng = np.random.default_rng(P)
+    system = SpinSystem(positions=rng.normal(size=(P, 3)) / lam,
+                        moments=np.ones(P))
+    V = coupling_matrix(system, profile, grid)
+    ref = _loop_coupling_matrix(system, profile, grid)
+    assert np.abs(V - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_coupling_matrix_self_consistency(profile, small_grid):
+    # weighted |coupling|^2 / omega sums to the discrete kernel diagonal
+    origin = SpinSystem(positions=[[0.0, 0.0, 0.0]], moments=[1.0])
+    V = coupling_matrix(origin, profile, small_grid)
+    totals = np.sum(np.abs(V) ** 2 / np.repeat(small_grid.omega, 2), axis=1)
+    diag = np.diag(projector_kernel(profile, small_grid, np.zeros(3)))
+    assert totals == pytest.approx(diag, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.7, 1.6])
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("P", [1, 2, 3])
+def test_discrete_am_matches_projector_reference(lam, s, P):
+    # Gram form of the coupling matrix against the transverse-projector
+    # kernel, evaluated per site pair and assembled by _assemble
+    profile = CutoffProfile("gaussian", lam)
+    grid = build_mode_grid(profile, 8, 8)
+    rng = np.random.default_rng(10 * P + int(2 * s))
+    system = SpinSystem(positions=rng.normal(size=(P, 3)) / lam,
+                        moments=rng.uniform(-1.0, 1.0, P), s=s)
+    A = discrete_am(system, profile, grid)
+    ref = _assemble(system, lambda d: projector_kernel(profile, grid, d))
+    scale = np.linalg.norm(ref)
+    assert np.linalg.norm(A.matrix - ref) <= 1e-13 * scale
+    assert np.abs(A.eigenvalues - np.linalg.eigvalsh(ref)).max() \
+        <= 1e-13 * scale
 
 
 def test_discrete_am_matches_continuum(profile, default_grid, two_spin_system):
@@ -131,14 +177,18 @@ def test_discrete_am_zero_and_single(profile, default_grid):
     assert np.abs(discrete_am(zero, profile, default_grid).matrix).max() == 0.0
     single = SpinSystem(positions=[[0.0, 0.0, 0.0]], moments=[0.6])
     Ad = discrete_am(single, profile, default_grid).matrix
-    a0 = discrete_kernel_matrix(profile, default_grid, [0.0, 0.0, 0.0])[0, 0]
+    a0 = projector_kernel(profile, default_grid, np.zeros(3))[0, 0]
     assert np.abs(Ad + 1.5 * a0 * 0.36 * np.eye(2)).max() <= 1e-12
 
 
 def test_discrete_am_rejects_asymmetric_grid(profile, small_grid,
-                                             two_spin_system):
+                                             two_spin_system, monkeypatch):
     bad = dataclasses.replace(small_grid, k=small_grid.k + [0.05, 0.0, 0.0])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="antipodally symmetric"):
+        discrete_am(two_spin_system, profile, bad)
+    # past the grid check, the kernel's imaginary part is raised, not dropped
+    monkeypatch.setattr(fock, "_require_symmetric", lambda grid: None)
+    with pytest.raises(DomainError, match="not real"):
         discrete_am(two_spin_system, profile, bad)
 
 
@@ -236,7 +286,8 @@ def test_fock_ladder_matches_reference(profile, n_radial, n_angular, n_max):
     assert space.sector_offsets == offsets
     assert np.array_equal(space.n_total, [len(s) for s in states])
 
-    v = coupling_vector(profile, grid, [0.3, -0.1, 0.2], 2)
+    site = SpinSystem(positions=[[0.3, -0.1, 0.2]], moments=[1.0])
+    v = coupling_matrix(site, profile, grid)[1]  # sigma_2 of the site
     rows, cols, vals = _reference_creation_entries(space.n_osc, n_max, v)
     T = sp.csr_matrix((vals / math.sqrt(2.0), (rows, cols)),
                       shape=(len(states),) * 2)
@@ -262,7 +313,7 @@ def _full_grid_hamiltonian(system, profile, grid, n_max):
 
     The reference for build_hamiltonian, which keeps only the coupled
     oscillators of each shell: here each site spin component gets one
-    Segal field on its full coupling vector.
+    Segal field on its full row of the coupling matrix.
     """
     spin_dim = system.spin_dim
     space = build_fock_space(np.repeat(grid.omega, 2), n_max, spin_dim)
@@ -272,13 +323,10 @@ def _full_grid_hamiltonian(system, profile, grid, n_max):
                                  for occ in space.sectors])),
         sp.identity(spin_dim), format="csr")
     h_int = sp.csr_matrix((space.dim * spin_dim,) * 2, dtype=complex)
-    for lam in range(system.P):
-        for m in range(3):
-            v = coupling_vector(profile, grid, system.positions[lam], m + 1)
-            a = 3 * lam + m
-            h_int = h_int + system.moments[lam] * sp.kron(
-                segal_field(space, v), S[a * spin_dim:(a + 1) * spin_dim],
-                format="csr")
+    for a, v in enumerate(coupling_matrix(system, profile, grid)):
+        h_int = h_int + system.moments[a // 3] * sp.kron(
+            segal_field(space, v), S[a * spin_dim:(a + 1) * spin_dim],
+            format="csr")
     return ToyHamiltonian(h_free=h_free, h_int=h_int.tocsr(), space=space,
                           spin_dim=spin_dim)
 
@@ -360,14 +408,13 @@ def _schur_energies(system, profile, grid, t):
     eigenvalue branch of F decreases in E, so branch j meets the diagonal
     once, in (-2 t |B|_F, 0]: one root per spin state, multiplicities
     included.  B is built on all 2N oscillators of the grid, from the
-    coupling vectors and the site spins, not from build_hamiltonian.
+    coupling matrix and the site spins, not from build_hamiltonian.
     """
     sd = system.spin_dim
     S = site_spin_operators(system.s, system.P).toarray()
+    V = coupling_matrix(system, profile, grid)
     B = sum(system.moments[a // 3] / math.sqrt(2.0) * np.kron(
-        coupling_vector(profile, grid, system.positions[a // 3],
-                        a % 3 + 1)[:, None], S[a * sd:(a + 1) * sd])
-        for a in range(3 * system.P))
+        V[a][:, None], S[a * sd:(a + 1) * sd]) for a in range(3 * system.P))
     omega = np.repeat(grid.omega, 2 * sd)
 
     def branch_minus_e(E, j):
@@ -477,8 +524,7 @@ def test_discrete_k_bound_matches_reference(profile, small_grid):
     P, M = system.P, system.moments
     # Gram matrix term by term over all (3P)^2 ordered pairs of site spins
     emb = kron_site_spins(system.s, P)
-    vs = [[coupling_vector(profile, small_grid, system.positions[lam], m + 1)
-           for m in range(3)] for lam in range(P)]
+    vs = coupling_matrix(system, profile, small_grid).reshape(P, 3, -1)
     inv_w = 1.0 / np.repeat(small_grid.omega, 2)
     G = np.zeros((system.spin_dim,) * 2, dtype=complex)
     for lam in range(P):

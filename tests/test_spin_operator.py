@@ -11,14 +11,15 @@ import spinrad.fock as fock
 import spinrad.spin_operator as spin_operator
 from spinrad.cli import main
 from spinrad.errors import DomainError, ResourceError, SpinradError
-from spinrad.fock import discrete_kernel_matrix
 from spinrad.kernel import a11_origin, kernel_matrix
-from spinrad.spin_algebra import embed_site_operator
+from spinrad.spin_algebra import embed_site_operator, hopf_map, \
+    product_state, product_vectors
 from spinrad.spin_operator import HermitianSpinOperator, SpinSystem, \
     _assemble, assemble_am, bilinear_spin_operator, ground_eigenspace, \
     quadratic_form
 
-from conftest import kron_embed, kron_site_spins, random_state
+from conftest import kron_embed, kron_site_spins, projector_kernel, \
+    random_state
 from test_kernel import reference_kernel, reference_radial
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -29,6 +30,39 @@ def test_system_validation():
         SpinSystem(positions=[[0, 0, 0], [0, 0, 0]], moments=[1.0, 1.0])
     with pytest.raises(DomainError):
         SpinSystem(positions=[[0, 0, 0]], moments=[1.0], s=0.3)
+
+
+@pytest.mark.parametrize("position, moment", [
+    ([np.nan, 0.0, 0.0], 1.0), ([np.inf, 0.0, 0.0], 1.0),
+    ([0.0, -np.inf, 0.0], 1.0), ([0.0, 0.0, 1.0], np.nan),
+    ([0.0, 0.0, 1.0], -np.inf)])
+def test_system_rejects_non_finite(position, moment):
+    with pytest.raises(DomainError, match="must be finite"):
+        SpinSystem(positions=[[0.0, 0.0, 0.0], position],
+                   moments=[1.0, moment])
+
+
+@pytest.mark.parametrize("check", [
+    "quadratic_form", "hopf_map", "product_vectors", "product_state",
+    "photon_number", "variational_trial_check"])
+def test_unit_norm_checks_reject_nan(profile, small_grid, two_spin_system,
+                                     check):
+    # abs(norm - 1) > tol is False for a NaN norm; each check must still fail
+    nan = np.full(4, np.nan)
+    toy = fock.build_hamiltonian(two_spin_system, profile, small_grid, 1)
+    calls = {
+        "quadratic_form": lambda: quadratic_form(
+            HermitianSpinOperator(matrix=np.eye(4)), nan),
+        "hopf_map": lambda: hopf_map(nan[:2], 0.5),
+        "product_vectors": lambda: product_vectors(nan.reshape(1, 2, 2)),
+        "product_state": lambda: product_state(nan.reshape(2, 2), 0.5),
+        "photon_number": lambda: fock.photon_number(
+            toy, np.full(toy.dim, np.nan)),
+        "variational_trial_check": lambda: fock.variational_trial_check(
+            two_spin_system, profile, small_grid, 1, nan),
+    }
+    with pytest.raises(DomainError, match="normalized"):
+        calls[check]()
 
 
 def test_single_spin_closed_form(profile):
@@ -116,7 +150,7 @@ def test_assemble_matches_reference(profile, small_grid, s, moments, kernel):
             return cache[key]
     else:
         def kernel_at(d):
-            return discrete_kernel_matrix(profile, small_grid, d)
+            return projector_kernel(profile, small_grid, d)
 
     A = _assemble(system, kernel_at)
     ref = _assemble_reference(system, kernel_at)
@@ -243,21 +277,14 @@ def _break(K, d, fault):
 
 @pytest.mark.parametrize("fault, message", [
     ("flip", "positive eigenvalue"), ("asymmetric", "not Hermitian")])
-@pytest.mark.parametrize("kernel", ["continuum", "discrete"])
-def test_assembly_checks_raise(profile, small_grid, two_spin_system,
-                               monkeypatch, kernel, fault, message):
-    if kernel == "continuum":
-        monkeypatch.setattr(spin_operator, "kernel_matrix", lambda prof, x:
-                            SimpleNamespace(entries=_break(
-                                kernel_matrix(prof, x).entries, x, fault)))
-        with pytest.raises(SpinradError, match=message):
-            assemble_am(two_spin_system, profile)
-    else:
-        monkeypatch.setattr(fock, "discrete_kernel_matrix", lambda prof, g, d:
-                            _break(discrete_kernel_matrix(prof, g, d), d,
-                                   fault))
-        with pytest.raises(SpinradError, match=message):
-            fock.discrete_am(two_spin_system, profile, small_grid)
+def test_assembly_checks_raise(profile, two_spin_system, monkeypatch, fault,
+                               message):
+    # the discrete A_M is a Gram form, Hermitian and NSD by construction
+    monkeypatch.setattr(spin_operator, "kernel_matrix", lambda prof, x:
+                        SimpleNamespace(entries=_break(
+                            kernel_matrix(prof, x).entries, x, fault)))
+    with pytest.raises(SpinradError, match=message):
+        assemble_am(two_spin_system, profile)
 
 
 def _count_decompositions(monkeypatch):

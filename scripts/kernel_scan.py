@@ -6,7 +6,8 @@ displacements r e_1 together with the point-dipole tail they approach
 once r clears the cutoff scale, the relative deviation of A_11 from
 that tail, and, for r <= 16, the largest entry of |K - O| against the
 n = 128 3D oracle O.  The oracle's error grows about as r^2, so the
-last column shows how far out it still checks the radial kernel.
+last column shows how far out it still checks the closed-form kernel.
+The ray runs out to r = 1e4, where only the dipole tail is left.
 """
 
 import math
@@ -21,9 +22,10 @@ import numpy as np
 if __name__ == "__main__":
     profile = CutoffProfile("gaussian", 1.0)
     print(f"a11_origin = {a11_origin(profile):.12e}")
-    print(f"{'r':>6} {'A_11':>15} {'A_22':>15} {'dipole tail':>15} "
+    print(f"{'r':>8} {'A_11':>15} {'A_22':>15} {'dipole tail':>15} "
           f"{'rel. dev.':>10} {'|K - O|':>10}")
-    for r in [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0, 80.0]:
+    for r in [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0, 80.0, 2000.0,
+              1e4]:
         x = [r, 0.0, 0.0]
         K = kernel_matrix(profile, x).entries
         if r:
@@ -36,5 +38,5 @@ if __name__ == "__main__":
             orc = f"{np.abs(K - O).max():10.2e}"
         else:
             orc = f"{'-':>10}"
-        print(f"{r:6.2f} {K[0, 0]:15.6e} {K[1, 1]:15.6e} {tail:15.6e} "
+        print(f"{r:8.2f} {K[0, 0]:15.6e} {K[1, 1]:15.6e} {tail:15.6e} "
               f"{dev} {orc}")

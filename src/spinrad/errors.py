@@ -9,20 +9,6 @@ class DomainError(SpinradError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class QuadratureError(SpinradError, RuntimeError):
-    """A numerical integration did not reach the requested tolerance.
-
-    Attributes
-    ----------
-    estimate : float
-        The error estimate reported by the quadrature routine.
-    """
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
-
-
 class ResourceError(SpinradError, RuntimeError):
     """A requested object exceeds the configured memory/dimension budget."""
 

@@ -61,14 +61,11 @@ class ModeGrid:
     eps: np.ndarray      # (N, 2, 3) orthonormal transverse polarizations
     antipode: np.ndarray  # (N,) index of the mode at -k
     shell: np.ndarray    # (N,) radial node of each mode; equal |k| within one
+    omega: np.ndarray    # (N,) mode frequencies |k|
 
     @property
     def n_modes(self) -> int:
         return len(self.w)
-
-    @property
-    def omega(self) -> np.ndarray:
-        return np.linalg.norm(self.k, axis=1)
 
 
 def build_mode_grid(profile: CutoffProfile, n_radial: int,
@@ -110,7 +107,8 @@ def build_mode_grid(profile: CutoffProfile, n_radial: int,
         raise DomainError("mode grid lost antipodal symmetry")
 
     eps = np.empty((N, 2, 3))
-    khat = k / np.linalg.norm(k, axis=1)[:, None]
+    omega = np.linalg.norm(k, axis=1)
+    khat = k / omega[:, None]
     ref = np.where(np.abs(khat[:, 2:3]) < 0.9, [[0.0, 0.0, 1.0]],
                    [[1.0, 0.0, 0.0]])
     e1 = np.cross(khat, ref)
@@ -118,7 +116,8 @@ def build_mode_grid(profile: CutoffProfile, n_radial: int,
     eps[:, 0] = e1
     eps[:, 1] = np.cross(khat, e1)
     return ModeGrid(k=k, w=w, eps=eps, antipode=anti,
-                    shell=np.repeat(np.arange(n_radial), n_theta * n_phi))
+                    shell=np.repeat(np.arange(n_radial), n_theta * n_phi),
+                    omega=omega)
 
 
 def coupling_matrix(system: SpinSystem, profile: CutoffProfile,

@@ -2,19 +2,26 @@
 
 A_jm(x) = (2 pi)^-3 int |phi(|k|)|^2 e^{-i k.x} (delta_jm - k_j k_m / |k|^2) dk.
 
-The production path reduces the angular integral analytically:
+For the Gaussian cutoff, |phi(r)|^2 = exp(-r^2 / lam^2), the integral has a
+closed form.  The delta_jm part is the transform g of |phi|^2, and the
+k_j k_m / |k|^2 part is -d_j d_m u, where u is the transform of
+|phi|^2 / |k|^2, the Gaussian-smeared Coulomb potential (-Laplacian u = g):
 
-    A(x) = a(|x|) I + b(|x|) xhat xhat^T,
-    a(t) = (6 pi^2)^-1 int |phi(r)|^2 r^2 (2 j0(rt) - j2(rt)) dr,
-    b(t) = (2 pi^2)^-1 int |phi(r)|^2 r^2 j2(rt) dr,
+    A(x) = g I + grad grad u,
+    g(r) = lam^3 e^{-z^2} / (8 pi^(3/2)),   u(r) = erf(z) / (4 pi r),
 
-with j0, j2 spherical Bessel functions.  Both radial integrals share the
-nodes of one composite 16-node Gauss-Legendre rule on [0, r_far]
-(cutoff._radial_quad), which starts at one panel per period of j0(rt) and
-doubles until two panel counts agree.  Past |x| of about 1500 lam^-1 the
-rule would need more than 4096 panels and raises QuadratureError.
+with r = |x| and z = lam r / 2.  So A(x) = a(r) I + b(r) xhat xhat^T with
 
-kernel_oracle_3d cross-checks that reduction with a brute-force 3D
+    a = g + u'/r,   b = u'' - u'/r = -g - 3 u'/r,
+    u'/r = lam^3 F(z) / (32 pi),
+    F(z) = (2 z e^{-z^2} / sqrt(pi) - erf z) / z^3.
+
+At the origin A(0) = (2/3) g(0) I = lam^3 / (12 pi^(3/2)) I, and beyond the
+cutoff scale A approaches the point-dipole tail -(I - 3 xhat xhat^T) /
+(4 pi r^3).  The numerator of F cancels as z -> 0 (F(0) = -4 / (3 sqrt pi)
+from terms of order z), so below z = 1 its power series replaces it.
+
+kernel_oracle_3d cross-checks the closed form with a brute-force 3D
 tensor-product Gauss-Legendre rule on the defining integral; `spinrad
 verify` and the tests run it.  It sums each symmetric node pair +-k_a in
 closed form (cosines for even factors, sines for the odd k_a), so it
@@ -28,12 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoff import CutoffProfile, phi_eval, _radial_quad, j0, j2
+from .cutoff import CutoffProfile, phi_eval
 from .errors import DomainError
 
-# Absolute error target of the production kernel; downstream identity checks
-# run at 1e-6 and need headroom.
-KERNEL_TOL = 1e-9
+# F(z) = (2 / sqrt(pi)) sum_{n>=1} (-1)^n 2n z^(2n-2) / ((2n+1) n!) to 18
+# terms, coefficients of z^(2n-2) highest power first; below z = 1 the
+# truncation error is under 1e-17
+_F_SERIES = [2.0 / math.sqrt(math.pi) * (-1) ** n * 2 * n
+             / ((2 * n + 1) * math.factorial(n)) for n in range(18, 0, -1)]
 
 
 @dataclass(frozen=True)
@@ -44,31 +53,34 @@ class KernelMatrix:
 
 
 def a11_origin(profile: CutoffProfile) -> float:
-    """Diagonal kernel value at zero displacement.
+    """Diagonal kernel value at zero displacement, lam^3 / (12 pi^(3/2))."""
+    return profile.lam ** 3 * math.pi ** -1.5 / 12.0
 
-    A_11(0) = (3 pi^2)^-1 int_0^inf |phi(r)|^2 r^2 dr; strictly positive.
-    """
-    val = _radial_quad(lambda r: (phi_eval(profile, r) * r) ** 2,
-                       profile.far_radius(), KERNEL_TOL, 0.0)
-    return float(val) / (3.0 * math.pi ** 2)
+
+def _dipole_factor(z: float) -> float:
+    """F(z) = (2 z e^{-z^2} / sqrt(pi) - erf z) / z^3 for z > 0."""
+    if z < 1.0:
+        z2, f = z * z, 0.0
+        for c in _F_SERIES:
+            f = f * z2 + c
+        return f
+    return (2.0 * z * math.exp(-z * z) / math.sqrt(math.pi)
+            - math.erf(z)) / z ** 3
 
 
 def kernel_matrix(profile: CutoffProfile, x) -> KernelMatrix:
     """Evaluate the transverse kernel matrix at displacement x."""
     x = np.asarray(x, dtype=float)
     t = float(np.linalg.norm(x))
-    if t < 1e-12:
+    if t == 0.0:
         return KernelMatrix(entries=a11_origin(profile) * np.eye(3))
-
-    def integrands(r):
-        j2r = j2(r * t)
-        return (phi_eval(profile, r) * r) ** 2 \
-            * np.stack([2.0 * j0(r * t) - j2r, j2r])
-
-    a, b = _radial_quad(integrands, profile.far_radius(), KERNEL_TOL, t) \
-        / (6.0 * math.pi ** 2, 2.0 * math.pi ** 2)
+    lam3 = profile.lam ** 3
+    z = 0.5 * profile.lam * t
+    g = lam3 * math.exp(-z * z) / (8.0 * math.pi ** 1.5)
+    du = lam3 * _dipole_factor(z) / (32.0 * math.pi)  # u'(r) / r
     xhat = x / t
-    return KernelMatrix(entries=a * np.eye(3) + b * np.outer(xhat, xhat))
+    return KernelMatrix(entries=(g + du) * np.eye(3)
+                        - (g + 3.0 * du) * np.outer(xhat, xhat))
 
 
 def kernel_oracle_3d(profile: CutoffProfile, x, n: int = 128) -> KernelMatrix:

@@ -43,11 +43,11 @@ def spin_matrices(s) -> tuple:
     # <s, m+1| J_+ |s, m> = sqrt(s(s+1) - m(m+1))
     jp = np.diag(np.sqrt(s * (s + 1.0) - m[1:] * (m[1:] + 1.0)), k=1)
     jm = jp.conj().T
-    j1 = (jp + jm) / 2.0
-    j2 = (jp - jm) / 2.0j
-    j3 = np.diag(m)
-    return (2.0 * j1.astype(complex), 2.0 * j2.astype(complex),
-            2.0 * j3.astype(complex))
+    jx = (jp + jm) / 2.0
+    jy = (jp - jm) / 2.0j
+    jz = np.diag(m)
+    return (2.0 * jx.astype(complex), 2.0 * jy.astype(complex),
+            2.0 * jz.astype(complex))
 
 
 def embed_site_operator(op: np.ndarray, lam: int, P: int) -> sp.csr_matrix:

@@ -95,12 +95,12 @@ def test_transversality(profile, two_spin_system):
 
 def test_classical_current_parallel_orientation(profile):
     system = SpinSystem(positions=[[0.0, 0.0, 0.0]], moments=[1.0], s=0.5)
-    j = at_point(classical_current(system, profile, [[0.0, 0.0, 1.0]]),
-                 [0.0, 0.0, 1.3])
-    assert np.abs(j).max() <= 1e-15
-    j2 = at_point(classical_current(system, profile, [[1.0, 0.0, 0.0]]),
-                  [0.0, 0.0, 1.3])
-    assert np.abs(j2).max() > 1e-3
+    parallel = at_point(
+        classical_current(system, profile, [[0.0, 0.0, 1.0]]), [0.0, 0.0, 1.3])
+    assert np.abs(parallel).max() <= 1e-15
+    across = at_point(
+        classical_current(system, profile, [[1.0, 0.0, 0.0]]), [0.0, 0.0, 1.3])
+    assert np.abs(across).max() > 1e-3
 
 
 def test_classical_current_rejects_non_unit(profile, two_spin_system):
@@ -365,7 +365,7 @@ def test_field_energy_rejects_empty_rules(profile, two_spin_system, sizes):
 def test_field_energy_identity_boundary_regimes(profile, cluster, log_d,
                                                 seed):
     # dim <= 16, some zero moments, and one pair at 10^log_d: down to the
-    # series branch of j1/j2 in the kernel
+    # kernel's small-z power series
     s, P = cluster
     rng = np.random.default_rng(seed)
     positions = rng.normal(size=(P, 3)) * 2.0

@@ -1,16 +1,16 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, optimize
+from scipy import integrate
 from scipy.special import spherical_jn
 
-from spinrad.cutoff import CutoffProfile, _panel_sum, _radial_quad, phi_eval
-from spinrad.errors import DomainError, QuadratureError
-from spinrad.kernel import KERNEL_TOL, a11_origin, kernel_matrix, \
-    kernel_oracle_3d
+from spinrad.cutoff import CutoffProfile, phi_eval
+from spinrad.errors import DomainError
+from spinrad.kernel import a11_origin, kernel_matrix, kernel_oracle_3d
 
 A11_GAUSS = 1.0 / (12.0 * math.pi ** 1.5)
 
@@ -61,10 +61,10 @@ def test_far_field_dipole_tail(profile):
     assert abs(np.trace(K)) <= 1e-9
 
 
-@pytest.mark.parametrize("r", [40.0, 80.0, 500.0, 1000.0])
+@pytest.mark.parametrize("r", [40.0, 80.0, 500.0, 1000.0, 1e4])
 def test_far_field_dipole_tail_relative(profile, r):
     # at these distances the Gaussian smearing is below roundoff, so the
-    # oscillatory radial integrals must reproduce the tail to its own scale
+    # kernel must reproduce the tail to its own scale
     xhat = np.array([0.48, -0.6, 0.64])
     K = kernel_matrix(profile, r * xhat).entries
     tail = -(np.eye(3) - 3.0 * np.outer(xhat, xhat)) / (4.0 * math.pi * r ** 3)
@@ -83,7 +83,13 @@ def reference_radial(profile, f):
 
 
 def reference_kernel(profile, x):
-    """The radial kernel by scipy's adaptive quad and spherical_jn."""
+    """The kernel's radial reduction by scipy's quad and spherical_jn.
+
+    A = a I + b xhat xhat^T, t = |x|, with
+    a(t) = (6 pi^2)^-1 int |phi|^2 r^2 (2 j_0(rt) - j_2(rt)) dr and
+    b(t) = (2 pi^2)^-1 int |phi|^2 r^2 j_2(rt) dr: a route to A that
+    shares nothing with the closed form.
+    """
     t = float(np.linalg.norm(x))
     a = reference_radial(
         profile, lambda r: 2.0 * spherical_jn(0, r * t)
@@ -126,49 +132,42 @@ def test_a11_origin_matches_reference():
         assert abs(a11_origin(p) - ref) <= 1e-13
 
 
-def test_kernel_beyond_panel_cap_raises(profile):
-    # one panel per period of j0(r |x|) would be 16384 panels, over the cap
-    with pytest.raises(QuadratureError) as err:
-        kernel_matrix(profile, [1e4, 0.0, 0.0])
-    assert err.value.estimate is not None
+def test_a11_origin_is_closed_form_to_two_ulp():
+    with mpmath.workdps(40):
+        for lam in (0.5, 1.0, 1.7, 2.0):
+            exact = mpmath.mpf(lam) ** 3 / (12 * mpmath.pi ** 1.5)
+            err = abs(a11_origin(CutoffProfile("gaussian", lam)) - exact)
+            assert err <= 2 * math.ulp(float(exact))
 
 
-def test_radial_quad_raises_when_doubling_does_not_settle(profile):
-    # a step converges only like the panel width, far too slowly for 4096
-    r_far = profile.far_radius()
-    with pytest.raises(QuadratureError) as err:
-        _radial_quad(lambda r: np.where(r < r_far / math.pi, 1.0, 0.0),
-                     r_far, KERNEL_TOL, 0.0)
-    assert 0.0 < err.value.estimate < math.inf
+def closed_form_40_digits(lam, x):
+    """A(x) = a I + b xhat xhat^T from g and u'/r at 40 digits."""
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(lam)
+        x = [mpmath.mpf(float(v)) for v in x]
+        r = mpmath.sqrt(sum(v * v for v in x))
+        z = lam * r / 2
+        g = lam ** 3 * mpmath.exp(-z * z) / (8 * mpmath.pi ** 1.5)
+        du = (2 * z * mpmath.exp(-z * z) / mpmath.sqrt(mpmath.pi)
+              - mpmath.erf(z)) / (4 * mpmath.pi * r ** 3)
+        return np.array([[float((g + du) * (j == m) - (g + 3 * du)
+                                * x[j] * x[m] / (r * r))
+                          for m in range(3)] for j in range(3)])
 
 
-def test_panel_floor_defeats_aliasing(profile):
-    # exp(-r^2/2) cos(w r) at a frequency w where the 4- and 8-panel sums
-    # agree: doubling from 4 panels would accept their wrong value
-    r_far = profile.far_radius()
-
-    def f(w):
-        return lambda r: np.exp(-r * r / 2.0) * np.cos(w * r)
-
-    def gap(w):
-        return _panel_sum(f(w), r_far, 4) - _panel_sum(f(w), r_far, 8)
-
-    grid = np.linspace(40.0, 60.0, 401)
-    gaps = np.array([gap(w) for w in grid])
-    roots = [optimize.brentq(gap, lo, hi, xtol=1e-15)
-             for lo, hi, g0, g1 in zip(grid, grid[1:], gaps, gaps[1:])
-             if g0 * g1 < 0.0]
-    w = max(roots, key=lambda w: abs(_panel_sum(f(w), r_far, 4)))
-    four, eight = _panel_sum(f(w), r_far, 4), _panel_sum(f(w), r_far, 8)
-    exact = math.sqrt(math.pi / 2.0) * math.exp(-w * w / 2.0)
-    assert abs(four - eight) <= KERNEL_TOL * 1e-2
-    assert abs(four - exact) > 1e-6
-    try:
-        val = _radial_quad(f(w), r_far, KERNEL_TOL, w)
-    except QuadratureError as err:
-        assert err.estimate is not None
-    else:
-        assert abs(val - exact) <= KERNEL_TOL * 1e-2
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_closed_form_matches_40_digit_evaluation(lam):
+    # z = lam |x| / 2: dense on both sides of the series switch at z = 1,
+    # then log-spaced over |x| in [1e-4, 1e4] / lam
+    z = np.concatenate([np.linspace(0.5, 1.5, 201),
+                        1.0 + np.linspace(-1e-6, 1e-6, 21),
+                        np.geomspace(0.5e-4, 0.5e4, 161)])
+    p = CutoffProfile("gaussian", lam)
+    scale = a11_origin(p)
+    for x in np.outer(2.0 * z / lam, [0.48, -0.6, 0.64]):
+        err = np.abs(kernel_matrix(p, x).entries
+                     - closed_form_40_digits(lam, x)).max()
+        assert err <= 1e-15 * scale
 
 
 def test_matches_oracle(profile):

@@ -115,7 +115,7 @@ def suite_kernel(args) -> int:
 def suite_e2(args) -> int:
     cfg = _load_config(args)
     system, profile = cfg.system(), cfg.profile()
-    A = assemble_am(system, profile)
+    A = assemble_am(system, profile, vectors=args.eigenbasis)
     lam_min, mult, basis = ground_eigenspace(A, cfg.tolerances["degeneracy"])
     # sampled product-state minimum; reported alongside, nothing asserted
     best = _sampled_product_min(A, system, np.random.default_rng(cfg.seed))

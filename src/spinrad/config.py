@@ -86,9 +86,13 @@ def _section(raw: dict, name: str, defaults: dict) -> dict:
 
 
 def load_yaml(text: str, what: str):
-    """YAML document of text; a syntax error raises a one-line ConfigError."""
+    """YAML document of text; a syntax error raises a one-line ConfigError.
+
+    Parses with libyaml's safe loader when PyYAML was built with it.
+    """
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" \

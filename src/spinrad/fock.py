@@ -391,8 +391,8 @@ def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, k_pairs: int = 1,
 # Discrete kernel and A_M
 # ---------------------------------------------------------------------------
 
-def discrete_am(system: SpinSystem, profile: CutoffProfile,
-                grid: ModeGrid) -> HermitianSpinOperator:
+def discrete_am(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
+                vectors: bool = False) -> HermitianSpinOperator:
     """A_M with the mode sum replacing the continuum kernel integral.
 
     As sum_a (eps_a x khat)_j (eps_a x khat)_m = delta_jm - khat_j khat_m,
@@ -401,6 +401,7 @@ def discrete_am(system: SpinSystem, profile: CutoffProfile,
     A = -1/2 sum_i B_i^dagger B_i / omega_i with B_i = sum_a M[a // 3]
     V[a, i] S_a: the second-order operator of H's couplings.  K is real
     by antipodal symmetry; an imaginary part above roundoff is raised.
+    vectors asks for eigenvectors too, as in assemble_am.
     """
     _require_symmetric(grid)
     Vw = coupling_matrix(system, profile, grid) \
@@ -410,7 +411,7 @@ def discrete_am(system: SpinSystem, profile: CutoffProfile,
         raise DomainError("asymmetric mode grid: discrete kernel not real")
     Mj = np.repeat(system.moments, 3)
     return _checked_operator(bilinear_spin_operator(
-        -0.5 * np.outer(Mj, Mj) * K.real, system.s))
+        -0.5 * np.outer(Mj, Mj) * K.real, system.s), vectors)
 
 
 def _require_symmetric(grid: ModeGrid) -> None:
@@ -569,7 +570,7 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
     unit = system.with_moments(np.ones(system.P))
     toy = build_hamiltonian(unit, profile, grid, n_max)
     _, mult_a1, a_basis = ground_eigenspace(
-        discrete_am(unit, profile, grid), degeneracy_tol)
+        discrete_am(unit, profile, grid, vectors=True), degeneracy_tol)
     proj_basis = np.array([toy.vacuum_embed(v)
                            for v in a_basis.T])  # rows orthonormal
     rows = []

@@ -1,4 +1,4 @@
-"""Spin-s matrices, sparse site embeddings, Hopf maps and SU(2) rotations.
+"""Spin-s matrices, site embeddings, Hopf maps and SU(2) rotations.
 
 Conventions: sigma_j(s) = 2 J_j in the weight basis |s,s>, ..., |s,-s>, so
 that s = 1/2 reproduces the Pauli matrices, [sigma_1, sigma_2] = 2i sigma_3
@@ -16,13 +16,15 @@ from scipy.linalg import expm
 from .errors import DomainError
 
 # Largest tensor-product dimension materialized densely (one dense A_M).
-# A complex dim x dim matrix takes 16 dim^2 bytes: 256 MiB at 2^12, 1 GiB at
-# 2^13.  The sparse site-spin stack and coef (x) I that build it hold
-# O(P^2 dim) entries, 5.3e6 at 2^12 against the 1.7e7 of the dense result
-# (0.37 GB process peak for the whole build).  The peak is the eigh of A_M,
-# which holds about five dense dim x dim arrays (input copy, eigenvectors,
-# LAPACK workspace): 0.34 GB measured at 2^11, so about 1.4 GB at 2^12 but
-# 5.5 GB at 2^13, on an 8 GB machine.
+# A complex dim x dim matrix takes 16 dim^2 bytes: 64 MiB at 2^11, 256 MiB
+# at 2^12, 1 GiB at 2^13.  Process peaks at 2^11, 0.06 GB of each the
+# interpreter (scripts/am_scan.py; the check measured apart): the build
+# writes its blocks into that one array, 0.13 GB; eigvalsh holds about two
+# such arrays, 0.19 GB; the Hermiticity check of _checked_operator three
+# (A, its conjugate transpose, their difference), 0.25 GB; eigh about five
+# (input copy, eigenvectors, LAPACK workspace), 0.39 GB.  So e2 takes about
+# 0.8 GB at 2^12 and 1.3 GB with --eigenbasis, but 3.2 and 5.2 GB at 2^13,
+# on an 8 GB machine.
 MAX_DENSE_DIM = 1 << 12
 
 _NORM_TOL = 1e-12
@@ -50,24 +52,40 @@ def spin_matrices(s) -> tuple:
             2.0 * jz.astype(complex))
 
 
-def embed_site_operator(op: np.ndarray, lam: int, P: int) -> sp.csr_matrix:
-    """Sparse I (x) ... (x) op (x) ... (x) I with op at slot lam (1-based).
+def embedded_entries(op: np.ndarray, sites, d: int, P: int):
+    """Entries of op (x) I on (C^d)^(x P), op acting on `sites` (0-based).
 
-    With b the base-d digit of site lam in column index i, column i holds
-    op[a, b] in the row that has digit a there and agrees with i elsewhere.
+    op is d^k x d^k on the k sites, in increasing order.  With b the
+    base-d digits of those sites in column index i, column i holds op[a, b]
+    in the row that has digits a there and agrees with i elsewhere.
+    Returns rows (d^k, d^P), cols (d^P,) and values (d^k, d^P); no
+    (row, column) pair repeats.
     """
+    cols = np.arange(d ** P)
+    a = np.arange(d ** len(sites))
+    b = np.zeros_like(cols)
+    rows = cols.copy()
+    row_shift = np.zeros_like(a)
+    for k, site in enumerate(sites):
+        stride = d ** (P - 1 - site)
+        digit = cols // stride % d
+        b = b * d + digit
+        rows -= digit * stride
+        row_shift += a // d ** (len(sites) - 1 - k) % d * stride
+    return rows + row_shift[:, None], cols, np.asarray(op)[:, b]
+
+
+def embed_site_operator(op: np.ndarray, lam: int, P: int) -> sp.csr_matrix:
+    """Sparse I (x) ... (x) op (x) ... (x) I with op at slot lam (1-based)."""
     op = np.asarray(op)
     d = op.shape[0]
     if not 1 <= lam <= P:
         raise DomainError(f"site index {lam} outside 1..{P}")
-    stride = d ** (P - lam)
-    cols = np.broadcast_to(np.arange(d ** P), (d, d ** P))
-    b = cols[0] // stride % d
-    rows = cols + (np.arange(d)[:, None] - b) * stride
-    vals = op[:, b]
+    rows, cols, vals = embedded_entries(op, (lam - 1,), d, P)
     keep = vals != 0
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
-                         shape=(d ** P, d ** P))
+    return sp.csr_matrix(
+        (vals[keep], (rows[keep], np.broadcast_to(cols, rows.shape)[keep])),
+        shape=(d ** P, d ** P))
 
 
 def hopf_map(X, s) -> np.ndarray:

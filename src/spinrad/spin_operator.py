@@ -19,7 +19,7 @@ from .cutoff import CutoffProfile
 from .errors import DomainError, ResourceError, SpinradError
 from .kernel import kernel_matrix
 from .spin_algebra import MAX_DENSE_DIM, _check_half_integer, \
-    embed_site_operator, spin_matrices
+    embed_site_operator, embedded_entries, spin_matrices
 
 # Relative ceiling on positive eigenvalues of an assembled A_M; anything
 # larger diagnoses a kernel or assembly bug and is raised, not clipped.
@@ -70,14 +70,23 @@ class SpinSystem:
 
 @dataclass
 class HermitianSpinOperator:
-    """Dense Hermitian matrix on the spin space and its spectrum."""
+    """Dense Hermitian matrix on the spin space and its spectrum.
+
+    One decomposition: `eigvalsh`, or `eigh` when vectors is true; without
+    vectors, `eigenvectors` is None.
+    """
 
     matrix: np.ndarray
+    vectors: bool = False
     eigenvalues: np.ndarray = field(init=False, repr=False)  # ascending
-    eigenvectors: np.ndarray = field(init=False, repr=False)  # columns
+    eigenvectors: np.ndarray | None = field(init=False, repr=False)  # columns
 
     def __post_init__(self):
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.matrix)
+        if self.vectors:
+            self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.matrix)
+        else:
+            self.eigenvalues = np.linalg.eigvalsh(self.matrix)
+            self.eigenvectors = None
 
 
 def site_spin_operators(s, P) -> sp.csr_matrix:
@@ -91,10 +100,30 @@ def site_spin_operators(s, P) -> sp.csr_matrix:
 
 
 def bilinear_spin_operator(coef: np.ndarray, s) -> np.ndarray:
-    """Dense sum_{a,b} coef[a, b] S_a S_b, as S^H (coef (x) I) S."""
-    S = site_spin_operators(s, coef.shape[0] // 3)
-    return (S.conj().T @ sp.kron(coef, sp.identity(S.shape[1]))
-            @ S).toarray()
+    """Dense sum_{a,b} coef[a, b] S_a S_b, one block per site and site pair.
+
+    With C = coef indexed [3 lam + j, 3 mu + m], site lam gives the d x d
+    block sum_jm C[lam j, lam m] sigma_j sigma_m.  Spins on different sites
+    commute, so the pair lam < mu gives the d^2 x d^2 block
+    sum_jm (C[lam j, mu m] + C[mu m, lam j]) sigma_j (x) sigma_m.  Each
+    block is added into A at the base-d digits of its sites.
+    """
+    sig = np.array(spin_matrices(s))
+    d, P = sig.shape[1], coef.shape[0] // 3
+    C = np.asarray(coef).reshape(P, 3, P, 3)
+    A = np.zeros((d ** P, d ** P), dtype=complex)
+
+    def add(block, sites):
+        rows, cols, vals = embedded_entries(block, sites, d, P)
+        A[rows, cols] += vals
+
+    for lam in range(P):
+        add(np.einsum("jm,jab,mbc->ac", C[lam, :, lam], sig, sig), (lam,))
+        for mu in range(lam + 1, P):
+            pair = C[lam, :, mu] + C[mu, :, lam].T
+            add(np.einsum("jm,jab,mcd->acbd", pair, sig, sig)
+                .reshape(d * d, d * d), (lam, mu))
+    return A
 
 
 def _assemble(system: SpinSystem, kernel_at) -> np.ndarray:
@@ -115,23 +144,30 @@ def _assemble(system: SpinSystem, kernel_at) -> np.ndarray:
         -0.5 * np.outer(Mj, Mj) * K.reshape(3 * P, 3 * P), system.s)
 
 
-def _checked_operator(A) -> HermitianSpinOperator:
-    """The operator of an assembled A_M; raises unless Hermitian and NSD."""
+def _checked_operator(A, vectors: bool) -> HermitianSpinOperator:
+    """The operator of an assembled A_M; raises unless Hermitian and NSD.
+
+    vectors asks for eigenvectors too (see HermitianSpinOperator).
+    """
     scale = max(1.0, np.linalg.norm(A))
     herm = np.linalg.norm(A - A.conj().T)
     if herm > 1e-12 * scale:
         raise SpinradError(f"assembled operator is not Hermitian ({herm:.3e})")
-    op = HermitianSpinOperator(matrix=A)
+    op = HermitianSpinOperator(matrix=A, vectors=vectors)
     if op.eigenvalues[-1] > PSD_VIOLATION_TOL * scale:
         raise SpinradError(f"A_M has a positive eigenvalue "
                            f"{op.eigenvalues[-1]:.3e}; kernel/assembly bug")
     return op
 
 
-def assemble_am(system: SpinSystem, profile: CutoffProfile) -> HermitianSpinOperator:
-    """Assemble A_M from continuum kernel evaluations."""
+def assemble_am(system: SpinSystem, profile: CutoffProfile,
+                vectors: bool = False) -> HermitianSpinOperator:
+    """Assemble A_M from continuum kernel evaluations.
+
+    vectors asks for eigenvectors, which only ground_eigenspace's basis reads.
+    """
     A = _assemble(system, lambda d: kernel_matrix(profile, d).entries)
-    return _checked_operator(A)
+    return _checked_operator(A, vectors)
 
 
 def quadratic_form(A: HermitianSpinOperator, X):
@@ -152,9 +188,10 @@ def ground_eigenspace(A: HermitianSpinOperator,
     """Smallest eigenvalue, its cluster multiplicity, and an orthonormal basis.
 
     The cluster gathers eigenvalues within degeneracy_tol * max(1, |lam_min|)
-    of the minimum.
+    of the minimum.  The basis is None unless A holds eigenvectors.
     """
     lam_min = A.eigenvalues[0]
     width = degeneracy_tol * max(1.0, abs(lam_min))
     mult = int(np.sum(A.eigenvalues <= lam_min + width))
-    return lam_min, mult, A.eigenvectors[:, :mult]
+    basis = None if A.eigenvectors is None else A.eigenvectors[:, :mult]
+    return lam_min, mult, basis

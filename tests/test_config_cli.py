@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from spinrad.cli import _sampled_product_min, _verify_rows, main
-from spinrad.config import DEFAULT_GRIDS, DEFAULT_TOLERANCES, parse_config, \
-    run_manifest
+from spinrad.config import DEFAULT_GRIDS, DEFAULT_TOLERANCES, load_yaml, \
+    parse_config, run_manifest
 from spinrad.cutoff import CutoffProfile
 from spinrad.errors import ConfigError
 from spinrad.spin_operator import SpinSystem, assemble_am
@@ -72,6 +73,23 @@ def test_parse_bad_spin():
 
 
 def test_parse_syntax_error_location():
+    with pytest.raises(ConfigError, match=r"line \d+, column \d+"):
+        parse_config("particles:\n  - {position: [0, 0, 0], moment: 1.0\n")
+
+
+def test_pure_python_yaml_fallback(monkeypatch):
+    # PyYAML without libyaml has no CSafeLoader; load_yaml falls back
+    docs = {path: CONFIG_DIR.joinpath(path).read_text()
+            for path in sorted(os.listdir(CONFIG_DIR))}
+    with_libyaml = {path: load_yaml(text, path) for path, text in docs.items()}
+    configs = {path: parse_config(text) for path, text in docs.items()
+               if "particles" in with_libyaml[path]}
+    assert len(configs) == 3
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    for path, text in docs.items():
+        assert load_yaml(text, path) == with_libyaml[path]
+    for path, cfg in configs.items():
+        assert parse_config(docs[path]) == cfg
     with pytest.raises(ConfigError, match=r"line \d+, column \d+"):
         parse_config("particles:\n  - {position: [0, 0, 0], moment: 1.0\n")
 

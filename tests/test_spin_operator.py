@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import spinrad.fock as fock
 import spinrad.spin_operator as spin_operator
 from spinrad.cli import main
+from spinrad.config import parse_config
 from spinrad.errors import DomainError, ResourceError, SpinradError
 from spinrad.kernel import a11_origin, kernel_matrix
 from spinrad.spin_algebra import embed_site_operator, hopf_map, \
@@ -70,7 +72,9 @@ def test_single_spin_closed_form(profile):
     A = assemble_am(system, profile).matrix
     expected = -1.5 * a11_origin(profile) * 0.49
     assert np.abs(A - expected * np.eye(2)).max() <= 1e-12
-    lam, mult, basis = ground_eigenspace(assemble_am(system, profile))
+    assert ground_eigenspace(assemble_am(system, profile))[2] is None
+    lam, mult, basis = ground_eigenspace(
+        assemble_am(system, profile, vectors=True))
     assert mult == 2
     assert lam == pytest.approx(expected, rel=1e-10)
     assert np.abs(basis.conj().T @ basis - np.eye(2)).max() <= 1e-12
@@ -252,7 +256,8 @@ def test_rayleigh_consistency(profile, two_spin_system):
 
 
 def test_ground_eigenspace_crafted():
-    A = HermitianSpinOperator(matrix=np.diag([-1.0, 0.0, 0.0, 0.0]))
+    A = HermitianSpinOperator(matrix=np.diag([-1.0, 0.0, 0.0, 0.0]),
+                              vectors=True)
     lam, mult, basis = ground_eigenspace(A, 1e-7)
     assert (lam, mult) == (-1.0, 1)
     assert np.allclose(np.abs(basis[:, 0]), [1, 0, 0, 0])
@@ -288,11 +293,12 @@ def test_assembly_checks_raise(profile, two_spin_system, monkeypatch, fault,
 
 
 def _count_decompositions(monkeypatch):
-    """Route numpy's dense Hermitian eigensolvers through a call counter."""
+    """Route numpy's dense Hermitian eigensolvers through a call recorder."""
     calls = []
     for name in ("eigh", "eigvalsh"):
-        def counted(a, *args, _solver=getattr(np.linalg, name), **kwargs):
-            calls.append(np.shape(a))
+        def counted(a, *args, _name=name, _solver=getattr(np.linalg, name),
+                    **kwargs):
+            calls.append((_name, np.shape(a)))
             return _solver(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
@@ -300,19 +306,43 @@ def _count_decompositions(monkeypatch):
 
 def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
                                   monkeypatch):
+    # eigenvectors are computed only where a caller reads them
     grid = fock.build_mode_grid(profile, 4, 6)  # Fock dim > 32: LOBPCG
     calls = _count_decompositions(monkeypatch)
-    assert main(["e2", "--config", str(CONFIGS / "two_spins.yaml"),
-                 "--out", str(tmp_path)]) == 0
-    assert calls == [(4, 4)]
+    e2 = ["e2", "--config", str(CONFIGS / "two_spins.yaml"),
+          "--out", str(tmp_path)]
+    assert main(e2) == 0
+    assert calls == [("eigvalsh", (4, 4))]
+    calls.clear()
+    assert main(e2 + ["--eigenbasis"]) == 0
+    assert calls == [("eigh", (4, 4))]
     calls.clear()
     fock.quadratic_fit(two_spin_system, profile, grid, 1,
                        [0.4, 0.2, 0.1, 0.05])
-    assert calls == [(4, 4)]
+    assert calls == [("eigvalsh", (4, 4))]
     calls.clear()
     fock.multiplicity_scan(two_spin_system.with_moments([1.0, 1.0]), profile,
                            grid, 1, [0.2, 0.1])
-    assert calls == [(4, 4)]
+    assert calls == [("eigh", (4, 4))]
+
+
+def test_e2_eigenbasis_spans_ground_eigenspace(tmp_path):
+    # two_spins_equal has a doubly degenerate ground level: its basis
+    # vectors may rotate inside the eigenspace, the projector may not
+    config = CONFIGS / "two_spins_equal.yaml"
+    assert main(["e2", "--config", str(config), "--out", str(tmp_path),
+                 "--eigenbasis"]) == 0
+    doc = json.loads((tmp_path / "e2.json").read_text())
+    B = np.array(doc["eigenbasis"]).view(complex)[..., 0].T
+    assert doc["multiplicity"] == B.shape[1] == 2
+    cfg = parse_config(config.read_text())
+    ref = _assemble_reference(
+        cfg.system(), lambda d: kernel_matrix(cfg.profile(), d).entries)
+    vals, vecs = np.linalg.eigh(ref)
+    assert vals[0] == pytest.approx(doc["lambda_min"], rel=1e-13)
+    G = vecs[:, :2]
+    assert vals[2] - vals[1] > 1e-3 * abs(vals[0])
+    assert np.abs(B @ B.conj().T - G @ G.conj().T).max() <= 1e-10
 
 
 def test_dense_budget_rejects_thirteen_spins():

@@ -15,14 +15,13 @@ and runs in its own interpreter, which prints:
              after eigvalsh and after eigh (high-water marks; tracemalloc
              does not see LAPACK's workspace).
 
-Times are the best of up to --repeat runs, fewer once a step has used a
-second.  Solves above --max-solve-dim are skipped ("-"): at 4096 a complex
+Times are the best of up to REPEAT runs, fewer once a step has used a
+second.  Solves above MAX_SOLVE_DIM are skipped ("-"): at 4096 a complex
 eigh takes over a minute and more than 1 GB.
 
-    python3 scripts/am_scan.py [--repeat 3] [--max-solve-dim N]
+    python3 scripts/am_scan.py
 """
 
-import argparse
 import resource
 import subprocess
 import sys
@@ -38,14 +37,16 @@ import numpy as np
 
 LADDER = [(0.5, P) for P in range(2, 13)] + [(1.0, P) for P in range(2, 8)] \
     + [(1.5, P) for P in range(2, 7)] + [(2.5, P) for P in range(2, 5)]
+REPEAT = 3
+MAX_SOLVE_DIM = 2500
 
 
-def measure(s, P, repeat, solve):
+def measure(s, P):
     """One row of the table for a random spin-s cluster of P sites."""
 
     def best_ms(step):
         best, spent = float("inf"), 0.0
-        for _ in range(repeat):
+        for _ in range(REPEAT):
             t0 = time.perf_counter()
             step()
             took = time.perf_counter() - t0
@@ -74,7 +75,7 @@ def measure(s, P, repeat, solve):
     tracemalloc.stop()
     row = [f"{s:4.1f}", f"{P:3d}", f"{A.shape[0]:6d}", build_ms]
     rss = [rss_mb()]
-    if solve:
+    if A.shape[0] <= MAX_SOLVE_DIM:
         row.append(best_ms(lambda: np.linalg.eigvalsh(A)))
         rss.append(rss_mb())
         row.append(best_ms(lambda: np.linalg.eigh(A)))
@@ -86,24 +87,14 @@ def measure(s, P, repeat, solve):
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--max-solve-dim", type=int, default=2500)
-    parser.add_argument("--one", nargs=2, type=float, metavar=("S", "P"),
-                        help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    if args.one:
-        s, P = args.one[0], int(args.one[1])
-        solve = round(2 * s + 1) ** P <= args.max_solve_dim
-        print(measure(s, P, args.repeat, solve))
+    if sys.argv[1:2] == ["--one"]:  # one row, in a fresh interpreter
+        print(measure(float(sys.argv[2]), int(sys.argv[3])))
         sys.exit(0)
     print(f"{'s':>4} {'P':>3} {'dim':>6} {'build ms':>10} {'eigvalsh':>10} "
           f"{'eigh':>10} {'traced':>8} {'rss build':>9} {'rss vals':>9} "
           f"{'rss vecs':>9}")
     for s, P in sorted(LADDER, key=lambda c: (round(2 * c[0] + 1) ** c[1], c)):
         out = subprocess.run(
-            [sys.executable, __file__, "--one", str(s), str(P),
-             "--repeat", str(args.repeat),
-             "--max-solve-dim", str(args.max_solve_dim)],
+            [sys.executable, __file__, "--one", str(s), str(P)],
             check=True, capture_output=True, text=True).stdout
         print(out.rstrip(), flush=True)

@@ -17,14 +17,14 @@ from .errors import DomainError
 
 # Largest tensor-product dimension materialized densely (one dense A_M).
 # A complex dim x dim matrix takes 16 dim^2 bytes: 64 MiB at 2^11, 256 MiB
-# at 2^12, 1 GiB at 2^13.  Process peaks at 2^11, 0.06 GB of each the
-# interpreter (scripts/am_scan.py; the check measured apart): the build
-# writes its blocks into that one array, 0.13 GB; eigvalsh holds about two
-# such arrays, 0.19 GB; the Hermiticity check of _checked_operator three
-# (A, its conjugate transpose, their difference), 0.25 GB; eigh about five
-# (input copy, eigenvectors, LAPACK workspace), 0.39 GB.  So e2 takes about
-# 0.8 GB at 2^12 and 1.3 GB with --eigenbasis, but 3.2 and 5.2 GB at 2^13,
-# on an 8 GB machine.
+# at 2^12, 1 GiB at 2^13.  Process peaks measured at 2^11, each including
+# the interpreter's 0.06 GB (scripts/am_scan.py; the check measured apart):
+# the build writes its blocks into that one array, 0.13 GB; eigvalsh holds
+# about two such arrays, 0.19 GB; the Hermiticity check of _checked_operator
+# three (A, its conjugate transpose, their difference), 0.25 GB; eigh about
+# five (input copy, eigenvectors, LAPACK workspace), 0.39 GB.  Scaled by 4
+# per doubling (not measured), e2 would take about 0.8 GB at 2^12 and
+# 1.3 GB with --eigenbasis, but 3.2 and 5.2 GB at 2^13, on an 8 GB machine.
 MAX_DENSE_DIM = 1 << 12
 
 _NORM_TOL = 1e-12

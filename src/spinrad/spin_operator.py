@@ -10,7 +10,7 @@ ground-energy expansion in the magnetic moments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,12 +77,12 @@ class HermitianSpinOperator:
     """
 
     matrix: np.ndarray
-    vectors: bool = False
+    vectors: InitVar[bool] = False
     eigenvalues: np.ndarray = field(init=False, repr=False)  # ascending
     eigenvectors: np.ndarray | None = field(init=False, repr=False)  # columns
 
-    def __post_init__(self):
-        if self.vectors:
+    def __post_init__(self, vectors):
+        if vectors:
             self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.matrix)
         else:
             self.eigenvalues = np.linalg.eigvalsh(self.matrix)

@@ -368,7 +368,8 @@ def spin_clusters(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(spin_clusters(), st.integers(0, 2 ** 32 - 1))
-def test_sparse_stack_matches_kron_chains(cluster, seed):
+def test_site_embeddings_and_block_build_match_kron_chains(cluster, seed):
+    # embedded_entries, through embed_site_operator and bilinear_spin_operator
     s, P = cluster
     rng = np.random.default_rng(seed)
     d = int(round(2 * s + 1))

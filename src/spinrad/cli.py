@@ -252,7 +252,7 @@ def suite_multiplicity(args) -> int:
                            cfg.grids["n_angular"])
     rows = multiplicity_scan(system, profile, grid, cfg.grids["n_max"], args.g,
                              degeneracy_tol=cfg.tolerances["degeneracy"],
-                             tol=cfg.tolerances["eigensolver"], seed=cfg.seed)
+                             tol=cfg.tolerances["eigensolver"])
     out = _out_dir(args)
     _write_csv(out / "multiplicity.csv",
                ["g", "energy", "mult_h", "mult_a1", "min_overlap"],
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=suite_fock_fit)
 
     p = sub.add_parser("multiplicity", help="ground multiplicity scan")
-    common(p, seeded=True)
+    common(p)
     p.add_argument("--g", type=_float_list, required=True,
                    help="comma-separated common moment values")
     p.set_defaults(func=suite_multiplicity)

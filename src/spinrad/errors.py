@@ -14,17 +14,7 @@ class ResourceError(SpinradError, RuntimeError):
 
 
 class ConvergenceError(SpinradError, RuntimeError):
-    """An iterative solver failed to converge within its budget.
-
-    Attributes
-    ----------
-    best_residual : float or None
-        Best residual achieved before giving up.
-    """
-
-    def __init__(self, message, best_residual=None):
-        super().__init__(message)
-        self.best_residual = best_residual
+    """An iterative solver failed to converge within its budget."""
 
 
 class ConfigError(SpinradError, ValueError):

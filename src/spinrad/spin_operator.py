@@ -49,11 +49,7 @@ class SpinSystem:
             for b in range(a + 1, self.P):
                 if np.linalg.norm(self.positions[a] - self.positions[b]) < 1e-12:
                     raise DomainError("positions pairwise distinct")
-        two_s = _check_half_integer(self.s)
-        self.s = two_s / 2.0
-        if self.spin_dim > MAX_DENSE_DIM:
-            raise ResourceError(
-                f"spin dimension {self.spin_dim} exceeds the dense budget")
+        self.s = _check_half_integer(self.s) / 2.0
 
     @property
     def P(self) -> int:
@@ -107,10 +103,21 @@ def bilinear_spin_operator(coef: np.ndarray, s) -> np.ndarray:
     commute, so the pair lam < mu gives the d^2 x d^2 block
     sum_jm (C[lam j, mu m] + C[mu m, lam j]) sigma_j (x) sigma_m.  Each
     block is added into A at the base-d digits of its sites.
+
+    Every dense spin-space array is built here, so here is where the dense
+    budget and Hermiticity are checked, before anything of size dim^2 is
+    allocated: a Hermitian coef gives Hermitian site and pair blocks.
     """
+    coef = np.asarray(coef)
     sig = np.array(spin_matrices(s))
     d, P = sig.shape[1], coef.shape[0] // 3
-    C = np.asarray(coef).reshape(P, 3, P, 3)
+    if d ** P > MAX_DENSE_DIM:
+        raise ResourceError(f"spin dimension {d ** P} exceeds the dense budget")
+    herm = np.linalg.norm(coef - coef.conj().T)
+    if herm > 1e-12 * max(1.0, np.linalg.norm(coef)):
+        raise SpinradError(f"spin operator coefficients are not Hermitian "
+                           f"({herm:.3e})")
+    C = coef.reshape(P, 3, P, 3)
     A = np.zeros((d ** P, d ** P), dtype=complex)
 
     def add(block, sites):
@@ -145,16 +152,13 @@ def _assemble(system: SpinSystem, kernel_at) -> np.ndarray:
 
 
 def _checked_operator(A, vectors: bool) -> HermitianSpinOperator:
-    """The operator of an assembled A_M; raises unless Hermitian and NSD.
+    """The operator of an assembled A_M; raises unless NSD.
 
+    A comes from bilinear_spin_operator, which checked its Hermiticity.
     vectors asks for eigenvectors too (see HermitianSpinOperator).
     """
-    scale = max(1.0, np.linalg.norm(A))
-    herm = np.linalg.norm(A - A.conj().T)
-    if herm > 1e-12 * scale:
-        raise SpinradError(f"assembled operator is not Hermitian ({herm:.3e})")
     op = HermitianSpinOperator(matrix=A, vectors=vectors)
-    if op.eigenvalues[-1] > PSD_VIOLATION_TOL * scale:
+    if op.eigenvalues[-1] > PSD_VIOLATION_TOL * max(1.0, np.linalg.norm(A)):
         raise SpinradError(f"A_M has a positive eigenvalue "
                            f"{op.eigenvalues[-1]:.3e}; kernel/assembly bug")
     return op

@@ -266,6 +266,26 @@ def test_cli_classical(tmp_path):
     assert float(lines[1].split(",")[1]) > 0.0
 
 
+def test_cli_dense_budget_only_where_a_m_is_built(tmp_path, capsys):
+    # 2^13 spin states: classical builds no spin-space array, e2 must
+    cfg = tmp_path / "thirteen.yaml"
+    cfg.write_text("particles:\n" + "".join(
+        f"  - {{position: [{1.5 * i}, 0.0, 0.0], moment: 1.0}}\n"
+        for i in range(13)))
+    ori = tmp_path / "ori.yaml"
+    ori.write_text("- [0.0, 0.0, 1.0]\n" * 13)
+    assert main(["classical", "--config", str(cfg), "--out", str(tmp_path),
+                 "--orientations", str(ori)]) == 0
+    lines = (tmp_path / "classical.csv").read_text().strip().splitlines()
+    assert float(lines[1].split(",")[1]) > 0.0
+    capsys.readouterr()
+    assert main(["e2", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR ")
+    assert "dense budget" in err[0]
+    assert not (tmp_path / "e2.json").exists()
+
+
 @pytest.mark.parametrize("text", [
     "- [0.0, 0.0, 1.0]\n- [1.0, 0.0]\n",
     "- [0.0, 0.0, 1.0]\n- [1.0, 0.0, east]\n",
@@ -436,7 +456,8 @@ def test_cli_bad_number_list_exit_two(capsys, suite, flag, value):
 @pytest.mark.parametrize("suite, args", [
     ("kernel", ["--at", "0.3", "0.1", "-0.5"]),
     ("classical", ["--orientations", "ori.yaml"]),
-    ("fock-fit", ["--scales", "0.4,0.2,0.1,0.05"])])
+    ("fock-fit", ["--scales", "0.4,0.2,0.1,0.05"]),
+    ("multiplicity", ["--g", "0.2"])])
 def test_cli_seed_only_where_read(capsys, suite, args):
     # the seed changes nothing in these suites, so they do not take --seed
     with pytest.raises(SystemExit) as exc:

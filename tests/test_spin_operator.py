@@ -345,17 +345,37 @@ def test_e2_eigenbasis_spans_ground_eigenspace(tmp_path):
     assert np.abs(B @ B.conj().T - G @ G.conj().T).max() <= 1e-10
 
 
-def test_dense_budget_rejects_thirteen_spins():
-    # 2^13 > MAX_DENSE_DIM; nothing of that size may be allocated first
-    positions = np.arange(39, dtype=float).reshape(13, 3)
+def _traced_peak(call):
+    """tracemalloc peak in bytes over call()."""
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceError, match="dense budget"):
-            SpinSystem(positions=positions, moments=np.ones(13), s=0.5)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+
+
+def test_dense_budget_rejects_thirteen_spins(profile):
+    # 2^13 > MAX_DENSE_DIM: the system builds, its dense A_M may not, and
+    # nothing of that size may be allocated first
+    system = SpinSystem(positions=np.arange(39, dtype=float).reshape(13, 3),
+                        moments=np.ones(13), s=0.5)
+
+    def build():
+        with pytest.raises(ResourceError, match="dense budget"):
+            assemble_am(system, profile)
+    assert _traced_peak(build) < 1 << 20
+
+
+def test_non_hermitian_coef_raises_before_dense_build():
+    # P = 10 spin-1/2 sites: the 1024 x 1024 array would take 16 MiB
+    coef = np.eye(30)
+    coef[0, 4] = 1e-3
+
+    def build():
+        with pytest.raises(SpinradError, match="not Hermitian"):
+            bilinear_spin_operator(coef, 0.5)
+    assert _traced_peak(build) < 1 << 20
 
 
 @st.composite

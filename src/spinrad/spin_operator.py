@@ -111,14 +111,15 @@ def bilinear_spin_operator(coef: np.ndarray, s) -> np.ndarray:
     coef = np.asarray(coef)
     sig = np.array(spin_matrices(s))
     d, P = sig.shape[1], coef.shape[0] // 3
-    if d ** P > MAX_DENSE_DIM:
-        raise ResourceError(f"spin dimension {d ** P} exceeds the dense budget")
+    dim = d ** P
+    if dim > MAX_DENSE_DIM:
+        raise ResourceError(f"spin dimension {dim} exceeds the dense budget")
     herm = np.linalg.norm(coef - coef.conj().T)
     if herm > 1e-12 * max(1.0, np.linalg.norm(coef)):
         raise SpinradError(f"spin operator coefficients are not Hermitian "
                            f"({herm:.3e})")
     C = coef.reshape(P, 3, P, 3)
-    A = np.zeros((d ** P, d ** P), dtype=complex)
+    A = np.zeros((dim, dim), dtype=complex)
 
     def add(block, sites):
         rows, cols, vals = embedded_entries(block, sites, d, P)

@@ -8,6 +8,7 @@ occurred, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -274,7 +275,13 @@ def suite_multiplicity(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process.
+
+    parse_args fills a fresh namespace on every call, so calls share no
+    parsed values.
+    """
     parser = argparse.ArgumentParser(
         prog="spinrad",
         description="Radiative-correction operator suites for spin systems")

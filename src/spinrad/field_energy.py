@@ -6,25 +6,37 @@ Energy = 1/2 (2 pi)^-3 int |jhat(xi)|^2 / |xi|^2 dxi of a transverse current
 
 with r = |xi|, u a unit direction and the site terms c_lam(u) = u x V_lam.
 The rule is a spherical product: Gauss-Legendre radial nodes r_i on
-[0, r_far] (weights rw_i) times unit directions u_k, Gauss-Legendre in
-cos(theta) and uniform in the azimuth (weights dw_k); the node r_i u_k
-carries the weight rw_i r_i^2 dw_k.
+[0, r_far] (weights rw_i) times unit directions, Gauss-Legendre in
+cos(theta) and uniform in the azimuth.  It is closed under u -> -u by
+construction: its directions are the antipodal closure of the upper
+hemisphere's u_k (cos(theta) >= 0, weights dw_k), each of u_k and -u_k
+weighted dw_k / 2, and the node r_i (+-u_k) carries the weight
+rw_i r_i^2 dw_k / 2.  The lower hemisphere is the point mirror of the
+upper one.  For even n_phi the azimuths phi and phi + pi are both on the
+grid, and this is the full product rule up to node roundoff; for odd n_phi
+the lower hemisphere's azimuths are offset by pi / n_phi from it, which
+integrates as well, since the uniform azimuth sum is exact to the same
+degree at any offset.
 
 The rule is summed over site pairs.  With H_lam,mu(u) = <c_lam(u), c_mu(u)>
 (summed over vector and spin components) and tau = u.(x_mu - x_lam),
 
     |jhat(r u)|^2 = phi(r)^2 r^2 sum_{lam,mu} e^{i r tau} H_lam,mu(u).
 
-The weight's r^2 cancels the 1/|xi|^2, so with a_i = rw_i r_i^2 phi(r_i)^2
+The weight's r^2 cancels the 1/|xi|^2.  The site terms are linear in u, so
+c_lam(-u) = -c_lam(u) and H(-u) = H(u), while tau changes sign: over a pair
+u, -u the sines of r tau cancel for every current, complex ones included,
+and the cosines add.  So with a_i = rw_i r_i^2 phi(r_i)^2 the sum runs over
+the upper hemisphere alone,
 
     E = 1/2 (2 pi)^-3 sum_k dw_k [ (sum_i a_i) sum_lam H_lam,lam(u_k)
-        + 2 sum_{lam<mu} (C_k Re H_lam,mu(u_k) - S_k Im H_lam,mu(u_k)) ],
+        + 2 sum_{lam<mu} C_k Re H_lam,mu(u_k) ],
 
-    C_k, S_k = sum_i a_i cos(r_i tau), sum_i a_i sin(r_i tau).
+    C_k = sum_i a_i cos(r_i tau).
 
 Every node keeps its weight and its integrand value: only the order of
 summation differs from summing |jhat|^2 node by node.  H is formed once per
-direction, and a node costs one cosine and one sine per site pair.  The
+upper direction, and a node pair costs one cosine per site pair.  The
 angular sum stays the discrete rule, direction by direction, with no Bessel
 functions: this module deliberately shares no integration code with the
 kernel module, since the equality of the field energy with -<A_M X, X> is
@@ -49,8 +61,7 @@ from .errors import DomainError
 DEFAULT_N_RADIAL = 96
 DEFAULT_N_THETA = 32
 DEFAULT_N_PHI = 64
-# directions x site pairs x radial nodes per batch: 2 MB for each of the
-# cosine and sine blocks
+# directions x site pairs x radial nodes per batch: 2 MB for the cosine block
 _BATCH_NODES = 1 << 18
 
 
@@ -60,8 +71,8 @@ class FourierCurrent:
 
     evaluator maps unit directions u (n, 3) to the site terms
     c_lam(u) = u x V_lam, of shape (n, P, 3) for a classical current or
-    (n, P, 3, spin_dim) for a spin-valued one.  positions (P, 3) holds the
-    sites x_lam.
+    (n, P, 3, spin_dim) for a spin-valued one; field_energy relies on
+    c_lam(-u) = -c_lam(u).  positions (P, 3) holds the sites x_lam.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -119,22 +130,29 @@ def classical_current(system: SpinSystem, profile: CutoffProfile, S) -> FourierC
 
 
 def _spherical_nodes(profile, n_radial, n_theta, n_phi):
-    """Factors of the spherical-product rule: node r u has weight rw r^2 dw.
+    """Factors of the spherical-product rule, over its upper hemisphere.
 
     Returns the radial nodes rn and weights rw on [0, r_far], and the unit
-    directions dirs (n_theta n_phi, 3) with their weights dw.
+    directions dirs (n, 3) with cos(theta) >= 0 and their weights dw: the
+    rule is the antipodal closure of dirs, each u and -u weighted dw / 2, and
+    its node r u carries the weight rw r^2 dw / 2.  A ring above the equator
+    has twice its Gauss-Legendre weight, the equator ring (odd n_theta) its
+    own.
     """
     r_far = profile.far_radius()
     rn, rw = np.polynomial.legendre.leggauss(n_radial)
     rn = 0.5 * r_far * (rn + 1.0)
     rw = 0.5 * r_far * rw
+    # leggauss's nodes are exactly antisymmetric, and an odd rule's middle
+    # node is exactly 0
     cn, cw = np.polynomial.legendre.leggauss(n_theta)
+    cn, cw = cn[n_theta // 2:], np.where(cn > 0.0, 2.0 * cw, cw)[n_theta // 2:]
     ph = 2.0 * math.pi * np.arange(n_phi) / n_phi
     pw = 2.0 * math.pi / n_phi
     st = np.sqrt(1.0 - cn * cn)
     dirs = np.stack([np.outer(st, np.cos(ph)).ravel(),
                      np.outer(st, np.sin(ph)).ravel(),
-                     np.repeat(cn, n_phi)], axis=1)  # (n_theta*n_phi, 3)
+                     np.repeat(cn, n_phi)], axis=1)  # (len(cn) n_phi, 3)
     dw = np.repeat(cw, n_phi) * pw
     return rn, rw, dirs, dw
 
@@ -161,13 +179,13 @@ def field_energy(current: FourierCurrent,
     for b in range(0, len(dirs), step):
         u = dirs[b:b + step]
         c = current.evaluator(u)
-        c = c.reshape(c.shape[:2] + (-1,))  # (n, P, 3 d)
-        H = c.conj() @ c.transpose(0, 2, 1)  # H[n, lam, mu] = <c_lam, c_mu>
-        diag = a_sum * np.trace(H, axis1=1, axis2=2).real
+        # Re H[n, lam, mu] = Re <c_lam, c_mu>, over the (re, im) parts of c
+        c = np.ascontiguousarray(c, dtype=complex)
+        c = c.reshape(c.shape[:2] + (-1,)).view(float)  # (n, P, 6 d)
+        H = c @ c.transpose(0, 2, 1)
+        diag = a_sum * np.trace(H, axis1=1, axis2=2)
         phase = (u @ dx.T)[:, :, None] * rn  # r_i tau, (n, pairs, n_radial)
-        C, S = np.cos(phase) @ a, np.sin(phase) @ a
-        Hp = H[:, lam, mu]
-        pairs = 2.0 * np.sum(C * Hp.real - S * Hp.imag, axis=1)
+        pairs = 2.0 * np.sum((np.cos(phase) @ a) * H[:, lam, mu], axis=1)
         total += float(dw[b:b + step] @ (diag + pairs))
     return 0.5 * (2.0 * math.pi) ** -3 * total
 

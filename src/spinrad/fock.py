@@ -392,9 +392,9 @@ def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, k_pairs: int = 1,
 # Discrete kernel and A_M
 # ---------------------------------------------------------------------------
 
-def discrete_am(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
-                vectors: bool = False) -> HermitianSpinOperator:
-    """A_M with the mode sum replacing the continuum kernel integral.
+def _discrete_am_matrix(system: SpinSystem, profile: CutoffProfile,
+                        grid: ModeGrid) -> np.ndarray:
+    """Dense matrix of A_M with the mode sum replacing the kernel integral.
 
     As sum_a (eps_a x khat)_j (eps_a x khat)_m = delta_jm - khat_j khat_m,
     the mode-sum kernel is the Gram matrix K[lam j, mu m] = sum_i
@@ -402,7 +402,6 @@ def discrete_am(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
     A = -1/2 sum_i B_i^dagger B_i / omega_i with B_i = sum_a M[a // 3]
     V[a, i] S_a: the second-order operator of H's couplings.  K is real
     by antipodal symmetry; an imaginary part above roundoff is raised.
-    vectors asks for eigenvectors too, as in assemble_am.
     """
     _require_symmetric(grid)
     Vw = coupling_matrix(system, profile, grid) \
@@ -411,8 +410,17 @@ def discrete_am(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
     if np.abs(K.imag).max() > 1e-12 * max(1.0, np.abs(K.real).max()):
         raise DomainError("asymmetric mode grid: discrete kernel not real")
     Mj = np.repeat(system.moments, 3)
-    return _checked_operator(bilinear_spin_operator(
-        -0.5 * np.outer(Mj, Mj) * K.real, system.s), vectors)
+    return bilinear_spin_operator(-0.5 * np.outer(Mj, Mj) * K.real, system.s)
+
+
+def discrete_am(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
+                vectors: bool = False) -> HermitianSpinOperator:
+    """A_M of the mode grid (see _discrete_am_matrix) with its spectrum.
+
+    vectors asks for eigenvectors too, as in assemble_am.
+    """
+    return _checked_operator(_discrete_am_matrix(system, profile, grid),
+                             vectors)
 
 
 def _require_symmetric(grid: ModeGrid) -> None:
@@ -458,7 +466,7 @@ def variational_trial_check(system: SpinSystem, profile: CutoffProfile,
     phi_trial = e0x - u
     H = toy.matrix()
     lhs = np.vdot(phi_trial, H @ phi_trial).real
-    rhs = np.vdot(X, discrete_am(system, profile, grid).matrix @ X).real
+    rhs = np.vdot(X, _discrete_am_matrix(system, profile, grid) @ X).real
 
     # D(H) norm of u: u sits in the one-photon sector, where dGamma(omega) u
     # recovers h_vac.

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import yaml
 
-from spinrad.cli import _sampled_product_min, _verify_rows, main
+from spinrad.cli import OUT_ENV_VAR, _sampled_product_min, _verify_rows, \
+    build_parser, main
 from spinrad.config import DEFAULT_GRIDS, DEFAULT_TOLERANCES, load_yaml, \
     parse_config, run_manifest
 from spinrad.cutoff import CutoffProfile
@@ -184,6 +185,20 @@ def test_cli_e2(tmp_path):
     assert doc["multiplicity"] >= 1
     assert doc["product_state_sampled_min"] >= doc["lambda_min"] - 1e-9
     assert len(doc["eigenbasis"]) == doc["multiplicity"]
+
+
+def test_cli_calls_in_one_process_parse_independently(tmp_path, capsys,
+                                                      monkeypatch):
+    # main reuses one parser; no flag or --out of a call reaches the next
+    d1, d2, d3 = (tmp_path / d for d in ("d1", "d2", "d3"))
+    monkeypatch.setenv(OUT_ENV_VAR, str(d3))
+    assert main(["e2", "--config", TWO, "--eigenbasis", "--out", str(d1)]) == 0
+    assert main(["e2", "--config", TWO, "--out", str(d2)]) == 0
+    assert main(["e2", "--config", TWO]) == 0
+    assert "eigenbasis" in json.loads((d1 / "e2.json").read_text())
+    for d in (d2, d3):
+        assert "eigenbasis" not in json.loads((d / "e2.json").read_text())
+    assert build_parser() is build_parser()
 
 
 def loop_sampled_min(A, system, rng):

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from spinrad.cutoff import phi_eval
 from spinrad.errors import DomainError
-from spinrad.field_energy import FourierCurrent, _spherical_nodes, \
-    classical_current, classical_decomposition_check, field_energy, \
-    higher_spin_constant, vector_current
+from spinrad.field_energy import DEFAULT_N_PHI, DEFAULT_N_RADIAL, \
+    DEFAULT_N_THETA, FourierCurrent, _spherical_nodes, classical_current, \
+    classical_decomposition_check, field_energy, higher_spin_constant, \
+    vector_current
 from spinrad.spin_algebra import omega_state, product_state, spin_matrices, \
     su2_rotate
 from spinrad.spin_operator import SpinSystem, assemble_am, quadratic_form, \
@@ -201,9 +202,16 @@ def _classical_reference(system, profile, S, xi):
     return 1j * phi_eval(profile, r)[:, None] * _cross_reference(xi, amp)
 
 
+def _closed_directions(profile, n_theta, n_phi):
+    """The rule's directions, every u and -u, with weights dw / 2 each."""
+    _, _, dirs, dw = _spherical_nodes(profile, 1, n_theta, n_phi)
+    return np.concatenate([dirs, -dirs]), np.concatenate([dw, dw]) / 2.0
+
+
 def _product_grid(profile, n_radial, n_theta, n_phi):
-    """The rule's nodes xi = r u (N, 3) and weights rw r^2 dw, node by node."""
-    rn, rw, dirs, dw = _spherical_nodes(profile, n_radial, n_theta, n_phi)
+    """The closed rule's nodes xi = r u (N, 3) and weights, node by node."""
+    rn, rw, _, _ = _spherical_nodes(profile, n_radial, n_theta, n_phi)
+    dirs, dw = _closed_directions(profile, n_theta, n_phi)
     xi = (rn[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
     w = (rw[:, None] * rn[:, None] ** 2 * dw[None, :]).ravel()
     return xi, w
@@ -303,8 +311,10 @@ def test_pair_sum_matches_node_sum(profile, cluster, n_radial, n_theta,
 def test_pair_sum_keeps_complex_cross_terms(profile, P):
     # Im <c_lam, c_mu> vanishes for spin and classical currents (spin
     # operators on different sites commute), so only generic complex site
-    # vectors V check the sine sums; n_phi = 15 breaks the rule's u -> -u
-    # symmetry, under which they would cancel
+    # vectors V put Im H, and with it sine terms, into the node-by-node sum;
+    # the rule is closed under u -> -u, so those terms cancel over each pair
+    # u, -u, here for the odd n_phi = 15 whose lower hemisphere lies off the
+    # azimuth grid
     rng = np.random.default_rng(P)
     V = rng.normal(size=(P, 3, 2)) + 1j * rng.normal(size=(P, 3, 2))
     current = FourierCurrent(
@@ -316,6 +326,68 @@ def test_pair_sum_keeps_complex_cross_terms(profile, P):
     e_ref = _energy_reference(lambda q: amplitudes(current, q), profile,
                               **quad)
     assert abs(e - e_ref) <= 1e-13 * e_ref
+
+
+def _full_product_rule(n_theta, n_phi):
+    """Gauss-Legendre in cos(theta) on [-1, 1] times n_phi uniform azimuths."""
+    cn, cw = np.polynomial.legendre.leggauss(n_theta)
+    ph = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    st = np.sqrt(1.0 - cn * cn)
+    dirs = np.stack([np.outer(st, np.cos(ph)).ravel(),
+                     np.outer(st, np.sin(ph)).ravel(),
+                     np.repeat(cn, n_phi)], axis=1)
+    return dirs, np.repeat(cw, n_phi) * (2.0 * math.pi / n_phi)
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [
+    (1, 1), (1, 4), (2, 3), (3, 5), (4, 6), (5, 8), (7, 7),
+    (DEFAULT_N_THETA, DEFAULT_N_PHI)])
+def test_closed_rule_weights_and_nodes(profile, n_theta, n_phi):
+    _, _, upper, _ = _spherical_nodes(profile, 1, n_theta, n_phi)
+    assert upper.shape == ((n_theta + 1) // 2 * n_phi, 3)
+    assert np.all(upper[:, 2] >= 0.0)
+    dirs, dw = _closed_directions(profile, n_theta, n_phi)
+    assert np.sum(dw) == pytest.approx(4.0 * math.pi, rel=1e-14)
+    if n_phi % 2:
+        return
+    # for even n_phi the closure is the full product rule: every closed node
+    # lies within 1e-15 of one full node, and each full node gathers its
+    # weight (an equator node gets dw / 2 from u and dw / 2 from -u)
+    full, full_w = _full_product_rule(n_theta, n_phi)
+    near = np.abs(full[:, None, :] - dirs[None, :, :]).max(axis=2) <= 1e-15
+    assert np.all(near.sum(axis=0) == 1)
+    assert np.allclose(near @ dw, full_w, rtol=1e-15, atol=0.0)
+
+
+def _cos_sin_energy(current):
+    """Field energy on the full default product rule, sine sums included."""
+    rn, rw, _, _ = _spherical_nodes(current.profile, DEFAULT_N_RADIAL, 1, 1)
+    dirs, dw = _full_product_rule(DEFAULT_N_THETA, DEFAULT_N_PHI)
+    a = rw * rn * rn * phi_eval(current.profile, rn) ** 2
+    c = current.evaluator(dirs)
+    c = c.reshape(c.shape[:2] + (-1,))
+    H = c.conj() @ c.transpose(0, 2, 1)
+    lam, mu = np.triu_indices(len(current.positions), k=1)
+    phase = (dirs @ (current.positions[mu] - current.positions[lam]).T)[
+        :, :, None] * rn
+    Hp = H[:, lam, mu]
+    pairs = 2.0 * np.sum((np.cos(phase) @ a) * Hp.real
+                         - (np.sin(phase) @ a) * Hp.imag, axis=1)
+    diag = np.sum(a) * np.trace(H, axis1=1, axis2=2).real
+    return 0.5 * (2.0 * math.pi) ** -3 * float(dw @ (diag + pairs))
+
+
+@pytest.mark.parametrize("s, P", [(0.5, 3), (1.5, 2)])
+def test_default_rule_matches_full_sphere_cos_sin(profile, s, P):
+    rng = np.random.default_rng(int(10 * s) + P)
+    system = random_system(rng, P, s=s)
+    X = random_state(rng, system.spin_dim)
+    S = rng.normal(size=(P, 3))
+    S /= np.linalg.norm(S, axis=1)[:, None]
+    for current in (vector_current(system, profile, X),
+                    classical_current(system, profile, S)):
+        e_ref = _cos_sin_energy(current)
+        assert abs(field_energy(current) - e_ref) <= 1e-14 * e_ref
 
 
 @pytest.mark.parametrize("quad", [{}, SMALL_QUAD,

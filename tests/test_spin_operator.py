@@ -324,6 +324,12 @@ def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
     fock.multiplicity_scan(two_spin_system.with_moments([1.0, 1.0]), profile,
                            grid, 1, [0.2, 0.1])
     assert calls == [("eigh", (4, 4))]
+    calls.clear()
+    # the trial check reads the discrete A_M's matrix only; its one solve is
+    # the D(H) bound's Gram matrix
+    fock.variational_trial_check(two_spin_system, profile, grid, 1,
+                                 np.eye(4)[0])
+    assert calls == [("eigvalsh", (4, 4))]
 
 
 def test_e2_eigenbasis_spans_ground_eigenspace(tmp_path):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -25,7 +26,8 @@ from .fock import build_mode_grid, multiplicity_scan, quadratic_fit
 from .kernel import a11_origin, kernel_matrix, kernel_oracle_3d
 from .spin_algebra import omega_state, product_state, product_vectors, \
     su2_rotate
-from .spin_operator import assemble_am, ground_eigenspace, quadratic_form
+from .spin_operator import PSD_VIOLATION_TOL, assemble_am, \
+    ground_eigenspace, quadratic_form
 
 OUT_ENV_VAR = "SPINRAD_OUT"
 
@@ -86,11 +88,22 @@ def _load_orientations(path):
         raise ConfigError(f"{what}: {exc}") from None
 
 
-def _float_list(text):
-    """argparse type for a comma-separated list of numbers."""
+def _finite_float(text):
+    """argparse type for one finite number; nan and inf are usage errors."""
     try:
-        return [float(t) for t in text.split(",")]
+        x = float(text)
+        if math.isfinite(x):
+            return x
     except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
+def _float_list(text):
+    """argparse type for a comma-separated list of finite numbers."""
+    try:
+        return [_finite_float(t) for t in text.split(",")]
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}") from None
 
@@ -154,7 +167,7 @@ def _verify_rows(cfg):
 
     A = assemble_am(system, profile)
     add("negative_semidefinite", max(float(A.eigenvalues[-1]), 0.0), 0.0,
-        1e-10 * max(1.0, np.linalg.norm(A.matrix)))
+        PSD_VIOLATION_TOL * max(1.0, np.linalg.norm(A.matrix)))
 
     A2 = assemble_am(system.with_moments(2.0 * system.moments), profile)
     add("moment_scaling_c2", float(np.abs(A2.matrix - 4.0 * A.matrix).max()),
@@ -298,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="evaluate the transverse kernel matrix")
     common(p)
-    p.add_argument("--at", nargs=3, type=float, required=True,
+    p.add_argument("--at", nargs=3, type=_finite_float, required=True,
                    metavar=("X", "Y", "Z"))
     p.set_defaults(func=suite_kernel)
 

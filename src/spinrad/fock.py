@@ -8,9 +8,10 @@ oscillator.  The Hamiltonian
 
 is assembled sparse on the occupation basis with total photon number
 <= n_max, tensored with the spin space (Fock index major).  H and the
-discrete A_M both read one array, coupling_matrix; A_M is its Gram matrix,
-Hermitian and negative semidefinite on any grid.  The antipodal symmetry,
-the discrete k -> -k evenness of the continuum kernel, makes it real.
+discrete A_M both read one array, the coupling_matrix kept on the
+ToyHamiltonian; A_M is its Gram matrix, Hermitian and negative
+semidefinite on any grid.  ModeGrid's antipodal symmetry, the discrete
+k -> -k evenness of the continuum kernel, makes it real.
 
 Only the oscillators the spins couple to are kept (the "effective mode"
 reduction: Cederbaum, Gindensperger & Burghardt, PRL 94 (2005) 113003).
@@ -66,6 +67,13 @@ class ModeGrid:
     shell: np.ndarray    # (N,) radial node of each mode; equal |k| within one
     omega: np.ndarray    # (N,) mode frequencies |k|
 
+    def __post_init__(self):
+        # k[antipode] = -k to 1e-13 max|k|, written so that NaN fails too
+        if not np.abs(self.k[self.antipode] + self.k).max() \
+                <= 1e-13 * np.abs(self.k).max() or \
+                not np.array_equal(self.w[self.antipode], self.w):
+            raise DomainError("mode grid must be antipodally symmetric")
+
     @property
     def n_modes(self) -> int:
         return len(self.w)
@@ -105,9 +113,6 @@ def build_mode_grid(profile: CutoffProfile, n_radial: int,
     N = len(w)
     idx = np.arange(N).reshape(n_radial, n_theta, n_phi)
     anti = np.roll(idx[:, ::-1, :], -(n_phi // 2), axis=2).ravel()
-    if not np.allclose(k[anti], -k, atol=1e-13 * r_far) or \
-            not np.array_equal(w[anti], w):
-        raise DomainError("mode grid lost antipodal symmetry")
 
     eps = np.empty((N, 2, 3))
     omega = np.linalg.norm(k, axis=1)
@@ -251,6 +256,7 @@ class ToyHamiltonian:
     h_int: sp.csr_matrix
     space: FockSpace
     spin_dim: int
+    coupling: np.ndarray  # (3P, 2N) coupling_matrix that H is built from
 
     @property
     def dim(self) -> int:
@@ -280,8 +286,8 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
     (module docstring).
     """
     spin_dim = system.spin_dim
-    omega_osc, W = _coupled_oscillators(
-        grid, coupling_matrix(system, profile, grid))
+    V = coupling_matrix(system, profile, grid)
+    omega_osc, W = _coupled_oscillators(grid, V)
     space = build_fock_space(omega_osc, n_max, spin_dim)
     S = site_spin_operators(system.s, system.P)
     h_free = sp.kron(
@@ -294,7 +300,7 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
         h_int = h_int + system.moments[a // 3] * sp.kron(
             phi_s, S[a * spin_dim:(a + 1) * spin_dim], format="csr")
     return ToyHamiltonian(h_free=h_free, h_int=h_int.tocsr(), space=space,
-                          spin_dim=spin_dim)
+                          spin_dim=spin_dim, coupling=V)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +388,8 @@ def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, k_pairs: int = 1,
         vals, vecs = vals[order], vecs[:, order]
     residuals = np.array([np.linalg.norm(H @ vecs[:, i] - vals[i] * vecs[:, i])
                           for i in range(len(vals))])
-    if np.any(residuals > max(tol, 1e-9 * abs(H).max())):
+    # written so that a NaN residual fails too
+    if not np.all(residuals <= tol):
         raise ConvergenceError(
             f"eigenpair residual {residuals.max():.3e} above tolerance {tol:.3e}")
     return vals, vecs, residuals
@@ -392,8 +399,8 @@ def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, k_pairs: int = 1,
 # Discrete kernel and A_M
 # ---------------------------------------------------------------------------
 
-def _discrete_am_matrix(system: SpinSystem, profile: CutoffProfile,
-                        grid: ModeGrid) -> np.ndarray:
+def _discrete_am_matrix(system: SpinSystem, grid: ModeGrid,
+                        V: np.ndarray) -> np.ndarray:
     """Dense matrix of A_M with the mode sum replacing the kernel integral.
 
     As sum_a (eps_a x khat)_j (eps_a x khat)_m = delta_jm - khat_j khat_m,
@@ -403,9 +410,7 @@ def _discrete_am_matrix(system: SpinSystem, profile: CutoffProfile,
     V[a, i] S_a: the second-order operator of H's couplings.  K is real
     by antipodal symmetry; an imaginary part above roundoff is raised.
     """
-    _require_symmetric(grid)
-    Vw = coupling_matrix(system, profile, grid) \
-        / np.sqrt(np.repeat(grid.omega, 2))
+    Vw = V / np.sqrt(np.repeat(grid.omega, 2))
     K = Vw.conj() @ Vw.T
     if np.abs(K.imag).max() > 1e-12 * max(1.0, np.abs(K.real).max()):
         raise DomainError("asymmetric mode grid: discrete kernel not real")
@@ -413,20 +418,13 @@ def _discrete_am_matrix(system: SpinSystem, profile: CutoffProfile,
     return bilinear_spin_operator(-0.5 * np.outer(Mj, Mj) * K.real, system.s)
 
 
-def discrete_am(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
+def discrete_am(system: SpinSystem, grid: ModeGrid, V: np.ndarray,
                 vectors: bool = False) -> HermitianSpinOperator:
-    """A_M of the mode grid (see _discrete_am_matrix) with its spectrum.
+    """A_M of the grid's couplings V (see _discrete_am_matrix), with spectrum.
 
     vectors asks for eigenvectors too, as in assemble_am.
     """
-    return _checked_operator(_discrete_am_matrix(system, profile, grid),
-                             vectors)
-
-
-def _require_symmetric(grid: ModeGrid) -> None:
-    if not np.allclose(grid.k[grid.antipode], -grid.k, atol=1e-12) or \
-            not np.array_equal(grid.w[grid.antipode], grid.w):
-        raise DomainError("mode grid must be antipodally symmetric")
+    return _checked_operator(_discrete_am_matrix(system, grid, V), vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -466,25 +464,24 @@ def variational_trial_check(system: SpinSystem, profile: CutoffProfile,
     phi_trial = e0x - u
     H = toy.matrix()
     lhs = np.vdot(phi_trial, H @ phi_trial).real
-    rhs = np.vdot(X, _discrete_am_matrix(system, profile, grid) @ X).real
+    rhs = np.vdot(X, _discrete_am_matrix(system, grid, toy.coupling) @ X).real
 
     # D(H) norm of u: u sits in the one-photon sector, where dGamma(omega) u
     # recovers h_vac.
     u_dh = math.sqrt(np.linalg.norm(h_vac) ** 2 + np.linalg.norm(u) ** 2)
-    k_bound = _discrete_k_bound(system, profile, grid)
+    k_bound = _discrete_k_bound(system, grid, toy.coupling)
     return TrialCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
                       u_norm_dh=u_dh, k_bound=k_bound)
 
 
-def _discrete_k_bound(system: SpinSystem, profile: CutoffProfile,
-                      grid: ModeGrid) -> float:
+def _discrete_k_bound(system: SpinSystem, grid: ModeGrid,
+                      V: np.ndarray) -> float:
     """Smallest K with ||u_M(X)||_D(H) <= K |M| |X| in the discrete model.
 
     Computed as the operator norm of the quadratic form
     X -> ||u||^2 + ||dGamma(omega) u||^2, via its spin-space Gram matrix.
     """
     M = system.moments
-    V = coupling_matrix(system, profile, grid)
     Vw = V / np.repeat(grid.omega, 2)
     gram = V.conj() @ V.T + Vw.conj() @ Vw.T
     Mj = np.repeat(M, 3)
@@ -525,8 +522,8 @@ def quadratic_fit(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
     remainder E(t) - c2 t^2 is estimated from the remaining scales.
     """
     scales = np.sort(np.asarray(scale_points, dtype=float))
-    if len(scales) < 4 or np.any(scales <= 0):
-        raise DomainError("need at least 4 positive scale points")
+    if len(scales) < 4 or not np.all((scales > 0) & (scales < np.inf)):
+        raise DomainError("need at least 4 positive finite scale points")
     toy = build_hamiltonian(system, profile, grid, n_max)
     energies, photons = [], []
     for t in scales:
@@ -548,7 +545,7 @@ def quadratic_fit(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
     else:
         slope = float(np.polyfit(np.log(scales[usable]),
                                  np.log(np.abs(resid[usable])), 1)[0])
-    a_min = float(discrete_am(system, profile, grid).eigenvalues[0])
+    a_min = float(discrete_am(system, grid, toy.coupling).eigenvalues[0])
     return QuadraticFit(c2=c2, residual_slope=slope, a_disc_min=a_min,
                         scales=scales, energies=energies,
                         photon_numbers=photons,
@@ -575,10 +572,12 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
     """
     if np.ptp(system.moments) > 1e-12:
         raise DomainError("multiplicity scan requires equal moments")
+    if not np.all(np.isfinite(g_points)):
+        raise DomainError("multiplicity scan needs finite g values")
     unit = system.with_moments(np.ones(system.P))
     toy = build_hamiltonian(unit, profile, grid, n_max)
     _, mult_a1, a_basis = ground_eigenspace(
-        discrete_am(unit, profile, grid, vectors=True), degeneracy_tol)
+        discrete_am(unit, grid, toy.coupling, vectors=True), degeneracy_tol)
     proj_basis = np.array([toy.vacuum_embed(v)
                            for v in a_basis.T])  # rows orthonormal
     rows = []

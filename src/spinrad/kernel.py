@@ -72,6 +72,8 @@ def kernel_matrix(profile: CutoffProfile, x) -> KernelMatrix:
     """Evaluate the transverse kernel matrix at displacement x."""
     x = np.asarray(x, dtype=float)
     t = float(np.linalg.norm(x))
+    if not math.isfinite(t):
+        raise DomainError(f"displacement {x} has no finite length")
     if t == 0.0:
         return KernelMatrix(entries=a11_origin(profile) * np.eye(3))
     lam3 = profile.lam ** 3
@@ -102,6 +104,8 @@ def kernel_oracle_3d(profile: CutoffProfile, x, n: int = 128) -> KernelMatrix:
     if n % 2:
         n += 1  # even count keeps k = 0 off the node set
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"displacement {x} is not finite")
     # |phi|^2 decays twice as fast as phi: half the usual log-threshold.
     half = profile.far_radius(1e-8)
     nodes, weights = np.polynomial.legendre.leggauss(n)

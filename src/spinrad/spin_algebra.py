@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 
 from .errors import DomainError
 
@@ -114,10 +113,15 @@ def omega_state(s) -> np.ndarray:
 
 
 def su2_rotate(s, theta) -> np.ndarray:
-    """Unitary exp(-(i/2) sum_j theta_j sigma_j(s)) on C^(2s+1)."""
+    """Unitary exp(-(i/2) sum_j theta_j sigma_j(s)) on C^(2s+1).
+
+    The generator is Hermitian, gen = V diag(w) V^H, so the exponential is
+    V diag(e^{-i w / 2}) V^H.
+    """
     theta = np.asarray(theta, dtype=float)
     gen = sum(t * m for t, m in zip(theta, spin_matrices(s)))
-    return expm(-0.5j * gen)
+    w, V = np.linalg.eigh(gen)
+    return (V * np.exp(-0.5j * w)) @ V.conj().T
 
 
 @dataclass(frozen=True)

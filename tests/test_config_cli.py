@@ -460,12 +460,22 @@ def test_cli_usage_error_exit_two(capsys):
 
 @pytest.mark.parametrize("suite, flag", [("fock-fit", "--scales"),
                                          ("multiplicity", "--g")])
-@pytest.mark.parametrize("value", ["0.4,abc", "0.4,"])
+@pytest.mark.parametrize("value", ["0.4,abc", "0.4,", "0.4,nan", "inf"])
 def test_cli_bad_number_list_exit_two(capsys, suite, flag, value):
     with pytest.raises(SystemExit) as exc:
         main([suite, "--config", TWO, flag, value])
     assert exc.value.code == 2
     assert "comma-separated numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("at", [["nan", "0", "0"], ["0", "inf", "0"],
+                                ["0", "0", "Infinity"]])
+def test_cli_kernel_non_finite_exit_two(capsys, tmp_path, at):
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--config", TWO, "--out", str(tmp_path), "--at", *at])
+    assert exc.value.code == 2
+    assert "expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "kernel.json").exists()
 
 
 @pytest.mark.parametrize("suite, args", [

@@ -55,6 +55,21 @@ def test_grid_validation(profile):
         build_mode_grid(profile, 8, 7)
 
 
+def test_grid_rejects_asymmetry_at_construction(small_grid):
+    # ModeGrid owns its antipodal symmetry: every constructor checks it
+    k, w = small_grid.k, small_grid.w
+    tol = 1e-13 * np.abs(k).max()
+    dataclasses.replace(small_grid, k=k + [0.4 * tol, 0.0, 0.0])
+    w_bad = w.copy()
+    w_bad[0] *= 1.0 + 1e-15
+    k_nan = k.copy()
+    k_nan[3, 1] = np.nan
+    for bad in ({"k": k + [2.0 * tol, 0.0, 0.0]}, {"k": k_nan},
+                {"w": w_bad}, {"antipode": np.arange(small_grid.n_modes)}):
+        with pytest.raises(DomainError, match="antipodally symmetric"):
+            dataclasses.replace(small_grid, **bad)
+
+
 def _loop_mode_grid(profile, n_radial, n_angular):
     """Nodes, weights and antipodes of the mode grid, one node at a time."""
     r_far = profile.far_radius()
@@ -142,6 +157,10 @@ def test_coupling_matrix_self_consistency(profile, small_grid):
     assert totals == pytest.approx(diag, rel=1e-12)
 
 
+def _grid_am(system, profile, grid):
+    return discrete_am(system, grid, coupling_matrix(system, profile, grid))
+
+
 @pytest.mark.parametrize("lam", [0.7, 1.6])
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
 @pytest.mark.parametrize("P", [1, 2, 3])
@@ -153,7 +172,7 @@ def test_discrete_am_matches_projector_reference(lam, s, P):
     rng = np.random.default_rng(10 * P + int(2 * s))
     system = SpinSystem(positions=rng.normal(size=(P, 3)) / lam,
                         moments=rng.uniform(-1.0, 1.0, P), s=s)
-    A = discrete_am(system, profile, grid)
+    A = _grid_am(system, profile, grid)
     ref = _assemble(system, lambda d: projector_kernel(profile, grid, d))
     scale = np.linalg.norm(ref)
     assert np.linalg.norm(A.matrix - ref) <= 1e-13 * scale
@@ -163,33 +182,52 @@ def test_discrete_am_matches_projector_reference(lam, s, P):
 
 def test_discrete_am_matches_continuum(profile, default_grid, two_spin_system):
     Ac = assemble_am(two_spin_system, profile).matrix
-    Ad = discrete_am(two_spin_system, profile, default_grid).matrix
+    Ad = _grid_am(two_spin_system, profile, default_grid).matrix
     rel = np.linalg.norm(Ad - Ac) / np.linalg.norm(Ac)
     assert rel <= 1e-3
     finer = build_mode_grid(profile, 40, 20)
-    rel2 = np.linalg.norm(discrete_am(two_spin_system, profile, finer).matrix
+    rel2 = np.linalg.norm(_grid_am(two_spin_system, profile, finer).matrix
                           - Ac) / np.linalg.norm(Ac)
     assert rel2 < rel
 
 
 def test_discrete_am_zero_and_single(profile, default_grid):
     zero = SpinSystem(positions=[[0, 0, 0], [1, 0, 0]], moments=[0.0, 0.0])
-    assert np.abs(discrete_am(zero, profile, default_grid).matrix).max() == 0.0
+    assert np.abs(_grid_am(zero, profile, default_grid).matrix).max() == 0.0
     single = SpinSystem(positions=[[0.0, 0.0, 0.0]], moments=[0.6])
-    Ad = discrete_am(single, profile, default_grid).matrix
+    Ad = _grid_am(single, profile, default_grid).matrix
     a0 = projector_kernel(profile, default_grid, np.zeros(3))[0, 0]
     assert np.abs(Ad + 1.5 * a0 * 0.36 * np.eye(2)).max() <= 1e-12
 
 
 def test_discrete_am_rejects_asymmetric_grid(profile, small_grid,
-                                             two_spin_system, monkeypatch):
-    bad = dataclasses.replace(small_grid, k=small_grid.k + [0.05, 0.0, 0.0])
-    with pytest.raises(DomainError, match="antipodally symmetric"):
-        discrete_am(two_spin_system, profile, bad)
-    # past the grid check, the kernel's imaginary part is raised, not dropped
-    monkeypatch.setattr(fock, "_require_symmetric", lambda grid: None)
+                                             two_spin_system):
+    # couplings whose antipodal columns do not pair: the lower hemisphere
+    # is dropped, and the kernel's imaginary part is raised, not dropped
+    V = coupling_matrix(two_spin_system, profile, small_grid)
+    V[:, np.repeat(small_grid.k[:, 2] < 0.0, 2)] = 0.0
     with pytest.raises(DomainError, match="not real"):
-        discrete_am(two_spin_system, profile, bad)
+        discrete_am(two_spin_system, small_grid, V)
+
+
+def test_one_coupling_build_per_fock_run(profile, small_grid,
+                                         two_spin_system, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return coupling_matrix(*args)
+
+    monkeypatch.setattr(fock, "coupling_matrix", counted)
+    quadratic_fit(two_spin_system, profile, small_grid, 1,
+                  [0.4, 0.2, 0.1, 0.05])
+    assert len(calls) == 1
+    equal = two_spin_system.with_moments([1.0, 1.0])
+    multiplicity_scan(equal, profile, small_grid, 1, [0.2, 0.1])
+    assert len(calls) == 2
+    variational_trial_check(two_spin_system, profile, small_grid, 1,
+                            np.array([1.0, 0.0, 0.0, 0.0]))
+    assert len(calls) == 3
 
 
 def test_hamiltonian_structure(profile, small_grid, two_spin_system):
@@ -323,12 +361,13 @@ def _full_grid_hamiltonian(system, profile, grid, n_max):
                                  for occ in space.sectors])),
         sp.identity(spin_dim), format="csr")
     h_int = sp.csr_matrix((space.dim * spin_dim,) * 2, dtype=complex)
-    for a, v in enumerate(coupling_matrix(system, profile, grid)):
+    V = coupling_matrix(system, profile, grid)
+    for a, v in enumerate(V):
         h_int = h_int + system.moments[a // 3] * sp.kron(
             segal_field(space, v), S[a * spin_dim:(a + 1) * spin_dim],
             format="csr")
     return ToyHamiltonian(h_free=h_free, h_int=h_int.tocsr(), space=space,
-                          spin_dim=spin_dim)
+                          spin_dim=spin_dim, coupling=V)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -387,6 +426,20 @@ def test_ground_state_no_convergence(monkeypatch):
                          [-1, 0, 1])
     with pytest.raises(ConvergenceError, match="above tolerance"):
         ground_state(laplacian, k_pairs=1)
+
+
+@pytest.mark.parametrize("shift", [1e-9, np.nan])
+def test_ground_state_rejects_residual_above_tol(monkeypatch, shift):
+    # an exact eigenvector with its eigenvalue off by `shift`: residual
+    # 1e-9 against the 1e-10 default tolerance, or NaN
+    d = np.linspace(-1.0, 2.0, 64)
+
+    def off(A, X, **kwargs):
+        return np.array([d[0] + shift]), np.eye(64, 1)
+
+    monkeypatch.setattr("spinrad.fock.spla.lobpcg", off)
+    with pytest.raises(ConvergenceError, match="above tolerance"):
+        ground_state(sp.diags(d), k_pairs=1)
 
 
 def test_ground_state_deterministic(profile, default_grid, two_spin_system):
@@ -536,7 +589,8 @@ def test_discrete_k_bound_matches_reference(profile, small_grid):
                     G += 0.5 * M[lam] * M[lam2] * ip \
                         * (emb[lam][m].conj().T @ emb[lam2][m2])
     expected = math.sqrt(np.linalg.eigvalsh(G)[-1]) / np.linalg.norm(M)
-    assert _discrete_k_bound(system, profile, small_grid) \
+    V = coupling_matrix(system, profile, small_grid)
+    assert _discrete_k_bound(system, small_grid, V) \
         == pytest.approx(expected, rel=1e-12)
 
 
@@ -564,8 +618,10 @@ def test_quadratic_fit_contract(profile, default_grid, two_spin_system):
     assert fit.tolerance_limited or fit.residual_slope >= 2.7
     slope = np.polyfit(np.log(fit.scales), np.log(fit.photon_numbers), 1)[0]
     assert abs(slope - 2.0) <= 0.1
-    with pytest.raises(DomainError):
-        quadratic_fit(two_spin_system, profile, default_grid, 1, [0.4, 0.2])
+    for scales in ([0.4, 0.2], [np.nan, 0.2, 0.1, 0.05],
+                   [np.inf, 0.2, 0.1, 0.05], [0.4, 0.2, 0.1, 0.0]):
+        with pytest.raises(DomainError, match="scale points"):
+            quadratic_fit(two_spin_system, profile, default_grid, 1, scales)
 
 
 def test_multiplicity_scan(profile, default_grid):
@@ -584,3 +640,6 @@ def test_multiplicity_scan(profile, default_grid):
     with pytest.raises(DomainError):
         multiplicity_scan(pair.with_moments([1.0, 0.5]), profile,
                           default_grid, 1, [0.1])
+    for g in ([np.nan], [0.2, np.inf]):
+        with pytest.raises(DomainError, match="finite g"):
+            multiplicity_scan(pair, profile, default_grid, 1, g)

@@ -232,6 +232,15 @@ def test_oracle_pairing_matches_reference(lam, radius, direction, n):
         assert np.array_equal(O, kernel_oracle_3d(p, x, n + 1).entries)
 
 
+@pytest.mark.parametrize("x", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
+                               [0.3, 0.1, -np.inf]])
+def test_non_finite_displacement_rejected(profile, x):
+    with pytest.raises(DomainError, match="finite"):
+        kernel_matrix(profile, x)
+    with pytest.raises(DomainError, match="finite"):
+        kernel_oracle_3d(profile, x)
+
+
 def test_oracle_rejects_tiny_node_count(profile):
     with pytest.raises(DomainError):
         kernel_oracle_3d(profile, [0.0, 0.0, 0.0], n=4)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from hypothesis import given, settings, strategies as st
 
 from spinrad.errors import DomainError
@@ -102,6 +103,15 @@ def test_omega_state_spin_one_structure():
     assert X0[0] == pytest.approx(np.cos(np.pi / 6.0))
     assert X0[1] == 0.0
     assert X0[2] == pytest.approx(np.sin(np.pi / 6.0))
+
+
+@pytest.mark.parametrize("s", ALL_SPINS)
+def test_su2_rotate_matches_expm(s):
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        theta = 2.0 * rng.normal(size=3)
+        gen = sum(t * m for t, m in zip(theta, spin_matrices(s)))
+        assert np.abs(su2_rotate(s, theta) - expm(-0.5j * gen)).max() <= 1e-13
 
 
 def test_su2_rotate_identity_and_flip():

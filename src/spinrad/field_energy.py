@@ -40,12 +40,16 @@ upper direction, and a node pair costs one cosine per site pair.  The
 angular sum stays the discrete rule, direction by direction, with no Bessel
 functions: this module deliberately shares no integration code with the
 kernel module, since the equality of the field energy with -<A_M X, X> is
-used as a cross-validation of two independent numerical paths.
+used as a cross-validation of two independent numerical paths.  The rule's
+factors are built once per process for each profile and rule size, and held
+read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -129,6 +133,7 @@ def classical_current(system: SpinSystem, profile: CutoffProfile, S) -> FourierC
                           positions=system.positions, profile=profile)
 
 
+@functools.lru_cache(maxsize=16)
 def _spherical_nodes(profile, n_radial, n_theta, n_phi):
     """Factors of the spherical-product rule, over its upper hemisphere.
 
@@ -137,7 +142,8 @@ def _spherical_nodes(profile, n_radial, n_theta, n_phi):
     rule is the antipodal closure of dirs, each u and -u weighted dw / 2, and
     its node r u carries the weight rw r^2 dw / 2.  A ring above the equator
     has twice its Gauss-Legendre weight, the equator ring (odd n_theta) its
-    own.
+    own.  The four arrays are read-only: every call at the same arguments
+    shares them.
     """
     r_far = profile.far_radius()
     rn, rw = np.polynomial.legendre.leggauss(n_radial)
@@ -154,6 +160,8 @@ def _spherical_nodes(profile, n_radial, n_theta, n_phi):
                      np.outer(st, np.sin(ph)).ravel(),
                      np.repeat(cn, n_phi)], axis=1)  # (len(cn) n_phi, 3)
     dw = np.repeat(cw, n_phi) * pw
+    for arr in (rn, rw, dirs, dw):
+        arr.flags.writeable = False
     return rn, rw, dirs, dw
 
 
@@ -166,6 +174,12 @@ def field_energy(current: FourierCurrent,
     Integrable at xi = 0 because jhat(xi) = O(|xi|); the radial Gauss rule
     keeps the origin off the node set.
     """
+    try:
+        n_radial, n_theta, n_phi = map(operator.index,
+                                       (n_radial, n_theta, n_phi))
+    except TypeError:
+        raise DomainError("field energy rule sizes must be integers, got "
+                          f"{(n_radial, n_theta, n_phi)}") from None
     if min(n_radial, n_theta, n_phi) < 1:
         raise DomainError("field energy needs at least one node per axis")
     rn, rw, dirs, dw = _spherical_nodes(current.profile, n_radial, n_theta,

@@ -25,12 +25,16 @@ kernel_oracle_3d cross-checks the closed form with a brute-force 3D
 tensor-product Gauss-Legendre rule on the defining integral; `spinrad
 verify` and the tests run it.  It sums each symmetric node pair +-k_a in
 closed form (cosines for even factors, sines for the odd k_a), so it
-visits only the positive octant and returns a real matrix.
+visits only the positive octant and returns a real matrix.  Its 1-D
+Gauss-Legendre factors are built once per process for each profile and
+node count, and held read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +89,24 @@ def kernel_matrix(profile: CutoffProfile, x) -> KernelMatrix:
                         - (g + 3.0 * du) * np.outer(xhat, xhat))
 
 
+@functools.lru_cache(maxsize=16)
+def _oracle_axis(profile: CutoffProfile, n: int):
+    """Positive-half nodes k and pair weights w of the n-node axis rule.
+
+    n is even; the box is [-half, half] with half = profile.far_radius(1e-8),
+    since |phi|^2 decays twice as fast as phi.  Both arrays are read-only:
+    every oracle call at (profile, n) shares them.
+    """
+    half = profile.far_radius(1e-8)
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    # leggauss returns exactly symmetric nodes and weights, ascending: keep
+    # the positive half, its weights doubled for the +-k pair
+    k = nodes[n // 2:] * half
+    w = 2.0 * weights[n // 2:] * half
+    k.flags.writeable = w.flags.writeable = False
+    return k, w
+
+
 def kernel_oracle_3d(profile: CutoffProfile, x, n: int = 128) -> KernelMatrix:
     """Brute-force 3D tensor-product quadrature of the defining integral.
 
@@ -99,6 +121,11 @@ def kernel_oracle_3d(profile: CutoffProfile, x, n: int = 128) -> KernelMatrix:
 
     with l the third axis, and A = (tr S - S) / (2 pi)^3 is real exactly.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(
+            f"oracle node count must be an integer, got {n!r}") from None
     if n < 8:
         raise DomainError("oracle needs at least 8 nodes per axis")
     if n % 2:
@@ -106,13 +133,7 @@ def kernel_oracle_3d(profile: CutoffProfile, x, n: int = 128) -> KernelMatrix:
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError(f"displacement {x} is not finite")
-    # |phi|^2 decays twice as fast as phi: half the usual log-threshold.
-    half = profile.far_radius(1e-8)
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    # leggauss returns exactly symmetric nodes and weights, ascending: keep
-    # the positive half, its weights doubled for the +-k pair
-    k = nodes[n // 2:] * half
-    w = 2.0 * weights[n // 2:] * half
+    k, w = _oracle_axis(profile, n)
     phase = np.outer(x, k)
     cx, cy, cz = w * np.cos(phase)
     sx, sy, sz = w * k * np.sin(phase)

@@ -14,6 +14,8 @@ from spinrad.config import DEFAULT_GRIDS, DEFAULT_TOLERANCES, load_yaml, \
     parse_config, run_manifest
 from spinrad.cutoff import CutoffProfile
 from spinrad.errors import ConfigError
+from spinrad.field_energy import _spherical_nodes
+from spinrad.kernel import _oracle_axis
 from spinrad.spin_operator import SpinSystem, assemble_am
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -279,6 +281,24 @@ def test_cli_classical(tmp_path):
     assert rc == 0
     lines = (tmp_path / "classical.csv").read_text().strip().splitlines()
     assert float(lines[1].split(",")[1]) > 0.0
+
+
+def test_cli_artifacts_same_from_cold_and_warm_rules(tmp_path):
+    # each fixed Gauss-Legendre rule is built on its first use in the process
+    _spherical_nodes.cache_clear()
+    _oracle_axis.cache_clear()
+    blobs = []
+    for run in ("cold", "warm"):
+        out = tmp_path / run
+        assert main(["verify", "--config", TWO, "--out", str(out)]) == 0
+        assert main(["classical", "--config", TWO, "--out", str(out),
+                     "--orientations",
+                     str(CONFIG_DIR / "orientations_two.yaml")]) == 0
+        blobs.append((out / "verify.csv").read_bytes()
+                     + (out / "classical.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert _spherical_nodes.cache_info().misses == 1
+    assert _oracle_axis.cache_info().misses == 1
 
 
 def test_cli_dense_budget_only_where_a_m_is_built(tmp_path, capsys):

@@ -430,6 +430,29 @@ def test_field_energy_rejects_empty_rules(profile, two_spin_system, sizes):
         field_energy(cur, **sizes)
 
 
+@pytest.mark.parametrize("sizes", [{"n_radial": 96.0}, {"n_theta": 9.5},
+                                   {"n_phi": np.float64(64.0)},
+                                   {"n_phi": "64"}, {"n_radial": None}])
+def test_field_energy_rejects_non_integer_rule_sizes(profile, two_spin_system,
+                                                     sizes):
+    cur = classical_current(two_spin_system, profile,
+                            [[0, 0, 1.0], [1.0, 0, 0]])
+    # after an int call has built the default rule, 96.0 must not find it
+    field_energy(cur)
+    with pytest.raises(DomainError, match="integers"):
+        field_energy(cur, **sizes)
+
+
+def test_spherical_rule_is_built_once_and_read_only(profile):
+    rule = _spherical_nodes(profile, 12, 5, 7)
+    assert _spherical_nodes(profile, 12, 5, 7) is rule
+    fresh = _spherical_nodes.__wrapped__(profile, 12, 5, 7)
+    for cached, built in zip(rule, fresh):
+        assert np.array_equal(cached, built)
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.sampled_from([(0.5, 1), (0.5, 2), (0.5, 3), (0.5, 4), (1.0, 2),
                         (1.5, 2), (2.5, 1)]),

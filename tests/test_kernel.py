@@ -10,7 +10,8 @@ from scipy.special import spherical_jn
 
 from spinrad.cutoff import CutoffProfile, phi_eval
 from spinrad.errors import DomainError
-from spinrad.kernel import a11_origin, kernel_matrix, kernel_oracle_3d
+from spinrad.kernel import _oracle_axis, a11_origin, kernel_matrix, \
+    kernel_oracle_3d
 
 A11_GAUSS = 1.0 / (12.0 * math.pi ** 1.5)
 
@@ -244,6 +245,23 @@ def test_non_finite_displacement_rejected(profile, x):
 def test_oracle_rejects_tiny_node_count(profile):
     with pytest.raises(DomainError):
         kernel_oracle_3d(profile, [0.0, 0.0, 0.0], n=4)
+
+
+@pytest.mark.parametrize("n", [128.0, 9.5, np.float64(32.0), "128", None])
+def test_oracle_rejects_non_integer_node_count(profile, n):
+    # after an int call has built the n = 128 rule, 128.0 must not find it
+    kernel_oracle_3d(profile, [0.3, 0.1, -0.2])
+    with pytest.raises(DomainError, match="integer"):
+        kernel_oracle_3d(profile, [0.3, 0.1, -0.2], n)
+
+
+def test_oracle_axis_rule_is_built_once_and_read_only(profile):
+    rule = _oracle_axis(profile, 32)
+    assert _oracle_axis(profile, 32) is rule
+    for cached, fresh in zip(rule, _oracle_axis.__wrapped__(profile, 32)):
+        assert np.array_equal(cached, fresh)
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
 
 
 def test_row_transversality(profile):

@@ -1,8 +1,10 @@
 """Batch front-end: suite orchestration, CSV/JSON artifact emission.
 
-Suites: kernel, e2, verify, classical, fock-fit, multiplicity.
-Exit codes: 0 all checks passed, 1 a check failed or a module error
-occurred, 2 usage error.
+Suites: kernel, e2, verify, classical, fock-fit, multiplicity.  Each
+suite computes its artifacts, stdout lines and verdict; `main` alone
+loads the configuration, writes, prints and picks the exit code: 0 all
+checks passed, 1 a check failed (artifacts written) or a module error
+occurred (none written), 2 usage error.
 """
 
 from __future__ import annotations
@@ -37,26 +39,10 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            _fmt(c) if isinstance(c, float) else str(c) for c in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get(OUT_ENV_VAR) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _load_config(args):
-    cfg = parse_config(Path(args.config).read_text())
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    return cfg
+def _csv(header, rows) -> str:
+    """CSV text of a header and rows; floats are written by _fmt."""
+    return "".join(",".join(_fmt(c) if isinstance(c, float) else str(c)
+                            for c in row) + "\n" for row in [header, *rows])
 
 
 def _random_states(rng, dim, count):
@@ -109,11 +95,25 @@ def _float_list(text):
 
 
 # ---------------------------------------------------------------------------
-# Suites
+# Suites: each returns (files, lines, ok), the artifact texts by file name,
+# the stdout lines and the verdict; none writes, prints or exits
 # ---------------------------------------------------------------------------
 
-def suite_kernel(args) -> int:
-    cfg = _load_config(args)
+def _verdict(checks):
+    """PASS/FAIL lines of (passed, text) pairs, and whether all passed."""
+    checks = list(checks)
+    return ([f"{'PASS' if ok else 'FAIL'} {text}" for ok, text in checks],
+            all(ok for ok, _ in checks))
+
+
+def _toy_model(cfg):
+    """System, cutoff profile and photon-mode grid of the configuration."""
+    profile = cfg.profile()
+    return cfg.system(), profile, build_mode_grid(
+        profile, cfg.grids["n_radial"], cfg.grids["n_angular"])
+
+
+def suite_kernel(cfg, args):
     profile = cfg.profile()
     x = np.array(args.at, dtype=float)
     K = kernel_matrix(profile, x)
@@ -121,13 +121,10 @@ def suite_kernel(args) -> int:
            "matrix": [[float(v) for v in row] for row in K.entries],
            "a11_origin": a11_origin(profile)}
     text = json.dumps(doc, indent=2)
-    print(text)
-    (_out_dir(args) / "kernel.json").write_text(text + "\n")
-    return 0
+    return {"kernel.json": text + "\n"}, [text], True
 
 
-def suite_e2(args) -> int:
-    cfg = _load_config(args)
+def suite_e2(cfg, args):
     system, profile = cfg.system(), cfg.profile()
     A = assemble_am(system, profile, vectors=args.eigenbasis)
     lam_min, mult, basis = ground_eigenspace(A, cfg.tolerances["degeneracy"])
@@ -139,9 +136,7 @@ def suite_e2(args) -> int:
         doc["eigenbasis"] = [[[float(v.real), float(v.imag)] for v in col]
                              for col in basis.T]
     text = json.dumps(doc, indent=2)
-    print(text)
-    (_out_dir(args) / "e2.json").write_text(text + "\n")
-    return 0
+    return {"e2.json": text + "\n"}, [text], True
 
 
 def _verify_rows(cfg):
@@ -188,50 +183,31 @@ def _verify_rows(cfg):
     return rows
 
 
-def suite_verify(args) -> int:
-    cfg = _load_config(args)
+def suite_verify(cfg, args):
     rows = _verify_rows(cfg)
-    out = _out_dir(args)
-    _write_csv(out / "verify.csv",
-               ["check_name", "lhs", "rhs", "residual", "tolerance", "pass"],
-               rows)
-    (out / "verify_manifest.json").write_text(
-        run_manifest(cfg, {"suite": "verify"}) + "\n")
-    ok = True
-    for row in rows:
-        status = "PASS" if row[-1] else "FAIL"
-        ok &= bool(row[-1])
-        print(f"{status} {row[0]} residual={_fmt(row[3])} "
-              f"tolerance={_fmt(row[4])}")
-    return 0 if ok else 1
+    lines, ok = _verdict(
+        (row[-1], f"{row[0]} residual={_fmt(row[3])} tolerance={_fmt(row[4])}")
+        for row in rows)
+    return {"verify.csv": _csv(["check_name", "lhs", "rhs", "residual",
+                                "tolerance", "pass"], rows),
+            "verify_manifest.json":
+                run_manifest(cfg, {"suite": "verify"}) + "\n"}, lines, ok
 
 
-def suite_classical(args) -> int:
-    cfg = _load_config(args)
+def suite_classical(cfg, args):
     system, profile = cfg.system(), cfg.profile()
     S = _load_orientations(args.orientations)
     energy = field_energy(classical_current(system, profile, S))
-    out = _out_dir(args)
-    _write_csv(out / "classical.csv",
-               ["quantity", "value"],
-               [["magnet_field_energy", float(energy)],
-                ["a11_origin", float(a11_origin(profile))]])
-    print(f"magnet field energy: {_fmt(energy)}")
-    return 0
+    rows = [["magnet_field_energy", float(energy)],
+            ["a11_origin", float(a11_origin(profile))]]
+    return ({"classical.csv": _csv(["quantity", "value"], rows)},
+            [f"magnet field energy: {_fmt(energy)}"], True)
 
 
-def suite_fock_fit(args) -> int:
-    cfg = _load_config(args)
-    system, profile = cfg.system(), cfg.profile()
-    grid = build_mode_grid(profile, cfg.grids["n_radial"],
-                           cfg.grids["n_angular"])
+def suite_fock_fit(cfg, args):
+    system, profile, grid = _toy_model(cfg)
     fit = quadratic_fit(system, profile, grid, cfg.grids["n_max"], args.scales,
                         tol=cfg.tolerances["eigensolver"])
-    out = _out_dir(args)
-    _write_csv(out / "fock_fit.csv",
-               ["scale", "energy", "photon_number"],
-               [[float(t), float(e), float(n)] for t, e, n in
-                zip(fit.scales, fit.energies, fit.photon_numbers)])
     n_slope = float(np.polyfit(np.log(fit.scales),
                                np.log(fit.photon_numbers), 1)[0])
     checks = {
@@ -248,40 +224,31 @@ def suite_fock_fit(args) -> int:
         "tolerance_limited": fit.tolerance_limited,
         "photon_number_slope": n_slope, "checks": checks,
     }
-    (out / "fock_fit_manifest.json").write_text(
-        run_manifest(cfg, summary) + "\n")
-    ok = True
-    for name, passed in checks.items():
-        ok &= passed
-        print(f"{'PASS' if passed else 'FAIL'} {name}")
-    print(f"c2={_fmt(fit.c2)} a_disc_min={_fmt(fit.a_disc_min)} "
-          f"residual_slope={fit.residual_slope} photon_slope={_fmt(n_slope)}")
-    return 0 if ok else 1
+    lines, ok = _verdict((passed, name) for name, passed in checks.items())
+    lines.append(f"c2={_fmt(fit.c2)} a_disc_min={_fmt(fit.a_disc_min)} "
+                 f"residual_slope={fit.residual_slope} "
+                 f"photon_slope={_fmt(n_slope)}")
+    rows = [[float(t), float(e), float(n)] for t, e, n in
+            zip(fit.scales, fit.energies, fit.photon_numbers)]
+    return {"fock_fit.csv": _csv(["scale", "energy", "photon_number"], rows),
+            "fock_fit_manifest.json": run_manifest(cfg, summary) + "\n"}, \
+        lines, ok
 
 
-def suite_multiplicity(args) -> int:
-    cfg = _load_config(args)
-    system, profile = cfg.system(), cfg.profile()
-    grid = build_mode_grid(profile, cfg.grids["n_radial"],
-                           cfg.grids["n_angular"])
+def suite_multiplicity(cfg, args):
+    system, profile, grid = _toy_model(cfg)
     rows = multiplicity_scan(system, profile, grid, cfg.grids["n_max"], args.g,
                              degeneracy_tol=cfg.tolerances["degeneracy"],
                              tol=cfg.tolerances["eigensolver"])
-    out = _out_dir(args)
-    _write_csv(out / "multiplicity.csv",
-               ["g", "energy", "mult_h", "mult_a1", "min_overlap"],
-               [[r.g, r.energy, r.mult_h, r.mult_a1, r.min_overlap]
-                for r in rows])
-    (out / "multiplicity_manifest.json").write_text(
-        run_manifest(cfg, {"suite": "multiplicity"}) + "\n")
-    ok = True
-    for r in rows:
-        passed = r.mult_h <= r.mult_a1
-        ok &= passed
-        print(f"{'PASS' if passed else 'FAIL'} g={_fmt(r.g)} "
-              f"mult_h={r.mult_h} mult_a1={r.mult_a1} "
-              f"min_overlap={_fmt(r.min_overlap)}")
-    return 0 if ok else 1
+    lines, ok = _verdict(
+        (r.mult_h <= r.mult_a1, f"g={_fmt(r.g)} mult_h={r.mult_h} "
+         f"mult_a1={r.mult_a1} min_overlap={_fmt(r.min_overlap)}")
+        for r in rows)
+    table = [[r.g, r.energy, r.mult_h, r.mult_a1, r.min_overlap] for r in rows]
+    return {"multiplicity.csv": _csv(["g", "energy", "mult_h", "mult_a1",
+                                      "min_overlap"], table),
+            "multiplicity_manifest.json":
+                run_manifest(cfg, {"suite": "multiplicity"}) + "\n"}, lines, ok
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SpinradError as exc:
+        cfg = parse_config(Path(args.config).read_text())
+        if getattr(args, "seed", None) is not None:
+            cfg.seed = args.seed
+        files, lines, ok = args.func(cfg, args)
+        out = Path(args.out or os.environ.get(OUT_ENV_VAR) or ".")
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text)
+    except (SpinradError, FileNotFoundError) as exc:
         print(f"ERROR {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"ERROR {exc}", file=sys.stderr)
-        return 1
+    print(*lines, sep="\n")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -37,12 +37,9 @@ class RunConfig:
     seed: int = 1234
 
     def system(self) -> SpinSystem:
-        return SpinSystem(
-            positions=np.array([p["position"] for p in self.particles],
-                               dtype=float),
-            moments=np.array([p["moment"] for p in self.particles],
-                             dtype=float),
-            s=self.spin)
+        return SpinSystem(positions=[p["position"] for p in self.particles],
+                          moments=[p["moment"] for p in self.particles],
+                          s=self.spin)
 
     def profile(self) -> CutoffProfile:
         return CutoffProfile(kind=self.cutoff["kind"],
@@ -123,15 +120,15 @@ def parse_config(text: str) -> RunConfig:
         for value in [*pos, part["moment"]]:
             _require(math.isfinite(_cast(float, value, f"particles[{i}]")),
                      f"key 'particles[{i}]' must be finite")
-    positions = np.array([p["position"] for p in particles], dtype=float)
-    for a in range(len(particles)):
-        for b in range(a + 1, len(particles)):
-            _require(np.linalg.norm(positions[a] - positions[b]) > 1e-12,
-                     "key 'particles': positions pairwise distinct")
-
     spin = _cast(float, raw.get("spin", 0.5), "spin")
-    _require(0 < spin < math.inf and abs(2 * spin - round(2 * spin)) < 1e-12,
-             "key 'spin': 2s must be integer")
+    try:
+        SpinSystem(positions=[p["position"] for p in particles],
+                   moments=[p["moment"] for p in particles], s=spin)
+    except DomainError as exc:
+        # shapes and finiteness are checked above; what is left is the
+        # spin or the distinctness of the positions
+        key = "spin" if str(exc).startswith("spin") else "particles"
+        raise ConfigError(f"key '{key}': {exc}") from None
 
     cutoff = _section(raw, "cutoff", DEFAULT_CUTOFF)
     try:

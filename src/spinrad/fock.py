@@ -31,6 +31,7 @@ radial shells only; angular refinement is free.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations_with_replacement
 
@@ -79,6 +80,16 @@ class ModeGrid:
         return len(self.w)
 
 
+def _integer(n, name: str) -> int:
+    """n as an int; a float or a boolean raises DomainError."""
+    try:
+        if not isinstance(n, bool):
+            return operator.index(n)
+    except TypeError:
+        pass
+    raise DomainError(f"{name} must be an integer, got {n!r}")
+
+
 def build_mode_grid(profile: CutoffProfile, n_radial: int,
                     n_angular: int) -> ModeGrid:
     """Spherical-product quadrature grid closed under k -> -k.
@@ -86,6 +97,8 @@ def build_mode_grid(profile: CutoffProfile, n_radial: int,
     Radial: n_radial Gauss-Legendre nodes on (0, r_far).  Angular:
     (n_angular/2) Gauss-Legendre polar nodes x n_angular uniform azimuths.
     """
+    n_radial = _integer(n_radial, "n_radial")
+    n_angular = _integer(n_angular, "n_angular")
     if n_radial < 2:
         raise DomainError("need n_radial >= 2")
     if n_angular < 6 or n_angular % 2:
@@ -195,6 +208,7 @@ class FockSpace:
 
 def build_fock_space(omega_osc: np.ndarray, n_max: int,
                      spin_dim: int = 1) -> FockSpace:
+    n_max = _integer(n_max, "n_max")
     if n_max < 1:
         raise DomainError("need n_max >= 1")
     n_osc = len(omega_osc)
@@ -572,8 +586,10 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
     """
     if np.ptp(system.moments) > 1e-12:
         raise DomainError("multiplicity scan requires equal moments")
-    if not np.all(np.isfinite(g_points)):
-        raise DomainError("multiplicity scan needs finite g values")
+    g_points = np.asarray(g_points, dtype=float)
+    # at g = 0 H is free: its ground level is the whole spin space
+    if not np.all(np.isfinite(g_points) & (g_points != 0)):
+        raise DomainError("multiplicity scan needs nonzero finite g values")
     unit = system.with_moments(np.ones(system.P))
     toy = build_hamiltonian(unit, profile, grid, n_max)
     _, mult_a1, a_basis = ground_eigenspace(
@@ -583,7 +599,7 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
     rows = []
     # One pair past the bound decides PASS; mult_h is capped at mult_a1 + 1.
     k_pairs = min(mult_a1 + 1, toy.dim - 2)
-    for g in np.asarray(g_points, dtype=float):
+    for g in g_points:
         vals, vecs, _ = ground_state(toy.matrix(g), tol=tol, k_pairs=k_pairs,
                                      spin_dim=toy.spin_dim)
         # energies scale like g^2 eig(A_1), so the cluster window must too

@@ -72,9 +72,17 @@ def _dipole_factor(z: float) -> float:
             - math.erf(z)) / z ** 3
 
 
+def _displacement(x) -> np.ndarray:
+    """x as a float array of shape (3,); any other shape raises DomainError."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (3,):
+        raise DomainError(f"displacement must have shape (3,), not {x.shape}")
+    return x
+
+
 def kernel_matrix(profile: CutoffProfile, x) -> KernelMatrix:
     """Evaluate the transverse kernel matrix at displacement x."""
-    x = np.asarray(x, dtype=float)
+    x = _displacement(x)
     t = float(np.linalg.norm(x))
     if not math.isfinite(t):
         raise DomainError(f"displacement {x} has no finite length")
@@ -130,7 +138,7 @@ def kernel_oracle_3d(profile: CutoffProfile, x, n: int = 128) -> KernelMatrix:
         raise DomainError("oracle needs at least 8 nodes per axis")
     if n % 2:
         n += 1  # even count keeps k = 0 off the node set
-    x = np.asarray(x, dtype=float)
+    x = _displacement(x)
     if not np.all(np.isfinite(x)):
         raise DomainError(f"displacement {x} is not finite")
     k, w = _oracle_axis(profile, n)

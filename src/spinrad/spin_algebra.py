@@ -7,6 +7,7 @@ that s = 1/2 reproduces the Pauli matrices, [sigma_1, sigma_2] = 2i sigma_3
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,10 @@ _NORM_TOL = 1e-12
 
 
 def _check_half_integer(s) -> int:
+    """2s of a positive half-integer spin s; booleans are not spins."""
     two_s = 2 * s
-    if abs(two_s - round(two_s)) > 1e-12 or round(two_s) < 1:
+    if isinstance(s, (bool, np.bool_)) or not math.isfinite(two_s) \
+            or abs(two_s - round(two_s)) > 1e-12 or round(two_s) < 1:
         raise DomainError(f"spin must be a positive half-integer, got {s}")
     return int(round(two_s))
 

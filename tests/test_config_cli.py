@@ -66,12 +66,14 @@ def test_parse_overrides():
 
 def test_parse_duplicate_positions():
     bad = MINIMAL.replace("[0.9, -0.3, 0.4]", "[0.0, 0.0, 0.0]")
-    with pytest.raises(ConfigError, match="positions pairwise distinct"):
+    with pytest.raises(ConfigError,
+                       match="key 'particles': positions pairwise distinct"):
         parse_config(bad)
 
 
 def test_parse_bad_spin():
-    with pytest.raises(ConfigError, match="2s must be integer"):
+    with pytest.raises(ConfigError, match=r"key 'spin': spin must be a "
+                       r"positive half-integer, got 0\.75"):
         parse_config(MINIMAL + "\nspin: 0.75\n")
 
 
@@ -138,9 +140,12 @@ BAD_CONFIGS = [(MINIMAL + "\n" + extra + "\n", message) for extra, message in [
      "key 'cutoff': unknown cutoff profile kind 'lorentz'"),
     ("cutoff: {lambda: -1.0}", "key 'cutoff': cutoff scale must be positive"),
     ("cutoff: {lambda: .inf}", "key 'cutoff': cutoff scale must be positive"),
-    # round() of a non-finite spin raises, so these are refused first
-    ("spin: .nan", "key 'spin': 2s must be integer"),
-    ("spin: .inf", "key 'spin': 2s must be integer"),
+    # SpinSystem refuses a non-finite spin with the same message
+    ("spin: .nan",
+     "key 'spin': spin must be a positive half-integer, got nan"),
+    ("spin: .inf",
+     "key 'spin': spin must be a positive half-integer, got inf"),
+    ("spin: 0", "key 'spin': spin must be a positive half-integer, got 0.0"),
 ]] + [(MINIMAL.replace("moment: -0.5", "moment: " + value),
        rf"key 'particles\[1\]' must be {what}")
       for value, what in [("big", "a number"), ("true", "a number"),
@@ -301,6 +306,22 @@ def test_cli_artifacts_same_from_cold_and_warm_rules(tmp_path):
     assert _oracle_axis.cache_info().misses == 1
 
 
+def test_cli_verify_fail_exits_one_and_writes_artifacts(tmp_path, capsys):
+    # no energy identity closes to 1e-300 relative: those rows fail
+    cfg = small_config(tmp_path, extra="tolerances: {identity: 1.0e-300}\n")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 10
+    assert any(line.startswith("FAIL th_egal_") for line in lines)
+    assert all(line.startswith(("PASS ", "FAIL ")) for line in lines)
+    rows = (out / "verify.csv").read_text().strip().splitlines()[1:]
+    assert [row.endswith(",False") for row in rows] \
+        == [line.startswith("FAIL ") for line in lines]
+    doc = json.loads((out / "verify_manifest.json").read_text())
+    assert doc["config"]["tolerances"]["identity"] == 1e-300
+
+
 def test_cli_dense_budget_only_where_a_m_is_built(tmp_path, capsys):
     # 2^13 spin states: classical builds no spin-space array, e2 must
     cfg = tmp_path / "thirteen.yaml"
@@ -314,11 +335,15 @@ def test_cli_dense_budget_only_where_a_m_is_built(tmp_path, capsys):
     lines = (tmp_path / "classical.csv").read_text().strip().splitlines()
     assert float(lines[1].split(",")[1]) > 0.0
     capsys.readouterr()
-    assert main(["e2", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
+    out = tmp_path / "e2"
+    assert main(["e2", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("ERROR ")
     assert "dense budget" in err[0]
-    assert not (tmp_path / "e2.json").exists()
+    # an ERROR exit prints nothing to stdout and writes no artifact
+    assert captured.out == ""
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("text", [

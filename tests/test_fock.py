@@ -55,6 +55,21 @@ def test_grid_validation(profile):
         build_mode_grid(profile, 8, 7)
 
 
+@pytest.mark.parametrize("n_radial, n_angular, name", [
+    (2.5, 6, "n_radial"), (True, 6, "n_radial"), (4, 6.0, "n_angular"),
+    (4, "6", "n_angular")])
+def test_grid_sizes_must_be_integers(profile, n_radial, n_angular, name):
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        build_mode_grid(profile, n_radial, n_angular)
+
+
+@pytest.mark.parametrize("n_max", [1.5, 2.0, True, None])
+def test_fock_space_cap_must_be_an_integer(small_grid, n_max):
+    with pytest.raises(DomainError, match="n_max must be an integer"):
+        build_fock_space(small_grid.omega, n_max)
+    assert build_fock_space(small_grid.omega, np.int64(1)).n_max == 1
+
+
 def test_grid_rejects_asymmetry_at_construction(small_grid):
     # ModeGrid owns its antipodal symmetry: every constructor checks it
     k, w = small_grid.k, small_grid.w
@@ -640,6 +655,7 @@ def test_multiplicity_scan(profile, default_grid):
     with pytest.raises(DomainError):
         multiplicity_scan(pair.with_moments([1.0, 0.5]), profile,
                           default_grid, 1, [0.1])
-    for g in ([np.nan], [0.2, np.inf]):
-        with pytest.raises(DomainError, match="finite g"):
+    # at g = 0 H is free and its whole ground level would count as mult_h
+    for g in ([np.nan], [0.2, np.inf], [0.0, 0.1], [0.1, -0.0]):
+        with pytest.raises(DomainError, match="nonzero finite g"):
             multiplicity_scan(pair, profile, default_grid, 1, g)

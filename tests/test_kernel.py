@@ -178,6 +178,14 @@ def test_matches_oracle(profile):
         assert np.abs(K - O).max() <= 1e-6
 
 
+@pytest.mark.parametrize("x", [[0.3, 0.1], [[0.3, 0.1, -0.5]],
+                               [0.3, 0.1, -0.5, 0.2], 0.3])
+@pytest.mark.parametrize("evaluate", [kernel_matrix, kernel_oracle_3d])
+def test_displacement_must_be_a_3_vector(profile, evaluate, x):
+    with pytest.raises(DomainError, match=r"shape \(3,\)"):
+        evaluate(profile, x)
+
+
 def test_oracle_origin_value(profile):
     O = kernel_oracle_3d(profile, [0.0, 0.0, 0.0]).entries
     assert abs(O[0, 0] - A11_GAUSS) <= 1e-6

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from spinrad.errors import DomainError
 from spinrad.spin_algebra import embed_site_operator, hopf_map, omega_state, \
     product_state, product_vectors, spin_matrices, su2_rotate
+from spinrad.spin_operator import SpinSystem
 
 ALL_SPINS = [0.5, 1.0, 1.5, 2.0, 2.5]
 
@@ -46,6 +47,15 @@ def test_spin_three_half_weights():
 def test_non_half_integer_rejected():
     with pytest.raises(DomainError):
         spin_matrices(0.75)
+
+
+@pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan, True, np.True_, 0.0])
+@pytest.mark.parametrize("build", [
+    spin_matrices, omega_state,
+    lambda s: SpinSystem(positions=[[0.0, 0.0, 0.0]], moments=[1.0], s=s)])
+def test_non_finite_or_boolean_spin_rejected(build, s):
+    with pytest.raises(DomainError, match="positive half-integer"):
+        build(s)
 
 
 def test_embed_site_operator():

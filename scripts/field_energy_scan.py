@@ -6,12 +6,15 @@ from the configuration's seed and prints, for each spherical-product rule
 (n_radial, n_theta, n_phi), the largest verify residual
 |<A_M X, X> + E_field(X)| / max(1, |<A_M X, X>|) over the states and two
 wall times.  `field_energy` builds each rule once per process and reuses it,
-so the cold column is the first quadrature after the rule cache is cleared,
-rule build included (what one CLI command pays once per rule), and the
-"s / quadrature" column is the median of the three quadratures that follow,
-on the built rule.  The ladder runs past verify's fixed 96 x 32 x 64 rule,
-marked *, so the residual shows whether that rule has converged to the
-precision of the A_M assembly.
+and so it does the cosine sums of each site geometry.  The cold column is
+the first quadrature after both caches are cleared, rule build included
+(what one CLI command pays once per rule), and the "s / quadrature" column
+is the median of the three quadratures that follow, on the built rule.  The
+cosine cache is cleared before each of them too, so that column times a
+whole quadrature, cosines included, and not a reuse of the first call's.
+The ladder runs past verify's fixed 96 x 32 x 64 rule, marked *, so the
+residual shows whether that rule has converged to the precision of the A_M
+assembly.
 """
 
 import statistics
@@ -21,7 +24,8 @@ from pathlib import Path
 # spinrad first: its BLAS one-thread pin only acts before numpy loads
 from spinrad.config import parse_config
 from spinrad.field_energy import DEFAULT_N_PHI, DEFAULT_N_RADIAL, \
-    DEFAULT_N_THETA, _spherical_nodes, field_energy, vector_current
+    DEFAULT_N_THETA, _radial_cosines, _spherical_nodes, field_energy, \
+    vector_current
 from spinrad.spin_operator import assemble_am, quadratic_form
 
 import numpy as np
@@ -49,11 +53,13 @@ if __name__ == "__main__":
     for rule in RULES:
         sizes = dict(zip(("n_radial", "n_theta", "n_phi"), rule))
         _spherical_nodes.cache_clear()
+        _radial_cosines.cache_clear()
         start = time.perf_counter()
         field_energy(currents[0][1], **sizes)
         cold = time.perf_counter() - start
         resid, times = 0.0, []
         for qf, current in currents:
+            _radial_cosines.cache_clear()
             start = time.perf_counter()
             energy = field_energy(current, **sizes)
             times.append(time.perf_counter() - start)

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and argument checks shared across the package."""
+
+import operator
 
 
 class SpinradError(Exception):
@@ -19,3 +21,13 @@ class ConvergenceError(SpinradError, RuntimeError):
 
 class ConfigError(SpinradError, ValueError):
     """A run configuration is syntactically or semantically invalid."""
+
+
+def _integer(n, name: str) -> int:
+    """n as an int; a float or a boolean raises DomainError."""
+    try:
+        if not isinstance(n, bool):
+            return operator.index(n)
+    except TypeError:
+        pass
+    raise DomainError(f"{name} must be an integer, got {n!r}")

@@ -31,7 +31,6 @@ radial shells only; angular refinement is free.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations_with_replacement
 
@@ -41,7 +40,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cutoff import CutoffProfile, phi_eval
-from .errors import ConvergenceError, DomainError, ResourceError
+from .errors import ConvergenceError, DomainError, ResourceError, \
+    _integer
 from .spin_operator import DEFAULT_DEGENERACY_TOL, HermitianSpinOperator, \
     SpinSystem, _checked_operator, bilinear_spin_operator, \
     ground_eigenspace, site_spin_operators
@@ -78,16 +78,6 @@ class ModeGrid:
     @property
     def n_modes(self) -> int:
         return len(self.w)
-
-
-def _integer(n, name: str) -> int:
-    """n as an int; a float or a boolean raises DomainError."""
-    try:
-        if not isinstance(n, bool):
-            return operator.index(n)
-    except TypeError:
-        pass
-    raise DomainError(f"{name} must be an integer, got {n!r}")
 
 
 def build_mode_grid(profile: CutoffProfile, n_radial: int,

@@ -10,6 +10,7 @@ ground-energy expansion in the magnetic moments.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -85,14 +86,20 @@ class HermitianSpinOperator:
             self.eigenvectors = None
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def site_spin_operators(s, P) -> sp.csr_matrix:
     """Sparse stack S of shape (3 P dim, dim) of the embedded spins.
 
     Row block a = 3 lam + m (0-based) is S_a = sigma_(m+1) on site lam + 1.
+    Built once per process for each (s, P), typed so that True is not 1,
+    and shared: its data, indices and indptr are read-only.
     """
     sig = spin_matrices(s)
-    return sp.vstack([embed_site_operator(sig[m], lam + 1, P)
-                      for lam in range(P) for m in range(3)], format="csr")
+    S = sp.vstack([embed_site_operator(sig[m], lam + 1, P)
+                   for lam in range(P) for m in range(3)], format="csr")
+    for arr in (S.data, S.indices, S.indptr):
+        arr.flags.writeable = False
+    return S
 
 
 def bilinear_spin_operator(coef: np.ndarray, s) -> np.ndarray:

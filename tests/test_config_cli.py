@@ -14,9 +14,10 @@ from spinrad.config import DEFAULT_GRIDS, DEFAULT_TOLERANCES, load_yaml, \
     parse_config, run_manifest
 from spinrad.cutoff import CutoffProfile
 from spinrad.errors import ConfigError
-from spinrad.field_energy import _spherical_nodes
-from spinrad.kernel import _oracle_axis
-from spinrad.spin_operator import SpinSystem, assemble_am
+from spinrad.field_energy import _radial_cosines, _spherical_nodes
+from spinrad.kernel import _oracle_rule
+from spinrad.spin_operator import SpinSystem, assemble_am, \
+    site_spin_operators
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TWO = str(CONFIG_DIR / "two_spins.yaml")
@@ -289,9 +290,13 @@ def test_cli_classical(tmp_path):
 
 
 def test_cli_artifacts_same_from_cold_and_warm_rules(tmp_path):
-    # each fixed Gauss-Legendre rule is built on its first use in the process
-    _spherical_nodes.cache_clear()
-    _oracle_axis.cache_clear()
+    # each fixed Gauss-Legendre rule, the oracle's table, the cosine sums of
+    # a geometry and the site-spin stack are built on their first use in the
+    # process
+    caches = (_spherical_nodes, _oracle_rule, _radial_cosines,
+              site_spin_operators)
+    for cache in caches:
+        cache.cache_clear()
     blobs = []
     for run in ("cold", "warm"):
         out = tmp_path / run
@@ -302,8 +307,20 @@ def test_cli_artifacts_same_from_cold_and_warm_rules(tmp_path):
         blobs.append((out / "verify.csv").read_bytes()
                      + (out / "classical.csv").read_bytes())
     assert blobs[0] == blobs[1]
-    assert _spherical_nodes.cache_info().misses == 1
-    assert _oracle_axis.cache_info().misses == 1
+    assert [cache.cache_info().misses for cache in caches] == [1, 1, 1, 1]
+
+
+def test_cli_verify_takes_cosines_once_per_geometry(tmp_path):
+    # five field energies per verify run: the moved sites miss once, and
+    # TWO's sites with other moments hit
+    moved = tmp_path / "moved.yaml"
+    moved.write_text(MINIMAL.replace("[0.9, -0.3, 0.4]", "[0.2, 1.1, -0.6]"))
+    _radial_cosines.cache_clear()
+    for i, cfg in enumerate([TWO, str(moved),
+                             small_config(tmp_path, (0.3, 0.7))]):
+        assert main(["verify", "--config", cfg,
+                     "--out", str(tmp_path / str(i))]) == 0
+    assert _radial_cosines.cache_info()[:2] == (13, 2)  # hits, misses
 
 
 def test_cli_verify_fail_exits_one_and_writes_artifacts(tmp_path, capsys):

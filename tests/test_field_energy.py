@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from spinrad.cutoff import phi_eval
 from spinrad.errors import DomainError
 from spinrad.field_energy import DEFAULT_N_PHI, DEFAULT_N_RADIAL, \
-    DEFAULT_N_THETA, FourierCurrent, _spherical_nodes, classical_current, \
-    classical_decomposition_check, field_energy, higher_spin_constant, \
-    vector_current
+    DEFAULT_N_THETA, FourierCurrent, _radial_cosines, _spherical_nodes, \
+    classical_current, classical_decomposition_check, field_energy, \
+    higher_spin_constant, vector_current
 from spinrad.spin_algebra import omega_state, product_state, spin_matrices, \
     su2_rotate
 from spinrad.spin_operator import SpinSystem, assemble_am, quadratic_form, \
@@ -234,6 +234,7 @@ SMALL_QUAD = {"n_radial": 24, "n_theta": 8, "n_phi": 16}
 def test_currents_match_reference(profile, s, P, monkeypatch):
     # 13-40 of the 128 directions per batch: several batches, the last short
     monkeypatch.setattr(field_energy_module, "_BATCH_NODES", 24 * 40)
+    _radial_cosines.cache_clear()  # the cosines are cached in batches
     rng = np.random.default_rng(int(10 * s) + P)
     system = random_system(rng, P, s=s)
     if P > 1:
@@ -432,15 +433,56 @@ def test_field_energy_rejects_empty_rules(profile, two_spin_system, sizes):
 
 @pytest.mark.parametrize("sizes", [{"n_radial": 96.0}, {"n_theta": 9.5},
                                    {"n_phi": np.float64(64.0)},
-                                   {"n_phi": "64"}, {"n_radial": None}])
+                                   {"n_phi": "64"}, {"n_radial": None},
+                                   {"n_radial": True}, {"n_theta": True},
+                                   {"n_phi": True}])
 def test_field_energy_rejects_non_integer_rule_sizes(profile, two_spin_system,
                                                      sizes):
     cur = classical_current(two_spin_system, profile,
                             [[0, 0, 1.0], [1.0, 0, 0]])
-    # after an int call has built the default rule, 96.0 must not find it
+    # after an int call has built the default rule, 96.0 must not find it;
+    # True must not pass as 1
     field_energy(cur)
-    with pytest.raises(DomainError, match="integers"):
+    (name,) = sizes
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
         field_energy(cur, **sizes)
+
+
+def test_field_energy_same_from_cold_and_warm_caches(profile,
+                                                     two_spin_system):
+    rng = np.random.default_rng(5)
+    currents = [vector_current(two_spin_system, profile,
+                               random_state(rng, two_spin_system.spin_dim)),
+                classical_current(two_spin_system, profile,
+                                  [[0, 0, 1.0], [0.6, 0.8, 0]])]
+    _spherical_nodes.cache_clear()
+    _radial_cosines.cache_clear()
+    cold = [field_energy(cur) for cur in currents]
+    warm = [field_energy(cur) for cur in currents]
+    # one geometry: both currents share the cosine sums
+    assert _radial_cosines.cache_info()[:2] == (3, 1)  # hits, misses
+    assert cold == warm
+
+
+def test_radial_cosines_are_read_only(profile, monkeypatch):
+    # 3 directions x 6 pairs x 4 radial nodes per batch: two blocks over
+    # the 2 x 3 upper directions
+    monkeypatch.setattr(field_energy_module, "_BATCH_NODES", 3 * 6 * 4)
+    _radial_cosines.cache_clear()
+    system = random_system(np.random.default_rng(8), 4)
+    cur = classical_current(system, profile, np.eye(3)[[0, 1, 2, 0]])
+    energy = field_energy(cur, n_radial=4, n_theta=3, n_phi=3)
+    lam, mu = np.triu_indices(4, k=1)
+    dx = tuple((system.positions[mu] - system.positions[lam]).ravel())
+    a, blocks = _radial_cosines(profile, 4, 3, 3, dx)
+    assert _radial_cosines.cache_info()[:2] == (1, 1)  # hits, misses
+    assert [C.shape for C in blocks] == [(3, 6)] * 2
+    # a larger batch size finds the cached blocks and follows their batches
+    monkeypatch.setattr(field_energy_module, "_BATCH_NODES", 1 << 18)
+    assert field_energy(cur, n_radial=4, n_theta=3, n_phi=3) == energy
+    for arr in (a,) + blocks:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_spherical_rule_is_built_once_and_read_only(profile):

@@ -10,7 +10,7 @@ from scipy.special import spherical_jn
 
 from spinrad.cutoff import CutoffProfile, phi_eval
 from spinrad.errors import DomainError
-from spinrad.kernel import _oracle_axis, a11_origin, kernel_matrix, \
+from spinrad.kernel import _oracle_rule, a11_origin, kernel_matrix, \
     kernel_oracle_3d
 
 A11_GAUSS = 1.0 / (12.0 * math.pi ** 1.5)
@@ -255,7 +255,8 @@ def test_oracle_rejects_tiny_node_count(profile):
         kernel_oracle_3d(profile, [0.0, 0.0, 0.0], n=4)
 
 
-@pytest.mark.parametrize("n", [128.0, 9.5, np.float64(32.0), "128", None])
+@pytest.mark.parametrize("n", [128.0, 9.5, np.float64(32.0), "128", None,
+                               True])
 def test_oracle_rejects_non_integer_node_count(profile, n):
     # after an int call has built the n = 128 rule, 128.0 must not find it
     kernel_oracle_3d(profile, [0.3, 0.1, -0.2])
@@ -264,12 +265,25 @@ def test_oracle_rejects_non_integer_node_count(profile, n):
 
 
 def test_oracle_axis_rule_is_built_once_and_read_only(profile):
-    rule = _oracle_axis(profile, 32)
-    assert _oracle_axis(profile, 32) is rule
-    for cached, fresh in zip(rule, _oracle_axis.__wrapped__(profile, 32)):
+    rule = _oracle_rule(profile, 32)
+    assert _oracle_rule(profile, 32) is rule
+    for cached, fresh in zip(rule, _oracle_rule.__wrapped__(profile, 32)):
         assert np.array_equal(cached, fresh)
         with pytest.raises(ValueError):
             cached[0] = 0.0
+    # the table built in the |k|^2 buffer has the bits of a separate build
+    k, _, g = rule
+    k2 = (k * k)[:, None, None] + (k * k)[:, None] + k * k
+    assert np.array_equal(g, phi_eval(profile, np.sqrt(k2)) ** 2 / k2)
+
+
+def test_oracle_same_from_cold_and_warm_rule(profile):
+    x = [0.3, -0.7, 0.45]
+    _oracle_rule.cache_clear()
+    cold = kernel_oracle_3d(profile, x, n=32).entries
+    warm = kernel_oracle_3d(profile, x, n=32).entries
+    assert _oracle_rule.cache_info()[:2] == (1, 1)  # hits, misses
+    assert np.array_equal(cold, warm)
 
 
 def test_row_transversality(profile):

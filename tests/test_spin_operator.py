@@ -18,7 +18,7 @@ from spinrad.spin_algebra import embed_site_operator, hopf_map, \
     product_state, product_vectors
 from spinrad.spin_operator import HermitianSpinOperator, SpinSystem, \
     _assemble, assemble_am, bilinear_spin_operator, ground_eigenspace, \
-    quadratic_form
+    quadratic_form, site_spin_operators
 
 from conftest import kron_embed, kron_site_spins, projector_kernel, \
     random_state
@@ -417,3 +417,21 @@ def test_site_embeddings_and_block_build_match_kron_chains(cluster, seed):
     ref = np.matmul(np.tensordot(coef, E, axes=(0, 0)), E).sum(axis=0)
     A = bilinear_spin_operator(coef, s)
     assert np.abs(A - ref).max() <= 1e-12 * max(1.0, np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("s, P", [(0.5, 2), (1.5, 3)])
+def test_site_spin_stack_is_built_once_and_read_only(s, P):
+    S = site_spin_operators(s, P)
+    assert site_spin_operators(s, P) is S
+    fresh = site_spin_operators.__wrapped__(s, P)
+    assert (S != fresh).nnz == 0
+    for arr in (S.data, S.indices, S.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_site_spin_stack_cache_keeps_booleans_out():
+    # typed: the stack of (1.0, 2) is not the answer for (True, 2)
+    site_spin_operators(1.0, 2)
+    with pytest.raises(DomainError):
+        site_spin_operators(True, 2)

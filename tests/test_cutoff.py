@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,29 @@ def test_cli_import_leaves_scipy_quadrature_stack_unloaded():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=path))
     assert out.stdout.split() == []
+
+
+def test_fock_suites_leave_scipy_linalg_unloaded(tmp_path):
+    # the Fock route solves with numpy alone: scipy.linalg and
+    # scipy.sparse.linalg would add about 0.04 s to every start-up
+    code = textwrap.dedent("""
+        import sys, spinrad.cli
+        configs, out = sys.argv[1:]
+        scales, g = "0.4,0.2,0.1,0.05", "0.4,0.2,0.1"
+        for suite, config, points in [
+                ("fock-fit", "two_spins", ["--scales", scales]),
+                ("fock-fit", "two_spins_equal", ["--scales", scales]),
+                ("multiplicity", "two_spins_equal", ["--g", g])]:
+            assert spinrad.cli.main([suite, "--config",
+                                     f"{configs}/{config}.yaml",
+                                     "--out", out, *points]) == 0
+        print("loaded:", *(m for m in ("scipy.linalg", "scipy.sparse.linalg")
+                           if m in sys.modules))
+        """)
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(configs), str(tmp_path)],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.splitlines()[-1].split() == ["loaded:"]

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 from hypothesis import assume, example, given, settings, strategies as st
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 from scipy import integrate
 from scipy.optimize import brentq
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from spinrad.config import parse_config
 from spinrad.cutoff import CutoffProfile, phi_eval
 from spinrad.errors import ConvergenceError, DomainError, ResourceError
 import spinrad.fock as fock
@@ -22,6 +23,8 @@ from spinrad.spin_operator import DEFAULT_DEGENERACY_TOL, SpinSystem, \
     _assemble, assemble_am, site_spin_operators
 
 from conftest import kron_site_spins, projector_kernel, random_state
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_grid_antipodal_symmetry(default_grid):
@@ -361,6 +364,32 @@ def test_fock_ladder_matches_reference(profile, n_radial, n_angular, n_max):
     assert toy.h_free.diagonal().tobytes() == np.repeat(reference, 2).tobytes()
 
 
+@pytest.mark.parametrize("s", [0.5, 1.0])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_one_pass_interaction_matches_kron_sum(profile, s, n_max):
+    # h_int against sum_a M_a Phi_S(W_a) (x) S_a, one Segal field per row
+    # of the reduced couplings; n_max = 3 reaches the n >= 3 ladder steps
+    grid = build_mode_grid(profile, 2, 6)
+    system = SpinSystem(positions=[[0.0, 0.0, 0.0], [0.9, -0.3, 0.4]],
+                        moments=[0.8, -0.5], s=s)
+    toy = build_hamiltonian(system, profile, grid, n_max)
+    _, W = fock._coupled_oscillators(grid, toy.coupling)
+    S = site_spin_operators(s, system.P)
+    d = system.spin_dim
+    ref = sp.csr_matrix(toy.h_int.shape, dtype=complex)
+    for a, w in enumerate(W):
+        ref = ref + system.moments[a // 3] * sp.kron(
+            segal_field(toy.space, w), S[a * d:(a + 1) * d], format="csr")
+    got = toy.h_int.tocsr(copy=True)
+    for m in (got, ref):
+        m.sum_duplicates()
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    scale = np.abs(got.data).max()
+    assert scale > 0.0
+    assert np.abs(got.data - ref.data).max() <= 1e-15 * scale
+
+
 def _full_grid_hamiltonian(system, profile, grid, n_max):
     """H on all 2N (mode, polarization) oscillators of the grid.
 
@@ -433,10 +462,10 @@ def test_ground_state_diagonal_and_free(profile, small_grid, two_spin_system):
 
 
 def test_ground_state_no_convergence(monkeypatch):
-    def stalled(A, X, **kwargs):  # hands back its start block unimproved
-        return np.einsum("ij,ij->j", X.conj(), A @ X).real, X
+    def stalled(H, X, *args):  # hands back its start block unimproved
+        return X, 1000
 
-    monkeypatch.setattr("spinrad.fock.spla.lobpcg", stalled)
+    monkeypatch.setattr("spinrad.fock._lobpcg", stalled)
     laplacian = sp.diags([-np.ones(63), 2.0 * np.ones(64), -np.ones(63)],
                          [-1, 0, 1])
     with pytest.raises(ConvergenceError, match="above tolerance"):
@@ -445,14 +474,17 @@ def test_ground_state_no_convergence(monkeypatch):
 
 @pytest.mark.parametrize("shift", [1e-9, np.nan])
 def test_ground_state_rejects_residual_above_tol(monkeypatch, shift):
-    # an exact eigenvector with its eigenvalue off by `shift`: residual
-    # 1e-9 against the 1e-10 default tolerance, or NaN
+    # the energy is the Rayleigh quotient of the vector handed back, so the
+    # fault is in the vector: the ground eigenvector tilted towards the next
+    # one, residual `shift` (1e-9 against the 1e-10 default tolerance) or NaN
     d = np.linspace(-1.0, 2.0, 64)
 
-    def off(A, X, **kwargs):
-        return np.array([d[0] + shift]), np.eye(64, 1)
+    def off(H, X, *args):
+        v = np.eye(64, 1)
+        v[1] = shift / (d[1] - d[0])
+        return v, 1
 
-    monkeypatch.setattr("spinrad.fock.spla.lobpcg", off)
+    monkeypatch.setattr("spinrad.fock._lobpcg", off)
     with pytest.raises(ConvergenceError, match="above tolerance"):
         ground_state(sp.diags(d), k_pairs=1)
 
@@ -520,13 +552,13 @@ def test_one_column_solve_matches_block(profile, monkeypatch, positions, s):
                         s=s)
     toy = build_hamiltonian(system, profile, grid, 1)
     widths = []
-    lobpcg = spla.lobpcg
+    solve = fock._lobpcg
 
-    def recorded(A, X, **kwargs):
+    def recorded(H, X, *args):
         widths.append(X.shape[1])
-        return lobpcg(A, X, **kwargs)
+        return solve(H, X, *args)
 
-    monkeypatch.setattr("spinrad.fock.spla.lobpcg", recorded)
+    monkeypatch.setattr("spinrad.fock._lobpcg", recorded)
     for t in (0.4, 0.2, 0.1, 0.05):
         H = toy.matrix(t)
         one = ground_state(H, k_pairs=1, spin_dim=toy.spin_dim)[0][0]
@@ -561,6 +593,28 @@ def test_multiplicity_matches_schur_oracle(profile, default_grid, positions,
         assert r.mult_h == int(np.sum(exact <= exact[0] + width)) == expected
         assert r.mult_h <= r.mult_a1
         assert abs(r.energy - exact[0]) <= 1e-12 * abs(exact[0])
+
+
+def test_block_past_the_spin_space_converges(profile, monkeypatch):
+    # configs/single_spin.yaml: 3 pairs on 146 states, the third in a 6-fold
+    # one-photon cluster; a block of width 3 stalls at the 1000-step limit
+    cfg = parse_config((CONFIGS / "single_spin.yaml").read_text())
+    grid = build_mode_grid(cfg.profile(), cfg.grids["n_radial"],
+                           cfg.grids["n_angular"])
+    solves = []
+    solve = fock._lobpcg
+
+    def recorded(H, X, *args):
+        vecs, steps = solve(H, X, *args)
+        solves.append((H.shape[0], X.shape[1], steps))
+        return vecs, steps
+
+    monkeypatch.setattr("spinrad.fock._lobpcg", recorded)
+    rows = multiplicity_scan(cfg.system(), cfg.profile(), grid,
+                             cfg.grids["n_max"], [0.4, 0.2, 0.1])
+    assert [r.mult_h for r in rows] == [2, 2, 2]
+    assert [(dim, width) for dim, width, _ in solves] == [(146, 5)] * 3
+    assert all(steps <= 50 for _, _, steps in solves)
 
 
 def test_ground_state_finds_degenerate_pair(profile, default_grid):

@@ -3,17 +3,17 @@
 
 For the bundled two-spin configuration, and a three-spin system built
 from it, prints for each mode grid and photon cap the dimension of H on
-all 2N (mode, polarization) oscillators, the dimension build_hamiltonian
-assembles on the coupled oscillators only (at most 3P per radial shell),
-the fitted c2 / a_disc_min, the discrete-to-continuum gap
-lambda_min(A_disc) / lambda_min(A_M) - 1, and the cost of the quadratic
-fit: the H build, the four ground-state solves with the LOBPCG steps of
-each, and the wall time of the whole fit (grid, build, solves and the
-discrete A_M).  Build and solve times come from recorders put around
-fock.build_hamiltonian and fock.ground_state for the run.  The full
-space is only counted, never built; a full dimension past MAX_TOTAL_DIM
-is marked, as it could not be assembled.  The reduced space grows with
-n_radial only, so angular refinement is free.
+all 2N oscillators of the grid (two polarizations per mode), the
+dimension build_hamiltonian assembles on the coupled oscillators only
+(at most 3P per radial shell), the fitted c2 / a_disc_min, the
+discrete-to-continuum gap lambda_min(A_disc) / lambda_min(A_M) - 1, and
+the cost of the quadratic fit: the H build, the four ground-state solves
+with the LOBPCG steps of each, and the wall time of the whole fit (grid,
+build, solves and the discrete A_M).  Build and solve times come from
+recorders put around fock.build_hamiltonian and fock.ground_state for
+the run.  The full space is only counted, never built; a full dimension
+past MAX_TOTAL_DIM is marked, as it could not be assembled.  The reduced
+space grows with n_radial only, so angular refinement is free.
 """
 
 import math

@@ -32,6 +32,6 @@ from .field_energy import FourierCurrent, classical_current, \
     classical_decomposition_check, field_energy, higher_spin_constant, \
     vector_current
 from .fock import ModeGrid, ToyHamiltonian, build_hamiltonian, \
-    build_mode_grid, coupling_matrix, discrete_am, ground_state, \
-    multiplicity_scan, photon_number, quadratic_fit, variational_trial_check
+    build_mode_grid, discrete_am, ground_state, multiplicity_scan, \
+    photon_number, quadratic_fit, variational_trial_check
 from .config import RunConfig, parse_config, run_manifest

@@ -1,31 +1,41 @@
 """Desk-scale truncated Fock realization of the spin-photon Hamiltonian.
 
-The photon momentum integral is discretized on an antipodally symmetric
-spherical-product grid; each (mode, polarization) pair becomes one bosonic
-oscillator.  The Hamiltonian
+The photon momentum integral is discretized on a spherical-product grid:
+n_radial Gauss-Legendre shells |k| = r_s times one set of unit directions
+u_d with weights w_d.  Each (mode, polarization) pair is a bosonic
+oscillator of frequency |k|, and the Hamiltonian
 
     H = dGamma(omega) (x) I + sum_{lam,m} M[lam] Phi_S(B_{m,x[lam]}) (x) sigma_m^[lam]
 
 is assembled sparse on the occupation basis with total photon number
-<= n_max, tensored with the spin space (Fock index major).  H and the
-discrete A_M both read one array, the coupling_matrix kept on the
-ToyHamiltonian; A_M is its Gram matrix, Hermitian and negative
-semidefinite on any grid.  ModeGrid's antipodal symmetry, the discrete
-k -> -k evenness of the continuum kernel, makes it real.
+<= n_max, tensored with the spin space (Fock index major).
 
 Only the oscillators the spins couple to are kept (the "effective mode"
 reduction: Cederbaum, Gindensperger & Burghardt, PRL 94 (2005) 113003).
-All oscillators of one radial shell of the grid share one frequency, so a
-unitary that mixes only that shell's oscillators leaves dGamma(omega)
-unchanged.  QR of the shell's (m x 3P) block of coupling vectors,
-V^T = U R, picks such a unitary: a^dagger(v_a) = sum_j R[j, a] b_j^dagger,
-and the other m - min(3P, m) new oscillators do not couple.  The truncated
-H is then block diagonal in the number n of photons in those uncoupled
-oscillators, and block n has the spectrum of the reduced H at cap n_max - n
-shifted by at least n omega_min.  So the ground state, and every level
-below E_0 + omega_min, is that of the reduced H at cap n_max with the
-uncoupled oscillators empty.  The reduced space grows with the number of
-radial shells only; angular refinement is free.
+All oscillators of one shell share one frequency, so a unitary that mixes
+only that shell's oscillators leaves dGamma(omega) unchanged, and H
+depends on the shell only through the Gram matrix of its 3P coupling
+vectors.  Summed over the two polarizations, the couplings give the
+transverse projector, and the sine part cancels between the directions
+u and -u of the grid, so that Gram matrix is real:
+
+    G_s[lam j, mu m] = c_s sum_d w_d (delta_jm - u_dj u_dm)
+                       cos(r_s u_d.(x_lam - x_mu)),
+    c_s = rw_s r_s^3 phi(r_s)^2 (2 pi)^-3.
+
+Any real W_s with W_s W_s^T = G_s has the Gram matrix of those couplings,
+so a unitary of the shell's oscillators turns them into a^dagger(v_a) =
+sum_j W_s[a, j] b_j^dagger, one new oscillator b_j per column of W_s, and
+the shell's other oscillators do not couple.  The truncated H is then
+block diagonal in the number n of photons in those uncoupled
+oscillators, and block n has the spectrum of the reduced H at cap
+n_max - n shifted by at least n omega_min.  So the ground state, and
+every level below E_0 + omega_min, is that of the reduced H at cap n_max
+with the uncoupled oscillators empty.  The reduced space grows with the
+number of radial shells only; angular refinement is free.  H and the
+discrete A_M both read the shell factors W kept on the ToyHamiltonian:
+A_M is the second-order operator of H's couplings, real symmetric and
+negative semidefinite on any grid.
 
 H_int is assembled in one pass from one spin block per oscillator, and
 its low eigenpairs come from an in-package block LOBPCG written in
@@ -61,33 +71,29 @@ START_NOISE_SEED = 1234
 
 @dataclass(frozen=True)
 class ModeGrid:
-    """Finite antipodally symmetric photon-mode set with quadrature weights."""
+    """Photon modes k = radius[s] direction[d] of a spherical-product rule.
 
-    k: np.ndarray        # (N, 3) wavevectors
-    w: np.ndarray        # (N,) positive weights for int dk
-    eps: np.ndarray      # (N, 2, 3) orthonormal transverse polarizations
-    antipode: np.ndarray  # (N,) index of the mode at -k
-    shell: np.ndarray    # (N,) radial node of each mode; equal |k| within one
-    omega: np.ndarray    # (N,) mode frequencies |k|
+    Mode (s, d) has frequency radius[s] and weight
+    radial_weight[s] radius[s]^2 direction_weight[d] for int dk.
+    """
 
-    def __post_init__(self):
-        # k[antipode] = -k to 1e-13 max|k|, written so that NaN fails too
-        if not np.abs(self.k[self.antipode] + self.k).max() \
-                <= 1e-13 * np.abs(self.k).max() or \
-                not np.array_equal(self.w[self.antipode], self.w):
-            raise DomainError("mode grid must be antipodally symmetric")
+    radius: np.ndarray            # (n_radial,) shell radii |k|
+    radial_weight: np.ndarray     # (n_radial,) weights for int d|k|
+    direction: np.ndarray         # (n_dirs, 3) unit directions
+    direction_weight: np.ndarray  # (n_dirs,) weights for int dOmega
 
     @property
     def n_modes(self) -> int:
-        return len(self.w)
+        return len(self.radius) * len(self.direction_weight)
 
 
 def build_mode_grid(profile: CutoffProfile, n_radial: int,
                     n_angular: int) -> ModeGrid:
-    """Spherical-product quadrature grid closed under k -> -k.
+    """Spherical-product quadrature grid, closed under u -> -u.
 
     Radial: n_radial Gauss-Legendre nodes on (0, r_far).  Angular:
-    (n_angular/2) Gauss-Legendre polar nodes x n_angular uniform azimuths.
+    (n_angular/2) Gauss-Legendre polar nodes x n_angular uniform azimuths,
+    azimuth fastest.
     """
     n_radial = _integer(n_radial, "n_radial")
     n_angular = _integer(n_angular, "n_angular")
@@ -97,77 +103,48 @@ def build_mode_grid(profile: CutoffProfile, n_radial: int,
         raise DomainError("need even n_angular >= 6")
     r_far = profile.far_radius()
     rn, rw = np.polynomial.legendre.leggauss(n_radial)
-    rn = 0.5 * r_far * (rn + 1.0)
-    rw = 0.5 * r_far * rw
-    n_theta = n_angular // 2
-    cn, cw = np.polynomial.legendre.leggauss(n_theta)
-    # symmetrize so the antipodal map is exact in floating point
-    cn = 0.5 * (cn - cn[::-1])
-    cw = 0.5 * (cw + cw[::-1])
-    n_phi = n_angular
-    ph = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    pw = 2.0 * math.pi / n_phi
-
-    R, C, F = np.meshgrid(rn, cn, ph, indexing="ij")
-    RS = R * np.sqrt(1.0 - C * C)
-    k = np.stack([RS * np.cos(F), RS * np.sin(F), R * C], axis=-1)
-    k = k.reshape(-1, 3)
-    w = np.repeat((rw * rn * rn)[:, None] * cw * pw, n_phi)
-
-    # antipode: same radius, mirrored polar node, azimuth shifted by pi
-    N = len(w)
-    idx = np.arange(N).reshape(n_radial, n_theta, n_phi)
-    anti = np.roll(idx[:, ::-1, :], -(n_phi // 2), axis=2).ravel()
-
-    eps = np.empty((N, 2, 3))
-    omega = np.linalg.norm(k, axis=1)
-    khat = k / omega[:, None]
-    ref = np.where(np.abs(khat[:, 2:3]) < 0.9, [[0.0, 0.0, 1.0]],
-                   [[1.0, 0.0, 0.0]])
-    e1 = np.cross(khat, ref)
-    e1 /= np.linalg.norm(e1, axis=1)[:, None]
-    eps[:, 0] = e1
-    eps[:, 1] = np.cross(khat, e1)
-    return ModeGrid(k=k, w=w, eps=eps, antipode=anti,
-                    shell=np.repeat(np.arange(n_radial), n_theta * n_phi),
-                    omega=omega)
+    cn, cw = np.polynomial.legendre.leggauss(n_angular // 2)
+    C, F = np.meshgrid(cn, 2.0 * math.pi * np.arange(n_angular) / n_angular,
+                       indexing="ij")
+    S = np.sqrt(1.0 - C * C)
+    return ModeGrid(
+        radius=0.5 * r_far * (rn + 1.0), radial_weight=0.5 * r_far * rw,
+        direction=np.stack([S * np.cos(F), S * np.sin(F), C],
+                           axis=-1).reshape(-1, 3),
+        direction_weight=np.repeat(cw * (2.0 * math.pi / n_angular),
+                                   n_angular))
 
 
-def coupling_matrix(system: SpinSystem, profile: CutoffProfile,
-                    grid: ModeGrid) -> np.ndarray:
-    """Oscillator couplings of the site spins, row 3 lam + m, shape (3P, 2N).
+def shell_couplings(system: SpinSystem, profile: CutoffProfile,
+                    grid: ModeGrid):
+    """Frequencies and real couplings of the oscillators the spins reach.
 
-    Entry (3 lam + m, 2 i + a) is sqrt(w_i) <eps_ia, B_{m+1,x[lam]}(k_i)>,
-    where B_{m,x}(k) = i phi(|k|) |k|^(1/2) (2 pi)^(-3/2) e^{-i k.x}
-    (k x e_m)/|k| and <eps_ia, khat x e_m> = (eps_ia x khat)_m.
+    Returns (omega_osc, W): W (3P, n_osc) holds, shell after shell, a real
+    factor W_s W_s^T = G_s of the shell's Gram matrix (module docstring),
+    one column per coupled oscillator at the shell's frequency.  With
+    f_0 = cos and f_1 = sin,
+
+        Y_s[lam j, (d, t, n)] = sqrt(c_s w_d) f_t(r_s u_d.x_lam)
+                                (delta_jn - u_dj u_dn)
+
+    has Y_s Y_s^T = G_s, as cos(a - b) = cos a cos b + sin a sin b and the
+    transverse projector is symmetric and idempotent.  One QR of the stack
+    of every Y_s^T = Q_s R_s gives W_s = R_s^T, with min(3P, 6 n_dirs)
+    columns.  That is 3P, at most the 2 n_dirs >= 36 oscillators of the
+    shell, unless P > 12, where no Fock space fits MAX_TOTAL_DIM.
     """
-    r = grid.omega
-    amp = 1j * np.sqrt(grid.w) * phi_eval(profile, r) * np.sqrt(r) \
-        * (2.0 * math.pi) ** -1.5
-    phase = amp * np.exp(-1j * (system.positions @ grid.k.T))  # (P, N)
-    cross = np.cross(grid.eps, grid.k[:, None, :] / r[:, None, None],
-                     axisc=0)  # (3, N, 2)
-    V = phase[:, None, :, None] * cross  # (P, 3, N, 2)
-    return V.reshape(3 * system.P, 2 * grid.n_modes)
-
-
-def _coupled_oscillators(grid: ModeGrid, V: np.ndarray):
-    """Frequencies and couplings of the oscillators V reaches, shell by shell.
-
-    Within a shell of m oscillators, QR of the (m x 3P) block V_s^T = U R
-    gives a^dagger(v_a) = sum_j R[j, a] b_j^dagger for the min(3P, m)
-    oscillators b_j = U^H a.  Returns (omega_osc, W) with W (3P, n_osc)
-    holding the couplings in place of V's columns.
-    """
-    shell = np.repeat(grid.shell, 2)
-    omega = np.repeat(grid.omega, 2)
-    freqs, couplings = [], []
-    for s in np.unique(shell):
-        osc = np.flatnonzero(shell == s)
-        R = np.linalg.qr(V[:, osc].T, mode="r")
-        freqs.append(np.full(len(R), omega[osc[0]]))
-        couplings.append(R.T)
-    return np.concatenate(freqs), np.concatenate(couplings, axis=1)
+    r, u = grid.radius, grid.direction
+    c = grid.radial_weight * r ** 3 * phi_eval(profile, r) ** 2 \
+        * (2.0 * math.pi) ** -3
+    phase = r[:, None, None] * (u @ system.positions.T)  # (shell, d, lam)
+    amp = np.sqrt(c[:, None] * grid.direction_weight)[:, :, None, None]
+    trig = amp * np.stack([np.cos(phase), np.sin(phase)], axis=2)
+    proj = np.eye(3) - u[:, :, None] * u[:, None, :]  # (d, n, j)
+    Yt = trig[:, :, :, None, :, None] * proj[None, :, None, :, None, :]
+    R = np.linalg.qr(Yt.reshape(len(r), 6 * len(u), 3 * system.P),
+                     mode="r")
+    return np.repeat(r, R.shape[1]), \
+        R.transpose(2, 0, 1).reshape(3 * system.P, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +241,7 @@ class ToyHamiltonian:
     h_int: sp.csr_matrix
     space: FockSpace
     spin_dim: int
-    coupling: np.ndarray  # (3P, 2N) coupling_matrix that H is built from
+    coupling: np.ndarray  # (3P, n_osc) real shell_couplings H is built from
 
     @property
     def dim(self) -> int:
@@ -288,8 +265,8 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
                       grid: ModeGrid, n_max: int) -> ToyHamiltonian:
     """Truncated spin-photon Hamiltonian on the coupled oscillators only.
 
-    Each radial shell keeps the min(3P, m) oscillators of _coupled_oscillators;
-    the dropped ones carry no coupling, so every level below
+    Each radial shell keeps the oscillators of shell_couplings; the
+    dropped ones carry no coupling, so every level below
     E_0 + omega_min, the ground state included, is that of the full grid
     (module docstring).  h_int = T + T^dagger with
     T = sum_o a_o^dagger (x) C_o and the spin block
@@ -297,8 +274,7 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
     of the ladder pattern carries the nonzeros of its oscillator's block.
     """
     spin_dim = system.spin_dim
-    V = coupling_matrix(system, profile, grid)
-    omega_osc, W = _coupled_oscillators(grid, V)
+    omega_osc, W = shell_couplings(system, profile, grid)
     space = build_fock_space(omega_osc, n_max, spin_dim)
     dim = space.dim * spin_dim
     h_free = sp.kron(
@@ -333,7 +309,7 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
                            (np.concatenate([r, c]), np.concatenate([c, r]))),
                           shape=(dim, dim))
     return ToyHamiltonian(h_free=h_free, h_int=h_int, space=space,
-                          spin_dim=spin_dim, coupling=V)
+                          spin_dim=spin_dim, coupling=W)
 
 
 # ---------------------------------------------------------------------------
@@ -525,32 +501,29 @@ def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, k_pairs: int = 1,
 # Discrete kernel and A_M
 # ---------------------------------------------------------------------------
 
-def _discrete_am_matrix(system: SpinSystem, grid: ModeGrid,
-                        V: np.ndarray) -> np.ndarray:
+def _discrete_am_matrix(system: SpinSystem, omega_osc: np.ndarray,
+                        W: np.ndarray) -> np.ndarray:
     """Dense matrix of A_M with the mode sum replacing the kernel integral.
 
-    As sum_a (eps_a x khat)_j (eps_a x khat)_m = delta_jm - khat_j khat_m,
-    the mode-sum kernel is the Gram matrix K[lam j, mu m] = sum_i
-    conj(V[lam j, i]) V[mu m, i] / omega_i of V = coupling_matrix, and
-    A = -1/2 sum_i B_i^dagger B_i / omega_i with B_i = sum_a M[a // 3]
-    V[a, i] S_a: the second-order operator of H's couplings.  K is real
-    by antipodal symmetry; an imaginary part above roundoff is raised.
+    The mode-sum kernel is sum_s G_s / r_s = K = (W / omega) W^T for the
+    shell factors W of shell_couplings, and A = -1/2 sum_o B_o^dagger B_o
+    / omega_o with B_o = sum_a M[a // 3] W[a, o] S_a: the second-order
+    operator of H's couplings.
     """
-    Vw = V / np.sqrt(np.repeat(grid.omega, 2))
-    K = Vw.conj() @ Vw.T
-    if np.abs(K.imag).max() > 1e-12 * max(1.0, np.abs(K.real).max()):
-        raise DomainError("asymmetric mode grid: discrete kernel not real")
+    Ww = W / np.sqrt(omega_osc)
     Mj = np.repeat(system.moments, 3)
-    return bilinear_spin_operator(-0.5 * np.outer(Mj, Mj) * K.real, system.s)
+    return bilinear_spin_operator(-0.5 * np.outer(Mj, Mj) * (Ww @ Ww.T),
+                                  system.s)
 
 
-def discrete_am(system: SpinSystem, grid: ModeGrid, V: np.ndarray,
+def discrete_am(system: SpinSystem, omega_osc: np.ndarray, W: np.ndarray,
                 vectors: bool = False) -> HermitianSpinOperator:
-    """A_M of the grid's couplings V (see _discrete_am_matrix), with spectrum.
+    """A_M of the couplings (omega_osc, W) of shell_couplings, with spectrum.
 
     vectors asks for eigenvectors too, as in assemble_am.
     """
-    return _checked_operator(_discrete_am_matrix(system, grid, V), vectors)
+    return _checked_operator(_discrete_am_matrix(system, omega_osc, W),
+                             vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -590,26 +563,27 @@ def variational_trial_check(system: SpinSystem, profile: CutoffProfile,
     phi_trial = e0x - u
     H = toy.matrix()
     lhs = np.vdot(phi_trial, H @ phi_trial).real
-    rhs = np.vdot(X, _discrete_am_matrix(system, grid, toy.coupling) @ X).real
+    omega_osc, W = toy.space.omega_osc, toy.coupling
+    rhs = np.vdot(X, _discrete_am_matrix(system, omega_osc, W) @ X).real
 
     # D(H) norm of u: u sits in the one-photon sector, where dGamma(omega) u
     # recovers h_vac.
     u_dh = math.sqrt(np.linalg.norm(h_vac) ** 2 + np.linalg.norm(u) ** 2)
-    k_bound = _discrete_k_bound(system, grid, toy.coupling)
+    k_bound = _discrete_k_bound(system, omega_osc, W)
     return TrialCheck(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs),
                       u_norm_dh=u_dh, k_bound=k_bound)
 
 
-def _discrete_k_bound(system: SpinSystem, grid: ModeGrid,
-                      V: np.ndarray) -> float:
+def _discrete_k_bound(system: SpinSystem, omega_osc: np.ndarray,
+                      W: np.ndarray) -> float:
     """Smallest K with ||u_M(X)||_D(H) <= K |M| |X| in the discrete model.
 
     Computed as the operator norm of the quadratic form
     X -> ||u||^2 + ||dGamma(omega) u||^2, via its spin-space Gram matrix.
     """
     M = system.moments
-    Vw = V / np.repeat(grid.omega, 2)
-    gram = V.conj() @ V.T + Vw.conj() @ Vw.T
+    Ww = W / omega_osc
+    gram = W @ W.T + Ww @ Ww.T
     Mj = np.repeat(M, 3)
     G = bilinear_spin_operator(0.5 * np.outer(Mj, Mj) * gram, system.s)
     norm_m = float(np.linalg.norm(M))
@@ -648,8 +622,13 @@ def quadratic_fit(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
     remainder E(t) - c2 t^2 is estimated from the remaining scales.
     """
     scales = np.sort(np.asarray(scale_points, dtype=float))
-    if len(scales) < 4 or not np.all((scales > 0) & (scales < np.inf)):
-        raise DomainError("need at least 4 positive finite scale points")
+    if len(scales) < 4 or not np.all((scales > 0) & (scales < np.inf)) \
+            or np.any(scales[1:] == scales[:-1]):
+        raise DomainError("need at least 4 distinct positive finite scale "
+                          "points")
+    # at M = 0 H is free: E(t) = 0 and no photon, so there is nothing to fit
+    if not np.any(system.moments):
+        raise DomainError("fock fit needs a nonzero moment")
     toy = build_hamiltonian(system, profile, grid, n_max)
     energies, photons = [], []
     for t in scales:
@@ -671,7 +650,8 @@ def quadratic_fit(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
     else:
         slope = float(np.polyfit(np.log(scales[usable]),
                                  np.log(np.abs(resid[usable])), 1)[0])
-    a_min = float(discrete_am(system, grid, toy.coupling).eigenvalues[0])
+    a_min = float(discrete_am(system, toy.space.omega_osc,
+                              toy.coupling).eigenvalues[0])
     return QuadraticFit(c2=c2, residual_slope=slope, a_disc_min=a_min,
                         scales=scales, energies=energies,
                         photon_numbers=photons,
@@ -705,7 +685,8 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
     unit = system.with_moments(np.ones(system.P))
     toy = build_hamiltonian(unit, profile, grid, n_max)
     _, mult_a1, a_basis = ground_eigenspace(
-        discrete_am(unit, grid, toy.coupling, vectors=True), degeneracy_tol)
+        discrete_am(unit, toy.space.omega_osc, toy.coupling, vectors=True),
+        degeneracy_tol)
     proj_basis = np.array([toy.vacuum_embed(v)
                            for v in a_basis.T])  # rows orthonormal
     rows = []

@@ -50,17 +50,31 @@ def kron_site_spins(s, P):
             for lam in range(P)]
 
 
+def grid_modes(grid):
+    """Wavevectors k (N, 3) and weights w (N,) of the grid's modes.
+
+    Mode (s, d), shell major, is k = radius[s] direction[d] with weight
+    radial_weight[s] radius[s]^2 direction_weight[d] for int dk.
+    """
+    k = grid.radius[:, None, None] * grid.direction
+    w = (grid.radial_weight * grid.radius * grid.radius)[:, None] \
+        * grid.direction_weight
+    return k.reshape(-1, 3), w.ravel()
+
+
 def projector_kernel(profile, grid, d):
     """Mode-sum kernel (2 pi)^-3 sum_i w_i |phi|^2 e^{-i k_i.d} (I - khat khat).
 
     The transverse-projector form of the discrete kernel, one displacement
-    at a time: the reference for the Gram form that fock.discrete_am builds
-    from the coupling matrix.
+    at a time, on the complex plane waves of every mode: the reference for
+    the shell factors that fock.discrete_am builds A_M from.  Its
+    imaginary part cancels between the antipodal directions of the grid.
     """
-    r = grid.omega
-    khat = grid.k / r[:, None]
-    f = grid.w * phi_eval(profile, r) ** 2 \
-        * np.exp(-1j * grid.k @ np.asarray(d, dtype=float))
+    k, w = grid_modes(grid)
+    r = np.linalg.norm(k, axis=1)
+    khat = k / r[:, None]
+    f = w * phi_eval(profile, r) ** 2 \
+        * np.exp(-1j * k @ np.asarray(d, dtype=float))
     proj = np.eye(3)[None] - khat[:, :, None] * khat[:, None, :]
     out = np.einsum("n,nab->ab", f, proj) * (2.0 * math.pi) ** -3
     assert np.abs(out.imag).max() <= 1e-12 * max(1.0, np.abs(out.real).max())

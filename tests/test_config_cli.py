@@ -402,6 +402,20 @@ def test_cli_fock_fit(tmp_path):
     assert len(rows) == 5
 
 
+def test_cli_fock_fit_zero_moments_exit_one(tmp_path, capsys):
+    # at M = 0 every energy and photon number is 0: nothing to fit
+    cfg = small_config(tmp_path, moments=(0.0, 0.0))
+    out = tmp_path / "out"
+    assert main(["fock-fit", "--config", cfg, "--out", str(out),
+                 "--scales", "0.4,0.2,0.1,0.05"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR ")
+    assert "nonzero moment" in err[0]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_multiplicity(tmp_path):
     cfg = small_config(tmp_path, moments=(1.0, 1.0))
     rc = main(["multiplicity", "--config", cfg, "--out", str(tmp_path),

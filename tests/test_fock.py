@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -16,28 +15,16 @@ from spinrad.cutoff import CutoffProfile, phi_eval
 from spinrad.errors import ConvergenceError, DomainError, ResourceError
 import spinrad.fock as fock
 from spinrad.fock import MAX_TOTAL_DIM, ToyHamiltonian, _discrete_k_bound, \
-    build_fock_space, build_hamiltonian, build_mode_grid, coupling_matrix, \
-    discrete_am, ground_state, multiplicity_scan, photon_number, \
-    quadratic_fit, segal_field, variational_trial_check
+    build_fock_space, build_hamiltonian, build_mode_grid, discrete_am, \
+    ground_state, multiplicity_scan, photon_number, quadratic_fit, \
+    segal_field, shell_couplings, variational_trial_check
 from spinrad.spin_operator import DEFAULT_DEGENERACY_TOL, SpinSystem, \
     _assemble, assemble_am, site_spin_operators
 
-from conftest import kron_site_spins, projector_kernel, random_state
+from conftest import grid_modes, kron_site_spins, projector_kernel, \
+    random_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-
-def test_grid_antipodal_symmetry(default_grid):
-    g = default_grid
-    assert np.allclose(g.k[g.antipode], -g.k, atol=1e-12)
-    assert np.array_equal(g.w[g.antipode], g.w)
-
-
-def test_grid_transversality(default_grid):
-    g = default_grid
-    assert np.abs(np.einsum("nad,nd->na", g.eps, g.k)).max() <= 1e-14
-    dots = np.einsum("nd,nd->n", g.eps[:, 0], g.eps[:, 1])
-    assert np.abs(dots).max() <= 1e-14
 
 
 def test_grid_weight_sum(profile, default_grid):
@@ -45,8 +32,9 @@ def test_grid_weight_sum(profile, default_grid):
     oracle = 4.0 * math.pi * integrate.quad(
         lambda r: phi_eval(profile, r) ** 2 * r * r, 0.0,
         profile.far_radius())[0]
-    total = float(np.sum(default_grid.w * phi_eval(profile,
-                                                   default_grid.omega) ** 2))
+    k, w = grid_modes(default_grid)
+    total = float(np.sum(w * phi_eval(profile, np.linalg.norm(k, axis=1))
+                         ** 2))
     assert total == pytest.approx(oracle, rel=1e-6)
     assert oracle == pytest.approx(math.pi ** 1.5, rel=1e-10)
 
@@ -69,33 +57,17 @@ def test_grid_sizes_must_be_integers(profile, n_radial, n_angular, name):
 @pytest.mark.parametrize("n_max", [1.5, 2.0, True, None])
 def test_fock_space_cap_must_be_an_integer(small_grid, n_max):
     with pytest.raises(DomainError, match="n_max must be an integer"):
-        build_fock_space(small_grid.omega, n_max)
-    assert build_fock_space(small_grid.omega, np.int64(1)).n_max == 1
-
-
-def test_grid_rejects_asymmetry_at_construction(small_grid):
-    # ModeGrid owns its antipodal symmetry: every constructor checks it
-    k, w = small_grid.k, small_grid.w
-    tol = 1e-13 * np.abs(k).max()
-    dataclasses.replace(small_grid, k=k + [0.4 * tol, 0.0, 0.0])
-    w_bad = w.copy()
-    w_bad[0] *= 1.0 + 1e-15
-    k_nan = k.copy()
-    k_nan[3, 1] = np.nan
-    for bad in ({"k": k + [2.0 * tol, 0.0, 0.0]}, {"k": k_nan},
-                {"w": w_bad}, {"antipode": np.arange(small_grid.n_modes)}):
-        with pytest.raises(DomainError, match="antipodally symmetric"):
-            dataclasses.replace(small_grid, **bad)
+        build_fock_space(small_grid.radius, n_max)
+    assert build_fock_space(small_grid.radius, np.int64(1)).n_max == 1
 
 
 def _loop_mode_grid(profile, n_radial, n_angular):
-    """Nodes, weights and antipodes of the mode grid, one node at a time."""
+    """Nodes and weights of the mode grid, one node at a time."""
     r_far = profile.far_radius()
     rn, rw = np.polynomial.legendre.leggauss(n_radial)
     rn, rw = 0.5 * r_far * (rn + 1.0), 0.5 * r_far * rw
     n_theta, n_phi = n_angular // 2, n_angular
     cn, cw = np.polynomial.legendre.leggauss(n_theta)
-    cn, cw = 0.5 * (cn - cn[::-1]), 0.5 * (cw + cw[::-1])
     ph = 2.0 * math.pi * np.arange(n_phi) / n_phi
     pw = 2.0 * math.pi / n_phi
     ks, ws = [], []
@@ -104,15 +76,8 @@ def _loop_mode_grid(profile, n_radial, n_angular):
             s_ = math.sqrt(1.0 - c * c)
             for f in ph:
                 ks.append([r * s_ * math.cos(f), r * s_ * math.sin(f), r * c])
-                ws.append(wr * r * r * wc * pw)
-    idx = np.arange(len(ws)).reshape(n_radial, n_theta, n_phi)
-    anti = np.empty(len(ws), dtype=int)
-    for ir in range(n_radial):
-        for ic in range(n_theta):
-            for jf in range(n_phi):
-                anti[idx[ir, ic, jf]] = idx[ir, n_theta - 1 - ic,
-                                            (jf + n_phi // 2) % n_phi]
-    return np.array(ks), np.array(ws), anti
+                ws.append(wr * r * r * (wc * pw))
+    return np.array(ks), np.array(ws)
 
 
 @pytest.mark.parametrize("lam", [1.0, 1.7])
@@ -121,70 +86,129 @@ def _loop_mode_grid(profile, n_radial, n_angular):
 def test_mode_grid_matches_loop_reference(lam, n_radial, n_angular):
     profile = CutoffProfile("gaussian", lam)
     grid = build_mode_grid(profile, n_radial, n_angular)
-    k, w, anti = _loop_mode_grid(profile, n_radial, n_angular)
-    assert np.array_equal(grid.antipode, anti)
-    assert np.array_equal(grid.w, w)
-    assert np.abs(grid.k - k).max() <= 1e-15 * profile.far_radius()
+    k, w = _loop_mode_grid(profile, n_radial, n_angular)
+    grid_k, grid_w = grid_modes(grid)
+    assert grid.n_modes == len(w)
+    assert np.array_equal(grid_w, w)
+    assert np.abs(grid_k - k).max() <= 1e-15 * profile.far_radius()
 
 
-def test_coupling_matrix_structure(profile, small_grid, two_spin_system):
-    V = coupling_matrix(two_spin_system, profile, small_grid)
-    assert V.shape == (3 * two_spin_system.P, 2 * small_grid.n_modes)
-    assert V.dtype == complex
-    # coupling decays like phi at large |k|
-    far = np.repeat(small_grid.omega > 0.8 * profile.far_radius(), 2)
-    assert np.abs(V[:, far]).max() <= 1e-10
+def _polarizations(k):
+    """Orthonormal transverse frame (N, 2, 3) of each wavevector."""
+    khat = k / np.linalg.norm(k, axis=1)[:, None]
+    ref = np.where(np.abs(khat[:, 2:3]) < 0.9, [[0.0, 0.0, 1.0]],
+                   [[1.0, 0.0, 0.0]])
+    e1 = np.cross(khat, ref)
+    e1 /= np.linalg.norm(e1, axis=1)[:, None]
+    return np.stack([e1, np.cross(khat, e1)], axis=1)
 
 
-def _loop_coupling_matrix(system, profile, grid):
-    """V one entry at a time: sqrt(w_i) <eps_ia, B_{m,x}(k_i)> with
-    B_{m,x}(k) = i phi(|k|) |k|^(1/2) (2 pi)^(-3/2) e^{-i k.x} (k x e_m)/|k|."""
+def _mode_couplings(system, profile, grid):
+    """Couplings of the site spins to all 2N (mode, polarization) oscillators.
+
+    Returns (omega, V): the oscillator frequencies, and V (3P, 2N) complex
+    with entry (3 lam + m, 2 i + a) = sqrt(w_i) <eps_ia, B_{m+1,x[lam]}(k_i)>,
+    where B_{m,x}(k) = i phi(|k|) |k|^(1/2) (2 pi)^(-3/2) e^{-i k.x}
+    (k x e_m)/|k| and <eps_ia, khat x e_m> = (eps_ia x khat)_m.
+    """
+    k, w = grid_modes(grid)
+    r = np.linalg.norm(k, axis=1)
+    amp = 1j * np.sqrt(w) * phi_eval(profile, r) * np.sqrt(r) \
+        * (2.0 * math.pi) ** -1.5
+    phase = amp * np.exp(-1j * (system.positions @ k.T))  # (P, N)
+    cross = np.cross(_polarizations(k), k[:, None, :] / r[:, None, None],
+                     axisc=0)  # (3, N, 2)
+    V = phase[:, None, :, None] * cross  # (P, 3, N, 2)
+    return np.repeat(r, 2), V.reshape(3 * system.P, 2 * grid.n_modes)
+
+
+def _loop_mode_couplings(system, profile, grid):
+    """V of _mode_couplings one entry at a time, each polarization frame
+    and plane wave built from the grid's factors."""
     V = np.empty((3 * system.P, 2 * grid.n_modes), dtype=complex)
     for lam, x in enumerate(system.positions):
         for m in range(3):
-            for i, k in enumerate(grid.k):
-                r = math.sqrt(k @ k)
-                B = 1j * float(phi_eval(profile, r)) * math.sqrt(r) \
-                    * (2.0 * math.pi) ** -1.5 * cmath.exp(-1j * (k @ x)) \
-                    * np.cross(k, np.eye(3)[m]) / r
-                for a in range(2):
-                    V[3 * lam + m, 2 * i + a] = math.sqrt(grid.w[i]) \
-                        * (grid.eps[i, a] @ B)
+            i = 0
+            for r, rw in zip(grid.radius, grid.radial_weight):
+                for u, uw in zip(grid.direction, grid.direction_weight):
+                    k = r * u
+                    ref = np.eye(3)[2] if abs(u[2]) < 0.9 else np.eye(3)[0]
+                    e1 = np.cross(u, ref)
+                    e1 /= math.sqrt(e1 @ e1)
+                    B = 1j * float(phi_eval(profile, r)) * math.sqrt(r) \
+                        * (2.0 * math.pi) ** -1.5 * cmath.exp(-1j * (k @ x)) \
+                        * np.cross(u, np.eye(3)[m])
+                    for a, eps in enumerate([e1, np.cross(u, e1)]):
+                        V[3 * lam + m, 2 * i + a] = \
+                            math.sqrt(rw * r * r * uw) * (eps @ B)
+                    i += 1
     return V
 
 
 @pytest.mark.parametrize("lam", [0.7, 1.6])
 @pytest.mark.parametrize("P", [1, 2, 3])
-def test_coupling_matrix_matches_loop(lam, P):
+def test_mode_couplings_match_loop(lam, P):
     profile = CutoffProfile("gaussian", lam)
     grid = build_mode_grid(profile, 4, 6)
     rng = np.random.default_rng(P)
     system = SpinSystem(positions=rng.normal(size=(P, 3)) / lam,
                         moments=np.ones(P))
-    V = coupling_matrix(system, profile, grid)
-    ref = _loop_coupling_matrix(system, profile, grid)
+    V = _mode_couplings(system, profile, grid)[1]
+    ref = _loop_mode_couplings(system, profile, grid)
     assert np.abs(V - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-def test_coupling_matrix_self_consistency(profile, small_grid):
+@pytest.mark.parametrize("lam", [0.7, 1.6])
+@pytest.mark.parametrize("P", [1, 2, 3])
+@pytest.mark.parametrize("n_radial, n_angular", [(4, 6), (3, 10)])
+def test_shell_factors_match_loop_gram(lam, P, n_radial, n_angular):
+    # Per shell, the complex couplings of all 2 n_dirs oscillators have a
+    # real Gram matrix (the grid is closed under u -> -u), and the real
+    # factor W_s reproduces it
+    profile = CutoffProfile("gaussian", lam)
+    grid = build_mode_grid(profile, n_radial, n_angular)
+    rng = np.random.default_rng(10 + P)
+    system = SpinSystem(positions=rng.normal(size=(P, 3)) / lam,
+                        moments=np.ones(P))
+    omega_osc, W = shell_couplings(system, profile, grid)
+    assert W.dtype == float and W.shape == (3 * P, 3 * P * n_radial)
+    assert np.array_equal(omega_osc, np.repeat(grid.radius, 3 * P))
+    V = _loop_mode_couplings(system, profile, grid)
+    for s in range(n_radial):
+        V_s = V[:, 2 * len(grid.direction) * s:][:, :2 * len(grid.direction)]
+        W_s = W[:, 3 * P * s:][:, :3 * P]
+        gram = V_s.conj() @ V_s.T
+        scale = np.abs(gram).max()
+        assert scale > 0.0
+        assert np.abs(gram.imag).max() <= 1e-14 * scale
+        assert np.abs(gram - W_s @ W_s.T).max() <= 1e-14 * scale
+
+
+def test_shell_couplings_structure(profile, small_grid, two_spin_system):
+    omega_osc, W = shell_couplings(two_spin_system, profile, small_grid)
+    # coupling decays like phi at large |k|
+    assert np.abs(W[:, omega_osc > 0.8 * profile.far_radius()]).max() <= 1e-10
+
+
+def test_shell_couplings_self_consistency(profile, small_grid):
     # weighted |coupling|^2 / omega sums to the discrete kernel diagonal
     origin = SpinSystem(positions=[[0.0, 0.0, 0.0]], moments=[1.0])
-    V = coupling_matrix(origin, profile, small_grid)
-    totals = np.sum(np.abs(V) ** 2 / np.repeat(small_grid.omega, 2), axis=1)
+    omega_osc, W = shell_couplings(origin, profile, small_grid)
+    totals = np.sum(W ** 2 / omega_osc, axis=1)
     diag = np.diag(projector_kernel(profile, small_grid, np.zeros(3)))
     assert totals == pytest.approx(diag, rel=1e-12)
 
 
 def _grid_am(system, profile, grid):
-    return discrete_am(system, grid, coupling_matrix(system, profile, grid))
+    return discrete_am(system, *shell_couplings(system, profile, grid))
 
 
 @pytest.mark.parametrize("lam", [0.7, 1.6])
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
 @pytest.mark.parametrize("P", [1, 2, 3])
 def test_discrete_am_matches_projector_reference(lam, s, P):
-    # Gram form of the coupling matrix against the transverse-projector
-    # kernel, evaluated per site pair and assembled by _assemble
+    # A_M of the shell factors against the transverse-projector kernel,
+    # evaluated per site pair and assembled by _assemble
     profile = CutoffProfile("gaussian", lam)
     grid = build_mode_grid(profile, 8, 8)
     rng = np.random.default_rng(10 * P + int(2 * s))
@@ -218,25 +242,15 @@ def test_discrete_am_zero_and_single(profile, default_grid):
     assert np.abs(Ad + 1.5 * a0 * 0.36 * np.eye(2)).max() <= 1e-12
 
 
-def test_discrete_am_rejects_asymmetric_grid(profile, small_grid,
-                                             two_spin_system):
-    # couplings whose antipodal columns do not pair: the lower hemisphere
-    # is dropped, and the kernel's imaginary part is raised, not dropped
-    V = coupling_matrix(two_spin_system, profile, small_grid)
-    V[:, np.repeat(small_grid.k[:, 2] < 0.0, 2)] = 0.0
-    with pytest.raises(DomainError, match="not real"):
-        discrete_am(two_spin_system, small_grid, V)
-
-
 def test_one_coupling_build_per_fock_run(profile, small_grid,
                                          two_spin_system, monkeypatch):
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return coupling_matrix(*args)
+        return shell_couplings(*args)
 
-    monkeypatch.setattr(fock, "coupling_matrix", counted)
+    monkeypatch.setattr(fock, "shell_couplings", counted)
     quadratic_fit(two_spin_system, profile, small_grid, 1,
                   [0.4, 0.2, 0.1, 0.05])
     assert len(calls) == 1
@@ -272,17 +286,22 @@ def test_interaction_changes_photon_number_by_one(profile, small_grid,
     assert set(np.unique(jumps)) <= {1}
 
 
+def _oscillator_omega(grid):
+    """Frequencies of all 2N (mode, polarization) oscillators of the grid."""
+    return np.repeat(grid.radius, 2 * len(grid.direction))
+
+
 def test_fock_space_budget(profile, default_grid):
     with pytest.raises(ResourceError):
-        build_fock_space(np.repeat(default_grid.omega, 2), 3, spin_dim=4)
+        build_fock_space(_oscillator_omega(default_grid), 3, spin_dim=4)
 
 
 def test_fock_space_budget_edge(profile):
     grid = build_mode_grid(profile, 2, 6)  # 72 oscillators
-    space = build_fock_space(np.repeat(grid.omega, 2), 3, spin_dim=5)
+    space = build_fock_space(_oscillator_omega(grid), 3, spin_dim=5)
     assert space.dim == 67_525 and 5 * space.dim <= MAX_TOTAL_DIM
     with pytest.raises(ResourceError, match="67525 x spin 6"):
-        build_fock_space(np.repeat(grid.omega, 2), 3, spin_dim=6)
+        build_fock_space(_oscillator_omega(grid), 3, spin_dim=6)
 
 
 def test_budget_bounds_the_coupled_oscillators(profile, default_grid,
@@ -335,7 +354,7 @@ def _reference_creation_entries(n_osc, n_max, v):
     (2, 6, 1), (2, 6, 2), (2, 6, 3), (4, 6, 2)])
 def test_fock_ladder_matches_reference(profile, n_radial, n_angular, n_max):
     grid = build_mode_grid(profile, n_radial, n_angular)
-    space = build_fock_space(np.repeat(grid.omega, 2), n_max)
+    space = build_fock_space(_oscillator_omega(grid), n_max)
     states, _, offsets = _reference_fock_basis(space.n_osc, n_max)
     assert [tuple(int(o) for o in row) for occ in space.sectors
             for row in occ] == states
@@ -343,7 +362,7 @@ def test_fock_ladder_matches_reference(profile, n_radial, n_angular, n_max):
     assert np.array_equal(space.n_total, [len(s) for s in states])
 
     site = SpinSystem(positions=[[0.3, -0.1, 0.2]], moments=[1.0])
-    v = coupling_matrix(site, profile, grid)[1]  # sigma_2 of the site
+    v = _mode_couplings(site, profile, grid)[1][1]  # sigma_2 of the site
     rows, cols, vals = _reference_creation_entries(space.n_osc, n_max, v)
     T = sp.csr_matrix((vals / math.sqrt(2.0), (rows, cols)),
                       shape=(len(states),) * 2)
@@ -356,9 +375,7 @@ def test_fock_ladder_matches_reference(profile, n_radial, n_angular, n_max):
     single = SpinSystem(positions=[[0.0, 0.0, 0.0]], moments=[0.6])
     toy = build_hamiltonian(single, profile, grid, n_max)
     omega_osc = toy.space.omega_osc
-    shell_omega = grid.omega.reshape(n_radial, -1)
-    assert np.abs(omega_osc - np.repeat(shell_omega, 3, axis=1)[:, :3].ravel()
-                  ).max() <= 1e-15 * shell_omega.max()
+    assert np.array_equal(omega_osc, np.repeat(grid.radius, 3))
     states, _, _ = _reference_fock_basis(3 * n_radial, n_max)
     reference = np.array([sum(omega_osc[o] for o in s) for s in states])
     assert toy.h_free.diagonal().tobytes() == np.repeat(reference, 2).tobytes()
@@ -368,12 +385,12 @@ def test_fock_ladder_matches_reference(profile, n_radial, n_angular, n_max):
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_one_pass_interaction_matches_kron_sum(profile, s, n_max):
     # h_int against sum_a M_a Phi_S(W_a) (x) S_a, one Segal field per row
-    # of the reduced couplings; n_max = 3 reaches the n >= 3 ladder steps
+    # of the shell factors; n_max = 3 reaches the n >= 3 ladder steps
     grid = build_mode_grid(profile, 2, 6)
     system = SpinSystem(positions=[[0.0, 0.0, 0.0], [0.9, -0.3, 0.4]],
                         moments=[0.8, -0.5], s=s)
     toy = build_hamiltonian(system, profile, grid, n_max)
-    _, W = fock._coupled_oscillators(grid, toy.coupling)
+    W = toy.coupling
     S = site_spin_operators(s, system.P)
     d = system.spin_dim
     ref = sp.csr_matrix(toy.h_int.shape, dtype=complex)
@@ -395,17 +412,17 @@ def _full_grid_hamiltonian(system, profile, grid, n_max):
 
     The reference for build_hamiltonian, which keeps only the coupled
     oscillators of each shell: here each site spin component gets one
-    Segal field on its full row of the coupling matrix.
+    Segal field on its full row of _mode_couplings.
     """
     spin_dim = system.spin_dim
-    space = build_fock_space(np.repeat(grid.omega, 2), n_max, spin_dim)
+    omega, V = _mode_couplings(system, profile, grid)
+    space = build_fock_space(omega, n_max, spin_dim)
     S = site_spin_operators(system.s, system.P)
     h_free = sp.kron(
         sp.diags(np.concatenate([space.omega_osc[occ].sum(axis=1)
                                  for occ in space.sectors])),
         sp.identity(spin_dim), format="csr")
     h_int = sp.csr_matrix((space.dim * spin_dim,) * 2, dtype=complex)
-    V = coupling_matrix(system, profile, grid)
     for a, v in enumerate(V):
         h_int = h_int + system.moments[a // 3] * sp.kron(
             segal_field(space, v), S[a * spin_dim:(a + 1) * spin_dim],
@@ -442,7 +459,7 @@ def test_reduced_hamiltonian_matches_full_grid(profile, s, P, n_max,
                                  spin_dim=spin_dim)
     exact, exact_v, _ = ground_state(full.matrix(), k_pairs=k_pairs,
                                      spin_dim=spin_dim)
-    below = exact < exact[0] + grid.omega.min()
+    below = exact < exact[0] + grid.radius.min()
     assert np.all(np.abs(got - exact)[below] <= 1e-12 * np.abs(exact)[below])
     assert np.all(got[~below] >= exact[~below] - 1e-12 * np.abs(exact[~below]))
     assert photon_number(reduced, got_v[:, 0]) == pytest.approx(
@@ -507,15 +524,15 @@ def _schur_energies(system, profile, grid, t):
     Bach, Chen, Froehlich & Sigal, J. Funct. Anal. 203 (2003) 44).  Every
     eigenvalue branch of F decreases in E, so branch j meets the diagonal
     once, in (-2 t |B|_F, 0]: one root per spin state, multiplicities
-    included.  B is built on all 2N oscillators of the grid, from the
-    coupling matrix and the site spins, not from build_hamiltonian.
+    included.  B is built on all 2N oscillators of the grid, from
+    _mode_couplings and the site spins, not from build_hamiltonian.
     """
     sd = system.spin_dim
     S = site_spin_operators(system.s, system.P).toarray()
-    V = coupling_matrix(system, profile, grid)
+    omega, V = _mode_couplings(system, profile, grid)
     B = sum(system.moments[a // 3] / math.sqrt(2.0) * np.kron(
         V[a][:, None], S[a * sd:(a + 1) * sd]) for a in range(3 * system.P))
-    omega = np.repeat(grid.omega, 2 * sd)
+    omega = np.repeat(omega, sd)
 
     def branch_minus_e(E, j):
         F = -t * t * (B.conj().T @ (B / (omega - E)[:, None]))
@@ -646,8 +663,8 @@ def test_discrete_k_bound_matches_reference(profile, small_grid):
     P, M = system.P, system.moments
     # Gram matrix term by term over all (3P)^2 ordered pairs of site spins
     emb = kron_site_spins(system.s, P)
-    vs = coupling_matrix(system, profile, small_grid).reshape(P, 3, -1)
-    inv_w = 1.0 / np.repeat(small_grid.omega, 2)
+    omega, V = _mode_couplings(system, profile, small_grid)
+    vs, inv_w = V.reshape(P, 3, -1), 1.0 / omega
     G = np.zeros((system.spin_dim,) * 2, dtype=complex)
     for lam in range(P):
         for m in range(3):
@@ -658,8 +675,8 @@ def test_discrete_k_bound_matches_reference(profile, small_grid):
                     G += 0.5 * M[lam] * M[lam2] * ip \
                         * (emb[lam][m].conj().T @ emb[lam2][m2])
     expected = math.sqrt(np.linalg.eigvalsh(G)[-1]) / np.linalg.norm(M)
-    V = coupling_matrix(system, profile, small_grid)
-    assert _discrete_k_bound(system, small_grid, V) \
+    assert _discrete_k_bound(system, *shell_couplings(system, profile,
+                                                      small_grid)) \
         == pytest.approx(expected, rel=1e-12)
 
 
@@ -688,7 +705,8 @@ def test_quadratic_fit_contract(profile, default_grid, two_spin_system):
     slope = np.polyfit(np.log(fit.scales), np.log(fit.photon_numbers), 1)[0]
     assert abs(slope - 2.0) <= 0.1
     for scales in ([0.4, 0.2], [np.nan, 0.2, 0.1, 0.05],
-                   [np.inf, 0.2, 0.1, 0.05], [0.4, 0.2, 0.1, 0.0]):
+                   [np.inf, 0.2, 0.1, 0.05], [0.4, 0.2, 0.1, 0.0],
+                   [0.1, 0.1, 0.1, 0.1], [0.4, 0.2, 0.05, 0.05]):
         with pytest.raises(DomainError, match="scale points"):
             quadratic_fit(two_spin_system, profile, default_grid, 1, scales)
 

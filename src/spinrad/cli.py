@@ -245,10 +245,15 @@ def suite_multiplicity(cfg, args):
          f"mult_a1={r.mult_a1} min_overlap={_fmt(r.min_overlap)}")
         for r in rows)
     table = [[r.g, r.energy, r.mult_h, r.mult_a1, r.min_overlap] for r in rows]
+    summary = {"suite": "multiplicity",
+               "a_disc_spectrum": [float(a) for a in rows[0].a_disc],
+               "dressed_multiplet": [
+                   {"g": r.g, "values": [float(x) for x in r.multiplet]}
+                   for r in rows]}
     return {"multiplicity.csv": _csv(["g", "energy", "mult_h", "mult_a1",
                                       "min_overlap"], table),
             "multiplicity_manifest.json":
-                run_manifest(cfg, {"suite": "multiplicity"}) + "\n"}, lines, ok
+                run_manifest(cfg, summary) + "\n"}, lines, ok
 
 
 # ---------------------------------------------------------------------------

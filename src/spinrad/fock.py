@@ -37,9 +37,11 @@ discrete A_M both read the shell factors W kept on the ToyHamiltonian:
 A_M is the second-order operator of H's couplings, real symmetric and
 negative semidefinite on any grid.
 
-H_int is assembled in one pass from one spin block per oscillator, and
-its low eigenpairs come from an in-package block LOBPCG written in
-numpy, so the module needs nothing of scipy beyond scipy.sparse.
+H_int is assembled in one pass from one spin block per oscillator.  Its
+ground state comes from an in-package one-column LOBPCG, and the
+multiplicity of the ground level from the Feshbach map onto the vacuum
+spin space, whose resolvent is applied by CG; both are written in numpy,
+so the module needs nothing of scipy beyond scipy.sparse.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ MAX_TOTAL_DIM = 400_000
 # Eigenpair residual tolerance ||H v - E v|| of ground_state (absolute).
 DEFAULT_EIGENSOLVER_TOL = 1e-10
 
-# Seed of _start_block's noise; no result depends on it beyond roundoff.
-START_NOISE_SEED = 1234
+# Step limit of the conjugate gradients behind the Feshbach map.
+MAX_CG_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -316,32 +318,14 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
 # Eigensolver
 # ---------------------------------------------------------------------------
 
-def _start_block(diag: np.ndarray, m: int, spin_dim: int) -> np.ndarray:
-    """Unit vectors on the m smallest diagonal entries (stable order).
-
-    The first spin_dim span the free ground space vacuum (x) spin, so every
-    dressed spin state is in reach, degenerate or not.  The others sit on
-    the one-photon continuum edge, which H maps into the vacuum columns'
-    span; 1e-3 noise keeps them from stalling the block there.
-    """
-    X = np.zeros((len(diag), m))
-    X[np.argsort(diag, kind="stable")[:m], np.arange(m)] = 1.0
-    X[:, spin_dim:] += 1e-3 * np.random.default_rng(START_NOISE_SEED).normal(
-        size=(len(diag), m - spin_dim))
-    return X
-
-
 def _ritz_start(H: sp.csr_matrix, diag: np.ndarray, spin_dim: int,
                 precond: np.ndarray) -> np.ndarray:
     """Lowest Rayleigh-Ritz vector of H on span[V, M H V], one column.
 
     V holds the unit vectors on the spin_dim smallest diagonal entries
-    (vacuum (x) spin) and M = diag(precond).  The span is the dressed spin
-    space to first order, so its lowest Ritz vector is the lowest state of
-    the second-order operator of H itself.  [V, M H V] is zero outside the
-    rows of V and the columns H couples to them; the projected
-    eigenproblem runs on those rows only.  If H is diagonal on V, the
-    directions of M H V already in span V are dropped.
+    (vacuum (x) spin) and M = diag(precond): the dressed spin space to
+    first order.  The projected eigenproblem runs on the rows where
+    [V, M H V] is nonzero; directions of M H V in span V are dropped.
     """
     cols = np.argsort(diag, kind="stable")[:spin_dim]
     Hc = H[cols]
@@ -364,11 +348,9 @@ def _ritz_start(H: sp.csr_matrix, diag: np.ndarray, spin_dim: int,
 def _orthonormalizer(G: np.ndarray) -> np.ndarray:
     """T with T^H G T = I for the Gram matrix G of a block of vectors.
 
-    Cholesky-QR: T = L^-H for G = L L^H.  If G is not numerically positive
-    definite, SVQB (Stathopoulos & Wu, SIAM J. Sci. Comput. 23 (2002)
-    2165) instead: the eigenvectors of G with the vectors scaled to unit
-    length, divided by the square roots of their eigenvalues, with the
-    directions whose eigenvalue is below 1e-12 of the largest dropped.
+    Cholesky-QR, T = L^-H for G = L L^H, or if G is not numerically
+    positive definite SVQB (Stathopoulos & Wu, SIAM J. Sci. Comput. 23
+    (2002) 2165), which drops directions below 1e-12 of the largest.
     Either loses orthogonality like eps cond^2.
     """
     if G.shape == (1, 1) and G[0, 0].real > 0.0:  # one vector: its norm
@@ -395,106 +377,143 @@ def _orthonormal_rows(V: np.ndarray, B: np.ndarray | None = None):
     return V
 
 
-def _lobpcg(H: sp.csr_matrix, X: np.ndarray, precond: np.ndarray,
-            stop: float, wanted: int):
-    """Lowest eigenvectors of Hermitian H from the start block X.
+def _lobpcg(H: sp.csr_matrix, x: np.ndarray, precond: np.ndarray,
+            stop: float):
+    """Lowest eigenvector of Hermitian H from the start vector x.
 
-    Block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) in the
+    One-column LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) in the
     orthonormal-basis form of Hetmaniuk & Lehoucq, J. Comput. Phys. 218
-    (2006) 324: each step is Rayleigh-Ritz on an orthonormal basis
-    [X, P, W] of the Ritz vectors X, the previous search directions P and
-    the preconditioned residuals W = diag(precond) (H X - X Theta), a
-    standard Hermitian eigenproblem of size at most 3 m.  P is made
-    orthonormal and orthogonal to X in the coefficient space of the step
-    before, and W is projected off [X, P] and orthonormalized twice, so
-    only W needs a product with H; H X and H P are carried along.  A
-    column whose residual norm falls to `stop` stops contributing to W and
-    P (soft locking); the solve ends when the lowest `wanted` columns
-    have, or after 1000 steps with whatever it has.  Vectors are kept
-    as rows, each contiguous.  Returns (vectors as columns, steps).
+    (2006) 324: Rayleigh-Ritz on the Ritz vector x, the search direction p
+    (orthogonalized in the coefficient space of the step before) and the
+    preconditioned residual w = diag(precond) (H x - theta x), projected
+    off [x, p]; only w needs a product with H.  The basis is kept as
+    contiguous rows, so a step is a few small matrix products.  Ends when
+    the residual norm falls to `stop`, or after 1000 steps with whatever
+    it has.  Returns (vector as a column, steps).
     """
-    X = _orthonormal_rows(np.ascontiguousarray(X.T, dtype=complex))
-    m = len(X)
-    HX = np.ascontiguousarray((H @ X.T).T)
-    theta, C = np.linalg.eigh(X.conj() @ HX.T)
-    B, HB = C.T @ X, C.T @ HX  # rows [X; P], P empty at first
-    active = np.ones(m, dtype=bool)
+    # rows [x; p], p empty at first
+    B = _orthonormal_rows(np.ascontiguousarray(x.T, dtype=complex))
+    HB = np.ascontiguousarray((H @ B.T).T)
+    theta = np.vdot(B, HB).real
     for step in range(1000):
-        R = HB[:m] - theta[:, None] * B[:m]
-        active &= np.linalg.norm(R, axis=1) > stop
-        if not active[:wanted].any():
-            return B[:m].T, step
-        W = _orthonormal_rows(precond * R[active], B)
-        if not len(W):  # the residuals lie in span[X, P]: no progress left
-            return B[:m].T, step
+        R = HB[:1] - theta * B[:1]
+        if np.linalg.norm(R) <= stop:
+            return B[:1].T, step
+        W = _orthonormal_rows(precond * R, B)
+        if not len(W):  # the residual lies in span[x, p]: no progress left
+            return B[:1].T, step
         Q = np.vstack([B, W])
         HQ = np.vstack([HB, (H @ W.T).T])
         # eigh reads one triangle of the Hermitian projection
         theta, C = np.linalg.eigh(Q.conj() @ HQ.T)
-        theta, C = theta[:m], C[:, :m]
-        # next P: the active columns of C off X's rows, made orthonormal and
-        # orthogonal to C.  One pass: the part of such a column along C is
-        # the square of its length, so nothing cancels.
-        Y = C[:, active].T.copy()
-        Y[:, :m] = 0.0
+        theta, C = theta[0], C[:, :1]
+        # next p: C off x's row, made orthonormal to C in one pass
+        Y = C.T.copy()
+        Y[:, 0] = 0.0
         Y -= (Y @ C.conj()) @ C.T
         CY = np.vstack([C.T, _orthonormalizer(Y.conj() @ Y.T).T @ Y])
         B, HB = CY @ Q, CY @ HQ
-    return B[:m].T, 1000
+    return B[:1].T, 1000
 
 
-def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, k_pairs: int = 1,
-                 spin_dim: int = 1):
-    """Lowest k_pairs eigenpairs of a sparse Hermitian matrix.
+def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, spin_dim: int = 1):
+    """Lowest eigenpair of a sparse Hermitian matrix.
 
-    Block LOBPCG (_lobpcg) preconditioned by the shifted inverse diagonal.
-    One pair iterates the single column _ritz_start; more pairs iterate the
-    block _start_block, two columns wider when k_pairs exceeds spin_dim.
-    Small matrices, and blocks wider than a fifth of the dimension, go to
-    a dense eigh.  Each energy is the Rayleigh quotient of its vector, and
-    each residual ||H v - E v|| comes from that same product with H, not
-    from the solver's own.  Returns (energies, vectors, residuals) with
-    vectors as columns.
+    One-column LOBPCG (_lobpcg) from _ritz_start, preconditioned by the
+    shifted inverse diagonal; matrices of dimension at most 32 go to a
+    dense eigh.  The energy is the Rayleigh quotient of the vector, and the
+    residual ||H v - E v|| comes from that same product with H, not from
+    the solver's own.  Returns (energies, vectors, residuals) of the one
+    pair, shapes (1,), (dim, 1) and (1,).
     """
     H = sp.csr_matrix(H)
-    dim = H.shape[0]
-    spin_dim = min(spin_dim, dim)
-    # A block spans the dressed spin space.  Pairs past it reach into the
-    # one-photon continuum, where a block only as wide as k_pairs stalls:
-    # on configs/single_spin.yaml the third pair lies in a 6-fold cluster
-    # at 0.020656.  Two guard columns, which need not converge, take those
-    # solves from the 1000-step limit to 13 steps; narrower blocks need none.
-    wanted = 1 if k_pairs == 1 else max(k_pairs, spin_dim)
-    width = wanted + 2 * (k_pairs > spin_dim)
-    if dim <= 32 or dim < 5 * width:
-        vecs = np.linalg.eigh(H.toarray())[1][:, :width]
+    if H.shape[0] <= 32:
+        vecs = np.linalg.eigh(H.toarray())[1][:, :1]
     else:
         d = H.diagonal().real
-        # Shift 0.1: on the 24x12 fit a one-column solve takes 10-13
-        # iterations; a shift of 1.0 took 17-24.
+        # Shift 0.1: on the 24x12 fit a solve takes 10-13 iterations; a
+        # shift of 1.0 took 17-24.
         precond = 1.0 / (d - d.min() + 0.1)
-        if k_pairs == 1:
-            X = _ritz_start(H, d, spin_dim, precond)
-            # The energy error is about residual^2 / gap, and a lone column
-            # leaves a near-degenerate partner outside the block: on the 4x6
-            # equal-moment pair at t = 0.05, tol/10 gave 3.2e-12 relative.
-            stop = tol / 100
-        else:
-            X = _start_block(d, width, spin_dim)
-            stop = tol / 10
-        # A stalled block is left to the residual gate below.
-        vecs = _lobpcg(H, X, precond, stop, wanted)[0]
+        x = _ritz_start(H, d, min(spin_dim, H.shape[0]), precond)
+        # The energy error is about residual^2 / gap, and a near-degenerate
+        # partner can be that close: on the 4x6 equal-moment pair at
+        # t = 0.05, tol/10 gave 3.2e-12 relative.  A stall is left to the
+        # residual gate below.
+        vecs = _lobpcg(H, x, precond, tol / 100)[0]
     HV = H @ vecs
     vals = np.sum(vecs.conj() * HV, axis=0).real \
         / np.sum(np.abs(vecs) ** 2, axis=0)
-    order = np.argsort(vals)[:k_pairs]
-    vals, vecs = vals[order], vecs[:, order]
-    residuals = np.linalg.norm(HV[:, order] - vecs * vals, axis=0)
+    residuals = np.linalg.norm(HV - vecs * vals, axis=0)
     # written so that a NaN residual fails too
     if not np.all(residuals <= tol):
         raise ConvergenceError(
             f"eigenpair residual {residuals.max():.3e} above tolerance {tol:.3e}")
     return vals, vecs, residuals
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Re <a_i, b_i> for the rows of C-contiguous complex A and B."""
+    return np.einsum("ij,ij->i", A.view(float), B.view(float))
+
+
+def _feshbach(H, energy: float, spin_dim: int, tol: float):
+    """Eigenpairs of F(E) = PHP - PHQ Z with Z = (QHQ - E)^-1 QHP.
+
+    P projects on the first spin_dim states (vacuum (x) spin), Q = 1 - P.
+    For E below the spectrum of QHQ, E is an eigenvalue of H of
+    multiplicity m exactly when it is one of F(E), with eigenvectors
+    X (+) -Z X (Bach, Chen, Froehlich & Sigal, J. Funct. Anal. 203 (2003)
+    44).  Z comes from Jacobi-preconditioned CG on all spin_dim columns of
+    QHP at once, the conjugated rows P H; products with H stand in for
+    QHQ, as every vector is zero on P.  The start, the Jacobi solution, is
+    exact when QHQ is diagonal (n_max = 1).  Each column stops at residual
+    tol / 100, the residual of H on X (+) -Z X beyond (F(E) - E) X.
+    Raises ConvergenceError after MAX_CG_STEPS steps, or if QHQ - E is not
+    positive definite.  Returns eig F(E) ascending, its eigenvectors as
+    columns, and the columns of Z as rows.
+    """
+    PH = H[:spin_dim].toarray()
+    B = PH.conj()  # the columns of HP as rows; zero on P they are QHP
+    B[:, :spin_dim] = 0.0
+    precond = np.zeros(H.shape[0])
+    precond[spin_dim:] = 1.0 / (H.diagonal()[spin_dim:].real - energy)
+
+    def shifted(V):  # rows of (QHQ - E) V for rows V zero on P
+        AV = np.ascontiguousarray((H @ V.T).T)
+        AV -= energy * V
+        AV[:, :spin_dim] = 0.0
+        return AV
+
+    stop = tol / 100
+    Z = precond * B
+    R = B - shifted(Z)
+    D = precond * R
+    rho = _row_dots(R, D)
+    for step in range(MAX_CG_STEPS + 1):
+        live = ~(_row_dots(R, R) <= stop * stop)  # a NaN stays live
+        if not live.any():
+            break
+        if step == MAX_CG_STEPS:
+            raise ConvergenceError(
+                f"Feshbach CG residual {np.sqrt(_row_dots(R, R).max()):.3e} "
+                f"above {stop:.3e} after {MAX_CG_STEPS} steps")
+        # every column steps; a converged one with alpha = 0
+        AD = shifted(D)
+        curv = _row_dots(D, AD)
+        if not np.all(curv[live] > 0.0):
+            raise ConvergenceError(
+                f"QHQ - E not positive definite at E = {energy!r}")
+        alpha = np.divide(rho, curv, out=np.zeros_like(rho), where=live)
+        Z += alpha[:, None] * D
+        R -= alpha[:, None] * AD
+        U = precond * R
+        rho, rho_prev = _row_dots(R, U), rho
+        D *= np.divide(rho, rho_prev, out=np.zeros_like(rho),
+                       where=live)[:, None]
+        D += U
+    # eigh reads one triangle of F(E), Hermitian up to the CG residual
+    lam, X = np.linalg.eigh(PH[:, :spin_dim] - PH @ Z.T)
+    return lam, X, Z
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +651,7 @@ def quadratic_fit(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
     toy = build_hamiltonian(system, profile, grid, n_max)
     energies, photons = [], []
     for t in scales:
-        vals, vecs, _ = ground_state(toy.matrix(t), tol=tol, k_pairs=1,
+        vals, vecs, _ = ground_state(toy.matrix(t), tol=tol,
                                      spin_dim=toy.spin_dim)
         energies.append(vals[0])
         photons.append(photon_number(toy, vecs[:, 0]))
@@ -665,6 +684,8 @@ class MultiplicityRow:
     mult_h: int
     mult_a1: int
     min_overlap: float
+    multiplet: np.ndarray  # (spin_dim,) (eig F(E_0) - E_0) / g^2, ascending
+    a_disc: np.ndarray     # (spin_dim,) spectrum of A_1^disc, every row alike
 
 
 def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
@@ -673,8 +694,12 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
                       tol: float = DEFAULT_EIGENSOLVER_TOL) -> list:
     """Ground multiplicity of H(g 1) versus that of the minimum of A_1^disc.
 
-    All moments are set equal to g; also reports the smallest overlap of the
-    H ground vectors with Psi_0 (x) (A_1 ground eigenspace).
+    All moments are set equal to g.  mult_h counts the eigenvalues of the
+    Feshbach map F(E_0) (_feshbach) in the degeneracy window above the
+    ground energy E_0.  Also reports the smallest overlap of those dressed
+    states X (+) -Z X with Psi_0 (x) (A_1 ground eigenspace), and the
+    multiplet (eig F(E_0) - E_0) / g^2, which tends to eig A_1^disc -
+    min eig A_1^disc as g -> 0.
     """
     if np.ptp(system.moments) > 1e-12:
         raise DomainError("multiplicity scan requires equal moments")
@@ -684,23 +709,27 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
         raise DomainError("multiplicity scan needs nonzero finite g values")
     unit = system.with_moments(np.ones(system.P))
     toy = build_hamiltonian(unit, profile, grid, n_max)
-    _, mult_a1, a_basis = ground_eigenspace(
-        discrete_am(unit, toy.space.omega_osc, toy.coupling, vectors=True),
-        degeneracy_tol)
-    proj_basis = np.array([toy.vacuum_embed(v)
-                           for v in a_basis.T])  # rows orthonormal
+    a_disc = discrete_am(unit, toy.space.omega_osc, toy.coupling, vectors=True)
+    _, mult_a1, a_basis = ground_eigenspace(a_disc, degeneracy_tol)
     rows = []
-    # One pair past the bound decides PASS; mult_h is capped at mult_a1 + 1.
-    k_pairs = min(mult_a1 + 1, toy.dim - 2)
     for g in g_points:
-        vals, vecs, _ = ground_state(toy.matrix(g), tol=tol, k_pairs=k_pairs,
-                                     spin_dim=toy.spin_dim)
+        H = toy.matrix(g)
+        energy = ground_state(H, tol=tol, spin_dim=toy.spin_dim)[0][0]
+        lam, X, Z = _feshbach(H, energy, toy.spin_dim, tol)
         # energies scale like g^2 eig(A_1), so the cluster window must too
-        width = degeneracy_tol * max(g * g, abs(vals[0]))
-        mult_h = int(np.sum(vals <= vals[0] + width))
-        overlaps = [float(np.sum(np.abs(proj_basis.conj() @ vecs[:, i]) ** 2))
-                    for i in range(mult_h)]
-        rows.append(MultiplicityRow(g=float(g), energy=float(vals[0]),
-                                    mult_h=mult_h, mult_a1=mult_a1,
-                                    min_overlap=min(overlaps)))
+        width = degeneracy_tol * max(g * g, abs(energy))
+        # every eigenvalue of F(E_0) lies at or above the ground energy E_0
+        if not lam[0] >= energy - width:
+            raise ConvergenceError(
+                f"Feshbach map at g={g!r} has eigenvalue {lam[0]!r} below "
+                f"the ground energy {energy!r}")
+        mult_h = int(np.sum(lam <= energy + width))
+        X = X[:, :mult_h]
+        # |X (+) -Z X|^2 = X^H (1 + Z^H Z) X, and Psi_0 (x) a_basis reads X
+        norm2 = 1.0 + np.sum(X.conj() * ((Z.conj() @ Z.T) @ X), axis=0).real
+        overlaps = np.sum(np.abs(a_basis.conj().T @ X) ** 2, axis=0) / norm2
+        rows.append(MultiplicityRow(
+            g=float(g), energy=float(energy), mult_h=mult_h, mult_a1=mult_a1,
+            min_overlap=float(overlaps.min()),
+            multiplet=(lam - energy) / (g * g), a_disc=a_disc.eigenvalues))
     return rows

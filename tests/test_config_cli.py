@@ -427,6 +427,46 @@ def test_cli_multiplicity(tmp_path):
         g, energy, mh, ma, ov = line.split(",")
         assert int(mh) <= int(ma)
         assert float(energy) < 0.0
+    doc = json.loads((tmp_path / "multiplicity_manifest.json").read_text())
+    spectrum = doc["a_disc_spectrum"]
+    assert len(spectrum) == 4 and spectrum == sorted(spectrum)
+    assert [m["g"] for m in doc["dressed_multiplet"]] == [0.2, 0.1]
+    for m in doc["dressed_multiplet"]:
+        # (eig F(E_0) - E_0) / g^2 starts at 0 and tends to the A_1 gaps
+        assert len(m["values"]) == 4 and abs(m["values"][0]) <= 1e-12
+        assert m["values"] == pytest.approx(
+            [a - spectrum[0] for a in spectrum], abs=0.1 * abs(spectrum[0]))
+
+
+def test_cli_multiplicity_two_photons_strong_coupling(tmp_path):
+    # two_spins_equal at n_max = 2 up to g = 2: the 24x12 grid's 42,340
+    # states, where the Feshbach CG has to run
+    cfg = yaml.safe_load((CONFIG_DIR / "two_spins_equal.yaml").read_text())
+    cfg["grids"]["n_max"] = 2
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    rc = main(["multiplicity", "--config", str(path), "--out", str(tmp_path),
+               "--g", "0.3,1.0,2.0"])
+    assert rc == 0
+    rows = (tmp_path / "multiplicity.csv").read_text().strip().splitlines()
+    assert [tuple(map(int, line.split(",")[2:4])) for line in rows[1:]] \
+        == [(2, 2)] * 3
+
+
+def test_cli_multiplicity_cg_limit_is_an_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("spinrad.fock.MAX_CG_STEPS", 2)
+    cfg = Path(small_config(tmp_path, moments=(1.0, 1.0)))
+    cfg.write_text(cfg.read_text().replace("n_max: 1", "n_max: 2"))
+    out = tmp_path / "out"
+    rc = main(["multiplicity", "--config", str(cfg), "--out", str(out),
+               "--g", "0.3"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR Feshbach CG")
+    assert "after 2 steps" in err[0]
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_multiplicity_spin_one_cluster_whole(tmp_path):

@@ -19,7 +19,7 @@ from spinrad.fock import MAX_TOTAL_DIM, ToyHamiltonian, _discrete_k_bound, \
     ground_state, multiplicity_scan, photon_number, quadratic_fit, \
     segal_field, shell_couplings, variational_trial_check
 from spinrad.spin_operator import DEFAULT_DEGENERACY_TOL, SpinSystem, \
-    _assemble, assemble_am, site_spin_operators
+    _assemble, assemble_am, ground_eigenspace, site_spin_operators
 
 from conftest import grid_modes, kron_site_spins, projector_kernel, \
     random_state
@@ -434,19 +434,19 @@ def _full_grid_hamiltonian(system, profile, grid, n_max):
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(s=st.sampled_from([0.5, 1.0, 1.5]), P=st.sampled_from([1, 2]),
        n_max=st.sampled_from([1, 2, 3]), n_radial=st.sampled_from([2, 3]),
-       k_pairs=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 16))
-@example(s=0.5, P=1, n_max=2, n_radial=2, k_pairs=3, seed=0)  # 3 pairs
-@example(s=0.5, P=1, n_max=3, n_radial=2, k_pairs=1, seed=1)  # full 135,050
+       seed=st.integers(0, 2 ** 16))
+@example(s=0.5, P=1, n_max=2, n_radial=2, seed=0)  # the multiplet at n_max=2
+@example(s=0.5, P=1, n_max=3, n_radial=2, seed=1)  # full 135,050
 def test_reduced_hamiltonian_matches_full_grid(profile, s, P, n_max,
-                                               n_radial, k_pairs, seed):
-    """Every level below E_0 + omega_min is exact; the ones above can only
-    rise, as the full spectrum contains the reduced one."""
+                                               n_radial, seed):
+    """The ground state is exact, and so is the whole Feshbach map: the
+    dropped oscillators do not reach the vacuum, so QHP and F(E) are
+    the same on both spaces."""
     grid = build_mode_grid(profile, n_radial, 6)
     spin_dim = round(2 * s + 1) ** P
-    # block solves on a large full space take seconds; one column does not
     full_dim = spin_dim * sum(math.comb(2 * grid.n_modes + n - 1, n)
                               for n in range(n_max + 1))
-    assume(full_dim <= (140_000 if k_pairs == 1 else 30_000))
+    assume(full_dim <= 140_000)
     rng = np.random.default_rng(seed)
     system = SpinSystem(
         positions=np.vstack([np.zeros(3), rng.uniform(-1.0, 1.0, (1, 3))])[:P],
@@ -455,38 +455,43 @@ def test_reduced_hamiltonian_matches_full_grid(profile, s, P, n_max,
     full = _full_grid_hamiltonian(system, profile, grid, n_max)
     assert reduced.space.n_osc == n_radial * min(3 * P, 2 * grid.n_modes
                                                  // n_radial)
-    got, got_v, _ = ground_state(reduced.matrix(), k_pairs=k_pairs,
-                                 spin_dim=spin_dim)
-    exact, exact_v, _ = ground_state(full.matrix(), k_pairs=k_pairs,
-                                     spin_dim=spin_dim)
-    below = exact < exact[0] + grid.radius.min()
-    assert np.all(np.abs(got - exact)[below] <= 1e-12 * np.abs(exact)[below])
-    assert np.all(got[~below] >= exact[~below] - 1e-12 * np.abs(exact[~below]))
+    got, got_v, _ = ground_state(reduced.matrix(), spin_dim=spin_dim)
+    exact, exact_v, _ = ground_state(full.matrix(), spin_dim=spin_dim)
+    assert abs(got[0] - exact[0]) <= 1e-12 * abs(exact[0])
     assert photon_number(reduced, got_v[:, 0]) == pytest.approx(
         photon_number(full, exact_v[:, 0]), rel=1e-12)
+    # CG on the full space takes seconds past a few 10^4 states
+    if full_dim <= 30_000:
+        lam = fock._feshbach(reduced.matrix(), exact[0], spin_dim, 1e-10)[0]
+        lam_full = fock._feshbach(full.matrix(), exact[0], spin_dim,
+                                  1e-10)[0]
+        assert np.abs(lam - lam_full).max() <= 1e-12 * abs(exact[0])
 
 
 def test_ground_state_diagonal_and_free(profile, small_grid, two_spin_system):
     D = sp.diags(np.array([3.0, -2.0, 5.0, 0.5]))
-    vals, vecs, res = ground_state(D, k_pairs=1)
+    vals, vecs, res = ground_state(D)
     assert vals[0] == pytest.approx(-2.0, abs=1e-14)
     toy = build_hamiltonian(two_spin_system.with_moments([0.0, 0.0]), profile,
                             small_grid, 1)
-    vals, vecs, res = ground_state(toy.matrix(), tol=1e-10, k_pairs=2,
-                                   spin_dim=4)
+    vals, vecs, res = ground_state(toy.matrix(), tol=1e-10, spin_dim=4)
     assert np.abs(vals).max() <= 1e-10
     assert res.max() <= 1e-10
+    # free H: QHP = 0, so F(0) = 0 and the ground level is the spin space
+    lam, X, Z = fock._feshbach(toy.matrix(), 0.0, 4, 1e-10)
+    assert np.array_equal(lam, np.zeros(4))
+    assert not Z.any()
 
 
 def test_ground_state_no_convergence(monkeypatch):
-    def stalled(H, X, *args):  # hands back its start block unimproved
+    def stalled(H, X, *args):  # hands back its start vector unimproved
         return X, 1000
 
     monkeypatch.setattr("spinrad.fock._lobpcg", stalled)
     laplacian = sp.diags([-np.ones(63), 2.0 * np.ones(64), -np.ones(63)],
                          [-1, 0, 1])
     with pytest.raises(ConvergenceError, match="above tolerance"):
-        ground_state(laplacian, k_pairs=1)
+        ground_state(laplacian)
 
 
 @pytest.mark.parametrize("shift", [1e-9, np.nan])
@@ -503,16 +508,19 @@ def test_ground_state_rejects_residual_above_tol(monkeypatch, shift):
 
     monkeypatch.setattr("spinrad.fock._lobpcg", off)
     with pytest.raises(ConvergenceError, match="above tolerance"):
-        ground_state(sp.diags(d), k_pairs=1)
+        ground_state(sp.diags(d))
 
 
 def test_ground_state_deterministic(profile, default_grid, two_spin_system):
-    toy = build_hamiltonian(two_spin_system, profile, default_grid, 1)
+    toy = build_hamiltonian(two_spin_system, profile, default_grid, 2)
     H = toy.matrix(0.3)
-    v1 = ground_state(H, k_pairs=2, spin_dim=4)
-    v2 = ground_state(H, k_pairs=2, spin_dim=4)
+    v1 = ground_state(H, spin_dim=4)
+    v2 = ground_state(H, spin_dim=4)
     assert np.array_equal(v1[0], v2[0])
     assert np.array_equal(v1[1], v2[1])
+    f1 = fock._feshbach(H, v1[0][0], 4, 1e-10)
+    f2 = fock._feshbach(H, v1[0][0], 4, 1e-10)
+    assert all(np.array_equal(a, b) for a, b in zip(f1, f2))
 
 
 def _schur_energies(system, profile, grid, t):
@@ -550,8 +558,7 @@ def test_ground_state_matches_schur_oracle(request, profile, two_spin_system,
     grid = request.getfixturevalue(grid_name)
     toy = build_hamiltonian(two_spin_system, profile, grid, 1)
     for t in (0.4, 0.2, 0.1, 0.05):
-        vals, _, _ = ground_state(toy.matrix(t), k_pairs=1,
-                                  spin_dim=toy.spin_dim)
+        vals, _, _ = ground_state(toy.matrix(t), spin_dim=toy.spin_dim)
         exact = _schur_energies(two_spin_system, profile, grid, t)[0]
         assert abs(vals[0] - exact) <= 1e-12 * abs(exact)
 
@@ -561,7 +568,7 @@ def test_ground_state_matches_schur_oracle(request, profile, two_spin_system,
     ([[0.0, 0.0, 0.0]], 0.5),
     ([[0.0, 0.0, 0.0]], 1.0),
     ([[0.0, 0.0, 0.0], [0.9, -0.3, 0.4]], 1.5)])
-def test_one_column_solve_matches_block(profile, monkeypatch, positions, s):
+def test_one_column_solve_matches_dense(profile, monkeypatch, positions, s):
     # 6 shells: one spin-1/2 site couples to 3 oscillators per shell, so H
     # has dimension 38; 4 shells give 26, which takes the dense branch.
     grid = build_mode_grid(profile, 6, 6)
@@ -578,22 +585,52 @@ def test_one_column_solve_matches_block(profile, monkeypatch, positions, s):
     monkeypatch.setattr("spinrad.fock._lobpcg", recorded)
     for t in (0.4, 0.2, 0.1, 0.05):
         H = toy.matrix(t)
-        one = ground_state(H, k_pairs=1, spin_dim=toy.spin_dim)[0][0]
-        block = ground_state(H, k_pairs=toy.spin_dim,
-                             spin_dim=toy.spin_dim)[0][0]
-        assert abs(one - block) <= 1e-12 * abs(block)
-    assert widths == [1, toy.spin_dim] * 4
+        one = ground_state(H, spin_dim=toy.spin_dim)[0][0]
+        v = np.linalg.eigh(H.toarray())[1][:, 0]
+        dense = np.vdot(v, H @ v).real  # eigh's eigenvalue carries eps |H|
+        assert abs(one - dense) <= 1e-12 * abs(dense)
+    assert widths == [1] * 4
 
 
 def test_one_column_solve_on_diagonal():
     # H V is parallel to V, so the Ritz space [V, M H V] has rank spin_dim.
     d = np.random.default_rng(5).permutation(np.linspace(-1.0, 2.0, 64))
-    D = sp.diags(d)
-    one = ground_state(D, k_pairs=1, spin_dim=4)
-    block = ground_state(D, k_pairs=4, spin_dim=4)
-    assert one[0][0] == block[0][0] == -1.0
-    assert np.abs(one[1][:, 0]) @ np.abs(block[1][:, 0]) == \
-        pytest.approx(1.0, abs=1e-14)
+    vals, vecs, _ = ground_state(sp.diags(d), spin_dim=4)
+    assert vals[0] == -1.0
+    assert abs(vecs[np.argmin(d), 0]) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("positions, s, expected", [
+    ([[0.0, 0.0, 0.0]], 0.5, 2),                     # Kramers pair
+    ([[0.0, 0.0, 0.0]], 1.0, 3),                     # one spin-1 site
+    ([[0.0, 0.0, 0.0], [0.9, -0.3, 0.4]], 0.5, 2)])  # two_spins_equal pair
+@pytest.mark.parametrize("n_max, n_radial", [(1, 6), (2, 2)])
+def test_multiplicity_matches_dense(profile, positions, s, expected, n_max,
+                                    n_radial):
+    """Energy, cluster count and overlap of the Feshbach route against a
+    dense eigh of H; at n_max = 2 QHQ is not diagonal and the CG runs.
+    The pair's A_1 ground level is degenerate on 12 azimuths, not on 6."""
+    grid = build_mode_grid(profile, n_radial, 12)
+    system = SpinSystem(positions=positions, moments=np.ones(len(positions)),
+                        s=s)
+    g_points = [0.1, 0.3, 1.0, 2.0]
+    rows = multiplicity_scan(system, profile, grid, n_max, g_points)
+    toy = build_hamiltonian(system, profile, grid, n_max)
+    _, _, basis = ground_eigenspace(
+        discrete_am(system, toy.space.omega_osc, toy.coupling, vectors=True))
+    for g, r in zip(g_points, rows):
+        H = toy.matrix(g).toarray()
+        w, V = np.linalg.eigh(H)
+        width = DEFAULT_DEGENERACY_TOL * max(g * g, abs(w[0]))
+        cluster = V[:, w <= w[0] + width]
+        assert r.mult_h == cluster.shape[1] == expected
+        # eigh's eigenvalue carries eps |H|; its vector's Rayleigh quotient
+        # is good to eps |E_0|
+        energy = np.vdot(V[:, 0], H @ V[:, 0]).real
+        assert abs(r.energy - energy) <= 1e-12 * abs(energy)
+        overlap = np.sum(np.abs(basis.conj().T @ cluster[:toy.spin_dim]) ** 2,
+                         axis=0).min()
+        assert r.min_overlap == pytest.approx(overlap, abs=1e-12)
 
 
 @pytest.mark.parametrize("positions, s, expected", [
@@ -612,9 +649,10 @@ def test_multiplicity_matches_schur_oracle(profile, default_grid, positions,
         assert abs(r.energy - exact[0]) <= 1e-12 * abs(exact[0])
 
 
-def test_block_past_the_spin_space_converges(profile, monkeypatch):
-    # configs/single_spin.yaml: 3 pairs on 146 states, the third in a 6-fold
-    # one-photon cluster; a block of width 3 stalls at the 1000-step limit
+def test_multiplicity_solves_one_column(profile, monkeypatch):
+    # configs/single_spin.yaml: 146 states, the Kramers pair found from one
+    # ground-state column; at n_max = 1 QHQ is diagonal and the Feshbach CG
+    # takes no step, so a step limit of 0 does not stop it
     cfg = parse_config((CONFIGS / "single_spin.yaml").read_text())
     grid = build_mode_grid(cfg.profile(), cfg.grids["n_radial"],
                            cfg.grids["n_angular"])
@@ -627,24 +665,52 @@ def test_block_past_the_spin_space_converges(profile, monkeypatch):
         return vecs, steps
 
     monkeypatch.setattr("spinrad.fock._lobpcg", recorded)
+    monkeypatch.setattr("spinrad.fock.MAX_CG_STEPS", 0)
     rows = multiplicity_scan(cfg.system(), cfg.profile(), grid,
                              cfg.grids["n_max"], [0.4, 0.2, 0.1])
     assert [r.mult_h for r in rows] == [2, 2, 2]
-    assert [(dim, width) for dim, width, _ in solves] == [(146, 5)] * 3
+    assert [(dim, width) for dim, width, _ in solves] == [(146, 1)] * 3
     assert all(steps <= 50 for _, _, steps in solves)
 
 
-def test_ground_state_finds_degenerate_pair(profile, default_grid):
+def test_feshbach_catches_a_missed_ground_state(profile, default_grid,
+                                                monkeypatch):
+    # an energy above E_0 leaves an eigenvalue of F below it
+    solve = fock.ground_state
+
+    def excited(*args, **kwargs):
+        vals, vecs, res = solve(*args, **kwargs)
+        return 0.5 * vals, vecs, res
+
+    monkeypatch.setattr("spinrad.fock.ground_state", excited)
+    pair = SpinSystem(positions=[[0, 0, 0], [0.9, -0.3, 0.4]],
+                      moments=[1.0, 1.0])
+    with pytest.raises(ConvergenceError, match="below the ground energy"):
+        multiplicity_scan(pair, profile, default_grid, 1, [0.2])
+
+
+def test_feshbach_finds_degenerate_pair(profile, default_grid):
     pair = SpinSystem(positions=[[0, 0, 0], [0.9, -0.3, 0.4]],
                       moments=[1.0, 1.0])
     toy = build_hamiltonian(pair, profile, default_grid, 1)
-    vals, vecs, _ = ground_state(toy.matrix(0.1), k_pairs=3,
-                                 spin_dim=toy.spin_dim)
+    H = toy.matrix(0.1)
     exact = _schur_energies(pair, profile, default_grid, 0.1)
-    assert np.all(np.abs(vals - exact[:3]) <= 1e-12 * abs(exact[0]))
+    # E is an eigenvalue of H exactly when it is one of F(E)
+    for e in exact[:3]:
+        lam = fock._feshbach(H, e, toy.spin_dim, 1e-10)[0]
+        assert np.abs(lam - e).min() <= 1e-12 * abs(exact[0])
     width = DEFAULT_DEGENERACY_TOL * abs(exact[0])
-    assert vals[1] - vals[0] <= width < vals[2] - vals[0]
-    assert np.allclose(vecs.conj().T @ vecs, np.eye(3), atol=1e-12)
+    assert exact[1] - exact[0] <= width < exact[2] - exact[0]
+    row, = multiplicity_scan(pair, profile, default_grid, 1, [0.1])
+    assert row.mult_h == 2
+    assert abs(row.energy - exact[0]) <= 1e-12 * abs(exact[0])
+    # the dressed pair X (+) -Z X is orthogonal and solves H to the window
+    lam, X, Z = fock._feshbach(H, row.energy, toy.spin_dim, 1e-10)
+    psi = -(Z.T @ X[:, :2])
+    psi[:toy.spin_dim] = X[:, :2]
+    psi /= np.linalg.norm(psi, axis=0)
+    assert abs(np.vdot(psi[:, 0], psi[:, 1])) <= 1e-12
+    assert np.linalg.norm(H @ psi - row.energy * psi, axis=0).max() <= width
 
 
 def test_variational_trial_identity(profile, small_grid, two_spin_system):

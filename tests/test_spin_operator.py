@@ -309,19 +309,22 @@ def _count_decompositions(monkeypatch, skip):
 def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
                                   monkeypatch):
     # eigenvectors are computed only where a caller reads them; the
-    # Rayleigh-Ritz solves inside fock.ground_state are not A_M's
+    # Rayleigh-Ritz solves inside fock.ground_state and the eigh of the
+    # Feshbach map F(E_0) in fock._feshbach are not A_M's
     grid = fock.build_mode_grid(profile, 4, 6)  # Fock dim > 32: LOBPCG
     solving = []
-    solve = fock.ground_state
 
-    def ground_state(*args, **kwargs):
-        solving.append(True)
-        try:
-            return solve(*args, **kwargs)
-        finally:
-            solving.pop()
+    def skipped(solve):
+        def wrapped(*args, **kwargs):
+            solving.append(True)
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                solving.pop()
+        return wrapped
 
-    monkeypatch.setattr(fock, "ground_state", ground_state)
+    for name in ("ground_state", "_feshbach"):
+        monkeypatch.setattr(fock, name, skipped(getattr(fock, name)))
     calls = _count_decompositions(monkeypatch, skip=lambda: bool(solving))
     e2 = ["e2", "--config", str(CONFIGS / "two_spins.yaml"),
           "--out", str(tmp_path)]

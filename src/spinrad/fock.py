@@ -38,10 +38,11 @@ A_M is the second-order operator of H's couplings, real symmetric and
 negative semidefinite on any grid.
 
 H_int is assembled in one pass from one spin block per oscillator.  Its
-ground state comes from an in-package one-column LOBPCG, and the
-multiplicity of the ground level from the Feshbach map onto the vacuum
-spin space, whose resolvent is applied by CG; both are written in numpy,
-so the module needs nothing of scipy beyond scipy.sparse.
+ground state comes from an in-package one-column LOBPCG started from the
+vacuum spin space dressed by its one-photon cloud, and the multiplicity
+of the ground level from the Feshbach map onto that spin space, whose
+resolvent is applied by CG; both are written in numpy, so the module
+needs nothing of scipy beyond scipy.sparse.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ DEFAULT_EIGENSOLVER_TOL = 1e-10
 
 # Step limit of the conjugate gradients behind the Feshbach map.
 MAX_CG_STEPS = 1000
+
+# Step limit of the LOBPCG behind ground_state.
+MAX_LOBPCG_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -318,68 +322,45 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
 # Eigensolver
 # ---------------------------------------------------------------------------
 
-def _ritz_start(H: sp.csr_matrix, diag: np.ndarray, spin_dim: int,
-                precond: np.ndarray) -> np.ndarray:
-    """Lowest Rayleigh-Ritz vector of H on span[V, M H V], one column.
+def _dressed_start(H: sp.csr_matrix, diag: np.ndarray, spin_dim: int,
+                   precond: np.ndarray) -> np.ndarray:
+    """The spin space dressed by its one-photon cloud, as a unit column.
 
-    V holds the unit vectors on the spin_dim smallest diagonal entries
-    (vacuum (x) spin) and M = diag(precond): the dressed spin space to
-    first order.  The projected eigenproblem runs on the rows where
-    [V, M H V] is nonzero; directions of M H V in span V are dropped.
+    P holds the spin_dim states with the smallest diagonal entries (vacuum
+    (x) spin for a Fock H), Q = 1 - P and M = diag(precond).  x is the
+    lowest eigenvector of PHP - PHQ M QHP, the Feshbach map of _feshbach
+    with M for its resolvent, and the start is x (+) -M QHP x, that map's
+    first (Jacobi) step.  Only the rows PH are made dense.
     """
     cols = np.argsort(diag, kind="stable")[:spin_dim]
-    Hc = H[cols]
-    support = np.zeros(H.shape[0], dtype=bool)
-    support[cols] = True
-    support[Hc.indices] = True
-    rows = np.flatnonzero(support)
-    Hr = H if support.all() else H[rows][:, rows]
-    # basis vectors as rows: V, then M H V = M (V^H H)^H
-    B = np.zeros((2 * spin_dim, len(rows)), dtype=complex)
-    B[np.arange(spin_dim), np.searchsorted(rows, cols)] = 1.0
-    B[spin_dim:] = Hc.toarray()[:, rows].conj() * precond[rows]
-    B = _orthonormal_rows(B)
-    _, y = np.linalg.eigh(B.conj() @ (Hr @ B.T))
-    x = np.zeros((H.shape[0], 1), dtype=complex)
-    x[rows, 0] = y[:, 0] @ B
-    return x
+    PH = H[cols].toarray()
+    PHP = PH[:, cols].copy()
+    PH[:, cols] = 0.0  # now PHQ
+    B = PH.conj()  # the columns of M QHP as rows
+    B *= precond
+    x = np.linalg.eigh(PHP - PH @ B.T)[1][:, 0]
+    start = -(x @ B)
+    start[cols] = x
+    return (start / np.linalg.norm(start))[:, None]
 
 
-def _orthonormalizer(G: np.ndarray) -> np.ndarray:
-    """T with T^H G T = I for the Gram matrix G of a block of vectors.
-
-    Cholesky-QR, T = L^-H for G = L L^H, or if G is not numerically
-    positive definite SVQB (Stathopoulos & Wu, SIAM J. Sci. Comput. 23
-    (2002) 2165), which drops directions below 1e-12 of the largest.
-    Either loses orthogonality like eps cond^2.
-    """
-    if G.shape == (1, 1) and G[0, 0].real > 0.0:  # one vector: its norm
-        return 1.0 / np.sqrt(G.real)
-    try:
-        return np.linalg.inv(np.linalg.cholesky(G)).conj().T
-    except np.linalg.LinAlgError:
-        pass
-    scale = 1.0 / np.sqrt(np.maximum(G.diagonal().real, np.finfo(float).tiny))
-    s, U = np.linalg.eigh(scale[:, None] * G * scale)
-    keep = s > 1e-12 * s[-1]
-    return scale[:, None] * U[:, keep] / np.sqrt(s[keep])
-
-
-def _orthonormal_rows(V: np.ndarray, B: np.ndarray | None = None):
-    """The rows of V projected off the orthonormal rows of B and made
-    orthonormal, twice over: the second pass restores orthogonality to
-    roundoff, and nearly dependent rows end up dropped or orthonormal."""
-    B_h = None if B is None else B.conj().T
+def _gram_schmidt(v: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The row v projected off the orthonormal rows of B and normalized,
+    twice over: the second pass restores orthogonality to roundoff.  No
+    row is left when a pass leaves nothing of v."""
+    B_h = B.conj().T
     for _ in range(2):
-        if B is not None:
-            V = V - (V @ B_h) @ B
-        V = _orthonormalizer(V.conj() @ V.T).T @ V
-    return V
+        v = v - (v @ B_h) @ B
+        norm = np.linalg.norm(v)
+        if not norm > 0.0:  # written so that a NaN row is dropped too
+            return v[:0]
+        v = v / norm
+    return v
 
 
 def _lobpcg(H: sp.csr_matrix, x: np.ndarray, precond: np.ndarray,
             stop: float):
-    """Lowest eigenvector of Hermitian H from the start vector x.
+    """Lowest eigenvector of Hermitian H from the unit start column x.
 
     One-column LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) in the
     orthonormal-basis form of Hetmaniuk & Lehoucq, J. Comput. Phys. 218
@@ -388,18 +369,18 @@ def _lobpcg(H: sp.csr_matrix, x: np.ndarray, precond: np.ndarray,
     preconditioned residual w = diag(precond) (H x - theta x), projected
     off [x, p]; only w needs a product with H.  The basis is kept as
     contiguous rows, so a step is a few small matrix products.  Ends when
-    the residual norm falls to `stop`, or after 1000 steps with whatever
-    it has.  Returns (vector as a column, steps).
+    the residual norm falls to `stop`, or after MAX_LOBPCG_STEPS steps
+    with whatever it has.  Returns (vector as a column, steps).
     """
     # rows [x; p], p empty at first
-    B = _orthonormal_rows(np.ascontiguousarray(x.T, dtype=complex))
+    B = np.ascontiguousarray(x.T, dtype=complex)
     HB = np.ascontiguousarray((H @ B.T).T)
     theta = np.vdot(B, HB).real
-    for step in range(1000):
+    for step in range(MAX_LOBPCG_STEPS):
         R = HB[:1] - theta * B[:1]
         if np.linalg.norm(R) <= stop:
             return B[:1].T, step
-        W = _orthonormal_rows(precond * R, B)
+        W = _gram_schmidt(precond * R, B)
         if not len(W):  # the residual lies in span[x, p]: no progress left
             return B[:1].T, step
         Q = np.vstack([B, W])
@@ -407,39 +388,35 @@ def _lobpcg(H: sp.csr_matrix, x: np.ndarray, precond: np.ndarray,
         # eigh reads one triangle of the Hermitian projection
         theta, C = np.linalg.eigh(Q.conj() @ HQ.T)
         theta, C = theta[0], C[:, :1]
-        # next p: C off x's row, made orthonormal to C in one pass
+        # next p: C off x's row, made orthonormal to C
         Y = C.T.copy()
         Y[:, 0] = 0.0
-        Y -= (Y @ C.conj()) @ C.T
-        CY = np.vstack([C.T, _orthonormalizer(Y.conj() @ Y.T).T @ Y])
+        CY = np.vstack([C.T, _gram_schmidt(Y, C.T)])
         B, HB = CY @ Q, CY @ HQ
-    return B[:1].T, 1000
+    return B[:1].T, MAX_LOBPCG_STEPS
 
 
 def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, spin_dim: int = 1):
     """Lowest eigenpair of a sparse Hermitian matrix.
 
-    One-column LOBPCG (_lobpcg) from _ritz_start, preconditioned by the
-    shifted inverse diagonal; matrices of dimension at most 32 go to a
-    dense eigh.  The energy is the Rayleigh quotient of the vector, and the
-    residual ||H v - E v|| comes from that same product with H, not from
-    the solver's own.  Returns (energies, vectors, residuals) of the one
-    pair, shapes (1,), (dim, 1) and (1,).
+    One-column LOBPCG (_lobpcg) from the dressed vacuum (_dressed_start),
+    preconditioned by the shifted inverse diagonal.  The energy is the
+    Rayleigh quotient of the vector, and the residual ||H v - E v|| comes
+    from that same product with H, not from the solver's own.  Returns
+    (energies, vectors, residuals) of the one pair, shapes (1,), (dim, 1)
+    and (1,).
     """
     H = sp.csr_matrix(H)
-    if H.shape[0] <= 32:
-        vecs = np.linalg.eigh(H.toarray())[1][:, :1]
-    else:
-        d = H.diagonal().real
-        # Shift 0.1: on the 24x12 fit a solve takes 10-13 iterations; a
-        # shift of 1.0 took 17-24.
-        precond = 1.0 / (d - d.min() + 0.1)
-        x = _ritz_start(H, d, min(spin_dim, H.shape[0]), precond)
-        # The energy error is about residual^2 / gap, and a near-degenerate
-        # partner can be that close: on the 4x6 equal-moment pair at
-        # t = 0.05, tol/10 gave 3.2e-12 relative.  A stall is left to the
-        # residual gate below.
-        vecs = _lobpcg(H, x, precond, tol / 100)[0]
+    d = H.diagonal().real
+    # Shift 0.1: on the 24x12 fit a solve takes 10-12 steps; a shift of
+    # 1.0 took 17-23.
+    precond = 1.0 / (d - d.min() + 0.1)
+    x = _dressed_start(H, d, min(spin_dim, H.shape[0]), precond)
+    # The energy error is about residual^2 / gap, and a near-degenerate
+    # partner can be that close: on the 4x6 equal-moment pair at t = 0.05,
+    # tol/10 gave 3.2e-12 relative.  A stall is left to the residual gate
+    # below.
+    vecs = _lobpcg(H, x, precond, tol / 100)[0]
     HV = H @ vecs
     vals = np.sum(vecs.conj() * HV, axis=0).real \
         / np.sum(np.abs(vecs) ** 2, axis=0)

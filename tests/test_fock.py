@@ -483,6 +483,18 @@ def test_ground_state_diagonal_and_free(profile, small_grid, two_spin_system):
     assert not Z.any()
 
 
+@pytest.mark.parametrize("spin_dim", [1, 4])
+def test_ground_state_on_laplacian(spin_dim):
+    # constant diagonal: the preconditioner is a multiple of 1 and the start
+    # picks the first spin_dim rows; no stub, the solve runs in full
+    laplacian = sp.diags([-np.ones(63), 2.0 * np.ones(64), -np.ones(63)],
+                         [-1, 0, 1])
+    exact = 2.0 - 2.0 * math.cos(math.pi / 65)
+    vals, vecs, res = ground_state(laplacian, spin_dim=spin_dim)
+    assert abs(vals[0] - exact) <= 1e-12 * exact
+    assert res[0] <= fock.DEFAULT_EIGENSOLVER_TOL
+
+
 def test_ground_state_no_convergence(monkeypatch):
     def stalled(H, X, *args):  # hands back its start vector unimproved
         return X, 1000
@@ -570,7 +582,8 @@ def test_ground_state_matches_schur_oracle(request, profile, two_spin_system,
     ([[0.0, 0.0, 0.0], [0.9, -0.3, 0.4]], 1.5)])
 def test_one_column_solve_matches_dense(profile, monkeypatch, positions, s):
     # 6 shells: one spin-1/2 site couples to 3 oscillators per shell, so H
-    # has dimension 38; 4 shells give 26, which takes the dense branch.
+    # has dimension 38; every solve is one LOBPCG column from the dressed
+    # vacuum.
     grid = build_mode_grid(profile, 6, 6)
     system = SpinSystem(positions=positions, moments=np.ones(len(positions)),
                         s=s)
@@ -593,7 +606,7 @@ def test_one_column_solve_matches_dense(profile, monkeypatch, positions, s):
 
 
 def test_one_column_solve_on_diagonal():
-    # H V is parallel to V, so the Ritz space [V, M H V] has rank spin_dim.
+    # QHP = 0, so the dressed start is the unit vector on the smallest entry.
     d = np.random.default_rng(5).permutation(np.linspace(-1.0, 2.0, 64))
     vals, vecs, _ = ground_state(sp.diags(d), spin_dim=4)
     assert vals[0] == -1.0
@@ -631,6 +644,33 @@ def test_multiplicity_matches_dense(profile, positions, s, expected, n_max,
         overlap = np.sum(np.abs(basis.conj().T @ cluster[:toy.spin_dim]) ** 2,
                          axis=0).min()
         assert r.min_overlap == pytest.approx(overlap, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(s=st.sampled_from([0.5, 1.0, 1.5]), P=st.sampled_from([1, 2]),
+       n_radial=st.integers(2, 4), n_max=st.sampled_from([1, 2]),
+       g=st.floats(0.05, 2.0), seed=st.integers(0, 2 ** 16))
+def test_ground_solve_and_multiplicity_match_dense(profile, s, P, n_radial,
+                                                   n_max, g, seed):
+    """Energy and cluster count of multiplicity_scan against a dense eigh
+    of H(g 1) on random sites, spins, grids and photon caps."""
+    spin_dim = round(2 * s + 1) ** P
+    n_osc = 3 * P * n_radial
+    assume(spin_dim * math.comb(n_osc + n_max, n_max) <= 600)
+    rng = np.random.default_rng(seed)
+    system = SpinSystem(
+        positions=np.vstack([np.zeros(3), rng.uniform(-1.0, 1.0, (1, 3))])[:P],
+        moments=np.ones(P), s=s)
+    grid = build_mode_grid(profile, n_radial, 12)
+    row, = multiplicity_scan(system, profile, grid, n_max, [g])
+    H = build_hamiltonian(system, profile, grid, n_max).matrix(g)
+    w, V = np.linalg.eigh(H.toarray())
+    # eigh's eigenvalue carries eps |H|; its vector's Rayleigh quotient
+    # is good to eps |E_0|
+    energy = np.vdot(V[:, 0], H @ V[:, 0]).real
+    assert abs(row.energy - energy) <= 1e-12 * abs(energy)
+    width = DEFAULT_DEGENERACY_TOL * max(g * g, abs(w[0]))
+    assert row.mult_h == int(np.sum(w <= w[0] + width))
 
 
 @pytest.mark.parametrize("positions, s, expected", [

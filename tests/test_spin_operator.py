@@ -309,9 +309,10 @@ def _count_decompositions(monkeypatch, skip):
 def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
                                   monkeypatch):
     # eigenvectors are computed only where a caller reads them; the
-    # Rayleigh-Ritz solves inside fock.ground_state and the eigh of the
-    # Feshbach map F(E_0) in fock._feshbach are not A_M's
-    grid = fock.build_mode_grid(profile, 4, 6)  # Fock dim > 32: LOBPCG
+    # eighs inside fock.ground_state (its dressed start and Rayleigh-Ritz
+    # steps) and the eigh of the Feshbach map F(E_0) in fock._feshbach are
+    # not A_M's
+    grid = fock.build_mode_grid(profile, 4, 6)
     solving = []
 
     def skipped(solve):

@@ -63,7 +63,7 @@ def measure(s, P):
     system = SpinSystem(positions=2.0 * rng.normal(size=(P, 3)),
                         moments=rng.choice([-1.0, 1.0], size=P)
                         * rng.uniform(0.3, 1.0, size=P), s=s)
-    profile = CutoffProfile("gaussian", 1.0)
+    profile = CutoffProfile(1.0)
 
     def build():
         return _assemble(system, lambda d: kernel_matrix(profile, d).entries)

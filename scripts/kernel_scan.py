@@ -20,7 +20,7 @@ import numpy as np
 
 
 if __name__ == "__main__":
-    profile = CutoffProfile("gaussian", 1.0)
+    profile = CutoffProfile(1.0)
     print(f"a11_origin = {a11_origin(profile):.12e}")
     print(f"{'r':>8} {'A_11':>15} {'A_22':>15} {'dipole tail':>15} "
           f"{'rel. dev.':>10} {'|K - O|':>10}")

@@ -32,6 +32,7 @@ from .spin_operator import PSD_VIOLATION_TOL, assemble_am, \
     ground_eigenspace, quadratic_form
 
 OUT_ENV_VAR = "SPINRAD_OUT"
+PRODUCT_SAMPLES = 200  # random product states of e2's sampled minimum
 
 
 def _fmt(x) -> str:
@@ -56,11 +57,11 @@ def _random_states(rng, dim, count):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _sampled_product_min(A, system, rng, count=200):
-    """Smallest <A X, X> over count random product states X, or 0 if larger."""
+def _sampled_product_min(A, system, rng):
+    """min(0, <A X, X>) over PRODUCT_SAMPLES random product states X."""
     d1 = int(round(2 * system.s + 1))
-    factors = _random_states(rng, d1, count * system.P)
-    vectors = product_vectors(factors.reshape(count, system.P, d1))
+    factors = _random_states(rng, d1, PRODUCT_SAMPLES * system.P)
+    vectors = product_vectors(factors.reshape(PRODUCT_SAMPLES, system.P, d1))
     return min(0.0, float(quadratic_form(A, vectors).min()))
 
 
@@ -83,6 +84,14 @@ def _finite_float(text):
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
+def _seed(text):
+    """argparse type for a non-negative integer seed."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
 
 
 def _float_list(text):
@@ -278,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help=f"output directory (default ${OUT_ENV_VAR} or .)")
         if seeded:  # only the suites that read the seed take --seed
-            p.add_argument("--seed", type=int, default=None,
+            p.add_argument("--seed", type=_seed, default=None,
                            help="override the configuration seed")
 
     p = sub.add_parser("kernel", help="evaluate the transverse kernel matrix")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import platform
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import scipy
@@ -16,7 +16,7 @@ from .errors import ConfigError, DomainError
 from .fock import DEFAULT_EIGENSOLVER_TOL
 from .spin_operator import DEFAULT_DEGENERACY_TOL, SpinSystem
 
-DEFAULT_CUTOFF = {"kind": "gaussian", "lambda": 1.0}
+DEFAULT_CUTOFF = {"lambda": 1.0}
 
 DEFAULT_GRIDS = {"n_radial": 24, "n_angular": 12, "n_max": 1}
 
@@ -31,7 +31,7 @@ DEFAULT_TOLERANCES = {
 class RunConfig:
     particles: list                 # [{"position": [..], "moment": m}, ...]
     spin: float
-    cutoff: dict                    # {"kind": .., "lambda": ..}
+    cutoff: dict                    # {"lambda": ..}
     grids: dict
     tolerances: dict
     seed: int = 1234
@@ -42,13 +42,7 @@ class RunConfig:
                           s=self.spin)
 
     def profile(self) -> CutoffProfile:
-        return CutoffProfile(kind=self.cutoff["kind"],
-                             lam=self.cutoff["lambda"])
-
-    def to_dict(self) -> dict:
-        return {"particles": self.particles, "spin": self.spin,
-                "cutoff": self.cutoff, "grids": self.grids,
-                "tolerances": self.tolerances, "seed": self.seed}
+        return CutoffProfile(lam=self.cutoff["lambda"])
 
 
 def _require(cond, message):
@@ -103,7 +97,7 @@ def parse_config(text: str) -> RunConfig:
     raw = load_yaml(text, "configuration")
     _require(isinstance(raw, dict), "configuration must be a key-value tree")
 
-    known = {"particles", "spin", "cutoff", "grids", "tolerances", "seed"}
+    known = {f.name for f in fields(RunConfig)}
     for key in raw:
         _require(key in known, f"unknown configuration key {key!r}")
 
@@ -132,7 +126,7 @@ def parse_config(text: str) -> RunConfig:
 
     cutoff = _section(raw, "cutoff", DEFAULT_CUTOFF)
     try:
-        CutoffProfile(kind=cutoff["kind"], lam=cutoff["lambda"])
+        CutoffProfile(lam=cutoff["lambda"])
     except DomainError as exc:
         raise ConfigError(f"key 'cutoff': {exc}") from None
     grids = _section(raw, "grids", DEFAULT_GRIDS)
@@ -140,7 +134,8 @@ def parse_config(text: str) -> RunConfig:
     for name, tol in tolerances.items():
         _require(tol > 0, f"key 'tolerances.{name}' must be positive")
 
-    seed = _cast(int, raw.get("seed", 1234), "seed")
+    seed = _cast(int, raw.get("seed", RunConfig.seed), "seed")
+    _require(seed >= 0, "key 'seed' must be non-negative")
     return RunConfig(particles=particles, spin=spin, cutoff=cutoff,
                      grids=grids, tolerances=tolerances, seed=seed)
 
@@ -148,7 +143,7 @@ def parse_config(text: str) -> RunConfig:
 def run_manifest(config: RunConfig, extra: dict | None = None) -> str:
     """JSON manifest echoing the effective configuration and environment."""
     body = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,

@@ -1,7 +1,4 @@
-"""Gaussian ultraviolet cutoff.
-
-The cutoff phi is a radial Gaussian weight on momentum space.
-"""
+"""Gaussian ultraviolet cutoff phi, a radial weight on momentum space."""
 
 from __future__ import annotations
 
@@ -16,24 +13,24 @@ from .errors import DomainError
 # that |phi(r_far)| < FAR_TOL, making the tail contribution negligible.
 FAR_TOL = 1e-16
 
+# Largest cutoff scale: A_M scales as lam^3, and the lam^6 that its norms
+# sum overflows above 2.4e51, with a margin for the moments.
+MAX_LAMBDA = 1e50
+
 
 @dataclass(frozen=True)
 class CutoffProfile:
     """Gaussian ultraviolet cutoff phi(r) = exp(-r^2 / (2 lam^2)).
 
-    lam is a finite positive inverse length.  `kind` names the profile
-    family; "gaussian" is the only one.
+    lam is an inverse length, 0 < lam <= MAX_LAMBDA (1e50).
     """
 
-    kind: str = "gaussian"
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.kind != "gaussian":
-            raise DomainError(f"unknown cutoff profile kind {self.kind!r}")
-        if not 0 < self.lam < math.inf:
-            raise DomainError(
-                f"cutoff scale must be positive and finite, got {self.lam}")
+        if not 0 < self.lam <= MAX_LAMBDA:
+            raise DomainError(f"cutoff scale must be positive and at most "
+                              f"{MAX_LAMBDA:g}, got {self.lam}")
 
     def far_radius(self, tol: float = FAR_TOL) -> float:
         """Radius beyond which |phi| < tol."""

@@ -64,7 +64,7 @@ import numpy as np
 
 from .cutoff import CutoffProfile, phi_eval
 from .kernel import a11_origin
-from .spin_algebra import ProductState
+from .spin_algebra import ProductState, _require_unit
 from .spin_operator import SpinSystem, assemble_am, quadratic_form, \
     site_spin_operators
 from .errors import DomainError, _integer
@@ -117,9 +117,7 @@ def vector_current(system: SpinSystem, profile: CutoffProfile, X) -> FourierCurr
     X = np.asarray(X, dtype=complex)
     if X.shape != (system.spin_dim,):
         raise DomainError(f"spin state needs {system.spin_dim} components")
-    # written so that a NaN norm fails too
-    if not abs(np.linalg.norm(X) - 1.0) <= 1e-12:
-        raise DomainError("vector current requires a normalized state")
+    _require_unit(X, "vector current requires a normalized state")
     sigX = (site_spin_operators(system.s, system.P) @ X).reshape(
         system.P, 3, -1)  # (P, 3, dim)
     V = system.moments[:, None, None] * sigX
@@ -132,9 +130,7 @@ def classical_current(system: SpinSystem, profile: CutoffProfile, S) -> FourierC
     S = np.asarray(S, dtype=float)
     if S.shape != (system.P, 3):
         raise DomainError("need one unit orientation per particle")
-    # written so that NaN orientations fail too
-    if not np.all(np.abs(np.linalg.norm(S, axis=1) - 1.0) <= 1e-10):
-        raise DomainError("orientations must be unit vectors")
+    _require_unit(S, "orientations must be unit vectors", 1e-10)
     V = system.moments[:, None] * S  # (P, 3)
     return FourierCurrent(evaluator=_site_terms(V),
                           positions=system.positions, profile=profile)

@@ -30,6 +30,12 @@ MAX_DENSE_DIM = 1 << 12
 _NORM_TOL = 1e-12
 
 
+def _require_unit(X, message: str, tol: float = _NORM_TOL):
+    """Raise DomainError(message) unless X's last axis has unit norm to tol."""
+    if not np.all(np.abs(np.linalg.norm(X, axis=-1) - 1.0) <= tol):
+        raise DomainError(message)  # a NaN norm fails too
+
+
 def _check_half_integer(s) -> int:
     """2s of a positive half-integer spin s; booleans are not spins."""
     two_s = 2 * s
@@ -93,9 +99,7 @@ def embed_site_operator(op: np.ndarray, lam: int, P: int) -> sp.csr_matrix:
 def hopf_map(X, s) -> np.ndarray:
     """Spin-expectation vector (<sigma_1 X, X>, <sigma_2 X, X>, <sigma_3 X, X>)."""
     X = np.asarray(X, dtype=complex)
-    # written so that a NaN norm fails too
-    if not abs(np.linalg.norm(X) - 1.0) <= _NORM_TOL:
-        raise DomainError("hopf_map requires a normalized state")
+    _require_unit(X, "hopf_map requires a normalized state")
     return np.array([np.vdot(X, m @ X).real for m in spin_matrices(s)])
 
 

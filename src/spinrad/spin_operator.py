@@ -20,7 +20,7 @@ from .cutoff import CutoffProfile
 from .errors import DomainError, ResourceError, SpinradError
 from .kernel import kernel_matrix
 from .spin_algebra import MAX_DENSE_DIM, _check_half_integer, \
-    embed_site_operator, embedded_entries, spin_matrices
+    _require_unit, embed_site_operator, embedded_entries, spin_matrices
 
 # Relative ceiling on positive eigenvalues of an assembled A_M; anything
 # larger diagnoses a kernel or assembly bug and is raised, not clipped.
@@ -189,9 +189,7 @@ def quadratic_form(A: HermitianSpinOperator, X):
     gives one value per row.
     """
     X = np.asarray(X, dtype=complex)
-    # written so that a NaN norm fails too
-    if not np.all(np.abs(np.linalg.norm(X, axis=-1) - 1.0) <= 1e-12):
-        raise DomainError("quadratic_form requires a normalized state")
+    _require_unit(X, "quadratic_form requires a normalized state")
     return np.einsum("...i,...i->...", X.conj(), X @ A.matrix.T).real
 
 

@@ -13,7 +13,7 @@ from spinrad.spin_algebra import spin_matrices
 
 @pytest.fixture(scope="session")
 def profile():
-    return CutoffProfile("gaussian", 1.0)
+    return CutoffProfile(1.0)
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from spinrad.spin_operator import SpinSystem, assemble_am, ground_eigenspace, \
 
 from conftest import random_state
 
-PROFILE = CutoffProfile("gaussian", 1.0)
+PROFILE = CutoffProfile(1.0)
 SPINS = [0.5, 1.0, 1.5, 2.0, 2.5]
 
 
@@ -151,7 +151,7 @@ def test_criterion_08_variational_trial_identity():
     worst = 0.0
     for _ in range(20):
         X = random_state(rng, 4)
-        tc = variational_trial_check(system, PROFILE, grid, 2, X)
+        tc = variational_trial_check(system, PROFILE, grid, X)
         worst = max(worst, tc.residual)
     report("variational-trial-identity", worst <= 1e-10,
            f"max residual {worst:.2e}")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -10,16 +11,17 @@ import yaml
 
 from spinrad.cli import OUT_ENV_VAR, _sampled_product_min, _verify_rows, \
     build_parser, main
-from spinrad.config import DEFAULT_GRIDS, DEFAULT_TOLERANCES, load_yaml, \
-    parse_config, run_manifest
-from spinrad.cutoff import CutoffProfile
+from spinrad.config import DEFAULT_CUTOFF, DEFAULT_GRIDS, \
+    DEFAULT_TOLERANCES, RunConfig, load_yaml, parse_config, run_manifest
+from spinrad.cutoff import MAX_LAMBDA, CutoffProfile
 from spinrad.errors import ConfigError
 from spinrad.field_energy import _radial_cosines, _spherical_nodes
 from spinrad.kernel import _oracle_rule
 from spinrad.spin_operator import SpinSystem, assemble_am, \
     site_spin_operators
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 TWO = str(CONFIG_DIR / "two_spins.yaml")
 
 MINIMAL = """
@@ -43,7 +45,7 @@ def small_config(tmp_path, moments=(0.8, -0.5), extra=""):
 def test_parse_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.spin == 0.5
-    assert cfg.cutoff == {"kind": "gaussian", "lambda": 1.0}
+    assert cfg.cutoff == {"lambda": 1.0}
     assert cfg.grids == DEFAULT_GRIDS
     assert cfg.tolerances == DEFAULT_TOLERANCES
     assert cfg.seed == 1234
@@ -110,6 +112,8 @@ def test_parse_unknown_key():
     ("grids: {nmax: 3}", "grids.nmax"),
     ("output: {dir: results}", "output"),
     ("cutoff: {lamda: 2.0}", "cutoff.lamda"),
+    # the Gaussian is the only cutoff, so there is no key to name one
+    ("cutoff: {kind: gaussian}", "cutoff.kind"),
     ("tolerances: {kernel: 1.0e-9}", "tolerances.kernel"),
 ])
 def test_parse_unknown_nested_key(extra, key):
@@ -132,15 +136,19 @@ BAD_CONFIGS = [(MINIMAL + "\n" + extra + "\n", message) for extra, message in [
     ("seed: 3.5", "key 'seed' must be an integer"),
     ("seed: true", "key 'seed' must be an integer"),
     ("seed: .inf", "key 'seed' must be an integer"),
+    ("seed: -5", "key 'seed' must be non-negative"),
     # number keys refuse YAML booleans, which float() would read as 1 or 0
     ("spin: true", "key 'spin' must be a number"),
     ("tolerances: {identity: on}",
      "key 'tolerances.identity' must be a number"),
     # the cutoff is checked as it is parsed, not when first used
-    ("cutoff: {kind: lorentz}",
-     "key 'cutoff': unknown cutoff profile kind 'lorentz'"),
     ("cutoff: {lambda: -1.0}", "key 'cutoff': cutoff scale must be positive"),
     ("cutoff: {lambda: .inf}", "key 'cutoff': cutoff scale must be positive"),
+    # lam^3 would overflow in the kernel, lam^6 in the norms of A_M
+    ("cutoff: {lambda: 1e120}",
+     r"key 'cutoff': .* at most 1e\+50, got 1e\+120"),
+    ("cutoff: {lambda: 1.0e+52}",
+     r"key 'cutoff': .* at most 1e\+50, got 1e\+52"),
     # SpinSystem refuses a non-finite spin with the same message
     ("spin: .nan",
      "key 'spin': spin must be a positive half-integer, got nan"),
@@ -164,6 +172,20 @@ def test_parse_yaml11_exponent():
     cfg = parse_config(MINIMAL + "\ncutoff: {lambda: 1e-1}\n")
     assert cfg.cutoff["lambda"] == 0.1
     assert cfg.profile().lam == 0.1
+
+
+def test_readme_configuration_block_is_the_defaults():
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Configuration format"):]
+    start = section.index("```yaml\n") + len("```yaml\n")
+    block = section[start:section.index("```", start)]
+    cfg = parse_config(block)
+    assert cfg.cutoff == DEFAULT_CUTOFF
+    assert cfg.grids == DEFAULT_GRIDS
+    assert cfg.tolerances == DEFAULT_TOLERANCES
+    assert cfg.seed == RunConfig.seed
+    # every key the block shows is one parse_config reads
+    assert set(load_yaml(block, "README")) == set(asdict(cfg))
 
 
 def test_manifest_round_trip():
@@ -228,7 +250,7 @@ def test_e2_batched_sampling_matches_loop(s, P):
     rng = np.random.default_rng(int(10 * s) + P)
     system = SpinSystem(positions=rng.normal(size=(P, 3)),
                         moments=rng.uniform(-1.0, 1.0, size=P), s=s)
-    A = assemble_am(system, CutoffProfile("gaussian", 1.0))
+    A = assemble_am(system, CutoffProfile(1.0))
     ref = loop_sampled_min(A, system, np.random.default_rng(99))
     got = _sampled_product_min(A, system, np.random.default_rng(99))
     assert ref < 0.0
@@ -277,6 +299,33 @@ def test_verify_rows_scale_with_the_cutoff(lam):
     for seed in (1, 6, 7):
         cfg.seed = seed
         assert [row[0] for row in _verify_rows(cfg) if not row[-1]] == []
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warns before it raises
+@pytest.mark.parametrize("suite, args", [
+    ("kernel", ["--at", "0.3", "0.1", "-0.5"]), ("e2", ["--eigenbasis"])])
+def test_cli_largest_cutoff_scale(tmp_path, capsys, suite, args):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(Path(TWO).read_text().replace(
+        "lambda: 1.0", f"lambda: {MAX_LAMBDA!r}"))
+    assert main([suite, "--config", str(cfg), "--out", str(tmp_path),
+                 *args]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((tmp_path / f"{suite}.json").read_text())
+    values = doc["matrix"] if suite == "kernel" else doc["lambda_min"]
+    assert np.all(np.isfinite(values))
+
+
+def test_cli_verify_passes_at_separation_20(tmp_path, capsys):
+    # the field-energy rule resolves the pair out to |x| = 20 / lam; from
+    # 25 on th_egal fails its 1e-6 gate
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(Path(TWO).read_text().replace(
+        "[0.9, -0.3, 0.4]", "[20.0, -0.3, 0.4]"))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 10
+    assert all(line.startswith("PASS ") for line in lines)
 
 
 def test_cli_classical(tmp_path):
@@ -592,6 +641,15 @@ def test_cli_kernel_non_finite_exit_two(capsys, tmp_path, at):
     assert exc.value.code == 2
     assert "expected a finite number" in capsys.readouterr().err
     assert not (tmp_path / "kernel.json").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5", "one"])
+def test_cli_seed_must_be_non_negative_integer(capsys, tmp_path, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["e2", "--config", TWO, "--out", str(tmp_path), "--seed", seed])
+    assert exc.value.code == 2
+    assert "expected a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "e2.json").exists()
 
 
 @pytest.mark.parametrize("suite, args", [

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from spinrad.cutoff import CutoffProfile, phi_eval
+from spinrad.cutoff import MAX_LAMBDA, CutoffProfile, phi_eval
 from spinrad.errors import DomainError
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -16,7 +16,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 def test_phi_values(profile):
     assert phi_eval(profile, 0.0) == 1.0
     assert phi_eval(profile, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
-    wide = CutoffProfile("gaussian", 2.0)
+    wide = CutoffProfile(2.0)
     assert phi_eval(wide, 2.0) == pytest.approx(math.exp(-0.5), rel=1e-14)
 
 
@@ -29,11 +29,11 @@ def test_phi_schwartz_decay(profile):
     assert abs(phi_eval(profile, profile.far_radius())) <= 1e-15
 
 
-def test_unknown_profile_kind_rejected():
-    with pytest.raises(DomainError):
-        CutoffProfile("lorentzian", 1.0)
-    with pytest.raises(DomainError):
-        CutoffProfile("gaussian", -1.0)
+@pytest.mark.parametrize("lam", [-1.0, 0.0, math.nan, math.inf,
+                                 2.0 * MAX_LAMBDA])
+def test_cutoff_scale_rejected(lam):
+    with pytest.raises(DomainError, match="cutoff scale"):
+        CutoffProfile(lam)
 
 
 def test_cli_import_leaves_scipy_quadrature_stack_unloaded():

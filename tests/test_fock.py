@@ -84,7 +84,7 @@ def _loop_mode_grid(profile, n_radial, n_angular):
 @pytest.mark.parametrize("n_radial, n_angular", [
     (24, 12), (2, 6), (4, 6), (6, 6), (5, 10), (96, 64)])
 def test_mode_grid_matches_loop_reference(lam, n_radial, n_angular):
-    profile = CutoffProfile("gaussian", lam)
+    profile = CutoffProfile(lam)
     grid = build_mode_grid(profile, n_radial, n_angular)
     k, w = _loop_mode_grid(profile, n_radial, n_angular)
     grid_k, grid_w = grid_modes(grid)
@@ -148,7 +148,7 @@ def _loop_mode_couplings(system, profile, grid):
 @pytest.mark.parametrize("lam", [0.7, 1.6])
 @pytest.mark.parametrize("P", [1, 2, 3])
 def test_mode_couplings_match_loop(lam, P):
-    profile = CutoffProfile("gaussian", lam)
+    profile = CutoffProfile(lam)
     grid = build_mode_grid(profile, 4, 6)
     rng = np.random.default_rng(P)
     system = SpinSystem(positions=rng.normal(size=(P, 3)) / lam,
@@ -165,7 +165,7 @@ def test_shell_factors_match_loop_gram(lam, P, n_radial, n_angular):
     # Per shell, the complex couplings of all 2 n_dirs oscillators have a
     # real Gram matrix (the grid is closed under u -> -u), and the real
     # factor W_s reproduces it
-    profile = CutoffProfile("gaussian", lam)
+    profile = CutoffProfile(lam)
     grid = build_mode_grid(profile, n_radial, n_angular)
     rng = np.random.default_rng(10 + P)
     system = SpinSystem(positions=rng.normal(size=(P, 3)) / lam,
@@ -209,7 +209,7 @@ def _grid_am(system, profile, grid):
 def test_discrete_am_matches_projector_reference(lam, s, P):
     # A_M of the shell factors against the transverse-projector kernel,
     # evaluated per site pair and assembled by _assemble
-    profile = CutoffProfile("gaussian", lam)
+    profile = CutoffProfile(lam)
     grid = build_mode_grid(profile, 8, 8)
     rng = np.random.default_rng(10 * P + int(2 * s))
     system = SpinSystem(positions=rng.normal(size=(P, 3)) / lam,
@@ -257,7 +257,7 @@ def test_one_coupling_build_per_fock_run(profile, small_grid,
     equal = two_spin_system.with_moments([1.0, 1.0])
     multiplicity_scan(equal, profile, small_grid, 1, [0.2, 0.1])
     assert len(calls) == 2
-    variational_trial_check(two_spin_system, profile, small_grid, 1,
+    variational_trial_check(two_spin_system, profile, small_grid,
                             np.array([1.0, 0.0, 0.0, 0.0]))
     assert len(calls) == 3
 
@@ -757,7 +757,7 @@ def test_variational_trial_identity(profile, small_grid, two_spin_system):
     rng = np.random.default_rng(2)
     for _ in range(5):
         X = random_state(rng, 4)
-        tc = variational_trial_check(two_spin_system, profile, small_grid, 2, X)
+        tc = variational_trial_check(two_spin_system, profile, small_grid, X)
         assert tc.residual <= 1e-10
         assert tc.u_norm_dh <= tc.k_bound \
             * np.linalg.norm(two_spin_system.moments) + 1e-12
@@ -788,7 +788,7 @@ def test_discrete_k_bound_matches_reference(profile, small_grid):
 
 def test_variational_trial_zero_moments(profile, small_grid):
     system = SpinSystem(positions=[[0, 0, 0], [1, 0, 0]], moments=[0.0, 0.0])
-    tc = variational_trial_check(system, profile, small_grid, 2,
+    tc = variational_trial_check(system, profile, small_grid,
                                  np.array([1.0, 0, 0, 0]))
     assert tc.lhs == 0.0 and tc.rhs == 0.0
 

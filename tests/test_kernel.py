@@ -33,7 +33,7 @@ def test_origin_is_isotropic(profile):
 
 def test_a11_origin_closed_form_and_scaling(profile):
     assert a11_origin(profile) == pytest.approx(A11_GAUSS, rel=1e-8)
-    assert a11_origin(CutoffProfile("gaussian", 2.0)) == pytest.approx(
+    assert a11_origin(CutoffProfile(2.0)) == pytest.approx(
         8.0 * a11_origin(profile), rel=1e-8)
     assert a11_origin(profile) == pytest.approx(
         kernel_matrix(profile, [0.0, 0.0, 0.0]).entries[0, 0], rel=1e-8)
@@ -104,7 +104,7 @@ def reference_kernel(profile, x):
 def test_matches_scipy_bessel_reference():
     rng = np.random.default_rng(17)
     for lam in (1.0, 1.7):
-        p = CutoffProfile("gaussian", lam)
+        p = CutoffProfile(lam)
         radii = np.exp(rng.uniform(math.log(0.05), math.log(80.0), 4))
         for radius in [0.05, 80.0, *radii]:
             v = rng.normal(size=3)
@@ -119,7 +119,7 @@ def test_matches_scipy_bessel_reference():
        direction=st.tuples(*3 * [st.floats(-1.0, 1.0)]).filter(
            lambda v: np.linalg.norm(v) > 0.1))
 def test_matches_reference_up_to_far_field(lam, log_radius, direction):
-    p = CutoffProfile("gaussian", lam)
+    p = CutoffProfile(lam)
     xhat = np.asarray(direction) / np.linalg.norm(direction)
     x = math.exp(log_radius) * xhat
     K = kernel_matrix(p, x).entries
@@ -128,7 +128,7 @@ def test_matches_reference_up_to_far_field(lam, log_radius, direction):
 
 def test_a11_origin_matches_reference():
     for lam in (0.5, 1.0, 1.7):
-        p = CutoffProfile("gaussian", lam)
+        p = CutoffProfile(lam)
         ref = reference_radial(p, lambda r: 1.0) / (3.0 * math.pi ** 2)
         assert abs(a11_origin(p) - ref) <= 1e-13
 
@@ -137,7 +137,7 @@ def test_a11_origin_is_closed_form_to_two_ulp():
     with mpmath.workdps(40):
         for lam in (0.5, 1.0, 1.7, 2.0):
             exact = mpmath.mpf(lam) ** 3 / (12 * mpmath.pi ** 1.5)
-            err = abs(a11_origin(CutoffProfile("gaussian", lam)) - exact)
+            err = abs(a11_origin(CutoffProfile(lam)) - exact)
             assert err <= 2 * math.ulp(float(exact))
 
 
@@ -163,7 +163,7 @@ def test_closed_form_matches_40_digit_evaluation(lam):
     z = np.concatenate([np.linspace(0.5, 1.5, 201),
                         1.0 + np.linspace(-1e-6, 1e-6, 21),
                         np.geomspace(0.5e-4, 0.5e4, 161)])
-    p = CutoffProfile("gaussian", lam)
+    p = CutoffProfile(lam)
     scale = a11_origin(p)
     for x in np.outer(2.0 * z / lam, [0.48, -0.6, 0.64]):
         err = np.abs(kernel_matrix(p, x).entries
@@ -231,7 +231,7 @@ def test_oracle_matches_nine_sum_reference(profile, n, x):
            lambda v: np.linalg.norm(v) > 0.1),
        n=st.sampled_from([8, 9, 16, 32]))
 def test_oracle_pairing_matches_reference(lam, radius, direction, n):
-    p = CutoffProfile("gaussian", lam)
+    p = CutoffProfile(lam)
     x = radius * np.asarray(direction) / np.linalg.norm(direction)
     O = kernel_oracle_3d(p, x, n).entries
     assert np.abs(O - _oracle_reference(p, x, n + n % 2).real).max() <= 1e-15

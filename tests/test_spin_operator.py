@@ -61,7 +61,7 @@ def test_unit_norm_checks_reject_nan(profile, small_grid, two_spin_system,
         "photon_number": lambda: fock.photon_number(
             toy, np.full(toy.dim, np.nan)),
         "variational_trial_check": lambda: fock.variational_trial_check(
-            two_spin_system, profile, small_grid, 1, nan),
+            two_spin_system, profile, small_grid, nan),
     }
     with pytest.raises(DomainError, match="normalized"):
         calls[check]()
@@ -345,8 +345,7 @@ def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
     calls.clear()
     # the trial check reads the discrete A_M's matrix only; its one solve is
     # the D(H) bound's Gram matrix
-    fock.variational_trial_check(two_spin_system, profile, grid, 1,
-                                 np.eye(4)[0])
+    fock.variational_trial_check(two_spin_system, profile, grid, np.eye(4)[0])
     assert calls == [("eigvalsh", (4, 4))]
 
 

@@ -38,11 +38,12 @@ A_M is the second-order operator of H's couplings, real symmetric and
 negative semidefinite on any grid.
 
 H_int is assembled in one pass from one spin block per oscillator.  Its
-ground state comes from an in-package one-column LOBPCG started from the
-vacuum spin space dressed by its one-photon cloud, and the multiplicity
-of the ground level from the Feshbach map onto that spin space, whose
-resolvent is applied by CG; both are written in numpy, so the module
-needs nothing of scipy beyond scipy.sparse.
+ground state comes from an in-package one-column LOBPCG started at the
+root of the Feshbach map onto the vacuum spin space with QHQ taken as its
+diagonal, which is H's ground vector at n_max = 1, and the multiplicity
+of the ground level from the full Feshbach map onto that spin space,
+whose resolvent is applied by CG; both are written in numpy, so the
+module needs nothing of scipy beyond scipy.sparse.
 """
 
 from __future__ import annotations
@@ -284,10 +285,9 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
     omega_osc, W = shell_couplings(system, profile, grid)
     space = build_fock_space(omega_osc, n_max, spin_dim)
     dim = space.dim * spin_dim
-    h_free = sp.kron(
-        sp.diags(np.concatenate([space.omega_osc[occ].sum(axis=1)
-                                 for occ in space.sectors])),
-        sp.identity(spin_dim), format="csr")
+    h_free = sp.diags(np.repeat(np.concatenate(
+        [space.omega_osc[occ].sum(axis=1) for occ in space.sectors]),
+        spin_dim), format="csr")
 
     # C_o on the union pattern of the S_a, zeros dropped: (osc, i, j, value)
     S = site_spin_operators(system.s, system.P).tocoo()
@@ -323,25 +323,62 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
 # Eigensolver
 # ---------------------------------------------------------------------------
 
-def _dressed_start(H: sp.csr_matrix, diag: np.ndarray, spin_dim: int,
-                   precond: np.ndarray) -> np.ndarray:
-    """The spin space dressed by its one-photon cloud, as a unit column.
+def _dressed_start(H: sp.csr_matrix, diag: np.ndarray,
+                   spin_dim: int) -> np.ndarray:
+    """The spin space dressed at the root of its Feshbach map, as a unit
+    column.
 
     P holds the spin_dim states with the smallest diagonal entries (vacuum
-    (x) spin for a Fock H), Q = 1 - P and M = diag(precond).  x is the
-    lowest eigenvector of PHP - PHQ M QHP, the Feshbach map of _feshbach
-    with M for its resolvent, and the start is x (+) -M QHP x, that map's
-    first (Jacobi) step.  Only the rows PH are made dense.
+    (x) spin for a Fock H), B the rows PH on the Q = 1 - P columns they
+    couple to, and D the diagonal of H on those columns.  With QHQ taken
+    as D, the map of _feshbach is F(E) = PHP - B (D - E)^-1 B^H, and
+    g(E) = lam_min F(E) - E is concave with slope -(1 + |z|^2),
+    z = (D - E)^-1 B^H x, below min D.  Newton on g then falls
+    monotonically onto its root from any E to the right of it: each step
+    lands on the Rayleigh quotient of x (+) -z under H with QHQ = D, never
+    below the root.  The first E is such a quotient too, and below min D:
+    the lower eigenvalue of H on the state of the smallest entry of D and
+    the P vector B couples to it.  The start is x (+) -z at the root: H's
+    ground vector when QHQ is diagonal (every n_max = 1 Fock H), and its
+    one-photon dressing otherwise.  Only the rows PH are read, straight
+    from the CSR arrays.
     """
     cols = np.argsort(diag, kind="stable")[:spin_dim]
-    PH = H[cols].toarray()
-    PHP = PH[:, cols].copy()
-    PH[:, cols] = 0.0  # now PHQ
-    B = PH.conj()  # the columns of M QHP as rows
-    B *= precond
-    x = np.linalg.eigh(PHP - PH @ B.T)[1][:, 0]
-    start = -(x @ B)
+    lo, count = H.indptr[cols], np.diff(H.indptr)[cols]
+    take = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count,
+                                              count)
+    PH = np.zeros(spin_dim * H.shape[0], dtype=complex)
+    np.add.at(PH, np.repeat(np.arange(spin_dim) * H.shape[0], count)
+              + H.indices[take], H.data[take])
+    PH = PH.reshape(spin_dim, -1)
+    PHP = PH[:, cols]
+    coupled = PH.any(axis=0)
+    coupled[cols] = False
+    q = np.flatnonzero(coupled)
+    B = PH[:, q]
+    start = np.zeros(H.shape[0], dtype=complex)
+    if not len(q):  # no coupling: P is an invariant subspace
+        start[cols] = np.linalg.eigh(PHP)[1][:, 0]
+        return start[:, None]
+    D = diag[q]
+    k = np.argmin(D)
+    beta = np.linalg.norm(B[:, k])
+    a = np.vdot(B[:, k], PHP @ B[:, k]).real / (beta * beta)
+    # the 2x2 lower eigenvalue without cancellation, kept off the pole
+    # when the coupling is below roundoff of the gap
+    energy = min(min(a, D[k]) - beta * beta
+                 / (abs(a - D[k]) / 2 + math.hypot((a - D[k]) / 2, beta)),
+                 np.nextafter(D[k], -np.inf))
+    while True:
+        lam, X = np.linalg.eigh(PHP - (B / (D - energy)) @ B.conj().T)
+        x = X[:, 0]
+        z = (x @ B.conj()) / (D - energy)
+        step = (lam[0] - energy) / (1.0 + np.vdot(z, z).real)
+        if not step < 0.0:  # at the root to roundoff, or NaN
+            break
+        energy += step
     start[cols] = x
+    start[q] = -z
     return (start / np.linalg.norm(start))[:, None]
 
 
@@ -400,23 +437,24 @@ def _lobpcg(H: sp.csr_matrix, x: np.ndarray, precond: np.ndarray,
 def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, spin_dim: int = 1):
     """Lowest eigenpair of a sparse Hermitian matrix.
 
-    One-column LOBPCG (_lobpcg) from the dressed vacuum (_dressed_start),
-    preconditioned by the shifted inverse diagonal.  The energy is the
-    Rayleigh quotient of the vector, and the residual ||H v - E v|| comes
-    from that same product with H, not from the solver's own.  Returns
-    (energies, vectors, residuals) of the one pair, shapes (1,), (dim, 1)
-    and (1,).
+    One-column LOBPCG (_lobpcg) from the spin space dressed at the root of
+    its Feshbach map (_dressed_start), preconditioned by the shifted
+    inverse diagonal.  The energy is the Rayleigh quotient of the vector,
+    and the residual ||H v - E v|| comes from that same product with H,
+    not from the solver's own.  Returns (energies, vectors, residuals) of
+    the one pair, shapes (1,), (dim, 1) and (1,).
 
     The preconditioner shift 0.1 is absolute, tuned for Fock H: small, badly
-    scaled non-Fock matrices can stall (20 of 1,400 random ones of dim 1-7
-    failed the residual gate, all of norm >= 60 and dim 5-7).
+    scaled non-Fock matrices can stall (scripts/solver_stall_census.py: 48
+    of 1,400 random ones of dim 1-7 failed the residual gate, all of norm
+    >= 100 and dim 5-7).
     """
     H = sp.csr_matrix(H)
     d = H.diagonal().real
-    # Shift 0.1: on the 24x12 fit a solve takes 10-12 steps; a shift of
-    # 1.0 took 17-23.
+    # Shift 0.1: on the 24x12 n_max = 2 fit a solve takes 11-15 steps; a
+    # shift of 1.0 took 26-34.  At n_max = 1 the start is the ground vector.
     precond = 1.0 / (d - d.min() + 0.1)
-    x = _dressed_start(H, d, min(spin_dim, H.shape[0]), precond)
+    x = _dressed_start(H, d, min(spin_dim, H.shape[0]))
     # The energy error is about residual^2 / gap, and a near-degenerate
     # partner can be that close: on the 4x6 equal-moment pair at t = 0.05,
     # tol/10 gave 3.2e-12 relative.  A stall is left to the residual gate

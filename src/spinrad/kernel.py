@@ -20,6 +20,9 @@ At the origin A(0) = (2/3) g(0) I = lam^3 / (12 pi^(3/2)) I, and beyond the
 cutoff scale A approaches the point-dipole tail -(I - 3 xhat xhat^T) /
 (4 pi r^3).  The numerator of F cancels as z -> 0 (F(0) = -4 / (3 sqrt pi)
 from terms of order z), so below z = 1 its power series replaces it.
+Beyond z = 5.6e102, where z^3 has no finite float, erf z = 1 and
+e^{-z^2} = 0, so u'/r is the tail -1 / (4 pi r^3) itself; it is
+subnormal beyond r = 1.5e102 and zero beyond r = 3.2e107.
 
 kernel_oracle_3d cross-checks the closed form with a brute-force 3D
 tensor-product Gauss-Legendre rule on the defining integral; `spinrad
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +54,9 @@ from .errors import DomainError, _integer
 # truncation error is under 1e-17
 _F_SERIES = [2.0 / math.sqrt(math.pi) * (-1) ** n * 2 * n
              / ((2 * n + 1) * math.factorial(n)) for n in range(18, 0, -1)]
+
+# Largest z whose cube is a finite float, 5.6e102
+_Z_CUBE_MAX = sys.float_info.max ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,8 @@ def a11_origin(profile: CutoffProfile) -> float:
 
 
 def _dipole_factor(z: float) -> float:
-    """F(z) = (2 z e^{-z^2} / sqrt(pi) - erf z) / z^3 for z > 0."""
+    """F(z) = (2 z e^{-z^2} / sqrt(pi) - erf z) / z^3 for 0 < z <=
+    _Z_CUBE_MAX."""
     if z < 1.0:
         z2, f = z * z, 0.0
         for c in _F_SERIES:
@@ -94,7 +102,10 @@ def kernel_matrix(profile: CutoffProfile, x) -> KernelMatrix:
     lam3 = profile.lam ** 3
     z = 0.5 * profile.lam * t
     g = lam3 * math.exp(-z * z) / (8.0 * math.pi ** 1.5)
-    du = lam3 * _dipole_factor(z) / (32.0 * math.pi)  # u'(r) / r
+    if z <= _Z_CUBE_MAX:
+        du = lam3 * _dipole_factor(z) / (32.0 * math.pi)  # u'(r) / r
+    else:  # the dipole tail, divided term by term so that t^3 is not formed
+        du = -0.25 / math.pi / t / t / t
     xhat = x / t
     return KernelMatrix(entries=(g + du) * np.eye(3)
                         - (g + 3.0 * du) * np.outer(xhat, xhat))

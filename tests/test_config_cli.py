@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -205,6 +206,21 @@ def test_cli_kernel(tmp_path):
     assert K.shape == (3, 3)
     assert np.abs(K - K.T).max() <= 1e-9
     assert doc["a11_origin"] == pytest.approx(0.014965593510430548, rel=1e-8)
+
+
+@pytest.mark.parametrize("lam, at", [(1.0, "2e103"), (MAX_LAMBDA, "1e60")])
+def test_cli_kernel_beyond_finite_z_cubed(tmp_path, capsys, lam, at):
+    # z = lam |x| / 2 past 5.6e102 used to end in an OverflowError
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(Path(TWO).read_text().replace(
+        "lambda: 1.0", f"lambda: {lam!r}"))
+    assert main(["kernel", "--config", str(cfg), "--out", str(tmp_path),
+                 "--at", at, "0", "0"]) == 0
+    assert capsys.readouterr().err == ""
+    K = np.array(json.loads((tmp_path / "kernel.json").read_text())["matrix"])
+    r = float(at)
+    tail = np.diag([2.0, -1.0, -1.0]) / (4.0 * math.pi) / r / r / r
+    assert np.abs(K - tail).max() <= 1e-9 * np.abs(tail).max()
 
 
 def test_cli_e2(tmp_path):

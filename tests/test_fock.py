@@ -613,6 +613,100 @@ def test_one_column_solve_on_diagonal():
     assert abs(vecs[np.argmin(d), 0]) == pytest.approx(1.0, abs=1e-14)
 
 
+def _recorded_steps(monkeypatch):
+    """The step count of every _lobpcg call from here on, in call order."""
+    steps = []
+    solve = fock._lobpcg
+
+    def recorded(H, X, *args):
+        vecs, n = solve(H, X, *args)
+        steps.append(n)
+        return vecs, n
+
+    monkeypatch.setattr("spinrad.fock._lobpcg", recorded)
+    return steps
+
+
+@pytest.mark.parametrize("case", ["default_grid", "small_grid",
+                                  "single_spin"])
+def test_n_max_one_solves_end_at_step_zero(request, profile, monkeypatch,
+                                           two_spin_system, case):
+    # at n_max = 1 QHQ is diagonal, so the start at the root of the
+    # Feshbach map is H's ground vector and LOBPCG has nothing to do
+    if case == "single_spin":
+        cfg = parse_config((CONFIGS / "single_spin.yaml").read_text())
+        assert cfg.grids["n_max"] == 1
+        system, profile = cfg.system(), cfg.profile()
+        grid = build_mode_grid(profile, cfg.grids["n_radial"],
+                               cfg.grids["n_angular"])
+    else:
+        system, grid = two_spin_system, request.getfixturevalue(case)
+    steps = _recorded_steps(monkeypatch)
+    quadratic_fit(system, profile, grid, 1, [0.4, 0.2, 0.1, 0.05])
+    multiplicity_scan(system.with_moments(np.ones(system.P)), profile, grid,
+                      1, [0.4, 0.2, 0.1])
+    assert steps == [0] * 7
+
+
+@pytest.mark.parametrize("grid_name", ["default_grid", "small_grid"])
+def test_dressed_start_sits_at_the_schur_root(request, profile,
+                                              two_spin_system, grid_name):
+    grid = request.getfixturevalue(grid_name)
+    toy = build_hamiltonian(two_spin_system, profile, grid, 1)
+    for t in (0.4, 0.2, 0.1, 0.05):
+        H = toy.matrix(t)
+        v = fock._dressed_start(H, H.diagonal().real, toy.spin_dim)[:, 0]
+        root = np.vdot(v, H @ v).real
+        exact = _schur_energies(two_spin_system, profile, grid, t)[0]
+        assert abs(root - exact) <= 1e-13 * abs(exact)
+        assert np.linalg.norm(H @ v - root * v) \
+            <= fock.DEFAULT_EIGENSOLVER_TOL / 100
+
+
+def _coupled(d, pairs):
+    """diag(d) plus the real symmetric couplings (i, j, value) of pairs."""
+    H = sp.diags(np.asarray(d, dtype=float)).tolil()
+    for i, j, c in pairs:
+        H[i, j] = H[j, i] = c
+    return H.tocsr()
+
+
+@pytest.mark.parametrize("spin_dim", [1, 4])
+@pytest.mark.parametrize("H", [
+    # the smallest entry repeats five times, so an uncoupled Q state ties
+    # with P at spin_dim 1 and 4: diagonal, and with P coupled higher up
+    _coupled([0.7, -1.0, 2.0, -1.0, -1.0, -1.0, -1.0, 0.3], []),
+    _coupled([0.7, -1.0, 2.0, -1.0, -1.0, -1.0, -1.0, 0.3],
+             [(1, 2, 0.4), (3, 7, -0.2)]),
+    # a P row coupled to the smallest Q entry, tied with P or above it
+    _coupled([0.0, 0.0, 1.5, 0.9, 0.0, 0.0, 0.0, 2.0], [(0, 1, 0.3)]),
+    _coupled([-0.5, 0.0, 1.5, 0.9, -0.5, -0.5, -0.5, 2.0],
+             [(0, 1, 0.3), (4, 1, 0.1), (2, 3, 1.0)])],
+    ids=["diagonal-tie", "coupled-tie", "p-to-q-tie", "p-to-q"])
+def test_dressed_start_edge_cases(H, spin_dim):
+    v = fock._dressed_start(H, H.diagonal().real, spin_dim)
+    assert np.all(np.isfinite(v))
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+    vals, _, res = ground_state(H, spin_dim=spin_dim)
+    exact = np.linalg.eigvalsh(H.toarray())[0]
+    assert abs(vals[0] - exact) <= 1e-12 * max(1.0, abs(exact))
+    assert res[0] <= fock.DEFAULT_EIGENSOLVER_TOL
+
+
+def test_dressed_start_off_the_pole():
+    # P = states 0, 1 couples within itself, so the P vector (1, 1)/sqrt 2
+    # that reaches state 2 sits at 1 > 0.5, and reaches it only with
+    # 1e-20: the 2x2 lower eigenvalue 0.5 - 4e-40 rounds onto the pole at
+    # D = 0.5, and the first Newton energy is the float below it
+    H = _coupled([0.0, 0.0, 0.5, 3.0], [(0, 1, 1.0), (0, 2, 1e-20),
+                                        (1, 2, 1e-20)])
+    v = fock._dressed_start(H, H.diagonal().real, 2)
+    assert np.all(np.isfinite(v))
+    vals, vecs, res = ground_state(H, spin_dim=2)
+    assert vals[0] == pytest.approx(-1.0, abs=1e-15)
+    assert res[0] <= fock.DEFAULT_EIGENSOLVER_TOL
+
+
 @pytest.mark.parametrize("positions, s, expected", [
     ([[0.0, 0.0, 0.0]], 0.5, 2),                     # Kramers pair
     ([[0.0, 0.0, 0.0]], 1.0, 3),                     # one spin-1 site

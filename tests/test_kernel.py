@@ -72,6 +72,23 @@ def test_far_field_dipole_tail_relative(profile, r):
     assert np.abs(K - tail).max() <= 1e-9 * np.abs(tail).max()
 
 
+@pytest.mark.parametrize("lam, r", [
+    (1.0, 1e102), (1.0, 1.1e103), (1.0, 1.2e103), (1.0, 2e103),
+    (1e50, 1e53), (1e50, 1e60), (1e10, 1e95), (1.0, 1e150)])
+def test_dipole_tail_where_z_cubed_overflows(lam, r):
+    # z = lam r / 2 has no finite cube beyond 5.6e102 (at lam = 1 between
+    # the second and third radius); the kernel is then the tail itself,
+    # which underflows into subnormals at lam = 1 and to zero at 1e150,
+    # but not at larger lam: 2.5e-182 at lam = 1e50
+    xhat = np.array([0.48, -0.6, 0.64])
+    K = kernel_matrix(CutoffProfile(lam), r * xhat).entries
+    tail = -(np.eye(3) - 3.0 * np.outer(xhat, xhat)) / (4.0 * math.pi) \
+        / r / r / r
+    assert np.all(np.isfinite(K))
+    assert np.abs(K - tail).max() <= 1e-9 * np.abs(tail).max()
+    assert (np.abs(tail).max() > 0.0) == (r < 1e150)
+
+
 def reference_radial(profile, f):
     """int_0^r_far |phi(r)|^2 r^2 f(r) dr by scipy's adaptive quad."""
     with warnings.catch_warnings():

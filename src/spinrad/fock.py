@@ -76,6 +76,10 @@ MAX_CG_STEPS = 1000
 # Step limit of the LOBPCG behind ground_state.
 MAX_LOBPCG_STEPS = 1000
 
+# Step limit of the Newton iteration behind ground_state's start; it
+# takes 3-9 steps on Fock H and random dense matrices alike.
+MAX_START_NEWTON_STEPS = 100
+
 
 @dataclass(frozen=True)
 class ModeGrid:
@@ -336,21 +340,15 @@ def _dressed_start(H: sp.csr_matrix, diag: np.ndarray,
     z = (D - E)^-1 B^H x, below min D.  Newton on g then falls
     monotonically onto its root from any E to the right of it: each step
     lands on the Rayleigh quotient of x (+) -z under H with QHQ = D, never
-    below the root.  The first E is such a quotient too, and below min D:
-    the lower eigenvalue of H on the state of the smallest entry of D and
-    the P vector B couples to it.  The start is x (+) -z at the root: H's
+    below the root, and it stops when E no longer falls, or after
+    MAX_START_NEWTON_STEPS steps.  The first E is such a quotient too, and
+    below min D: the lower eigenvalue of H on the state of the smallest
+    entry of D and the P vector B couples to it.  The start is x (+) -z at the root: H's
     ground vector when QHQ is diagonal (every n_max = 1 Fock H), and its
-    one-photon dressing otherwise.  Only the rows PH are read, straight
-    from the CSR arrays.
+    one-photon dressing otherwise.  Only the rows PH are made dense.
     """
     cols = np.argsort(diag, kind="stable")[:spin_dim]
-    lo, count = H.indptr[cols], np.diff(H.indptr)[cols]
-    take = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count,
-                                              count)
-    PH = np.zeros(spin_dim * H.shape[0], dtype=complex)
-    np.add.at(PH, np.repeat(np.arange(spin_dim) * H.shape[0], count)
-              + H.indices[take], H.data[take])
-    PH = PH.reshape(spin_dim, -1)
+    PH = H[cols].toarray()
     PHP = PH[:, cols]
     coupled = PH.any(axis=0)
     coupled[cols] = False
@@ -369,14 +367,15 @@ def _dressed_start(H: sp.csr_matrix, diag: np.ndarray,
     energy = min(min(a, D[k]) - beta * beta
                  / (abs(a - D[k]) / 2 + math.hypot((a - D[k]) / 2, beta)),
                  np.nextafter(D[k], -np.inf))
-    while True:
+    for _ in range(MAX_START_NEWTON_STEPS):
         lam, X = np.linalg.eigh(PHP - (B / (D - energy)) @ B.conj().T)
         x = X[:, 0]
         z = (x @ B.conj()) / (D - energy)
-        step = (lam[0] - energy) / (1.0 + np.vdot(z, z).real)
-        if not step < 0.0:  # at the root to roundoff, or NaN
+        # a step below half an ulp of E rounds away once |z|^2 > 1
+        new = energy + (lam[0] - energy) / (1.0 + np.vdot(z, z).real)
+        if not new < energy:  # at the root to roundoff, or NaN
             break
-        energy += step
+        energy = new
     start[cols] = x
     start[q] = -z
     return (start / np.linalg.norm(start))[:, None]
@@ -444,10 +443,11 @@ def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, spin_dim: int = 1):
     not from the solver's own.  Returns (energies, vectors, residuals) of
     the one pair, shapes (1,), (dim, 1) and (1,).
 
-    The preconditioner shift 0.1 is absolute, tuned for Fock H: small, badly
-    scaled non-Fock matrices can stall (scripts/solver_stall_census.py: 48
-    of 1,400 random ones of dim 1-7 failed the residual gate, all of norm
-    >= 100 and dim 5-7).
+    The preconditioner shift 0.1 is absolute, tuned for Fock H at cutoff
+    about 1: badly scaled matrices can crawl to MAX_LOBPCG_STEPS
+    (scripts/solver_stall_census.py at seed 0: 48 of 1,400 random ones of
+    dim 1-7 failed the residual gate, all of norm >= 100 and dim 5-7), and
+    so do some n_max = 2 Fock solves at cutoff 100.
     """
     H = sp.csr_matrix(H)
     d = H.diagonal().real

@@ -693,6 +693,33 @@ def test_dressed_start_edge_cases(H, spin_dim):
     assert res[0] <= fock.DEFAULT_EIGENSOLVER_TOL
 
 
+def test_dressed_start_ends_when_steps_round_away(monkeypatch):
+    # this draw's start has more weight on Q than on P (|z|^2 = 1.07), so
+    # at the root a one-ulp residual of g gives a Newton step below half an
+    # ulp of E: E stops moving while the step is still negative.  The
+    # Newton loop must end on its own stop rule, not on its step limit;
+    # counting the eigh calls also turns an endless loop into a failure.
+    rng = np.random.default_rng(914)
+    X = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    A = X + X.conj().T
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        assert len(calls) < fock.MAX_START_NEWTON_STEPS
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    v = fock._dressed_start(sp.csr_matrix(A), A.diagonal().real, 3)[:, 0]
+    monkeypatch.undo()
+    assert np.all(np.isfinite(v))
+    p = np.argsort(A.diagonal().real, kind="stable")[:3]
+    assert np.linalg.norm(v[p]) ** 2 < 0.5
+    vals, _, res = ground_state(A, spin_dim=3)
+    assert abs(vals[0] - np.linalg.eigvalsh(A)[0]) <= 1e-12 * 10.0
+    assert res[0] <= fock.DEFAULT_EIGENSOLVER_TOL
+
+
 def test_dressed_start_off_the_pole():
     # P = states 0, 1 couples within itself, so the P vector (1, 1)/sqrt 2
     # that reaches state 2 sits at 1 > 0.5, and reaches it only with

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the dense A_M assembly and its eigensolves over a ladder in P and s.
+"""Time A_M's build, e2's product sampling and the eigensolves over P and s.
 
 Covers spin-1/2 P = 2..12, spin-1 P = 2..7, spin-3/2 P = 2..6 and
 spin-5/2 P = 2..4 (every spin dimension up to MAX_DENSE_DIM = 4096), in
@@ -8,6 +8,8 @@ and runs in its own interpreter, which prints:
 
   dim        the spin dimension (2s + 1)^P;
   build      ms for spin_operator._assemble (kernel calls included);
+  sample     ms for e2's 200 sampled product states, scored on the 3P x 3P
+             coefficient matrix (cli._sampled_product_min);
   eigvalsh   ms for np.linalg.eigvalsh of the assembled A_M;
   eigh       ms for np.linalg.eigh of it;
   traced     MB, the tracemalloc peak of one build;
@@ -29,9 +31,10 @@ import time
 import tracemalloc
 
 # spinrad first: its BLAS one-thread pin only acts before numpy loads
+from spinrad.cli import _sampled_product_min
 from spinrad.cutoff import CutoffProfile
 from spinrad.kernel import kernel_matrix
-from spinrad.spin_operator import SpinSystem, _assemble
+from spinrad.spin_operator import SpinSystem, _assemble, _coefficients
 
 import numpy as np
 
@@ -65,15 +68,21 @@ def measure(s, P):
                         * rng.uniform(0.3, 1.0, size=P), s=s)
     profile = CutoffProfile(1.0)
 
+    def kernel_at(d):
+        return kernel_matrix(profile, d).entries
+
     def build():
-        return _assemble(system, lambda d: kernel_matrix(profile, d).entries)
+        return _assemble(system, kernel_at)
 
     build_ms = best_ms(build)  # no A_M is kept alive across the timed builds
+    coef = _coefficients(system, kernel_at)
+    sample_ms = best_ms(lambda: _sampled_product_min(
+        coef, s, np.random.default_rng(0)))
     tracemalloc.start()
     A = build()
     traced = tracemalloc.get_traced_memory()[1] / 2 ** 20
     tracemalloc.stop()
-    row = [f"{s:4.1f}", f"{P:3d}", f"{A.shape[0]:6d}", build_ms]
+    row = [f"{s:4.1f}", f"{P:3d}", f"{A.shape[0]:6d}", build_ms, sample_ms]
     rss = [rss_mb()]
     if A.shape[0] <= MAX_SOLVE_DIM:
         row.append(best_ms(lambda: np.linalg.eigvalsh(A)))
@@ -90,9 +99,9 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["--one"]:  # one row, in a fresh interpreter
         print(measure(float(sys.argv[2]), int(sys.argv[3])))
         sys.exit(0)
-    print(f"{'s':>4} {'P':>3} {'dim':>6} {'build ms':>10} {'eigvalsh':>10} "
-          f"{'eigh':>10} {'traced':>8} {'rss build':>9} {'rss vals':>9} "
-          f"{'rss vecs':>9}")
+    print(f"{'s':>4} {'P':>3} {'dim':>6} {'build ms':>10} {'sample ms':>10} "
+          f"{'eigvalsh':>10} {'eigh':>10} {'traced':>8} {'rss build':>9} "
+          f"{'rss vals':>9} {'rss vecs':>9}")
     for s, P in sorted(LADDER, key=lambda c: (round(2 * c[0] + 1) ** c[1], c)):
         out = subprocess.run(
             [sys.executable, __file__, "--one", str(s), str(P)],

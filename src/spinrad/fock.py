@@ -540,19 +540,19 @@ def _feshbach(H, energy: float, spin_dim: int, tol: float):
 # Discrete kernel and A_M
 # ---------------------------------------------------------------------------
 
-def _discrete_am_matrix(system: SpinSystem, omega_osc: np.ndarray,
-                        W: np.ndarray) -> np.ndarray:
-    """Dense matrix of A_M with the mode sum replacing the kernel integral.
+def _discrete_coefficients(system: SpinSystem, omega_osc: np.ndarray,
+                           W: np.ndarray) -> np.ndarray:
+    """Coefficient matrix of A_M with the mode sum replacing the kernel.
 
     The mode-sum kernel is sum_s G_s / r_s = K = (W / omega) W^T for the
     shell factors W of shell_couplings, and A = -1/2 sum_o B_o^dagger B_o
     / omega_o with B_o = sum_a M[a // 3] W[a, o] S_a: the second-order
-    operator of H's couplings.
+    operator of H's couplings, sum_ab C[a, b] S_a S_b with
+    C = -1/2 (M (x) M) o K.
     """
     Ww = W / np.sqrt(omega_osc)
     Mj = np.repeat(system.moments, 3)
-    return bilinear_spin_operator(-0.5 * np.outer(Mj, Mj) * (Ww @ Ww.T),
-                                  system.s)
+    return -0.5 * np.outer(Mj, Mj) * (Ww @ Ww.T)
 
 
 def discrete_am(system: SpinSystem, omega_osc: np.ndarray, W: np.ndarray,
@@ -561,8 +561,8 @@ def discrete_am(system: SpinSystem, omega_osc: np.ndarray, W: np.ndarray,
 
     vectors asks for eigenvectors too, as in assemble_am.
     """
-    return _checked_operator(_discrete_am_matrix(system, omega_osc, W),
-                             vectors)
+    return _checked_operator(_discrete_coefficients(system, omega_osc, W),
+                             system.s, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +599,9 @@ def variational_trial_check(system: SpinSystem, profile: CutoffProfile,
     phi_trial = e0x - u
     lhs = np.vdot(phi_trial, toy.matrix() @ phi_trial).real
     omega_osc, W = toy.space.omega_osc, toy.coupling
-    rhs = np.vdot(X, _discrete_am_matrix(system, omega_osc, W) @ X).real
+    A = bilinear_spin_operator(_discrete_coefficients(system, omega_osc, W),
+                               system.s)
+    rhs = np.vdot(X, A @ X).real
 
     # D(H) norm of u: u sits in the one-photon sector, where dGamma(omega) u
     # recovers h_vac.
@@ -709,11 +711,12 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
     """Ground multiplicity of H(g 1) versus that of the minimum of A_1^disc.
 
     All moments are set equal to g.  mult_h counts the eigenvalues of the
-    Feshbach map F(E_0) (_feshbach) in the degeneracy window above the
-    ground energy E_0.  Also reports the smallest overlap of those dressed
-    states X (+) -Z X with Psi_0 (x) (A_1 ground eigenspace), and the
-    multiplet (eig F(E_0) - E_0) / g^2, which tends to eig A_1^disc -
-    min eig A_1^disc as g -> 0.
+    Feshbach map F(E_0) (_feshbach) within degeneracy_tol * g^2 *
+    rho(A_1^disc) above the ground energy E_0, rho the spectral radius.
+    Also reports the smallest overlap of those dressed states X (+) -Z X
+    with Psi_0 (x) (A_1 ground eigenspace), and the multiplet
+    (eig F(E_0) - E_0) / g^2, which tends to eig A_1^disc - min eig A_1^disc
+    as g -> 0.
     """
     if np.ptp(system.moments) > 1e-12:
         raise DomainError("multiplicity scan requires equal moments")
@@ -730,8 +733,10 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
         H = toy.matrix(g)
         energy = ground_state(H, tol=tol, spin_dim=toy.spin_dim)[0][0]
         lam, X, Z = _feshbach(H, energy, toy.spin_dim, tol)
-        # energies scale like g^2 eig(A_1), so the cluster window must too
-        width = degeneracy_tol * max(g * g, abs(energy))
+        # energies scale like g^2 eig(A_1), so the window is that of A_1's
+        # own cluster (ground_eigenspace) times g^2: mult_h <= mult_a1
+        # then compares like with like
+        width = degeneracy_tol * g * g * a_disc.radius
         # every eigenvalue of F(E_0) lies at or above the ground energy E_0
         if not lam[0] >= energy - width:
             raise ConvergenceError(

@@ -11,6 +11,8 @@ ground-energy expansion in the magnetic moments.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -22,8 +24,9 @@ from .kernel import kernel_matrix
 from .spin_algebra import MAX_DENSE_DIM, _check_half_integer, \
     _require_unit, embed_site_operator, embedded_entries, spin_matrices
 
-# Relative ceiling on positive eigenvalues of an assembled A_M; anything
-# larger diagnoses a kernel or assembly bug and is raised, not clipped.
+# Ceiling on positive eigenvalues of an assembled A_M, relative to its
+# spectral radius with no floor; anything larger diagnoses a kernel or
+# assembly bug and is raised, not clipped.
 PSD_VIOLATION_TOL = 1e-10
 
 DEFAULT_DEGENERACY_TOL = 1e-7
@@ -70,11 +73,14 @@ class HermitianSpinOperator:
     """Dense Hermitian matrix on the spin space and its spectrum.
 
     One decomposition: `eigvalsh`, or `eigh` when vectors is true; without
-    vectors, `eigenvectors` is None.
+    vectors, `eigenvectors` is None.  An A_M keeps its 3P x 3P coefficient
+    matrix C, matrix = sum_ab C[a, b] S_a S_b (bilinear_spin_operator), which
+    is all that product states read (product_form).
     """
 
     matrix: np.ndarray
     vectors: InitVar[bool] = False
+    coefficients: np.ndarray | None = field(default=None, repr=False)
     eigenvalues: np.ndarray = field(init=False, repr=False)  # ascending
     eigenvectors: np.ndarray | None = field(init=False, repr=False)  # columns
 
@@ -84,6 +90,11 @@ class HermitianSpinOperator:
         else:
             self.eigenvalues = np.linalg.eigvalsh(self.matrix)
             self.eigenvectors = None
+
+    @property
+    def radius(self) -> float:
+        """Spectral radius max |eigenvalue|, the scale of relative gates."""
+        return float(np.abs(self.eigenvalues[[0, -1]]).max())
 
 
 @functools.lru_cache(maxsize=8, typed=True)
@@ -102,22 +113,54 @@ def site_spin_operators(s, P) -> sp.csr_matrix:
     return S
 
 
+@functools.lru_cache(maxsize=8, typed=True)
+def _spin_bases(s):
+    """Read-only spin-s bases of Hopf vectors, site blocks and pair blocks.
+
+    Row j of the first, shape (3, d^2), is sigma_j; row 3 j + m of the
+    second, shape (9, d^2), is sigma_j sigma_m and of the third, shape
+    (9, d^4), sigma_j (x) sigma_m; each matrix is flattened row-major.
+    Typed like site_spin_operators.
+    """
+    sig = np.array(spin_matrices(s))
+    d = sig.shape[1]
+    bases = (sig.reshape(3, d * d),
+             np.matmul(sig[:, None], sig[None]).reshape(9, d * d),
+             np.einsum("jab,mcd->jmacbd", sig, sig).reshape(9, d ** 4))
+    for arr in bases:
+        arr.flags.writeable = False
+    return bases
+
+
+def _site_blocks(C, s) -> np.ndarray:
+    """Site blocks sum_jm C[lam j, lam m] sigma_j sigma_m, flattened (P, d^2).
+
+    C is the coefficient matrix reshaped to (P, 3, P, 3); one matrix
+    product forms all P blocks.
+    """
+    P = C.shape[0]
+    return C.diagonal(axis1=0, axis2=2).transpose(2, 0, 1).reshape(P, 9) \
+        @ _spin_bases(s)[1]
+
+
 def bilinear_spin_operator(coef: np.ndarray, s) -> np.ndarray:
     """Dense sum_{a,b} coef[a, b] S_a S_b, one block per site and site pair.
 
     With C = coef indexed [3 lam + j, 3 mu + m], site lam gives the d x d
     block sum_jm C[lam j, lam m] sigma_j sigma_m.  Spins on different sites
     commute, so the pair lam < mu gives the d^2 x d^2 block
-    sum_jm (C[lam j, mu m] + C[mu m, lam j]) sigma_j (x) sigma_m.  Each
-    block is added into A at the base-d digits of its sites.
+    sum_jm (C[lam j, mu m] + C[mu m, lam j]) sigma_j (x) sigma_m.  All site
+    blocks come from one matrix product with the sigma_j sigma_m basis and
+    all pair blocks from one with the sigma_j (x) sigma_m basis; each block
+    is added into A at the base-d digits of its sites.
 
     Every dense spin-space array is built here, so here is where the dense
     budget and Hermiticity are checked, before anything of size dim^2 is
     allocated: a Hermitian coef gives Hermitian site and pair blocks.
     """
     coef = np.asarray(coef)
-    sig = np.array(spin_matrices(s))
-    d, P = sig.shape[1], coef.shape[0] // 3
+    sig, _, pair_basis = _spin_bases(s)
+    d, P = math.isqrt(sig.shape[1]), coef.shape[0] // 3
     dim = d ** P
     if dim > MAX_DENSE_DIM:
         raise ResourceError(f"spin dimension {dim} exceeds the dense budget")
@@ -126,25 +169,29 @@ def bilinear_spin_operator(coef: np.ndarray, s) -> np.ndarray:
         raise SpinradError(f"spin operator coefficients are not Hermitian "
                            f"({herm:.3e})")
     C = coef.reshape(P, 3, P, 3)
+    lam, mu = np.array(list(itertools.combinations(range(P), 2)),
+                       dtype=int).reshape(-1, 2).T
+    pair = (C[lam, :, mu] + C[mu, :, lam].transpose(0, 2, 1)).reshape(-1, 9)
+    pairs = (pair @ pair_basis).reshape(-1, d * d, d * d)
     A = np.zeros((dim, dim), dtype=complex)
 
     def add(block, sites):
         rows, cols, vals = embedded_entries(block, sites, d, P)
         A[rows, cols] += vals
 
-    for lam in range(P):
-        add(np.einsum("jm,jab,mbc->ac", C[lam, :, lam], sig, sig), (lam,))
-        for mu in range(lam + 1, P):
-            pair = C[lam, :, mu] + C[mu, :, lam].T
-            add(np.einsum("jm,jab,mcd->acbd", pair, sig, sig)
-                .reshape(d * d, d * d), (lam, mu))
+    for site, block in enumerate(_site_blocks(C, s).reshape(P, d, d)):
+        add(block, (site,))
+    for block, sites in zip(pairs, zip(lam, mu)):
+        add(block, sites)
     return A
 
 
-def _assemble(system: SpinSystem, kernel_at) -> np.ndarray:
-    """A_M from one kernel_at call per site pair and one at the origin.
+def _coefficients(system: SpinSystem, kernel_at) -> np.ndarray:
+    """The 3P x 3P coefficient matrix C = -1/2 (M (x) M) o K of A_M.
 
-    Exact because kernel_at(d) is real symmetric and even in d.
+    K[3 lam + j, 3 mu + m] = kernel_at(x[mu] - x[lam])[j, m], from one
+    kernel_at call per site pair and one at the origin; exact because
+    kernel_at(d) is real symmetric and even in d.
     """
     P, x = system.P, system.positions
     K = np.empty((P, 3, P, 3))
@@ -155,18 +202,23 @@ def _assemble(system: SpinSystem, kernel_at) -> np.ndarray:
             K[lam, :, mu] = kernel_at(x[mu] - x[lam])
             K[mu, :, lam] = K[lam, :, mu].T
     Mj = np.repeat(system.moments, 3)
-    return bilinear_spin_operator(
-        -0.5 * np.outer(Mj, Mj) * K.reshape(3 * P, 3 * P), system.s)
+    return -0.5 * np.outer(Mj, Mj) * K.reshape(3 * P, 3 * P)
 
 
-def _checked_operator(A, vectors: bool) -> HermitianSpinOperator:
-    """The operator of an assembled A_M; raises unless NSD.
+def _assemble(system: SpinSystem, kernel_at) -> np.ndarray:
+    """Dense A_M of the coefficient matrix of _coefficients."""
+    return bilinear_spin_operator(_coefficients(system, kernel_at), system.s)
 
-    A comes from bilinear_spin_operator, which checked its Hermiticity.
-    vectors asks for eigenvectors too (see HermitianSpinOperator).
+
+def _checked_operator(coef, s, vectors: bool) -> HermitianSpinOperator:
+    """The operator sum_ab coef[a, b] S_a S_b of an A_M; raises unless NSD.
+
+    bilinear_spin_operator checks coef's Hermiticity.  vectors asks for
+    eigenvectors too (see HermitianSpinOperator); the operator keeps coef.
     """
-    op = HermitianSpinOperator(matrix=A, vectors=vectors)
-    if op.eigenvalues[-1] > PSD_VIOLATION_TOL * max(1.0, np.linalg.norm(A)):
+    A = bilinear_spin_operator(coef, s)
+    op = HermitianSpinOperator(matrix=A, vectors=vectors, coefficients=coef)
+    if op.eigenvalues[-1] > PSD_VIOLATION_TOL * op.radius:
         raise SpinradError(f"A_M has a positive eigenvalue "
                            f"{op.eigenvalues[-1]:.3e}; kernel/assembly bug")
     return op
@@ -178,8 +230,32 @@ def assemble_am(system: SpinSystem, profile: CutoffProfile,
 
     vectors asks for eigenvectors, which only ground_eigenspace's basis reads.
     """
-    A = _assemble(system, lambda d: kernel_matrix(profile, d).entries)
-    return _checked_operator(A, vectors)
+    coef = _coefficients(system, lambda d: kernel_matrix(profile, d).entries)
+    return _checked_operator(coef, system.s, vectors)
+
+
+def product_form(coef, s, factors) -> np.ndarray:
+    """<A X, X> of A = sum_ab coef[a, b] S_a S_b on product states X.
+
+    factors has shape (n, P, d), each factor f_lam normalized; returns one
+    real value per product state, with no vector of length d^P formed:
+    sum_lam <f_lam| B_lam |f_lam> + sum_{lam != mu} h_lam^T C_lam,mu h_mu,
+    with B_lam the site blocks of bilinear_spin_operator and h_lam the Hopf
+    vector (<sigma_j>)_j of f_lam.
+    """
+    coef = np.asarray(coef)
+    facs = np.asarray(factors, dtype=complex)
+    _require_unit(facs, "product_form requires normalized factors")
+    n, P, d = facs.shape
+    sig = _spin_bases(s)[0]
+    # rho = conj(f) f^T, flattened: <f|O|f> = rho . O for any d x d O
+    rho = (facs.conj()[..., :, None] * facs[..., None, :]).reshape(n, P, d * d)
+    onsite = rho.reshape(n, -1) @ _site_blocks(coef.reshape(P, 3, P, 3), s) \
+        .reshape(-1)
+    hopf = (rho.reshape(n * P, d * d) @ sig.T).real.reshape(n, 3 * P)
+    site = np.repeat(np.arange(P), 3)
+    cross = np.where(site[:, None] != site[None], coef, 0.0)
+    return onsite.real + np.einsum("na,na->n", hopf @ cross, hopf).real
 
 
 def quadratic_form(A: HermitianSpinOperator, X):
@@ -197,11 +273,12 @@ def ground_eigenspace(A: HermitianSpinOperator,
                       degeneracy_tol: float = DEFAULT_DEGENERACY_TOL):
     """Smallest eigenvalue, its cluster multiplicity, and an orthonormal basis.
 
-    The cluster gathers eigenvalues within degeneracy_tol * max(1, |lam_min|)
-    of the minimum.  The basis is None unless A holds eigenvectors.
+    The cluster gathers eigenvalues within degeneracy_tol * max|eigenvalue|
+    of the minimum, a window that scales with A (for A = 0 it holds the
+    whole space).  The basis is None unless A holds eigenvectors.
     """
     lam_min = A.eigenvalues[0]
-    width = degeneracy_tol * max(1.0, abs(lam_min))
+    width = degeneracy_tol * A.radius
     mult = int(np.sum(A.eigenvalues <= lam_min + width))
     basis = None if A.eigenvectors is None else A.eigenvectors[:, :mult]
     return lam_min, mult, basis

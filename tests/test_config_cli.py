@@ -268,9 +268,25 @@ def test_e2_batched_sampling_matches_loop(s, P):
                         moments=rng.uniform(-1.0, 1.0, size=P), s=s)
     A = assemble_am(system, CutoffProfile(1.0))
     ref = loop_sampled_min(A, system, np.random.default_rng(99))
-    got = _sampled_product_min(A, system, np.random.default_rng(99))
+    got = _sampled_product_min(A.coefficients, system.s,
+                               np.random.default_rng(99))
     assert ref < 0.0
     assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("name", ["single_spin", "two_spins",
+                                  "two_spins_equal"])
+def test_e2_sampled_min_matches_dense_on_bundled_configs(tmp_path, name):
+    # e2 scores its product states on the coefficient matrix; the loop
+    # scores the same draws as Kronecker vectors against the dense A_M
+    path = str(CONFIG_DIR / f"{name}.yaml")
+    assert main(["e2", "--config", path, "--out", str(tmp_path)]) == 0
+    got = json.loads((tmp_path / "e2.json").read_text())
+    cfg = parse_config(Path(path).read_text())
+    system = cfg.system()
+    A = assemble_am(system, cfg.profile())
+    ref = loop_sampled_min(A, system, np.random.default_rng(cfg.seed))
+    assert abs(got["product_state_sampled_min"] - ref) <= 1e-14 * abs(ref)
 
 
 def test_cli_verify_passes_and_is_deterministic(tmp_path):
@@ -284,6 +300,22 @@ def test_cli_verify_passes_and_is_deterministic(tmp_path):
     lines = (out1 / "verify.csv").read_text().strip().splitlines()
     assert lines[0].startswith("check_name,")
     assert all(line.endswith(",True") for line in lines[1:])
+
+
+def test_verify_gates_scale_with_the_values():
+    # at lam = 0.01 every value is about 1e-8; a gate floored at 1 (1e-6
+    # absolute) would pass a residual 100 times the value itself
+    cfg = parse_config(Path(TWO).read_text().replace("lambda: 1.0",
+                                                     "lambda: 0.01"))
+    rows = {row[0]: row for row in _verify_rows(cfg)}
+    radius = abs(assemble_am(cfg.system(), cfg.profile()).eigenvalues[0])
+    assert radius < 1e-7
+    for name, (_, lhs, _, resid, tol, ok) in rows.items():
+        if name.startswith(("th_egal", "class_decomposition")):
+            assert tol == cfg.tolerances["identity"] * abs(lhs) < 1e-13
+            assert ok
+    assert rows["negative_semidefinite"][4] == pytest.approx(1e-10 * radius)
+    assert rows["moment_scaling_c2"][4] == pytest.approx(1e-12 * radius)
 
 
 def test_cli_verify_seed_changes_samples(tmp_path):
@@ -332,12 +364,13 @@ def test_cli_largest_cutoff_scale(tmp_path, capsys, suite, args):
     assert np.all(np.isfinite(values))
 
 
-def test_cli_verify_passes_at_separation_20(tmp_path, capsys):
-    # the field-energy rule resolves the pair out to |x| = 20 / lam; from
-    # 25 on th_egal fails its 1e-6 gate
+def test_cli_verify_passes_at_separation_16(tmp_path, capsys):
+    # the field-energy rule resolves the pair to its relative 1e-6 gate out
+    # to |x| = 16 / lam (residuals up to 6e-8 of the value); from 20 on
+    # th_egal fails it
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(Path(TWO).read_text().replace(
-        "[0.9, -0.3, 0.4]", "[20.0, -0.3, 0.4]"))
+        "[0.9, -0.3, 0.4]", "[16.0, -0.3, 0.4]"))
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 10

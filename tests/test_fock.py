@@ -790,7 +790,8 @@ def test_ground_solve_and_multiplicity_match_dense(profile, s, P, n_radial,
     # is good to eps |E_0|
     energy = np.vdot(V[:, 0], H @ V[:, 0]).real
     assert abs(row.energy - energy) <= 1e-12 * abs(energy)
-    width = DEFAULT_DEGENERACY_TOL * max(g * g, abs(w[0]))
+    # the window of multiplicity_scan: g^2 times that of A_1's own cluster
+    width = DEFAULT_DEGENERACY_TOL * g * g * np.abs(row.a_disc).max()
     assert row.mult_h == int(np.sum(w <= w[0] + width))
 
 
@@ -804,7 +805,7 @@ def test_multiplicity_matches_schur_oracle(profile, default_grid, positions,
                         s=s)
     for r in multiplicity_scan(system, profile, default_grid, 1, [0.2, 0.1]):
         exact = _schur_energies(system, profile, default_grid, r.g)
-        width = DEFAULT_DEGENERACY_TOL * max(r.g * r.g, abs(exact[0]))
+        width = DEFAULT_DEGENERACY_TOL * r.g * r.g * np.abs(r.a_disc).max()
         assert r.mult_h == int(np.sum(exact <= exact[0] + width)) == expected
         assert r.mult_h <= r.mult_a1
         assert abs(r.energy - exact[0]) <= 1e-12 * abs(exact[0])

@@ -6,19 +6,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 import spinrad.fock as fock
 import spinrad.spin_operator as spin_operator
-from spinrad.cli import main
+from spinrad.cli import PRODUCT_SAMPLES, _sampled_product_min, main
 from spinrad.config import parse_config
 from spinrad.errors import DomainError, ResourceError, SpinradError
 from spinrad.kernel import a11_origin, kernel_matrix
 from spinrad.spin_algebra import embed_site_operator, hopf_map, \
     product_state, product_vectors
 from spinrad.spin_operator import HermitianSpinOperator, SpinSystem, \
-    _assemble, assemble_am, bilinear_spin_operator, ground_eigenspace, \
-    quadratic_form, site_spin_operators
+    _assemble, _coefficients, assemble_am, bilinear_spin_operator, \
+    ground_eigenspace, product_form, quadratic_form, site_spin_operators
 
 from conftest import kron_embed, kron_site_spins, projector_kernel, \
     random_state
@@ -46,7 +47,7 @@ def test_system_rejects_non_finite(position, moment):
 
 @pytest.mark.parametrize("check", [
     "quadratic_form", "hopf_map", "product_vectors", "product_state",
-    "photon_number", "variational_trial_check"])
+    "product_form", "photon_number", "variational_trial_check"])
 def test_unit_norm_checks_reject_nan(profile, small_grid, two_spin_system,
                                      check):
     # abs(norm - 1) > tol is False for a NaN norm; each check must still fail
@@ -58,6 +59,8 @@ def test_unit_norm_checks_reject_nan(profile, small_grid, two_spin_system,
         "hopf_map": lambda: hopf_map(nan[:2], 0.5),
         "product_vectors": lambda: product_vectors(nan.reshape(1, 2, 2)),
         "product_state": lambda: product_state(nan.reshape(2, 2), 0.5),
+        "product_form": lambda: product_form(
+            np.zeros((6, 6)), 0.5, nan.reshape(1, 2, 2)),
         "photon_number": lambda: fock.photon_number(
             toy, np.full(toy.dim, np.nan)),
         "variational_trial_check": lambda: fock.variational_trial_check(
@@ -81,8 +84,10 @@ def test_single_spin_closed_form(profile):
 
 
 def test_zero_moments_give_zero(profile, two_spin_system):
-    A = assemble_am(two_spin_system.with_moments([0.0, 0.0]), profile).matrix
-    assert np.abs(A).max() == 0.0
+    A = assemble_am(two_spin_system.with_moments([0.0, 0.0]), profile)
+    assert np.abs(A.matrix).max() == 0.0
+    # the degeneracy window scales with A: for A = 0 it holds every state
+    assert ground_eigenspace(A)[:2] == (0.0, 4)
 
 
 def test_hermitian_and_negative_semidefinite(profile, two_spin_system):
@@ -270,6 +275,79 @@ def test_ground_eigenspace_spectral_shift(profile, two_spin_system):
     lam2, mult2, _ = ground_eigenspace(shifted)
     assert mult2 == mult
     assert lam2 == pytest.approx(lam + 0.37, abs=1e-12)
+
+
+def _e2_doc(tmp_path, doc):
+    """e2.json of a configuration given as a dict."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["e2", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    return json.loads((tmp_path / "e2.json").read_text())
+
+
+@pytest.mark.parametrize("name, mult", [
+    ("single_spin", 2), ("two_spins", 1), ("two_spins_equal", 2)])
+def test_e2_multiplicity_is_scale_free(tmp_path, name, mult):
+    # (lam, x) -> (c lam, x / c) scales A_M by c^3, and the degeneracy window
+    # scales with it
+    base = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
+    lam1 = _e2_doc(tmp_path, base)["lambda_min"]
+    for c in (0.01, 1.0, 100.0):
+        doc = dict(base, cutoff={"lambda": c}, particles=[
+            dict(p, position=[x / c for x in p["position"]])
+            for p in base["particles"]])
+        got = _e2_doc(tmp_path, doc)
+        assert got["multiplicity"] == mult
+        assert got["lambda_min"] == pytest.approx(c ** 3 * lam1, rel=1e-12)
+
+
+def test_e2_window_below_unit_eigenvalues(tmp_path):
+    # two_spins at lam = 0.01 with its positions kept: the spectrum is
+    # -3.79e-8 and a near triple at -1.40e-8, a level of multiplicity 1
+    # that a window floored at 1e-7 would merge into one of 4
+    doc = yaml.safe_load((CONFIGS / "two_spins.yaml").read_text())
+    doc["cutoff"] = {"lambda": 0.01}
+    got = _e2_doc(tmp_path, doc)
+    assert got["multiplicity"] == 1
+    assert got["lambda_min"] == pytest.approx(-3.7937e-8, rel=1e-4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cluster=st.integers(1, 5).flatmap(lambda two_s: st.tuples(
+           st.just(two_s / 2.0),
+           st.integers(1, min(5, int(math.log(256, two_s + 1) + 1e-9))))),
+       moments=st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+                        min_size=5, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_product_form_matches_dense(profile, cluster, moments, seed):
+    # the coefficient form of A_M on product states against the Rayleigh
+    # quotient of the Kronecker product vectors on the dense A_M
+    s, P = cluster
+    d = round(2 * s + 1)
+    rng = np.random.default_rng(seed)
+    system = SpinSystem(positions=2.0 * rng.normal(size=(P, 3)),
+                        moments=moments[:P], s=s)
+    A = assemble_am(system, profile)
+    factors = rng.normal(size=(7, P, d)) + 1j * rng.normal(size=(7, P, d))
+    factors /= np.linalg.norm(factors, axis=-1, keepdims=True)
+    ref = quadratic_form(A, product_vectors(factors))
+    got = product_form(A.coefficients, s, factors)
+    assert np.abs(got - ref).max() <= 1e-13 * A.radius
+
+
+def test_sampler_reads_coefficients_only(profile):
+    # P = 12 spin-1/2 sites: A_M would be 4096 x 4096 (256 MiB), the stack
+    # of 200 product vectors 13 MiB; the coefficient form needs neither
+    system = SpinSystem(positions=np.arange(36, dtype=float).reshape(12, 3),
+                        moments=np.linspace(-1.0, 1.0, 12), s=0.5)
+    coef = _coefficients(system, lambda d: kernel_matrix(profile, d).entries)
+    _sampled_product_min(coef, 0.5, np.random.default_rng(0))  # warm caches
+    best = []
+    peak = _traced_peak(lambda: best.append(
+        _sampled_product_min(coef, 0.5, np.random.default_rng(1))))
+    assert peak < 1 << 20
+    assert PRODUCT_SAMPLES * 16 * system.spin_dim > 12 << 20
+    assert best[0] < 0.0
 
 
 def _break(K, d, fault):

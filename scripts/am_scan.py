@@ -1,21 +1,28 @@
 #!/usr/bin/env python3
 """Time A_M's build, e2's product sampling and the eigensolves over P and s.
 
-Covers spin-1/2 P = 2..12, spin-1 P = 2..7, spin-3/2 P = 2..6 and
-spin-5/2 P = 2..4 (every spin dimension up to MAX_DENSE_DIM = 4096), in
-increasing dimension.  Each cluster is random, with moments of either sign,
-and runs in its own interpreter, which prints:
+Covers spin-1/2 P = 2..12, spin-1 P = 2..7, spin-3/2 P = 2..6, spin-2
+P = 2..5 and spin-5/2 P = 2..4 (every spin dimension up to MAX_DENSE_DIM =
+4096), in increasing dimension.  Each cluster is random, with moments of
+either sign, and runs in its own interpreter, which prints:
 
   dim        the spin dimension (2s + 1)^P;
-  build      ms for spin_operator._assemble (kernel calls included);
+  build      ms for the dense A_M that e2 builds (kernel calls included):
+             real symmetric in the time-reversal-real site basis for
+             integer s, complex in the weight basis otherwise
+             (spin_operator._operator_bases);
   sample     ms for e2's 200 sampled product states, scored on the 3P x 3P
              coefficient matrix (cli._sampled_product_min);
-  eigvalsh   ms for np.linalg.eigvalsh of the assembled A_M;
-  eigh       ms for np.linalg.eigh of it;
+  eigvalsh   ms for np.linalg.eigvalsh of e2's A_M, the solve e2 runs;
+  complex    ms for eigvalsh of the complex weight-basis A_M
+             (spin_operator._assemble), for integer s only: for
+             half-integer s it is the eigvalsh column;
+  eigh       ms for np.linalg.eigh of e2's A_M (e2 --eigenbasis);
   traced     MB, the tracemalloc peak of one build;
   rss        MB, the interpreter's peak resident set after the build,
              after eigvalsh and after eigh (high-water marks; tracemalloc
-             does not see LAPACK's workspace).
+             does not see LAPACK's workspace); the complex solve runs
+             after these are read.
 
 Times are the best of up to REPEAT runs, fewer once a step has used a
 second.  Solves above MAX_SOLVE_DIM are skipped ("-"): at 4096 a complex
@@ -34,12 +41,14 @@ import tracemalloc
 from spinrad.cli import _sampled_product_min
 from spinrad.cutoff import CutoffProfile
 from spinrad.kernel import kernel_matrix
-from spinrad.spin_operator import SpinSystem, _assemble, _coefficients
+from spinrad.spin_operator import SpinSystem, _assemble, _coefficients, \
+    _dense_operator, _operator_bases
 
 import numpy as np
 
 LADDER = [(0.5, P) for P in range(2, 13)] + [(1.0, P) for P in range(2, 8)] \
-    + [(1.5, P) for P in range(2, 7)] + [(2.5, P) for P in range(2, 5)]
+    + [(1.5, P) for P in range(2, 7)] + [(2.0, P) for P in range(2, 6)] \
+    + [(2.5, P) for P in range(2, 5)]
 REPEAT = 3
 MAX_SOLVE_DIM = 2500
 
@@ -72,7 +81,8 @@ def measure(s, P):
         return kernel_matrix(profile, d).entries
 
     def build():
-        return _assemble(system, kernel_at)
+        coef = _coefficients(system, kernel_at)
+        return _dense_operator(coef, *_operator_bases(coef, s)[1:])
 
     build_ms = best_ms(build)  # no A_M is kept alive across the timed builds
     coef = _coefficients(system, kernel_at)
@@ -84,13 +94,20 @@ def measure(s, P):
     tracemalloc.stop()
     row = [f"{s:4.1f}", f"{P:3d}", f"{A.shape[0]:6d}", build_ms, sample_ms]
     rss = [rss_mb()]
+    skipped = f"{'-':>10}"
     if A.shape[0] <= MAX_SOLVE_DIM:
         row.append(best_ms(lambda: np.linalg.eigvalsh(A)))
         rss.append(rss_mb())
-        row.append(best_ms(lambda: np.linalg.eigh(A)))
+        eigh_ms = best_ms(lambda: np.linalg.eigh(A))
         rss.append(rss_mb())
+        if np.isrealobj(A):
+            A_complex = _assemble(system, kernel_at)
+            row.append(best_ms(lambda: np.linalg.eigvalsh(A_complex)))
+        else:
+            row.append(skipped)
+        row.append(eigh_ms)
     else:
-        row += 2 * [f"{'-':>10}"]
+        row += 3 * [skipped]
         rss += 2 * [f"{'-':>9}"]
     return " ".join(row + [f"{traced:8.1f}"] + rss)
 
@@ -100,8 +117,8 @@ if __name__ == "__main__":
         print(measure(float(sys.argv[2]), int(sys.argv[3])))
         sys.exit(0)
     print(f"{'s':>4} {'P':>3} {'dim':>6} {'build ms':>10} {'sample ms':>10} "
-          f"{'eigvalsh':>10} {'eigh':>10} {'traced':>8} {'rss build':>9} "
-          f"{'rss vals':>9} {'rss vecs':>9}")
+          f"{'eigvalsh':>10} {'complex':>10} {'eigh':>10} {'traced':>8} "
+          f"{'rss build':>9} {'rss vals':>9} {'rss vecs':>9}")
     for s, P in sorted(LADDER, key=lambda c: (round(2 * c[0] + 1) ** c[1], c)):
         out = subprocess.run(
             [sys.executable, __file__, "--one", str(s), str(P)],

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from .errors import DomainError
 
 # Largest tensor-product dimension materialized densely (one dense A_M),
-# checked by spin_operator.bilinear_spin_operator before it allocates.
+# checked by spin_operator._dense_operator before it allocates.
 # A complex dim x dim matrix takes 16 dim^2 bytes: 64 MiB at 2^11, 256 MiB
 # at 2^12, 1 GiB at 2^13.  Process peaks measured at 2^11, each including
 # the interpreter's 0.06 GB (scripts/am_scan.py): the build writes its
@@ -24,7 +24,10 @@ from .errors import DomainError
 # arrays, 0.19 GB; eigh about five (input copy, eigenvectors, LAPACK
 # workspace), 0.39 GB.  Scaled by 4 per doubling (not measured), e2 would
 # take about 0.6 GB at 2^12 and 1.4 GB with --eigenbasis, but 2.1 and
-# 5.3 GB at 2^13, on an 8 GB machine.
+# 5.3 GB at 2^13, on an 8 GB machine.  An integer-spin A_M is real,
+# 8 dim^2 bytes: measured at 3^7 = 2187 (s = 1) the peaks are 0.09 GB
+# after the build, 0.13 GB after eigvalsh and 0.24 GB after eigh, and at
+# 5^5 = 3125 (s = 2) 0.13 GB after the build.
 MAX_DENSE_DIM = 1 << 12
 
 _NORM_TOL = 1e-12

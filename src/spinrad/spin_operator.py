@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import string
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from .cutoff import CutoffProfile
 from .errors import DomainError, ResourceError, SpinradError
 from .kernel import kernel_matrix
 from .spin_algebra import MAX_DENSE_DIM, _check_half_integer, \
-    _require_unit, embed_site_operator, embedded_entries, spin_matrices
+    _require_unit, embed_site_operator, spin_matrices
 
 # Ceiling on positive eigenvalues of an assembled A_M, relative to its
 # spectral radius with no floor; anything larger diagnoses a kernel or
@@ -74,13 +75,21 @@ class HermitianSpinOperator:
 
     One decomposition: `eigvalsh`, or `eigh` when vectors is true; without
     vectors, `eigenvectors` is None.  An A_M keeps its 3P x 3P coefficient
-    matrix C, matrix = sum_ab C[a, b] S_a S_b (bilinear_spin_operator), which
+    matrix C, matrix = sum_ab C[a, b] S_a S_b (_dense_operator), which
     is all that product states read (product_form).
+
+    site_basis is the d x d unitary V of the basis that matrix and
+    eigenvectors are written in: matrix = W^H A W with W = V (x) ... (x) V
+    and A the operator in the weight basis, which site_basis None stands
+    for.  An integer-spin A_M is real symmetric in the basis of _real_bases.
+    quadratic_form and ground_eigenspace take and return weight-basis
+    vectors, converting one site axis at a time.
     """
 
     matrix: np.ndarray
     vectors: InitVar[bool] = False
     coefficients: np.ndarray | None = field(default=None, repr=False)
+    site_basis: np.ndarray | None = field(default=None, repr=False)
     eigenvalues: np.ndarray = field(init=False, repr=False)  # ascending
     eigenvectors: np.ndarray | None = field(init=False, repr=False)  # columns
 
@@ -132,35 +141,77 @@ def _spin_bases(s):
     return bases
 
 
-def _site_blocks(C, s) -> np.ndarray:
+@functools.lru_cache(maxsize=8, typed=True)
+def _real_bases(s):
+    """Site basis V and real site and pair bases of an integer spin s.
+
+    In the weight basis Y = e^{-i pi J_y} is the antidiagonal
+    Y[2s - k, k] = (-1)^k, real symmetric with Y^2 = 1 for integer s.  From
+    Y = U diag(w) U^T, V = Y^(1/2) = U diag(sqrt w) U^T is a symmetric
+    unitary, and time reversal, Y conj(sigma_j) Y = -sigma_j, makes
+    V^H sigma_j V = i R_j with R_j real.  So sigma_j sigma_m reads
+    -R_j R_m and sigma_j (x) sigma_m reads -R_j (x) R_m: the real
+    counterparts of the last two bases of _spin_bases.  Read-only; typed
+    like site_spin_operators.
+    """
+    two_s = _check_half_integer(s)
+    d = two_s + 1
+    k = np.arange(d)
+    Y = np.zeros((d, d))
+    Y[two_s - k, k] = (-1.0) ** k
+    w, U = np.linalg.eigh(Y)
+    V = (U * np.where(w > 0.0, 1.0, 1j)) @ U.T
+    R = (V.conj().T @ np.array(spin_matrices(s)) @ V).imag
+    bases = (V, -np.matmul(R[:, None], R[None]).reshape(9, d * d),
+             -np.einsum("jab,mcd->jmacbd", R, R).reshape(9, d ** 4))
+    for arr in bases:
+        arr.flags.writeable = False
+    return bases
+
+
+def _on_each_site(U, X) -> np.ndarray:
+    """(U (x) ... (x) U) X along X's last axis, one site axis at a time.
+
+    X has shape (..., d^P) for the d x d matrix U; no d^P x d^P matrix is
+    formed.
+    """
+    d, shape = U.shape[0], np.shape(X)
+    n = math.prod(shape[:-1])
+    for k in range(round(math.log(shape[-1], d))):
+        X = np.matmul(U, np.reshape(X, (n * d ** k, d, -1)))
+    return X.reshape(shape)
+
+
+def _site_blocks(C, site_basis) -> np.ndarray:
     """Site blocks sum_jm C[lam j, lam m] sigma_j sigma_m, flattened (P, d^2).
 
-    C is the coefficient matrix reshaped to (P, 3, P, 3); one matrix
-    product forms all P blocks.
+    C is the coefficient matrix reshaped to (P, 3, P, 3) and site_basis the
+    (9, d^2) sigma_j sigma_m basis; one matrix product forms all P blocks.
     """
     P = C.shape[0]
     return C.diagonal(axis1=0, axis2=2).transpose(2, 0, 1).reshape(P, 9) \
-        @ _spin_bases(s)[1]
+        @ site_basis
 
 
-def bilinear_spin_operator(coef: np.ndarray, s) -> np.ndarray:
-    """Dense sum_{a,b} coef[a, b] S_a S_b, one block per site and site pair.
+def _dense_operator(coef, site_basis, pair_basis) -> np.ndarray:
+    """Dense sum_{a,b} coef[a, b] S_a S_b, in the basis of its block bases.
 
     With C = coef indexed [3 lam + j, 3 mu + m], site lam gives the d x d
     block sum_jm C[lam j, lam m] sigma_j sigma_m.  Spins on different sites
     commute, so the pair lam < mu gives the d^2 x d^2 block
     sum_jm (C[lam j, mu m] + C[mu m, lam j]) sigma_j (x) sigma_m.  All site
-    blocks come from one matrix product with the sigma_j sigma_m basis and
-    all pair blocks from one with the sigma_j (x) sigma_m basis; each block
-    is added into A at the base-d digits of its sites.
+    blocks come from one matrix product with site_basis (sigma_j sigma_m)
+    and all pair blocks from one with pair_basis (sigma_j (x) sigma_m); the
+    bases fix the site basis and with coef the dtype of the result.  Each
+    block is added through a writeable einsum view of A reshaped to
+    (d,) * 2P, the diagonal in every other site.
 
     Every dense spin-space array is built here, so here is where the dense
     budget and Hermiticity are checked, before anything of size dim^2 is
     allocated: a Hermitian coef gives Hermitian site and pair blocks.
     """
     coef = np.asarray(coef)
-    sig, _, pair_basis = _spin_bases(s)
-    d, P = math.isqrt(sig.shape[1]), coef.shape[0] // 3
+    d, P = math.isqrt(site_basis.shape[1]), coef.shape[0] // 3
     dim = d ** P
     if dim > MAX_DENSE_DIM:
         raise ResourceError(f"spin dimension {dim} exceeds the dense budget")
@@ -172,18 +223,29 @@ def bilinear_spin_operator(coef: np.ndarray, s) -> np.ndarray:
     lam, mu = np.array(list(itertools.combinations(range(P), 2)),
                        dtype=int).reshape(-1, 2).T
     pair = (C[lam, :, mu] + C[mu, :, lam].transpose(0, 2, 1)).reshape(-1, 9)
-    pairs = (pair @ pair_basis).reshape(-1, d * d, d * d)
-    A = np.zeros((dim, dim), dtype=complex)
+    pairs = (pair @ pair_basis).reshape(-1, d, d, d, d)
+    A = np.zeros((dim, dim), dtype=np.result_type(coef, site_basis))
+    T = A.reshape((d,) * (2 * P))
+    # einsum subscripts of T: site k's row digit is rows[k], its column
+    # digit cols[k] on the block's sites and rows[k] (the diagonal) elsewhere
+    rows, cols = string.ascii_letters[:P], string.ascii_letters[P:2 * P]
 
     def add(block, sites):
-        rows, cols, vals = embedded_entries(block, sites, d, P)
-        A[rows, cols] += vals
+        col = "".join(cols[k] if k in sites else rows[k] for k in range(P))
+        out = "".join(rows[k] for k in range(P) if k not in sites) \
+            + "".join(rows[k] for k in sites) + "".join(cols[k] for k in sites)
+        np.einsum(f"{rows}{col}->{out}", T)[...] += block
 
-    for site, block in enumerate(_site_blocks(C, s).reshape(P, d, d)):
+    for site, block in enumerate(_site_blocks(C, site_basis).reshape(P, d, d)):
         add(block, (site,))
     for block, sites in zip(pairs, zip(lam, mu)):
         add(block, sites)
     return A
+
+
+def bilinear_spin_operator(coef: np.ndarray, s) -> np.ndarray:
+    """Dense sum_{a,b} coef[a, b] S_a S_b in the weight basis (_dense_operator)."""
+    return _dense_operator(coef, *_spin_bases(s)[1:])
 
 
 def _coefficients(system: SpinSystem, kernel_at) -> np.ndarray:
@@ -210,14 +272,31 @@ def _assemble(system: SpinSystem, kernel_at) -> np.ndarray:
     return bilinear_spin_operator(_coefficients(system, kernel_at), system.s)
 
 
+def _operator_bases(coef, s):
+    """Site basis, site-block and pair-block bases of coef's operator.
+
+    A real coef commutes with time reversal; for integer s that makes its
+    operator real symmetric in the basis of _real_bases.  Otherwise the
+    basis is the weight basis (site basis None), and for half-integer s
+    with an odd number of sites time reversal gives Kramers pairs instead.
+    """
+    if _check_half_integer(s) % 2 == 0 and np.isrealobj(coef):
+        return _real_bases(s)
+    return (None, *_spin_bases(s)[1:])
+
+
 def _checked_operator(coef, s, vectors: bool) -> HermitianSpinOperator:
     """The operator sum_ab coef[a, b] S_a S_b of an A_M; raises unless NSD.
 
-    bilinear_spin_operator checks coef's Hermiticity.  vectors asks for
-    eigenvectors too (see HermitianSpinOperator); the operator keeps coef.
+    _dense_operator checks coef's Hermiticity, in the basis of
+    _operator_bases.  vectors asks for eigenvectors too (see
+    HermitianSpinOperator); the operator keeps coef.
     """
-    A = bilinear_spin_operator(coef, s)
-    op = HermitianSpinOperator(matrix=A, vectors=vectors, coefficients=coef)
+    coef = np.asarray(coef)
+    V, site_basis, pair_basis = _operator_bases(coef, s)
+    op = HermitianSpinOperator(
+        matrix=_dense_operator(coef, site_basis, pair_basis), vectors=vectors,
+        coefficients=coef, site_basis=V)
     if op.eigenvalues[-1] > PSD_VIOLATION_TOL * op.radius:
         raise SpinradError(f"A_M has a positive eigenvalue "
                            f"{op.eigenvalues[-1]:.3e}; kernel/assembly bug")
@@ -250,8 +329,8 @@ def product_form(coef, s, factors) -> np.ndarray:
     sig = _spin_bases(s)[0]
     # rho = conj(f) f^T, flattened: <f|O|f> = rho . O for any d x d O
     rho = (facs.conj()[..., :, None] * facs[..., None, :]).reshape(n, P, d * d)
-    onsite = rho.reshape(n, -1) @ _site_blocks(coef.reshape(P, 3, P, 3), s) \
-        .reshape(-1)
+    onsite = rho.reshape(n, -1) @ _site_blocks(coef.reshape(P, 3, P, 3),
+                                               _spin_bases(s)[1]).reshape(-1)
     hopf = (rho.reshape(n * P, d * d) @ sig.T).real.reshape(n, 3 * P)
     site = np.repeat(np.arange(P), 3)
     cross = np.where(site[:, None] != site[None], coef, 0.0)
@@ -261,12 +340,18 @@ def product_form(coef, s, factors) -> np.ndarray:
 def quadratic_form(A: HermitianSpinOperator, X):
     """Real Rayleigh value <A X, X> for a normalized X.
 
-    X is one state of shape (dim,) or a stack of shape (n, dim); a stack
-    gives one value per row.
+    X is one weight-basis state of shape (dim,) or a stack of shape
+    (n, dim); a stack gives one value per row.  X is carried into A's
+    site basis, and a real symmetric A reads the real and imaginary parts
+    of X apart.
     """
     X = np.asarray(X, dtype=complex)
     _require_unit(X, "quadratic_form requires a normalized state")
-    return np.einsum("...i,...i->...", X.conj(), X @ A.matrix.T).real
+    if A.site_basis is not None:
+        X = _on_each_site(A.site_basis.conj().T, X)
+    parts = (X.real, X.imag) if np.isrealobj(A.matrix) else (X,)
+    return sum(np.einsum("...i,...i->...", x.conj(), x @ A.matrix.T).real
+               for x in parts)
 
 
 def ground_eigenspace(A: HermitianSpinOperator,
@@ -275,10 +360,13 @@ def ground_eigenspace(A: HermitianSpinOperator,
 
     The cluster gathers eigenvalues within degeneracy_tol * max|eigenvalue|
     of the minimum, a window that scales with A (for A = 0 it holds the
-    whole space).  The basis is None unless A holds eigenvectors.
+    whole space).  The basis is None unless A holds eigenvectors; its
+    mult columns are weight-basis vectors, carried out of A's site basis.
     """
     lam_min = A.eigenvalues[0]
     width = degeneracy_tol * A.radius
     mult = int(np.sum(A.eigenvalues <= lam_min + width))
     basis = None if A.eigenvectors is None else A.eigenvectors[:, :mult]
+    if basis is not None and A.site_basis is not None:
+        basis = _on_each_site(A.site_basis, basis.T).T
     return lam_min, mult, basis

@@ -1,6 +1,7 @@
 # spinrad first: its BLAS one-thread pin only acts before numpy loads
 from spinrad import CutoffProfile, SpinSystem
 
+import functools
 import math
 
 import numpy as np
@@ -48,6 +49,20 @@ def kron_site_spins(s, P):
     sig = spin_matrices(s)
     return [[kron_embed(sig[m], lam + 1, P) for m in range(3)]
             for lam in range(P)]
+
+
+def weight_basis_matrix(op):
+    """op.matrix rotated back to the weight basis by a dense Kronecker chain.
+
+    W A W^H with W = V (x) ... (x) V for op's site basis V, so an operator
+    in a time-reversal-real basis compares entry by entry with a
+    weight-basis reference.
+    """
+    if op.site_basis is None:
+        return op.matrix
+    P = round(math.log(op.matrix.shape[0], len(op.site_basis)))
+    W = functools.reduce(np.kron, [op.site_basis] * P)
+    return W @ op.matrix @ W.conj().T
 
 
 def grid_modes(grid):

@@ -21,6 +21,8 @@ from spinrad.kernel import _oracle_rule
 from spinrad.spin_operator import SpinSystem, assemble_am, \
     site_spin_operators
 
+from conftest import weight_basis_matrix
+
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 TWO = str(CONFIG_DIR / "two_spins.yaml")
@@ -250,13 +252,14 @@ def test_cli_calls_in_one_process_parse_independently(tmp_path, capsys,
 def loop_sampled_min(A, system, rng):
     """Per-state sampling: one kron chain and one vdot per product state."""
     d1 = int(round(2 * system.s + 1))
+    matrix = weight_basis_matrix(A)
     best = 0.0
     for _ in range(200):
         vec = np.ones(1, dtype=complex)
         for _ in range(system.P):
             v = rng.normal(size=d1) + 1j * rng.normal(size=d1)
             vec = np.kron(vec, v / np.linalg.norm(v))
-        best = min(best, np.vdot(vec, A.matrix @ vec).real)
+        best = min(best, np.vdot(vec, matrix @ vec).real)
     return best
 
 

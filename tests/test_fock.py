@@ -22,7 +22,7 @@ from spinrad.spin_operator import DEFAULT_DEGENERACY_TOL, SpinSystem, \
     _assemble, assemble_am, ground_eigenspace, site_spin_operators
 
 from conftest import grid_modes, kron_site_spins, projector_kernel, \
-    random_state
+    random_state, weight_basis_matrix
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -217,7 +217,7 @@ def test_discrete_am_matches_projector_reference(lam, s, P):
     A = _grid_am(system, profile, grid)
     ref = _assemble(system, lambda d: projector_kernel(profile, grid, d))
     scale = np.linalg.norm(ref)
-    assert np.linalg.norm(A.matrix - ref) <= 1e-13 * scale
+    assert np.linalg.norm(weight_basis_matrix(A) - ref) <= 1e-13 * scale
     assert np.abs(A.eigenvalues - np.linalg.eigvalsh(ref)).max() \
         <= 1e-13 * scale
 
@@ -737,13 +737,16 @@ def test_dressed_start_off_the_pole():
 @pytest.mark.parametrize("positions, s, expected", [
     ([[0.0, 0.0, 0.0]], 0.5, 2),                     # Kramers pair
     ([[0.0, 0.0, 0.0]], 1.0, 3),                     # one spin-1 site
-    ([[0.0, 0.0, 0.0], [0.9, -0.3, 0.4]], 0.5, 2)])  # two_spins_equal pair
+    ([[0.0, 0.0, 0.0], [0.9, -0.3, 0.4]], 0.5, 2),   # two_spins_equal pair
+    ([[0.0, 0.0, 0.0], [0.9, -0.3, 0.4]], 1.0, 2)])  # its spin-1 pair
 @pytest.mark.parametrize("n_max, n_radial", [(1, 6), (2, 2)])
 def test_multiplicity_matches_dense(profile, positions, s, expected, n_max,
                                     n_radial):
     """Energy, cluster count and overlap of the Feshbach route against a
     dense eigh of H; at n_max = 2 QHQ is not diagonal and the CG runs.
-    The pair's A_1 ground level is degenerate on 12 azimuths, not on 6."""
+    The pair's A_1 ground level is degenerate on 12 azimuths, not on 6.
+    The spin-1 pair's A_1 basis comes back from its real site basis, so
+    its overlaps check that rotation."""
     grid = build_mode_grid(profile, n_radial, 12)
     system = SpinSystem(positions=positions, moments=np.ones(len(positions)),
                         s=s)
@@ -765,6 +768,8 @@ def test_multiplicity_matches_dense(profile, positions, s, expected, n_max,
         overlap = np.sum(np.abs(basis.conj().T @ cluster[:toy.spin_dim]) ** 2,
                          axis=0).min()
         assert r.min_overlap == pytest.approx(overlap, abs=1e-12)
+    # the dressed ground states leave A_1's ground level at order g^2
+    assert rows[0].min_overlap > 0.99
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -93,7 +93,7 @@ def test_hopf_rejects_unnormalized():
         hopf_map([1.0, 1.0], 0.5)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_hopf_spin_half_lands_on_sphere(seed):
     X = normalized(np.random.default_rng(seed), 2)

@@ -22,7 +22,7 @@ from spinrad.spin_operator import HermitianSpinOperator, SpinSystem, \
     ground_eigenspace, product_form, quadratic_form, site_spin_operators
 
 from conftest import kron_embed, kron_site_spins, projector_kernel, \
-    random_state
+    random_state, weight_basis_matrix
 from test_kernel import reference_kernel, reference_radial
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -166,7 +166,7 @@ def test_assemble_matches_reference(profile, small_grid, s, moments, kernel):
     assert np.abs(A - ref).max() <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(s=st.sampled_from([0.5, 1.0]),
        log_radius=st.floats(math.log(1e-3), math.log(80.0)),
        direction=st.tuples(*3 * [st.floats(-1.0, 1.0)]).filter(
@@ -186,7 +186,7 @@ def test_assemble_am_matches_quad_reference(profile, s, log_radius,
         return cross if d.any() else origin * np.eye(3)
 
     ref = _assemble_reference(system, kernel_at)
-    A = assemble_am(system, profile).matrix
+    A = weight_basis_matrix(assemble_am(system, profile))
     assert np.abs(A - ref).max() <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
 
@@ -446,6 +446,65 @@ def test_e2_eigenbasis_spans_ground_eigenspace(tmp_path):
     assert np.abs(B @ B.conj().T - G @ G.conj().T).max() <= 1e-10
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(cluster=st.sampled_from([(1.0, P) for P in range(1, 5)]
+                               + [(2.0, P) for P in range(1, 5)]
+                               + [(3.0, P) for P in range(1, 4)]),
+       moments=st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+                        min_size=4, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_integer_spin_real_form_matches_weight_basis(profile, cluster,
+                                                     moments, seed):
+    # integer s: A_M is built and solved real symmetric in the site basis
+    # V = Y^(1/2); spectrum, ground basis and quadratic form against the
+    # complex weight-basis operator of the same coefficients.  s = 3 stops
+    # at P = 3 (dim 343), as P = 4 would be a 2401 x 2401 complex eigh.
+    s, P = cluster
+    rng = np.random.default_rng(seed)
+    system = SpinSystem(positions=2.0 * rng.normal(size=(P, 3)),
+                        moments=moments[:P], s=s)
+    A = assemble_am(system, profile, vectors=True)
+    assert A.matrix.dtype == np.float64 and A.site_basis is not None
+    ref = bilinear_spin_operator(A.coefficients, s)
+    ref_vals = np.linalg.eigvalsh(ref)
+    rho = max(np.abs(ref_vals).max(), np.finfo(float).tiny)
+    assert np.abs(A.eigenvalues - ref_vals).max() <= 1e-13 * rho
+
+    lam, mult, basis = ground_eigenspace(A)
+    assert lam == A.eigenvalues[0]
+    assert np.abs(basis.conj().T @ basis - np.eye(mult)).max() <= 1e-13
+    assert np.abs(ref @ basis - basis * A.eigenvalues[:mult]).max() \
+        <= 1e-13 * rho
+
+    X = rng.normal(size=(5, system.spin_dim)) \
+        + 1j * rng.normal(size=(5, system.spin_dim))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    rayleigh = np.einsum("ni,ij,nj->n", X.conj(), ref, X).real
+    assert np.abs(quadratic_form(A, X) - rayleigh).max() <= 1e-13 * rho
+
+
+@pytest.mark.parametrize("s, P", [(0.5, 3), (0.5, 5), (1.5, 1), (1.5, 3),
+                                  (2.5, 3)])
+def test_odd_time_reversal_gives_kramers_pairs(tmp_path, profile, s, P):
+    # (2s) P odd: time reversal squares to -1, so every level of A_M is
+    # at least doubly degenerate and e2's ground multiplicity is even;
+    # half-integer s keeps the complex weight basis
+    rng = np.random.default_rng(int(2 * s) * 10 + P)
+    positions = rng.normal(size=(P, 3))
+    moments = rng.uniform(-1.0, 1.0, size=P)
+    got = _e2_doc(tmp_path, {
+        "particles": [{"position": [float(c) for c in x], "moment": float(m)}
+                      for x, m in zip(positions, moments)],
+        "spin": s})
+    assert got["multiplicity"] % 2 == 0
+    A = assemble_am(SpinSystem(positions=positions, moments=moments, s=s),
+                    profile)
+    assert A.site_basis is None and A.matrix.dtype == np.complex128
+    assert got["lambda_min"] == A.eigenvalues[0]
+    assert np.abs(A.eigenvalues[1::2] - A.eigenvalues[::2]).max() \
+        <= 1e-12 * A.radius
+
+
 def _traced_peak(call):
     """tracemalloc peak in bytes over call()."""
     tracemalloc.start()
@@ -487,10 +546,11 @@ def spin_clusters(draw):
     return two_s / 2.0, draw(st.integers(1, P_max))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(spin_clusters(), st.integers(0, 2 ** 32 - 1))
 def test_site_embeddings_and_block_build_match_kron_chains(cluster, seed):
-    # embedded_entries, through embed_site_operator and bilinear_spin_operator
+    # embed_site_operator (embedded_entries) and bilinear_spin_operator
+    # (einsum diagonal views)
     s, P = cluster
     rng = np.random.default_rng(seed)
     d = int(round(2 * s + 1))

@@ -8,7 +8,6 @@ import platform
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-import scipy
 import yaml
 
 from .cutoff import CutoffProfile
@@ -142,6 +141,7 @@ def parse_config(text: str) -> RunConfig:
 
 def run_manifest(config: RunConfig, extra: dict | None = None) -> str:
     """JSON manifest echoing the effective configuration and environment."""
+    import scipy  # for its version; importlib.metadata takes 3-8 ms a call
     body = {
         "config": asdict(config),
         "versions": {

@@ -67,6 +67,13 @@ from .spin_operator import DEFAULT_DEGENERACY_TOL, HermitianSpinOperator, \
 # space is that of the coupled oscillators only, at most 3P per radial shell.
 MAX_TOTAL_DIM = 400_000
 
+# Ceiling on spin_dim * dim, the entries of the spin_dim rows of H that
+# _dressed_start (one complex copy) and _feshbach (about eight) make dense.
+# Process peaks of the build, one ground_state and one _feshbach: 0.49 GB
+# at 1.7e6 (s = 2, one site, 24 x 6 grid, n_max = 3) and 0.75 GB at 3.6e6
+# (s = 3/2, two sites, 7 x 6, n_max = 3), the build's 0.37 GB included.
+MAX_SPIN_ROW_ENTRIES = 1 << 22
+
 # Eigenpair residual tolerance ||H v - E v|| of ground_state (absolute).
 DEFAULT_EIGENSOLVER_TOL = 1e-10
 
@@ -198,6 +205,10 @@ def build_fock_space(omega_osc: np.ndarray, n_max: int,
         raise ResourceError(
             f"Fock dimension {sum(sizes)} x spin {spin_dim} exceeds "
             f"budget {MAX_TOTAL_DIM}")
+    if sum(sizes) * spin_dim ** 2 > MAX_SPIN_ROW_ENTRIES:
+        raise ResourceError(
+            f"{spin_dim} dense spin rows of {sum(sizes) * spin_dim} states "
+            f"exceed budget {MAX_SPIN_ROW_ENTRIES} entries")
     sectors = [np.fromiter(
         chain.from_iterable(combinations_with_replacement(range(n_osc), n)),
         dtype=np.intp, count=size * n).reshape(size, n)
@@ -282,8 +293,9 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
     E_0 + omega_min, the ground state included, is that of the full grid
     (module docstring).  h_int = T + T^dagger with
     T = sum_o a_o^dagger (x) C_o and the spin block
-    C_o = sum_a M[a // 3] W[a, o] S_a / sqrt(2) of oscillator o: each entry
-    of the ladder pattern carries the nonzeros of its oscillator's block.
+    C_o = sum_a M[a // 3] W[a, o] S_a / sqrt(2) of oscillator o: every
+    ladder entry takes its oscillator's block on the union pattern of the
+    S_a in one broadcast product, and one mask drops the blocks' zeros.
     """
     spin_dim = system.spin_dim
     omega_osc, W = shell_couplings(system, profile, grid)
@@ -293,7 +305,7 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
         [space.omega_osc[occ].sum(axis=1) for occ in space.sectors]),
         spin_dim), format="csr")
 
-    # C_o on the union pattern of the S_a, zeros dropped: (osc, i, j, value)
+    # C_o on the union pattern of the S_a, one row per oscillator
     S = site_spin_operators(system.s, system.P).tocoo()
     site_row, i = np.divmod(S.row, spin_dim)
     pattern, slot = np.unique(i * spin_dim + S.col, return_inverse=True)
@@ -301,21 +313,14 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
     stack[site_row, slot] = S.data
     blocks = (np.repeat(system.moments, 3)[:, None] * W).T \
         @ stack / math.sqrt(2.0)
-    block_osc, entry = np.nonzero(blocks)
-    block_i, block_j = np.divmod(pattern[entry], spin_dim)
-    block_val = blocks[block_osc, entry]
-    count = np.bincount(block_osc, minlength=space.n_osc)
-    first = np.cumsum(count) - count
+    block_i, block_j = np.divmod(pattern, spin_dim)
 
-    # every ladder entry repeated once per nonzero of its oscillator's block
+    # amp >= 1, so only the blocks' own zeros are dropped
     rows, cols, amp, osc = _creation_pattern(space)
-    per = count[osc]
-    ladder = np.repeat(np.arange(len(osc)), per)
-    k = np.arange(len(ladder)) - np.repeat(np.cumsum(per) - per, per) \
-        + np.repeat(first[osc], per)
-    r = rows[ladder] * spin_dim + block_i[k]
-    c = cols[ladder] * spin_dim + block_j[k]
-    t = amp[ladder] * block_val[k]
+    keep = (blocks != 0)[osc]
+    r = (rows[:, None] * spin_dim + block_i)[keep]
+    c = (cols[:, None] * spin_dim + block_j)[keep]
+    t = (amp[:, None] * blocks[osc])[keep]
     h_int = sp.csr_matrix((np.concatenate([t, t.conj()]),
                            (np.concatenate([r, c]), np.concatenate([c, r]))),
                           shape=(dim, dim))
@@ -345,7 +350,9 @@ def _dressed_start(H: sp.csr_matrix, diag: np.ndarray,
     below min D: the lower eigenvalue of H on the state of the smallest
     entry of D and the P vector B couples to it.  The start is x (+) -z at the root: H's
     ground vector when QHQ is diagonal (every n_max = 1 Fock H), and its
-    one-photon dressing otherwise.  Only the rows PH are made dense.
+    one-photon dressing otherwise.  Only the rows PH are made dense.  If P
+    couples to no Q state, the start is PHP's ground vector: H's when QHQ
+    is diagonal (lam_min PHP <= min diag <= lam_min QHQ), else DomainError.
     """
     cols = np.argsort(diag, kind="stable")[:spin_dim]
     PH = H[cols].toarray()
@@ -356,6 +363,10 @@ def _dressed_start(H: sp.csr_matrix, diag: np.ndarray,
     B = PH[:, q]
     start = np.zeros(H.shape[0], dtype=complex)
     if not len(q):  # no coupling: P is an invariant subspace
+        inner = np.count_nonzero(PHP) - np.count_nonzero(diag[cols])
+        if H.count_nonzero() - np.count_nonzero(diag) > inner:
+            raise DomainError("the start states are decoupled from a "
+                              "non-diagonal block that they cannot reach")
         start[cols] = np.linalg.eigh(PHP)[1][:, 0]
         return start[:, None]
     D = diag[q]
@@ -441,7 +452,8 @@ def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, spin_dim: int = 1):
     inverse diagonal.  The energy is the Rayleigh quotient of the vector,
     and the residual ||H v - E v|| comes from that same product with H,
     not from the solver's own.  Returns (energies, vectors, residuals) of
-    the one pair, shapes (1,), (dim, 1) and (1,).
+    the one pair, shapes (1,), (dim, 1) and (1,).  A block of H with no
+    path of nonzero entries to the start is never reached.
 
     The preconditioner shift 0.1 is absolute, tuned for Fock H at cutoff
     about 1: badly scaled matrices can crawl to MAX_LOBPCG_STEPS

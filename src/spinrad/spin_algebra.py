@@ -63,40 +63,24 @@ def spin_matrices(s) -> tuple:
             2.0 * jz.astype(complex))
 
 
-def embedded_entries(op: np.ndarray, sites, d: int, P: int):
-    """Entries of op (x) I on (C^d)^(x P), op acting on `sites` (0-based).
-
-    op is d^k x d^k on the k sites, in increasing order.  With b the
-    base-d digits of those sites in column index i, column i holds op[a, b]
-    in the row that has digits a there and agrees with i elsewhere.
-    Returns rows (d^k, d^P), cols (d^P,) and values (d^k, d^P); no
-    (row, column) pair repeats.
-    """
-    cols = np.arange(d ** P)
-    a = np.arange(d ** len(sites))
-    b = np.zeros_like(cols)
-    rows = cols.copy()
-    row_shift = np.zeros_like(a)
-    for k, site in enumerate(sites):
-        stride = d ** (P - 1 - site)
-        digit = cols // stride % d
-        b = b * d + digit
-        rows -= digit * stride
-        row_shift += a // d ** (len(sites) - 1 - k) % d * stride
-    return rows + row_shift[:, None], cols, np.asarray(op)[:, b]
-
-
 def embed_site_operator(op: np.ndarray, lam: int, P: int) -> sp.csr_matrix:
-    """Sparse I (x) ... (x) op (x) ... (x) I with op at slot lam (1-based)."""
+    """Sparse I (x) ... (x) op (x) ... (x) I with op at slot lam (1-based).
+
+    Nonzero op[a, b] sits at ((l d + a) R + r, (l d + b) R + r) for every
+    left index l and right index r < R: one (left, nnz, right) grid.
+    """
     op = np.asarray(op)
     d = op.shape[0]
     if not 1 <= lam <= P:
         raise DomainError(f"site index {lam} outside 1..{P}")
-    rows, cols, vals = embedded_entries(op, (lam - 1,), d, P)
-    keep = vals != 0
-    return sp.csr_matrix(
-        (vals[keep], (rows[keep], np.broadcast_to(cols, rows.shape)[keep])),
-        shape=(d ** P, d ** P))
+    a, b = np.nonzero(op)
+    left = d * np.arange(d ** (lam - 1))[:, None, None]
+    right = np.arange(d ** (P - lam))
+    rows = (left + a[:, None]) * len(right) + right
+    cols = (left + b[:, None]) * len(right) + right
+    vals = np.broadcast_to(op[a, b][:, None], rows.shape)
+    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(d ** P, d ** P))
 
 
 def hopf_map(X, s) -> np.ndarray:

@@ -122,23 +122,29 @@ def site_spin_operators(s, P) -> sp.csr_matrix:
     return S
 
 
+def _block_bases(lead, m, negate=False):
+    """Read-only lead and the (9, d^2) site and (9, d^4) pair bases of the
+    d x d triple m: row 3 j + k is m_j m_k and m_j (x) m_k, flattened
+    row-major, negated when negate is true."""
+    d = m.shape[1]
+    site = np.matmul(m[:, None], m[None]).reshape(9, d * d)
+    pair = np.einsum("jab,mcd->jmacbd", m, m).reshape(9, d ** 4)
+    bases = (lead, -site, -pair) if negate else (lead, site, pair)
+    for arr in bases:
+        arr.flags.writeable = False
+    return bases
+
+
 @functools.lru_cache(maxsize=8, typed=True)
 def _spin_bases(s):
     """Read-only spin-s bases of Hopf vectors, site blocks and pair blocks.
 
-    Row j of the first, shape (3, d^2), is sigma_j; row 3 j + m of the
-    second, shape (9, d^2), is sigma_j sigma_m and of the third, shape
-    (9, d^4), sigma_j (x) sigma_m; each matrix is flattened row-major.
-    Typed like site_spin_operators.
+    Row j of the first, shape (3, d^2), is sigma_j flattened row-major;
+    the others are the _block_bases of the sigma_j.  Typed like
+    site_spin_operators.
     """
     sig = np.array(spin_matrices(s))
-    d = sig.shape[1]
-    bases = (sig.reshape(3, d * d),
-             np.matmul(sig[:, None], sig[None]).reshape(9, d * d),
-             np.einsum("jab,mcd->jmacbd", sig, sig).reshape(9, d ** 4))
-    for arr in bases:
-        arr.flags.writeable = False
-    return bases
+    return _block_bases(sig.reshape(3, -1), sig)
 
 
 @functools.lru_cache(maxsize=8, typed=True)
@@ -162,11 +168,7 @@ def _real_bases(s):
     w, U = np.linalg.eigh(Y)
     V = (U * np.where(w > 0.0, 1.0, 1j)) @ U.T
     R = (V.conj().T @ np.array(spin_matrices(s)) @ V).imag
-    bases = (V, -np.matmul(R[:, None], R[None]).reshape(9, d * d),
-             -np.einsum("jab,mcd->jmacbd", R, R).reshape(9, d ** 4))
-    for arr in bases:
-        arr.flags.writeable = False
-    return bases
+    return _block_bases(V, R, negate=True)
 
 
 def _on_each_site(U, X) -> np.ndarray:

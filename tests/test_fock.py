@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -304,6 +305,25 @@ def test_fock_space_budget_edge(profile):
         build_fock_space(_oscillator_omega(grid), 3, spin_dim=6)
 
 
+def test_fock_space_budget_bounds_the_dense_spin_rows(profile):
+    # P = 12 spin-1/2 sites couple to 2 x 36 oscillators of a 2 x 6 grid:
+    # 73 x 4096 = 299,008 states fit MAX_TOTAL_DIM, but a solve would make
+    # 4096 rows of them dense, 19.6 GB a copy.  The space raises before
+    # anything of that size is allocated.
+    chain = SpinSystem(positions=[[0.7 * k, 0.0, 0.0] for k in range(12)],
+                       moments=np.ones(12))
+    omega, _ = shell_couplings(chain, profile, build_mode_grid(profile, 2, 6))
+    assert len(omega) == 72 and 73 * chain.spin_dim <= MAX_TOTAL_DIM
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError,
+                           match="4096 dense spin rows of 299008 states"):
+            build_fock_space(omega, 1, chain.spin_dim)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
 def test_budget_bounds_the_coupled_oscillators(profile, default_grid,
                                                two_spin_system):
     # 24 shells x 3P = 144 coupled oscillators of the grid's 3456
@@ -385,26 +405,30 @@ def test_fock_ladder_matches_reference(profile, n_radial, n_angular, n_max):
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_one_pass_interaction_matches_kron_sum(profile, s, n_max):
     # h_int against sum_a M_a Phi_S(W_a) (x) S_a, one Segal field per row
-    # of the shell factors; n_max = 3 reaches the n >= 3 ladder steps
+    # of the shell factors; n_max = 3 reaches the n >= 3 ladder steps.  At
+    # every P the triangular shell factors put exact zeros into the spin
+    # blocks, which must not reach h_int's pattern.
     grid = build_mode_grid(profile, 2, 6)
-    system = SpinSystem(positions=[[0.0, 0.0, 0.0], [0.9, -0.3, 0.4]],
-                        moments=[0.8, -0.5], s=s)
-    toy = build_hamiltonian(system, profile, grid, n_max)
-    W = toy.coupling
-    S = site_spin_operators(s, system.P)
-    d = system.spin_dim
-    ref = sp.csr_matrix(toy.h_int.shape, dtype=complex)
-    for a, w in enumerate(W):
-        ref = ref + system.moments[a // 3] * sp.kron(
-            segal_field(toy.space, w), S[a * d:(a + 1) * d], format="csr")
-    got = toy.h_int.tocsr(copy=True)
-    for m in (got, ref):
-        m.sum_duplicates()
-    assert np.array_equal(got.indptr, ref.indptr)
-    assert np.array_equal(got.indices, ref.indices)
-    scale = np.abs(got.data).max()
-    assert scale > 0.0
-    assert np.abs(got.data - ref.data).max() <= 1e-15 * scale
+    for P in (1, 2, 3):
+        system = SpinSystem(
+            positions=[[0.0, 0.0, 0.0], [0.9, -0.3, 0.4],
+                       [-0.5, 0.7, 0.2]][:P],
+            moments=[0.8, -0.5, 0.3][:P], s=s)
+        toy = build_hamiltonian(system, profile, grid, n_max)
+        S = site_spin_operators(s, P)
+        d = system.spin_dim
+        ref = sp.csr_matrix(toy.h_int.shape, dtype=complex)
+        for a, w in enumerate(toy.coupling):
+            ref = ref + system.moments[a // 3] * sp.kron(
+                segal_field(toy.space, w), S[a * d:(a + 1) * d], format="csr")
+        got = toy.h_int.tocsr(copy=True)
+        for m in (got, ref):
+            m.sum_duplicates()
+        assert np.array_equal(got.indptr, ref.indptr), P
+        assert np.array_equal(got.indices, ref.indices), P
+        scale = np.abs(got.data).max()
+        assert scale > 0.0
+        assert np.abs(got.data - ref.data).max() <= 1e-15 * scale, P
 
 
 def _full_grid_hamiltonian(system, profile, grid, n_max):
@@ -691,6 +715,19 @@ def test_dressed_start_edge_cases(H, spin_dim):
     exact = np.linalg.eigvalsh(H.toarray())[0]
     assert abs(vals[0] - exact) <= 1e-12 * max(1.0, abs(exact))
     assert res[0] <= fock.DEFAULT_EIGENSOLVER_TOL
+
+
+@pytest.mark.parametrize("H", [
+    _coupled([0.0, 0.5, 0.5], [(1, 2, 1.0)]),
+    _coupled([0.0, 0.0, 0.5, 0.5], [(1, 3, 0.1), (2, 3, 1.0)])],
+    ids=["3x3", "4x4"])
+def test_decoupled_start_raises(H):
+    # state 0, the start, couples to no other state, and the block it
+    # cannot reach holds the ground level: its own eigenpair, at 0, would
+    # pass the residual gate
+    assert np.linalg.eigvalsh(H.toarray())[0] < -0.49
+    with pytest.raises(DomainError, match="decoupled"):
+        ground_state(H)
 
 
 def test_dressed_start_ends_when_steps_round_away(monkeypatch):

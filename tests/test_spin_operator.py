@@ -549,16 +549,17 @@ def spin_clusters(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(spin_clusters(), st.integers(0, 2 ** 32 - 1))
 def test_site_embeddings_and_block_build_match_kron_chains(cluster, seed):
-    # embed_site_operator (embedded_entries) and bilinear_spin_operator
-    # (einsum diagonal views)
+    # embed_site_operator (a broadcast index grid) and
+    # bilinear_spin_operator (einsum diagonal views)
     s, P = cluster
     rng = np.random.default_rng(seed)
     d = int(round(2 * s + 1))
     op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     op[rng.random((d, d)) < 0.3] = 0.0
     for lam in range(1, P + 1):
-        assert np.array_equal(embed_site_operator(op, lam, P).toarray(),
-                              kron_embed(op, lam, P))
+        E = embed_site_operator(op, lam, P)
+        assert E.has_canonical_format
+        assert np.array_equal(E.toarray(), kron_embed(op, lam, P))
     for lam in (0, P + 1):
         with pytest.raises(DomainError, match="site index"):
             embed_site_operator(op, lam, P)

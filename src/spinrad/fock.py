@@ -332,10 +332,9 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
 # Eigensolver
 # ---------------------------------------------------------------------------
 
-def _dressed_start(H: sp.csr_matrix, diag: np.ndarray,
-                   spin_dim: int) -> np.ndarray:
+def _dressed_start(H: sp.csr_matrix, diag: np.ndarray, spin_dim: int):
     """The spin space dressed at the root of its Feshbach map, as a unit
-    column.
+    column, and the Jacobi preconditioner of H - E at that root E.
 
     P holds the spin_dim states with the smallest diagonal entries (vacuum
     (x) spin for a Fock H), B the rows PH on the Q = 1 - P columns they
@@ -350,9 +349,14 @@ def _dressed_start(H: sp.csr_matrix, diag: np.ndarray,
     below min D: the lower eigenvalue of H on the state of the smallest
     entry of D and the P vector B couples to it.  The start is x (+) -z at the root: H's
     ground vector when QHQ is diagonal (every n_max = 1 Fock H), and its
-    one-photon dressing otherwise.  Only the rows PH are made dense.  If P
-    couples to no Q state, the start is PHP's ground vector: H's when QHQ
-    is diagonal (lam_min PHP <= min diag <= lam_min QHQ), else DomainError.
+    one-photon dressing otherwise.  Only the rows PH are made dense.  The
+    preconditioner is 1 / (max(diag, min D) - E), positive as E < min D:
+    unclamped, the P entries diag - E ~ |E| would swamp the Q entries of
+    the preconditioned residual (a one-site 2 x 6 n_max = 3 fit took 23
+    LOBPCG steps in all instead of 12).  If P couples to no Q state, the
+    start is PHP's ground vector: H's when QHQ is diagonal (lam_min PHP <=
+    min diag <= lam_min QHQ), else DomainError; the preconditioner is then
+    all ones.
     """
     cols = np.argsort(diag, kind="stable")[:spin_dim]
     PH = H[cols].toarray()
@@ -368,7 +372,7 @@ def _dressed_start(H: sp.csr_matrix, diag: np.ndarray,
             raise DomainError("the start states are decoupled from a "
                               "non-diagonal block that they cannot reach")
         start[cols] = np.linalg.eigh(PHP)[1][:, 0]
-        return start[:, None]
+        return start[:, None], np.ones(len(diag))
     D = diag[q]
     k = np.argmin(D)
     beta = np.linalg.norm(B[:, k])
@@ -389,7 +393,8 @@ def _dressed_start(H: sp.csr_matrix, diag: np.ndarray,
         energy = new
     start[cols] = x
     start[q] = -z
-    return (start / np.linalg.norm(start))[:, None]
+    return ((start / np.linalg.norm(start))[:, None],
+            1.0 / (np.maximum(diag, D[k]) - energy))
 
 
 def _gram_schmidt(v: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -447,26 +452,19 @@ def _lobpcg(H: sp.csr_matrix, x: np.ndarray, precond: np.ndarray,
 def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, spin_dim: int = 1):
     """Lowest eigenpair of a sparse Hermitian matrix.
 
-    One-column LOBPCG (_lobpcg) from the spin space dressed at the root of
-    its Feshbach map (_dressed_start), preconditioned by the shifted
-    inverse diagonal.  The energy is the Rayleigh quotient of the vector,
-    and the residual ||H v - E v|| comes from that same product with H,
-    not from the solver's own.  Returns (energies, vectors, residuals) of
-    the one pair, shapes (1,), (dim, 1) and (1,).  A block of H with no
-    path of nonzero entries to the start is never reached.
-
-    The preconditioner shift 0.1 is absolute, tuned for Fock H at cutoff
-    about 1: badly scaled matrices can crawl to MAX_LOBPCG_STEPS
-    (scripts/solver_stall_census.py at seed 0: 48 of 1,400 random ones of
-    dim 1-7 failed the residual gate, all of norm >= 100 and dim 5-7), and
-    so do some n_max = 2 Fock solves at cutoff 100.
+    One-column LOBPCG (_lobpcg) from the spin space dressed at the root E
+    of its Feshbach map, preconditioned by the clamped Jacobi inverse of
+    H - E (_dressed_start): its scales are those of H.  The energy is the
+    Rayleigh quotient of the vector, and the residual ||H v - E v|| comes
+    from that same product with H, not from the solver's own.  Returns
+    (energies, vectors, residuals) of the one pair, shapes (1,), (dim, 1)
+    and (1,).  A block of H with no path of nonzero entries to the start
+    is never reached.
     """
     H = sp.csr_matrix(H)
-    d = H.diagonal().real
-    # Shift 0.1: on the 24x12 n_max = 2 fit a solve takes 11-15 steps; a
-    # shift of 1.0 took 26-34.  At n_max = 1 the start is the ground vector.
-    precond = 1.0 / (d - d.min() + 0.1)
-    x = _dressed_start(H, d, min(spin_dim, H.shape[0]))
+    # at n_max = 1 the start is the ground vector
+    x, precond = _dressed_start(H, H.diagonal().real,
+                                min(spin_dim, H.shape[0]))
     # The energy error is about residual^2 / gap, and a near-degenerate
     # partner can be that close: on the 4x6 equal-moment pair at t = 0.05,
     # tol/10 gave 3.2e-12 relative.  A stall is left to the residual gate
@@ -730,7 +728,7 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
     (eig F(E_0) - E_0) / g^2, which tends to eig A_1^disc - min eig A_1^disc
     as g -> 0.
     """
-    if np.ptp(system.moments) > 1e-12:
+    if np.ptp(system.moments) > 1e-12 * np.abs(system.moments).max():
         raise DomainError("multiplicity scan requires equal moments")
     g_points = np.asarray(g_points, dtype=float)
     # at g = 0 H is free: its ground level is the whole spin space

@@ -50,10 +50,11 @@ class SpinSystem:
             raise DomainError("moments must have one entry per particle")
         if not np.isfinite(np.append(self.positions, self.moments)).all():
             raise DomainError("positions and moments must be finite")
-        for a in range(self.P):
-            for b in range(a + 1, self.P):
-                if np.linalg.norm(self.positions[a] - self.positions[b]) < 1e-12:
-                    raise DomainError("positions pairwise distinct")
+        # coincidence to roundoff of the positions' own size, at any scale
+        gap = np.linalg.norm(self.positions[:, None] - self.positions, axis=2)
+        size = np.linalg.norm(self.positions, axis=1)
+        if np.triu(gap <= 1e-12 * np.maximum.outer(size, size), 1).any():
+            raise DomainError("positions pairwise distinct")
         self.s = _check_half_integer(self.s) / 2.0
 
     @property
@@ -218,7 +219,7 @@ def _dense_operator(coef, site_basis, pair_basis) -> np.ndarray:
     if dim > MAX_DENSE_DIM:
         raise ResourceError(f"spin dimension {dim} exceeds the dense budget")
     herm = np.linalg.norm(coef - coef.conj().T)
-    if herm > 1e-12 * max(1.0, np.linalg.norm(coef)):
+    if not herm <= 1e-12 * np.linalg.norm(coef):  # a NaN fails too
         raise SpinradError(f"spin operator coefficients are not Hermitian "
                            f"({herm:.3e})")
     C = coef.reshape(P, 3, P, 3)

@@ -1,4 +1,5 @@
 import cmath
+import importlib.util
 import math
 import tracemalloc
 from itertools import combinations_with_replacement
@@ -26,6 +27,7 @@ from conftest import grid_modes, kron_site_spins, projector_kernel, \
     random_state, weight_basis_matrix
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SCRIPTS = CONFIGS.parent / "scripts"
 
 
 def test_grid_weight_sum(profile, default_grid):
@@ -672,6 +674,30 @@ def test_n_max_one_solves_end_at_step_zero(request, profile, monkeypatch,
     assert steps == [0] * 7
 
 
+def test_cutoff_100_fit_solves_in_few_steps(two_spin_system, monkeypatch):
+    # the test cluster at cutoff 100, where every scale of H is 100 times
+    # that at cutoff 1: the preconditioner must take its scales from H
+    profile = CutoffProfile(100.0)
+    system = SpinSystem(positions=two_spin_system.positions / 100.0,
+                        moments=two_spin_system.moments, s=0.5)
+    steps = _recorded_steps(monkeypatch)
+    quadratic_fit(system, profile, build_mode_grid(profile, 4, 6), 2,
+                  [0.4, 0.2, 0.1, 0.05], tol=1e-9)
+    assert len(steps) == 4 and max(steps) < 100
+
+
+def test_solver_stall_census_seed_zero():
+    # 1,400 random Hermitian matrices of dim 1-7 and norm 1e-3-1e4: every
+    # solve passes the residual gate with eigvalsh's lowest energy
+    spec = importlib.util.spec_from_file_location(
+        "solver_stall_census", SCRIPTS / "solver_stall_census.py")
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    rows = census.census(0)
+    assert len(rows) == 1400
+    assert [r for r in rows if not census.right(r[3])] == []
+
+
 @pytest.mark.parametrize("grid_name", ["default_grid", "small_grid"])
 def test_dressed_start_sits_at_the_schur_root(request, profile,
                                               two_spin_system, grid_name):
@@ -679,7 +705,7 @@ def test_dressed_start_sits_at_the_schur_root(request, profile,
     toy = build_hamiltonian(two_spin_system, profile, grid, 1)
     for t in (0.4, 0.2, 0.1, 0.05):
         H = toy.matrix(t)
-        v = fock._dressed_start(H, H.diagonal().real, toy.spin_dim)[:, 0]
+        v = fock._dressed_start(H, H.diagonal().real, toy.spin_dim)[0][:, 0]
         root = np.vdot(v, H @ v).real
         exact = _schur_energies(two_spin_system, profile, grid, t)[0]
         assert abs(root - exact) <= 1e-13 * abs(exact)
@@ -708,8 +734,9 @@ def _coupled(d, pairs):
              [(0, 1, 0.3), (4, 1, 0.1), (2, 3, 1.0)])],
     ids=["diagonal-tie", "coupled-tie", "p-to-q-tie", "p-to-q"])
 def test_dressed_start_edge_cases(H, spin_dim):
-    v = fock._dressed_start(H, H.diagonal().real, spin_dim)
+    v, precond = fock._dressed_start(H, H.diagonal().real, spin_dim)
     assert np.all(np.isfinite(v))
+    assert np.all(np.isfinite(precond) & (precond > 0.0))
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
     vals, _, res = ground_state(H, spin_dim=spin_dim)
     exact = np.linalg.eigvalsh(H.toarray())[0]
@@ -747,7 +774,7 @@ def test_dressed_start_ends_when_steps_round_away(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    v = fock._dressed_start(sp.csr_matrix(A), A.diagonal().real, 3)[:, 0]
+    v = fock._dressed_start(sp.csr_matrix(A), A.diagonal().real, 3)[0][:, 0]
     monkeypatch.undo()
     assert np.all(np.isfinite(v))
     p = np.argsort(A.diagonal().real, kind="stable")[:3]
@@ -764,11 +791,19 @@ def test_dressed_start_off_the_pole():
     # D = 0.5, and the first Newton energy is the float below it
     H = _coupled([0.0, 0.0, 0.5, 3.0], [(0, 1, 1.0), (0, 2, 1e-20),
                                         (1, 2, 1e-20)])
-    v = fock._dressed_start(H, H.diagonal().real, 2)
+    v = fock._dressed_start(H, H.diagonal().real, 2)[0]
     assert np.all(np.isfinite(v))
     vals, vecs, res = ground_state(H, spin_dim=2)
     assert vals[0] == pytest.approx(-1.0, abs=1e-15)
     assert res[0] <= fock.DEFAULT_EIGENSOLVER_TOL
+
+
+def test_multiplicity_scan_needs_equal_moments(profile, small_grid):
+    # unequal moments of any size, however small
+    system = SpinSystem(positions=[[0.0, 0.0, 0.0], [0.9, -0.3, 0.4]],
+                        moments=[1e-14, 2e-14])
+    with pytest.raises(DomainError, match="equal moments"):
+        multiplicity_scan(system, profile, small_grid, 1, [0.2])
 
 
 @pytest.mark.parametrize("positions, s, expected", [

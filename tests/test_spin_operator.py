@@ -13,7 +13,9 @@ import spinrad.fock as fock
 import spinrad.spin_operator as spin_operator
 from spinrad.cli import PRODUCT_SAMPLES, _sampled_product_min, main
 from spinrad.config import parse_config
-from spinrad.errors import DomainError, ResourceError, SpinradError
+from spinrad.cutoff import CutoffProfile
+from spinrad.errors import ConfigError, DomainError, ResourceError, \
+    SpinradError
 from spinrad.kernel import a11_origin, kernel_matrix
 from spinrad.spin_algebra import embed_site_operator, hopf_map, \
     product_state, product_vectors
@@ -33,6 +35,30 @@ def test_system_validation():
         SpinSystem(positions=[[0, 0, 0], [0, 0, 0]], moments=[1.0, 1.0])
     with pytest.raises(DomainError):
         SpinSystem(positions=[[0, 0, 0]], moments=[1.0], s=0.3)
+
+
+@pytest.mark.parametrize("c", [1e6, 1e13, 1e30, 1e50])
+def test_am_scale_law(profile, two_spin_system, c):
+    # (lam, x, M) -> (c lam, x / c, M) scales A_M by c^3: sites 1e-13 apart
+    # at c = 1e13 are distinct sites, not a coincidence
+    ref = assemble_am(two_spin_system, profile).eigenvalues[0]
+    scaled = SpinSystem(positions=two_spin_system.positions / c,
+                        moments=two_spin_system.moments, s=0.5)
+    got = assemble_am(scaled, CutoffProfile(c)).eigenvalues[0] / c ** 3
+    assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("site", [[0.0, 0.0, 0.0], [1e6, 0.0, 0.0]])
+def test_duplicate_sites_raise(site):
+    with pytest.raises(DomainError, match="^positions pairwise distinct$"):
+        SpinSystem(positions=[site, [0.9, -0.3, 0.4], site],
+                   moments=[1.0, 1.0, 1.0])
+    yaml_text = ("particles:\n"
+                 f"  - {{position: {site}, moment: 0.8}}\n"
+                 f"  - {{position: {site}, moment: -0.5}}\n")
+    with pytest.raises(ConfigError, match="^key 'particles': positions "
+                       "pairwise distinct$"):
+        parse_config(yaml_text)
 
 
 @pytest.mark.parametrize("position, moment", [
@@ -368,6 +394,20 @@ def test_assembly_checks_raise(profile, two_spin_system, monkeypatch, fault,
                             kernel_matrix(prof, x).entries, x, fault)))
     with pytest.raises(SpinradError, match=message):
         assemble_am(two_spin_system, profile)
+
+
+def test_hermiticity_gate_is_relative():
+    # coefficients far below norm 1, skewed far above roundoff of their norm
+    X = np.random.default_rng(3).normal(size=(6, 6))
+    coef = 1e-8 * (X + X.T)
+    bilinear_spin_operator(coef, 0.5)
+    bilinear_spin_operator(np.zeros((6, 6)), 0.5)
+    coef[0, 1] += 1e-6 * np.linalg.norm(coef)
+    with pytest.raises(SpinradError, match="not Hermitian"):
+        bilinear_spin_operator(coef, 0.5)
+    coef[0, 1] = np.nan
+    with pytest.raises(SpinradError, match="not Hermitian"):
+        bilinear_spin_operator(coef, 0.5)
 
 
 def _count_decompositions(monkeypatch, skip):

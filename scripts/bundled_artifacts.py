@@ -5,7 +5,9 @@ Runs each suite with the command-line arguments of README's Command line
 section, one `python -m spinrad.cli` process per run, and writes its
 artifacts and its stdout (stdout.txt) to OUT/<config>/<suite>/.  The
 configurations are the bundled single_spin, two_spins and two_spins_equal,
-and two_spins_equal at n_max = 2, written as a YAML copy into OUT.  The
+two_spins_equal at n_max = 2, and two_spins with its second site moved to
+(40, -0.3, 0.4), about 40/lam out, where the field-energy rule grows; the
+last two are written as YAML copies into OUT.  The
 suites are kernel, e2 with and without --eigenbasis (e2-eigenbasis),
 verify, classical (where the configuration has as many particles as
 configs/orientations_two.yaml has orientations), fock-fit and
@@ -40,14 +42,19 @@ SUITES = {
 
 
 def configs(out: Path):
-    """(name, path) of each configuration; the n_max = 2 copy goes to out."""
+    """(name, path) of each configuration; the two copies go to out."""
     names = ["single_spin", "two_spins", "two_spins_equal"]
     found = [(name, CONFIGS / f"{name}.yaml") for name in names]
-    doc = yaml.safe_load(found[-1][1].read_text())
-    doc["grids"]["n_max"] = 2
-    copy = out / "two_spins_equal_nmax2.yaml"
-    copy.write_text(yaml.safe_dump(doc, sort_keys=False))
-    return [*found, ("two_spins_equal_nmax2", copy)]
+    nmax2 = yaml.safe_load(found[2][1].read_text())
+    nmax2["grids"]["n_max"] = 2
+    far = yaml.safe_load(found[1][1].read_text())
+    far["particles"][1]["position"] = [40.0, -0.3, 0.4]
+    for name, doc in [("two_spins_equal_nmax2", nmax2),
+                      ("two_spins_far40", far)]:
+        copy = out / f"{name}.yaml"
+        copy.write_text(yaml.safe_dump(doc, sort_keys=False))
+        found.append((name, copy))
+    return found
 
 
 def suites(path: Path):

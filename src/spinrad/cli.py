@@ -23,7 +23,7 @@ from . import __version__
 from .config import load_yaml, parse_config, run_manifest
 from .errors import ConfigError, SpinradError
 from .field_energy import classical_current, classical_decomposition_check, \
-    field_energy, vector_current
+    field_energy, rule_sizes, vector_current
 from .fock import build_mode_grid, multiplicity_scan, quadratic_fit
 from .kernel import a11_origin, kernel_matrix, kernel_oracle_3d
 from .spin_algebra import omega_state, product_state, su2_rotate
@@ -174,7 +174,7 @@ def _verify_rows(cfg):
         add(f"kernel_vs_oracle_{i}", np.abs(K - O).max(), 0.0,
             1e-6 * profile.lam ** 3)
 
-    A = assemble_am(system, profile)
+    A = assemble_am(system, profile, vectors=True)
     add("negative_semidefinite", max(float(A.eigenvalues[-1]), 0.0), 0.0,
         PSD_VIOLATION_TOL * A.radius)
 
@@ -186,6 +186,11 @@ def _verify_rows(cfg):
         qf = quadratic_form(A, X)
         energy = field_energy(vector_current(system, profile, X))
         add(f"th_egal_{i}", qf, -energy, tol_id * abs(qf))
+
+    # route 2 at lambda_min itself: the field energy of its eigenvector
+    lam_min, _, basis = ground_eigenspace(A, cfg.tolerances["degeneracy"])
+    energy = field_energy(vector_current(system, profile, basis[:, 0]))
+    add("th_egal_ground", lam_min, -energy, tol_id * abs(lam_min))
 
     # product states on the SU(2) orbit of omega_state: unit Hopf vectors
     X0 = omega_state(system.s)
@@ -199,13 +204,17 @@ def _verify_rows(cfg):
 
 def suite_verify(cfg, args):
     rows = _verify_rows(cfg)
+    sizes = rule_sizes(cfg.profile(), cfg.system().positions)
+    rule = dict(zip(("n_radial", "n_theta", "n_phi"), sizes),
+                nodes=math.prod(sizes))
+    manifest = run_manifest(cfg, {"suite": "verify",
+                                  "field_energy_rule": rule})
     lines, ok = _verdict(
         (row[-1], f"{row[0]} residual={_fmt(row[3])} tolerance={_fmt(row[4])}")
         for row in rows)
     return {"verify.csv": _csv(["check_name", "lhs", "rhs", "residual",
                                 "tolerance", "pass"], rows),
-            "verify_manifest.json":
-                run_manifest(cfg, {"suite": "verify"}) + "\n"}, lines, ok
+            "verify_manifest.json": manifest + "\n"}, lines, ok
 
 
 def suite_classical(cfg, args):

@@ -42,15 +42,45 @@ functions: this module deliberately shares no integration code with the
 kernel module, since the equality of the field energy with -<A_M X, X> is
 used as a cross-validation of two independent numerical paths.
 
+The rule is sized by the geometry (rule_sizes).  A pair at distance D puts
+cos(r u.dx) into the integrand, a phase of up to x = r_far D on the rule,
+so the nodes each axis needs grow linearly in x.  With D the largest
+site-pair distance,
+
+    n_theta = max(8, 2 ceil((6 + 0.33 x) / 2)),   n_phi = 2 n_theta,
+    n_radial = max(28, ceil(26 + 0.26 x)).
+
+The constants come from a scan (scripts/field_energy_scan.py and a sweep
+of each axis with the other one fine): two sites with moments 0.8 and
+-0.5 at D along five directions, s = 1/2 and 3/2, three random states
+each.  The smallest sizes whose worst relative th_egal residual
+|<A_M X, X> + E| / |<A_M X, X>| reached its roundoff floor (<= 1e-14,
+the floor itself being 1e-15 to 1e-14) were
+
+    D lam        0  0.5   1   3   5  10  20   40   80
+    n_theta      -    8  10  16  22  34  60  116  228
+    n_radial    28   28  28  32   -  48  68  112  200
+
+One step of 2 in n_theta below these left 1e-14 to 5e-14 at D >= 3/lam,
+and each step further lost a factor 3 to 100.  The radial floor is the
+Gaussian's own: below 28 nodes the diagonal terms lose digits at any D
+(1.1e-13 at 26).  At D = 0 the integrand is a quadratic in u times that
+Gaussian, and the law gives 28 x 8 x 16.  The rule grows as (lam D)^3,
+so it is refused with ResourceError beyond MAX_RULE_NODES = 2^25 nodes,
+which the sized rule passes from D = 92.5/lam on: at 80/lam it has
+205 x 234 x 468 = 22.4 million nodes.
+
 The rule's factors are built once per process for each profile and rule
 size, and held read-only.  So are a_i and the cosine sums C_k of each
 site-pair geometry, which depend on the profile, the rule sizes and the
 displacements x_mu - x_lam, but not on the current.  Their key is (profile,
 n_radial, n_theta, n_phi, displacements), and at most 8 keys are kept,
-n_dirs x pairs x 8 B each (8 KB for a pair at the default rule, 172 KB for
-seven sites).  Every current on one geometry reuses them: on a
-2-core x86_64 box a warm two-site field energy at the default rule takes
-0.5 ms, against 2.8 ms with the cosines taken every call.
+upper directions x pairs x 8 B each: 0.8 KB for a pair at 1/lam
+(29 x 10 x 20), 2 KB at 3/lam, 438 KB at 80/lam.  Every current on one
+geometry reuses them.  On a 2-core x86_64 box a warm two-site field energy
+takes 0.13 ms at 1/lam (0.24 ms on the fixed 96 x 32 x 64 rule that the
+sized one replaced, 1.7 ms there with the cosines taken every call), and
+15 ms at 92/lam, where the first call, cosines included, takes 0.35 s.
 """
 
 from __future__ import annotations
@@ -67,11 +97,14 @@ from .kernel import a11_origin
 from .spin_algebra import ProductState, _require_unit
 from .spin_operator import SpinSystem, assemble_am, quadratic_form, \
     site_spin_operators
-from .errors import DomainError, _integer
+from .errors import DomainError, ResourceError, _integer
 
-DEFAULT_N_RADIAL = 96
-DEFAULT_N_THETA = 32
-DEFAULT_N_PHI = 64
+# The sizing law of the module docstring
+THETA_FLOOR, THETA_A, THETA_KAPPA = 8, 6.0, 0.33
+RADIAL_FLOOR, RADIAL_A, RADIAL_KAPPA = 28, 26.0, 0.26
+MAX_RULE_NODES = 1 << 25
+# Default of a rule size: sized from the geometry by rule_sizes
+SIZED = object()
 # directions x site pairs x radial nodes per batch: 2 MB for the cosine block
 _BATCH_NODES = 1 << 18
 
@@ -193,21 +226,50 @@ def _radial_cosines(profile, n_radial, n_theta, n_phi, dx):
     return a, tuple(blocks)
 
 
-def field_energy(current: FourierCurrent,
-                 n_radial: int = DEFAULT_N_RADIAL,
-                 n_theta: int = DEFAULT_N_THETA,
-                 n_phi: int = DEFAULT_N_PHI) -> float:
+def rule_sizes(profile: CutoffProfile, positions, n_radial=SIZED,
+               n_theta=SIZED, n_phi=SIZED) -> tuple[int, int, int]:
+    """(n_radial, n_theta, n_phi) of the rule for sites at positions (P, 3).
+
+    A size that is given must be a positive integer and is kept.  Each one
+    left SIZED follows the module docstring's law in x = r_far D, D the
+    largest site-pair distance; a sized n_phi is twice the rule's n_theta.
+    Raises ResourceError when the rule has more than MAX_RULE_NODES nodes.
+    """
+    given = {"n_radial": n_radial, "n_theta": n_theta, "n_phi": n_phi}
+    # before any cache lookup, where True would find the rule of 1
+    sizes = {name: _integer(n, name) for name, n in given.items()
+             if n is not SIZED}
+    if min(sizes.values(), default=1) < 1:
+        raise DomainError("field energy needs at least one node per axis")
+    if len(sizes) < 3:
+        pos = np.asarray(positions, dtype=float)
+        spread = float(np.linalg.norm(pos[:, None] - pos, axis=2).max())
+        # past 1e6 the rule is far over budget; the cap keeps inf out of ceil
+        x = min(profile.far_radius() * spread, 1e6)
+        sizes.setdefault("n_radial", max(
+            RADIAL_FLOOR, math.ceil(RADIAL_A + RADIAL_KAPPA * x)))
+        sizes.setdefault("n_theta", max(
+            THETA_FLOOR, 2 * math.ceil((THETA_A + THETA_KAPPA * x) / 2)))
+        sizes.setdefault("n_phi", 2 * sizes["n_theta"])
+    n_radial, n_theta, n_phi = (sizes[name] for name in given)
+    nodes = n_radial * n_theta * n_phi
+    if nodes > MAX_RULE_NODES:
+        raise ResourceError(
+            f"field-energy rule {n_radial} x {n_theta} x {n_phi} has {nodes} "
+            f"nodes, above the budget of {MAX_RULE_NODES}")
+    return n_radial, n_theta, n_phi
+
+
+def field_energy(current: FourierCurrent, n_radial=SIZED, n_theta=SIZED,
+                 n_phi=SIZED) -> float:
     """Energy 1/2 (2 pi)^-3 int |jhat|^2 / |xi|^2 dxi, summed over site pairs.
 
-    Integrable at xi = 0 because jhat(xi) = O(|xi|); the radial Gauss rule
-    keeps the origin off the node set.
+    The rule is rule_sizes' for the current's sites; a size given here
+    overrides that axis.  Integrable at xi = 0 because jhat(xi) = O(|xi|);
+    the radial Gauss rule keeps the origin off the node set.
     """
-    # before any cache lookup, where True would find the rule of 1
-    n_radial = _integer(n_radial, "n_radial")
-    n_theta = _integer(n_theta, "n_theta")
-    n_phi = _integer(n_phi, "n_phi")
-    if min(n_radial, n_theta, n_phi) < 1:
-        raise DomainError("field energy needs at least one node per axis")
+    n_radial, n_theta, n_phi = rule_sizes(current.profile, current.positions,
+                                          n_radial, n_theta, n_phi)
     _, _, dirs, dw = _spherical_nodes(current.profile, n_radial, n_theta,
                                       n_phi)
     lam, mu = np.triu_indices(len(current.positions), k=1)

@@ -16,7 +16,8 @@ from spinrad.config import DEFAULT_CUTOFF, DEFAULT_GRIDS, \
     DEFAULT_TOLERANCES, RunConfig, load_yaml, parse_config, run_manifest
 from spinrad.cutoff import MAX_LAMBDA, CutoffProfile
 from spinrad.errors import ConfigError
-from spinrad.field_energy import _radial_cosines, _spherical_nodes
+from spinrad.field_energy import _radial_cosines, _spherical_nodes, \
+    rule_sizes
 from spinrad.kernel import _oracle_rule
 from spinrad.spin_operator import SpinSystem, assemble_am, \
     site_spin_operators
@@ -336,7 +337,7 @@ def test_cli_verify_higher_spin(tmp_path, capsys, spin):
     cfg = small_config(tmp_path, extra=f"spin: {spin}\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert all(line.startswith("PASS ") for line in lines)
 
 
@@ -368,16 +369,59 @@ def test_cli_largest_cutoff_scale(tmp_path, capsys, suite, args):
 
 
 def test_cli_verify_passes_at_separation_16(tmp_path, capsys):
-    # the field-energy rule resolves the pair to its relative 1e-6 gate out
-    # to |x| = 16 / lam (residuals up to 6e-8 of the value); from 20 on
-    # th_egal fails it
+    # a fixed 96 x 32 x 64 rule resolved the pair to the relative 1e-6 gate
+    # out to |x| = 16 / lam (residuals up to 6e-8 of the value) and failed
+    # th_egal from 20 on; the sized rule resolves it at every separation
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(Path(TWO).read_text().replace(
         "[0.9, -0.3, 0.4]", "[16.0, -0.3, 0.4]"))
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert all(line.startswith("PASS ") for line in lines)
+
+
+@pytest.mark.parametrize("spin", [0.5, 1.5])
+@pytest.mark.parametrize("d", [20.0, 40.0, 80.0])
+def test_verify_field_energy_rows_at_large_separation(d, spin):
+    # the sized rule grows with the pair: every field-energy row closes to
+    # 1e-12 of its value, a 1e6 margin on the gate
+    text = Path(TWO).read_text().replace("[0.9, -0.3, 0.4]",
+                                         f"[{d}, -0.3, 0.4]")
+    cfg = parse_config(text.replace("spin: 0.5", f"spin: {spin}"))
+    rows = _verify_rows(cfg)
+    assert all(row[-1] for row in rows)
+    field_rows = [row for row in rows
+                  if row[0].startswith(("th_egal", "class_decomposition"))]
+    assert len(field_rows) == 6
+    for name, lhs, rhs, resid, tol, ok in field_rows:
+        assert resid <= 1e-12 * abs(lhs), name
+
+
+def test_cli_verify_refuses_rule_past_budget(tmp_path, capsys):
+    # the bundled pair is 1/lam apart at lam = 1, and about 1e50/lam at
+    # lam = 1e50: no rule resolves it, so verify stops with the budget's
+    # ResourceError instead of writing FAIL rows
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(Path(TWO).read_text().replace(
+        "lambda: 1.0", f"lambda: {MAX_LAMBDA!r}"))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR field-energy rule ")
+    assert "above the budget" in captured.err
+    assert not out.exists()
+
+
+def test_verify_manifest_records_the_rule(tmp_path):
+    assert main(["verify", "--config", TWO, "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "verify_manifest.json").read_text())
+    rule = doc["field_energy_rule"]
+    sizes = (rule["n_radial"], rule["n_theta"], rule["n_phi"])
+    cfg = parse_config(Path(TWO).read_text())
+    assert sizes == rule_sizes(cfg.profile(), cfg.system().positions)
+    assert rule["nodes"] == math.prod(sizes)
 
 
 def test_cli_classical(tmp_path):
@@ -412,7 +456,7 @@ def test_cli_artifacts_same_from_cold_and_warm_rules(tmp_path):
 
 
 def test_cli_verify_takes_cosines_once_per_geometry(tmp_path):
-    # five field energies per verify run: the moved sites miss once, and
+    # six field energies per verify run: the moved sites miss once, and
     # TWO's sites with other moments hit
     moved = tmp_path / "moved.yaml"
     moved.write_text(MINIMAL.replace("[0.9, -0.3, 0.4]", "[0.2, 1.1, -0.6]"))
@@ -421,7 +465,7 @@ def test_cli_verify_takes_cosines_once_per_geometry(tmp_path):
                              small_config(tmp_path, (0.3, 0.7))]):
         assert main(["verify", "--config", cfg,
                      "--out", str(tmp_path / str(i))]) == 0
-    assert _radial_cosines.cache_info()[:2] == (13, 2)  # hits, misses
+    assert _radial_cosines.cache_info()[:2] == (16, 2)  # hits, misses
 
 
 def test_cli_verify_fail_exits_one_and_writes_artifacts(tmp_path, capsys):
@@ -430,7 +474,7 @@ def test_cli_verify_fail_exits_one_and_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert any(line.startswith("FAIL th_egal_") for line in lines)
     assert all(line.startswith(("PASS ", "FAIL ")) for line in lines)
     rows = (out / "verify.csv").read_text().strip().splitlines()[1:]

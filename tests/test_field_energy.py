@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinrad.cutoff import phi_eval
-from spinrad.errors import DomainError
-from spinrad.field_energy import DEFAULT_N_PHI, DEFAULT_N_RADIAL, \
-    DEFAULT_N_THETA, FourierCurrent, _radial_cosines, _spherical_nodes, \
-    classical_current, classical_decomposition_check, field_energy, \
-    higher_spin_constant, vector_current
+from spinrad.cutoff import CutoffProfile, phi_eval
+from spinrad.errors import DomainError, ResourceError
+from spinrad.field_energy import MAX_RULE_NODES, FourierCurrent, \
+    _radial_cosines, _spherical_nodes, classical_current, \
+    classical_decomposition_check, field_energy, higher_spin_constant, \
+    rule_sizes, vector_current
 from spinrad.spin_algebra import omega_state, product_state, spin_matrices, \
     su2_rotate
 from spinrad.spin_operator import SpinSystem, assemble_am, quadratic_form, \
@@ -341,8 +341,7 @@ def _full_product_rule(n_theta, n_phi):
 
 
 @pytest.mark.parametrize("n_theta, n_phi", [
-    (1, 1), (1, 4), (2, 3), (3, 5), (4, 6), (5, 8), (7, 7),
-    (DEFAULT_N_THETA, DEFAULT_N_PHI)])
+    (1, 1), (1, 4), (2, 3), (3, 5), (4, 6), (5, 8), (7, 7), (32, 64)])
 def test_closed_rule_weights_and_nodes(profile, n_theta, n_phi):
     _, _, upper, _ = _spherical_nodes(profile, 1, n_theta, n_phi)
     assert upper.shape == ((n_theta + 1) // 2 * n_phi, 3)
@@ -361,9 +360,10 @@ def test_closed_rule_weights_and_nodes(profile, n_theta, n_phi):
 
 
 def _cos_sin_energy(current):
-    """Field energy on the full default product rule, sine sums included."""
-    rn, rw, _, _ = _spherical_nodes(current.profile, DEFAULT_N_RADIAL, 1, 1)
-    dirs, dw = _full_product_rule(DEFAULT_N_THETA, DEFAULT_N_PHI)
+    """Field energy on the full sized product rule, sine sums included."""
+    n_radial, n_theta, n_phi = rule_sizes(current.profile, current.positions)
+    rn, rw, _, _ = _spherical_nodes(current.profile, n_radial, 1, 1)
+    dirs, dw = _full_product_rule(n_theta, n_phi)
     a = rw * rn * rn * phi_eval(current.profile, rn) ** 2
     c = current.evaluator(dirs)
     c = c.reshape(c.shape[:2] + (-1,))
@@ -440,9 +440,9 @@ def test_field_energy_rejects_non_integer_rule_sizes(profile, two_spin_system,
                                                      sizes):
     cur = classical_current(two_spin_system, profile,
                             [[0, 0, 1.0], [1.0, 0, 0]])
-    # after an int call has built the default rule, 96.0 must not find it;
-    # True must not pass as 1
-    field_energy(cur)
+    # after an int call has built the 96 x 32 x 64 rule, 96.0 must not find
+    # it; True must not pass as 1
+    field_energy(cur, n_radial=96, n_theta=32, n_phi=64)
     (name,) = sizes
     with pytest.raises(DomainError, match=f"{name} must be an integer"):
         field_energy(cur, **sizes)
@@ -515,3 +515,66 @@ def test_field_energy_identity_boundary_regimes(profile, cluster, log_d,
     qf = quadratic_form(assemble_am(system, profile), X)
     energy = field_energy(vector_current(system, profile, X))
     assert abs(qf + energy) <= 1e-6 * max(1.0, abs(qf))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([0.5, 1.0, 1.5]), st.floats(math.log10(0.05),
+                                                   math.log10(30.0)),
+       st.sampled_from([0.5, 1.0, 4.0]), st.integers(0, 2 ** 32 - 1))
+def test_sized_rule_resolves_every_separation(s, log_d, lam, seed):
+    # a pair 0.05/lam to 30/lam apart in a random direction, at three
+    # cutoffs: on the rule sized for it, the vector identity at a random
+    # state and the classical decomposition at a product state both close
+    # to 1e-13 of their value
+    profile = CutoffProfile(lam)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=3)
+    positions = rng.normal(size=(1, 3)) / lam + np.array(
+        [[0.0, 0.0, 0.0], 10.0 ** log_d / lam * v / np.linalg.norm(v)])
+    system = SpinSystem(positions=positions,
+                        moments=rng.uniform(0.2, 1.0, size=2)
+                        * rng.choice([-1.0, 1.0], size=2), s=s)
+    X = random_state(rng, system.spin_dim)
+    qf = quadratic_form(assemble_am(system, profile), X)
+    energy = field_energy(vector_current(system, profile, X))
+    assert abs(qf + energy) <= 1e-13 * abs(qf)
+    lhs, _, resid = classical_decomposition_check(
+        system, profile, orbit_product_state(rng, 2, s))
+    assert resid <= 1e-13 * abs(lhs)
+
+
+@pytest.mark.parametrize("d, sizes", [
+    (0.0, (28, 8, 16)), (0.5, (28, 8, 16)), (1.0, (29, 10, 20)),
+    (3.0, (33, 16, 32)),
+    (20.0, (71, 64, 128)), (80.0, (205, 234, 468))])
+def test_rule_sizes_follow_the_separation(d, sizes):
+    # the law is scale-free: the same rule at lam and at 4 lam for a
+    # geometry shrunk by 4
+    for lam in (1.0, 4.0):
+        positions = [[0.0, 0.0, 0.0], [d / lam, 0.0, 0.0]]
+        assert rule_sizes(CutoffProfile(lam), positions[:1 + (d > 0)]) \
+            == sizes
+
+
+def test_rule_sizes_keep_given_sizes():
+    profile, positions = CutoffProfile(), [[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]
+    assert rule_sizes(profile, positions, n_radial=12) == (12, 16, 32)
+    assert rule_sizes(profile, positions, n_theta=5) == (33, 5, 10)
+    assert rule_sizes(profile, positions, n_phi=7) == (33, 16, 7)
+    assert rule_sizes(profile, [[0.0, 0.0, 0.0], [1e300, 0.0, 0.0]],
+                      4, 4, 8) == (4, 4, 8)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("far", [1e3, 1e300, math.inf])
+def test_rule_past_the_budget_raises(far):
+    # a pair 1e3/lam apart needs about 3e10 nodes; 1e300 and an infinite
+    # distance (finite sites 1e308 either side of the origin) must not
+    # overflow on the way to the same refusal
+    positions = np.array([[-1e308, 0.0, 0.0], [1e308, 0.0, 0.0]]) \
+        if far == math.inf else [[0.0, 0.0, 0.0], [far, 0.0, 0.0]]
+    with pytest.raises(ResourceError, match="budget"):
+        rule_sizes(CutoffProfile(), positions)
+    with pytest.raises(ResourceError, match="budget"):
+        rule_sizes(CutoffProfile(), positions[:1], 512, 256, 512)
+    assert 512 * 256 * 512 > MAX_RULE_NODES >= 256 * 256 * 512

@@ -288,10 +288,14 @@ def test_oracle_axis_rule_is_built_once_and_read_only(profile):
         assert np.array_equal(cached, fresh)
         with pytest.raises(ValueError):
             cached[0] = 0.0
-    # the table built in the |k|^2 buffer has the bits of a separate build
+    # the table divided in place has the bits of a separate build from the
+    # axis factors, and equals |phi(|k|)|^2 / |k|^2 to roundoff
     k, _, g = rule
     k2 = (k * k)[:, None, None] + (k * k)[:, None] + k * k
-    assert np.array_equal(g, phi_eval(profile, np.sqrt(k2)) ** 2 / k2)
+    f = phi_eval(profile, k) ** 2
+    assert np.array_equal(g, f[:, None, None] * f[:, None] * f / k2)
+    radial = phi_eval(profile, np.sqrt(k2)) ** 2 / k2
+    assert np.abs(g - radial).max() <= 1e-15 * radial.max()
 
 
 def test_oracle_same_from_cold_and_warm_rule(profile):

@@ -15,8 +15,8 @@ either sign, and runs in its own interpreter, which prints:
              coefficient matrix (cli._sampled_product_min);
   eigvalsh   ms for np.linalg.eigvalsh of e2's A_M, the solve e2 runs;
   complex    ms for eigvalsh of the complex weight-basis A_M
-             (spin_operator._assemble), for integer s only: for
-             half-integer s it is the eigvalsh column;
+             (spin_operator.bilinear_spin_operator), for integer s
+             only: for half-integer s it is the eigvalsh column;
   eigh       ms for np.linalg.eigh of e2's A_M (e2 --eigenbasis);
   traced     MB, the tracemalloc peak of one build;
   rss        MB, the interpreter's peak resident set after the build,
@@ -41,8 +41,8 @@ import tracemalloc
 from spinrad.cli import _sampled_product_min
 from spinrad.cutoff import CutoffProfile
 from spinrad.kernel import kernel_matrix
-from spinrad.spin_operator import SpinSystem, _assemble, _coefficients, \
-    _dense_operator, _operator_bases
+from spinrad.spin_operator import SpinSystem, _coefficients, \
+    _dense_operator, _operator_bases, bilinear_spin_operator
 
 import numpy as np
 
@@ -101,7 +101,7 @@ def measure(s, P):
         eigh_ms = best_ms(lambda: np.linalg.eigh(A))
         rss.append(rss_mb())
         if np.isrealobj(A):
-            A_complex = _assemble(system, kernel_at)
+            A_complex = bilinear_spin_operator(coef, s)
             row.append(best_ms(lambda: np.linalg.eigvalsh(A_complex)))
         else:
             row.append(skipped)

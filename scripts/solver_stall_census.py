@@ -60,7 +60,7 @@ def census(seed):
         for dim, norm, A in draws(seed):
             try:
                 energy = fock.ground_state(
-                    A, tol=fock.DEFAULT_EIGENSOLVER_TOL * norm)[0][0]
+                    A, tol=fock.DEFAULT_EIGENSOLVER_TOL * norm)[0]
                 error = abs(energy - np.linalg.eigvalsh(A)[0]) / norm
             except ConvergenceError:
                 error = None

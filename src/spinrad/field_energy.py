@@ -78,9 +78,8 @@ n_radial, n_theta, n_phi, displacements), and at most 8 keys are kept,
 upper directions x pairs x 8 B each: 0.8 KB for a pair at 1/lam
 (29 x 10 x 20), 2 KB at 3/lam, 438 KB at 80/lam.  Every current on one
 geometry reuses them.  On a 2-core x86_64 box a warm two-site field energy
-takes 0.13 ms at 1/lam (0.24 ms on the fixed 96 x 32 x 64 rule that the
-sized one replaced, 1.7 ms there with the cosines taken every call), and
-15 ms at 92/lam, where the first call, cosines included, takes 0.35 s.
+takes 0.13 ms at 1/lam, and 15 ms at 92/lam, where the first call,
+cosines included, takes 0.35 s.
 """
 
 from __future__ import annotations
@@ -95,8 +94,8 @@ import numpy as np
 from .cutoff import CutoffProfile, phi_eval
 from .kernel import a11_origin
 from .spin_algebra import ProductState, _require_unit
-from .spin_operator import SpinSystem, assemble_am, quadratic_form, \
-    site_spin_operators
+from .spin_operator import SpinSystem, _scaled_distances, assemble_am, \
+    quadratic_form, site_spin_operators
 from .errors import DomainError, ResourceError, _integer
 
 # The sizing law of the module docstring
@@ -242,8 +241,8 @@ def rule_sizes(profile: CutoffProfile, positions, n_radial=SIZED,
     if min(sizes.values(), default=1) < 1:
         raise DomainError("field energy needs at least one node per axis")
     if len(sizes) < 3:
-        pos = np.asarray(positions, dtype=float)
-        spread = float(np.linalg.norm(pos[:, None] - pos, axis=2).max())
+        scale, _, gap = _scaled_distances(positions)
+        spread = scale * float(gap.max())  # a float overflows to inf quietly
         # past 1e6 the rule is far over budget; the cap keeps inf out of ceil
         x = min(profile.far_radius() * spread, 1e6)
         sizes.setdefault("n_radial", max(

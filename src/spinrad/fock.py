@@ -293,9 +293,10 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
     E_0 + omega_min, the ground state included, is that of the full grid
     (module docstring).  h_int = T + T^dagger with
     T = sum_o a_o^dagger (x) C_o and the spin block
-    C_o = sum_a M[a // 3] W[a, o] S_a / sqrt(2) of oscillator o: every
-    ladder entry takes its oscillator's block on the union pattern of the
-    S_a in one broadcast product, and one mask drops the blocks' zeros.
+    C_o = sum_a M[a // 3] W[a, o] S_a / sqrt(2) of oscillator o, read off
+    the dense table of the S_a on their union pattern: every ladder entry
+    takes its oscillator's block in one broadcast product, and one mask
+    drops the blocks' zeros.
     """
     spin_dim = system.spin_dim
     omega_osc, W = shell_couplings(system, profile, grid)
@@ -306,13 +307,11 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
         spin_dim), format="csr")
 
     # C_o on the union pattern of the S_a, one row per oscillator
-    S = site_spin_operators(system.s, system.P).tocoo()
-    site_row, i = np.divmod(S.row, spin_dim)
-    pattern, slot = np.unique(i * spin_dim + S.col, return_inverse=True)
-    stack = np.zeros((len(W), len(pattern)), dtype=complex)
-    stack[site_row, slot] = S.data
+    S = site_spin_operators(system.s, system.P).toarray().reshape(
+        3 * system.P, spin_dim * spin_dim)
+    pattern = np.flatnonzero(S.any(axis=0))
     blocks = (np.repeat(system.moments, 3)[:, None] * W).T \
-        @ stack / math.sqrt(2.0)
+        @ S[:, pattern] / math.sqrt(2.0)
     block_i, block_j = np.divmod(pattern, spin_dim)
 
     # amp >= 1, so only the blocks' own zeros are dropped
@@ -334,7 +333,7 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
 
 def _dressed_start(H: sp.csr_matrix, diag: np.ndarray, spin_dim: int):
     """The spin space dressed at the root of its Feshbach map, as a unit
-    column, and the Jacobi preconditioner of H - E at that root E.
+    vector, and the Jacobi preconditioner of H - E at that root E.
 
     P holds the spin_dim states with the smallest diagonal entries (vacuum
     (x) spin for a Fock H), B the rows PH on the Q = 1 - P columns they
@@ -372,7 +371,7 @@ def _dressed_start(H: sp.csr_matrix, diag: np.ndarray, spin_dim: int):
             raise DomainError("the start states are decoupled from a "
                               "non-diagonal block that they cannot reach")
         start[cols] = np.linalg.eigh(PHP)[1][:, 0]
-        return start[:, None], np.ones(len(diag))
+        return start, np.ones(len(diag))
     D = diag[q]
     k = np.argmin(D)
     beta = np.linalg.norm(B[:, k])
@@ -393,7 +392,7 @@ def _dressed_start(H: sp.csr_matrix, diag: np.ndarray, spin_dim: int):
         energy = new
     start[cols] = x
     start[q] = -z
-    return ((start / np.linalg.norm(start))[:, None],
+    return (start / np.linalg.norm(start),
             1.0 / (np.maximum(diag, D[k]) - energy))
 
 
@@ -413,7 +412,7 @@ def _gram_schmidt(v: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _lobpcg(H: sp.csr_matrix, x: np.ndarray, precond: np.ndarray,
             stop: float):
-    """Lowest eigenvector of Hermitian H from the unit start column x.
+    """Lowest eigenvector of Hermitian H from the unit start vector x.
 
     One-column LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517) in the
     orthonormal-basis form of Hetmaniuk & Lehoucq, J. Comput. Phys. 218
@@ -423,19 +422,19 @@ def _lobpcg(H: sp.csr_matrix, x: np.ndarray, precond: np.ndarray,
     off [x, p]; only w needs a product with H.  The basis is kept as
     contiguous rows, so a step is a few small matrix products.  Ends when
     the residual norm falls to `stop`, or after MAX_LOBPCG_STEPS steps
-    with whatever it has.  Returns (vector as a column, steps).
+    with whatever it has.  Returns (Ritz vector, steps).
     """
     # rows [x; p], p empty at first
-    B = np.ascontiguousarray(x.T, dtype=complex)
+    B = np.ascontiguousarray(x[None], dtype=complex)
     HB = np.ascontiguousarray((H @ B.T).T)
     theta = np.vdot(B, HB).real
     for step in range(MAX_LOBPCG_STEPS):
         R = HB[:1] - theta * B[:1]
         if np.linalg.norm(R) <= stop:
-            return B[:1].T, step
+            return B[0], step
         W = _gram_schmidt(precond * R, B)
         if not len(W):  # the residual lies in span[x, p]: no progress left
-            return B[:1].T, step
+            return B[0], step
         Q = np.vstack([B, W])
         HQ = np.vstack([HB, (H @ W.T).T])
         # eigh reads one triangle of the Hermitian projection
@@ -446,7 +445,7 @@ def _lobpcg(H: sp.csr_matrix, x: np.ndarray, precond: np.ndarray,
         Y[:, 0] = 0.0
         CY = np.vstack([C.T, _gram_schmidt(Y, C.T)])
         B, HB = CY @ Q, CY @ HQ
-    return B[:1].T, MAX_LOBPCG_STEPS
+    return B[0], MAX_LOBPCG_STEPS
 
 
 def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, spin_dim: int = 1):
@@ -457,9 +456,9 @@ def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, spin_dim: int = 1):
     H - E (_dressed_start): its scales are those of H.  The energy is the
     Rayleigh quotient of the vector, and the residual ||H v - E v|| comes
     from that same product with H, not from the solver's own.  Returns
-    (energies, vectors, residuals) of the one pair, shapes (1,), (dim, 1)
-    and (1,).  A block of H with no path of nonzero entries to the start
-    is never reached.
+    (energy, vector, residual): a float, a unit vector of shape (dim,) and
+    a float.  A block of H with no path of nonzero entries to the start is
+    never reached.
     """
     H = sp.csr_matrix(H)
     # at n_max = 1 the start is the ground vector
@@ -469,16 +468,15 @@ def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, spin_dim: int = 1):
     # partner can be that close: on the 4x6 equal-moment pair at t = 0.05,
     # tol/10 gave 3.2e-12 relative.  A stall is left to the residual gate
     # below.
-    vecs = _lobpcg(H, x, precond, tol / 100)[0]
-    HV = H @ vecs
-    vals = np.sum(vecs.conj() * HV, axis=0).real \
-        / np.sum(np.abs(vecs) ** 2, axis=0)
-    residuals = np.linalg.norm(HV - vecs * vals, axis=0)
+    v = _lobpcg(H, x, precond, tol / 100)[0]
+    Hv = H @ v
+    energy = float(np.sum(v.conj() * Hv).real / np.sum(np.abs(v) ** 2))
+    residual = float(np.linalg.norm(Hv - v * energy))
     # written so that a NaN residual fails too
-    if not np.all(residuals <= tol):
+    if not residual <= tol:
         raise ConvergenceError(
-            f"eigenpair residual {residuals.max():.3e} above tolerance {tol:.3e}")
-    return vals, vecs, residuals
+            f"eigenpair residual {residual:.3e} above tolerance {tol:.3e}")
+    return energy, v, residual
 
 
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -677,10 +675,10 @@ def quadratic_fit(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
     toy = build_hamiltonian(system, profile, grid, n_max)
     energies, photons = [], []
     for t in scales:
-        vals, vecs, _ = ground_state(toy.matrix(t), tol=tol,
-                                     spin_dim=toy.spin_dim)
-        energies.append(vals[0])
-        photons.append(photon_number(toy, vecs[:, 0]))
+        energy, vector, _ = ground_state(toy.matrix(t), tol=tol,
+                                         spin_dim=toy.spin_dim)
+        energies.append(energy)
+        photons.append(photon_number(toy, vector))
     energies = np.array(energies)
     photons = np.array(photons)
 
@@ -741,7 +739,7 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
     rows = []
     for g in g_points:
         H = toy.matrix(g)
-        energy = ground_state(H, tol=tol, spin_dim=toy.spin_dim)[0][0]
+        energy = ground_state(H, tol=tol, spin_dim=toy.spin_dim)[0]
         lam, X, Z = _feshbach(H, energy, toy.spin_dim, tol)
         # energies scale like g^2 eig(A_1), so the window is that of A_1's
         # own cluster (ground_eigenspace) times g^2: mult_h <= mult_a1

@@ -35,9 +35,8 @@ key (profile, n), held read-only, and at most 4 keys are kept (2.1 MB per
 table at n = 128, 16.8 MB at n = 256).  The table is the product of the
 per-axis factors phi(k_a)^2 over |k|^2 (see _oracle_rule): on a 2-core
 x86_64 box the rule builds in 5.5-6.6 ms at n = 128, of which leggauss
-is 2.3 ms and the table 2.3 ms (5.1-5.4 ms when it took an exp of |k|
-at each node).  A call then costs the cosines and sines of x and the
-three marginals: 0.3 ms at n = 128.
+is 2.3 ms and the table 2.3 ms.  A call then costs the cosines and sines
+of x and the three marginals: 0.3 ms at n = 128.
 """
 
 from __future__ import annotations

@@ -15,21 +15,6 @@ import scipy.sparse as sp
 
 from .errors import DomainError
 
-# Largest tensor-product dimension materialized densely (one dense A_M),
-# checked by spin_operator._dense_operator before it allocates.
-# A complex dim x dim matrix takes 16 dim^2 bytes: 64 MiB at 2^11, 256 MiB
-# at 2^12, 1 GiB at 2^13.  Process peaks measured at 2^11, each including
-# the interpreter's 0.06 GB (scripts/am_scan.py): the build writes its
-# blocks into that one array, 0.13 GB; eigvalsh holds about two such
-# arrays, 0.19 GB; eigh about five (input copy, eigenvectors, LAPACK
-# workspace), 0.39 GB.  Scaled by 4 per doubling (not measured), e2 would
-# take about 0.6 GB at 2^12 and 1.4 GB with --eigenbasis, but 2.1 and
-# 5.3 GB at 2^13, on an 8 GB machine.  An integer-spin A_M is real,
-# 8 dim^2 bytes: measured at 3^7 = 2187 (s = 1) the peaks are 0.09 GB
-# after the build, 0.13 GB after eigvalsh and 0.24 GB after eigh, and at
-# 5^5 = 3125 (s = 2) 0.13 GB after the build.
-MAX_DENSE_DIM = 1 << 12
-
 _NORM_TOL = 1e-12
 
 
@@ -126,26 +111,19 @@ class ProductState:
     spin_vectors: np.ndarray  # (P, 3) Hopf image of each factor
 
 
-def product_vectors(factors) -> np.ndarray:
-    """Kronecker products V1 (x) ... (x) VP of a stack of factor lists.
+def product_state(factors, s) -> ProductState:
+    """Assemble a product state from P normalized single-site vectors.
 
-    factors has shape (n, P, d), each factor normalized; returns (n, d^P).
+    The vector is the Kronecker product V1 (x) ... (x) VP, shape (d^P,).
     """
     facs = np.asarray(factors, dtype=complex)
     # written so that a NaN norm fails too
-    bad = np.nonzero(~(abs(np.linalg.norm(facs, axis=-1) - 1.0) <= _NORM_TOL))
-    if bad[0].size:
-        raise DomainError(f"factor {bad[1][0] + 1} is not normalized")
-    n, P, d = facs.shape
-    vec = facs[:, 0]
-    for lam in range(1, P):
-        vec = (vec[:, :, None] * facs[:, lam, None, :]).reshape(n, -1)
-    return vec
-
-
-def product_state(factors, s) -> ProductState:
-    """Assemble a product state from P normalized single-site vectors."""
-    facs = np.asarray(factors, dtype=complex)
-    vec = product_vectors(facs[None])[0]
+    bad = np.flatnonzero(~(abs(np.linalg.norm(facs, axis=-1) - 1.0)
+                           <= _NORM_TOL))
+    if bad.size:
+        raise DomainError(f"factor {bad[0] + 1} is not normalized")
+    vec = facs[0]
+    for f in facs[1:]:
+        vec = (vec[:, None] * f).reshape(-1)
     spins = np.array([hopf_map(f, s) for f in facs])
     return ProductState(vector=vec, spin_vectors=spins)

@@ -22,8 +22,8 @@ import scipy.sparse as sp
 from .cutoff import CutoffProfile
 from .errors import DomainError, ResourceError, SpinradError
 from .kernel import kernel_matrix
-from .spin_algebra import MAX_DENSE_DIM, _check_half_integer, \
-    _require_unit, embed_site_operator, spin_matrices
+from .spin_algebra import _check_half_integer, _require_unit, \
+    embed_site_operator, spin_matrices
 
 # Ceiling on positive eigenvalues of an assembled A_M, relative to its
 # spectral radius with no floor; anything larger diagnoses a kernel or
@@ -31,6 +31,17 @@ from .spin_algebra import MAX_DENSE_DIM, _check_half_integer, \
 PSD_VIOLATION_TOL = 1e-10
 
 DEFAULT_DEGENERACY_TOL = 1e-7
+
+
+def _scaled_distances(positions):
+    """(scale, positions / scale, their pairwise distances) of (P, 3)
+    positions, scale the power of two at or below the largest |coordinate|
+    (1/2 when all are 0): exact short of underflow, and no finite position
+    overflows when differenced or squared."""
+    pos = np.asarray(positions, dtype=float)
+    scale = math.ldexp(1.0, math.frexp(np.abs(pos).max(initial=0.0))[1] - 1)
+    pos = pos / scale
+    return scale, pos, np.linalg.norm(pos[:, None] - pos, axis=2)
 
 
 @dataclass
@@ -51,8 +62,8 @@ class SpinSystem:
         if not np.isfinite(np.append(self.positions, self.moments)).all():
             raise DomainError("positions and moments must be finite")
         # coincidence to roundoff of the positions' own size, at any scale
-        gap = np.linalg.norm(self.positions[:, None] - self.positions, axis=2)
-        size = np.linalg.norm(self.positions, axis=1)
+        _, pos, gap = _scaled_distances(self.positions)
+        size = np.linalg.norm(pos, axis=1)
         if np.triu(gap <= 1e-12 * np.maximum.outer(size, size), 1).any():
             raise DomainError("positions pairwise distinct")
         self.s = _check_half_integer(self.s) / 2.0
@@ -196,6 +207,22 @@ def _site_blocks(C, site_basis) -> np.ndarray:
         @ site_basis
 
 
+# Largest tensor-product dimension materialized densely (one dense A_M),
+# checked by _dense_operator before it allocates.  A complex dim x dim
+# matrix takes 16 dim^2 bytes: 64 MiB at 2^11, 256 MiB at 2^12, 1 GiB at
+# 2^13.  Process peaks measured at 2^11, each including the interpreter's
+# 0.06 GB (scripts/am_scan.py): the build writes its blocks into that one
+# array, 0.13 GB; eigvalsh holds about two such arrays, 0.19 GB; eigh
+# about five (input copy, eigenvectors, LAPACK workspace), 0.39 GB.  Scaled
+# by 4 per doubling (not measured), e2 would take about 0.6 GB at 2^12 and
+# 1.4 GB with --eigenbasis, but 2.1 and 5.3 GB at 2^13, on an 8 GB
+# machine.  An integer-spin A_M is real, 8 dim^2 bytes: measured at 3^7 =
+# 2187 (s = 1) the peaks are 0.09 GB after the build, 0.13 GB after
+# eigvalsh and 0.24 GB after eigh, and at 5^5 = 3125 (s = 2) 0.13 GB after
+# the build.
+MAX_DENSE_DIM = 1 << 12
+
+
 def _dense_operator(coef, site_basis, pair_basis) -> np.ndarray:
     """Dense sum_{a,b} coef[a, b] S_a S_b, in the basis of its block bases.
 
@@ -268,11 +295,6 @@ def _coefficients(system: SpinSystem, kernel_at) -> np.ndarray:
             K[mu, :, lam] = K[lam, :, mu].T
     Mj = np.repeat(system.moments, 3)
     return -0.5 * np.outer(Mj, Mj) * K.reshape(3 * P, 3 * P)
-
-
-def _assemble(system: SpinSystem, kernel_at) -> np.ndarray:
-    """Dense A_M of the coefficient matrix of _coefficients."""
-    return bilinear_spin_operator(_coefficients(system, kernel_at), system.s)
 
 
 def _operator_bases(coef, s):

@@ -1,5 +1,6 @@
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -565,7 +566,6 @@ def test_rule_sizes_keep_given_sizes():
                       4, 4, 8) == (4, 4, 8)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("far", [1e3, 1e300, math.inf])
 def test_rule_past_the_budget_raises(far):
     # a pair 1e3/lam apart needs about 3e10 nodes; 1e300 and an infinite
@@ -578,3 +578,16 @@ def test_rule_past_the_budget_raises(far):
     with pytest.raises(ResourceError, match="budget"):
         rule_sizes(CutoffProfile(), positions[:1], 512, 256, 512)
     assert 512 * 256 * 512 > MAX_RULE_NODES >= 256 * 256 * 512
+
+
+@pytest.mark.parametrize("positions", [
+    [[0.0, 0.0, 0.0], [1e300, 0.0, 0.0]],
+    [[-1e308, 0.0, 0.0], [1e308, 0.0, 0.0]]])
+def test_far_sites_build_and_refuse_without_overflow(positions):
+    # distances are taken on positions scaled to the largest coordinate,
+    # so the system builds and the rule refuses without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        system = SpinSystem(positions=positions, moments=[1.0, -1.0])
+        with pytest.raises(ResourceError, match="budget"):
+            rule_sizes(CutoffProfile(), system.positions)

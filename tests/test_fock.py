@@ -21,7 +21,8 @@ from spinrad.fock import MAX_TOTAL_DIM, ToyHamiltonian, _discrete_k_bound, \
     ground_state, multiplicity_scan, photon_number, quadratic_fit, \
     segal_field, shell_couplings, variational_trial_check
 from spinrad.spin_operator import DEFAULT_DEGENERACY_TOL, SpinSystem, \
-    _assemble, assemble_am, ground_eigenspace, site_spin_operators
+    _coefficients, assemble_am, bilinear_spin_operator, ground_eigenspace, \
+    site_spin_operators
 
 from conftest import grid_modes, kron_site_spins, projector_kernel, \
     random_state, weight_basis_matrix
@@ -211,14 +212,15 @@ def _grid_am(system, profile, grid):
 @pytest.mark.parametrize("P", [1, 2, 3])
 def test_discrete_am_matches_projector_reference(lam, s, P):
     # A_M of the shell factors against the transverse-projector kernel,
-    # evaluated per site pair and assembled by _assemble
+    # evaluated per site pair and assembled by bilinear_spin_operator
     profile = CutoffProfile(lam)
     grid = build_mode_grid(profile, 8, 8)
     rng = np.random.default_rng(10 * P + int(2 * s))
     system = SpinSystem(positions=rng.normal(size=(P, 3)) / lam,
                         moments=rng.uniform(-1.0, 1.0, P), s=s)
     A = _grid_am(system, profile, grid)
-    ref = _assemble(system, lambda d: projector_kernel(profile, grid, d))
+    ref = bilinear_spin_operator(_coefficients(
+        system, lambda d: projector_kernel(profile, grid, d)), system.s)
     scale = np.linalg.norm(ref)
     assert np.linalg.norm(weight_basis_matrix(A) - ref) <= 1e-13 * scale
     assert np.abs(A.eigenvalues - np.linalg.eigvalsh(ref)).max() \
@@ -403,20 +405,24 @@ def test_fock_ladder_matches_reference(profile, n_radial, n_angular, n_max):
     assert toy.h_free.diagonal().tobytes() == np.repeat(reference, 2).tobytes()
 
 
-@pytest.mark.parametrize("s", [0.5, 1.0])
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.5])
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_one_pass_interaction_matches_kron_sum(profile, s, n_max):
     # h_int against sum_a M_a Phi_S(W_a) (x) S_a, one Segal field per row
     # of the shell factors; n_max = 3 reaches the n >= 3 ladder steps.  At
     # every P the triangular shell factors put exact zeros into the spin
-    # blocks, which must not reach h_int's pattern.
+    # blocks, which must not reach h_int's pattern.  P runs up to 3 where
+    # the Fock space fits its budgets.
     grid = build_mode_grid(profile, 2, 6)
     for P in (1, 2, 3):
         system = SpinSystem(
             positions=[[0.0, 0.0, 0.0], [0.9, -0.3, 0.4],
                        [-0.5, 0.7, 0.2]][:P],
             moments=[0.8, -0.5, 0.3][:P], s=s)
-        toy = build_hamiltonian(system, profile, grid, n_max)
+        try:
+            toy = build_hamiltonian(system, profile, grid, n_max)
+        except ResourceError:  # P = 3: s = 3/2 at n_max = 3, 5/2 from 2
+            continue
         S = site_spin_operators(s, P)
         d = system.spin_dim
         ref = sp.csr_matrix(toy.h_int.shape, dtype=complex)
@@ -483,26 +489,35 @@ def test_reduced_hamiltonian_matches_full_grid(profile, s, P, n_max,
                                                  // n_radial)
     got, got_v, _ = ground_state(reduced.matrix(), spin_dim=spin_dim)
     exact, exact_v, _ = ground_state(full.matrix(), spin_dim=spin_dim)
-    assert abs(got[0] - exact[0]) <= 1e-12 * abs(exact[0])
-    assert photon_number(reduced, got_v[:, 0]) == pytest.approx(
-        photon_number(full, exact_v[:, 0]), rel=1e-12)
+    assert abs(got - exact) <= 1e-12 * abs(exact)
+    assert photon_number(reduced, got_v) == pytest.approx(
+        photon_number(full, exact_v), rel=1e-12)
     # CG on the full space takes seconds past a few 10^4 states
     if full_dim <= 30_000:
-        lam = fock._feshbach(reduced.matrix(), exact[0], spin_dim, 1e-10)[0]
-        lam_full = fock._feshbach(full.matrix(), exact[0], spin_dim,
+        lam = fock._feshbach(reduced.matrix(), exact, spin_dim, 1e-10)[0]
+        lam_full = fock._feshbach(full.matrix(), exact, spin_dim,
                                   1e-10)[0]
-        assert np.abs(lam - lam_full).max() <= 1e-12 * abs(exact[0])
+        assert np.abs(lam - lam_full).max() <= 1e-12 * abs(exact)
+
+
+def test_ground_state_returns_one_pair(profile, small_grid, two_spin_system):
+    toy = build_hamiltonian(two_spin_system, profile, small_grid, 2)
+    energy, vec, res = ground_state(toy.matrix(0.3), spin_dim=toy.spin_dim)
+    assert type(energy) is float and type(res) is float
+    assert vec.shape == (toy.dim,)
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    assert res <= fock.DEFAULT_EIGENSOLVER_TOL
 
 
 def test_ground_state_diagonal_and_free(profile, small_grid, two_spin_system):
     D = sp.diags(np.array([3.0, -2.0, 5.0, 0.5]))
-    vals, vecs, res = ground_state(D)
-    assert vals[0] == pytest.approx(-2.0, abs=1e-14)
+    energy, vec, res = ground_state(D)
+    assert energy == pytest.approx(-2.0, abs=1e-14)
     toy = build_hamiltonian(two_spin_system.with_moments([0.0, 0.0]), profile,
                             small_grid, 1)
-    vals, vecs, res = ground_state(toy.matrix(), tol=1e-10, spin_dim=4)
-    assert np.abs(vals).max() <= 1e-10
-    assert res.max() <= 1e-10
+    energy, vec, res = ground_state(toy.matrix(), tol=1e-10, spin_dim=4)
+    assert abs(energy) <= 1e-10
+    assert res <= 1e-10
     # free H: QHP = 0, so F(0) = 0 and the ground level is the spin space
     lam, X, Z = fock._feshbach(toy.matrix(), 0.0, 4, 1e-10)
     assert np.array_equal(lam, np.zeros(4))
@@ -516,9 +531,9 @@ def test_ground_state_on_laplacian(spin_dim):
     laplacian = sp.diags([-np.ones(63), 2.0 * np.ones(64), -np.ones(63)],
                          [-1, 0, 1])
     exact = 2.0 - 2.0 * math.cos(math.pi / 65)
-    vals, vecs, res = ground_state(laplacian, spin_dim=spin_dim)
-    assert abs(vals[0] - exact) <= 1e-12 * exact
-    assert res[0] <= fock.DEFAULT_EIGENSOLVER_TOL
+    energy, vec, res = ground_state(laplacian, spin_dim=spin_dim)
+    assert abs(energy - exact) <= 1e-12 * exact
+    assert res <= fock.DEFAULT_EIGENSOLVER_TOL
 
 
 def test_ground_state_no_convergence(monkeypatch):
@@ -540,7 +555,7 @@ def test_ground_state_rejects_residual_above_tol(monkeypatch, shift):
     d = np.linspace(-1.0, 2.0, 64)
 
     def off(H, X, *args):
-        v = np.eye(64, 1)
+        v = np.eye(64)[0]
         v[1] = shift / (d[1] - d[0])
         return v, 1
 
@@ -556,8 +571,8 @@ def test_ground_state_deterministic(profile, default_grid, two_spin_system):
     v2 = ground_state(H, spin_dim=4)
     assert np.array_equal(v1[0], v2[0])
     assert np.array_equal(v1[1], v2[1])
-    f1 = fock._feshbach(H, v1[0][0], 4, 1e-10)
-    f2 = fock._feshbach(H, v1[0][0], 4, 1e-10)
+    f1 = fock._feshbach(H, v1[0], 4, 1e-10)
+    f2 = fock._feshbach(H, v1[0], 4, 1e-10)
     assert all(np.array_equal(a, b) for a, b in zip(f1, f2))
 
 
@@ -596,9 +611,9 @@ def test_ground_state_matches_schur_oracle(request, profile, two_spin_system,
     grid = request.getfixturevalue(grid_name)
     toy = build_hamiltonian(two_spin_system, profile, grid, 1)
     for t in (0.4, 0.2, 0.1, 0.05):
-        vals, _, _ = ground_state(toy.matrix(t), spin_dim=toy.spin_dim)
+        energy = ground_state(toy.matrix(t), spin_dim=toy.spin_dim)[0]
         exact = _schur_energies(two_spin_system, profile, grid, t)[0]
-        assert abs(vals[0] - exact) <= 1e-12 * abs(exact)
+        assert abs(energy - exact) <= 1e-12 * abs(exact)
 
 
 @pytest.mark.parametrize("positions, s", [
@@ -614,29 +629,29 @@ def test_one_column_solve_matches_dense(profile, monkeypatch, positions, s):
     system = SpinSystem(positions=positions, moments=np.ones(len(positions)),
                         s=s)
     toy = build_hamiltonian(system, profile, grid, 1)
-    widths = []
+    shapes = []
     solve = fock._lobpcg
 
     def recorded(H, X, *args):
-        widths.append(X.shape[1])
+        shapes.append(X.shape)
         return solve(H, X, *args)
 
     monkeypatch.setattr("spinrad.fock._lobpcg", recorded)
     for t in (0.4, 0.2, 0.1, 0.05):
         H = toy.matrix(t)
-        one = ground_state(H, spin_dim=toy.spin_dim)[0][0]
+        one = ground_state(H, spin_dim=toy.spin_dim)[0]
         v = np.linalg.eigh(H.toarray())[1][:, 0]
         dense = np.vdot(v, H @ v).real  # eigh's eigenvalue carries eps |H|
         assert abs(one - dense) <= 1e-12 * abs(dense)
-    assert widths == [1] * 4
+    assert shapes == [(toy.dim,)] * 4
 
 
 def test_one_column_solve_on_diagonal():
     # QHP = 0, so the dressed start is the unit vector on the smallest entry.
     d = np.random.default_rng(5).permutation(np.linspace(-1.0, 2.0, 64))
-    vals, vecs, _ = ground_state(sp.diags(d), spin_dim=4)
-    assert vals[0] == -1.0
-    assert abs(vecs[np.argmin(d), 0]) == pytest.approx(1.0, abs=1e-14)
+    energy, vec, _ = ground_state(sp.diags(d), spin_dim=4)
+    assert energy == -1.0
+    assert abs(vec[np.argmin(d)]) == pytest.approx(1.0, abs=1e-14)
 
 
 def _recorded_steps(monkeypatch):
@@ -645,9 +660,9 @@ def _recorded_steps(monkeypatch):
     solve = fock._lobpcg
 
     def recorded(H, X, *args):
-        vecs, n = solve(H, X, *args)
+        vec, n = solve(H, X, *args)
         steps.append(n)
-        return vecs, n
+        return vec, n
 
     monkeypatch.setattr("spinrad.fock._lobpcg", recorded)
     return steps
@@ -705,7 +720,7 @@ def test_dressed_start_sits_at_the_schur_root(request, profile,
     toy = build_hamiltonian(two_spin_system, profile, grid, 1)
     for t in (0.4, 0.2, 0.1, 0.05):
         H = toy.matrix(t)
-        v = fock._dressed_start(H, H.diagonal().real, toy.spin_dim)[0][:, 0]
+        v = fock._dressed_start(H, H.diagonal().real, toy.spin_dim)[0]
         root = np.vdot(v, H @ v).real
         exact = _schur_energies(two_spin_system, profile, grid, t)[0]
         assert abs(root - exact) <= 1e-13 * abs(exact)
@@ -738,10 +753,10 @@ def test_dressed_start_edge_cases(H, spin_dim):
     assert np.all(np.isfinite(v))
     assert np.all(np.isfinite(precond) & (precond > 0.0))
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
-    vals, _, res = ground_state(H, spin_dim=spin_dim)
+    energy, _, res = ground_state(H, spin_dim=spin_dim)
     exact = np.linalg.eigvalsh(H.toarray())[0]
-    assert abs(vals[0] - exact) <= 1e-12 * max(1.0, abs(exact))
-    assert res[0] <= fock.DEFAULT_EIGENSOLVER_TOL
+    assert abs(energy - exact) <= 1e-12 * max(1.0, abs(exact))
+    assert res <= fock.DEFAULT_EIGENSOLVER_TOL
 
 
 @pytest.mark.parametrize("H", [
@@ -774,14 +789,14 @@ def test_dressed_start_ends_when_steps_round_away(monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    v = fock._dressed_start(sp.csr_matrix(A), A.diagonal().real, 3)[0][:, 0]
+    v = fock._dressed_start(sp.csr_matrix(A), A.diagonal().real, 3)[0]
     monkeypatch.undo()
     assert np.all(np.isfinite(v))
     p = np.argsort(A.diagonal().real, kind="stable")[:3]
     assert np.linalg.norm(v[p]) ** 2 < 0.5
-    vals, _, res = ground_state(A, spin_dim=3)
-    assert abs(vals[0] - np.linalg.eigvalsh(A)[0]) <= 1e-12 * 10.0
-    assert res[0] <= fock.DEFAULT_EIGENSOLVER_TOL
+    energy, _, res = ground_state(A, spin_dim=3)
+    assert abs(energy - np.linalg.eigvalsh(A)[0]) <= 1e-12 * 10.0
+    assert res <= fock.DEFAULT_EIGENSOLVER_TOL
 
 
 def test_dressed_start_off_the_pole():
@@ -793,9 +808,9 @@ def test_dressed_start_off_the_pole():
                                         (1, 2, 1e-20)])
     v = fock._dressed_start(H, H.diagonal().real, 2)[0]
     assert np.all(np.isfinite(v))
-    vals, vecs, res = ground_state(H, spin_dim=2)
-    assert vals[0] == pytest.approx(-1.0, abs=1e-15)
-    assert res[0] <= fock.DEFAULT_EIGENSOLVER_TOL
+    energy, vec, res = ground_state(H, spin_dim=2)
+    assert energy == pytest.approx(-1.0, abs=1e-15)
+    assert res <= fock.DEFAULT_EIGENSOLVER_TOL
 
 
 def test_multiplicity_scan_needs_equal_moments(profile, small_grid):
@@ -899,16 +914,16 @@ def test_multiplicity_solves_one_column(profile, monkeypatch):
     solve = fock._lobpcg
 
     def recorded(H, X, *args):
-        vecs, steps = solve(H, X, *args)
-        solves.append((H.shape[0], X.shape[1], steps))
-        return vecs, steps
+        vec, steps = solve(H, X, *args)
+        solves.append((H.shape[0], X.shape, steps))
+        return vec, steps
 
     monkeypatch.setattr("spinrad.fock._lobpcg", recorded)
     monkeypatch.setattr("spinrad.fock.MAX_CG_STEPS", 0)
     rows = multiplicity_scan(cfg.system(), cfg.profile(), grid,
                              cfg.grids["n_max"], [0.4, 0.2, 0.1])
     assert [r.mult_h for r in rows] == [2, 2, 2]
-    assert [(dim, width) for dim, width, _ in solves] == [(146, 1)] * 3
+    assert [(dim, shape) for dim, shape, _ in solves] == [(146, (146,))] * 3
     assert all(steps <= 50 for _, _, steps in solves)
 
 
@@ -918,8 +933,8 @@ def test_feshbach_catches_a_missed_ground_state(profile, default_grid,
     solve = fock.ground_state
 
     def excited(*args, **kwargs):
-        vals, vecs, res = solve(*args, **kwargs)
-        return 0.5 * vals, vecs, res
+        energy, vec, res = solve(*args, **kwargs)
+        return 0.5 * energy, vec, res
 
     monkeypatch.setattr("spinrad.fock.ground_state", excited)
     pair = SpinSystem(positions=[[0, 0, 0], [0.9, -0.3, 0.4]],

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinrad.errors import DomainError
 from spinrad.spin_algebra import embed_site_operator, hopf_map, omega_state, \
-    product_state, product_vectors, spin_matrices, su2_rotate
+    product_state, spin_matrices, su2_rotate
 from spinrad.spin_operator import SpinSystem
 
 ALL_SPINS = [0.5, 1.0, 1.5, 2.0, 2.5]
@@ -152,21 +152,21 @@ def test_product_state_assembly():
         assert np.allclose(sv, hopf_map(f, 0.5))
 
 
-def test_product_vectors_match_kron_chain():
+def test_product_state_matches_kron_chain():
     rng = np.random.default_rng(8)
     for d, P in [(2, 1), (2, 4), (3, 3), (6, 2)]:
         facs = np.array([[normalized(rng, d) for _ in range(P)]
                          for _ in range(5)])
-        stack = product_vectors(facs)
-        assert stack.shape == (5, d ** P)
-        for row, fs in zip(stack, facs):
+        for fs in facs:
+            vec = product_state(fs, (d - 1) / 2).vector
+            assert vec.shape == (d ** P,)
             ref = fs[0]
             for f in fs[1:]:
                 ref = np.kron(ref, f)
-            assert np.array_equal(row, ref)
+            assert np.array_equal(vec, ref)
     facs[2, 1] *= 2.0
     with pytest.raises(DomainError, match="factor 2"):
-        product_vectors(facs)
+        product_state(facs[2], (d - 1) / 2)
 
 
 def test_product_state_rejects_unnormalized():

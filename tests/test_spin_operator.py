@@ -18,9 +18,9 @@ from spinrad.errors import ConfigError, DomainError, ResourceError, \
     SpinradError
 from spinrad.kernel import a11_origin, kernel_matrix
 from spinrad.spin_algebra import embed_site_operator, hopf_map, \
-    product_state, product_vectors
+    product_state
 from spinrad.spin_operator import HermitianSpinOperator, SpinSystem, \
-    _assemble, _coefficients, assemble_am, bilinear_spin_operator, \
+    _coefficients, assemble_am, bilinear_spin_operator, \
     ground_eigenspace, product_form, quadratic_form, site_spin_operators
 
 from conftest import kron_embed, kron_site_spins, projector_kernel, \
@@ -72,7 +72,7 @@ def test_system_rejects_non_finite(position, moment):
 
 
 @pytest.mark.parametrize("check", [
-    "quadratic_form", "hopf_map", "product_vectors", "product_state",
+    "quadratic_form", "hopf_map", "product_state",
     "product_form", "photon_number", "variational_trial_check"])
 def test_unit_norm_checks_reject_nan(profile, small_grid, two_spin_system,
                                      check):
@@ -83,7 +83,6 @@ def test_unit_norm_checks_reject_nan(profile, small_grid, two_spin_system,
         "quadratic_form": lambda: quadratic_form(
             HermitianSpinOperator(matrix=np.eye(4)), nan),
         "hopf_map": lambda: hopf_map(nan[:2], 0.5),
-        "product_vectors": lambda: product_vectors(nan.reshape(1, 2, 2)),
         "product_state": lambda: product_state(nan.reshape(2, 2), 0.5),
         "product_form": lambda: product_form(
             np.zeros((6, 6)), 0.5, nan.reshape(1, 2, 2)),
@@ -142,7 +141,8 @@ def test_widely_separated_spins_decouple(profile):
             return np.zeros((3, 3))
         return kernel_matrix(profile, d).entries
 
-    A_decoupled = _assemble(system, kernel_no_cross)
+    A_decoupled = bilinear_spin_operator(
+        _coefficients(system, kernel_no_cross), system.s)
     assert np.abs(A - A_decoupled).max() <= 1e-6
 
 
@@ -187,7 +187,7 @@ def test_assemble_matches_reference(profile, small_grid, s, moments, kernel):
         def kernel_at(d):
             return projector_kernel(profile, small_grid, d)
 
-    A = _assemble(system, kernel_at)
+    A = bilinear_spin_operator(_coefficients(system, kernel_at), system.s)
     ref = _assemble_reference(system, kernel_at)
     assert np.abs(A - ref).max() <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
@@ -356,7 +356,7 @@ def test_product_form_matches_dense(profile, cluster, moments, seed):
     A = assemble_am(system, profile)
     factors = rng.normal(size=(7, P, d)) + 1j * rng.normal(size=(7, P, d))
     factors /= np.linalg.norm(factors, axis=-1, keepdims=True)
-    ref = quadratic_form(A, product_vectors(factors))
+    ref = quadratic_form(A, [product_state(f, s).vector for f in factors])
     got = product_form(A.coefficients, s, factors)
     assert np.abs(got - ref).max() <= 1e-13 * A.radius
 

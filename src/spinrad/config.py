@@ -141,13 +141,11 @@ def parse_config(text: str) -> RunConfig:
 
 def run_manifest(config: RunConfig, extra: dict | None = None) -> str:
     """JSON manifest echoing the effective configuration and environment."""
-    import scipy  # for its version; importlib.metadata takes 3-8 ms a call
     body = {
         "config": asdict(config),
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
     if extra:

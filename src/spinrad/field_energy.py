@@ -90,6 +90,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .cutoff import CutoffProfile, phi_eval
 from .kernel import a11_origin
@@ -181,12 +182,12 @@ def _spherical_nodes(profile, n_radial, n_theta, n_phi):
     shares them.
     """
     r_far = profile.far_radius()
-    rn, rw = np.polynomial.legendre.leggauss(n_radial)
+    rn, rw = leggauss(n_radial)
     rn = 0.5 * r_far * (rn + 1.0)
     rw = 0.5 * r_far * rw
     # leggauss's nodes are exactly antisymmetric, and an odd rule's middle
     # node is exactly 0
-    cn, cw = np.polynomial.legendre.leggauss(n_theta)
+    cn, cw = leggauss(n_theta)
     cn, cw = cn[n_theta // 2:], np.where(cn > 0.0, 2.0 * cw, cw)[n_theta // 2:]
     ph = 2.0 * math.pi * np.arange(n_phi) / n_phi
     pw = 2.0 * math.pi / n_phi

@@ -42,23 +42,23 @@ ground state comes from an in-package one-column LOBPCG started at the
 root of the Feshbach map onto the vacuum spin space with QHQ taken as its
 diagonal, which is H's ground vector at n_max = 1, and the multiplicity
 of the ground level from the full Feshbach map onto that spin space,
-whose resolvent is applied by CG; both are written in numpy, so the
-module needs nothing of scipy beyond scipy.sparse.
+whose resolvent is applied by CG; both are written in numpy, and H is a
+numpy CSRMatrix, so the module needs nothing of scipy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations_with_replacement
 
 import numpy as np
-import scipy.sparse as sp
+from numpy.polynomial.legendre import leggauss
 
 from .cutoff import CutoffProfile, phi_eval
 from .errors import ConvergenceError, DomainError, ResourceError, \
     _integer
-from .spin_algebra import _require_unit
+from .spin_algebra import CSRMatrix, _require_unit
 from .spin_operator import DEFAULT_DEGENERACY_TOL, HermitianSpinOperator, \
     SpinSystem, _checked_operator, bilinear_spin_operator, \
     ground_eigenspace, site_spin_operators
@@ -121,8 +121,8 @@ def build_mode_grid(profile: CutoffProfile, n_radial: int,
     if n_angular < 6 or n_angular % 2:
         raise DomainError("need even n_angular >= 6")
     r_far = profile.far_radius()
-    rn, rw = np.polynomial.legendre.leggauss(n_radial)
-    cn, cw = np.polynomial.legendre.leggauss(n_angular // 2)
+    rn, rw = leggauss(n_radial)
+    cn, cw = leggauss(n_angular // 2)
     C, F = np.meshgrid(cn, 2.0 * math.pi * np.arange(n_angular) / n_angular,
                        indexing="ij")
     S = np.sqrt(1.0 - C * C)
@@ -222,15 +222,16 @@ def build_fock_space(omega_osc: np.ndarray, n_max: int,
 def _creation_pattern(space: FockSpace):
     """Entries of the a_o^dagger ladder restricted to the truncation.
 
-    Returns (rows, cols, amp, osc): a_osc^dagger maps basis state cols to
-    amp times basis state rows, with rows in sector n+1 and cols in sector
-    n, ordered by column, then oscillator.  Each transition n -> n+1 is one
-    vectorized step: o joins every state, the sorted row is ranked in sector
-    n+1 by binary search on its base-n_osc key (exact, as every sector is
-    complete and sorted), and amp is sqrt(occupation of o) in that row.
+    Returns (rows, cols, occ, osc): a_osc^dagger maps basis state cols to
+    sqrt(occ) times basis state rows, occ the occupation of osc in rows,
+    with rows in sector n+1 and cols in sector n, ordered by column, then
+    oscillator.  Each transition n -> n+1 is one vectorized step: o joins
+    every state, and the sorted row is ranked in sector n+1 by binary
+    search on its base-n_osc key (exact, as every sector is complete and
+    sorted).
     """
     n_osc = space.n_osc
-    rows, cols, amp, osc = [], [], [], []
+    rows, cols, occ, osc = [], [], [], []
     for n in range(space.n_max):
         src = space.sectors[n]
         o = np.tile(np.arange(n_osc), len(src))
@@ -242,37 +243,77 @@ def _creation_pattern(space: FockSpace):
         rows.append(space.sector_offsets[n + 1] + rank)
         cols.append(space.sector_offsets[n]
                     + np.repeat(np.arange(len(src)), n_osc))
-        amp.append(np.sqrt(np.sum(new == o[:, None], axis=1)))
+        occ.append(np.sum(new == o[:, None], axis=1))
         osc.append(o)
-    return tuple(map(np.concatenate, (rows, cols, amp, osc)))
+    return tuple(map(np.concatenate, (rows, cols, occ, osc)))
 
 
-def segal_field(space: FockSpace, v: np.ndarray) -> sp.csr_matrix:
-    """Phi_S(V) = (a(V) + a(V)^dagger)/sqrt(2) for coupling vector v."""
-    rows, cols, amp, osc = _creation_pattern(space)
-    vals = amp * np.asarray(v, dtype=complex)[osc]
-    T = sp.csr_matrix((vals / math.sqrt(2.0), (rows, cols)),
-                      shape=(space.dim, space.dim))
-    return T + T.conj().T
+def segal_field(space: FockSpace, v: np.ndarray) -> CSRMatrix:
+    """Phi_S(V) = (a(V) + a(V)^dagger)/sqrt(2) for coupling vector v.
+
+    Oscillators with a zero coupling store no entries.
+    """
+    rows, cols, occ, osc = _creation_pattern(space)
+    vals = np.sqrt(occ) * np.asarray(v, dtype=complex)[osc] / math.sqrt(2.0)
+    keep = vals != 0.0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return CSRMatrix.from_entries(
+        np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+        np.concatenate([vals, vals.conj()]), (space.dim, space.dim))
 
 
 @dataclass
 class ToyHamiltonian:
-    """Sparse H = h_free + h_int on Fock (x) spin, Fock index major."""
+    """Sparse H = h_free + h_int on Fock (x) spin, Fock index major.
 
-    h_free: sp.csr_matrix
-    h_int: sp.csr_matrix
+    h_free is diagonal and h_int zero where h_free stores an entry, so
+    H(scale) = h_free + scale h_int stores the entries of both.  Their
+    merged pattern is built once, here, with the slots of each part's
+    entries: matrix(scale) is one product with scale and two writes.
+    """
+
+    h_free: CSRMatrix
+    h_int: CSRMatrix
     space: FockSpace
     spin_dim: int
     coupling: np.ndarray  # (3P, n_osc) real shell_couplings H is built from
+    _merged: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        free, inter = self.h_free, self.h_int
+        if np.any(free.indices != free._row_ids()):
+            raise DomainError("h_free must be diagonal")
+        # h_free's entries go where their keys row dim + col fall among
+        # h_int's, which are ascending
+        keys = inter._row_ids() * self.dim + inter.indices
+        diag_keys = free.indices * (self.dim + 1)
+        at = np.searchsorted(keys, diag_keys)
+        inside = at < len(keys)
+        if np.any(keys[at[inside]] == diag_keys[inside]):
+            raise DomainError("h_int must be zero where h_free is stored")
+        diag_slot = at + np.arange(free.nnz)
+        int_slot = np.ones(free.nnz + inter.nnz, dtype=bool)
+        int_slot[diag_slot] = False
+        indices = np.empty(len(int_slot), dtype=np.intp)
+        indices[diag_slot] = free.indices
+        indices[int_slot] = inter.indices
+        indptr = free.indptr + inter.indptr
+        for arr in (indptr, indices, diag_slot, int_slot):
+            arr.flags.writeable = False
+        self._merged = indptr, indices, diag_slot, int_slot
 
     @property
     def dim(self) -> int:
         return self.h_free.shape[0]
 
-    def matrix(self, scale: float = 1.0) -> sp.csr_matrix:
+    def matrix(self, scale: float = 1.0) -> CSRMatrix:
         """H with the interaction (hence all moments) scaled by `scale`."""
-        return self.h_free + scale * self.h_int
+        indptr, indices, diag_slot, int_slot = self._merged
+        data = np.empty(len(indices), dtype=np.result_type(
+            self.h_free.data, self.h_int.data))
+        data[diag_slot] = self.h_free.data
+        data[int_slot] = scale * self.h_int.data
+        return CSRMatrix(indptr, indices, data, self.h_free.shape)
 
     def vacuum_embed(self, X: np.ndarray) -> np.ndarray:
         """Psi_0 (x) X as a full-space vector."""
@@ -282,6 +323,29 @@ class ToyHamiltonian:
 
     def photon_number_diag(self) -> np.ndarray:
         return np.repeat(self.space.n_total, self.spin_dim)
+
+
+def _ladder_rows(space: FockSpace):
+    """a^dagger and a of every oscillator on the Fock space, in row order.
+
+    Returns (indptr, cols, occ, ladder): row F holds the entries
+    cols[indptr[F]:indptr[F + 1]], ascending; entry k is sqrt(occ[k])
+    times the a_o^dagger of oscillator o = ladder[k] when ladder[k] <
+    n_osc, else the a_o of o = ladder[k] - n_osc.  The a^dagger entries of
+    _creation_pattern come in column order, and within a column the new
+    state rises with the oscillator (inserting a larger oscillator into a
+    sorted state gives a lexicographically larger one), so a stable sort
+    on the row alone puts every row in column order: its a^dagger
+    entries, from the sector below, before its a entries.
+    """
+    rows, cols, occ, osc = _creation_pattern(space)
+    f_rows = np.concatenate([rows, cols])
+    order = np.argsort(f_rows, kind="stable")
+    indptr = np.zeros(space.dim + 1, dtype=np.intp)
+    np.cumsum(np.bincount(f_rows, minlength=space.dim), out=indptr[1:])
+    return (indptr, np.concatenate([cols, rows])[order],
+            np.concatenate([occ, occ])[order],
+            np.concatenate([osc, osc + space.n_osc])[order])
 
 
 def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
@@ -294,35 +358,64 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
     (module docstring).  h_int = T + T^dagger with
     T = sum_o a_o^dagger (x) C_o and the spin block
     C_o = sum_a M[a // 3] W[a, o] S_a / sqrt(2) of oscillator o, read off
-    the dense table of the S_a on their union pattern: every ladder entry
-    takes its oscillator's block in one broadcast product, and one mask
-    drops the blocks' zeros.
+    the dense table of the S_a on their union pattern, which is symmetric
+    as every S_a is Hermitian.
+
+    h_int's CSR is written directly in row order, so its entries need no
+    sort: row (F, i) holds, for each entry of Fock row F of _ladder_rows
+    in turn, row i of that entry's block sqrt(occ) C_o (or its adjoint,
+    for an a) with the block's zeros dropped.  Those block rows, one per (occ, ladder, i),
+    form a small table in compressed rows, and every (F, i, entry) copies
+    its table row.
     """
     spin_dim = system.spin_dim
     omega_osc, W = shell_couplings(system, profile, grid)
     space = build_fock_space(omega_osc, n_max, spin_dim)
     dim = space.dim * spin_dim
-    h_free = sp.diags(np.repeat(np.concatenate(
+    free = np.repeat(np.concatenate(
         [space.omega_osc[occ].sum(axis=1) for occ in space.sectors]),
-        spin_dim), format="csr")
+        spin_dim)
+    diag = np.flatnonzero(free)
+    h_free = CSRMatrix(np.concatenate([[0], np.cumsum(free != 0.0)]), diag,
+                       free[diag], (dim, dim))
 
-    # C_o on the union pattern of the S_a, one row per oscillator
+    # C_o, then C_o^dagger, on the union pattern of the S_a, in pattern
+    # order (row i, then column j); sqrt(occ) scales the real and
+    # imaginary parts as one real array
     S = site_spin_operators(system.s, system.P).toarray().reshape(
         3 * system.P, spin_dim * spin_dim)
     pattern = np.flatnonzero(S.any(axis=0))
+    block_i, block_j = np.divmod(pattern, spin_dim)
     blocks = (np.repeat(system.moments, 3)[:, None] * W).T \
         @ S[:, pattern] / math.sqrt(2.0)
-    block_i, block_j = np.divmod(pattern, spin_dim)
+    mirror = np.searchsorted(pattern, block_j * spin_dim + block_i)
+    blocks = np.concatenate([blocks, blocks[:, mirror].conj()])
+    blocks = (np.sqrt(np.arange(1, n_max + 1))[:, None, None]
+              * blocks.view(float)).view(complex)
+    # the table: row ((occ - 1) 2 n_osc + ladder) spin_dim + i holds the
+    # nonzero entries of row i of that block; every row of the pattern
+    # holds entries of sigma_1, so none is empty
+    nonzero = blocks != 0.0
+    t_len = np.add.reduceat(nonzero, np.searchsorted(
+        block_i, np.arange(spin_dim)), axis=-1, dtype=np.intp)
+    t_ptr = np.concatenate([[0], np.cumsum(t_len)])
+    t_cols = np.broadcast_to(block_j, blocks.shape)[nonzero]
+    t_vals = blocks[nonzero]
 
-    # amp >= 1, so only the blocks' own zeros are dropped
-    rows, cols, amp, osc = _creation_pattern(space)
-    keep = (blocks != 0)[osc]
-    r = (rows[:, None] * spin_dim + block_i)[keep]
-    c = (cols[:, None] * spin_dim + block_j)[keep]
-    t = (amp[:, None] * blocks[osc])[keep]
-    h_int = sp.csr_matrix((np.concatenate([t, t.conj()]),
-                           (np.concatenate([r, c]), np.concatenate([c, r]))),
-                          shape=(dim, dim))
+    # (F, i, k): entry k of Fock row F for spin row i, in H's row order
+    f_ptr, f_cols, f_occ, f_ladder = _ladder_rows(space)
+    per_row = np.repeat(np.diff(f_ptr), spin_dim)
+    ends = np.concatenate([[0], np.cumsum(per_row)])  # pairs before row R
+    entry = np.arange(ends[-1]) + np.repeat(
+        np.repeat(f_ptr[:-1], spin_dim) - ends[:-1], per_row)
+    t_row = ((f_occ[entry] - 1) * (2 * space.n_osc) + f_ladder[entry]) \
+        * spin_dim + np.repeat(np.tile(np.arange(spin_dim), space.dim),
+                               per_row)
+    count = np.diff(t_ptr)[t_row]
+    kept = np.concatenate([[0], np.cumsum(count)])
+    at = np.arange(kept[-1]) + np.repeat(t_ptr[t_row] - kept[:-1], count)
+    indices = np.repeat(f_cols[entry] * spin_dim, count) + t_cols[at]
+    h_int = CSRMatrix(kept[ends], indices, t_vals[at], (dim, dim))
     return ToyHamiltonian(h_free=h_free, h_int=h_int, space=space,
                           spin_dim=spin_dim, coupling=W)
 
@@ -331,7 +424,7 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
 # Eigensolver
 # ---------------------------------------------------------------------------
 
-def _dressed_start(H: sp.csr_matrix, diag: np.ndarray, spin_dim: int):
+def _dressed_start(H: CSRMatrix, diag: np.ndarray, spin_dim: int):
     """The spin space dressed at the root of its Feshbach map, as a unit
     vector, and the Jacobi preconditioner of H - E at that root E.
 
@@ -358,7 +451,7 @@ def _dressed_start(H: sp.csr_matrix, diag: np.ndarray, spin_dim: int):
     all ones.
     """
     cols = np.argsort(diag, kind="stable")[:spin_dim]
-    PH = H[cols].toarray()
+    PH = H.rows(cols)
     PHP = PH[:, cols]
     coupled = PH.any(axis=0)
     coupled[cols] = False
@@ -367,7 +460,7 @@ def _dressed_start(H: sp.csr_matrix, diag: np.ndarray, spin_dim: int):
     start = np.zeros(H.shape[0], dtype=complex)
     if not len(q):  # no coupling: P is an invariant subspace
         inner = np.count_nonzero(PHP) - np.count_nonzero(diag[cols])
-        if H.count_nonzero() - np.count_nonzero(diag) > inner:
+        if np.count_nonzero(H.data) - np.count_nonzero(diag) > inner:
             raise DomainError("the start states are decoupled from a "
                               "non-diagonal block that they cannot reach")
         start[cols] = np.linalg.eigh(PHP)[1][:, 0]
@@ -410,7 +503,7 @@ def _gram_schmidt(v: np.ndarray, B: np.ndarray) -> np.ndarray:
     return v
 
 
-def _lobpcg(H: sp.csr_matrix, x: np.ndarray, precond: np.ndarray,
+def _lobpcg(H: CSRMatrix, x: np.ndarray, precond: np.ndarray,
             stop: float):
     """Lowest eigenvector of Hermitian H from the unit start vector x.
 
@@ -451,16 +544,17 @@ def _lobpcg(H: sp.csr_matrix, x: np.ndarray, precond: np.ndarray,
 def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, spin_dim: int = 1):
     """Lowest eigenpair of a sparse Hermitian matrix.
 
-    One-column LOBPCG (_lobpcg) from the spin space dressed at the root E
-    of its Feshbach map, preconditioned by the clamped Jacobi inverse of
-    H - E (_dressed_start): its scales are those of H.  The energy is the
-    Rayleigh quotient of the vector, and the residual ||H v - E v|| comes
-    from that same product with H, not from the solver's own.  Returns
-    (energy, vector, residual): a float, a unit vector of shape (dim,) and
-    a float.  A block of H with no path of nonzero entries to the start is
-    never reached.
+    H is a CSRMatrix, a dense array or anything with tocsr()
+    (CSRMatrix.of).  One-column LOBPCG (_lobpcg) from the spin space
+    dressed at the root E of its Feshbach map, preconditioned by the
+    clamped Jacobi inverse of H - E (_dressed_start): its scales are
+    those of H.  The energy is the Rayleigh quotient of the vector, and
+    the residual ||H v - E v|| comes from that same product with H, not
+    from the solver's own.  Returns (energy, vector, residual): a float,
+    a unit vector of shape (dim,) and a float.  A block of H with no path
+    of nonzero entries to the start is never reached.
     """
-    H = sp.csr_matrix(H)
+    H = CSRMatrix.of(H)
     # at n_max = 1 the start is the ground vector
     x, precond = _dressed_start(H, H.diagonal().real,
                                 min(spin_dim, H.shape[0]))
@@ -500,7 +594,7 @@ def _feshbach(H, energy: float, spin_dim: int, tol: float):
     positive definite.  Returns eig F(E) ascending, its eigenvectors as
     columns, and the columns of Z as rows.
     """
-    PH = H[:spin_dim].toarray()
+    PH = H.rows(np.arange(spin_dim))
     B = PH.conj()  # the columns of HP as rows; zero on P they are QHP
     B[:, :spin_dim] = 0.0
     precond = np.zeros(H.shape[0])

@@ -47,6 +47,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .cutoff import CutoffProfile, phi_eval
 from .errors import DomainError, _integer
@@ -127,7 +128,7 @@ def _oracle_rule(profile: CutoffProfile, n: int):
     them.
     """
     half = profile.far_radius(1e-8)
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = leggauss(n)
     # leggauss returns exactly symmetric nodes and weights, ascending: keep
     # the positive half, its weights doubled for the +-k pair
     k = nodes[n // 2:] * half

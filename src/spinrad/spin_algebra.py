@@ -3,19 +3,134 @@
 Conventions: sigma_j(s) = 2 J_j in the weight basis |s,s>, ..., |s,-s>, so
 that s = 1/2 reproduces the Pauli matrices, [sigma_1, sigma_2] = 2i sigma_3
 (and cyclic) and sum_j sigma_j(s)^2 = 4 s (s+1) I exactly.
+
+Sparse operators, the site embeddings here and the Fock Hamiltonian, are
+CSRMatrix: compressed sparse rows in numpy, the canonical layout of
+scipy.sparse (rows in order, columns ascending and unique in each row), of
+which the package uses only construction, products, dense rows and the
+diagonal.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError
 
 _NORM_TOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class CSRMatrix:
+    """Sparse matrix in canonical compressed sparse rows.
+
+    Row i holds the columns indices[indptr[i]:indptr[i + 1]], ascending
+    and unique, with their values in data; indptr and indices are intp.
+    Stored zeros stay stored.
+    """
+
+    indptr: np.ndarray  # (shape[0] + 1,)
+    indices: np.ndarray  # (nnz,)
+    data: np.ndarray  # (nnz,)
+    shape: tuple
+
+    @classmethod
+    def from_entries(cls, rows, cols, vals, shape) -> "CSRMatrix":
+        """The matrix with vals at (rows, cols), duplicates summed in order.
+
+        Its arrays hold what scipy's canonical CSR of the same entries
+        holds, the index arrays as intp.
+        """
+        rows, cols = np.asarray(rows, np.intp), np.asarray(cols, np.intp)
+        vals = np.asarray(vals)
+        n_rows, n_cols = shape
+        if rows.size and not (0 <= rows.min() and rows.max() < n_rows
+                              and 0 <= cols.min() and cols.max() < n_cols):
+            raise DomainError(f"sparse entries outside shape {shape}")
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        if not new.all():  # sum each run of duplicates, in entry order
+            summed = np.zeros(np.count_nonzero(new), dtype=vals.dtype)
+            np.add.at(summed, np.cumsum(new) - 1, vals)
+            rows, cols, vals = rows[new], cols[new], summed
+        indptr = np.zeros(n_rows + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        return cls(indptr, cols, vals, (int(n_rows), int(n_cols)))
+
+    @classmethod
+    def of(cls, A) -> "CSRMatrix":
+        """A itself, or the CSRMatrix of anything with tocsr() (a scipy
+        sparse matrix, stored zeros kept) or of a dense 2-D array (its
+        nonzero entries)."""
+        if isinstance(A, cls):
+            return A
+        if hasattr(A, "tocsr"):
+            A = A.tocsr()
+            rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+            return cls.from_entries(rows, A.indices, A.data, A.shape)
+        A = np.asarray(A)
+        if A.ndim != 2:
+            raise DomainError(f"a matrix needs two axes, not {A.ndim}")
+        rows, cols = np.nonzero(A)
+        return cls.from_entries(rows, cols, A[rows, cols], A.shape)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def _row_ids(self) -> np.ndarray:
+        """Row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    @functools.cached_property
+    def _filled(self):
+        """Rows that store at least one entry, and their first entries."""
+        rows = np.flatnonzero(np.diff(self.indptr))
+        return rows, self.indptr[rows]
+
+    def __matmul__(self, x) -> np.ndarray:
+        """A x for x of shape (n_cols,) or (n_cols, k)."""
+        x = np.asarray(x)
+        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
+            raise DomainError(f"cannot multiply {self.shape} by {x.shape}")
+        # entry products with x's columns as rows, summed row by row; a
+        # row that stores nothing stays zero
+        prod = np.take(np.ascontiguousarray(
+            x.T, dtype=np.result_type(x, self.data)), self.indices, axis=-1)
+        prod *= self.data
+        rows, starts = self._filled
+        if len(rows) == self.shape[0]:
+            return np.add.reduceat(prod, starts, axis=-1).T
+        out = np.zeros(prod.shape[:-1] + (self.shape[0],), dtype=prod.dtype)
+        if len(rows):
+            out[..., rows] = np.add.reduceat(prod, starts, axis=-1)
+        return out.T
+
+    def rows(self, idx) -> np.ndarray:
+        """Dense rows idx, shape (len(idx), n_cols)."""
+        out = np.zeros((len(idx), self.shape[1]), dtype=self.data.dtype)
+        for k, i in enumerate(idx):
+            row = slice(self.indptr[i], self.indptr[i + 1])
+            out[k, self.indices[row]] = self.data[row]
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        """The main diagonal, zero where no entry is stored."""
+        on = self.indices == self._row_ids()
+        out = np.zeros(min(self.shape), dtype=self.data.dtype)
+        out[self.indices[on]] = self.data[on]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[self._row_ids(), self.indices] = self.data
+        return out
 
 
 def _require_unit(X, message: str, tol: float = _NORM_TOL):
@@ -48,7 +163,7 @@ def spin_matrices(s) -> tuple:
             2.0 * jz.astype(complex))
 
 
-def embed_site_operator(op: np.ndarray, lam: int, P: int) -> sp.csr_matrix:
+def embed_site_operator(op: np.ndarray, lam: int, P: int) -> CSRMatrix:
     """Sparse I (x) ... (x) op (x) ... (x) I with op at slot lam (1-based).
 
     Nonzero op[a, b] sits at ((l d + a) R + r, (l d + b) R + r) for every
@@ -64,8 +179,8 @@ def embed_site_operator(op: np.ndarray, lam: int, P: int) -> sp.csr_matrix:
     rows = (left + a[:, None]) * len(right) + right
     cols = (left + b[:, None]) * len(right) + right
     vals = np.broadcast_to(op[a, b][:, None], rows.shape)
-    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(d ** P, d ** P))
+    return CSRMatrix.from_entries(rows.ravel(), cols.ravel(), vals.ravel(),
+                                  (d ** P, d ** P))
 
 
 def hopf_map(X, s) -> np.ndarray:

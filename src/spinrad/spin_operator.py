@@ -17,12 +17,11 @@ import string
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cutoff import CutoffProfile
 from .errors import DomainError, ResourceError, SpinradError
 from .kernel import kernel_matrix
-from .spin_algebra import _check_half_integer, _require_unit, \
+from .spin_algebra import CSRMatrix, _check_half_integer, _require_unit, \
     embed_site_operator, spin_matrices
 
 # Ceiling on positive eigenvalues of an assembled A_M, relative to its
@@ -119,7 +118,7 @@ class HermitianSpinOperator:
 
 
 @functools.lru_cache(maxsize=8, typed=True)
-def site_spin_operators(s, P) -> sp.csr_matrix:
+def site_spin_operators(s, P) -> CSRMatrix:
     """Sparse stack S of shape (3 P dim, dim) of the embedded spins.
 
     Row block a = 3 lam + m (0-based) is S_a = sigma_(m+1) on site lam + 1.
@@ -127,8 +126,16 @@ def site_spin_operators(s, P) -> sp.csr_matrix:
     and shared: its data, indices and indptr are read-only.
     """
     sig = spin_matrices(s)
-    S = sp.vstack([embed_site_operator(sig[m], lam + 1, P)
-                   for lam in range(P) for m in range(3)], format="csr")
+    blocks = [embed_site_operator(sig[m], lam + 1, P)
+              for lam in range(P) for m in range(3)]
+    dim = blocks[0].shape[0]
+    # the row blocks in turn, each indptr shifted by the entries before it
+    before = np.cumsum([0] + [b.nnz for b in blocks[:-1]])
+    S = CSRMatrix(
+        np.concatenate([[0]] + [b.indptr[1:] + n
+                                for b, n in zip(blocks, before)]),
+        np.concatenate([b.indices for b in blocks]),
+        np.concatenate([b.data for b in blocks]), (len(blocks) * dim, dim))
     for arr in (S.data, S.indices, S.indptr):
         arr.flags.writeable = False
     return S

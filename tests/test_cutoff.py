@@ -50,21 +50,30 @@ def test_cli_import_leaves_scipy_quadrature_stack_unloaded():
 
 
 def test_fock_suites_leave_scipy_linalg_unloaded(tmp_path):
-    # the Fock route solves with numpy alone: scipy.linalg and
-    # scipy.sparse.linalg would add about 0.04 s to every start-up
+    # spinrad runs on numpy alone, the Fock route's sparse H included:
+    # scipy.sparse alone took 0.29 s of every command's start-up, and
+    # scipy.linalg and scipy.sparse.linalg another 0.04 s.  Neither the
+    # import nor any suite may load any of scipy.
     code = textwrap.dedent("""
         import sys, spinrad.cli
         configs, out = sys.argv[1:]
+        loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        print("after import:", *loaded)
+        pair = f"{configs}/two_spins.yaml"
+        equal = f"{configs}/two_spins_equal.yaml"
         scales, g = "0.4,0.2,0.1,0.05", "0.4,0.2,0.1"
-        for suite, config, points in [
-                ("fock-fit", "two_spins", ["--scales", scales]),
-                ("fock-fit", "two_spins_equal", ["--scales", scales]),
-                ("multiplicity", "two_spins_equal", ["--g", g])]:
-            assert spinrad.cli.main([suite, "--config",
-                                     f"{configs}/{config}.yaml",
-                                     "--out", out, *points]) == 0
-        print("loaded:", *(m for m in ("scipy.linalg", "scipy.sparse.linalg")
-                           if m in sys.modules))
+        for argv in [
+                ["kernel", "--config", pair, "--at", "0.1", "0.2", "0.3"],
+                ["e2", "--config", pair],
+                ["verify", "--config", pair],
+                ["classical", "--config", pair, "--orientations",
+                 f"{configs}/orientations_two.yaml"],
+                ["fock-fit", "--config", pair, "--scales", scales],
+                ["fock-fit", "--config", equal, "--scales", scales],
+                ["multiplicity", "--config", equal, "--g", g]]:
+            assert spinrad.cli.main([*argv, "--out", out]) == 0, argv
+        loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        print("after suites:", *loaded)
         """)
     configs = Path(__file__).resolve().parent.parent / "configs"
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -72,4 +81,5 @@ def test_fock_suites_leave_scipy_linalg_unloaded(tmp_path):
         [sys.executable, "-c", code, str(configs), str(tmp_path)],
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=path))
-    assert out.stdout.splitlines()[-1].split() == ["loaded:"]
+    assert [line for line in out.stdout.splitlines()
+            if line.startswith("after ")] == ["after import:", "after suites:"]

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from spinrad.errors import DomainError
-from spinrad.spin_algebra import embed_site_operator, hopf_map, omega_state, \
-    product_state, spin_matrices, su2_rotate
+from spinrad.spin_algebra import CSRMatrix, embed_site_operator, hopf_map, \
+    omega_state, product_state, spin_matrices, su2_rotate
 from spinrad.spin_operator import SpinSystem
 
 ALL_SPINS = [0.5, 1.0, 1.5, 2.0, 2.5]
@@ -73,12 +74,12 @@ def test_embedded_disjoint_slots_commute():
     B = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     ea = embed_site_operator(A, 1, 3)
     eb = embed_site_operator(B, 2, 3)
-    assert np.abs(ea @ eb - eb @ ea).max() <= 1e-13
+    assert np.abs(ea @ eb.toarray() - eb @ ea.toarray()).max() <= 1e-13
 
 
 def test_embed_preserves_hermiticity():
     H = PAULI[0] + 0.3 * PAULI[2]
-    E = embed_site_operator(H, 2, 3)
+    E = embed_site_operator(H, 2, 3).toarray()
     assert np.abs(E - E.conj().T).max() == 0.0
 
 
@@ -172,3 +173,90 @@ def test_product_state_matches_kron_chain():
 def test_product_state_rejects_unnormalized():
     with pytest.raises(DomainError):
         product_state([[1.0, 1.0], [1.0, 0.0]], 0.5)
+
+
+def _random_entries(rng, shape, n, dtype=complex):
+    """n entries at random positions, duplicates and empty rows likely."""
+    rows = rng.integers(0, shape[0], n)
+    cols = rng.integers(0, shape[1], n)
+    vals = rng.normal(size=n)
+    if dtype is complex:
+        vals = vals + 1j * rng.normal(size=n)
+    vals[rng.random(n) < 0.1] = 0.0  # stored zeros stay stored
+    return rows, cols, vals
+
+
+def _assert_same_csr(got, ref):
+    """got's arrays equal scipy's canonical CSR ref's, the values bit for
+    bit; the index arrays are intp where scipy picks its own width."""
+    assert got.shape == ref.shape
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert got.data.dtype == ref.data.dtype
+    assert got.data.tobytes() == ref.data.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("shape", [(1, 1), (7, 5), (5, 9), (40, 40)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_csr_from_entries_is_scipys_canonical_csr(seed, shape, dtype):
+    rng = np.random.default_rng(seed)
+    entries = _random_entries(rng, shape, 3 * shape[0], dtype)
+    got = CSRMatrix.from_entries(*entries, shape)
+    ref = sp.csr_matrix((entries[2], entries[:2]), shape=shape)
+    ref.sum_duplicates()
+    _assert_same_csr(got, ref)
+    # the same entries from a scipy matrix and from its dense array
+    _assert_same_csr(CSRMatrix.of(ref), ref)
+    dense = ref.toarray()
+    assert np.array_equal(got.toarray(), dense)
+    nonzero = sp.csr_matrix(dense)
+    _assert_same_csr(CSRMatrix.of(dense), nonzero)
+    assert CSRMatrix.of(got) is got
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("shape", [(1, 1), (7, 5), (5, 9), (40, 40)])
+def test_csr_products_rows_and_diagonal_match_dense(seed, shape):
+    rng = np.random.default_rng(seed)
+    rows, cols, vals = _random_entries(rng, shape, 2 * shape[0])
+    empty = rng.random(shape[0]) < 0.3  # and the last row, past the first
+    empty[-1] = shape[0] > 1
+    keep = ~empty[rows]
+    A = CSRMatrix.from_entries(rows[keep], cols[keep], vals[keep], shape)
+    dense = A.toarray()
+    x = rng.normal(size=shape[1]) + 1j * rng.normal(size=shape[1])
+    X = rng.normal(size=(shape[1], 3)) + 1j * rng.normal(size=(shape[1], 3))
+    for operand in (x, X, X.real, X[:, :1], np.ascontiguousarray(X.T).T):
+        got = A @ operand
+        assert got.shape == (shape[0],) + operand.shape[1:]
+        assert np.abs(got - dense @ operand).max(initial=0.0) <= 1e-13
+    idx = rng.integers(0, shape[0], 4)
+    assert np.array_equal(A.rows(idx), dense[idx])
+    assert np.array_equal(A.rows(np.arange(0)), dense[:0])
+    assert np.array_equal(A.diagonal(), np.diagonal(dense))
+    assert A.nnz == len(A.data) == A.indptr[-1]
+
+
+def test_csr_edge_cases():
+    empty = CSRMatrix.from_entries([], [], np.zeros(0, complex), (3, 4))
+    assert empty.nnz == 0
+    assert np.array_equal(empty @ np.ones(4), np.zeros(3))
+    assert np.array_equal(empty @ np.ones((4, 2)), np.zeros((3, 2)))
+    assert np.array_equal(empty.diagonal(), np.zeros(3))
+    # the last rows store nothing
+    A = CSRMatrix.from_entries([0, 0, 1], [2, 0, 1], [1.0, 2.0, 3.0], (4, 3))
+    assert np.array_equal(A.indptr, [0, 2, 3, 3, 3])
+    assert np.array_equal(A.indices, [0, 2, 1])
+    assert np.array_equal(A @ np.array([1.0, 10.0, 100.0]),
+                          [102.0, 30.0, 0.0, 0.0])
+    with pytest.raises(DomainError, match="outside"):
+        CSRMatrix.from_entries([0, 4], [0, 0], [1.0, 1.0], (4, 3))
+    with pytest.raises(DomainError, match="outside"):
+        CSRMatrix.from_entries([0], [-1], [1.0], (4, 3))
+    with pytest.raises(DomainError, match="cannot multiply"):
+        A @ np.ones(4)
+    with pytest.raises(DomainError, match="cannot multiply"):
+        A @ np.ones((3, 2, 2))
+    with pytest.raises(DomainError, match="two axes"):
+        CSRMatrix.of(np.ones(3))

@@ -2,27 +2,44 @@
 """Every CLI suite's artifacts on the bundled configurations, for diffing.
 
 Runs each suite with the command-line arguments of README's Command line
-section, one `python -m spinrad.cli` process per run, and writes its
-artifacts and its stdout (stdout.txt) to OUT/<config>/<suite>/.  The
-configurations are the bundled single_spin, two_spins and two_spins_equal,
-two_spins_equal at n_max = 2, and two_spins with its second site moved to
-(40, -0.3, 0.4), about 40/lam out, where the field-energy rule grows; the
-last two are written as YAML copies into OUT.  The
-suites are kernel, e2 with and without --eigenbasis (e2-eigenbasis),
-verify, classical (where the configuration has as many particles as
-configs/orientations_two.yaml has orientations), fock-fit and
-multiplicity (where all moments are equal).
+section and writes its artifacts and its stdout (stdout.txt) to
+OUT/<config>/<suite>/.  The configurations are the bundled single_spin,
+two_spins and two_spins_equal, two_spins_equal at n_max = 2, and
+two_spins with its second site moved to (40, -0.3, 0.4), about 40/lam
+out, where the field-energy rule grows; the last two are written as YAML
+copies into OUT.  The suites are kernel, e2 with and without
+--eigenbasis (e2-eigenbasis), verify, classical (where the configuration
+has as many particles as configs/orientations_two.yaml has orientations),
+fock-fit and multiplicity (where all moments are equal).
 
-Run it on two checkouts and compare: an empty `diff -r OUT_A OUT_B` is
-the byte-identity gate for a change that must not move any artifact.
+By default each run is one `python -m spinrad.cli` process (32 runs in
+about 19 s on a 2-core Xeon).  --in-process makes each run one
+`spinrad.cli.main` call in this interpreter (about 1 s), with the same
+bytes.  Run either on two checkouts and compare: an empty
+`diff -r OUT_A OUT_B` is the byte-identity gate for a change that must
+not move any artifact.
 
-usage: python3 scripts/bundled_artifacts.py OUT
+--golden runs in-process into a temporary directory and writes
+tests/golden/bundled.sha256: one `sha256  path` line per file, after
+header lines with the Python and numpy versions that the manifests
+record and the OpenBLAS build.  tests/test_bundled_artifacts.py checks
+every hash against a fresh in-process run.  A change that moves digits on
+purpose regenerates the file and lists the moved files.
+
+usage: python3 scripts/bundled_artifacts.py [--in-process] OUT
+       python3 scripts/bundled_artifacts.py --golden
 (spinrad is imported from the environment, e.g. PYTHONPATH=src; prints
 one line per run and exits 1 if a run did not exit 0.)
 """
 
+import contextlib
+import ctypes
+import hashlib
+import io
+import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import yaml
@@ -30,6 +47,7 @@ import yaml
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 ORIENTATIONS = CONFIGS / "orientations_two.yaml"
+GOLDEN = ROOT / "tests" / "golden" / "bundled.sha256"
 SUITES = {
     "kernel": ["kernel", "--at", "0.3", "0.1", "-0.5"],
     "e2": ["e2"],
@@ -67,25 +85,107 @@ def suites(path: Path):
             and (name != "multiplicity" or len(moments) == 1)]
 
 
-def main(out: Path) -> int:
+def run_process(argv):
+    """(exit code, stdout, stderr) of one `python -m spinrad.cli` process."""
+    run = subprocess.run([sys.executable, "-m", "spinrad.cli", *argv],
+                         capture_output=True, text=True)
+    return run.returncode, run.stdout, run.stderr
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of one spinrad.cli.main call."""
+    from spinrad import cli
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def write_all(out: Path, run=run_process) -> list:
+    """Every run's artifacts under out; the '<config> <suite>' of each run
+    that did not exit 0."""
     out.mkdir(parents=True, exist_ok=True)
-    failed = 0
+    failed = []
     for name, path in configs(out):
         for suite in suites(path):
             target = out / name / suite
             target.mkdir(parents=True, exist_ok=True)
-            run = subprocess.run(
-                [sys.executable, "-m", "spinrad.cli", *SUITES[suite],
-                 "--config", str(path), "--out", str(target)],
-                capture_output=True, text=True)
-            (target / "stdout.txt").write_text(run.stdout)
-            print(f"{name} {suite} exit {run.returncode}"
-                  + (f": {run.stderr.strip()}" if run.stderr else ""))
-            failed += run.returncode != 0
-    return 1 if failed else 0
+            code, stdout, stderr = run(
+                [*SUITES[suite], "--config", str(path), "--out", str(target)])
+            (target / "stdout.txt").write_text(stdout)
+            print(f"{name} {suite} exit {code}"
+                  + (f": {stderr.strip()}" if stderr else ""))
+            if code != 0:
+                failed.append(f"{name} {suite}")
+    return failed
+
+
+def digests(out: Path) -> dict:
+    """sha256 of every file under out, by its path relative to out."""
+    return {p.relative_to(out).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def blas_build() -> str:
+    """OpenBLAS's own configuration line, which names the core its dynamic
+    dispatch picked, or numpy's record of its BLAS build where the library
+    cannot be asked."""
+    import numpy as np
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "libscipy_openblas*"):
+        for name in ("scipy_openblas_get_config64_",
+                     "scipy_openblas_get_config"):
+            get = getattr(ctypes.CDLL(str(lib)), name, None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return f"{blas['name']} {blas['version']}"
+
+
+def environment() -> dict:
+    """What the hashes depend on besides the code: the versions that the
+    manifests record, and the BLAS that every solve goes through."""
+    import numpy as np
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas_build()}
+
+
+def read_golden(path: Path = GOLDEN):
+    """(environment, digests) recorded in a golden file."""
+    env, hashes = {}, {}
+    for line in path.read_text().splitlines():
+        if line.startswith("# "):
+            key, value = line[2:].split(": ", 1)
+            env[key] = value
+        else:
+            digest, name = line.split("  ", 1)
+            hashes[name] = digest
+    return env, hashes
+
+
+def write_golden(path: Path = GOLDEN) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        failed = write_all(Path(tmp), run_in_process)
+        hashes = digests(Path(tmp))
+    if failed:
+        print(f"not written: {', '.join(failed)} did not exit 0")
+        return 1
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(
+        [f"# {key}: {value}\n" for key, value in environment().items()]
+        + [f"{digest}  {name}\n" for name, digest in hashes.items()]))
+    print(f"{len(hashes)} hashes written to {path}")
+    return 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    args = sys.argv[1:]
+    if args == ["--golden"]:
+        sys.exit(write_golden())
+    if len(args) == 2 and args[0] == "--in-process":
+        sys.exit(1 if write_all(Path(args[1]), run_in_process) else 0)
+    if len(args) != 1 or args[0].startswith("--"):
         sys.exit(__doc__)
-    sys.exit(main(Path(sys.argv[1])))
+    sys.exit(1 if write_all(Path(args[0])) else 0)

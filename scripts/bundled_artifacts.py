@@ -13,11 +13,11 @@ has as many particles as configs/orientations_two.yaml has orientations),
 fock-fit and multiplicity (where all moments are equal).
 
 By default each run is one `python -m spinrad.cli` process (32 runs in
-about 19 s on a 2-core Xeon).  --in-process makes each run one
-`spinrad.cli.main` call in this interpreter (about 1 s), with the same
-bytes.  Run either on two checkouts and compare: an empty
-`diff -r OUT_A OUT_B` is the byte-identity gate for a change that must
-not move any artifact.
+12-19 s on a 2-core Xeon).  --in-process makes each run one
+`spinrad.cli.main` call in this interpreter (about 2 s for all 32,
+start-up included), with the same bytes.  Run either on two checkouts
+and compare: an empty `diff -r OUT_A OUT_B` is the byte-identity gate
+for a change that must not move any artifact.
 
 --golden runs in-process into a temporary directory and writes
 tests/golden/bundled.sha256: one `sha256  path` line per file, after
@@ -42,6 +42,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import spinrad.cli as cli  # first: spinrad pins BLAS to one thread
+
+import numpy as np
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,9 +97,9 @@ def run_process(argv):
 
 def run_in_process(argv):
     """(exit code, stdout, stderr) of one spinrad.cli.main call."""
-    from spinrad import cli
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
     return code, stdout.getvalue(), stderr.getvalue()
 
@@ -128,26 +131,23 @@ def digests(out: Path) -> dict:
 
 
 def blas_build() -> str:
-    """OpenBLAS's own configuration line, which names the core its dynamic
-    dispatch picked, or numpy's record of its BLAS build where the library
-    cannot be asked."""
-    import numpy as np
+    """OpenBLAS's configuration line, which names the core its dynamic
+    dispatch picked, or numpy's record of its BLAS build where the
+    library cannot be asked."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in libs.glob("libscipy_openblas64_*"):
+        get = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_config64_",
+                      None)
+        if get is not None:
+            get.restype = ctypes.c_char_p
+            return get().decode()
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob(
-            "libscipy_openblas*"):
-        for name in ("scipy_openblas_get_config64_",
-                     "scipy_openblas_get_config"):
-            get = getattr(ctypes.CDLL(str(lib)), name, None)
-            if get is not None:
-                get.restype = ctypes.c_char_p
-                return get().decode()
     return f"{blas['name']} {blas['version']}"
 
 
 def environment() -> dict:
     """What the hashes depend on besides the code: the versions that the
     manifests record, and the BLAS that every solve goes through."""
-    import numpy as np
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": blas_build()}
 

@@ -7,17 +7,21 @@ all 2N oscillators of the grid (two polarizations per mode), the
 dimension build_hamiltonian assembles on the coupled oscillators only
 (at most 3P per radial shell), the fitted c2 / a_disc_min, the
 discrete-to-continuum gap lambda_min(A_disc) / lambda_min(A_M) - 1, and
-the cost of the quadratic fit: the H build, the four ground-state solves
-with the LOBPCG steps of each, and the wall time of the whole fit (grid,
-build, solves and the discrete A_M).  Build and solve times come from
-recorders put around fock.build_hamiltonian and fock.ground_state for
-the run.  The full space is only counted, never built; a full dimension
-past MAX_TOTAL_DIM is marked, as it could not be assembled.  The reduced
-space grows with n_radial only, so angular refinement is free.
+the cost of the quadratic fit: the H build with its tracemalloc peak
+(the most memory the build's own allocations held at once), the four
+ground-state solves with the LOBPCG steps of each, and the wall time of
+the whole fit (grid, build, solves and the discrete A_M).  Build and
+solve times come from recorders put around fock.build_hamiltonian and
+fock.ground_state for the run; only the build is traced, as tracing
+would slow the solves' many small allocations.  The full space is only
+counted, never built; a full dimension past MAX_TOTAL_DIM is marked, as
+it could not be assembled.  The reduced space grows with n_radial only,
+so angular refinement is free.
 """
 
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import spinrad.fock as fock
@@ -35,14 +39,20 @@ def fock_dim(n_osc, n_max):
     return sum(math.comb(n_osc + n - 1, n) for n in range(n_max + 1))
 
 
-def record(name, log):
-    """Route fock.<name> through a recorder of (seconds, result) per call."""
+def record(name, log, traced=False):
+    """Route fock.<name> through a recorder of (seconds, tracemalloc peak
+    in bytes, result) per call; the peak is None unless traced."""
     inner = getattr(fock, name)
 
     def recorded(*args, **kwargs):
+        if traced:
+            tracemalloc.start()
         start = time.perf_counter()
         out = inner(*args, **kwargs)
-        log.append((time.perf_counter() - start, out))
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1] if traced else None
+        tracemalloc.stop()
+        log.append((seconds, peak, out))
         return out
     setattr(fock, name, recorded)
 
@@ -57,12 +67,13 @@ if __name__ == "__main__":
     a_min = {P: assemble_am(system, profile).eigenvalues[0]
              for P, system in systems.items()}
     builds, solves, iterations = [], [], []
-    record("build_hamiltonian", builds)
+    record("build_hamiltonian", builds, traced=True)
     record("ground_state", solves)
     record("_lobpcg", iterations)
     print(f"{'P':>2} {'grid':>8} {'n_max':>5} {'full dim':>12} "
           f"{'reduced dim':>11} {'c2/a_disc_min':>13} {'disc/cont - 1':>13} "
-          f"{'build ms':>8} {'solve ms':>8} {'steps':>11} {'wall s':>6}")
+          f"{'build ms':>8} {'build MB':>8} {'solve ms':>8} {'steps':>11} "
+          f"{'wall s':>6}")
     for P, n_radial, n_angular, n_max in CASES:
         system = systems[P]
         for log in (builds, solves, iterations):
@@ -74,14 +85,15 @@ if __name__ == "__main__":
         wall = time.perf_counter() - start
         full = fock_dim(2 * grid.n_modes, n_max) * system.spin_dim
         mark = "*" if full > MAX_TOTAL_DIM else " "
-        (build_s, toy), = builds
-        solve_ms = 1e3 * sum(s for s, _ in solves)
-        steps = ",".join(str(out[1]) for _, out in iterations)
+        (build_s, build_peak, toy), = builds
+        solve_ms = 1e3 * sum(s for s, _, _ in solves)
+        steps = ",".join(str(out[1]) for _, _, out in iterations)
         print(f"{P:>2} {n_radial:>4}x{n_angular:<3} {n_max:>5} "
               f"{full:>11,}{mark} {toy.dim:>11,} "
               f"{fit.c2 / fit.a_disc_min:>13.5f} "
               f"{fit.a_disc_min / a_min[P] - 1.0:>13.2e} "
-              f"{1e3 * build_s:>8.1f} {solve_ms:>8.1f} {steps:>11} "
+              f"{1e3 * build_s:>8.1f} {build_peak / 1e6:>8.1f} "
+              f"{solve_ms:>8.1f} {steps:>11} "
               f"{wall:>6.2f}")
     print(f"* over MAX_TOTAL_DIM = {MAX_TOTAL_DIM:,}: the full space could "
           f"not be assembled")

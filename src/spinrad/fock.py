@@ -69,9 +69,12 @@ MAX_TOTAL_DIM = 400_000
 
 # Ceiling on spin_dim * dim, the entries of the spin_dim rows of H that
 # _dressed_start (one complex copy) and _feshbach (about eight) make dense.
-# Process peaks of the build, one ground_state and one _feshbach: 0.49 GB
-# at 1.7e6 (s = 2, one site, 24 x 6 grid, n_max = 3) and 0.75 GB at 3.6e6
-# (s = 3/2, two sites, 7 x 6, n_max = 3), the build's 0.37 GB included.
+# Process peaks of the build, one ground_state and one _feshbach at scale
+# 0.4: 0.81 GB at 1.7e6 (s = 2, one site, 24 x 6 grid, n_max = 3) and
+# 1.69 GB at 3.6e6 (s = 3/2, two sites, 7 x 6, n_max = 3), the build's
+# 0.34 and 0.32 GB included.  Past the build, the largest single array is
+# the (spin_dim, nnz) complex temporary of one CSRMatrix product with
+# _feshbach's spin_dim columns: 0.9 GB at 3.6e6.
 MAX_SPIN_ROW_ENTRIES = 1 << 22
 
 # Eigenpair residual tolerance ||H v - E v|| of ground_state (absolute).
@@ -325,29 +328,6 @@ class ToyHamiltonian:
         return np.repeat(self.space.n_total, self.spin_dim)
 
 
-def _ladder_rows(space: FockSpace):
-    """a^dagger and a of every oscillator on the Fock space, in row order.
-
-    Returns (indptr, cols, occ, ladder): row F holds the entries
-    cols[indptr[F]:indptr[F + 1]], ascending; entry k is sqrt(occ[k])
-    times the a_o^dagger of oscillator o = ladder[k] when ladder[k] <
-    n_osc, else the a_o of o = ladder[k] - n_osc.  The a^dagger entries of
-    _creation_pattern come in column order, and within a column the new
-    state rises with the oscillator (inserting a larger oscillator into a
-    sorted state gives a lexicographically larger one), so a stable sort
-    on the row alone puts every row in column order: its a^dagger
-    entries, from the sector below, before its a entries.
-    """
-    rows, cols, occ, osc = _creation_pattern(space)
-    f_rows = np.concatenate([rows, cols])
-    order = np.argsort(f_rows, kind="stable")
-    indptr = np.zeros(space.dim + 1, dtype=np.intp)
-    np.cumsum(np.bincount(f_rows, minlength=space.dim), out=indptr[1:])
-    return (indptr, np.concatenate([cols, rows])[order],
-            np.concatenate([occ, occ])[order],
-            np.concatenate([osc, osc + space.n_osc])[order])
-
-
 def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
                       grid: ModeGrid, n_max: int) -> ToyHamiltonian:
     """Truncated spin-photon Hamiltonian on the coupled oscillators only.
@@ -357,16 +337,12 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
     E_0 + omega_min, the ground state included, is that of the full grid
     (module docstring).  h_int = T + T^dagger with
     T = sum_o a_o^dagger (x) C_o and the spin block
-    C_o = sum_a M[a // 3] W[a, o] S_a / sqrt(2) of oscillator o, read off
-    the dense table of the S_a on their union pattern, which is symmetric
-    as every S_a is Hermitian.
-
-    h_int's CSR is written directly in row order, so its entries need no
-    sort: row (F, i) holds, for each entry of Fock row F of _ladder_rows
-    in turn, row i of that entry's block sqrt(occ) C_o (or its adjoint,
-    for an a) with the block's zeros dropped.  Those block rows, one per (occ, ladder, i),
-    form a small table in compressed rows, and every (F, i, entry) copies
-    its table row.
+    C_o = sum_a M[a // 3] W[a, o] S_a / sqrt(2) of oscillator o, on the
+    union pattern of the S_a.  Each a^dagger entry of _creation_pattern
+    gives sqrt(occ) times the nonzero entries of its oscillator's C_o,
+    exact zeros dropped; T^dagger's entries are T's with rows and columns
+    swapped and values conjugated.  Those entries, and h_free's nonzero
+    diagonal, each make one CSRMatrix.from_entries.
     """
     spin_dim = system.spin_dim
     omega_osc, W = shell_couplings(system, profile, grid)
@@ -376,46 +352,24 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
         [space.omega_osc[occ].sum(axis=1) for occ in space.sectors]),
         spin_dim)
     diag = np.flatnonzero(free)
-    h_free = CSRMatrix(np.concatenate([[0], np.cumsum(free != 0.0)]), diag,
-                       free[diag], (dim, dim))
+    h_free = CSRMatrix.from_entries(diag, diag, free[diag], (dim, dim))
 
-    # C_o, then C_o^dagger, on the union pattern of the S_a, in pattern
-    # order (row i, then column j); sqrt(occ) scales the real and
-    # imaginary parts as one real array
     S = site_spin_operators(system.s, system.P).toarray().reshape(
         3 * system.P, spin_dim * spin_dim)
     pattern = np.flatnonzero(S.any(axis=0))
-    block_i, block_j = np.divmod(pattern, spin_dim)
     blocks = (np.repeat(system.moments, 3)[:, None] * W).T \
         @ S[:, pattern] / math.sqrt(2.0)
-    mirror = np.searchsorted(pattern, block_j * spin_dim + block_i)
-    blocks = np.concatenate([blocks, blocks[:, mirror].conj()])
-    blocks = (np.sqrt(np.arange(1, n_max + 1))[:, None, None]
-              * blocks.view(float)).view(complex)
-    # the table: row ((occ - 1) 2 n_osc + ladder) spin_dim + i holds the
-    # nonzero entries of row i of that block; every row of the pattern
-    # holds entries of sigma_1, so none is empty
-    nonzero = blocks != 0.0
-    t_len = np.add.reduceat(nonzero, np.searchsorted(
-        block_i, np.arange(spin_dim)), axis=-1, dtype=np.intp)
-    t_ptr = np.concatenate([[0], np.cumsum(t_len)])
-    t_cols = np.broadcast_to(block_j, blocks.shape)[nonzero]
-    t_vals = blocks[nonzero]
-
-    # (F, i, k): entry k of Fock row F for spin row i, in H's row order
-    f_ptr, f_cols, f_occ, f_ladder = _ladder_rows(space)
-    per_row = np.repeat(np.diff(f_ptr), spin_dim)
-    ends = np.concatenate([[0], np.cumsum(per_row)])  # pairs before row R
-    entry = np.arange(ends[-1]) + np.repeat(
-        np.repeat(f_ptr[:-1], spin_dim) - ends[:-1], per_row)
-    t_row = ((f_occ[entry] - 1) * (2 * space.n_osc) + f_ladder[entry]) \
-        * spin_dim + np.repeat(np.tile(np.arange(spin_dim), space.dim),
-                               per_row)
-    count = np.diff(t_ptr)[t_row]
-    kept = np.concatenate([[0], np.cumsum(count)])
-    at = np.arange(kept[-1]) + np.repeat(t_ptr[t_row] - kept[:-1], count)
-    indices = np.repeat(f_cols[entry] * spin_dim, count) + t_cols[at]
-    h_int = CSRMatrix(kept[ends], indices, t_vals[at], (dim, dim))
+    rows, cols, occ, osc = _creation_pattern(space)
+    keep = (blocks != 0.0)[osc]
+    # sqrt(occ) scales the real and imaginary parts as one real array
+    vals = (np.sqrt(occ)[:, None]
+            * blocks.view(float)[osc]).view(complex)[keep]
+    vals = np.concatenate([vals, vals.conj()])
+    # T's entries at (ij[0], ij[1]), T^dagger's at (ij[1], ij[0])
+    ij = (np.stack([rows, cols])[:, :, None] * spin_dim
+          + np.stack(np.divmod(pattern, spin_dim))[:, None, :])[:, keep]
+    h_int = CSRMatrix.from_entries(ij.ravel(), ij[::-1].ravel(), vals,
+                                   (dim, dim))
     return ToyHamiltonian(h_free=h_free, h_int=h_int, space=space,
                           spin_dim=spin_dim, coupling=W)
 

@@ -43,25 +43,34 @@ class CSRMatrix:
         """The matrix with vals at (rows, cols), duplicates summed in order.
 
         Its arrays hold what scipy's canonical CSR of the same entries
-        holds, the index arrays as intp.
+        holds, the index arrays as intp.  The entries are put in order by
+        one stable sort of the int64 key row n_cols + col, so a shape of
+        2^63 entries or more is refused.
         """
         rows, cols = np.asarray(rows, np.intp), np.asarray(cols, np.intp)
         vals = np.asarray(vals)
-        n_rows, n_cols = shape
+        n_rows, n_cols = map(int, shape)
+        if n_rows * n_cols >= 2 ** 63:
+            raise DomainError(f"shape {shape} has too many entries for "
+                              f"int64 keys")
         if rows.size and not (0 <= rows.min() and rows.max() < n_rows
                               and 0 <= cols.min() and cols.max() < n_cols):
             raise DomainError(f"sparse entries outside shape {shape}")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        new = np.ones(len(rows), dtype=bool)
-        new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        key = rows.astype(np.int64, copy=False) * n_cols + cols
+        order = np.argsort(key, kind="stable")
+        key = key[order]  # one gather at a time keeps the peak down
+        cols = cols[order]
+        vals = vals[order]
+        new = np.ones(len(key), dtype=bool)
+        new[1:] = key[1:] != key[:-1]
         if not new.all():  # sum each run of duplicates, in entry order
             summed = np.zeros(np.count_nonzero(new), dtype=vals.dtype)
             np.add.at(summed, np.cumsum(new) - 1, vals)
-            rows, cols, vals = rows[new], cols[new], summed
+            rows, cols, vals = key[new] // n_cols, cols[new], summed
+        # without duplicates, the rows' counts are those of the unsorted rows
         indptr = np.zeros(n_rows + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-        return cls(indptr, cols, vals, (int(n_rows), int(n_cols)))
+        return cls(indptr, cols, vals, (n_rows, n_cols))
 
     @classmethod
     def of(cls, A) -> "CSRMatrix":

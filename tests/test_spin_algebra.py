@@ -197,7 +197,8 @@ def _assert_same_csr(got, ref):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("shape", [(1, 1), (7, 5), (5, 9), (40, 40)])
+@pytest.mark.parametrize("shape", [(1, 1), (7, 5), (5, 9), (40, 40),
+                                   (7, 2 ** 31 + 9)])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_csr_from_entries_is_scipys_canonical_csr(seed, shape, dtype):
     rng = np.random.default_rng(seed)
@@ -208,11 +209,44 @@ def test_csr_from_entries_is_scipys_canonical_csr(seed, shape, dtype):
     _assert_same_csr(got, ref)
     # the same entries from a scipy matrix and from its dense array
     _assert_same_csr(CSRMatrix.of(ref), ref)
+    if shape[1] > 2 ** 31:  # columns past int32, too wide to make dense
+        return
     dense = ref.toarray()
     assert np.array_equal(got.toarray(), dense)
     nonzero = sp.csr_matrix(dense)
     _assert_same_csr(CSRMatrix.of(dense), nonzero)
     assert CSRMatrix.of(got) is got
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_csr_from_entries_sums_far_apart_duplicates_in_entry_order(dtype):
+    # three entries at (3, 2), first, middle and last among 301, whose sum
+    # depends on its order: (1 + 1e16) - 1e16 = 0, (-1e16 + 1e16) + 1 = 1.
+    # Rows hold about 5 entries, which scipy sorts stably (insertion sort).
+    rng = np.random.default_rng(5)
+    rows, cols, vals = _random_entries(rng, (60, 400), 298, dtype)
+    rows = np.insert(rows, [0, 149, 298], 3)
+    cols = np.insert(cols, [0, 149, 298], 2)
+    vals = np.insert(vals, [0, 149, 298], [1.0, 1e16, -1e16])
+    got = CSRMatrix.from_entries(rows, cols, vals, (60, 400))
+    ref = sp.csr_matrix((vals, (rows, cols)), shape=(60, 400))
+    ref.sum_duplicates()
+    _assert_same_csr(got, ref)
+    at = got.indptr[3] + np.searchsorted(
+        got.indices[got.indptr[3]:got.indptr[4]], 2)
+    dup = (rows == 3) & (cols == 2)
+    assert got.indices[at] == 2 and got.data[at] == sum(vals[dup]) == 0.0
+
+
+def test_csr_from_entries_refuses_keys_past_int64():
+    # row n_cols + col must stay below 2^63
+    for shape in [(2, 2 ** 62), (4, 2 ** 62), (3, 2 ** 63)]:
+        with pytest.raises(DomainError, match="int64"):
+            CSRMatrix.from_entries([0], [1], [1.0], shape)
+    widest = CSRMatrix.from_entries([0, 0], [2 ** 63 - 2, 3], [1.0, 2.0],
+                                    (1, 2 ** 63 - 1))
+    assert np.array_equal(widest.indices, [3, 2 ** 63 - 2])
+    assert np.array_equal(widest.data, [2.0, 1.0])
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -12,32 +12,28 @@ copies into OUT.  The suites are kernel, e2 with and without
 has as many particles as configs/orientations_two.yaml has orientations),
 fock-fit and multiplicity (where all moments are equal).
 
-By default each run is one `python -m spinrad.cli` process (32 runs in
-12-19 s on a 2-core Xeon).  --in-process makes each run one
-`spinrad.cli.main` call in this interpreter (about 2 s for all 32,
-start-up included), with the same bytes.  Run either on two checkouts
-and compare: an empty `diff -r OUT_A OUT_B` is the byte-identity gate
-for a change that must not move any artifact.
+Each run is one `spinrad.cli.main` call in this interpreter (32 runs in
+about 1 s on a 2-core Xeon).  Run it on two checkouts and compare: an
+empty `diff -r OUT_A OUT_B` is the byte-identity gate for a change that
+must not move any artifact.
 
---golden runs in-process into a temporary directory and writes
+--golden runs into a temporary directory and writes
 tests/golden/bundled.sha256: one `sha256  path` line per file, after
 header lines with the Python and numpy versions that the manifests
-record and the OpenBLAS build.  tests/test_bundled_artifacts.py checks
-every hash against a fresh in-process run.  A change that moves digits on
-purpose regenerates the file and lists the moved files.
+record and numpy's BLAS build.  tests/test_bundled_artifacts.py checks
+every hash against a fresh run.  A change that moves digits on purpose
+regenerates the file and lists the moved files.
 
-usage: python3 scripts/bundled_artifacts.py [--in-process] OUT
+usage: python3 scripts/bundled_artifacts.py OUT
        python3 scripts/bundled_artifacts.py --golden
 (spinrad is imported from the environment, e.g. PYTHONPATH=src; prints
 one line per run and exits 1 if a run did not exit 0.)
 """
 
 import contextlib
-import ctypes
 import hashlib
 import io
 import platform
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -88,14 +84,7 @@ def suites(path: Path):
             and (name != "multiplicity" or len(moments) == 1)]
 
 
-def run_process(argv):
-    """(exit code, stdout, stderr) of one `python -m spinrad.cli` process."""
-    run = subprocess.run([sys.executable, "-m", "spinrad.cli", *argv],
-                         capture_output=True, text=True)
-    return run.returncode, run.stdout, run.stderr
-
-
-def run_in_process(argv):
+def run(argv):
     """(exit code, stdout, stderr) of one spinrad.cli.main call."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), \
@@ -104,7 +93,7 @@ def run_in_process(argv):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def write_all(out: Path, run=run_process) -> list:
+def write_all(out: Path) -> list:
     """Every run's artifacts under out; the '<config> <suite>' of each run
     that did not exit 0."""
     out.mkdir(parents=True, exist_ok=True)
@@ -130,26 +119,12 @@ def digests(out: Path) -> dict:
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
-def blas_build() -> str:
-    """OpenBLAS's configuration line, which names the core its dynamic
-    dispatch picked, or numpy's record of its BLAS build where the
-    library cannot be asked."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for lib in libs.glob("libscipy_openblas64_*"):
-        get = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_config64_",
-                      None)
-        if get is not None:
-            get.restype = ctypes.c_char_p
-            return get().decode()
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"{blas['name']} {blas['version']}"
-
-
 def environment() -> dict:
     """What the hashes depend on besides the code: the versions that the
     manifests record, and the BLAS that every solve goes through."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": blas_build()}
+            "blas": f"{blas['name']} {blas['version']}"}
 
 
 def read_golden(path: Path = GOLDEN):
@@ -167,7 +142,7 @@ def read_golden(path: Path = GOLDEN):
 
 def write_golden(path: Path = GOLDEN) -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        failed = write_all(Path(tmp), run_in_process)
+        failed = write_all(Path(tmp))
         hashes = digests(Path(tmp))
     if failed:
         print(f"not written: {', '.join(failed)} did not exit 0")
@@ -184,8 +159,6 @@ if __name__ == "__main__":
     args = sys.argv[1:]
     if args == ["--golden"]:
         sys.exit(write_golden())
-    if len(args) == 2 and args[0] == "--in-process":
-        sys.exit(1 if write_all(Path(args[1]), run_in_process) else 0)
     if len(args) != 1 or args[0].startswith("--"):
         sys.exit(__doc__)
     sys.exit(1 if write_all(Path(args[0])) else 0)

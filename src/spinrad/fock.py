@@ -70,11 +70,9 @@ MAX_TOTAL_DIM = 400_000
 # Ceiling on spin_dim * dim, the entries of the spin_dim rows of H that
 # _dressed_start (one complex copy) and _feshbach (about eight) make dense.
 # Process peaks of the build, one ground_state and one _feshbach at scale
-# 0.4: 0.81 GB at 1.7e6 (s = 2, one site, 24 x 6 grid, n_max = 3) and
-# 1.69 GB at 3.6e6 (s = 3/2, two sites, 7 x 6, n_max = 3), the build's
-# 0.34 and 0.32 GB included.  Past the build, the largest single array is
-# the (spin_dim, nnz) complex temporary of one CSRMatrix product with
-# _feshbach's spin_dim columns: 0.9 GB at 3.6e6.
+# 0.4: 0.50 GB at 1.7e6 (s = 2, one site, 24 x 6 grid, n_max = 3) and
+# 0.80 GB at 3.6e6 (s = 3/2, two sites, 7 x 6, n_max = 3), the build's
+# 0.34 and 0.32 GB included.
 MAX_SPIN_ROW_ENTRIES = 1 << 22
 
 # Eigenpair residual tolerance ||H v - E v|| of ground_state (absolute).

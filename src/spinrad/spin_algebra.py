@@ -98,26 +98,40 @@ class CSRMatrix:
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
     @functools.cached_property
-    def _filled(self):
-        """Rows that store at least one entry, and their first entries."""
-        rows = np.flatnonzero(np.diff(self.indptr))
-        return rows, self.indptr[rows]
+    def _row_blocks(self) -> list:
+        """(entries, rows, starts) of each block of the rows that store an
+        entry: the block's slice of the stored entries, its rows (a slice
+        when they are consecutive) and where each row starts in the
+        block's entries.  A block spans about 2^16 entries, so a product's
+        temporaries take about 1 MiB per complex column whatever the
+        matrix's size."""
+        filled = np.flatnonzero(np.diff(self.indptr))
+        starts = self.indptr[filled]
+        # a block holds the rows whose first entries share one window of
+        # 2^16 entries
+        cuts = np.append(np.flatnonzero(np.diff(starts >> 16, prepend=-1)),
+                         len(filled))
+        blocks = []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            rows = filled[a:b]
+            if rows[-1] - rows[0] == b - a - 1:
+                rows = slice(rows[0], rows[-1] + 1)
+            lo, hi = starts[a], self.indptr[filled[b - 1] + 1]
+            blocks.append((slice(lo, hi), rows, starts[a:b] - lo))
+        return blocks
 
     def __matmul__(self, x) -> np.ndarray:
         """A x for x of shape (n_cols,) or (n_cols, k)."""
         x = np.asarray(x)
         if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
             raise DomainError(f"cannot multiply {self.shape} by {x.shape}")
-        # entry products with x's columns as rows, summed row by row; a
-        # row that stores nothing stays zero
-        prod = np.take(np.ascontiguousarray(
-            x.T, dtype=np.result_type(x, self.data)), self.indices, axis=-1)
-        prod *= self.data
-        rows, starts = self._filled
-        if len(rows) == self.shape[0]:
-            return np.add.reduceat(prod, starts, axis=-1).T
-        out = np.zeros(prod.shape[:-1] + (self.shape[0],), dtype=prod.dtype)
-        if len(rows):
+        # entry products with x's columns as rows, summed row by row, one
+        # block of rows at a time; a row that stores nothing stays zero
+        xt = np.ascontiguousarray(x.T, dtype=np.result_type(x, self.data))
+        out = np.zeros(xt.shape[:-1] + (self.shape[0],), dtype=xt.dtype)
+        for entries, rows, starts in self._row_blocks:
+            prod = np.take(xt, self.indices[entries], axis=-1)
+            prod *= self.data[entries]
             out[..., rows] = np.add.reduceat(prod, starts, axis=-1)
         return out.T
 

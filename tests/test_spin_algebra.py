@@ -272,6 +272,30 @@ def test_csr_products_rows_and_diagonal_match_dense(seed, shape):
     assert A.nnz == len(A.data) == A.indptr[-1]
 
 
+def test_csr_product_by_row_blocks_matches_one_pass():
+    # 250,000 entries make several blocks of about 2^16; row 7 alone
+    # stores more than a block, and a third of the rows store nothing
+    rng = np.random.default_rng(3)
+    shape = (3000, 100_000)
+    rows, cols, vals = _random_entries(rng, shape, 250_000, complex)
+    rows[:120_000] = 7
+    empty = rng.random(shape[0]) < 1 / 3
+    empty[7] = False
+    keep = ~empty[rows]
+    A = CSRMatrix.from_entries(rows[keep], cols[keep], vals[keep], shape)
+    assert np.diff(A.indptr)[7] > 2 ** 16 and len(A._row_blocks) > 2
+    X = rng.normal(size=(shape[1], 3)) + 1j * rng.normal(size=(shape[1], 3))
+    # the blocks move no bit of the sums of one pass over all entries
+    filled = np.flatnonzero(np.diff(A.indptr))
+    one_pass = np.zeros((3, shape[0]), dtype=complex)
+    one_pass[:, filled] = np.add.reduceat(
+        X.T[:, A.indices] * A.data, A.indptr[filled], axis=-1)
+    assert np.array_equal(A @ X, one_pass.T)
+    assert np.array_equal(A @ X[:, 0], one_pass[0])
+    ref = sp.csr_matrix((A.data, A.indices, A.indptr), shape=shape)
+    assert np.abs(A @ X - ref @ X).max() <= 1e-10  # row 7 sums 70,000
+
+
 def test_csr_edge_cases():
     empty = CSRMatrix.from_entries([], [], np.zeros(0, complex), (3, 4))
     assert empty.nnz == 0

@@ -20,9 +20,13 @@ must not move any artifact.
 --golden runs into a temporary directory and writes
 tests/golden/bundled.sha256: one `sha256  path` line per file, after
 header lines with the Python and numpy versions that the manifests
-record and numpy's BLAS build.  tests/test_bundled_artifacts.py checks
-every hash against a fresh run.  A change that moves digits on purpose
-regenerates the file and lists the moved files.
+record and numpy's BLAS build.  It also writes
+tests/golden/fock_h.sha256 under the same header: one `sha256  case`
+line per Fock Hamiltonian build (fock_cases), the hash of the indptr,
+indices and data of toy.matrix(t), dtypes included, at each t of
+FOCK_SCALES.  tests/test_bundled_artifacts.py checks every hash of both
+files against a fresh run.  A change that moves digits on purpose
+regenerates the files and lists the moved files and cases.
 
 usage: python3 scripts/bundled_artifacts.py OUT
        python3 scripts/bundled_artifacts.py --golden
@@ -43,10 +47,16 @@ import spinrad.cli as cli  # first: spinrad pins BLAS to one thread
 import numpy as np
 import yaml
 
+from spinrad import CutoffProfile, SpinSystem
+from spinrad.errors import ResourceError
+from spinrad.fock import build_hamiltonian, build_mode_grid
+
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 ORIENTATIONS = CONFIGS / "orientations_two.yaml"
 GOLDEN = ROOT / "tests" / "golden" / "bundled.sha256"
+FOCK_GOLDEN = ROOT / "tests" / "golden" / "fock_h.sha256"
+FOCK_SCALES = (0.0, 0.05, 0.4, 1.0)
 SUITES = {
     "kernel": ["kernel", "--at", "0.3", "0.1", "-0.5"],
     "e2": ["e2"],
@@ -119,6 +129,47 @@ def digests(out: Path) -> dict:
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+def fock_cases():
+    """(name, system, profile, grid, n_max) of each Fock Hamiltonian build
+    to hash: s 1/2 to 5/2 and P <= 3 on the 2x6 and 4x6 grids at n_max 1
+    to 3, and on the 24x12 grid at n_max = 1.  Builds outside the
+    budgets are among them; fock_digests skips those."""
+    profile = CutoffProfile(1.0)
+    positions = [[0.0, 0.0, 0.0], [0.9, -0.3, 0.4], [-0.5, 0.7, 0.2]]
+    moments = [0.8, -0.5, 0.3]
+    for (n_radial, n_angular), caps in [((2, 6), (1, 2, 3)),
+                                        ((4, 6), (1, 2, 3)),
+                                        ((24, 12), (1,))]:
+        grid = build_mode_grid(profile, n_radial, n_angular)
+        for s in (0.5, 1.0, 1.5, 2.0, 2.5):
+            for P in (1, 2, 3):
+                system = SpinSystem(positions=positions[:P],
+                                    moments=moments[:P], s=s)
+                for n_max in caps:
+                    yield (f"{n_radial}x{n_angular} s={s} P={P} "
+                           f"n_max={n_max}", system, profile, grid, n_max)
+
+
+def fock_digests() -> dict:
+    """sha256 of the Fock H of every case of fock_cases, by its name: the
+    dtype and bytes of indptr, indices and data of toy.matrix(t) at each
+    t of FOCK_SCALES."""
+    out = {}
+    for name, system, profile, grid, n_max in fock_cases():
+        try:
+            toy = build_hamiltonian(system, profile, grid, n_max)
+        except ResourceError:  # outside the budgets
+            continue
+        digest = hashlib.sha256()
+        for t in FOCK_SCALES:
+            H = toy.matrix(t)
+            for arr in (H.indptr, H.indices, H.data):
+                digest.update(arr.dtype.str.encode())
+                digest.update(arr.tobytes())
+        out[name] = digest.hexdigest()
+    return out
+
+
 def environment() -> dict:
     """What the hashes depend on besides the code: the versions that the
     manifests record, and the BLAS that every solve goes through."""
@@ -140,18 +191,19 @@ def read_golden(path: Path = GOLDEN):
     return env, hashes
 
 
-def write_golden(path: Path = GOLDEN) -> int:
+def write_golden() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         failed = write_all(Path(tmp))
         hashes = digests(Path(tmp))
     if failed:
         print(f"not written: {', '.join(failed)} did not exit 0")
         return 1
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(
-        [f"# {key}: {value}\n" for key, value in environment().items()]
-        + [f"{digest}  {name}\n" for name, digest in hashes.items()]))
-    print(f"{len(hashes)} hashes written to {path}")
+    header = [f"# {key}: {value}\n" for key, value in environment().items()]
+    for path, found in [(GOLDEN, hashes), (FOCK_GOLDEN, fock_digests())]:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("".join(header + [f"{digest}  {name}\n"
+                                          for name, digest in found.items()]))
+        print(f"{len(found)} hashes written to {path}")
     return 0
 
 

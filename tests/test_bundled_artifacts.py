@@ -1,9 +1,12 @@
-"""Every bundled artifact against its hash in tests/golden/bundled.sha256.
+"""Every bundled artifact and Fock Hamiltonian against its recorded hash.
 
 scripts/bundled_artifacts.py runs each CLI suite on the bundled
-configurations in this process and hashes what it writes.  A change that
-moves an artifact on purpose regenerates the golden file with
-`python3 scripts/bundled_artifacts.py --golden` and lists what moved.
+configurations in this process and hashes what it writes
+(tests/golden/bundled.sha256), and hashes the Fock H of each of its
+build cases at four interaction scales (tests/golden/fock_h.sha256).  A
+change that moves an artifact or an H on purpose regenerates both files
+with `python3 scripts/bundled_artifacts.py --golden` and lists what
+moved.
 """
 
 import importlib.util
@@ -23,10 +26,10 @@ def bundled():
     return module
 
 
-def test_bundled_artifacts_match_golden_hashes(bundled, tmp_path):
-    recorded, golden = bundled.read_golden()
-    assert bundled.write_all(tmp_path) == []
-    got = bundled.digests(tmp_path)
+def _compare(bundled, path, got):
+    """Fail naming every moved, missing or new entry of the golden file at
+    path against the digests got."""
+    recorded, golden = bundled.read_golden(path)
     moved = sorted(name for name in golden.keys() & got.keys()
                    if golden[name] != got[name])
     missing = sorted(golden.keys() - got.keys())
@@ -41,3 +44,12 @@ def test_bundled_artifacts_match_golden_hashes(bundled, tmp_path):
             f"`python3 scripts/bundled_artifacts.py --golden` before "
             f"comparing")
     pytest.fail(f"moved: {moved}; missing: {missing}; new: {new}{note}")
+
+
+def test_bundled_artifacts_match_golden_hashes(bundled, tmp_path):
+    assert bundled.write_all(tmp_path) == []
+    _compare(bundled, bundled.GOLDEN, bundled.digests(tmp_path))
+
+
+def test_fock_hamiltonians_match_golden_hashes(bundled):
+    _compare(bundled, bundled.FOCK_GOLDEN, bundled.fock_digests())

@@ -37,19 +37,20 @@ discrete A_M both read the shell factors W kept on the ToyHamiltonian:
 A_M is the second-order operator of H's couplings, real symmetric and
 negative semidefinite on any grid.
 
-H_int is assembled in one pass from one spin block per oscillator.  Its
+H is assembled in one pass from one spin block per oscillator, and kept
+as one numpy CSRMatrix whose diagonal is dGamma(omega) (x) I.  Its
 ground state comes from an in-package one-column LOBPCG started at the
-root of the Feshbach map onto the vacuum spin space with QHQ taken as its
-diagonal, which is H's ground vector at n_max = 1, and the multiplicity
-of the ground level from the full Feshbach map onto that spin space,
-whose resolvent is applied by CG; both are written in numpy, and H is a
-numpy CSRMatrix, so the module needs nothing of scipy.
+root of the Feshbach map onto the vacuum spin space with QHQ taken as
+its diagonal, which is H's ground vector at n_max = 1, and the
+multiplicity of the ground level from the full Feshbach map onto that
+spin space, whose resolvent is applied by CG; both are written in numpy,
+so the module needs nothing of scipy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain, combinations_with_replacement
 
 import numpy as np
@@ -265,56 +266,29 @@ def segal_field(space: FockSpace, v: np.ndarray) -> CSRMatrix:
 
 @dataclass
 class ToyHamiltonian:
-    """Sparse H = h_free + h_int on Fock (x) spin, Fock index major.
+    """Sparse H = dGamma(omega) (x) I + H_int on Fock (x) spin, Fock index
+    major, kept at unit scale as h.
 
-    h_free is diagonal and h_int zero where h_free stores an entry, so
-    H(scale) = h_free + scale h_int stores the entries of both.  Their
-    merged pattern is built once, here, with the slots of each part's
-    entries: matrix(scale) is one product with scale and two writes.
+    Every entry of H_int changes the photon number by one, so
+    dGamma(omega) (x) I is exactly h's diagonal and H_int its off-diagonal
+    entries: matrix(scale) scales those on h's own pattern.
     """
 
-    h_free: CSRMatrix
-    h_int: CSRMatrix
+    h: CSRMatrix
     space: FockSpace
     spin_dim: int
     coupling: np.ndarray  # (3P, n_osc) real shell_couplings H is built from
-    _merged: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        free, inter = self.h_free, self.h_int
-        if np.any(free.indices != free._row_ids()):
-            raise DomainError("h_free must be diagonal")
-        # h_free's entries go where their keys row dim + col fall among
-        # h_int's, which are ascending
-        keys = inter._row_ids() * self.dim + inter.indices
-        diag_keys = free.indices * (self.dim + 1)
-        at = np.searchsorted(keys, diag_keys)
-        inside = at < len(keys)
-        if np.any(keys[at[inside]] == diag_keys[inside]):
-            raise DomainError("h_int must be zero where h_free is stored")
-        diag_slot = at + np.arange(free.nnz)
-        int_slot = np.ones(free.nnz + inter.nnz, dtype=bool)
-        int_slot[diag_slot] = False
-        indices = np.empty(len(int_slot), dtype=np.intp)
-        indices[diag_slot] = free.indices
-        indices[int_slot] = inter.indices
-        indptr = free.indptr + inter.indptr
-        for arr in (indptr, indices, diag_slot, int_slot):
-            arr.flags.writeable = False
-        self._merged = indptr, indices, diag_slot, int_slot
 
     @property
     def dim(self) -> int:
-        return self.h_free.shape[0]
+        return self.h.shape[0]
 
     def matrix(self, scale: float = 1.0) -> CSRMatrix:
         """H with the interaction (hence all moments) scaled by `scale`."""
-        indptr, indices, diag_slot, int_slot = self._merged
-        data = np.empty(len(indices), dtype=np.result_type(
-            self.h_free.data, self.h_int.data))
-        data[diag_slot] = self.h_free.data
-        data[int_slot] = scale * self.h_int.data
-        return CSRMatrix(indptr, indices, data, self.h_free.shape)
+        h = self.h
+        data = scale * h.data
+        np.copyto(data, h.data, where=h.indices == h._row_ids())
+        return CSRMatrix(h.indptr, h.indices, data, h.shape)
 
     def vacuum_embed(self, X: np.ndarray) -> np.ndarray:
         """Psi_0 (x) X as a full-space vector."""
@@ -333,14 +307,14 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
     Each radial shell keeps the oscillators of shell_couplings; the
     dropped ones carry no coupling, so every level below
     E_0 + omega_min, the ground state included, is that of the full grid
-    (module docstring).  h_int = T + T^dagger with
+    (module docstring).  H_int = T + T^dagger with
     T = sum_o a_o^dagger (x) C_o and the spin block
     C_o = sum_a M[a // 3] W[a, o] S_a / sqrt(2) of oscillator o, on the
     union pattern of the S_a.  Each a^dagger entry of _creation_pattern
     gives sqrt(occ) times the nonzero entries of its oscillator's C_o,
     exact zeros dropped; T^dagger's entries are T's with rows and columns
-    swapped and values conjugated.  Those entries, and h_free's nonzero
-    diagonal, each make one CSRMatrix.from_entries.
+    swapped and values conjugated.  Those entries and the nonzero
+    diagonal of dGamma(omega) (x) I make one CSRMatrix.from_entries.
     """
     spin_dim = system.spin_dim
     omega_osc, W = shell_couplings(system, profile, grid)
@@ -350,7 +324,6 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
         [space.omega_osc[occ].sum(axis=1) for occ in space.sectors]),
         spin_dim)
     diag = np.flatnonzero(free)
-    h_free = CSRMatrix.from_entries(diag, diag, free[diag], (dim, dim))
 
     S = site_spin_operators(system.s, system.P).toarray().reshape(
         3 * system.P, spin_dim * spin_dim)
@@ -362,14 +335,16 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
     # sqrt(occ) scales the real and imaginary parts as one real array
     vals = (np.sqrt(occ)[:, None]
             * blocks.view(float)[osc]).view(complex)[keep]
-    vals = np.concatenate([vals, vals.conj()])
     # T's entries at (ij[0], ij[1]), T^dagger's at (ij[1], ij[0])
     ij = (np.stack([rows, cols])[:, :, None] * spin_dim
           + np.stack(np.divmod(pattern, spin_dim))[:, None, :])[:, keep]
-    h_int = CSRMatrix.from_entries(ij.ravel(), ij[::-1].ravel(), vals,
-                                   (dim, dim))
-    return ToyHamiltonian(h_free=h_free, h_int=h_int, space=space,
-                          spin_dim=spin_dim, coupling=W)
+    h = CSRMatrix.from_entries(
+        np.concatenate([diag, ij.ravel()]),
+        np.concatenate([diag, ij[::-1].ravel()]),
+        np.concatenate([free[diag], vals, vals.conj()]), (dim, dim))
+    for arr in (h.indptr, h.indices, h.data):  # every matrix(scale) reads them
+        arr.flags.writeable = False
+    return ToyHamiltonian(h=h, space=space, spin_dim=spin_dim, coupling=W)
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +527,13 @@ def _feshbach(H, energy: float, spin_dim: int, tol: float):
     precond = np.zeros(H.shape[0])
     precond[spin_dim:] = 1.0 / (H.diagonal()[spin_dim:].real - energy)
 
+    # energy V and alpha D go to one scratch array, and U is kept, so a
+    # step allocates only the product's output
+    scratch, U = np.empty_like(B), np.empty_like(B)
+
     def shifted(V):  # rows of (QHQ - E) V for rows V zero on P
         AV = np.ascontiguousarray((H @ V.T).T)
-        AV -= energy * V
+        AV -= np.multiply(energy, V, out=scratch)
         AV[:, :spin_dim] = 0.0
         return AV
 
@@ -578,9 +557,10 @@ def _feshbach(H, energy: float, spin_dim: int, tol: float):
             raise ConvergenceError(
                 f"QHQ - E not positive definite at E = {energy!r}")
         alpha = np.divide(rho, curv, out=np.zeros_like(rho), where=live)
-        Z += alpha[:, None] * D
-        R -= alpha[:, None] * AD
-        U = precond * R
+        Z += np.multiply(alpha[:, None], D, out=scratch)
+        AD *= alpha[:, None]  # AD is not read again
+        R -= AD
+        np.multiply(precond, R, out=U)
         rho, rho_prev = _row_dots(R, U), rho
         D *= np.divide(rho, rho_prev, out=np.zeros_like(rho),
                        where=live)[:, None]
@@ -646,9 +626,11 @@ def variational_trial_check(system: SpinSystem, profile: CutoffProfile,
     _require_unit(X, "trial check requires a normalized X")
     toy = build_hamiltonian(system, profile, grid, 1)
     e0x = toy.vacuum_embed(X)
-    h_vac = toy.h_int @ e0x  # lives in the one-photon sector
+    # the vacuum rows store no diagonal entry, so h's diagonal (x) the
+    # vacuum vector vanishes: h_vac lives in the one-photon sector
+    h_vac = toy.h @ e0x
     inv_omega = np.zeros(toy.dim)
-    inv_omega[toy.spin_dim:] = 1.0 / toy.h_free.diagonal()[toy.spin_dim:]
+    inv_omega[toy.spin_dim:] = 1.0 / toy.h.diagonal()[toy.spin_dim:].real
     u = inv_omega * h_vac
     phi_trial = e0x - u
     lhs = np.vdot(phi_trial, toy.matrix() @ phi_trial).real

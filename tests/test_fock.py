@@ -286,11 +286,38 @@ def test_hamiltonian_structure(profile, small_grid, two_spin_system):
 
 def test_interaction_changes_photon_number_by_one(profile, small_grid,
                                                   two_spin_system):
+    # H's off-diagonal entries each move one photon, and its diagonal is
+    # the free field's alone: the interaction leaves nothing there
     toy = build_hamiltonian(two_spin_system, profile, small_grid, 2)
     n_diag = toy.photon_number_diag()
-    rows = np.repeat(np.arange(toy.dim), np.diff(toy.h_int.indptr))
-    jumps = np.abs(n_diag[rows] - n_diag[toy.h_int.indices])
-    assert set(np.unique(jumps)) <= {1}
+    rows, cols = toy.h._row_ids(), toy.h.indices
+    off = rows != cols
+    assert set(np.unique(np.abs(n_diag[rows[off]] - n_diag[cols[off]]))) \
+        == {1}
+    free = np.concatenate([toy.space.omega_osc[occ].sum(axis=1)
+                           for occ in toy.space.sectors])
+    assert np.array_equal(toy.h.diagonal(),
+                          np.repeat(free, toy.spin_dim).astype(complex))
+
+
+def test_matrix_scales_off_diagonal_on_h_pattern(profile, small_grid,
+                                                 two_spin_system):
+    toy = build_hamiltonian(two_spin_system, profile, small_grid, 2)
+    h = toy.h
+    on = h.indices == h._row_ids()
+    # dGamma(omega) is stored on every state but the vacuum ones
+    assert np.array_equal(np.flatnonzero(h.diagonal()),
+                          np.arange(toy.spin_dim, toy.dim))
+    assert np.count_nonzero(on) == toy.dim - toy.spin_dim
+    for t in (0.0, 0.05, 0.4, 1.0, -1.3):
+        H = toy.matrix(t)
+        assert H.indptr is h.indptr and H.indices is h.indices
+        assert H.data.dtype == h.data.dtype
+        assert H.data[on].tobytes() == h.data[on].tobytes()
+        assert H.data[~on].tobytes() == (t * h.data[~on]).tobytes()
+    # the arrays every matrix(t) shares cannot be written through one
+    assert not (h.indptr.flags.writeable or h.indices.flags.writeable
+                or h.data.flags.writeable)
 
 
 def _oscillator_omega(grid):
@@ -405,17 +432,18 @@ def test_fock_ladder_matches_reference(profile, n_radial, n_angular, n_max):
     assert np.array_equal(omega_osc, np.repeat(grid.radius, 3))
     states, _, _ = _reference_fock_basis(3 * n_radial, n_max)
     reference = np.array([sum(omega_osc[o] for o in s) for s in states])
-    assert toy.h_free.diagonal().tobytes() == np.repeat(reference, 2).tobytes()
+    assert toy.h.diagonal().tobytes() \
+        == np.repeat(reference, 2).astype(complex).tobytes()
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.5])
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_one_pass_interaction_matches_kron_sum(profile, s, n_max):
-    # h_int against sum_a M_a Phi_S(W_a) (x) S_a, one Segal field per row
-    # of the shell factors; n_max = 3 reaches the n >= 3 ladder steps.  At
-    # every P the triangular shell factors put exact zeros into the spin
-    # blocks, which must not reach h_int's pattern.  P runs up to 3 where
-    # the Fock space fits its budgets.
+    # H's off-diagonal part against sum_a M_a Phi_S(W_a) (x) S_a, one
+    # Segal field per row of the shell factors; n_max = 3 reaches the
+    # n >= 3 ladder steps.  At every P the triangular shell factors put
+    # exact zeros into the spin blocks, which must not reach H's pattern.
+    # P runs up to 3 where the Fock space fits its budgets.
     grid = build_mode_grid(profile, 2, 6)
     for P in (1, 2, 3):
         system = SpinSystem(
@@ -428,15 +456,19 @@ def test_one_pass_interaction_matches_kron_sum(profile, s, n_max):
             continue
         S = site_spin_operators(s, P)
         d = system.spin_dim
-        ref = sp.csr_matrix(toy.h_int.shape, dtype=complex)
+        ref = sp.csr_matrix(toy.h.shape, dtype=complex)
         for a, w in enumerate(toy.coupling):
             ref = ref + system.moments[a // 3] * sp.kron(
                 _scipy_csr(segal_field(toy.space, w)),
                 _scipy_csr(S)[a * d:(a + 1) * d], format="csr")
-        got = toy.h_int
+        rows = toy.h._row_ids()
+        off = rows != toy.h.indices
+        got = CSRMatrix.from_entries(rows[off], toy.h.indices[off],
+                                     toy.h.data[off], toy.h.shape)
         ref.sum_duplicates()
         assert np.array_equal(got.indptr, ref.indptr), P
         assert np.array_equal(got.indices, ref.indices), P
+        assert np.all(got.data != 0.0), P
         scale = np.abs(got.data).max()
         assert scale > 0.0
         assert np.abs(got.data - ref.data).max() <= 1e-15 * scale, P
@@ -467,8 +499,7 @@ def _full_grid_hamiltonian(system, profile, grid, n_max):
         h_int = h_int + system.moments[a // 3] * sp.kron(
             _scipy_csr(segal_field(space, v)),
             S[a * spin_dim:(a + 1) * spin_dim], format="csr")
-    return ToyHamiltonian(h_free=CSRMatrix.of(h_free),
-                          h_int=CSRMatrix.of(h_int), space=space,
+    return ToyHamiltonian(h=CSRMatrix.of(h_free + h_int), space=space,
                           spin_dim=spin_dim, coupling=V)
 
 

@@ -37,14 +37,14 @@ discrete A_M both read the shell factors W kept on the ToyHamiltonian:
 A_M is the second-order operator of H's couplings, real symmetric and
 negative semidefinite on any grid.
 
-H is assembled in one pass from one spin block per oscillator, and kept
-as one numpy CSRMatrix whose diagonal is dGamma(omega) (x) I.  Its
+H is assembled in one pass from one spin block per oscillator, as one
+matrix: dGamma(omega) (x) I is its diagonal, H_int the rest.  Its
 ground state comes from an in-package one-column LOBPCG started at the
-root of the Feshbach map onto the vacuum spin space with QHQ taken as
-its diagonal, which is H's ground vector at n_max = 1, and the
-multiplicity of the ground level from the full Feshbach map onto that
-spin space, whose resolvent is applied by CG; both are written in numpy,
-so the module needs nothing of scipy.
+root of the Feshbach map onto the vacuum spin space with QHQ taken as its
+diagonal, which is H's ground vector at n_max = 1, and the multiplicity
+of the ground level from the full Feshbach map onto that spin space,
+whose resolvent is applied by CG; both are written in numpy, and H is a
+numpy CSRMatrix, so the module needs nothing of scipy.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ MAX_TOTAL_DIM = 400_000
 # Ceiling on spin_dim * dim, the entries of the spin_dim rows of H that
 # _dressed_start (one complex copy) and _feshbach (about eight) make dense.
 # Process peaks of the build, one ground_state and one _feshbach at scale
-# 0.4: 0.50 GB at 1.7e6 (s = 2, one site, 24 x 6 grid, n_max = 3) and
-# 0.80 GB at 3.6e6 (s = 3/2, two sites, 7 x 6, n_max = 3), the build's
-# 0.34 and 0.32 GB included.
+# 0.4: 0.45 GB at 1.7e6 (s = 2, one site, 24 x 6 grid, n_max = 3) and
+# 0.72 GB at 3.6e6 (s = 3/2, two sites, 7 x 6, n_max = 3), the build's
+# 0.35 GB each included.
 MAX_SPIN_ROW_ENTRIES = 1 << 22
 
 # Eigenpair residual tolerance ||H v - E v|| of ground_state (absolute).
@@ -198,6 +198,17 @@ class FockSpace:
 
 def build_fock_space(omega_osc: np.ndarray, n_max: int,
                      spin_dim: int = 1) -> FockSpace:
+    """Occupation basis of the oscillators omega_osc up to n_max photons.
+
+    Sector n holds the C(n_osc + n - 1, n) multisets of n oscillators in
+    combinations_with_replacement order, and the sectors follow one
+    another from n = 0 (FockSpace).  The space is sized for a tensor
+    product with a spin space of dimension spin_dim, Fock index major,
+    under two budgets, each refused with ResourceError: dim * spin_dim
+    states at most MAX_TOTAL_DIM, and dim * spin_dim^2 at most
+    MAX_SPIN_ROW_ENTRIES, the entries of the spin_dim dense rows that
+    the solvers make.  n_max < 1 raises DomainError.
+    """
     n_max = _integer(n_max, "n_max")
     if n_max < 1:
         raise DomainError("need n_max >= 1")
@@ -342,7 +353,8 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
         np.concatenate([diag, ij.ravel()]),
         np.concatenate([diag, ij[::-1].ravel()]),
         np.concatenate([free[diag], vals, vals.conj()]), (dim, dim))
-    for arr in (h.indptr, h.indices, h.data):  # every matrix(scale) reads them
+    # every matrix(scale) shares h's index arrays and reads its data
+    for arr in (h.indptr, h.indices, h.data):
         arr.flags.writeable = False
     return ToyHamiltonian(h=h, space=space, spin_dim=spin_dim, coupling=W)
 

@@ -7,8 +7,9 @@ that s = 1/2 reproduces the Pauli matrices, [sigma_1, sigma_2] = 2i sigma_3
 Sparse operators, the site embeddings here and the Fock Hamiltonian, are
 CSRMatrix: compressed sparse rows in numpy, the canonical layout of
 scipy.sparse (rows in order, columns ascending and unique in each row), of
-which the package uses only construction, products, dense rows and the
-diagonal.
+which the package uses only construction, products, dense rows, the
+diagonal, the dense matrix (toarray) and the row of each stored entry
+(_row_ids).
 """
 
 from __future__ import annotations

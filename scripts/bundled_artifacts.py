@@ -23,8 +23,8 @@ header lines with the Python and numpy versions that the manifests
 record and numpy's BLAS build.  It also writes
 tests/golden/fock_h.sha256 under the same header: one `sha256  case`
 line per Fock Hamiltonian build (fock_cases), the hash of the indptr,
-indices and data of toy.matrix(t), dtypes included, at each t of
-FOCK_SCALES.  tests/test_bundled_artifacts.py checks every hash of both
+indices and data of toy.matrix(t), dtypes included, at t = 0, 0.05,
+0.4 and 1.  tests/test_bundled_artifacts.py checks every hash of both
 files against a fresh run.  A change that moves digits on purpose
 regenerates the files and lists the moved files and cases.
 
@@ -56,7 +56,6 @@ CONFIGS = ROOT / "configs"
 ORIENTATIONS = CONFIGS / "orientations_two.yaml"
 GOLDEN = ROOT / "tests" / "golden" / "bundled.sha256"
 FOCK_GOLDEN = ROOT / "tests" / "golden" / "fock_h.sha256"
-FOCK_SCALES = (0.0, 0.05, 0.4, 1.0)
 SUITES = {
     "kernel": ["kernel", "--at", "0.3", "0.1", "-0.5"],
     "e2": ["e2"],
@@ -152,8 +151,8 @@ def fock_cases():
 
 def fock_digests() -> dict:
     """sha256 of the Fock H of every case of fock_cases, by its name: the
-    dtype and bytes of indptr, indices and data of toy.matrix(t) at each
-    t of FOCK_SCALES."""
+    dtype and bytes of indptr, indices and data of toy.matrix(t) at
+    t = 0, 0.05, 0.4 and 1."""
     out = {}
     for name, system, profile, grid, n_max in fock_cases():
         try:
@@ -161,7 +160,7 @@ def fock_digests() -> dict:
         except ResourceError:  # outside the budgets
             continue
         digest = hashlib.sha256()
-        for t in FOCK_SCALES:
+        for t in (0.0, 0.05, 0.4, 1.0):
             H = toy.matrix(t)
             for arr in (H.indptr, H.indices, H.data):
                 digest.update(arr.dtype.str.encode())

@@ -194,10 +194,11 @@ def _verify_rows(cfg):
 
     # product states on the SU(2) orbit of omega_state: unit Hopf vectors
     X0 = omega_state(system.s)
-    for i in range(2):
-        ps = product_state([su2_rotate(system.s, 2.0 * rng.normal(size=3)) @ X0
-                            for _ in range(system.P)], system.s)
-        lhs, rhs, resid = classical_decomposition_check(system, profile, ps)
+    states = [product_state([su2_rotate(system.s, 2.0 * rng.normal(size=3))
+                             @ X0 for _ in range(system.P)], system.s)
+              for _ in range(2)]
+    for i, (lhs, rhs, _) in enumerate(
+            classical_decomposition_check(system, profile, states)):
         add(f"class_decomposition_{i}", lhs, rhs, tol_id * abs(lhs))
     return rows
 

@@ -87,7 +87,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -298,17 +298,18 @@ def higher_spin_constant(s) -> float:
 
 
 def classical_decomposition_check(system: SpinSystem, profile: CutoffProfile,
-                                  X: ProductState):
-    """Compare <A_M X, X> against the magnet-energy decomposition.
+                                  states: Sequence[ProductState]) -> list:
+    """Compare <A_M X, X> against the magnet-energy decomposition for each
+    ProductState X of states, on one assembly of A_M.
 
     lhs = <A_M X, X>;
     rhs = -(classical field energy at S(X))
           - C(s) A_11(0) sum_lam M[lam]^2.
-    Returns (lhs, rhs, |lhs - rhs|).
+    Returns one (lhs, rhs, |lhs - rhs|) per state.
     """
-    lhs = quadratic_form(assemble_am(system, profile), X.vector)
-    e_class = field_energy(
-        classical_current(system, profile, X.spin_vectors))
-    rhs = -e_class - higher_spin_constant(system.s) * a11_origin(profile) \
-        * float(np.sum(system.moments ** 2))
-    return lhs, rhs, abs(lhs - rhs)
+    A = assemble_am(system, profile)
+    lhs = [quadratic_form(A, X.vector) for X in states]
+    rhs = [-field_energy(classical_current(system, profile, X.spin_vectors))
+           - higher_spin_constant(system.s) * a11_origin(profile)
+           * float(np.sum(system.moments ** 2)) for X in states]
+    return [(a, b, abs(a - b)) for a, b in zip(lhs, rhs)]

@@ -38,13 +38,16 @@ A_M is the second-order operator of H's couplings, real symmetric and
 negative semidefinite on any grid.
 
 H is assembled in one pass from one spin block per oscillator, as one
-matrix: dGamma(omega) (x) I is its diagonal, H_int the rest.  Its
-ground state comes from an in-package one-column LOBPCG started at the
-root of the Feshbach map onto the vacuum spin space with QHQ taken as its
-diagonal, which is H's ground vector at n_max = 1, and the multiplicity
-of the ground level from the full Feshbach map onto that spin space,
-whose resolvent is applied by CG; both are written in numpy, and H is a
-numpy CSRMatrix, so the module needs nothing of scipy.
+matrix h at unit scale: dGamma(omega) (x) I is its diagonal, H_int the
+rest, so H(t) is h with its off-diagonal values times t
+(CSRMatrix.scale_off_diagonal).  Its ground state comes from an
+in-package one-column LOBPCG started at the root of the Feshbach map onto
+the vacuum spin space with QHQ taken as its diagonal, which is H's ground
+vector at n_max = 1, and the multiplicity of the ground level from the
+full Feshbach map onto that spin space, whose resolvent is applied by CG.
+Both are written in numpy on spin_algebra's CSRMatrix, through its
+products, dense rows and diagonal, never its layout, so the module needs
+nothing of scipy.
 """
 
 from __future__ import annotations
@@ -282,7 +285,8 @@ class ToyHamiltonian:
 
     Every entry of H_int changes the photon number by one, so
     dGamma(omega) (x) I is exactly h's diagonal and H_int its off-diagonal
-    entries: matrix(scale) scales those on h's own pattern.
+    entries: matrix(scale) scales those on h's own pattern, and finds h's
+    diagonal entries once for every scale.
     """
 
     h: CSRMatrix
@@ -296,10 +300,7 @@ class ToyHamiltonian:
 
     def matrix(self, scale: float = 1.0) -> CSRMatrix:
         """H with the interaction (hence all moments) scaled by `scale`."""
-        h = self.h
-        data = scale * h.data
-        np.copyto(data, h.data, where=h.indices == h._row_ids())
-        return CSRMatrix(h.indptr, h.indices, data, h.shape)
+        return self.h.scale_off_diagonal(scale)
 
     def vacuum_embed(self, X: np.ndarray) -> np.ndarray:
         """Psi_0 (x) X as a full-space vector."""
@@ -353,9 +354,6 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
         np.concatenate([diag, ij.ravel()]),
         np.concatenate([diag, ij[::-1].ravel()]),
         np.concatenate([free[diag], vals, vals.conj()]), (dim, dim))
-    # every matrix(scale) shares h's index arrays and reads its data
-    for arr in (h.indptr, h.indices, h.data):
-        arr.flags.writeable = False
     return ToyHamiltonian(h=h, space=space, spin_dim=spin_dim, coupling=W)
 
 
@@ -483,15 +481,15 @@ def _lobpcg(H: CSRMatrix, x: np.ndarray, precond: np.ndarray,
 def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, spin_dim: int = 1):
     """Lowest eigenpair of a sparse Hermitian matrix.
 
-    H is a CSRMatrix, a dense array or anything with tocsr()
-    (CSRMatrix.of).  One-column LOBPCG (_lobpcg) from the spin space
-    dressed at the root E of its Feshbach map, preconditioned by the
-    clamped Jacobi inverse of H - E (_dressed_start): its scales are
-    those of H.  The energy is the Rayleigh quotient of the vector, and
-    the residual ||H v - E v|| comes from that same product with H, not
-    from the solver's own.  Returns (energy, vector, residual): a float,
-    a unit vector of shape (dim,) and a float.  A block of H with no path
-    of nonzero entries to the start is never reached.
+    H is a CSRMatrix or a dense 2-D array (CSRMatrix.of).  One-column
+    LOBPCG (_lobpcg) from the spin space dressed at the root E of its
+    Feshbach map, preconditioned by the clamped Jacobi inverse of H - E
+    (_dressed_start): its scales are those of H.  The energy is the
+    Rayleigh quotient of the vector, and the residual ||H v - E v|| comes
+    from that same product with H, not from the solver's own.  Returns
+    (energy, vector, residual): a float, a unit vector of shape (dim,) and
+    a float.  A block of H with no path of nonzero entries to the start
+    is never reached.
     """
     H = CSRMatrix.of(H)
     # at n_max = 1 the start is the ground vector

@@ -4,12 +4,14 @@ Conventions: sigma_j(s) = 2 J_j in the weight basis |s,s>, ..., |s,-s>, so
 that s = 1/2 reproduces the Pauli matrices, [sigma_1, sigma_2] = 2i sigma_3
 (and cyclic) and sum_j sigma_j(s)^2 = 4 s (s+1) I exactly.
 
-Sparse operators, the site embeddings here and the Fock Hamiltonian, are
-CSRMatrix: compressed sparse rows in numpy, the canonical layout of
-scipy.sparse (rows in order, columns ascending and unique in each row), of
-which the package uses only construction, products, dense rows, the
-diagonal, the dense matrix (toarray) and the row of each stored entry
-(_row_ids).
+Sparse operators, the site embeddings here, their stack and the Fock
+Hamiltonian, are CSRMatrix: compressed sparse rows in numpy, the canonical
+layout of scipy.sparse (rows in order, columns ascending and unique in each
+row), read-only.  This module is the only one that knows that layout: the
+package uses only construction (from entries, from a dense array and by
+stacking rows), products, dense rows, the diagonal, the off-diagonal part
+scaled (H(t) of the Fock Hamiltonian), the stored values (data) and the
+dense matrix (toarray).
 """
 
 from __future__ import annotations
@@ -31,13 +33,18 @@ class CSRMatrix:
 
     Row i holds the columns indices[indptr[i]:indptr[i + 1]], ascending
     and unique, with their values in data; indptr and indices are intp.
-    Stored zeros stay stored.
+    Stored zeros stay stored.  The three arrays are made read-only when
+    the matrix is made, so matrices may share them.
     """
 
     indptr: np.ndarray  # (shape[0] + 1,)
     indices: np.ndarray  # (nnz,)
     data: np.ndarray  # (nnz,)
     shape: tuple
+
+    def __post_init__(self):
+        for arr in (self.indptr, self.indices, self.data):
+            arr.flags.writeable = False
 
     @classmethod
     def from_entries(cls, rows, cols, vals, shape) -> "CSRMatrix":
@@ -74,16 +81,21 @@ class CSRMatrix:
         return cls(indptr, cols, vals, (n_rows, n_cols))
 
     @classmethod
+    def stack(cls, blocks) -> "CSRMatrix":
+        """The rows of the blocks one after another, on the columns of the
+        first block."""
+        counts = np.concatenate([np.diff(b.indptr) for b in blocks])
+        return cls.from_entries(np.repeat(np.arange(len(counts)), counts),
+                                np.concatenate([b.indices for b in blocks]),
+                                np.concatenate([b.data for b in blocks]),
+                                (len(counts), blocks[0].shape[1]))
+
+    @classmethod
     def of(cls, A) -> "CSRMatrix":
-        """A itself, or the CSRMatrix of anything with tocsr() (a scipy
-        sparse matrix, stored zeros kept) or of a dense 2-D array (its
-        nonzero entries)."""
+        """A itself, or the CSRMatrix of a dense 2-D array (its nonzero
+        entries)."""
         if isinstance(A, cls):
             return A
-        if hasattr(A, "tocsr"):
-            A = A.tocsr()
-            rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-            return cls.from_entries(rows, A.indices, A.data, A.shape)
         A = np.asarray(A)
         if A.ndim != 2:
             raise DomainError(f"a matrix needs two axes, not {A.ndim}")
@@ -144,12 +156,25 @@ class CSRMatrix:
             out[k, self.indices[row]] = self.data[row]
         return out
 
+    @functools.cached_property
+    def _diagonal_mask(self) -> np.ndarray:
+        """Whether each stored entry is on the main diagonal."""
+        return self.indices == self._row_ids()
+
     def diagonal(self) -> np.ndarray:
         """The main diagonal, zero where no entry is stored."""
-        on = self.indices == self._row_ids()
+        on = self._diagonal_mask
         out = np.zeros(min(self.shape), dtype=self.data.dtype)
         out[self.indices[on]] = self.data[on]
         return out
+
+    def scale_off_diagonal(self, t) -> "CSRMatrix":
+        """The matrix with every stored off-diagonal value times t, on
+        this matrix's own indptr and indices; the diagonal is kept bit
+        for bit."""
+        data = t * self.data
+        np.copyto(data, self.data, where=self._diagonal_mask)
+        return CSRMatrix(self.indptr, self.indices, data, self.shape)
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.data.dtype)

@@ -123,22 +123,11 @@ def site_spin_operators(s, P) -> CSRMatrix:
 
     Row block a = 3 lam + m (0-based) is S_a = sigma_(m+1) on site lam + 1.
     Built once per process for each (s, P), typed so that True is not 1,
-    and shared: its data, indices and indptr are read-only.
+    and shared, read-only as every CSRMatrix.
     """
     sig = spin_matrices(s)
-    blocks = [embed_site_operator(sig[m], lam + 1, P)
-              for lam in range(P) for m in range(3)]
-    dim = blocks[0].shape[0]
-    # the row blocks in turn, each indptr shifted by the entries before it
-    before = np.cumsum([0] + [b.nnz for b in blocks[:-1]])
-    S = CSRMatrix(
-        np.concatenate([[0]] + [b.indptr[1:] + n
-                                for b, n in zip(blocks, before)]),
-        np.concatenate([b.indices for b in blocks]),
-        np.concatenate([b.data for b in blocks]), (len(blocks) * dim, dim))
-    for arr in (S.data, S.indices, S.indptr):
-        arr.flags.writeable = False
-    return S
+    return CSRMatrix.stack([embed_site_operator(sig[m], lam + 1, P)
+                            for lam in range(P) for m in range(3)])
 
 
 def _block_bases(lead, m, negate=False):

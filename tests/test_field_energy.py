@@ -169,7 +169,8 @@ def test_classical_decomposition(profile, s):
     for _ in range(3):
         system = random_system(rng, 2, s=s)
         ps = orbit_product_state(rng, 2, s)
-        lhs, rhs, resid = classical_decomposition_check(system, profile, ps)
+        [(lhs, rhs, resid)] = classical_decomposition_check(system, profile,
+                                                            [ps])
         assert resid <= 1e-6 * max(1.0, abs(lhs))
 
 
@@ -539,8 +540,8 @@ def test_sized_rule_resolves_every_separation(s, log_d, lam, seed):
     qf = quadratic_form(assemble_am(system, profile), X)
     energy = field_energy(vector_current(system, profile, X))
     assert abs(qf + energy) <= 1e-13 * abs(qf)
-    lhs, _, resid = classical_decomposition_check(
-        system, profile, orbit_product_state(rng, 2, s))
+    [(lhs, _, resid)] = classical_decomposition_check(
+        system, profile, [orbit_product_state(rng, 2, s)])
     assert resid <= 1e-13 * abs(lhs)
 
 

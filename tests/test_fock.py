@@ -301,10 +301,19 @@ def test_interaction_changes_photon_number_by_one(profile, small_grid,
 
 
 def test_matrix_scales_off_diagonal_on_h_pattern(profile, small_grid,
-                                                 two_spin_system):
+                                                 two_spin_system,
+                                                 monkeypatch):
     toy = build_hamiltonian(two_spin_system, profile, small_grid, 2)
     h = toy.h
-    on = h.indices == h._row_ids()
+    on = h.indices == np.repeat(np.arange(toy.dim), np.diff(h.indptr))
+    # h's diagonal entries are found once, for diagonal() and every scale
+    searched, row_ids = [], CSRMatrix._row_ids
+
+    def recorded(m):
+        searched.append(m)
+        return row_ids(m)
+
+    monkeypatch.setattr(CSRMatrix, "_row_ids", recorded)
     # dGamma(omega) is stored on every state but the vacuum ones
     assert np.array_equal(np.flatnonzero(h.diagonal()),
                           np.arange(toy.spin_dim, toy.dim))
@@ -315,9 +324,11 @@ def test_matrix_scales_off_diagonal_on_h_pattern(profile, small_grid,
         assert H.data.dtype == h.data.dtype
         assert H.data[on].tobytes() == h.data[on].tobytes()
         assert H.data[~on].tobytes() == (t * h.data[~on]).tobytes()
-    # the arrays every matrix(t) shares cannot be written through one
-    assert not (h.indptr.flags.writeable or h.indices.flags.writeable
-                or h.data.flags.writeable)
+    assert len(searched) == 1 and searched[0] is h
+    # h, whose arrays every matrix(t) shares, and H(t) refuse writes
+    for arr in (h.indptr, h.indices, h.data, H.data):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
 
 
 def _oscillator_omega(grid):
@@ -499,8 +510,12 @@ def _full_grid_hamiltonian(system, profile, grid, n_max):
         h_int = h_int + system.moments[a // 3] * sp.kron(
             _scipy_csr(segal_field(space, v)),
             S[a * spin_dim:(a + 1) * spin_dim], format="csr")
-    return ToyHamiltonian(h=CSRMatrix.of(h_free + h_int), space=space,
-                          spin_dim=spin_dim, coupling=V)
+    # too large to make dense: the CSRMatrix of scipy's canonical arrays
+    h = h_free + h_int
+    rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+    return ToyHamiltonian(
+        h=CSRMatrix.from_entries(rows, h.indices, h.data, h.shape),
+        space=space, spin_dim=spin_dim, coupling=V)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -550,8 +565,7 @@ def test_ground_state_returns_one_pair(profile, small_grid, two_spin_system):
 
 
 def test_ground_state_diagonal_and_free(profile, small_grid, two_spin_system):
-    D = sp.diags(np.array([3.0, -2.0, 5.0, 0.5]))
-    energy, vec, res = ground_state(D)
+    energy, vec, res = ground_state(np.diag([3.0, -2.0, 5.0, 0.5]))
     assert energy == pytest.approx(-2.0, abs=1e-14)
     toy = build_hamiltonian(two_spin_system.with_moments([0.0, 0.0]), profile,
                             small_grid, 1)
@@ -564,12 +578,16 @@ def test_ground_state_diagonal_and_free(profile, small_grid, two_spin_system):
     assert not Z.any()
 
 
+def _laplacian(n):
+    """The n x n second-difference matrix, dense."""
+    return 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+
+
 @pytest.mark.parametrize("spin_dim", [1, 4])
 def test_ground_state_on_laplacian(spin_dim):
     # constant diagonal: the preconditioner is a multiple of 1 and the start
     # picks the first spin_dim rows; no stub, the solve runs in full
-    laplacian = sp.diags([-np.ones(63), 2.0 * np.ones(64), -np.ones(63)],
-                         [-1, 0, 1])
+    laplacian = _laplacian(64)
     exact = 2.0 - 2.0 * math.cos(math.pi / 65)
     energy, vec, res = ground_state(laplacian, spin_dim=spin_dim)
     assert abs(energy - exact) <= 1e-12 * exact
@@ -581,10 +599,8 @@ def test_ground_state_no_convergence(monkeypatch):
         return X, 1000
 
     monkeypatch.setattr("spinrad.fock._lobpcg", stalled)
-    laplacian = sp.diags([-np.ones(63), 2.0 * np.ones(64), -np.ones(63)],
-                         [-1, 0, 1])
     with pytest.raises(ConvergenceError, match="above tolerance"):
-        ground_state(laplacian)
+        ground_state(_laplacian(64))
 
 
 @pytest.mark.parametrize("shift", [1e-9, np.nan])
@@ -601,7 +617,7 @@ def test_ground_state_rejects_residual_above_tol(monkeypatch, shift):
 
     monkeypatch.setattr("spinrad.fock._lobpcg", off)
     with pytest.raises(ConvergenceError, match="above tolerance"):
-        ground_state(sp.diags(d))
+        ground_state(np.diag(d))
 
 
 def test_ground_state_deterministic(profile, default_grid, two_spin_system):
@@ -689,7 +705,7 @@ def test_one_column_solve_matches_dense(profile, monkeypatch, positions, s):
 def test_one_column_solve_on_diagonal():
     # QHP = 0, so the dressed start is the unit vector on the smallest entry.
     d = np.random.default_rng(5).permutation(np.linspace(-1.0, 2.0, 64))
-    energy, vec, _ = ground_state(sp.diags(d), spin_dim=4)
+    energy, vec, _ = ground_state(np.diag(d), spin_dim=4)
     assert energy == -1.0
     assert abs(vec[np.argmin(d)]) == pytest.approx(1.0, abs=1e-14)
 
@@ -770,10 +786,10 @@ def test_dressed_start_sits_at_the_schur_root(request, profile,
 
 def _coupled(d, pairs):
     """diag(d) plus the real symmetric couplings (i, j, value) of pairs."""
-    H = sp.diags(np.asarray(d, dtype=float)).tolil()
+    H = np.diag(np.asarray(d, dtype=float))
     for i, j, c in pairs:
         H[i, j] = H[j, i] = c
-    return H.tocsr()
+    return H
 
 
 @pytest.mark.parametrize("spin_dim", [1, 4])
@@ -795,7 +811,7 @@ def test_dressed_start_edge_cases(H, spin_dim):
     assert np.all(np.isfinite(precond) & (precond > 0.0))
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
     energy, _, res = ground_state(H, spin_dim=spin_dim)
-    exact = np.linalg.eigvalsh(H.toarray())[0]
+    exact = np.linalg.eigvalsh(H)[0]
     assert abs(energy - exact) <= 1e-12 * max(1.0, abs(exact))
     assert res <= fock.DEFAULT_EIGENSOLVER_TOL
 
@@ -808,7 +824,7 @@ def test_decoupled_start_raises(H):
     # state 0, the start, couples to no other state, and the block it
     # cannot reach holds the ground level: its own eigenpair, at 0, would
     # pass the residual gate
-    assert np.linalg.eigvalsh(H.toarray())[0] < -0.49
+    assert np.linalg.eigvalsh(H)[0] < -0.49
     with pytest.raises(DomainError, match="decoupled"):
         ground_state(H)
 

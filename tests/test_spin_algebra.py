@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -207,8 +210,7 @@ def test_csr_from_entries_is_scipys_canonical_csr(seed, shape, dtype):
     ref = sp.csr_matrix((entries[2], entries[:2]), shape=shape)
     ref.sum_duplicates()
     _assert_same_csr(got, ref)
-    # the same entries from a scipy matrix and from its dense array
-    _assert_same_csr(CSRMatrix.of(ref), ref)
+    # the same entries from the dense array
     if shape[1] > 2 ** 31:  # columns past int32, too wide to make dense
         return
     dense = ref.toarray()
@@ -318,3 +320,126 @@ def test_csr_edge_cases():
         A @ np.ones((3, 2, 2))
     with pytest.raises(DomainError, match="two axes"):
         CSRMatrix.of(np.ones(3))
+    # a scipy matrix is no dense array: numpy sees one object, no axes
+    with pytest.raises(DomainError, match="two axes"):
+        CSRMatrix.of(sp.csr_matrix(np.eye(3)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_csr_stack_is_scipys_vstack(seed):
+    # blocks with empty rows, an empty block and one of a single row
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for n_rows in (5, 1, 0, 7):
+        rows, cols, vals = _random_entries(rng, (max(n_rows, 1), 9),
+                                           2 * n_rows, complex)
+        keep = rng.random(len(rows)) < 0.7
+        blocks.append(CSRMatrix.from_entries(rows[keep], cols[keep],
+                                             vals[keep], (n_rows, 9)))
+    got = CSRMatrix.stack(blocks)
+    ref = sp.vstack([sp.csr_matrix((b.data, b.indices, b.indptr),
+                                   shape=b.shape) for b in blocks],
+                    format="csr")
+    _assert_same_csr(got, ref)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 5), (5, 9), (40, 40)])
+@pytest.mark.parametrize("t", [0.0, 0.05, -1.3])
+def test_csr_scale_off_diagonal(shape, t):
+    # some diagonal entries are not stored, and some stored ones are zero
+    rng = np.random.default_rng(7)
+    A = CSRMatrix.from_entries(*_random_entries(rng, shape, 3 * shape[0],
+                                                complex), shape)
+    on = A.indices == np.repeat(np.arange(shape[0]), np.diff(A.indptr))
+    B = A.scale_off_diagonal(t)
+    assert B.indptr is A.indptr and B.indices is A.indices
+    assert B.shape == A.shape and B.data.dtype == A.data.dtype
+    assert B.data[on].tobytes() == A.data[on].tobytes()
+    assert B.data[~on].tobytes() == (t * A.data[~on]).tobytes()
+    assert np.array_equal(B.diagonal(), A.diagonal())
+
+
+def test_csr_arrays_refuse_writes():
+    A = CSRMatrix.from_entries([0, 1, 1], [1, 0, 1], [1.0, 2.0, 3.0], (2, 2))
+    for M in (A, CSRMatrix.of(np.eye(3)), CSRMatrix.stack([A, A]),
+              A.scale_off_diagonal(0.5)):
+        for arr in (M.indptr, M.indices, M.data):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+    # the caller's arrays are not frozen with the matrix's
+    rows = np.array([0, 1])
+    CSRMatrix.from_entries(rows, rows, np.ones(2), (2, 2))
+    assert rows.flags.writeable
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "spinrad"
+
+
+def _layout_uses(tree, private):
+    """(line, use) of every use of the CSR layout in a module's tree: a
+    read of indptr, indices or a private CSRMatrix member, a direct
+    CSRMatrix(...) call, or a freeze (flags.writeable) of .data, .indptr
+    or .indices, written out or through a loop over them.  Reading data
+    is no use of the layout."""
+    def csr_array(node):
+        return isinstance(node, ast.Attribute) \
+            and node.attr in ("data", "indptr", "indices")
+
+    def frozen(node):  # the X of an assignment to X.flags.writeable
+        for target in getattr(node, "targets", ()):
+            if isinstance(target, ast.Attribute) \
+                    and target.attr == "writeable" \
+                    and isinstance(target.value, ast.Attribute) \
+                    and target.value.attr == "flags":
+                yield target.value.value
+
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) \
+                and node.attr in {"indptr", "indices"} | private:
+            uses.append((node.lineno, f"reads .{node.attr}"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "CSRMatrix":
+            uses.append((node.lineno, "calls CSRMatrix(...)"))
+        uses += [(node.lineno, "freezes a CSR array")
+                 for x in frozen(node) if csr_array(x)]
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name) \
+                and any(csr_array(n) for n in ast.walk(node.iter)):
+            uses += [(inner.lineno, "freezes a CSR array")
+                     for inner in ast.walk(node) for x in frozen(inner)
+                     if getattr(x, "id", None) == node.target.id]
+    return uses
+
+
+def test_only_spin_algebra_knows_the_csr_layout():
+    home = ast.parse((SRC / "spin_algebra.py").read_text())
+    [csr] = [n for n in home.body
+             if isinstance(n, ast.ClassDef) and n.name == "CSRMatrix"]
+    private = {n.name for n in csr.body if isinstance(n, ast.FunctionDef)
+               and n.name.startswith("_") and not n.name.endswith("__")}
+    assert {"_row_ids", "_row_blocks"} <= private
+    # the check finds the layout where it lives
+    assert {use for _, use in _layout_uses(home, private)} \
+        >= {"reads .indptr", "reads .indices"}
+    found = {path.name: _layout_uses(ast.parse(path.read_text()), private)
+             for path in sorted(SRC.glob("*.py"))
+             if path.name != "spin_algebra.py"}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_layout_check_catches_each_use():
+    private = {"_row_ids"}
+    for code, use in [
+            ("n = h.indptr[1]", "reads .indptr"),
+            ("c = h.indices", "reads .indices"),
+            ("r = h._row_ids()", "reads ._row_ids"),
+            ("H = CSRMatrix(p, i, d, s)", "calls CSRMatrix(...)"),
+            ("h.data.flags.writeable = False", "freezes a CSR array"),
+            ("for a in (h.data,):\n    a.flags.writeable = False",
+             "freezes a CSR array")]:
+        assert [u for _, u in _layout_uses(ast.parse(code), private)] \
+            == [use], code
+    for code in ("x = h.data.sum()", "H = CSRMatrix.from_entries(r, c, v, s)",
+                 "for a in (x, y):\n    a.flags.writeable = False"):
+        assert _layout_uses(ast.parse(code), private) == [], code

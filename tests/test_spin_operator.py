@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import tracemalloc
@@ -428,8 +429,9 @@ def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
                                   monkeypatch):
     # eigenvectors are computed only where a caller reads them; the
     # eighs inside fock.ground_state (its dressed start and Rayleigh-Ritz
-    # steps) and the eigh of the Feshbach map F(E_0) in fock._feshbach are
-    # not A_M's
+    # steps), the eigh of the Feshbach map F(E_0) in fock._feshbach, the
+    # 2 x 2 eighs of verify's su2_rotate and the eigvalsh of leggauss
+    # (verify's quadrature rules, built once per process) are not A_M's
     grid = fock.build_mode_grid(profile, 4, 6)
     solving = []
 
@@ -442,8 +444,12 @@ def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
                 solving.pop()
         return wrapped
 
-    for name in ("ground_state", "_feshbach"):
-        monkeypatch.setattr(fock, name, skipped(getattr(fock, name)))
+    for module, name in [("fock", "ground_state"), ("fock", "_feshbach"),
+                         ("cli", "su2_rotate"), ("field_energy", "leggauss"),
+                         ("kernel", "leggauss")]:
+        # by import_module: the package's field_energy is the function
+        module = importlib.import_module(f"spinrad.{module}")
+        monkeypatch.setattr(module, name, skipped(getattr(module, name)))
     calls = _count_decompositions(monkeypatch, skip=lambda: bool(solving))
     e2 = ["e2", "--config", str(CONFIGS / "two_spins.yaml"),
           "--out", str(tmp_path)]
@@ -452,6 +458,13 @@ def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
     calls.clear()
     assert main(e2 + ["--eigenbasis"]) == 0
     assert calls == [("eigh", (4, 4))]
+    calls.clear()
+    # verify: A_M with vectors, the 2M scaling check and one A_M for both
+    # product-state rows
+    assert main(["verify", "--config", str(CONFIGS / "two_spins.yaml"),
+                 "--out", str(tmp_path)]) == 0
+    assert calls == [("eigh", (4, 4)), ("eigvalsh", (4, 4)),
+                     ("eigvalsh", (4, 4))]
     calls.clear()
     fock.quadratic_fit(two_spin_system, profile, grid, 1,
                        [0.4, 0.2, 0.1, 0.05])

@@ -444,11 +444,11 @@ def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
                 solving.pop()
         return wrapped
 
-    for module, name in [("fock", "ground_state"), ("fock", "_feshbach"),
-                         ("cli", "su2_rotate"), ("field_energy", "leggauss"),
-                         ("kernel", "leggauss")]:
+    for where, name in [("fock", "ground_state"), ("fock", "_feshbach"),
+                        ("cli", "su2_rotate"), ("field_energy", "leggauss"),
+                        ("kernel", "leggauss")]:
         # by import_module: the package's field_energy is the function
-        module = importlib.import_module(f"spinrad.{module}")
+        module = importlib.import_module(f"spinrad.{where}")
         monkeypatch.setattr(module, name, skipped(getattr(module, name)))
     calls = _count_decompositions(monkeypatch, skip=lambda: bool(solving))
     e2 = ["e2", "--config", str(CONFIGS / "two_spins.yaml"),

@@ -31,7 +31,7 @@ from spinrad.spin_operator import SpinSystem, assemble_am
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = [(2, 24, 12, 1), (2, 48, 24, 1), (2, 96, 48, 1), (2, 24, 12, 2),
-         (3, 12, 12, 2)]
+         (2, 48, 24, 2), (3, 12, 12, 2)]
 SCALES = [0.4, 0.2, 0.1, 0.05]
 
 

@@ -158,8 +158,10 @@ class CSRMatrix:
 
     @functools.cached_property
     def _diagonal_mask(self) -> np.ndarray:
-        """Whether each stored entry is on the main diagonal."""
-        return self.indices == self._row_ids()
+        """Whether each stored entry is on the main diagonal; read-only."""
+        mask = self.indices == self._row_ids()
+        mask.flags.writeable = False
+        return mask
 
     def diagonal(self) -> np.ndarray:
         """The main diagonal, zero where no entry is stored."""
@@ -171,10 +173,15 @@ class CSRMatrix:
     def scale_off_diagonal(self, t) -> "CSRMatrix":
         """The matrix with every stored off-diagonal value times t, on
         this matrix's own indptr and indices; the diagonal is kept bit
-        for bit."""
+        for bit.  It shares this matrix's row blocks and diagonal mask,
+        which depend on indptr and indices alone, so a family of scales
+        finds them once."""
         data = t * self.data
         np.copyto(data, self.data, where=self._diagonal_mask)
-        return CSRMatrix(self.indptr, self.indices, data, self.shape)
+        scaled = CSRMatrix(self.indptr, self.indices, data, self.shape)
+        vars(scaled).update(_row_blocks=self._row_blocks,
+                            _diagonal_mask=self._diagonal_mask)
+        return scaled
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.data.dtype)
@@ -255,6 +262,15 @@ def omega_state(s) -> np.ndarray:
     return X0
 
 
+@functools.lru_cache(maxsize=8)
+def _spin_matrices_read_only(two_s) -> tuple:
+    """spin_matrices(two_s / 2), built once per process and read-only."""
+    sig = spin_matrices(two_s / 2.0)
+    for m in sig:
+        m.flags.writeable = False
+    return sig
+
+
 def su2_rotate(s, theta) -> np.ndarray:
     """Unitary exp(-(i/2) sum_j theta_j sigma_j(s)) on C^(2s+1).
 
@@ -262,7 +278,8 @@ def su2_rotate(s, theta) -> np.ndarray:
     V diag(e^{-i w / 2}) V^H.
     """
     theta = np.asarray(theta, dtype=float)
-    gen = sum(t * m for t, m in zip(theta, spin_matrices(s)))
+    gen = sum(t * m for t, m in
+              zip(theta, _spin_matrices_read_only(_check_half_integer(s))))
     w, V = np.linalg.eigh(gen)
     return (V * np.exp(-0.5j * w)) @ V.conj().T
 

@@ -6,6 +6,13 @@ A_M X = -1/2 sum_{lam,mu} sum_{j,m} M[lam] M[mu] A_jm(x[mu] - x[lam])
 a Hermitian, negative-semidefinite operator on the (2s+1)^P-dimensional
 spin space.  Its smallest eigenvalue is the quadratic coefficient of the
 ground-energy expansion in the magnetic moments.
+
+Sites that span exactly a plane with normal n are fixed by the mirror
+through it.  Spin is an axial vector, so the mirror acts on spins as
+det(R) R, the pi rotation about n, and A_M commutes with that rotation
+on every site.  assemble_am then writes A_M in a frame whose z axis is n,
+where the rotation is diagonal in the weight basis, and solves it in the
+two sectors of the parity of the weight digits (HermitianSpinOperator).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from .cutoff import CutoffProfile
 from .errors import DomainError, ResourceError, SpinradError
 from .kernel import kernel_matrix
 from .spin_algebra import CSRMatrix, _check_half_integer, _require_unit, \
-    embed_site_operator, spin_matrices
+    embed_site_operator, spin_matrices, su2_rotate
 
 # Ceiling on positive eigenvalues of an assembled A_M, relative to its
 # spectral radius with no floor; anything larger diagnoses a kernel or
@@ -30,6 +37,14 @@ from .spin_algebra import CSRMatrix, _check_half_integer, _require_unit, \
 PSD_VIOLATION_TOL = 1e-10
 
 DEFAULT_DEGENERACY_TOL = 1e-7
+
+# Ceiling on the entries that a sector solve drops, relative to max|A|.
+SECTOR_COUPLING_TOL = 1e-12
+
+# Sites span a plane when the third singular value of their centred
+# positions is at most this fraction of the largest pair distance and the
+# second is above it.
+PLANARITY_TOL = 1e-13
 
 
 def _scaled_distances(positions):
@@ -41,6 +56,63 @@ def _scaled_distances(positions):
     scale = math.ldexp(1.0, math.frexp(np.abs(pos).max(initial=0.0))[1] - 1)
     pos = pos / scale
     return scale, pos, np.linalg.norm(pos[:, None] - pos, axis=2)
+
+
+def _plane_frame(positions):
+    """Rotation vector theta that takes the unit normal of the sites' plane
+    to z, or None unless the sites span exactly a plane.
+
+    The normal is the third right singular vector of the centred positions
+    (scaled as by _scaled_distances), signed so that n_z >= 0; theta is
+    then the angle atan2(|n x z|, n_z) <= pi/2 about n x z, in closed form.
+    """
+    if len(positions) < 3:
+        return None
+    _, pos, gap = _scaled_distances(positions)
+    _, sv, vt = np.linalg.svd(pos - pos.mean(axis=0), full_matrices=False)
+    if not sv[2] <= PLANARITY_TOL * gap.max() < sv[1]:
+        return None
+    n = vt[2] if vt[2, 2] >= 0.0 else -vt[2]
+    axis = np.array([n[1], -n[0], 0.0])  # n x z
+    sin = math.hypot(n[0], n[1])
+    return axis * (math.atan2(sin, n[2]) / sin) if sin > 0.0 else axis
+
+
+def _rotation(theta) -> np.ndarray:
+    """Rotation matrix R of the rotation vector theta (Rodrigues' formula,
+    R = cos a I + sin a [k]x + (1 - cos a) k k^T for theta = a k, |k| = 1).
+
+    su2_rotate(s, theta) = D carries the spins by the same rotation:
+    D^H sigma_j D = sum_k R[j, k] sigma_k.
+    """
+    angle = math.hypot(*theta)
+    if angle == 0.0:
+        return np.eye(3)
+    x, y, z = (float(c) / angle for c in theta)
+    c, s = math.cos(angle), math.sin(angle)
+    C = 1.0 - c
+    return np.array([[c + x * x * C, x * y * C - z * s, x * z * C + y * s],
+                     [y * x * C + z * s, c + y * y * C, y * z * C - x * s],
+                     [z * x * C - y * s, z * y * C + x * s, c + z * z * C]])
+
+
+@functools.lru_cache(maxsize=16)
+def _parity_sectors(d, P):
+    """Read-only index arrays of the states of (C^d)^(x P) whose weight
+    digits sum to an even and to an odd number.
+
+    exp(-i pi J_z) multiplies |s, s - k> by (-i)^(2s) (-1)^k, so the pi
+    rotation about z on every site is diagonal in the weight basis, and
+    its two eigenspaces are these sectors.
+    """
+    total = np.zeros(1, dtype=np.intp)
+    for _ in range(P):
+        total = (total[:, None] + np.arange(d)).reshape(-1)
+    odd = total % 2 == 1
+    sectors = (np.flatnonzero(~odd), np.flatnonzero(odd))
+    for k in sectors:
+        k.flags.writeable = False
+    return sectors
 
 
 @dataclass
@@ -92,24 +164,57 @@ class HermitianSpinOperator:
     site_basis is the d x d unitary V of the basis that matrix and
     eigenvectors are written in: matrix = W^H A W with W = V (x) ... (x) V
     and A the operator in the weight basis, which site_basis None stands
-    for.  An integer-spin A_M is real symmetric in the basis of _real_bases.
+    for.  An integer-spin A_M is real symmetric in the basis of _real_bases;
+    a planar cluster's A_M is written in its plane's frame
+    (_operator_in_frame).
     quadratic_form and ground_eigenspace take and return weight-basis
     vectors, converting one site axis at a time.
+
+    sectors, when given, holds index arrays of basis states that matrix
+    does not couple, such as the two of _parity_sectors; together they
+    cover every basis state once.  The decomposition then runs on each
+    sector's block, its eigenvalues merged in ascending order by a stable
+    sort and its eigenvectors embedded in the full space; a dropped block
+    above SECTOR_COUPLING_TOL * max|matrix| raises SpinradError.
     """
 
     matrix: np.ndarray
     vectors: InitVar[bool] = False
     coefficients: np.ndarray | None = field(default=None, repr=False)
     site_basis: np.ndarray | None = field(default=None, repr=False)
+    sectors: tuple | None = field(default=None, repr=False)
     eigenvalues: np.ndarray = field(init=False, repr=False)  # ascending
     eigenvectors: np.ndarray | None = field(init=False, repr=False)  # columns
 
     def __post_init__(self, vectors):
-        if vectors:
-            self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.matrix)
-        else:
-            self.eigenvalues = np.linalg.eigvalsh(self.matrix)
-            self.eigenvectors = None
+        self.eigenvectors = None
+        if self.sectors is None:
+            if vectors:
+                self.eigenvalues, self.eigenvectors = \
+                    np.linalg.eigh(self.matrix)
+            else:
+                self.eigenvalues = np.linalg.eigvalsh(self.matrix)
+            return
+        A = self.matrix
+        dropped = max((np.abs(A[a[:, None], b]).max(initial=0.0) for a, b
+                       in itertools.combinations(self.sectors, 2)),
+                      default=0.0)
+        if not dropped <= SECTOR_COUPLING_TOL * np.abs(A).max(initial=0.0):
+            raise SpinradError(f"spin operator couples its sectors "
+                               f"({dropped:.3e})")
+        solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
+        solved = [solve(A[k[:, None], k]) for k in self.sectors]
+        w = np.concatenate([x[0] if vectors else x for x in solved])
+        rank = np.argsort(w, kind="stable")
+        self.eigenvalues = w[rank]
+        if vectors:  # sector column j goes to column slot[j]
+            slot = np.empty_like(rank)
+            slot[rank] = np.arange(len(rank))
+            self.eigenvectors = np.zeros_like(A)
+            ends = np.cumsum([len(k) for k in self.sectors])
+            for k, cols, (_, v) in zip(self.sectors, np.split(slot, ends),
+                                       solved):
+                self.eigenvectors[k[:, None], cols] = v
 
     @property
     def radius(self) -> float:
@@ -306,18 +411,44 @@ def _operator_bases(coef, s):
     return (None, *_spin_bases(s)[1:])
 
 
-def _checked_operator(coef, s, vectors: bool) -> HermitianSpinOperator:
+def _operator_in_frame(coef, s, frame):
+    """(matrix, site basis, sectors) of the operator sum_ab coef[a, b] S_a S_b.
+
+    Without a frame: the matrix in the basis of _operator_bases and no
+    sectors.  frame is otherwise the rotation vector theta that takes the
+    normal of the sites' plane to z (_plane_frame).  The matrix is then the
+    operator of C' = R~ C R~^T, R~ = I_P (x) _rotation(theta), in the basis
+    of _operator_bases(C'); that is the operator of C in the site basis
+    D^H V, with D = su2_rotate(s, theta) and V the basis of _operator_bases
+    (identity for half-integer s).  In that frame the mirror through the
+    plane is the pi rotation about z, whose sectors are _parity_sectors.
+    """
+    if frame is None:
+        V, site_basis, pair_basis = _operator_bases(coef, s)
+        return _dense_operator(coef, site_basis, pair_basis), V, None
+    # R~ C R~^T, one 3 x 3 rotation per site axis
+    R, n = _rotation(frame), coef.shape[0]
+    rotated = (coef.reshape(n, -1, 3) @ R.T).reshape(n, n)
+    rotated = (R @ rotated.reshape(-1, 3, n)).reshape(n, n)
+    V, site_basis, pair_basis = _operator_bases(rotated, s)
+    Dh = su2_rotate(s, frame).conj().T
+    return (_dense_operator(rotated, site_basis, pair_basis),
+            Dh if V is None else Dh @ V, _parity_sectors(len(Dh), n // 3))
+
+
+def _checked_operator(coef, s, vectors: bool,
+                      frame=None) -> HermitianSpinOperator:
     """The operator sum_ab coef[a, b] S_a S_b of an A_M; raises unless NSD.
 
     _dense_operator checks coef's Hermiticity, in the basis of
-    _operator_bases.  vectors asks for eigenvectors too (see
-    HermitianSpinOperator); the operator keeps coef.
+    _operator_in_frame, which frame selects.  vectors asks for eigenvectors
+    too (see HermitianSpinOperator); the operator keeps coef.
     """
     coef = np.asarray(coef)
-    V, site_basis, pair_basis = _operator_bases(coef, s)
-    op = HermitianSpinOperator(
-        matrix=_dense_operator(coef, site_basis, pair_basis), vectors=vectors,
-        coefficients=coef, site_basis=V)
+    matrix, V, sectors = _operator_in_frame(coef, s, frame)
+    op = HermitianSpinOperator(matrix=matrix, vectors=vectors,
+                               coefficients=coef, site_basis=V,
+                               sectors=sectors)
     if op.eigenvalues[-1] > PSD_VIOLATION_TOL * op.radius:
         raise SpinradError(f"A_M has a positive eigenvalue "
                            f"{op.eigenvalues[-1]:.3e}; kernel/assembly bug")
@@ -329,9 +460,13 @@ def assemble_am(system: SpinSystem, profile: CutoffProfile,
     """Assemble A_M from continuum kernel evaluations.
 
     vectors asks for eigenvectors, which only ground_eigenspace's basis reads.
+    Sites that span exactly a plane are solved in the two sectors of the pi
+    rotation about its normal (_operator_in_frame); collinear clusters,
+    single sites and 3-D clusters are solved whole.
     """
     coef = _coefficients(system, lambda d: kernel_matrix(profile, d).entries)
-    return _checked_operator(coef, system.s, vectors)
+    return _checked_operator(coef, system.s, vectors,
+                             _plane_frame(system.positions))
 
 
 def product_form(coef, s, factors) -> np.ndarray:

@@ -324,6 +324,7 @@ def test_matrix_scales_off_diagonal_on_h_pattern(profile, small_grid,
         assert H.data.dtype == h.data.dtype
         assert H.data[on].tobytes() == h.data[on].tobytes()
         assert H.data[~on].tobytes() == (t * h.data[~on]).tobytes()
+        assert H.diagonal().tobytes() == h.diagonal().tobytes()
     assert len(searched) == 1 and searched[0] is h
     # h, whose arrays every matrix(t) shares, and H(t) refuse writes
     for arr in (h.indptr, h.indices, h.data, H.data):

@@ -359,6 +359,26 @@ def test_csr_scale_off_diagonal(shape, t):
     assert np.array_equal(B.diagonal(), A.diagonal())
 
 
+@pytest.mark.parametrize("t", [0.0, 0.3, -1.3])
+def test_csr_scaled_matrix_shares_row_blocks_and_diagonal_mask(t):
+    # 200,000 entries make several row blocks; H(t) reuses those of the
+    # matrix it scales, and its products and diagonal are those of a fresh
+    # matrix on its own arrays, bit for bit
+    rng = np.random.default_rng(11)
+    shape = (3000, 3000)
+    A = CSRMatrix.from_entries(*_random_entries(rng, shape, 200_000), shape)
+    B = A.scale_off_diagonal(t)
+    assert B._row_blocks is A._row_blocks and len(A._row_blocks) > 2
+    assert B._diagonal_mask is A._diagonal_mask
+    assert not A._diagonal_mask.flags.writeable
+    fresh = CSRMatrix(B.indptr, B.indices, B.data, B.shape)
+    X = rng.normal(size=(shape[1], 4)) + 1j * rng.normal(size=(shape[1], 4))
+    assert (B @ X).tobytes() == (fresh @ X).tobytes()
+    assert (B @ X[:, 0]).tobytes() == (fresh @ X[:, 0]).tobytes()
+    assert B.diagonal().tobytes() == fresh.diagonal().tobytes()
+    assert fresh._row_blocks is not A._row_blocks  # fresh found its own
+
+
 def test_csr_arrays_refuse_writes():
     A = CSRMatrix.from_entries([0, 1, 1], [1, 0, 1], [1.0, 2.0, 3.0], (2, 2))
     for M in (A, CSRMatrix.of(np.eye(3)), CSRMatrix.stack([A, A]),

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import math
@@ -19,7 +20,7 @@ from spinrad.errors import ConfigError, DomainError, ResourceError, \
     SpinradError
 from spinrad.kernel import a11_origin, kernel_matrix
 from spinrad.spin_algebra import embed_site_operator, hopf_map, \
-    product_state
+    product_state, su2_rotate
 from spinrad.spin_operator import HermitianSpinOperator, SpinSystem, \
     _coefficients, assemble_am, bilinear_spin_operator, \
     ground_eigenspace, product_form, quadratic_form, site_spin_operators
@@ -239,8 +240,9 @@ def test_permutation_equivariance(profile):
     perm = [2, 0, 1]
     sys_a = SpinSystem(positions=positions, moments=moments, s=0.5)
     sys_b = SpinSystem(positions=positions[perm], moments=moments[perm], s=0.5)
-    A = assemble_am(sys_a, profile).matrix
-    B = assemble_am(sys_b, profile).matrix
+    # three sites span a plane: each order may pick its own frame
+    A = weight_basis_matrix(assemble_am(sys_a, profile))
+    B = weight_basis_matrix(assemble_am(sys_b, profile))
     # permutation matrix on (C^2)^(x3) sending factor slot i to perm[i]
     P = np.zeros((8, 8))
     for idx in range(8):
@@ -541,7 +543,8 @@ def test_integer_spin_real_form_matches_weight_basis(profile, cluster,
 def test_odd_time_reversal_gives_kramers_pairs(tmp_path, profile, s, P):
     # (2s) P odd: time reversal squares to -1, so every level of A_M is
     # at least doubly degenerate and e2's ground multiplicity is even;
-    # half-integer s keeps the complex weight basis
+    # half-integer s stays complex, in the weight basis or, for the planar
+    # P = 3 clusters, in the rotated basis of their plane's frame
     rng = np.random.default_rng(int(2 * s) * 10 + P)
     positions = rng.normal(size=(P, 3))
     moments = rng.uniform(-1.0, 1.0, size=P)
@@ -552,10 +555,111 @@ def test_odd_time_reversal_gives_kramers_pairs(tmp_path, profile, s, P):
     assert got["multiplicity"] % 2 == 0
     A = assemble_am(SpinSystem(positions=positions, moments=moments, s=s),
                     profile)
-    assert A.site_basis is None and A.matrix.dtype == np.complex128
+    assert A.matrix.dtype == np.complex128
     assert got["lambda_min"] == A.eigenvalues[0]
     assert np.abs(A.eigenvalues[1::2] - A.eigenvalues[::2]).max() \
         <= 1e-12 * A.radius
+
+
+def _planar_system(rng, s, P, lift=0.0):
+    """P sites drawn in a random plane, the first lifted by lift along its
+    unit normal n, with random moments; returns (system, n)."""
+    frame = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    positions = 1.5 * rng.normal(size=(P, 2)) @ frame[:, :2].T \
+        + rng.normal(size=3)
+    positions[0] += lift * frame[:, 2]
+    return SpinSystem(positions=positions, moments=rng.uniform(-1.0, 1.0, P),
+                      s=s), frame[:, 2]
+
+
+PLANAR = [(s, 3) for s in (0.5, 1.0, 1.5, 2.5)] \
+    + [(0.5, 4), (1.0, 4), (1.5, 4), (0.5, 5), (1.0, 5)]
+
+
+def _commutator_with_pi_rotation(profile, system, n):
+    """Largest entry of [A_M, U] in the weight basis, U the pi rotation
+    about n on every site, and A_M's spectral radius."""
+    A = assemble_am(system, profile)
+    U = functools.reduce(np.kron, [su2_rotate(system.s, np.pi * n)]
+                         * system.P)
+    Aw = bilinear_spin_operator(A.coefficients, system.s)
+    return np.abs(Aw @ U - U @ Aw).max(), A.radius
+
+
+@pytest.mark.parametrize("s, P", PLANAR)
+def test_planar_am_commutes_with_pi_rotation_about_normal(profile, s, P):
+    # the mirror through the sites' plane fixes every site; spin is axial,
+    # so the mirror acts on spins as the pi rotation about the normal
+    rng = np.random.default_rng(int(2 * s) * 10 + P)
+    comm, rho = _commutator_with_pi_rotation(
+        profile, *_planar_system(rng, s, P))
+    assert comm <= 1e-13 * rho
+    # one site lifted off the plane: the pairs through it break the
+    # symmetry, by 3e-4 to 6e-2 of rho over these cases and seeds 0-5
+    system, n = _planar_system(rng, s, P, lift=0.8)
+    comm, rho = _commutator_with_pi_rotation(profile, system, n)
+    assert comm >= 1e-4 * rho
+
+
+@pytest.mark.parametrize("s, P", PLANAR)
+def test_sector_solve_matches_full_weight_basis(profile, s, P):
+    rng = np.random.default_rng(int(2 * s) * 10 + P + 1)
+    system, _ = _planar_system(rng, s, P)
+    A = assemble_am(system, profile, vectors=True)
+    assert A.sectors is not None
+    assert sorted(np.concatenate(A.sectors)) == list(range(system.spin_dim))
+    ref = bilinear_spin_operator(A.coefficients, s)
+    ref_vals = np.linalg.eigvalsh(ref)
+    rho = np.abs(ref_vals).max()
+    assert np.abs(A.eigenvalues - ref_vals).max() <= 1e-13 * rho
+    lam, mult, basis = ground_eigenspace(A)
+    assert mult == ground_eigenspace(HermitianSpinOperator(ref))[1]
+    assert np.abs(basis.conj().T @ basis - np.eye(mult)).max() <= 1e-13
+    assert np.abs(ref @ basis - basis * A.eigenvalues[:mult]).max() \
+        <= 1e-12 * rho
+    X = np.array([random_state(rng, system.spin_dim) for _ in range(4)])
+    rayleigh = np.einsum("ni,ij,nj->n", X.conj(), ref, X).real
+    assert np.abs(quadratic_form(A, X) - rayleigh).max() <= 1e-13 * rho
+    # without vectors, eigvalsh on the same sectors
+    assert np.abs(assemble_am(system, profile).eigenvalues - ref_vals).max() \
+        <= 1e-13 * rho
+
+
+def test_sectors_only_for_sites_that_span_a_plane(profile):
+    rng = np.random.default_rng(8)
+    line = np.outer(rng.normal(size=4), rng.normal(size=3))
+    lifted, _ = _planar_system(rng, 0.5, 4, lift=1e-6)
+    for positions in (line, [[0.3, -0.2, 0.9]], rng.normal(size=(4, 3)),
+                      lifted.positions):
+        system = SpinSystem(positions=positions,
+                            moments=np.ones(len(positions)))
+        assert assemble_am(system, profile).sectors is None
+    assert assemble_am(_planar_system(rng, 0.5, 4)[0], profile).sectors \
+        is not None
+
+
+def test_sector_solve_refuses_a_frame_off_the_normal(profile):
+    system, n = _planar_system(np.random.default_rng(9), 1.5, 3)
+    coef = _coefficients(system,
+                         lambda d: kernel_matrix(profile, d).entries)
+    frame = spin_operator._plane_frame(system.positions)
+    assert np.abs(spin_operator._rotation(frame) @ n).round(12).tolist() \
+        == [0.0, 0.0, 1.0]
+    spin_operator._checked_operator(coef, 1.5, False, frame)
+    with pytest.raises(SpinradError, match="couples its sectors"):
+        spin_operator._checked_operator(coef, 1.5, False, frame + 0.3)
+
+
+@pytest.mark.parametrize("s, P", [(0.5, 3), (1.5, 3), (2.5, 3), (0.5, 5)])
+def test_odd_time_reversal_maps_one_sector_onto_the_other(profile, s, P):
+    # (2s) P odd: the pi rotation U has eigenvalues +-i, one per sector;
+    # time reversal commutes with A_M and U but is antiunitary, so it maps
+    # U's eigenvalue i onto -i and one sector's spectrum onto the other's
+    system, _ = _planar_system(np.random.default_rng(int(2 * s) + P), s, P)
+    A = assemble_am(system, profile)
+    even, odd = (np.linalg.eigvalsh(A.matrix[np.ix_(k, k)])
+                 for k in A.sectors)
+    assert np.abs(even - odd).max() <= 1e-13 * A.radius
 
 
 def _traced_peak(call):

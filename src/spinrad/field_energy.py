@@ -94,9 +94,9 @@ from numpy.polynomial.legendre import leggauss
 
 from .cutoff import CutoffProfile, phi_eval
 from .kernel import a11_origin
-from .spin_algebra import ProductState, _require_unit
+from .spin_algebra import ProductState, _require_unit, site_spin_operators
 from .spin_operator import SpinSystem, _scaled_distances, assemble_am, \
-    quadratic_form, site_spin_operators
+    quadratic_form
 from .errors import DomainError, ResourceError, _integer
 
 # The sizing law of the module docstring
@@ -146,13 +146,13 @@ def _site_terms(V):
 
 
 def vector_current(system: SpinSystem, profile: CutoffProfile, X) -> FourierCurrent:
-    """Spin-space-valued current jhat(xi, X) of a spin state X."""
+    """Spin-space-valued current jhat(xi, X) of a spin state X, its site
+    terms from the site spins applied to X (site_spin_operators)."""
     X = np.asarray(X, dtype=complex)
     if X.shape != (system.spin_dim,):
         raise DomainError(f"spin state needs {system.spin_dim} components")
     _require_unit(X, "vector current requires a normalized state")
-    sigX = (site_spin_operators(system.s, system.P) @ X).reshape(
-        system.P, 3, -1)  # (P, 3, dim)
+    sigX = site_spin_operators(system.s, system.P, X)  # (P, 3, dim)
     V = system.moments[:, None, None] * sigX
     return FourierCurrent(evaluator=_site_terms(V),
                           positions=system.positions, profile=profile)

@@ -46,8 +46,8 @@ the vacuum spin space with QHQ taken as its diagonal, which is H's ground
 vector at n_max = 1, and the multiplicity of the ground level from the
 full Feshbach map onto that spin space, whose resolvent is applied by CG.
 Both are written in numpy on spin_algebra's CSRMatrix, through its
-products, dense rows and diagonal, never its layout, so the module needs
-nothing of scipy.
+products, dense rows, diagonal and the states its pattern does not join
+to the start, never its layout, so the module needs nothing of scipy.
 """
 
 from __future__ import annotations
@@ -62,10 +62,10 @@ from numpy.polynomial.legendre import leggauss
 from .cutoff import CutoffProfile, phi_eval
 from .errors import ConvergenceError, DomainError, ResourceError, \
     _integer
-from .spin_algebra import CSRMatrix, _require_unit
+from .spin_algebra import CSRMatrix, _require_unit, site_spin_operators
 from .spin_operator import DEFAULT_DEGENERACY_TOL, HermitianSpinOperator, \
     SpinSystem, _checked_operator, bilinear_spin_operator, \
-    ground_eigenspace, site_spin_operators
+    ground_eigenspace
 
 # Hard ceiling on dim(Fock) * dim(spin) for assembled operators.  The Fock
 # space is that of the coupled oscillators only, at most 3P per radial shell.
@@ -322,11 +322,13 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
     (module docstring).  H_int = T + T^dagger with
     T = sum_o a_o^dagger (x) C_o and the spin block
     C_o = sum_a M[a // 3] W[a, o] S_a / sqrt(2) of oscillator o, on the
-    union pattern of the S_a.  Each a^dagger entry of _creation_pattern
-    gives sqrt(occ) times the nonzero entries of its oscillator's C_o,
-    exact zeros dropped; T^dagger's entries are T's with rows and columns
-    swapped and values conjugated.  Those entries and the nonzero
-    diagonal of dGamma(omega) (x) I make one CSRMatrix.from_entries.
+    union pattern of the dense S_a (site_spin_operators on the identity).
+    Each a^dagger entry of _creation_pattern gives sqrt(occ) times the
+    nonzero entries of its oscillator's C_o, exact zeros dropped;
+    T^dagger's entries are T's with rows and columns swapped and values
+    conjugated.  Those entries and the nonzero diagonal of
+    dGamma(omega) (x) I fill one (rows, cols, vals) triple for one
+    CSRMatrix.from_entries.
     """
     spin_dim = system.spin_dim
     omega_osc, W = shell_couplings(system, profile, grid)
@@ -337,23 +339,28 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
         spin_dim)
     diag = np.flatnonzero(free)
 
-    S = site_spin_operators(system.s, system.P).toarray().reshape(
+    S = site_spin_operators(system.s, system.P, np.eye(spin_dim)).reshape(
         3 * system.P, spin_dim * spin_dim)
     pattern = np.flatnonzero(S.any(axis=0))
     blocks = (np.repeat(system.moments, 3)[:, None] * W).T \
         @ S[:, pattern] / math.sqrt(2.0)
     rows, cols, occ, osc = _creation_pattern(space)
     keep = (blocks != 0.0)[osc]
+    # the diagonal's entries, then T's at (i, j) and T^dagger's at (j, i)
+    n = len(diag)
+    T = slice(n, n + np.count_nonzero(keep))
+    i, j = np.empty((2, 2 * T.stop - n), dtype=np.intp)
+    vals = np.empty(len(i), dtype=complex)
+    i[:n] = j[:n] = diag
+    vals[:n] = free[diag]
+    row, col = np.divmod(pattern, spin_dim)
+    i[T] = j[T.stop:] = (rows[:, None] * spin_dim + row)[keep]
+    j[T] = i[T.stop:] = (cols[:, None] * spin_dim + col)[keep]
     # sqrt(occ) scales the real and imaginary parts as one real array
-    vals = (np.sqrt(occ)[:, None]
-            * blocks.view(float)[osc]).view(complex)[keep]
-    # T's entries at (ij[0], ij[1]), T^dagger's at (ij[1], ij[0])
-    ij = (np.stack([rows, cols])[:, :, None] * spin_dim
-          + np.stack(np.divmod(pattern, spin_dim))[:, None, :])[:, keep]
-    h = CSRMatrix.from_entries(
-        np.concatenate([diag, ij.ravel()]),
-        np.concatenate([diag, ij[::-1].ravel()]),
-        np.concatenate([free[diag], vals, vals.conj()]), (dim, dim))
+    vals[T] = (np.sqrt(occ)[:, None]
+               * blocks.view(float)[osc]).view(complex)[keep]
+    np.conjugate(vals[T], out=vals[T.stop:])
+    h = CSRMatrix.from_entries(i, j, vals, (dim, dim))
     return ToyHamiltonian(h=h, space=space, spin_dim=spin_dim, coupling=W)
 
 
@@ -382,12 +389,19 @@ def _dressed_start(H: CSRMatrix, diag: np.ndarray, spin_dim: int):
     preconditioner is 1 / (max(diag, min D) - E), positive as E < min D:
     unclamped, the P entries diag - E ~ |E| would swamp the Q entries of
     the preconditioned residual (a one-site 2 x 6 n_max = 3 fit took 23
-    LOBPCG steps in all instead of 12).  If P couples to no Q state, the
-    start is PHP's ground vector: H's when QHQ is diagonal (lam_min PHP <=
-    min diag <= lam_min QHQ), else DomainError; the preconditioner is then
-    all ones.
+    LOBPCG steps in all instead of 12).  H is refused with DomainError
+    when a coupled state lies in no component of its pattern that holds a
+    P state (CSRMatrix.unreached), as the ground level may lie there; a
+    state with only a diagonal entry is an eigenvector at it, not below P's
+    smallest.  So if P couples to no Q state, QHQ is diagonal and the start
+    is PHP's ground vector, H's (lam_min PHP <= min diag <= lam_min QHQ);
+    the preconditioner is then all ones.
     """
     cols = np.argsort(diag, kind="stable")[:spin_dim]
+    unreached = H.unreached(cols)
+    if len(unreached):
+        raise DomainError(f"H is reducible: {len(unreached)} coupled states "
+                          f"are decoupled from the start states")
     PH = H.rows(cols)
     PHP = PH[:, cols]
     coupled = PH.any(axis=0)
@@ -395,11 +409,7 @@ def _dressed_start(H: CSRMatrix, diag: np.ndarray, spin_dim: int):
     q = np.flatnonzero(coupled)
     B = PH[:, q]
     start = np.zeros(H.shape[0], dtype=complex)
-    if not len(q):  # no coupling: P is an invariant subspace
-        inner = np.count_nonzero(PHP) - np.count_nonzero(diag[cols])
-        if np.count_nonzero(H.data) - np.count_nonzero(diag) > inner:
-            raise DomainError("the start states are decoupled from a "
-                              "non-diagonal block that they cannot reach")
+    if not len(q):  # P is an invariant subspace, and QHQ diagonal
         start[cols] = np.linalg.eigh(PHP)[1][:, 0]
         return start, np.ones(len(diag))
     D = diag[q]
@@ -488,8 +498,8 @@ def ground_state(H, tol: float = DEFAULT_EIGENSOLVER_TOL, spin_dim: int = 1):
     Rayleigh quotient of the vector, and the residual ||H v - E v|| comes
     from that same product with H, not from the solver's own.  Returns
     (energy, vector, residual): a float, a unit vector of shape (dim,) and
-    a float.  A block of H with no path of nonzero entries to the start
-    is never reached.
+    a float.  An H with a coupled block that no path of stored entries
+    joins to the start raises DomainError (_dressed_start).
     """
     H = CSRMatrix.of(H)
     # at n_max = 1 the start is the ground vector

@@ -4,14 +4,16 @@ Conventions: sigma_j(s) = 2 J_j in the weight basis |s,s>, ..., |s,-s>, so
 that s = 1/2 reproduces the Pauli matrices, [sigma_1, sigma_2] = 2i sigma_3
 (and cyclic) and sum_j sigma_j(s)^2 = 4 s (s+1) I exactly.
 
-Sparse operators, the site embeddings here, their stack and the Fock
-Hamiltonian, are CSRMatrix: compressed sparse rows in numpy, the canonical
-layout of scipy.sparse (rows in order, columns ascending and unique in each
-row), read-only.  This module is the only one that knows that layout: the
-package uses only construction (from entries, from a dense array and by
-stacking rows), products, dense rows, the diagonal, the off-diagonal part
-scaled (H(t) of the Fock Hamiltonian), the stored values (data) and the
-dense matrix (toarray).
+Site spins act on (C^d)^(x P) by contraction along one site axis
+(_on_site); no d^P x d^P operator is formed.  The Fock Hamiltonian, and
+embed_site_operator as a reference, are CSRMatrix: compressed sparse rows
+in numpy, the canonical layout of scipy.sparse (rows in order, columns
+ascending and unique in each row), read-only.  This module is the only one
+that knows that layout: the package uses only construction (from entries
+and from a dense array), products, dense rows, the diagonal, the
+off-diagonal part scaled (H(t) of the Fock Hamiltonian), the states a walk
+of the pattern cannot reach, the stored values (data) and the dense matrix
+(toarray).
 """
 
 from __future__ import annotations
@@ -67,8 +69,9 @@ class CSRMatrix:
         key = rows.astype(np.int64, copy=False) * n_cols + cols
         order = np.argsort(key, kind="stable")
         key = key[order]  # one gather at a time keeps the peak down
-        cols = cols[order]
         vals = vals[order]
+        del order
+        cols = key % n_cols  # read back, not gathered: one array fewer
         new = np.ones(len(key), dtype=bool)
         new[1:] = key[1:] != key[:-1]
         if not new.all():  # sum each run of duplicates, in entry order
@@ -79,16 +82,6 @@ class CSRMatrix:
         indptr = np.zeros(n_rows + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
         return cls(indptr, cols, vals, (n_rows, n_cols))
-
-    @classmethod
-    def stack(cls, blocks) -> "CSRMatrix":
-        """The rows of the blocks one after another, on the columns of the
-        first block."""
-        counts = np.concatenate([np.diff(b.indptr) for b in blocks])
-        return cls.from_entries(np.repeat(np.arange(len(counts)), counts),
-                                np.concatenate([b.indices for b in blocks]),
-                                np.concatenate([b.data for b in blocks]),
-                                (len(counts), blocks[0].shape[1]))
 
     @classmethod
     def of(cls, A) -> "CSRMatrix":
@@ -170,17 +163,50 @@ class CSRMatrix:
         out[self.indices[on]] = self.data[on]
         return out
 
+    @functools.cached_property
+    def _components(self) -> np.ndarray:
+        """First state of each state's component in the pattern, -1 for a
+        state that stores no off-diagonal entry; read-only.  Found by
+        breadth-first walks along the rows, one frontier per step."""
+        count = np.diff(self.indptr)
+        unseen = np.zeros(max(self.shape), dtype=bool)  # columns past the
+        unseen[:len(count)] = count > np.bincount(      # rows are no states
+            self.indices[self._diagonal_mask], minlength=len(count))
+        label = np.full(self.shape[0], -1, dtype=np.intp)
+        while unseen.any():
+            seed = np.argmax(unseen)
+            front = np.array([seed])
+            while len(front):
+                label[front], unseen[front] = seed, False
+                n = count[front]  # the stored columns of front's rows
+                near = np.zeros_like(unseen)
+                near[self.indices[np.arange(n.sum()) + np.repeat(
+                    self.indptr[front] - np.cumsum(n) + n, n)]] = True
+                front = np.flatnonzero(near & unseen)
+        label.flags.writeable = False
+        return label
+
+    def unreached(self, starts) -> np.ndarray:
+        """The states, ascending, that store an off-diagonal entry in a
+        component of the pattern without starts: those that a walk along
+        a Hermitian matrix's entries from starts does not reach."""
+        label = self._components
+        met = np.zeros(len(label) + 1, dtype=bool)  # met[-1]: no component
+        met[label[starts]] = True
+        return np.flatnonzero((label >= 0) & ~met[label])
+
     def scale_off_diagonal(self, t) -> "CSRMatrix":
         """The matrix with every stored off-diagonal value times t, on
         this matrix's own indptr and indices; the diagonal is kept bit
-        for bit.  It shares this matrix's row blocks and diagonal mask,
-        which depend on indptr and indices alone, so a family of scales
-        finds them once."""
+        for bit.  It shares this matrix's row blocks, diagonal mask and
+        components, which depend on indptr and indices alone, so a family
+        of scales finds them once."""
         data = t * self.data
         np.copyto(data, self.data, where=self._diagonal_mask)
         scaled = CSRMatrix(self.indptr, self.indices, data, self.shape)
         vars(scaled).update(_row_blocks=self._row_blocks,
-                            _diagonal_mask=self._diagonal_mask)
+                            _diagonal_mask=self._diagonal_mask,
+                            _components=self._components)
         return scaled
 
     def toarray(self) -> np.ndarray:
@@ -263,12 +289,39 @@ def omega_state(s) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _spin_matrices_read_only(two_s) -> tuple:
-    """spin_matrices(two_s / 2), built once per process and read-only."""
-    sig = spin_matrices(two_s / 2.0)
-    for m in sig:
-        m.flags.writeable = False
+def _spin_matrices_read_only(two_s) -> np.ndarray:
+    """spin_matrices(two_s / 2), one (3, d, d) array, read-only."""
+    sig = np.array(spin_matrices(two_s / 2.0))
+    sig.flags.writeable = False
     return sig
+
+
+def _on_site(ops, X, lead, d, out=None) -> np.ndarray:
+    """d x d matrices ops (..., d, d) on the middle axis of X read as
+    (lead, d, rest), one matmul, into out if given (C-contiguous); shape
+    ops.shape[:-2] + X.shape.  For n states of (C^d)^(x P) along X's
+    leading axes, lead = n d^lam makes the middle axis site lam (0-based).
+    """
+    Xr, k = X.reshape(lead, d, -1), ops.shape[:-2]
+    if out is None:
+        out = np.empty(k + X.shape, dtype=np.result_type(ops, X))
+    np.matmul(ops[..., None, :, :], Xr, out=out.reshape(k + Xr.shape))
+    return out
+
+
+def site_spin_operators(s, P, X) -> np.ndarray:
+    """S_a X, shape (P, 3) + X.shape, for X of shape (d^P,) or (d^P, k):
+    [lam, m] holds sigma_(m+1) on site lam + 1 (_on_site), the dense S_a
+    when X is the identity.  Booleans are not spins."""
+    sig = _spin_matrices_read_only(_check_half_integer(s))
+    d, X = len(sig[0]), np.asarray(X)
+    if X.ndim not in (1, 2) or len(X) != d ** P:
+        raise DomainError(f"{P} spin-{s} sites act on {d ** P} components, "
+                          f"not on shape {X.shape}")
+    out = np.empty((P, 3) + X.shape, dtype=np.result_type(sig, X))
+    for lam in range(P):
+        _on_site(sig, X, d ** lam, d, out[lam])
+    return out
 
 
 def su2_rotate(s, theta) -> np.ndarray:

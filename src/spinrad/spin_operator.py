@@ -21,6 +21,7 @@ import functools
 import itertools
 import math
 import string
+from collections.abc import Callable
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -28,8 +29,10 @@ import numpy as np
 from .cutoff import CutoffProfile
 from .errors import DomainError, ResourceError, SpinradError
 from .kernel import kernel_matrix
-from .spin_algebra import CSRMatrix, _check_half_integer, _require_unit, \
-    embed_site_operator, spin_matrices, su2_rotate
+from .spin_algebra import _check_half_integer, _on_site, _require_unit, \
+    spin_matrices, su2_rotate
+# unused, but perfbench/tracing.py pins this name (ROADMAP item 2a)
+from .spin_algebra import embed_site_operator  # noqa: F401
 
 # Ceiling on positive eigenvalues of an assembled A_M, relative to its
 # spectral radius with no floor; anything larger diagnoses a kernel or
@@ -166,7 +169,8 @@ class HermitianSpinOperator:
     and A the operator in the weight basis, which site_basis None stands
     for.  An integer-spin A_M is real symmetric in the basis of _real_bases;
     a planar cluster's A_M is written in its plane's frame
-    (_operator_in_frame).
+    (_operator_in_frame).  basis, a function of no arguments, returns V on
+    site_basis's first read; None stands for the weight basis.
     quadratic_form and ground_eigenspace take and return weight-basis
     vectors, converting one site axis at a time.
 
@@ -181,7 +185,8 @@ class HermitianSpinOperator:
     matrix: np.ndarray
     vectors: InitVar[bool] = False
     coefficients: np.ndarray | None = field(default=None, repr=False)
-    site_basis: np.ndarray | None = field(default=None, repr=False)
+    basis: Callable[[], np.ndarray | None] | None = field(default=None,
+                                                          repr=False)
     sectors: tuple | None = field(default=None, repr=False)
     eigenvalues: np.ndarray = field(init=False, repr=False)  # ascending
     eigenvectors: np.ndarray | None = field(init=False, repr=False)  # columns
@@ -216,23 +221,14 @@ class HermitianSpinOperator:
                                        solved):
                 self.eigenvectors[k[:, None], cols] = v
 
+    @functools.cached_property
+    def site_basis(self) -> np.ndarray | None:
+        return None if self.basis is None else self.basis()
+
     @property
     def radius(self) -> float:
         """Spectral radius max |eigenvalue|, the scale of relative gates."""
         return float(np.abs(self.eigenvalues[[0, -1]]).max())
-
-
-@functools.lru_cache(maxsize=8, typed=True)
-def site_spin_operators(s, P) -> CSRMatrix:
-    """Sparse stack S of shape (3 P dim, dim) of the embedded spins.
-
-    Row block a = 3 lam + m (0-based) is S_a = sigma_(m+1) on site lam + 1.
-    Built once per process for each (s, P), typed so that True is not 1,
-    and shared, read-only as every CSRMatrix.
-    """
-    sig = spin_matrices(s)
-    return CSRMatrix.stack([embed_site_operator(sig[m], lam + 1, P)
-                            for lam in range(P) for m in range(3)])
 
 
 def _block_bases(lead, m, negate=False):
@@ -253,8 +249,8 @@ def _spin_bases(s):
     """Read-only spin-s bases of Hopf vectors, site blocks and pair blocks.
 
     Row j of the first, shape (3, d^2), is sigma_j flattened row-major;
-    the others are the _block_bases of the sigma_j.  Typed like
-    site_spin_operators.
+    the others are the _block_bases of the sigma_j.  Typed, so that the
+    bases of 1.0 are not those of True.
     """
     sig = np.array(spin_matrices(s))
     return _block_bases(sig.reshape(3, -1), sig)
@@ -271,7 +267,7 @@ def _real_bases(s):
     V^H sigma_j V = i R_j with R_j real.  So sigma_j sigma_m reads
     -R_j R_m and sigma_j (x) sigma_m reads -R_j (x) R_m: the real
     counterparts of the last two bases of _spin_bases.  Read-only; typed
-    like site_spin_operators.
+    like _spin_bases.
     """
     two_s = _check_half_integer(s)
     d = two_s + 1
@@ -285,7 +281,7 @@ def _real_bases(s):
 
 
 def _on_each_site(U, X) -> np.ndarray:
-    """(U (x) ... (x) U) X along X's last axis, one site axis at a time.
+    """(U (x) ... (x) U) X along X's last axis, one site at a time.
 
     X has shape (..., d^P) for the d x d matrix U; no d^P x d^P matrix is
     formed.
@@ -293,8 +289,8 @@ def _on_each_site(U, X) -> np.ndarray:
     d, shape = U.shape[0], np.shape(X)
     n = math.prod(shape[:-1])
     for k in range(round(math.log(shape[-1], d))):
-        X = np.matmul(U, np.reshape(X, (n * d ** k, d, -1)))
-    return X.reshape(shape)
+        X = _on_site(U, X, n * d ** k, d)
+    return X
 
 
 def _site_blocks(C, site_basis) -> np.ndarray:
@@ -411,29 +407,37 @@ def _operator_bases(coef, s):
     return (None, *_spin_bases(s)[1:])
 
 
+def _frame_basis(s, frame, V) -> np.ndarray:
+    """D^H V for D = su2_rotate(s, frame), V None for the identity."""
+    Dh = su2_rotate(s, frame).conj().T
+    return Dh if V is None else Dh @ V
+
+
 def _operator_in_frame(coef, s, frame):
-    """(matrix, site basis, sectors) of the operator sum_ab coef[a, b] S_a S_b.
+    """(matrix, basis, sectors) of the operator sum_ab coef[a, b] S_a S_b,
+    basis a function of no arguments that returns the matrix's site basis.
 
     Without a frame: the matrix in the basis of _operator_bases and no
     sectors.  frame is otherwise the rotation vector theta that takes the
     normal of the sites' plane to z (_plane_frame).  The matrix is then the
     operator of C' = R~ C R~^T, R~ = I_P (x) _rotation(theta), in the basis
     of _operator_bases(C'); that is the operator of C in the site basis
-    D^H V, with D = su2_rotate(s, theta) and V the basis of _operator_bases
-    (identity for half-integer s).  In that frame the mirror through the
-    plane is the pi rotation about z, whose sectors are _parity_sectors.
+    D^H V (_frame_basis), with V the basis of _operator_bases (identity for
+    half-integer s), found only when basis is called.  In that frame the
+    mirror through the plane is the pi rotation about z, whose sectors are
+    _parity_sectors.
     """
     if frame is None:
         V, site_basis, pair_basis = _operator_bases(coef, s)
-        return _dense_operator(coef, site_basis, pair_basis), V, None
+        return _dense_operator(coef, site_basis, pair_basis), lambda: V, None
     # R~ C R~^T, one 3 x 3 rotation per site axis
     R, n = _rotation(frame), coef.shape[0]
     rotated = (coef.reshape(n, -1, 3) @ R.T).reshape(n, n)
     rotated = (R @ rotated.reshape(-1, 3, n)).reshape(n, n)
     V, site_basis, pair_basis = _operator_bases(rotated, s)
-    Dh = su2_rotate(s, frame).conj().T
     return (_dense_operator(rotated, site_basis, pair_basis),
-            Dh if V is None else Dh @ V, _parity_sectors(len(Dh), n // 3))
+            functools.partial(_frame_basis, s, frame, V),
+            _parity_sectors(_check_half_integer(s) + 1, n // 3))
 
 
 def _checked_operator(coef, s, vectors: bool,
@@ -445,9 +449,9 @@ def _checked_operator(coef, s, vectors: bool,
     too (see HermitianSpinOperator); the operator keeps coef.
     """
     coef = np.asarray(coef)
-    matrix, V, sectors = _operator_in_frame(coef, s, frame)
+    matrix, basis, sectors = _operator_in_frame(coef, s, frame)
     op = HermitianSpinOperator(matrix=matrix, vectors=vectors,
-                               coefficients=coef, site_basis=V,
+                               coefficients=coef, basis=basis,
                                sectors=sectors)
     if op.eigenvalues[-1] > PSD_VIOLATION_TOL * op.radius:
         raise SpinradError(f"A_M has a positive eigenvalue "

@@ -19,8 +19,7 @@ from spinrad.errors import ConfigError
 from spinrad.field_energy import _radial_cosines, _spherical_nodes, \
     rule_sizes
 from spinrad.kernel import _oracle_rule
-from spinrad.spin_operator import SpinSystem, assemble_am, \
-    site_spin_operators
+from spinrad.spin_operator import SpinSystem, assemble_am
 
 from conftest import weight_basis_matrix
 
@@ -435,11 +434,9 @@ def test_cli_classical(tmp_path):
 
 
 def test_cli_artifacts_same_from_cold_and_warm_rules(tmp_path):
-    # each fixed Gauss-Legendre rule, the oracle's table, the cosine sums of
-    # a geometry and the site-spin stack are built on their first use in the
-    # process
-    caches = (_spherical_nodes, _oracle_rule, _radial_cosines,
-              site_spin_operators)
+    # each fixed Gauss-Legendre rule, the oracle's table and the cosine sums
+    # of a geometry are built on their first use in the process
+    caches = (_spherical_nodes, _oracle_rule, _radial_cosines)
     for cache in caches:
         cache.cache_clear()
     blobs = []
@@ -452,7 +449,7 @@ def test_cli_artifacts_same_from_cold_and_warm_rules(tmp_path):
         blobs.append((out / "verify.csv").read_bytes()
                      + (out / "classical.csv").read_bytes())
     assert blobs[0] == blobs[1]
-    assert [cache.cache_info().misses for cache in caches] == [1, 1, 1, 1]
+    assert [cache.cache_info().misses for cache in caches] == [1, 1, 1]
 
 
 def test_cli_verify_takes_cosines_once_per_geometry(tmp_path):

@@ -14,10 +14,9 @@ from spinrad.field_energy import MAX_RULE_NODES, FourierCurrent, \
     rule_sizes, vector_current
 from spinrad.spin_algebra import omega_state, product_state, spin_matrices, \
     su2_rotate
-from spinrad.spin_operator import SpinSystem, assemble_am, quadratic_form, \
-    site_spin_operators
+from spinrad.spin_operator import SpinSystem, assemble_am, quadratic_form
 
-from conftest import random_state
+from conftest import kron_site_spins, random_state
 
 # the module: spinrad.field_energy as an attribute is the function
 field_energy_module = importlib.import_module("spinrad.field_energy")
@@ -188,8 +187,7 @@ def _cross_reference(xi, V):
 
 def _vector_reference(system, profile, X, xi):
     """Vector amplitudes by einsum over sites, then the cross product."""
-    sigX = (site_spin_operators(system.s, system.P) @ X).reshape(
-        system.P, 3, -1)
+    sigX = np.array(kron_site_spins(system.s, system.P)) @ X  # (P, 3, dim)
     phases = np.exp(1j * (xi @ system.positions.T))
     amp = np.einsum("l,nl,lmd->nmd", system.moments.astype(complex),
                     phases, sigX)

@@ -22,8 +22,7 @@ from spinrad.fock import MAX_TOTAL_DIM, ToyHamiltonian, _discrete_k_bound, \
     segal_field, shell_couplings, variational_trial_check
 from spinrad.spin_algebra import CSRMatrix
 from spinrad.spin_operator import DEFAULT_DEGENERACY_TOL, SpinSystem, \
-    _coefficients, assemble_am, bilinear_spin_operator, ground_eigenspace, \
-    site_spin_operators
+    _coefficients, assemble_am, bilinear_spin_operator, ground_eigenspace
 
 from conftest import grid_modes, kron_site_spins, projector_kernel, \
     random_state, weight_basis_matrix
@@ -466,13 +465,12 @@ def test_one_pass_interaction_matches_kron_sum(profile, s, n_max):
             toy = build_hamiltonian(system, profile, grid, n_max)
         except ResourceError:  # P = 3: s = 3/2 at n_max = 3, 5/2 from 2
             continue
-        S = site_spin_operators(s, P)
-        d = system.spin_dim
+        S = [S_a for site in kron_site_spins(s, P) for S_a in site]
         ref = sp.csr_matrix(toy.h.shape, dtype=complex)
         for a, w in enumerate(toy.coupling):
             ref = ref + system.moments[a // 3] * sp.kron(
                 _scipy_csr(segal_field(toy.space, w)),
-                _scipy_csr(S)[a * d:(a + 1) * d], format="csr")
+                sp.csr_matrix(S[a]), format="csr")
         rows = toy.h._row_ids()
         off = rows != toy.h.indices
         got = CSRMatrix.from_entries(rows[off], toy.h.indices[off],
@@ -501,7 +499,7 @@ def _full_grid_hamiltonian(system, profile, grid, n_max):
     spin_dim = system.spin_dim
     omega, V = _mode_couplings(system, profile, grid)
     space = build_fock_space(omega, n_max, spin_dim)
-    S = _scipy_csr(site_spin_operators(system.s, system.P))
+    S = [S_a for site in kron_site_spins(system.s, system.P) for S_a in site]
     h_free = sp.kron(
         sp.diags(np.concatenate([space.omega_osc[occ].sum(axis=1)
                                  for occ in space.sectors])),
@@ -509,8 +507,8 @@ def _full_grid_hamiltonian(system, profile, grid, n_max):
     h_int = sp.csr_matrix((space.dim * spin_dim,) * 2, dtype=complex)
     for a, v in enumerate(V):
         h_int = h_int + system.moments[a // 3] * sp.kron(
-            _scipy_csr(segal_field(space, v)),
-            S[a * spin_dim:(a + 1) * spin_dim], format="csr")
+            _scipy_csr(segal_field(space, v)), sp.csr_matrix(S[a]),
+            format="csr")
     # too large to make dense: the CSRMatrix of scipy's canonical arrays
     h = h_free + h_int
     rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
@@ -646,10 +644,10 @@ def _schur_energies(system, profile, grid, t):
     _mode_couplings and the site spins, not from build_hamiltonian.
     """
     sd = system.spin_dim
-    S = site_spin_operators(system.s, system.P).toarray()
+    S = [S_a for site in kron_site_spins(system.s, system.P) for S_a in site]
     omega, V = _mode_couplings(system, profile, grid)
     B = sum(system.moments[a // 3] / math.sqrt(2.0) * np.kron(
-        V[a][:, None], S[a * sd:(a + 1) * sd]) for a in range(3 * system.P))
+        V[a][:, None], S[a]) for a in range(3 * system.P))
     omega = np.repeat(omega, sd)
 
     def branch_minus_e(E, j):
@@ -798,12 +796,14 @@ def _coupled(d, pairs):
     # the smallest entry repeats five times, so an uncoupled Q state ties
     # with P at spin_dim 1 and 4: diagonal, and with P coupled higher up
     _coupled([0.7, -1.0, 2.0, -1.0, -1.0, -1.0, -1.0, 0.3], []),
+    # (every coupled state is joined to the start: ground_state refuses a
+    # reducible H, test_reducible_h_is_refused_wherever_its_ground_lies)
     _coupled([0.7, -1.0, 2.0, -1.0, -1.0, -1.0, -1.0, 0.3],
-             [(1, 2, 0.4), (3, 7, -0.2)]),
+             [(1, 2, 0.4), (3, 7, -0.2), (2, 7, 0.05)]),
     # a P row coupled to the smallest Q entry, tied with P or above it
     _coupled([0.0, 0.0, 1.5, 0.9, 0.0, 0.0, 0.0, 2.0], [(0, 1, 0.3)]),
     _coupled([-0.5, 0.0, 1.5, 0.9, -0.5, -0.5, -0.5, 2.0],
-             [(0, 1, 0.3), (4, 1, 0.1), (2, 3, 1.0)])],
+             [(0, 1, 0.3), (4, 1, 0.1), (2, 3, 1.0), (1, 3, 0.2)])],
     ids=["diagonal-tie", "coupled-tie", "p-to-q-tie", "p-to-q"])
 def test_dressed_start_edge_cases(H, spin_dim):
     v, precond = fock._dressed_start(CSRMatrix.of(H), H.diagonal().real,
@@ -819,15 +819,38 @@ def test_dressed_start_edge_cases(H, spin_dim):
 
 @pytest.mark.parametrize("H", [
     _coupled([0.0, 0.5, 0.5], [(1, 2, 1.0)]),
-    _coupled([0.0, 0.0, 0.5, 0.5], [(1, 3, 0.1), (2, 3, 1.0)])],
-    ids=["3x3", "4x4"])
+    _coupled([0.0, 0.0, 0.5, 0.5], [(1, 3, 0.1), (2, 3, 1.0)]),
+    _coupled([0.0, 0.5, 0.5, 0.5], [(0, 1, 0.1), (2, 3, 1.0)])],
+    ids=["3x3", "4x4", "4x4-coupled-start"])
 def test_decoupled_start_raises(H):
-    # state 0, the start, couples to no other state, and the block it
-    # cannot reach holds the ground level: its own eigenpair, at 0, would
-    # pass the residual gate
+    # state 0, the start, couples to no other state or only within its own
+    # block, and the block it cannot reach holds the ground level: the
+    # start's own eigenpair, at 0 or -0.0193, would pass the residual gate
     assert np.linalg.eigvalsh(H)[0] < -0.49
     with pytest.raises(DomainError, match="decoupled"):
         ground_state(H)
+
+
+@pytest.mark.parametrize("H, spin_dim, unreached", [
+    (_coupled([0.7, -1.0, 2.0, -1.0, -1.0, -1.0, -1.0, 0.3],
+              [(1, 2, 0.4), (3, 7, -0.2)]), 1, [3, 7]),
+    (_coupled([-0.5, 0.0, 1.5, 0.9, -0.5, -0.5, -0.5, 2.0],
+              [(0, 1, 0.3), (4, 1, 0.1), (2, 3, 1.0)]), 1, [2, 3]),
+    (_coupled([-0.5, 0.0, 1.5, 0.9, -0.5, -0.5, -0.5, 2.0],
+              [(0, 1, 0.3), (4, 1, 0.1), (2, 3, 1.0)]), 4, [2, 3])],
+    ids=["coupled-tie-1", "p-to-q-1", "p-to-q-4"])
+def test_reducible_h_is_refused_wherever_its_ground_lies(H, spin_dim,
+                                                         unreached):
+    # the start's block holds the ground level here, but a walk of the
+    # pattern cannot tell, so a coupled block it does not reach is refused
+    rest = np.setdiff1d(np.arange(len(H)), unreached)
+    assert np.linalg.eigvalsh(H[np.ix_(rest, rest)])[0] \
+        == pytest.approx(np.linalg.eigvalsh(H)[0], abs=1e-14)
+    assert CSRMatrix.of(H).unreached(
+        np.argsort(H.diagonal(), kind="stable")[:spin_dim]).tolist() \
+        == unreached
+    with pytest.raises(DomainError, match="decoupled"):
+        ground_state(H, spin_dim=spin_dim)
 
 
 def test_dressed_start_ends_when_steps_round_away(monkeypatch):

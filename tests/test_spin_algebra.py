@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from spinrad.errors import DomainError
 from spinrad.spin_algebra import CSRMatrix, embed_site_operator, hopf_map, \
-    omega_state, product_state, spin_matrices, su2_rotate
+    omega_state, product_state, site_spin_operators, spin_matrices, \
+    su2_rotate
 from spinrad.spin_operator import SpinSystem
 
 ALL_SPINS = [0.5, 1.0, 1.5, 2.0, 2.5]
@@ -84,6 +85,44 @@ def test_embed_preserves_hermiticity():
     H = PAULI[0] + 0.3 * PAULI[2]
     E = embed_site_operator(H, 2, 3).toarray()
     assert np.abs(E - E.conj().T).max() == 0.0
+
+
+@st.composite
+def spin_clusters(draw):
+    """s in {1/2, ..., 5/2} and 1 <= P <= 4 with (2s+1)^P <= 256."""
+    two_s = draw(st.integers(1, 5))
+    P_max = int(np.floor(np.log(256) / np.log(two_s + 1) + 1e-12))
+    return two_s / 2.0, draw(st.integers(1, min(P_max, 4)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spin_clusters(), st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_site_spins_act_as_their_embeddings(cluster, seed, k):
+    # sigma_m on site lam by contraction, against its CSR embedding, on one
+    # vector and on a stack of k columns; a spin-1/2 row holds one entry
+    s, P = cluster
+    rng = np.random.default_rng(seed)
+    sig = spin_matrices(s)
+    dim = len(sig[0]) ** P
+    for shape in ((dim,), (dim, k)):
+        X = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = site_spin_operators(s, P, X)
+        ref = np.array([[embed_site_operator(m, lam + 1, P) @ X
+                         for m in sig] for lam in range(P)])
+        assert got.shape == (P, 3) + shape
+        if s == 0.5:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_site_spins_refuse_booleans_and_misshapen_states():
+    assert site_spin_operators(1.0, 1, np.eye(3)).shape == (1, 3, 3, 3)
+    with pytest.raises(DomainError, match="half-integer"):
+        site_spin_operators(True, 2, np.ones(4))
+    for X in (np.ones(4), np.ones((8, 2, 2)), np.ones(())):
+        with pytest.raises(DomainError, match="components"):
+            site_spin_operators(0.5, 3, X)
 
 
 def test_hopf_reference_points():
@@ -325,24 +364,6 @@ def test_csr_edge_cases():
         CSRMatrix.of(sp.csr_matrix(np.eye(3)))
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_csr_stack_is_scipys_vstack(seed):
-    # blocks with empty rows, an empty block and one of a single row
-    rng = np.random.default_rng(seed)
-    blocks = []
-    for n_rows in (5, 1, 0, 7):
-        rows, cols, vals = _random_entries(rng, (max(n_rows, 1), 9),
-                                           2 * n_rows, complex)
-        keep = rng.random(len(rows)) < 0.7
-        blocks.append(CSRMatrix.from_entries(rows[keep], cols[keep],
-                                             vals[keep], (n_rows, 9)))
-    got = CSRMatrix.stack(blocks)
-    ref = sp.vstack([sp.csr_matrix((b.data, b.indices, b.indptr),
-                                   shape=b.shape) for b in blocks],
-                    format="csr")
-    _assert_same_csr(got, ref)
-
-
 @pytest.mark.parametrize("shape", [(1, 1), (7, 5), (5, 9), (40, 40)])
 @pytest.mark.parametrize("t", [0.0, 0.05, -1.3])
 def test_csr_scale_off_diagonal(shape, t):
@@ -379,10 +400,32 @@ def test_csr_scaled_matrix_shares_row_blocks_and_diagonal_mask(t):
     assert fresh._row_blocks is not A._row_blocks  # fresh found its own
 
 
+def test_csr_unreached_states_by_components():
+    # blocks {0, 1} and {2, 3}, state 4 with only a diagonal entry and
+    # the empty state 5
+    H = np.diag([0.0, 0.5, 0.5, 0.5, 2.0, 0.0])
+    H[0, 1] = H[1, 0] = 0.1
+    H[2, 3] = H[3, 2] = 1.0
+    A = CSRMatrix.of(H)
+    assert A.unreached([0]).tolist() == [2, 3]
+    assert A.unreached([3, 5]).tolist() == [0, 1]
+    assert A.unreached([4]).tolist() == [0, 1, 2, 3]
+    assert A.unreached([1, 2]).tolist() == []
+    assert not A._components.flags.writeable
+    # a path walked across n - 1 frontiers, its scales walked once
+    n = 60
+    ends = (np.arange(n - 1), np.arange(1, n))
+    path = CSRMatrix.from_entries(np.concatenate(ends),
+                                  np.concatenate(ends[::-1]),
+                                  np.ones(2 * n - 2), (n, n))
+    assert path.unreached([n - 1]).tolist() == []
+    assert path._components.tolist() == [0] * n
+    assert path.scale_off_diagonal(0.3)._components is path._components
+
+
 def test_csr_arrays_refuse_writes():
     A = CSRMatrix.from_entries([0, 1, 1], [1, 0, 1], [1.0, 2.0, 3.0], (2, 2))
-    for M in (A, CSRMatrix.of(np.eye(3)), CSRMatrix.stack([A, A]),
-              A.scale_off_diagonal(0.5)):
+    for M in (A, CSRMatrix.of(np.eye(3)), A.scale_off_diagonal(0.5)):
         for arr in (M.indptr, M.indices, M.data):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -446,6 +489,24 @@ def test_only_spin_algebra_knows_the_csr_layout():
              for path in sorted(SRC.glob("*.py"))
              if path.name != "spin_algebra.py"}
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def _names(tree):
+    """The identifiers a module's tree reads, binds, imports or reads as
+    an attribute."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} \
+        | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} \
+        | {a.name for n in ast.walk(tree)
+           if isinstance(n, ast.ImportFrom) for a in n.names}
+
+
+def test_only_spin_algebra_and_fock_name_the_csr_type():
+    # site spins act by contraction, so the sparse type is the Fock H's
+    naming = [path.name for path in sorted(SRC.glob("*.py"))
+              if "CSRMatrix" in _names(ast.parse(path.read_text()))]
+    assert naming == ["fock.py", "spin_algebra.py"]
+    assert "CSRMatrix" in _names(ast.parse(
+        "from .spin_algebra import CSRMatrix as C"))
 
 
 def test_layout_check_catches_each_use():

@@ -23,7 +23,7 @@ from spinrad.spin_algebra import embed_site_operator, hopf_map, \
     product_state, su2_rotate
 from spinrad.spin_operator import HermitianSpinOperator, SpinSystem, \
     _coefficients, assemble_am, bilinear_spin_operator, \
-    ground_eigenspace, product_form, quadratic_form, site_spin_operators
+    ground_eigenspace, product_form, quadratic_form
 
 from conftest import kron_embed, kron_site_spins, projector_kernel, \
     random_state, weight_basis_matrix
@@ -625,6 +625,22 @@ def test_sector_solve_matches_full_weight_basis(profile, s, P):
         <= 1e-13 * rho
 
 
+@pytest.mark.parametrize("s", [0.5, 1.0])
+def test_planar_site_basis_is_found_on_first_read(profile, monkeypatch, s):
+    # D(theta)^H V is made only for quadratic_form and ground_eigenspace
+    system, _ = _planar_system(np.random.default_rng(12), s, 3)
+    rotate, calls = spin_operator.su2_rotate, []
+    monkeypatch.setattr(spin_operator, "su2_rotate",
+                        lambda *args: calls.append(args) or rotate(*args))
+    A = assemble_am(system, profile, vectors=True)
+    assert A.sectors is not None and calls == []
+    V = A.site_basis
+    assert len(calls) == 1 and A.site_basis is V
+    ref = bilinear_spin_operator(A.coefficients, s)
+    assert np.abs(weight_basis_matrix(A) - ref).max() <= 1e-13 * A.radius
+    assert len(calls) == 1
+
+
 def test_sectors_only_for_sites_that_span_a_plane(profile):
     rng = np.random.default_rng(8)
     line = np.outer(rng.normal(size=4), rng.normal(size=3))
@@ -733,22 +749,3 @@ def test_site_embeddings_and_block_build_match_kron_chains(cluster, seed):
     ref = np.matmul(np.tensordot(coef, E, axes=(0, 0)), E).sum(axis=0)
     A = bilinear_spin_operator(coef, s)
     assert np.abs(A - ref).max() <= 1e-12 * max(1.0, np.linalg.norm(ref))
-
-
-@pytest.mark.parametrize("s, P", [(0.5, 2), (1.5, 3)])
-def test_site_spin_stack_is_built_once_and_read_only(s, P):
-    S = site_spin_operators(s, P)
-    assert site_spin_operators(s, P) is S
-    fresh = site_spin_operators.__wrapped__(s, P)
-    for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(S, part), getattr(fresh, part))
-    for arr in (S.data, S.indices, S.indptr):
-        with pytest.raises(ValueError):
-            arr[0] = 0
-
-
-def test_site_spin_stack_cache_keeps_booleans_out():
-    # typed: the stack of (1.0, 2) is not the answer for (True, 2)
-    site_spin_operators(1.0, 2)
-    with pytest.raises(DomainError):
-        site_spin_operators(True, 2)

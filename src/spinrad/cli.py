@@ -198,7 +198,7 @@ def _verify_rows(cfg):
                              @ X0 for _ in range(system.P)], system.s)
               for _ in range(2)]
     for i, (lhs, rhs, _) in enumerate(
-            classical_decomposition_check(system, profile, states)):
+            classical_decomposition_check(A, system, profile, states)):
         add(f"class_decomposition_{i}", lhs, rhs, tol_id * abs(lhs))
     return rows
 

@@ -40,7 +40,10 @@ upper direction, and a node pair costs one cosine per site pair.  The
 angular sum stays the discrete rule, direction by direction, with no Bessel
 functions: this module deliberately shares no integration code with the
 kernel module, since the equality of the field energy with -<A_M X, X> is
-used as a cross-validation of two independent numerical paths.
+used as a cross-validation of two independent numerical paths.  For the
+same reason the module builds no A_M: classical_decomposition_check reads
+<A_M X, X> from the operator its caller assembled and sets the classical
+field energy of X's spin vectors against it.
 
 The rule is sized by the geometry (rule_sizes).  A pair at distance D puts
 cos(r u.dx) into the integrand, a phase of up to x = r_far D on the rule,
@@ -95,8 +98,10 @@ from numpy.polynomial.legendre import leggauss
 from .cutoff import CutoffProfile, phi_eval
 from .kernel import a11_origin
 from .spin_algebra import ProductState, _require_unit, site_spin_operators
-from .spin_operator import SpinSystem, _scaled_distances, assemble_am, \
-    quadratic_form
+from .spin_operator import HermitianSpinOperator, SpinSystem, \
+    _scaled_distances, quadratic_form
+# unused, but perfbench/tracing.py pins this name (ROADMAP item 2a)
+from .spin_operator import assemble_am  # noqa: F401
 from .errors import DomainError, ResourceError, _integer
 
 # The sizing law of the module docstring
@@ -297,17 +302,20 @@ def higher_spin_constant(s) -> float:
     return 2.0 * s * (s + 1.0) - 0.5
 
 
-def classical_decomposition_check(system: SpinSystem, profile: CutoffProfile,
+def classical_decomposition_check(A: HermitianSpinOperator,
+                                  system: SpinSystem, profile: CutoffProfile,
                                   states: Sequence[ProductState]) -> list:
     """Compare <A_M X, X> against the magnet-energy decomposition for each
-    ProductState X of states, on one assembly of A_M.
+    ProductState X of states.
+
+    A is the A_M that assemble_am built for system and profile; lhs reads
+    it through quadratic_form.
 
     lhs = <A_M X, X>;
     rhs = -(classical field energy at S(X))
           - C(s) A_11(0) sum_lam M[lam]^2.
     Returns one (lhs, rhs, |lhs - rhs|) per state.
     """
-    A = assemble_am(system, profile)
     lhs = [quadratic_form(A, X.vector) for X in states]
     rhs = [-field_energy(classical_current(system, profile, X.spin_vectors))
            - higher_spin_constant(system.s) * a11_origin(profile)

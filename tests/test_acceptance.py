@@ -118,7 +118,7 @@ def test_criterion_06_classical_decomposition():
                 [su2_rotate(s, rng.normal(size=3) * math.pi) @ X0
                  for _ in range(2)], s)
             [(lhs, rhs, resid)] = classical_decomposition_check(
-                system, PROFILE, [ps])
+                assemble_am(system, PROFILE), system, PROFILE, [ps])
             worst = max(worst, resid / max(1.0, abs(lhs)))
     report("classical-decomposition", ok and worst <= 1e-6,
            f"max relative residual {worst:.2e}")

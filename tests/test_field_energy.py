@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import math
 import warnings
 
@@ -168,9 +170,27 @@ def test_classical_decomposition(profile, s):
     for _ in range(3):
         system = random_system(rng, 2, s=s)
         ps = orbit_product_state(rng, 2, s)
-        [(lhs, rhs, resid)] = classical_decomposition_check(system, profile,
-                                                            [ps])
+        [(lhs, rhs, resid)] = classical_decomposition_check(
+            assemble_am(system, profile), system, profile, [ps])
         assert resid <= 1e-6 * max(1.0, abs(lhs))
+
+
+def _calls_named(tree, name):
+    """Line numbers of the calls f(...) or x.f(...) of the function name."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == name]
+
+
+def test_field_energy_assembles_no_am():
+    # the decomposition check reads the A_M its caller built; the module
+    # keeps the name only as an import
+    assert _calls_named(ast.parse("A = assemble_am(system, profile)\n"
+                                  "B = spin_operator.assemble_am(s, p)"),
+                        "assemble_am") == [1, 2]
+    tree = ast.parse(inspect.getsource(field_energy_module))
+    assert _calls_named(tree, "assemble_am") == []
 
 
 def _cross_reference(xi, V):
@@ -535,11 +555,12 @@ def test_sized_rule_resolves_every_separation(s, log_d, lam, seed):
                         moments=rng.uniform(0.2, 1.0, size=2)
                         * rng.choice([-1.0, 1.0], size=2), s=s)
     X = random_state(rng, system.spin_dim)
-    qf = quadratic_form(assemble_am(system, profile), X)
+    A = assemble_am(system, profile)
+    qf = quadratic_form(A, X)
     energy = field_energy(vector_current(system, profile, X))
     assert abs(qf + energy) <= 1e-13 * abs(qf)
     [(lhs, _, resid)] = classical_decomposition_check(
-        system, profile, [orbit_product_state(rng, 2, s)])
+        A, system, profile, [orbit_product_state(rng, 2, s)])
     assert resid <= 1e-13 * abs(lhs)
 
 

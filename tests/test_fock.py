@@ -1112,6 +1112,63 @@ def test_quadratic_fit_contract(profile, default_grid, two_spin_system):
             quadratic_fit(two_spin_system, profile, default_grid, 1, scales)
 
 
+@pytest.mark.parametrize("name, s, n_radial, n_angular, n_max", [
+    ("two_spins", None, 2, 6, 1), ("two_spins", None, 2, 6, 2),
+    ("two_spins", None, 2, 6, 3), ("two_spins", None, 24, 12, 1),
+    ("single_spin", None, 2, 6, 3), ("two_spins_equal", None, 4, 6, 2),
+    ("two_spins", 1.0, 2, 6, 2)])
+def test_energies_in_operator_bracket(name, s, n_radial, n_angular, n_max):
+    """t^2 lambda_min <= E(t) <= t^2 lambda_min / (1 + t^2 n2) at every t.
+
+    With b_o = a_o + t C_o / omega_o, H(t) = sum_o omega_o b_o^dagger b_o
+    + t^2 A_disc >= t^2 A_disc, also after truncation; the trial state
+    Psi_0 (x) X - u of a ground vector X of A_disc has energy t^2 lambda_min
+    and squared norm 1 + t^2 <X, N X>, N = sum_o C_o^2 / omega_o^2, and n2
+    is the smallest eigenvalue of N on A_disc's ground eigenspace.  Each
+    end gets roundoff slack only: the solves lay at least 2.4e-5 relative
+    above the lower end and 1.9e-13 (t = 0.05, n_max = 1) below the upper.
+    """
+    cfg = parse_config((CONFIGS / f"{name}.yaml").read_text())
+    system, profile = cfg.system(), cfg.profile()
+    if s is not None:
+        system = SpinSystem(positions=system.positions,
+                            moments=system.moments, s=s)
+    toy = build_hamiltonian(system, profile,
+                            build_mode_grid(profile, n_radial, n_angular),
+                            n_max)
+    omega, W = toy.space.omega_osc, toy.coupling
+    lam_min, _, basis = ground_eigenspace(
+        discrete_am(system, omega, W, vectors=True))
+    Mj = np.repeat(system.moments, 3)
+    N = bilinear_spin_operator(
+        0.5 * np.outer(Mj, Mj) * ((W / omega) @ (W / omega).T), system.s)
+    n2 = np.linalg.eigvalsh(basis.conj().T @ N @ basis)[0]
+    for t in [0.05, 0.1, 0.2, 0.4, 1.0, 2.0]:
+        energy = ground_state(toy.matrix(t), spin_dim=toy.spin_dim)[0]
+        lo = t * t * lam_min
+        hi = lo / (1.0 + t * t * n2)
+        assert lo - 1e-12 * abs(lo) - 1e-14 <= energy, t
+        assert energy <= hi + 1e-12 * abs(hi) + 1e-14, t
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(cluster=st.sampled_from([(0.5, 1), (0.5, 3), (1.5, 1), (1.5, 3),
+                                (2.5, 1)]),
+       seed=st.integers(0, 2 ** 16))
+def test_odd_time_reversal_gives_kramers_pairs_on_the_fock_route(profile,
+                                                                 cluster,
+                                                                 seed):
+    # (2s) P odd: time reversal squares to -1 on the spin space and
+    # commutes with H and A_1^disc, so every level of both is even
+    s, P = cluster
+    system = SpinSystem(
+        positions=np.random.default_rng(seed).uniform(-1.0, 1.0, (P, 3)),
+        moments=np.ones(P), s=s)
+    grid = build_mode_grid(profile, 2, 6)
+    for row in multiplicity_scan(system, profile, grid, 1, [0.1, 0.4, 1.0]):
+        assert row.mult_h % 2 == 0 and row.mult_a1 % 2 == 0, row.g
+
+
 def test_multiplicity_scan(profile, default_grid):
     single = SpinSystem(positions=[[0.0, 0.0, 0.0]], moments=[1.0])
     rows = multiplicity_scan(single, profile, default_grid, 1, [0.2, 0.1])

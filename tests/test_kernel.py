@@ -89,6 +89,30 @@ def test_dipole_tail_where_z_cubed_overflows(lam, r):
     assert (np.abs(tail).max() > 0.0) == (r < 1e150)
 
 
+def dipole_tensor(x):
+    """Point-dipole kernel (3 xhat xhat^T - I) / (4 pi r^3) at x."""
+    r = np.linalg.norm(x)
+    xhat = x / r
+    return (3.0 * np.outer(xhat, xhat) - np.eye(3)) / (4.0 * math.pi * r ** 3)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 3.0, 100.0])
+def test_far_field_approaches_the_dipole_at_its_rate(lam):
+    # the kernel is g I + grad grad u with g ~ e^{-z^2} and
+    # u = erf(z) / (4 pi r), so it leaves the dipole tail by O(z^3 e^{-z^2})
+    # of the tail's scale, z = lam r / 2; at most 1.9 z^3 e^{-z^2} up to
+    # z = 6, roundoff beyond
+    rng = np.random.default_rng(61)
+    profile = CutoffProfile(lam)
+    for z in np.linspace(4.0, 12.0, 41):
+        v = rng.normal(size=3)
+        x = 2.0 * z / lam * v / np.linalg.norm(v)
+        D = dipole_tensor(x)
+        err = np.abs(kernel_matrix(profile, x).entries - D).max()
+        assert err <= (4.0 * z ** 3 * math.exp(-z * z) + 1e-14) \
+            * np.abs(D).max(), z
+
+
 def reference_radial(profile, f):
     """int_0^r_far |phi(r)|^2 r^2 f(r) dr by scipy's adaptive quad."""
     with warnings.catch_warnings():

@@ -27,7 +27,7 @@ from spinrad.spin_operator import HermitianSpinOperator, SpinSystem, \
 
 from conftest import kron_embed, kron_site_spins, projector_kernel, \
     random_state, weight_basis_matrix
-from test_kernel import reference_kernel, reference_radial
+from test_kernel import dipole_tensor, reference_kernel, reference_radial
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -146,6 +146,36 @@ def test_widely_separated_spins_decouple(profile):
     A_decoupled = bilinear_spin_operator(
         _coefficients(system, kernel_no_cross), system.s)
     assert np.abs(A - A_decoupled).max() <= 1e-6
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0])
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+@pytest.mark.parametrize("nearest, gate", [(10.0, 1e-9), (12.0, 1e-13)])
+def test_far_cluster_is_the_dipole_dipole_magnet(s, lam, nearest, gate):
+    # past z = lam r / 2 = 5 the kernel between sites is the dipole tensor
+    # D, so A_M is -2 s (s + 1) A11(0) sum M^2 plus the magnetic
+    # dipole-dipole interaction: C = -1/2 (M (x) M) o K with A11(0) I on
+    # the site blocks and D between sites; at most 1.3e-11 relative at
+    # nearest distance 10/lam, 1.4e-15 at 12/lam
+    rng = np.random.default_rng(62)
+    profile = CutoffProfile(lam)
+    for _ in range(3):
+        x = rng.normal(size=(3, 3))
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        x *= nearest / lam / min(np.linalg.norm(x[b] - x[a])
+                                 for a, b in pairs)
+        M = rng.uniform(0.2, 1.0, size=3) * rng.choice([-1.0, 1.0], size=3)
+        K = np.zeros((3, 3, 3, 3))
+        for a in range(3):
+            K[a, :, a] = a11_origin(profile) * np.eye(3)
+        for a, b in pairs:
+            K[a, :, b] = K[b, :, a] = dipole_tensor(x[b] - x[a])
+        Mj = np.repeat(M, 3)
+        C = -0.5 * np.outer(Mj, Mj) * K.reshape(9, 9)
+        ref = np.linalg.eigvalsh(bilinear_spin_operator(C, s))[0]
+        got = assemble_am(SpinSystem(positions=x, moments=M, s=s),
+                          profile).eigenvalues[0]
+        assert abs(got - ref) <= gate * abs(ref)
 
 
 def _assemble_reference(system, kernel_at):
@@ -461,12 +491,11 @@ def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
     assert main(e2 + ["--eigenbasis"]) == 0
     assert calls == [("eigh", (4, 4))]
     calls.clear()
-    # verify: A_M with vectors, the 2M scaling check and one A_M for both
-    # product-state rows
+    # verify: A_M with vectors, which the product-state rows read too, and
+    # the 2M scaling check
     assert main(["verify", "--config", str(CONFIGS / "two_spins.yaml"),
                  "--out", str(tmp_path)]) == 0
-    assert calls == [("eigh", (4, 4)), ("eigvalsh", (4, 4)),
-                     ("eigvalsh", (4, 4))]
+    assert calls == [("eigh", (4, 4)), ("eigvalsh", (4, 4))]
     calls.clear()
     fock.quadratic_fit(two_spin_system, profile, grid, 1,
                        [0.4, 0.2, 0.1, 0.05])

@@ -28,9 +28,10 @@ from .spin_algebra import ProductState, embed_site_operator, hopf_map, \
     omega_state, product_state, spin_matrices, su2_rotate
 from .spin_operator import HermitianSpinOperator, SpinSystem, assemble_am, \
     ground_eigenspace, quadratic_form
+# The function field_energy stays in its module, so that the package's
+# attribute spinrad.field_energy is the submodule.
 from .field_energy import FourierCurrent, classical_current, \
-    classical_decomposition_check, field_energy, higher_spin_constant, \
-    vector_current
+    classical_decomposition_check, higher_spin_constant, vector_current
 from .fock import ModeGrid, ToyHamiltonian, build_hamiltonian, \
     build_mode_grid, discrete_am, ground_state, multiplicity_scan, \
     photon_number, quadratic_fit, variational_trial_check

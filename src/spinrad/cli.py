@@ -284,9 +284,50 @@ def suite_multiplicity(cfg, args):
 # Entry point
 # ---------------------------------------------------------------------------
 
+# help line and function of each suite, in the order `spinrad --help`
+# lists them
+SUITES = {
+    "kernel": ("evaluate the transverse kernel matrix", suite_kernel),
+    "e2": ("smallest eigenvalue of A_M with multiplicity", suite_e2),
+    "verify": ("energy-identity verification suite", suite_verify),
+    "classical": ("magnet field energy for given orientations",
+                  suite_classical),
+    "fock-fit": ("ground-energy quadratic fit in the toy model",
+                 suite_fock_fit),
+    "multiplicity": ("ground multiplicity scan", suite_multiplicity),
+}
+
+
+def _add_suite_arguments(p, name):
+    """Add suite name's arguments and defaults to the parser p."""
+    p.add_argument("--config", required=True, help="YAML run configuration")
+    p.add_argument("--out", default=None,
+                   help=f"output directory (default ${OUT_ENV_VAR} or .)")
+    if name in ("e2", "verify"):  # only the suites that read the seed
+        p.add_argument("--seed", type=_seed, default=None,
+                       help="override the configuration seed")
+    if name == "kernel":
+        p.add_argument("--at", nargs=3, type=_finite_float, required=True,
+                       metavar=("X", "Y", "Z"))
+    elif name == "e2":
+        p.add_argument("--eigenbasis", action="store_true")
+    elif name == "classical":
+        p.add_argument("--orientations", required=True,
+                       help="YAML list of P unit 3-vectors")
+    elif name == "fock-fit":
+        p.add_argument("--scales", type=_float_list, required=True,
+                       help="comma-separated moment scales, "
+                            "e.g. 0.4,0.2,0.1,0.05")
+    elif name == "multiplicity":
+        p.add_argument("--g", type=_float_list, required=True,
+                       help="comma-separated common moment values")
+    p.set_defaults(suite=name, func=SUITES[name][1])
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser, built once per process.
+    """The full parser: `spinrad` with one subparser per suite, built
+    once per process.
 
     parse_args fills a fresh namespace on every call, so calls share no
     parsed values.
@@ -296,52 +337,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Radiative-correction operator suites for spin systems")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="suite", required=True)
-
-    def common(p, seeded=False):
-        p.add_argument("--config", required=True, help="YAML run configuration")
-        p.add_argument("--out", default=None,
-                       help=f"output directory (default ${OUT_ENV_VAR} or .)")
-        if seeded:  # only the suites that read the seed take --seed
-            p.add_argument("--seed", type=_seed, default=None,
-                           help="override the configuration seed")
-
-    p = sub.add_parser("kernel", help="evaluate the transverse kernel matrix")
-    common(p)
-    p.add_argument("--at", nargs=3, type=_finite_float, required=True,
-                   metavar=("X", "Y", "Z"))
-    p.set_defaults(func=suite_kernel)
-
-    p = sub.add_parser("e2", help="smallest eigenvalue of A_M with multiplicity")
-    common(p, seeded=True)
-    p.add_argument("--eigenbasis", action="store_true")
-    p.set_defaults(func=suite_e2)
-
-    p = sub.add_parser("verify", help="energy-identity verification suite")
-    common(p, seeded=True)
-    p.set_defaults(func=suite_verify)
-
-    p = sub.add_parser("classical", help="magnet field energy for given orientations")
-    common(p)
-    p.add_argument("--orientations", required=True,
-                   help="YAML list of P unit 3-vectors")
-    p.set_defaults(func=suite_classical)
-
-    p = sub.add_parser("fock-fit", help="ground-energy quadratic fit in the toy model")
-    common(p)
-    p.add_argument("--scales", type=_float_list, required=True,
-                   help="comma-separated moment scales, e.g. 0.4,0.2,0.1,0.05")
-    p.set_defaults(func=suite_fock_fit)
-
-    p = sub.add_parser("multiplicity", help="ground multiplicity scan")
-    common(p)
-    p.add_argument("--g", type=_float_list, required=True,
-                   help="comma-separated common moment values")
-    p.set_defaults(func=suite_multiplicity)
+    for name, (help_line, _) in SUITES.items():
+        _add_suite_arguments(sub.add_parser(name, help=help_line), name)
     return parser
 
 
+@functools.cache
+def suite_parser(name) -> argparse.ArgumentParser:
+    """The parser of `spinrad <name> ...` alone, built once per process
+    and suite: build_parser's subparser for name, standing on its own
+    with the same prog, arguments and defaults, so its help and usage
+    errors read the same byte for byte."""
+    parser = argparse.ArgumentParser(prog=f"spinrad {name}")
+    _add_suite_arguments(parser, name)
+    return parser
+
+
+def _parse_args(argv):
+    """main's namespace of argv, through the one parser a suite command
+    needs.
+
+    The full parser's subparser hands everything after the suite's name
+    to that suite's parser, so suite_parser parses a suite command alike.
+    The full parser parses the rest: no suite, --help, --version or an
+    unknown suite.  It also parses again a command with arguments its
+    suite does not know, to report them with its own usage line, and one
+    with an argument that starts with "--=", which it refuses as an
+    ambiguous option before any suite reads it.
+    """
+    if argv and argv[0] in SUITES \
+            and not any(a.startswith("--=") for a in argv):
+        args, unknown = suite_parser(argv[0]).parse_known_args(argv[1:])
+        if not unknown:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         cfg = parse_config(Path(args.config).read_text())
         if getattr(args, "seed", None) is not None:

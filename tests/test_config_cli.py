@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 import yaml
 
-from spinrad.cli import OUT_ENV_VAR, _sampled_product_min, _verify_rows, \
-    build_parser, main
+from spinrad.cli import OUT_ENV_VAR, SUITES, _sampled_product_min, \
+    _verify_rows, build_parser, main, suite_parser
 from spinrad.config import DEFAULT_CUTOFF, DEFAULT_GRIDS, \
     DEFAULT_TOLERANCES, RunConfig, load_yaml, parse_config, run_manifest
 from spinrad.cutoff import MAX_LAMBDA, CutoffProfile
@@ -235,9 +236,35 @@ def test_cli_e2(tmp_path):
     assert len(doc["eigenbasis"]) == doc["multiplicity"]
 
 
+@pytest.fixture
+def fresh_parsers():
+    """The CLI's parser caches, empty on entry and emptied on exit."""
+    build_parser.cache_clear()
+    suite_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+    suite_parser.cache_clear()
+
+
+@pytest.fixture
+def parsers_built(fresh_parsers, monkeypatch):
+    """The prog of each ArgumentParser the test makes."""
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return progs
+
+
 def test_cli_calls_in_one_process_parse_independently(tmp_path, capsys,
-                                                      monkeypatch):
-    # main reuses one parser; no flag or --out of a call reaches the next
+                                                      monkeypatch,
+                                                      parsers_built):
+    # main reuses one parser per suite; no flag or --out of a call reaches
+    # the next
     d1, d2, d3 = (tmp_path / d for d in ("d1", "d2", "d3"))
     monkeypatch.setenv(OUT_ENV_VAR, str(d3))
     assert main(["e2", "--config", TWO, "--eigenbasis", "--out", str(d1)]) == 0
@@ -246,7 +273,66 @@ def test_cli_calls_in_one_process_parse_independently(tmp_path, capsys,
     assert "eigenbasis" in json.loads((d1 / "e2.json").read_text())
     for d in (d2, d3):
         assert "eigenbasis" not in json.loads((d / "e2.json").read_text())
+    assert parsers_built == ["spinrad e2"]  # three calls, one parser
     assert build_parser() is build_parser()
+
+
+def test_suite_command_builds_one_parser(tmp_path, parsers_built):
+    # a suite command builds its own suite's parser and no other
+    assert main(["e2", "--config", TWO, "--out", str(tmp_path)]) == 0
+    assert parsers_built == ["spinrad e2"]
+
+
+def parse_outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr, namespace) of parse(argv): the code is
+    None when parsing succeeds, the namespace None when it exits."""
+    try:
+        code, ns = None, vars(parse(argv))
+    except SystemExit as exc:
+        code, ns = exc.code, None
+    return (code, *capsys.readouterr(), ns)
+
+
+SUITE_ARGS = {"kernel": ["--at", "0.3", "0.1", "-0.5"], "e2": [],
+              "verify": [], "classical": ["--orientations", "ori.yaml"],
+              "fock-fit": ["--scales", "0.4,0.2,0.1,0.05"],
+              "multiplicity": ["--g", "0.2"]}
+BAD_VALUES = {"kernel": ["--at", "nan", "0", "0"], "e2": ["--seed", "-1"],
+              "verify": ["--seed", "-1"], "classical": ["--seed", "-1"],
+              "fock-fit": ["--scales", "0.4,nan"],
+              "multiplicity": ["--g", "0.4,nan"]}
+PARSE_CASES = [[], ["--help"], ["--version"], ["no-such-suite"],
+               ["--config", TWO]] + [
+    argv for suite, args in SUITE_ARGS.items() for argv in [
+        [suite, "--help"],
+        [suite, *args],  # no --config
+        [suite, "--config", TWO, *args, *BAD_VALUES[suite]],
+        [suite, "--config", TWO, *args, "--bogus"],
+        [suite, "--bogus", "--config", TWO, *args, "extra"],
+        [suite, "--config", TWO, *args, "--=x"],
+        [suite, "--config", TWO, *args, "--out", "d"]]]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(
+    "CFG" if a == TWO else a for a in argv))
+def test_cli_parses_as_the_full_parser(argv, tmp_path, capsys, monkeypatch,
+                                       fresh_parsers):
+    # main, which parses with the suite's own parser where it can, prints,
+    # exits and fills the namespace as build_parser does, byte for byte
+    def recorded(cfg, args):
+        ran.append(vars(args))
+        return {}, [], True
+
+    ran = []
+    monkeypatch.chdir(tmp_path)
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, (SUITES[name][0], recorded))
+    full = parse_outcome(build_parser().parse_args, argv, capsys)
+    if full[0] is None:  # parsed: main goes on to run the suite
+        assert main(argv) == 0
+        assert ran == [full[3]]
+    else:
+        assert parse_outcome(main, argv, capsys) == full
 
 
 def loop_sampled_min(A, system, rng):

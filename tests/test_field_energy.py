@@ -20,8 +20,20 @@ from spinrad.spin_operator import SpinSystem, assemble_am, quadratic_form
 
 from conftest import kron_site_spins, random_state
 
-# the module: spinrad.field_energy as an attribute is the function
+# the module, which `import spinrad.field_energy as fe` binds as well: the
+# package does not export the function field_energy under the module's name
 field_energy_module = importlib.import_module("spinrad.field_energy")
+
+
+def test_package_attribute_field_energy_is_the_module():
+    import spinrad
+    import spinrad.field_energy as fe
+    assert fe is field_energy_module is spinrad.field_energy
+    # the package exports the module's other public names
+    for name in ("FourierCurrent", "classical_current",
+                 "classical_decomposition_check", "higher_spin_constant",
+                 "vector_current"):
+        assert getattr(spinrad, name) is getattr(fe, name)
 
 
 def random_system(rng, P, s=0.5):

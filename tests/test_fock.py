@@ -305,7 +305,8 @@ def test_matrix_scales_off_diagonal_on_h_pattern(profile, small_grid,
     toy = build_hamiltonian(two_spin_system, profile, small_grid, 2)
     h = toy.h
     on = h.indices == np.repeat(np.arange(toy.dim), np.diff(h.indptr))
-    # h's diagonal entries are found once, for diagonal() and every scale
+    # h's row ids are found once for its diagonal entries and once for its
+    # components, both shared by diagonal() and every scale
     searched, row_ids = [], CSRMatrix._row_ids
 
     def recorded(m):
@@ -317,6 +318,7 @@ def test_matrix_scales_off_diagonal_on_h_pattern(profile, small_grid,
     assert np.array_equal(np.flatnonzero(h.diagonal()),
                           np.arange(toy.spin_dim, toy.dim))
     assert np.count_nonzero(on) == toy.dim - toy.spin_dim
+    assert len(searched) == 1 and searched[0] is h  # the diagonal entries
     for t in (0.0, 0.05, 0.4, 1.0, -1.3):
         H = toy.matrix(t)
         assert H.indptr is h.indptr and H.indices is h.indices
@@ -324,7 +326,7 @@ def test_matrix_scales_off_diagonal_on_h_pattern(profile, small_grid,
         assert H.data[on].tobytes() == h.data[on].tobytes()
         assert H.data[~on].tobytes() == (t * h.data[~on]).tobytes()
         assert H.diagonal().tobytes() == h.diagonal().tobytes()
-    assert len(searched) == 1 and searched[0] is h
+    assert len(searched) == 2 and searched[1] is h  # the components
     # h, whose arrays every matrix(t) shares, and H(t) refuse writes
     for arr in (h.indptr, h.indices, h.data, H.data):
         with pytest.raises(ValueError, match="read-only"):

@@ -1,4 +1,5 @@
 import ast
+import time
 from pathlib import Path
 
 import numpy as np
@@ -412,7 +413,7 @@ def test_csr_unreached_states_by_components():
     assert A.unreached([4]).tolist() == [0, 1, 2, 3]
     assert A.unreached([1, 2]).tolist() == []
     assert not A._components.flags.writeable
-    # a path walked across n - 1 frontiers, its scales walked once
+    # a path is one component, which its scaled copies share
     n = 60
     ends = (np.arange(n - 1), np.arange(1, n))
     path = CSRMatrix.from_entries(np.concatenate(ends),
@@ -421,6 +422,54 @@ def test_csr_unreached_states_by_components():
     assert path.unreached([n - 1]).tolist() == []
     assert path._components.tolist() == [0] * n
     assert path.scale_off_diagonal(0.3)._components is path._components
+
+
+def links(pairs, n, diagonal=()):
+    """The symmetric pattern of the linked state pairs (rows of pairs) on n
+    states, with a diagonal entry on each state in diagonal."""
+    a, b = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+    rows = np.concatenate([a, b, diagonal]).astype(np.intp)
+    cols = np.concatenate([b, a, diagonal]).astype(np.intp)
+    return CSRMatrix.from_entries(rows, cols, np.ones(len(rows)), (n, n))
+
+
+def scipy_first_states(A):
+    """First state of each state's component by scipy's connected
+    components, -1 for a state linked to no other."""
+    from scipy.sparse.csgraph import connected_components
+    off = sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+    off.setdiag(0)
+    off.eliminate_zeros()
+    _, comp = connected_components(off, directed=False)
+    first = np.full(comp.max() + 1, len(comp))
+    np.minimum.at(first, comp, np.arange(len(comp)))
+    return np.where(np.diff(off.indptr) > 0, first[comp], -1)
+
+
+def test_csr_components_match_scipy():
+    # each pass hooks and flattens every tree at once, so every pattern
+    # here, the 20,000-state chain included, takes O(log n) passes
+    rng = np.random.default_rng(11)
+    n = 20_000
+    cases = {
+        "chain 2000": links(np.c_[np.arange(1999), np.arange(1, 2000)], 2000),
+        "chain 20000": links(np.c_[np.arange(n - 1), np.arange(1, n)], n),
+        "pairs 10000": links(np.arange(n).reshape(-1, 2), n),
+        "shuffled chain": links(rng.permutation(n)[np.c_[np.arange(n - 1),
+                                                         np.arange(1, n)]], n),
+        # the hub hooks onto its least leaf at once
+        "star, hub last": links(np.c_[np.arange(n - 1), np.full(n - 1, n - 1)],
+                                n),
+        "random, some diagonal-only": links(
+            rng.integers(0, 3000, size=(2500, 2)), 3000,
+            diagonal=rng.integers(0, 3000, size=500)),
+    }
+    for name, A in cases.items():
+        start = time.perf_counter()
+        label = A._components
+        assert time.perf_counter() - start < 0.05, name
+        assert label.tolist() == scipy_first_states(A).tolist(), name
+    assert cases["chain 20000"]._components.tolist() == [0] * n
 
 
 def test_csr_arrays_refuse_writes():

@@ -479,7 +479,8 @@ def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
     for where, name in [("fock", "ground_state"), ("fock", "_feshbach"),
                         ("cli", "su2_rotate"), ("field_energy", "leggauss"),
                         ("kernel", "leggauss")]:
-        # by import_module: the package's field_energy is the function
+        # by dotted name; spinrad.field_energy is the module, as the package
+        # does not export the function under its name
         module = importlib.import_module(f"spinrad.{where}")
         monkeypatch.setattr(module, name, skipped(getattr(module, name)))
     calls = _count_decompositions(monkeypatch, skip=lambda: bool(solving))

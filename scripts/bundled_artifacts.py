@@ -4,16 +4,20 @@
 Runs each suite with the command-line arguments of README's Command line
 section and writes its artifacts and its stdout (stdout.txt) to
 OUT/<config>/<suite>/.  The configurations are the bundled single_spin,
-two_spins and two_spins_equal, two_spins_equal at n_max = 2, and
-two_spins with its second site moved to (40, -0.3, 0.4), about 40/lam
-out, where the field-energy rule grows; the last two are written as YAML
-copies into OUT.  The suites are kernel, e2 with and without
+two_spins and two_spins_equal, and five generated copies, written as
+YAML into OUT: two_spins_equal at n_max = 2; two_spins with its second
+site moved to (40, -0.3, 0.4), about 40/lam out, where the field-energy
+rule grows; two_spins at spin 1 (spin1_pair); and two_spins with a
+third site at (0.2, 0.7, -0.5) of moment 0.6, at spin 1 (spin1_triple)
+and at spin 3/2 (spin3half_triple).  The last three reach what the
+spin-1/2 pairs do not: the real basis of integer spins, and the frame
+of a planar cluster with its two parity sectors.  The suites are kernel, e2 with and without
 --eigenbasis (e2-eigenbasis), verify, classical (where the configuration
 has as many particles as configs/orientations_two.yaml has orientations),
 fock-fit and multiplicity (where all moments are equal).
 
-Each run is one `spinrad.cli.main` call in this interpreter (32 runs in
-about 1 s on a 2-core Xeon).  Run it on two checkouts and compare: an
+Each run is one `spinrad.cli.main` call in this interpreter (48 runs in
+about 1.5 s on a 2-core Xeon).  Run it on two checkouts and compare: an
 empty `diff -r OUT_A OUT_B` is the byte-identity gate for a change that
 must not move any artifact.
 
@@ -75,8 +79,16 @@ def configs(out: Path):
     nmax2["grids"]["n_max"] = 2
     far = yaml.safe_load(found[1][1].read_text())
     far["particles"][1]["position"] = [40.0, -0.3, 0.4]
+    pair = yaml.safe_load(found[1][1].read_text())
+    pair["spin"] = 1.0
+    triple = yaml.safe_load(found[1][1].read_text())
+    triple["particles"].append({"position": [0.2, 0.7, -0.5], "moment": 0.6})
+    triple["spin"] = 1.0
     for name, doc in [("two_spins_equal_nmax2", nmax2),
-                      ("two_spins_far40", far)]:
+                      ("two_spins_far40", far),
+                      ("spin1_pair", pair),
+                      ("spin1_triple", triple),
+                      ("spin3half_triple", {**triple, "spin": 1.5})]:
         copy = out / f"{name}.yaml"
         copy.write_text(yaml.safe_dump(doc, sort_keys=False))
         found.append((name, copy))

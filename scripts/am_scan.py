@@ -7,7 +7,9 @@ P = 2..5 and spin-5/2 P = 2..4 (every spin dimension up to MAX_DENSE_DIM =
 either sign; from four sites on it runs twice, once drawn in 3-D and once
 projected onto a random plane through its centroid.  Where the sites span
 a plane, as any three sites do, e2 solves A_M in the two sectors of the
-pi rotation about the plane's normal (spin_operator._operator_in_frame).
+pi rotation about the plane's normal.  The build is
+spin_operator._operator_in_frame, the one path from a coefficient matrix
+to a dense A_M that every e2 run takes, without the eigensolve.
 Each row runs in its own interpreter, which prints:
 
   geom       3-D (drawn in 3-D) or plane (projected);
@@ -29,7 +31,8 @@ Each row runs in its own interpreter, which prints:
   complex    ms for eigvalsh of the complex weight-basis A_M
              (spin_operator.bilinear_spin_operator), for integer s
              only: for half-integer s it is the eigvalsh column;
-  traced     MB, the tracemalloc peak of one build;
+  traced     MB, the tracemalloc peak of one build: the pair basis it
+             forms included, the spin bases it reads from the cache not;
   rss        MB, the interpreter's peak resident set after the build,
              after e2 vals and after e2 vecs (high-water marks; tracemalloc
              does not see LAPACK's workspace); the whole-matrix solves run

@@ -30,7 +30,7 @@ from .cutoff import CutoffProfile
 from .errors import DomainError, ResourceError, SpinradError
 from .kernel import kernel_matrix
 from .spin_algebra import _check_half_integer, _on_site, _require_unit, \
-    spin_matrices, su2_rotate
+    _spin_matrices_read_only, spin_matrices, su2_rotate
 # unused, but perfbench/tracing.py pins this name (ROADMAP item 2a)
 from .spin_algebra import embed_site_operator  # noqa: F401
 
@@ -167,10 +167,11 @@ class HermitianSpinOperator:
     site_basis is the d x d unitary V of the basis that matrix and
     eigenvectors are written in: matrix = W^H A W with W = V (x) ... (x) V
     and A the operator in the weight basis, which site_basis None stands
-    for.  An integer-spin A_M is real symmetric in the basis of _real_bases;
-    a planar cluster's A_M is written in its plane's frame
-    (_operator_in_frame).  basis, a function of no arguments, returns V on
-    site_basis's first read; None stands for the weight basis.
+    for.  An integer-spin A_M is real symmetric in the basis V = Y^(1/2) of
+    _bases; a planar cluster's A_M is written in its plane's frame
+    (_operator_in_frame).  basis, a function of no arguments
+    (_site_basis), returns V on site_basis's first read; None stands for
+    the weight basis.
     quadratic_form and ground_eigenspace take and return weight-basis
     vectors, converting one site axis at a time.
 
@@ -231,53 +232,37 @@ class HermitianSpinOperator:
         return float(np.abs(self.eigenvalues[[0, -1]]).max())
 
 
-def _block_bases(lead, m, negate=False):
-    """Read-only lead and the (9, d^2) site and (9, d^4) pair bases of the
-    d x d triple m: row 3 j + k is m_j m_k and m_j (x) m_k, flattened
-    row-major, negated when negate is true."""
-    d = m.shape[1]
-    site = np.matmul(m[:, None], m[None]).reshape(9, d * d)
-    pair = np.einsum("jab,mcd->jmacbd", m, m).reshape(9, d ** 4)
-    bases = (lead, -site, -pair) if negate else (lead, site, pair)
+@functools.lru_cache(maxsize=16)
+def _bases(two_s, real):
+    """(V, m, site basis) of spin two_s / 2, read-only; two_s is the int
+    of _check_half_integer, so no boolean reaches the cache.
+
+    Real false: V None (the weight basis) and m the sigma_j, shape
+    (3, d, d).  Real true, for integer s only: in the weight basis
+    Y = e^{-i pi J_y} is the antidiagonal Y[2s - k, k] = (-1)^k, real
+    symmetric with Y^2 = 1.  From Y = U diag(w) U^T, V = Y^(1/2) =
+    U diag(sqrt w) U^T is a symmetric unitary, and time reversal,
+    Y conj(sigma_j) Y = -sigma_j, makes V^H sigma_j V = i R_j with R_j
+    real; m is then the R_j.  Row 3 j + k of the (9, d^2) site basis is
+    sigma_j sigma_k in the basis V, flattened row-major: m_j m_k, or
+    -R_j R_k when real.  _dense_operator forms the pair basis from m.
+    """
+    sig = np.array(spin_matrices(two_s / 2.0))
+    V, m = None, sig
+    if real:
+        d = two_s + 1
+        k = np.arange(d)
+        Y = np.zeros((d, d))
+        Y[two_s - k, k] = (-1.0) ** k
+        w, U = np.linalg.eigh(Y)
+        V = (U * np.where(w > 0.0, 1.0, 1j)) @ U.T
+        m = (V.conj().T @ sig @ V).imag
+    site = np.matmul(m[:, None], m[None]).reshape(9, -1)
+    bases = (V, m, -site if real else site)
     for arr in bases:
-        arr.flags.writeable = False
+        if arr is not None:
+            arr.flags.writeable = False
     return bases
-
-
-@functools.lru_cache(maxsize=8, typed=True)
-def _spin_bases(s):
-    """Read-only spin-s bases of Hopf vectors, site blocks and pair blocks.
-
-    Row j of the first, shape (3, d^2), is sigma_j flattened row-major;
-    the others are the _block_bases of the sigma_j.  Typed, so that the
-    bases of 1.0 are not those of True.
-    """
-    sig = np.array(spin_matrices(s))
-    return _block_bases(sig.reshape(3, -1), sig)
-
-
-@functools.lru_cache(maxsize=8, typed=True)
-def _real_bases(s):
-    """Site basis V and real site and pair bases of an integer spin s.
-
-    In the weight basis Y = e^{-i pi J_y} is the antidiagonal
-    Y[2s - k, k] = (-1)^k, real symmetric with Y^2 = 1 for integer s.  From
-    Y = U diag(w) U^T, V = Y^(1/2) = U diag(sqrt w) U^T is a symmetric
-    unitary, and time reversal, Y conj(sigma_j) Y = -sigma_j, makes
-    V^H sigma_j V = i R_j with R_j real.  So sigma_j sigma_m reads
-    -R_j R_m and sigma_j (x) sigma_m reads -R_j (x) R_m: the real
-    counterparts of the last two bases of _spin_bases.  Read-only; typed
-    like _spin_bases.
-    """
-    two_s = _check_half_integer(s)
-    d = two_s + 1
-    k = np.arange(d)
-    Y = np.zeros((d, d))
-    Y[two_s - k, k] = (-1.0) ** k
-    w, U = np.linalg.eigh(Y)
-    V = (U * np.where(w > 0.0, 1.0, 1j)) @ U.T
-    R = (V.conj().T @ np.array(spin_matrices(s)) @ V).imag
-    return _block_bases(V, R, negate=True)
 
 
 def _on_each_site(U, X) -> np.ndarray:
@@ -316,29 +301,34 @@ def _site_blocks(C, site_basis) -> np.ndarray:
 # machine.  An integer-spin A_M is real, 8 dim^2 bytes: measured at 3^7 =
 # 2187 (s = 1) the peaks are 0.09 GB after the build, 0.13 GB after
 # eigvalsh and 0.24 GB after eigh, and at 5^5 = 3125 (s = 2) 0.13 GB after
-# the build.
+# the build.  The budget sizes A alone: for P >= 2 the build also forms
+# the (9, d^4) pair basis, 9 dim^2 entries at P = 2, nine times A (2.4 GB
+# at s = 31.5, d = 64).
 MAX_DENSE_DIM = 1 << 12
 
 
-def _dense_operator(coef, site_basis, pair_basis) -> np.ndarray:
-    """Dense sum_{a,b} coef[a, b] S_a S_b, in the basis of its block bases.
+def _dense_operator(coef, two_s, real) -> np.ndarray:
+    """Dense sum_{a,b} coef[a, b] S_a S_b of spin two_s / 2 sites, in the
+    site basis of _bases(two_s, real).
 
     With C = coef indexed [3 lam + j, 3 mu + m], site lam gives the d x d
     block sum_jm C[lam j, lam m] sigma_j sigma_m.  Spins on different sites
     commute, so the pair lam < mu gives the d^2 x d^2 block
     sum_jm (C[lam j, mu m] + C[mu m, lam j]) sigma_j (x) sigma_m.  All site
-    blocks come from one matrix product with site_basis (sigma_j sigma_m)
-    and all pair blocks from one with pair_basis (sigma_j (x) sigma_m); the
-    bases fix the site basis and with coef the dtype of the result.  Each
-    block is added through a writeable einsum view of A reshaped to
-    (d,) * 2P, the diagonal in every other site.
+    blocks come from one matrix product with the site basis
+    (sigma_j sigma_m) and, from two sites on, all pair blocks from one with
+    the pair basis (sigma_j (x) sigma_m, one product m_j[a, b] m_m[c, d]
+    each, negated when real); the basis and coef fix the dtype of the
+    result.  Each block is added through a writeable einsum view of A
+    reshaped to (d,) * 2P, the diagonal in every other site.
 
     Every dense spin-space array is built here, so here is where the dense
-    budget and Hermiticity are checked, before anything of size dim^2 is
-    allocated: a Hermitian coef gives Hermitian site and pair blocks.
+    budget and Hermiticity are checked, before any basis or anything of
+    size dim^2 is allocated: a Hermitian coef gives Hermitian site and
+    pair blocks.
     """
     coef = np.asarray(coef)
-    d, P = math.isqrt(site_basis.shape[1]), coef.shape[0] // 3
+    d, P = two_s + 1, coef.shape[0] // 3
     dim = d ** P
     if dim > MAX_DENSE_DIM:
         raise ResourceError(f"spin dimension {dim} exceeds the dense budget")
@@ -346,11 +336,17 @@ def _dense_operator(coef, site_basis, pair_basis) -> np.ndarray:
     if not herm <= 1e-12 * np.linalg.norm(coef):  # a NaN fails too
         raise SpinradError(f"spin operator coefficients are not Hermitian "
                            f"({herm:.3e})")
+    _, m, site_basis = _bases(two_s, real)
     C = coef.reshape(P, 3, P, 3)
     lam, mu = np.array(list(itertools.combinations(range(P), 2)),
                        dtype=int).reshape(-1, 2).T
-    pair = (C[lam, :, mu] + C[mu, :, lam].transpose(0, 2, 1)).reshape(-1, 9)
-    pairs = (pair @ pair_basis).reshape(-1, d, d, d, d)
+    pairs = ()
+    if P > 1:
+        pair_basis = np.einsum("jab,mcd->jmacbd", m, m).reshape(9, d ** 4)
+        if real:
+            np.negative(pair_basis, out=pair_basis)
+        pair = C[lam, :, mu] + C[mu, :, lam].transpose(0, 2, 1)
+        pairs = (pair.reshape(-1, 9) @ pair_basis).reshape(-1, d, d, d, d)
     A = np.zeros((dim, dim), dtype=np.result_type(coef, site_basis))
     T = A.reshape((d,) * (2 * P))
     # einsum subscripts of T: site k's row digit is rows[k], its column
@@ -372,7 +368,7 @@ def _dense_operator(coef, site_basis, pair_basis) -> np.ndarray:
 
 def bilinear_spin_operator(coef: np.ndarray, s) -> np.ndarray:
     """Dense sum_{a,b} coef[a, b] S_a S_b in the weight basis (_dense_operator)."""
-    return _dense_operator(coef, *_spin_bases(s)[1:])
+    return _dense_operator(coef, _check_half_integer(s), False)
 
 
 def _coefficients(system: SpinSystem, kernel_at) -> np.ndarray:
@@ -394,21 +390,11 @@ def _coefficients(system: SpinSystem, kernel_at) -> np.ndarray:
     return -0.5 * np.outer(Mj, Mj) * K.reshape(3 * P, 3 * P)
 
 
-def _operator_bases(coef, s):
-    """Site basis, site-block and pair-block bases of coef's operator.
-
-    A real coef commutes with time reversal; for integer s that makes its
-    operator real symmetric in the basis of _real_bases.  Otherwise the
-    basis is the weight basis (site basis None), and for half-integer s
-    with an odd number of sites time reversal gives Kramers pairs instead.
-    """
-    if _check_half_integer(s) % 2 == 0 and np.isrealobj(coef):
-        return _real_bases(s)
-    return (None, *_spin_bases(s)[1:])
-
-
-def _frame_basis(s, frame, V) -> np.ndarray:
-    """D^H V for D = su2_rotate(s, frame), V None for the identity."""
+def _site_basis(s, frame, V):
+    """D^H V for D = su2_rotate(s, frame); frame None stands for D = 1 and
+    V None for the identity, so V itself is returned without a frame."""
+    if frame is None:
+        return V
     Dh = su2_rotate(s, frame).conj().T
     return Dh if V is None else Dh @ V
 
@@ -417,27 +403,27 @@ def _operator_in_frame(coef, s, frame):
     """(matrix, basis, sectors) of the operator sum_ab coef[a, b] S_a S_b,
     basis a function of no arguments that returns the matrix's site basis.
 
-    Without a frame: the matrix in the basis of _operator_bases and no
-    sectors.  frame is otherwise the rotation vector theta that takes the
-    normal of the sites' plane to z (_plane_frame).  The matrix is then the
-    operator of C' = R~ C R~^T, R~ = I_P (x) _rotation(theta), in the basis
-    of _operator_bases(C'); that is the operator of C in the site basis
-    D^H V (_frame_basis), with V the basis of _operator_bases (identity for
-    half-integer s), found only when basis is called.  In that frame the
-    mirror through the plane is the pi rotation about z, whose sectors are
-    _parity_sectors.
+    frame None, or the rotation vector theta that takes the normal of the
+    sites' plane to z (_plane_frame).  With a frame, coef is first rotated
+    into it, C' = R~ C R~^T with R~ = I_P (x) _rotation(theta), and the
+    operator of C' in site basis W is that of C in site basis D^H W
+    (_site_basis).  In the frame the mirror through the plane is the pi
+    rotation about z, whose sectors are _parity_sectors; without one there
+    are none.  A real C' commutes with time reversal; for integer s that
+    makes its operator real symmetric in the basis V of _bases(2s, True).
+    Otherwise the basis is the weight basis, and for half-integer s with an
+    odd number of sites time reversal gives Kramers pairs instead.
     """
-    if frame is None:
-        V, site_basis, pair_basis = _operator_bases(coef, s)
-        return _dense_operator(coef, site_basis, pair_basis), lambda: V, None
-    # R~ C R~^T, one 3 x 3 rotation per site axis
-    R, n = _rotation(frame), coef.shape[0]
-    rotated = (coef.reshape(n, -1, 3) @ R.T).reshape(n, n)
-    rotated = (R @ rotated.reshape(-1, 3, n)).reshape(n, n)
-    V, site_basis, pair_basis = _operator_bases(rotated, s)
-    return (_dense_operator(rotated, site_basis, pair_basis),
-            functools.partial(_frame_basis, s, frame, V),
-            _parity_sectors(_check_half_integer(s) + 1, n // 3))
+    n, two_s = coef.shape[0], _check_half_integer(s)
+    if frame is not None:  # R~ C R~^T, one 3 x 3 rotation per site axis
+        R = _rotation(frame)
+        coef = (coef.reshape(n, -1, 3) @ R.T).reshape(n, n)
+        coef = (R @ coef.reshape(-1, 3, n)).reshape(n, n)
+    real = two_s % 2 == 0 and np.isrealobj(coef)
+    matrix = _dense_operator(coef, two_s, real)
+    basis = functools.partial(_site_basis, s, frame, _bases(two_s, real)[0])
+    sectors = None if frame is None else _parity_sectors(two_s + 1, n // 3)
+    return matrix, basis, sectors
 
 
 def _checked_operator(coef, s, vectors: bool,
@@ -486,11 +472,12 @@ def product_form(coef, s, factors) -> np.ndarray:
     facs = np.asarray(factors, dtype=complex)
     _require_unit(facs, "product_form requires normalized factors")
     n, P, d = facs.shape
-    sig = _spin_bases(s)[0]
+    two_s = _check_half_integer(s)
+    sig = _spin_matrices_read_only(two_s).reshape(3, -1)
+    blocks = _site_blocks(coef.reshape(P, 3, P, 3), _bases(two_s, False)[2])
     # rho = conj(f) f^T, flattened: <f|O|f> = rho . O for any d x d O
     rho = (facs.conj()[..., :, None] * facs[..., None, :]).reshape(n, P, d * d)
-    onsite = rho.reshape(n, -1) @ _site_blocks(coef.reshape(P, 3, P, 3),
-                                               _spin_bases(s)[1]).reshape(-1)
+    onsite = rho.reshape(n, -1) @ blocks.reshape(-1)
     hopf = (rho.reshape(n * P, d * d) @ sig.T).real.reshape(n, 3 * P)
     site = np.repeat(np.arange(P), 3)
     cross = np.where(site[:, None] != site[None], coef, 0.0)

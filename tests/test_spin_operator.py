@@ -12,6 +12,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import spinrad.fock as fock
+import spinrad.spin_algebra as spin_algebra
 import spinrad.spin_operator as spin_operator
 from spinrad.cli import PRODUCT_SAMPLES, _sampled_product_min, main
 from spinrad.config import parse_config
@@ -729,6 +730,68 @@ def test_dense_budget_rejects_thirteen_spins(profile):
             assemble_am(system, profile)
     assert _traced_peak(build) < 1 << 20
 
+
+
+TRIPLE = [[0.0, 0.0, 0.0], [0.9, -0.3, 0.4], [0.2, 0.7, -0.5]]
+
+
+@pytest.mark.parametrize("s, P", [(2048.0, 1), (32.0, 2), (8.0, 3)])
+def test_dense_budget_refuses_before_any_basis(profile, s, P):
+    # the smallest spins past MAX_DENSE_DIM at P = 1, 2, 3: refused before
+    # the spin matrices (1 GB at d = 4097) or the (9, d^4) pair basis
+    # (2.6 GB at d = 65, 12 MB at d = 17) are built
+    spin_operator._bases.cache_clear()
+    system = SpinSystem(positions=TRIPLE[:P], moments=[0.8, -0.5, 0.6][:P],
+                        s=s)
+
+    def build():
+        with pytest.raises(ResourceError, match="dense budget"):
+            assemble_am(system, profile)
+    assert _traced_peak(build) < 5 << 20
+
+
+def test_one_site_builds_no_pair_basis(profile):
+    # one spin-31/2 site: a 32 x 32 A_M, with no (9, 32^4) pair basis
+    spin_operator._bases.cache_clear()
+    system = SpinSystem(positions=TRIPLE[:1], moments=[0.8], s=15.5)
+    assert _traced_peak(lambda: assemble_am(system, profile)) < 5 << 20
+
+
+def test_spin_caches_give_the_same_bytes_cold_and_warm(tmp_path):
+    # spin1_triple of scripts/bundled_artifacts.py: planar and integer
+    # spin, so e2 reads both bases of spin 1, the parity sectors and the
+    # read-only spin matrices (product states, su2_rotate)
+    doc = yaml.safe_load((CONFIGS / "two_spins.yaml").read_text())
+    doc["particles"].append({"position": TRIPLE[2], "moment": 0.6})
+    doc["spin"] = 1.0
+    cfg = tmp_path / "spin1_triple.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    caches = (spin_operator._bases, spin_operator._parity_sectors,
+              spin_algebra._spin_matrices_read_only)
+    for cache in caches:
+        cache.cache_clear()
+    blobs = []
+    for run in ("cold", "warm"):
+        out = tmp_path / run
+        for argv in (["e2", "--eigenbasis"], ["verify"]):
+            assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+        blobs.append([(out / name).read_bytes() for name in
+                      ("e2.json", "verify.csv", "verify_manifest.json")])
+    assert blobs[0] == blobs[1]
+    # one miss per key: the bases of spin 1 in the weight and real basis,
+    # the sectors of three spin-1 sites, the spin-1 matrices
+    assert [(cache.cache_info().misses, cache.cache_info().currsize)
+            for cache in caches] == [(2, 2), (1, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("s", [True, np.True_])
+def test_boolean_spin_refused_after_a_spin_one_build(s):
+    # the basis cache is keyed by 2s, taken after booleans are refused, so
+    # a spin-1 build in it cannot answer for s = True == 1
+    coef = -np.eye(6)
+    bilinear_spin_operator(coef, 1.0)
+    with pytest.raises(DomainError, match="half-integer"):
+        bilinear_spin_operator(coef, s)
 
 def test_non_hermitian_coef_raises_before_dense_build():
     # P = 10 spin-1/2 sites: the 1024 x 1024 array would take 16 MiB

@@ -384,7 +384,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             (out / name).write_text(text)
-    except (SpinradError, FileNotFoundError) as exc:
+    except (SpinradError, OSError, UnicodeDecodeError) as exc:
         print(f"ERROR {exc}", file=sys.stderr)
         return 1
     print(*lines, sep="\n")

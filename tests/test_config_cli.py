@@ -618,6 +618,30 @@ def test_cli_classical_non_finite_orientation_exit_one(tmp_path, capsys, row):
     assert not (tmp_path / "classical.csv").exists()
 
 
+
+@pytest.mark.parametrize("case", ["config is a directory", "config not UTF-8",
+                                  "out is a file", "orientations directory"])
+def test_cli_unreadable_files_exit_one(tmp_path, capsys, case):
+    # an unreadable config or orientations file, or an --out that cannot be
+    # a directory, is bad input: one ERROR line, not a traceback
+    config, out = TWO, tmp_path / "out"
+    argv = ["e2"]
+    if case == "config is a directory":
+        config = str(CONFIG_DIR)
+    elif case == "config not UTF-8":
+        config = tmp_path / "latin1.yaml"
+        config.write_bytes(Path(TWO).read_text().encode() + b"# \xe9t\xe9\n")
+    elif case == "out is a file":
+        out.write_text("")
+    else:
+        argv = ["classical", "--orientations", str(tmp_path)]
+    assert main([*argv, "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR ")
+    assert captured.out == ""
+    assert not out.is_dir()
+
 def test_cli_fock_fit(tmp_path):
     cfg = small_config(tmp_path)
     rc = main(["fock-fit", "--config", cfg, "--out", str(tmp_path),

@@ -11,10 +11,11 @@ rule grows; two_spins at spin 1 (spin1_pair); and two_spins with a
 third site at (0.2, 0.7, -0.5) of moment 0.6, at spin 1 (spin1_triple)
 and at spin 3/2 (spin3half_triple).  The last three reach what the
 spin-1/2 pairs do not: the real basis of integer spins, and the frame
-of a planar cluster with its two parity sectors.  The suites are kernel, e2 with and without
---eigenbasis (e2-eigenbasis), verify, classical (where the configuration
-has as many particles as configs/orientations_two.yaml has orientations),
-fock-fit and multiplicity (where all moments are equal).
+of a planar cluster with its two parity sectors.  The suites are
+kernel, e2 with and without --eigenbasis (e2-eigenbasis), verify,
+classical (where the configuration has as many particles as
+configs/orientations_two.yaml has orientations), fock-fit and
+multiplicity (where all moments are equal).
 
 Each run is one `spinrad.cli.main` call in this interpreter (48 runs in
 about 1.5 s on a 2-core Xeon).  Run it on two checkouts and compare: an

@@ -143,23 +143,21 @@ def digests(out: Path) -> dict:
 
 def fock_cases():
     """(name, system, profile, grid, n_max) of each Fock Hamiltonian build
-    to hash: s 1/2 to 5/2 and P <= 3 on the 2x6 and 4x6 grids at n_max 1
-    to 3, and on the 24x12 grid at n_max = 1.  Builds outside the
-    budgets are among them; fock_digests skips those."""
+    to hash: s 1/2 to 5/2 and P <= 3 on 2 and 4 radial shells at n_max 1
+    to 3, and on 24 shells at n_max = 1.  Builds outside the budgets are
+    among them; fock_digests skips those."""
     profile = CutoffProfile(1.0)
     positions = [[0.0, 0.0, 0.0], [0.9, -0.3, 0.4], [-0.5, 0.7, 0.2]]
     moments = [0.8, -0.5, 0.3]
-    for (n_radial, n_angular), caps in [((2, 6), (1, 2, 3)),
-                                        ((4, 6), (1, 2, 3)),
-                                        ((24, 12), (1,))]:
-        grid = build_mode_grid(profile, n_radial, n_angular)
+    for n_radial, caps in [(2, (1, 2, 3)), (4, (1, 2, 3)), (24, (1,))]:
+        grid = build_mode_grid(profile, n_radial)
         for s in (0.5, 1.0, 1.5, 2.0, 2.5):
             for P in (1, 2, 3):
                 system = SpinSystem(positions=positions[:P],
                                     moments=moments[:P], s=s)
                 for n_max in caps:
-                    yield (f"{n_radial}x{n_angular} s={s} P={P} "
-                           f"n_max={n_max}", system, profile, grid, n_max)
+                    yield (f"n_radial={n_radial} s={s} P={P} n_max={n_max}",
+                           system, profile, grid, n_max)
 
 
 def fock_digests() -> dict:

@@ -69,10 +69,19 @@ def _sampled_product_min(coef, s, rng):
     return min(0.0, float(values.min()))
 
 
+def _read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at path; other bytes raise a ConfigError
+    that names the file, as the OSErrors of an unreadable one do."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text: {exc}") from None
+
+
 def _load_orientations(path):
     """Float array of a YAML list of orientation vectors."""
     what = f"orientations file {path}"
-    spins = load_yaml(Path(path).read_text(), what)
+    spins = load_yaml(_read_text(path, "orientations file"), what)
     try:
         return np.array(spins, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -376,7 +385,7 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        cfg = parse_config(Path(args.config).read_text())
+        cfg = parse_config(_read_text(args.config, "configuration"))
         if getattr(args, "seed", None) is not None:
             cfg.seed = args.seed
         files, lines, ok = args.func(cfg, args)
@@ -384,7 +393,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             (out / name).write_text(text)
-    except (SpinradError, OSError, UnicodeDecodeError) as exc:
+    except (SpinradError, OSError) as exc:
         print(f"ERROR {exc}", file=sys.stderr)
         return 1
     print(*lines, sep="\n")

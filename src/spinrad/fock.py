@@ -1,9 +1,9 @@
 """Desk-scale truncated Fock realization of the spin-photon Hamiltonian.
 
-The photon momentum integral is discretized on a spherical-product grid:
-n_radial Gauss-Legendre shells |k| = r_s times one set of unit directions
-u_d with weights w_d.  Each (mode, polarization) pair is a bosonic
-oscillator of frequency |k|, and the Hamiltonian
+The photon momentum integral is discretized in |k| only, on n_radial
+Gauss-Legendre shells |k| = r_s with weights rw_s; each shell's
+directions are integrated exactly.  Each (mode, polarization) pair is a
+bosonic oscillator of frequency |k|, and the Hamiltonian
 
     H = dGamma(omega) (x) I + sum_{lam,m} M[lam] Phi_S(B_{m,x[lam]}) (x) sigma_m^[lam]
 
@@ -15,13 +15,16 @@ reduction: Cederbaum, Gindensperger & Burghardt, PRL 94 (2005) 113003).
 All oscillators of one shell share one frequency, so a unitary that mixes
 only that shell's oscillators leaves dGamma(omega) unchanged, and H
 depends on the shell only through the Gram matrix of its 3P coupling
-vectors.  Summed over the two polarizations, the couplings give the
-transverse projector, and the sine part cancels between the directions
-u and -u of the grid, so that Gram matrix is real:
+vectors.  Summed over the two polarizations and all directions u, that
+matrix is real and closed in the spherical Bessel functions j_n(rho) at
+rho = r_s |x|, x = x_lam - x_mu, d = x / |x| (d = 0 at x = 0):
 
-    G_s[lam j, mu m] = c_s sum_d w_d (delta_jm - u_dj u_dm)
-                       cos(r_s u_d.(x_lam - x_mu)),
+    G_s[lam j, mu m] = c_s int dOmega (delta_jm - u_j u_m) e^{i r_s u.x}
+                     = 4 pi c_s [(j0 - j1/rho) delta_jm + j2 d_j d_m],
     c_s = rw_s r_s^3 phi(r_s)^2 (2 pi)^-3.
+
+As j1/rho = (j0 + j2) / 3, only j2's closed form cancels, below
+rho = RHO_SERIES, where its power series replaces it.
 
 Any real W_s with W_s W_s^T = G_s has the Gram matrix of those couplings,
 so a unitary of the shell's oscillators turns them into a^dagger(v_a) =
@@ -32,10 +35,10 @@ oscillators, and block n has the spectrum of the reduced H at cap
 n_max - n shifted by at least n omega_min.  So the ground state, and
 every level below E_0 + omega_min, is that of the reduced H at cap n_max
 with the uncoupled oscillators empty.  The reduced space grows with the
-number of radial shells only; angular refinement is free.  H and the
-discrete A_M both read the shell factors W kept on the ToyHamiltonian:
-A_M is the second-order operator of H's couplings, real symmetric and
-negative semidefinite on any grid.
+number of radial shells only.  H and the discrete A_M both read the
+lower-triangular shell factors W (shell_couplings) kept on the
+ToyHamiltonian: A_M is the second-order operator of H's couplings, real
+symmetric and negative semidefinite.
 
 H is assembled in one pass from one spin block per oscillator, as one
 matrix h at unit scale: dGamma(omega) (x) I is its diagonal, H_int the
@@ -74,8 +77,8 @@ MAX_TOTAL_DIM = 400_000
 # Ceiling on spin_dim * dim, the entries of the spin_dim rows of H that
 # _dressed_start (one complex copy) and _feshbach (about eight) make dense.
 # Process peaks of the build, one ground_state and one _feshbach at scale
-# 0.4: 0.45 GB at 1.7e6 (s = 2, one site, 24 x 6 grid, n_max = 3) and
-# 0.72 GB at 3.6e6 (s = 3/2, two sites, 7 x 6, n_max = 3), the build's
+# 0.4: 0.45 GB at 1.7e6 (s = 2, one site, 24 shells, n_max = 3) and
+# 0.72 GB at 3.6e6 (s = 3/2, two sites, 7 shells, n_max = 3), the build's
 # 0.35 GB each included.
 MAX_SPIN_ROW_ENTRIES = 1 << 22
 
@@ -92,83 +95,77 @@ MAX_LOBPCG_STEPS = 1000
 # takes 3-9 steps on Fock H and random dense matrices alike.
 MAX_START_NEWTON_STEPS = 100
 
+# Below rho = RHO_SERIES the closed form of j2 loses over 3 ulp to
+# cancellation (45 at rho = 1), so its series replaces it there:
+# j2 / rho^2 = sum_k (-rho^2/2)^k / (k! (2k + 5)!!), 14 terms, highest
+# power first, truncated below 1e-20.
+RHO_SERIES = 2.0
+_J2_SERIES = [(-0.5) ** k / math.factorial(k)
+              / math.prod(range(2 * k + 5, 0, -2)) for k in range(13, -1, -1)]
+
 
 @dataclass(frozen=True)
 class ModeGrid:
-    """Photon modes k = radius[s] direction[d] of a spherical-product rule.
-
-    Mode (s, d) has frequency radius[s] and weight
-    radial_weight[s] radius[s]^2 direction_weight[d] for int dk.
-    """
+    """Photon shells |k| = radius[s], weight radial_weight[s] radius[s]^2
+    for the radial part of int dk; the directions are integrated exactly."""
 
     radius: np.ndarray            # (n_radial,) shell radii |k|
     radial_weight: np.ndarray     # (n_radial,) weights for int d|k|
-    direction: np.ndarray         # (n_dirs, 3) unit directions
-    direction_weight: np.ndarray  # (n_dirs,) weights for int dOmega
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.radius) * len(self.direction_weight)
 
 
 def build_mode_grid(profile: CutoffProfile, n_radial: int,
-                    n_angular: int) -> ModeGrid:
-    """Spherical-product quadrature grid, closed under u -> -u.
-
-    Radial: n_radial Gauss-Legendre nodes on (0, r_far).  Angular:
-    (n_angular/2) Gauss-Legendre polar nodes x n_angular uniform azimuths,
-    azimuth fastest.
-    """
-    n_radial = _integer(n_radial, "n_radial")
-    n_angular = _integer(n_angular, "n_angular")
-    if n_radial < 2:
+                    n_angular: int | None = None) -> ModeGrid:
+    """n_radial Gauss-Legendre nodes on (0, r_far).  n_angular, which
+    configs still carry, shapes nothing; given, it must be even and >= 6."""
+    if _integer(n_radial, "n_radial") < 2:
         raise DomainError("need n_radial >= 2")
-    if n_angular < 6 or n_angular % 2:
+    if n_angular is not None and (_integer(n_angular, "n_angular") < 6
+                                  or n_angular % 2):
         raise DomainError("need even n_angular >= 6")
-    r_far = profile.far_radius()
-    rn, rw = leggauss(n_radial)
-    cn, cw = leggauss(n_angular // 2)
-    C, F = np.meshgrid(cn, 2.0 * math.pi * np.arange(n_angular) / n_angular,
-                       indexing="ij")
-    S = np.sqrt(1.0 - C * C)
-    return ModeGrid(
-        radius=0.5 * r_far * (rn + 1.0), radial_weight=0.5 * r_far * rw,
-        direction=np.stack([S * np.cos(F), S * np.sin(F), C],
-                           axis=-1).reshape(-1, 3),
-        direction_weight=np.repeat(cw * (2.0 * math.pi / n_angular),
-                                   n_angular))
+    half, (rn, rw) = 0.5 * profile.far_radius(), leggauss(n_radial)
+    return ModeGrid(radius=half * (rn + 1.0), radial_weight=half * rw)
+
+
+def _angular_factors(rho: np.ndarray):
+    """(j0 - j1/rho, j2) at each rho >= 0, with j1/rho = (j0 + j2) / 3."""
+    j0, j2 = np.sinc(rho / math.pi), np.empty_like(rho)
+    low = rho < RHO_SERIES
+    x = rho[low] ** 2
+    j2[low] = x * np.polyval(_J2_SERIES, x)
+    x = rho[~low] ** 2
+    j2[~low] = (3.0 / x - 1.0) * j0[~low] - 3.0 * np.cos(rho[~low]) / x
+    return (2.0 * j0 - j2) / 3.0, j2
 
 
 def shell_couplings(system: SpinSystem, profile: CutoffProfile,
                     grid: ModeGrid):
     """Frequencies and real couplings of the oscillators the spins reach.
 
-    Returns (omega_osc, W): W (3P, n_osc) holds, shell after shell, a real
-    factor W_s W_s^T = G_s of the shell's Gram matrix (module docstring),
-    one column per coupled oscillator at the shell's frequency.  With
-    f_0 = cos and f_1 = sin,
-
-        Y_s[lam j, (d, t, n)] = sqrt(c_s w_d) f_t(r_s u_d.x_lam)
-                                (delta_jn - u_dj u_dn)
-
-    has Y_s Y_s^T = G_s, as cos(a - b) = cos a cos b + sin a sin b and the
-    transverse projector is symmetric and idempotent.  One QR of the stack
-    of every Y_s^T = Q_s R_s gives W_s = R_s^T, with min(3P, 6 n_dirs)
-    columns.  That is 3P, at most the 2 n_dirs >= 36 oscillators of the
-    shell, unless P > 12, where no Fock space fits MAX_TOTAL_DIM.
+    Returns (omega_osc, W): W (3P, 3P n_radial) holds, shell after shell,
+    a lower-triangular factor W_s W_s^T = G_s of the shell's closed-form
+    Gram matrix (module docstring), one column per coupled oscillator at
+    the shell's frequency.  The rule: one batched eigh G_s = U L U^T with
+    negative roundoff eigenvalues clipped to 0, so that a singular G_s
+    (sites far closer than 1/r_s), where Cholesky fails, factors too; then one
+    batched QR of sqrt(L) U^T = Q R, and W_s = R^T.  A dense factor such
+    as U sqrt(L) would couple every oscillator of a shell to every site
+    spin: the two-site 4 x 6 n_max = 2 H would store 15,696 entries, not
+    11,696.
     """
-    r, u = grid.radius, grid.direction
+    r, P = grid.radius, system.P
     c = grid.radial_weight * r ** 3 * phi_eval(profile, r) ** 2 \
-        * (2.0 * math.pi) ** -3
-    phase = r[:, None, None] * (u @ system.positions.T)  # (shell, d, lam)
-    amp = np.sqrt(c[:, None] * grid.direction_weight)[:, :, None, None]
-    trig = amp * np.stack([np.cos(phase), np.sin(phase)], axis=2)
-    proj = np.eye(3) - u[:, :, None] * u[:, None, :]  # (d, n, j)
-    Yt = trig[:, :, :, None, :, None] * proj[None, :, None, :, None, :]
-    R = np.linalg.qr(Yt.reshape(len(r), 6 * len(u), 3 * system.P),
-                     mode="r")
-    return np.repeat(r, R.shape[1]), \
-        R.transpose(2, 0, 1).reshape(3 * system.P, -1)
+        / (2.0 * math.pi ** 2)  # 4 pi c_s
+    d = system.positions[:, None] - system.positions  # (lam, mu, 3)
+    dist = np.linalg.norm(d, axis=-1, keepdims=True)
+    d = np.divide(d, dist, out=np.zeros_like(d), where=dist > 0.0)
+    a, b = _angular_factors(r[:, None, None, None] * dist)
+    G = c[:, None, None, None, None] * (a[..., None] * np.eye(3) + b[..., None]
+                                        * d[..., :, None] * d[..., None, :])
+    lam, U = np.linalg.eigh(
+        G.transpose(0, 1, 3, 2, 4).reshape(len(r), 3 * P, 3 * P))
+    R = np.linalg.qr(np.sqrt(np.maximum(lam, 0.0))[:, :, None]
+                     * U.transpose(0, 2, 1), mode="r")
+    return np.repeat(r, 3 * P), R.transpose(2, 0, 1).reshape(3 * P, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +315,8 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
 
     Each radial shell keeps the oscillators of shell_couplings; the
     dropped ones carry no coupling, so every level below
-    E_0 + omega_min, the ground state included, is that of the full grid
-    (module docstring).  H_int = T + T^dagger with
+    E_0 + omega_min, the ground state included, is that of H on all
+    the shells' oscillators (module docstring).  H_int = T + T^dagger with
     T = sum_o a_o^dagger (x) C_o and the spin block
     C_o = sum_a M[a // 3] W[a, o] S_a / sqrt(2) of oscillator o, on the
     union pattern of the dense S_a (site_spin_operators on the identity).

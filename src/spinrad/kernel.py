@@ -136,7 +136,12 @@ def _oracle_rule(profile: CutoffProfile, n: int):
     sq = k * k
     f = phi_eval(profile, k) ** 2
     g = f[:, None, None] * f[:, None] * f
-    g /= sq[:, None, None] + sq[:, None] + sq
+    # divided one (b, c) slab at a time by (sq_a + sq_b) + sq_c, the sum a
+    # whole (n/2)^3 denominator would hold, through one (n/2)^2 buffer
+    sq_ab = sq[:, None] + sq
+    den = np.empty_like(sq_ab)
+    for slab, row in zip(g, sq_ab):
+        slab /= np.add(row[:, None], sq, out=den)
     for arr in (k, w, g):
         arr.flags.writeable = False
     return k, w, g

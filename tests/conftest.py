@@ -65,27 +65,35 @@ def weight_basis_matrix(op):
     return W @ op.matrix @ W.conj().T
 
 
-def grid_modes(grid):
-    """Wavevectors k (N, 3) and weights w (N,) of the grid's modes.
+def product_modes(grid, n_angular):
+    """Wavevectors k (N, 3) and weights w (N,) of a spherical-product rule.
 
-    Mode (s, d), shell major, is k = radius[s] direction[d] with weight
-    radial_weight[s] radius[s]^2 direction_weight[d] for int dk.
+    The grid's radial shells times n_angular / 2 Gauss-Legendre polar
+    nodes and n_angular uniform azimuths, azimuth fastest; mode (s, d),
+    shell major, is k = radius[s] u_d with weight radial_weight[s]
+    radius[s]^2 w_d for int dk.  The rule is closed under u -> -u.  It is
+    the tests' own angular quadrature, the reference for the exact
+    shells of fock.shell_couplings.
     """
-    k = grid.radius[:, None, None] * grid.direction
-    w = (grid.radial_weight * grid.radius * grid.radius)[:, None] \
-        * grid.direction_weight
+    cn, cw = np.polynomial.legendre.leggauss(n_angular // 2)
+    C, F = np.meshgrid(cn, 2.0 * math.pi * np.arange(n_angular) / n_angular,
+                       indexing="ij")
+    S = np.sqrt(1.0 - C * C)
+    u = np.stack([S * np.cos(F), S * np.sin(F), C], axis=-1).reshape(-1, 3)
+    uw = np.repeat(cw * (2.0 * math.pi / n_angular), n_angular)
+    k = grid.radius[:, None, None] * u
+    w = (grid.radial_weight * grid.radius * grid.radius)[:, None] * uw
     return k.reshape(-1, 3), w.ravel()
 
 
-def projector_kernel(profile, grid, d):
+def projector_kernel(profile, grid, d, n_angular=12):
     """Mode-sum kernel (2 pi)^-3 sum_i w_i |phi|^2 e^{-i k_i.d} (I - khat khat).
 
     The transverse-projector form of the discrete kernel, one displacement
-    at a time, on the complex plane waves of every mode: the reference for
-    the shell factors that fock.discrete_am builds A_M from.  Its
-    imaginary part cancels between the antipodal directions of the grid.
+    at a time, on the complex plane waves of every mode of product_modes.
+    Its imaginary part cancels between the antipodal directions.
     """
-    k, w = grid_modes(grid)
+    k, w = product_modes(grid, n_angular)
     r = np.linalg.norm(k, axis=1)
     khat = k / r[:, None]
     f = w * phi_eval(profile, r) ** 2 \

@@ -59,10 +59,10 @@ def test_result_fields():
     entries = kernel_matrix(PROFILE, [0.3, 0.1, -0.5]).entries
     assert entries.shape == (3, 3)
     assert assemble_am(SYSTEM, PROFILE).matrix.shape == (4, 4)
-    grid = build_mode_grid(PROFILE, 2, 6)
+    grid = build_mode_grid(PROFILE, 2)
     toy = build_hamiltonian(SYSTEM, PROFILE, grid, 1)
-    # vacuum + min(3P, 2 n_theta n_phi) coupled oscillators per radial shell
-    assert toy.dim == (1 + 2 * min(3 * SYSTEM.P, 2 * 3 * 6)) * SYSTEM.spin_dim
+    # vacuum + 3P coupled oscillators per radial shell
+    assert toy.dim == (1 + 2 * 3 * SYSTEM.P) * SYSTEM.spin_dim
 
 
 def test_current_evaluator_is_replaceable():

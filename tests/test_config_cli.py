@@ -27,6 +27,7 @@ from conftest import weight_basis_matrix
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 TWO = str(CONFIG_DIR / "two_spins.yaml")
+ORIENTATIONS = CONFIG_DIR / "orientations_two.yaml"
 
 MINIMAL = """
 particles:
@@ -641,6 +642,26 @@ def test_cli_unreadable_files_exit_one(tmp_path, capsys, case):
     assert len(err) == 1 and err[0].startswith("ERROR ")
     assert captured.out == ""
     assert not out.is_dir()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--orientations"])
+def test_cli_non_utf8_file_is_named(tmp_path, capsys, flag):
+    # a configuration or orientations file that is not UTF-8 text is
+    # reported with its path, as an unreadable one is
+    bad = tmp_path / "latin1.yaml"
+    source = Path(TWO if flag == "--config" else ORIENTATIONS)
+    bad.write_bytes(source.read_text().encode() + b"# \xe9t\xe9\n")
+    files = {"--config": TWO, "--orientations": ORIENTATIONS, flag: bad}
+    argv = ["classical", "--config", str(files["--config"]),
+            "--orientations", str(files["--orientations"]),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    what = "configuration" if flag == "--config" else "orientations file"
+    assert len(err) == 1
+    assert err[0].startswith(f"ERROR {what} {bad} is not UTF-8 text: ")
+    assert "can't decode byte 0xe9" in err[0]
+
 
 def test_cli_fock_fit(tmp_path):
     cfg = small_config(tmp_path)

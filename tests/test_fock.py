@@ -1,5 +1,8 @@
-import cmath
+import contextlib
+import dataclasses
 import importlib.util
+import io
+import json
 import math
 import tracemalloc
 from itertools import combinations_with_replacement
@@ -11,7 +14,10 @@ import pytest
 from scipy import integrate
 from scipy.optimize import brentq
 import scipy.sparse as sp
+from scipy.special import spherical_jn
+import yaml
 
+from spinrad.cli import main
 from spinrad.config import parse_config
 from spinrad.cutoff import CutoffProfile, phi_eval
 from spinrad.errors import ConvergenceError, DomainError, ResourceError
@@ -20,26 +26,28 @@ from spinrad.fock import MAX_TOTAL_DIM, ToyHamiltonian, _discrete_k_bound, \
     build_fock_space, build_hamiltonian, build_mode_grid, discrete_am, \
     ground_state, multiplicity_scan, photon_number, quadratic_fit, \
     segal_field, shell_couplings, variational_trial_check
+from spinrad.kernel import a11_origin
 from spinrad.spin_algebra import CSRMatrix
 from spinrad.spin_operator import DEFAULT_DEGENERACY_TOL, SpinSystem, \
-    _coefficients, assemble_am, bilinear_spin_operator, ground_eigenspace
+    assemble_am, bilinear_spin_operator, ground_eigenspace
 
-from conftest import grid_modes, kron_site_spins, projector_kernel, \
-    random_state, weight_basis_matrix
+from conftest import kron_site_spins, product_modes, projector_kernel, \
+    random_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SCRIPTS = CONFIGS.parent / "scripts"
 
 
-def test_grid_weight_sum(profile, default_grid):
-    # oracle: 1D radial quadrature of int |phi|^2 dk
+def test_radial_rule_weight_sum(profile, default_grid):
+    # oracle: 1D radial quadrature of int |phi|^2 dk; every shell carries
+    # the whole sphere, 4 pi
     oracle = 4.0 * math.pi * integrate.quad(
         lambda r: phi_eval(profile, r) ** 2 * r * r, 0.0,
         profile.far_radius())[0]
-    k, w = grid_modes(default_grid)
-    total = float(np.sum(w * phi_eval(profile, np.linalg.norm(k, axis=1))
-                         ** 2))
-    assert total == pytest.approx(oracle, rel=1e-6)
+    r = default_grid.radius
+    total = 4.0 * math.pi * float(np.sum(
+        default_grid.radial_weight * r * r * phi_eval(profile, r) ** 2))
+    assert total == pytest.approx(oracle, rel=1e-11)
     assert oracle == pytest.approx(math.pi ** 1.5, rel=1e-10)
 
 
@@ -48,6 +56,8 @@ def test_grid_validation(profile):
         build_mode_grid(profile, 1, 12)
     with pytest.raises(DomainError):
         build_mode_grid(profile, 8, 7)
+    with pytest.raises(DomainError):
+        build_mode_grid(profile, 1)
 
 
 @pytest.mark.parametrize("n_radial, n_angular, name", [
@@ -65,36 +75,26 @@ def test_fock_space_cap_must_be_an_integer(small_grid, n_max):
     assert build_fock_space(small_grid.radius, np.int64(1)).n_max == 1
 
 
-def _loop_mode_grid(profile, n_radial, n_angular):
-    """Nodes and weights of the mode grid, one node at a time."""
+def _loop_radial_rule(profile, n_radial):
+    """Radial nodes and weights of the mode grid, one node at a time."""
     r_far = profile.far_radius()
     rn, rw = np.polynomial.legendre.leggauss(n_radial)
-    rn, rw = 0.5 * r_far * (rn + 1.0), 0.5 * r_far * rw
-    n_theta, n_phi = n_angular // 2, n_angular
-    cn, cw = np.polynomial.legendre.leggauss(n_theta)
-    ph = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    pw = 2.0 * math.pi / n_phi
-    ks, ws = [], []
-    for r, wr in zip(rn, rw):
-        for c, wc in zip(cn, cw):
-            s_ = math.sqrt(1.0 - c * c)
-            for f in ph:
-                ks.append([r * s_ * math.cos(f), r * s_ * math.sin(f), r * c])
-                ws.append(wr * r * r * (wc * pw))
-    return np.array(ks), np.array(ws)
+    return ([0.5 * r_far * (x + 1.0) for x in rn],
+            [0.5 * r_far * w for w in rw])
 
 
 @pytest.mark.parametrize("lam", [1.0, 1.7])
-@pytest.mark.parametrize("n_radial, n_angular", [
-    (24, 12), (2, 6), (4, 6), (6, 6), (5, 10), (96, 64)])
-def test_mode_grid_matches_loop_reference(lam, n_radial, n_angular):
+@pytest.mark.parametrize("n_radial", [2, 4, 5, 24, 96])
+def test_radial_rule_matches_loop_reference(lam, n_radial):
+    # the grid is its radial rule alone, whatever n_angular says
     profile = CutoffProfile(lam)
-    grid = build_mode_grid(profile, n_radial, n_angular)
-    k, w = _loop_mode_grid(profile, n_radial, n_angular)
-    grid_k, grid_w = grid_modes(grid)
-    assert grid.n_modes == len(w)
-    assert np.array_equal(grid_w, w)
-    assert np.abs(grid_k - k).max() <= 1e-15 * profile.far_radius()
+    radius, weight = _loop_radial_rule(profile, n_radial)
+    for n_angular in (None, 6, 12, 64):
+        grid = build_mode_grid(profile, n_radial, n_angular)
+        assert [f.name for f in dataclasses.fields(grid)] \
+            == ["radius", "radial_weight"]
+        assert np.array_equal(grid.radius, radius)
+        assert np.array_equal(grid.radial_weight, weight)
 
 
 def _polarizations(k):
@@ -107,15 +107,16 @@ def _polarizations(k):
     return np.stack([e1, np.cross(khat, e1)], axis=1)
 
 
-def _mode_couplings(system, profile, grid):
-    """Couplings of the site spins to all 2N (mode, polarization) oscillators.
+def _mode_couplings(system, profile, grid, n_angular):
+    """Couplings of the site spins to all 2N (mode, polarization) oscillators
+    of the grid's shells times the angular product rule of product_modes.
 
     Returns (omega, V): the oscillator frequencies, and V (3P, 2N) complex
     with entry (3 lam + m, 2 i + a) = sqrt(w_i) <eps_ia, B_{m+1,x[lam]}(k_i)>,
     where B_{m,x}(k) = i phi(|k|) |k|^(1/2) (2 pi)^(-3/2) e^{-i k.x}
     (k x e_m)/|k| and <eps_ia, khat x e_m> = (eps_ia x khat)_m.
     """
-    k, w = grid_modes(grid)
+    k, w = product_modes(grid, n_angular)
     r = np.linalg.norm(k, axis=1)
     amp = 1j * np.sqrt(w) * phi_eval(profile, r) * np.sqrt(r) \
         * (2.0 * math.pi) ** -1.5
@@ -123,69 +124,121 @@ def _mode_couplings(system, profile, grid):
     cross = np.cross(_polarizations(k), k[:, None, :] / r[:, None, None],
                      axisc=0)  # (3, N, 2)
     V = phase[:, None, :, None] * cross  # (P, 3, N, 2)
-    return np.repeat(r, 2), V.reshape(3 * system.P, 2 * grid.n_modes)
+    return np.repeat(r, 2), V.reshape(3 * system.P, 2 * len(w))
 
 
-def _loop_mode_couplings(system, profile, grid):
-    """V of _mode_couplings one entry at a time, each polarization frame
-    and plane wave built from the grid's factors."""
-    V = np.empty((3 * system.P, 2 * grid.n_modes), dtype=complex)
-    for lam, x in enumerate(system.positions):
-        for m in range(3):
-            i = 0
-            for r, rw in zip(grid.radius, grid.radial_weight):
-                for u, uw in zip(grid.direction, grid.direction_weight):
-                    k = r * u
-                    ref = np.eye(3)[2] if abs(u[2]) < 0.9 else np.eye(3)[0]
-                    e1 = np.cross(u, ref)
-                    e1 /= math.sqrt(e1 @ e1)
-                    B = 1j * float(phi_eval(profile, r)) * math.sqrt(r) \
-                        * (2.0 * math.pi) ** -1.5 * cmath.exp(-1j * (k @ x)) \
-                        * np.cross(u, np.eye(3)[m])
-                    for a, eps in enumerate([e1, np.cross(u, e1)]):
-                        V[3 * lam + m, 2 * i + a] = \
-                            math.sqrt(rw * r * r * uw) * (eps @ B)
-                    i += 1
-    return V
+def _product_rule_gram(system, profile, grid, n_angular=64):
+    """Gram matrix of each shell's couplings on the product rule,
+    (n_radial, 3P, 3P) complex: sum over the shell's oscillators o of
+    conj(V[a, o]) V[b, o], V of _mode_couplings.  Its 32 x 64 directions
+    by default integrate the angular part to roundoff up to
+    rho = r_s |x_lam - x_mu| of about 25."""
+    V = _mode_couplings(system, profile, grid, n_angular)[1]
+    V = V.reshape(3 * system.P, len(grid.radius), -1).transpose(1, 0, 2)
+    return V.conj() @ V.transpose(0, 2, 1)
+
+
+def _closed_gram(system, profile, grid):
+    """G_s (n_radial, 3P, 3P) site pair by site pair from scipy's
+    spherical Bessel functions: 4 pi c_s [(j0 - j1/rho) I + j2 d d^T]."""
+    P, n = system.P, len(grid.radius)
+    G = np.zeros((n, P, 3, P, 3))
+    for s, (r, rw) in enumerate(zip(grid.radius, grid.radial_weight)):
+        c = 4.0 * math.pi * rw * r ** 3 * float(phi_eval(profile, r)) ** 2 \
+            * (2.0 * math.pi) ** -3
+        for lam, x in enumerate(system.positions):
+            for mu, y in enumerate(system.positions):
+                dist = float(np.linalg.norm(x - y))
+                if dist == 0.0:
+                    G[s, lam, :, mu] = c * 2.0 / 3.0 * np.eye(3)
+                    continue
+                rho, d = r * dist, (x - y) / dist
+                j0, j1, j2 = (spherical_jn(n_, rho) for n_ in range(3))
+                G[s, lam, :, mu] = c * ((j0 - j1 / rho) * np.eye(3)
+                                        + j2 * np.outer(d, d))
+    return G.reshape(n, 3 * P, 3 * P)
+
+
+def _shell_factors(W, n_radial):
+    """W of shell_couplings as the stack (n_radial, 3P, 3P) of its W_s."""
+    return W.reshape(len(W), n_radial, -1).transpose(1, 0, 2)
 
 
 @pytest.mark.parametrize("lam", [0.7, 1.6])
 @pytest.mark.parametrize("P", [1, 2, 3])
-def test_mode_couplings_match_loop(lam, P):
+def test_shell_gram_matches_product_rule(lam, P):
+    # the closed form, as W_s W_s^T and as written with scipy's Bessel
+    # functions, against the angular sum of the plane-wave couplings of
+    # every (direction, polarization) pair of a fine product rule; the
+    # sites lie within 2/lam of one another, so rho <= 17
     profile = CutoffProfile(lam)
-    grid = build_mode_grid(profile, 4, 6)
+    grid = build_mode_grid(profile, 6)
     rng = np.random.default_rng(P)
-    system = SpinSystem(positions=rng.normal(size=(P, 3)) / lam,
+    system = SpinSystem(positions=rng.uniform(-0.55, 0.55, (P, 3)) / lam,
                         moments=np.ones(P))
-    V = _mode_couplings(system, profile, grid)[1]
-    ref = _loop_mode_couplings(system, profile, grid)
-    assert np.abs(V - ref).max() <= 1e-14 * np.abs(ref).max()
+    ref = _product_rule_gram(system, profile, grid)
+    scale = np.abs(ref).max()
+    assert np.abs(ref.imag).max() <= 1e-14 * scale
+    W = _shell_factors(shell_couplings(system, profile, grid)[1], 6)
+    assert np.abs(W @ W.transpose(0, 2, 1) - ref).max() <= 1e-14 * scale
+    assert np.abs(_closed_gram(system, profile, grid) - ref).max() \
+        <= 1e-14 * scale
+
+
+def test_angular_series_meets_the_closed_forms():
+    # (j0 - j1/rho, j2) against scipy's spherical Bessel functions on both
+    # sides of the switch, and j2's series against its closed form across
+    # it, where both hold to a few ulp
+    switch = fock.RHO_SERIES
+    rho = np.array([0.0, 1e-200, 1e-8, 0.1, 0.5, 1.0, switch * (1 - 1e-12),
+                    switch, switch * (1 + 1e-12), 3.0, 10.0, 70.0, 1e5])
+    a, j2 = fock._angular_factors(rho)
+    assert (a[0], j2[0]) == (2.0 / 3.0, 0.0)
+    x = rho[1:]
+    ref_a = spherical_jn(0, x) - spherical_jn(1, x) / x
+    ref_j2 = spherical_jn(2, x)
+    # scipy's j1 is good to a few 1e-15 relative at small rho
+    assert np.abs(a[1:] - ref_a).max() <= 4e-15
+    assert np.all(np.abs(j2[1:] - ref_j2) <= 4e-15 * np.abs(ref_j2))
+    x = np.linspace(0.75, 1.25, 51) * switch
+    series = x * x * np.polyval(fock._J2_SERIES, x * x)
+    closed = (3.0 / x ** 2 - 1.0) * np.sin(x) / x - 3.0 * np.cos(x) / x ** 2
+    assert np.abs(series - closed).max() <= 2e-15 * np.abs(closed).max()
 
 
 @pytest.mark.parametrize("lam", [0.7, 1.6])
 @pytest.mark.parametrize("P", [1, 2, 3])
-@pytest.mark.parametrize("n_radial, n_angular", [(4, 6), (3, 10)])
-def test_shell_factors_match_loop_gram(lam, P, n_radial, n_angular):
-    # Per shell, the complex couplings of all 2 n_dirs oscillators have a
-    # real Gram matrix (the grid is closed under u -> -u), and the real
-    # factor W_s reproduces it
+@pytest.mark.parametrize("n_radial", [4, 24])
+def test_shell_factors_are_lower_triangular(lam, P, n_radial):
     profile = CutoffProfile(lam)
-    grid = build_mode_grid(profile, n_radial, n_angular)
+    grid = build_mode_grid(profile, n_radial)
     rng = np.random.default_rng(10 + P)
     system = SpinSystem(positions=rng.normal(size=(P, 3)) / lam,
                         moments=np.ones(P))
     omega_osc, W = shell_couplings(system, profile, grid)
     assert W.dtype == float and W.shape == (3 * P, 3 * P * n_radial)
     assert np.array_equal(omega_osc, np.repeat(grid.radius, 3 * P))
-    V = _loop_mode_couplings(system, profile, grid)
-    for s in range(n_radial):
-        V_s = V[:, 2 * len(grid.direction) * s:][:, :2 * len(grid.direction)]
-        W_s = W[:, 3 * P * s:][:, :3 * P]
-        gram = V_s.conj() @ V_s.T
-        scale = np.abs(gram).max()
-        assert scale > 0.0
-        assert np.abs(gram.imag).max() <= 1e-14 * scale
-        assert np.abs(gram - W_s @ W_s.T).max() <= 1e-14 * scale
+    W = _shell_factors(W, n_radial)
+    assert np.array_equal(W, np.tril(W))
+    G = _closed_gram(system, profile, grid)
+    scale = np.abs(G).max(axis=(1, 2))
+    assert np.all(np.abs(W @ W.transpose(0, 2, 1) - G).max(axis=(1, 2))
+                  <= 1e-14 * scale)
+
+
+def test_close_sites_factor_their_singular_gram(profile, small_grid):
+    # two sites 1e-9/lam apart: to roundoff every G_s has rank 3 of 6, and
+    # eigh's negative roundoff eigenvalues are clipped, not square-rooted
+    system = SpinSystem(positions=[[0.2, -0.1, 0.3], [0.2, -0.1, 0.3 + 1e-9]],
+                        moments=[0.7, 0.4])
+    lam = np.linalg.eigvalsh(_closed_gram(system, profile, small_grid))
+    assert np.all(lam[:, :3] <= 1e-14 * lam[:, 3:].min(axis=1)[:, None])
+    assert np.any(lam < 0.0)
+    W = _shell_factors(shell_couplings(system, profile, small_grid)[1], 6)
+    assert np.all(np.isfinite(W)) and np.array_equal(W, np.tril(W))
+    G = _closed_gram(system, profile, small_grid)
+    assert np.all(np.abs(W @ W.transpose(0, 2, 1) - G).max(axis=(1, 2))
+                  <= 1e-14 * np.abs(G).max(axis=(1, 2)))
 
 
 def test_shell_couplings_structure(profile, small_grid, two_spin_system):
@@ -194,13 +247,13 @@ def test_shell_couplings_structure(profile, small_grid, two_spin_system):
     assert np.abs(W[:, omega_osc > 0.8 * profile.far_radius()]).max() <= 1e-10
 
 
-def test_shell_couplings_self_consistency(profile, small_grid):
-    # weighted |coupling|^2 / omega sums to the discrete kernel diagonal
+def test_shell_couplings_sum_to_kernel_at_origin(profile, default_grid):
+    # sum_o W^2 / omega is the mode-sum kernel's diagonal at 0, which the
+    # radial rule integrates to A(0) = lam^3 / (12 pi^(3/2))
     origin = SpinSystem(positions=[[0.0, 0.0, 0.0]], moments=[1.0])
-    omega_osc, W = shell_couplings(origin, profile, small_grid)
+    omega_osc, W = shell_couplings(origin, profile, default_grid)
     totals = np.sum(W ** 2 / omega_osc, axis=1)
-    diag = np.diag(projector_kernel(profile, small_grid, np.zeros(3)))
-    assert totals == pytest.approx(diag, rel=1e-12)
+    assert totals == pytest.approx([a11_origin(profile)] * 3, rel=1e-12)
 
 
 def _grid_am(system, profile, grid):
@@ -208,31 +261,65 @@ def _grid_am(system, profile, grid):
 
 
 @pytest.mark.parametrize("lam", [0.7, 1.6])
-@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
-@pytest.mark.parametrize("P", [1, 2, 3])
-def test_discrete_am_matches_projector_reference(lam, s, P):
-    # A_M of the shell factors against the transverse-projector kernel,
-    # evaluated per site pair and assembled by bilinear_spin_operator
+@pytest.mark.parametrize("s", [0.5, 1.0])
+@pytest.mark.parametrize("P, separation", [
+    (1, 0.0), (2, 0.5), (2, 2.0), (2, 8.0), (3, 1.0), (3, 4.0), (3, 8.0)])
+def test_discrete_am_matches_continuum_at_48_shells(lam, s, P, separation):
+    # lambda_min of A_disc on 48 exact shells against assemble_am, with
+    # the largest site distance `separation` / lam
     profile = CutoffProfile(lam)
-    grid = build_mode_grid(profile, 8, 8)
     rng = np.random.default_rng(10 * P + int(2 * s))
-    system = SpinSystem(positions=rng.normal(size=(P, 3)) / lam,
-                        moments=rng.uniform(-1.0, 1.0, P), s=s)
-    A = _grid_am(system, profile, grid)
-    ref = bilinear_spin_operator(_coefficients(
-        system, lambda d: projector_kernel(profile, grid, d)), system.s)
-    scale = np.linalg.norm(ref)
-    assert np.linalg.norm(weight_basis_matrix(A) - ref) <= 1e-13 * scale
-    assert np.abs(A.eigenvalues - np.linalg.eigvalsh(ref)).max() \
-        <= 1e-13 * scale
+    x = rng.normal(size=(P, 3))
+    if P > 1:
+        x *= separation / lam / max(np.linalg.norm(a - b)
+                                    for a in x for b in x)
+    system = SpinSystem(positions=x, moments=rng.uniform(-1.0, 1.0, P), s=s)
+    got = _grid_am(system, profile, build_mode_grid(profile, 48))
+    exact = assemble_am(system, profile)
+    assert abs(got.eigenvalues[0] / exact.eigenvalues[0] - 1.0) <= 1e-13
+    assert np.abs(got.eigenvalues - exact.eigenvalues).max() \
+        <= 1e-13 * abs(exact.eigenvalues[0])
+
+
+def test_equal_pair_ground_level_is_degenerate():
+    # two_spins_equal: the continuum's ground pair stays a pair on exact
+    # shells, far inside the degeneracy window
+    cfg = parse_config((CONFIGS / "two_spins_equal.yaml").read_text())
+    profile = cfg.profile()
+    lam = _grid_am(cfg.system(), profile, build_mode_grid(
+        profile, cfg.grids["n_radial"])).eigenvalues
+    assert lam[1] - lam[0] <= 1e-14 * abs(lam[0])
+    assert lam[2] - lam[0] > 1e-3 * abs(lam[0])
+
+
+@pytest.mark.parametrize("suite, argv", [
+    ("fock_fit", ["fock-fit", "--scales", "0.4,0.2,0.1,0.05"]),
+    ("multiplicity", ["multiplicity", "--g", "0.4,0.2,0.1"])])
+def test_fock_artifacts_ignore_n_angular(tmp_path, suite, argv):
+    # the same bytes for 6 and 12 azimuths, but for the echoed key
+    doc = yaml.safe_load((CONFIGS / "two_spins_equal.yaml").read_text())
+    runs = []
+    for n_angular in (6, 12):
+        doc["grids"]["n_angular"] = n_angular
+        out = tmp_path / str(n_angular)
+        out.mkdir()
+        (out / "config.yaml").write_text(yaml.safe_dump(doc))
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main([*argv, "--config", str(out / "config.yaml"),
+                         "--out", str(out)]) == 0
+        manifest = json.loads((out / f"{suite}_manifest.json").read_text())
+        assert manifest["config"]["grids"].pop("n_angular") == n_angular
+        runs.append(((out / f"{suite}.csv").read_bytes(), manifest,
+                     stdout.getvalue()))
+    assert runs[0] == runs[1]
 
 
 def test_discrete_am_matches_continuum(profile, default_grid, two_spin_system):
     Ac = assemble_am(two_spin_system, profile).matrix
     Ad = _grid_am(two_spin_system, profile, default_grid).matrix
     rel = np.linalg.norm(Ad - Ac) / np.linalg.norm(Ac)
-    assert rel <= 1e-3
-    finer = build_mode_grid(profile, 40, 20)
+    assert rel <= 1e-10
+    finer = build_mode_grid(profile, 40)
     rel2 = np.linalg.norm(_grid_am(two_spin_system, profile, finer).matrix
                           - Ac) / np.linalg.norm(Ac)
     assert rel2 < rel
@@ -333,32 +420,34 @@ def test_matrix_scales_off_diagonal_on_h_pattern(profile, small_grid,
             arr[0] = 1
 
 
-def _oscillator_omega(grid):
-    """Frequencies of all 2N (mode, polarization) oscillators of the grid."""
-    return np.repeat(grid.radius, 2 * len(grid.direction))
+def _oscillator_omega(grid, n_angular):
+    """Frequencies of all 2N (mode, polarization) oscillators of the grid's
+    shells times the product rule of product_modes: n_angular^2 a shell."""
+    return np.repeat(grid.radius, n_angular * n_angular)
 
 
 def test_fock_space_budget(profile, default_grid):
     with pytest.raises(ResourceError):
-        build_fock_space(_oscillator_omega(default_grid), 3, spin_dim=4)
+        build_fock_space(_oscillator_omega(default_grid, 12), 3, spin_dim=4)
 
 
 def test_fock_space_budget_edge(profile):
-    grid = build_mode_grid(profile, 2, 6)  # 72 oscillators
-    space = build_fock_space(_oscillator_omega(grid), 3, spin_dim=5)
+    grid = build_mode_grid(profile, 2)
+    space = build_fock_space(_oscillator_omega(grid, 6), 3, spin_dim=5)
+    assert space.n_osc == 72
     assert space.dim == 67_525 and 5 * space.dim <= MAX_TOTAL_DIM
     with pytest.raises(ResourceError, match="67525 x spin 6"):
-        build_fock_space(_oscillator_omega(grid), 3, spin_dim=6)
+        build_fock_space(_oscillator_omega(grid, 6), 3, spin_dim=6)
 
 
 def test_fock_space_budget_bounds_the_dense_spin_rows(profile):
-    # P = 12 spin-1/2 sites couple to 2 x 36 oscillators of a 2 x 6 grid:
+    # P = 12 spin-1/2 sites couple to 2 x 36 oscillators of 2 shells:
     # 73 x 4096 = 299,008 states fit MAX_TOTAL_DIM, but a solve would make
     # 4096 rows of them dense, 19.6 GB a copy.  The space raises before
     # anything of that size is allocated.
     chain = SpinSystem(positions=[[0.7 * k, 0.0, 0.0] for k in range(12)],
                        moments=np.ones(12))
-    omega, _ = shell_couplings(chain, profile, build_mode_grid(profile, 2, 6))
+    omega, _ = shell_couplings(chain, profile, build_mode_grid(profile, 2))
     assert len(omega) == 72 and 73 * chain.spin_dim <= MAX_TOTAL_DIM
     tracemalloc.start()
     try:
@@ -372,7 +461,7 @@ def test_fock_space_budget_bounds_the_dense_spin_rows(profile):
 
 def test_budget_bounds_the_coupled_oscillators(profile, default_grid,
                                                two_spin_system):
-    # 24 shells x 3P = 144 coupled oscillators of the grid's 3456
+    # 24 shells x 3P = 144 coupled oscillators
     toy = build_hamiltonian(two_spin_system, profile, default_grid, 2)
     assert toy.space.n_osc == 144 and toy.dim == 42_340
     with pytest.raises(ResourceError, match="518665 x spin 4"):
@@ -420,7 +509,7 @@ def _reference_creation_entries(n_osc, n_max, v):
     (2, 6, 1), (2, 6, 2), (2, 6, 3), (4, 6, 2)])
 def test_fock_ladder_matches_reference(profile, n_radial, n_angular, n_max):
     grid = build_mode_grid(profile, n_radial, n_angular)
-    space = build_fock_space(_oscillator_omega(grid), n_max)
+    space = build_fock_space(_oscillator_omega(grid, n_angular), n_max)
     states, _, offsets = _reference_fock_basis(space.n_osc, n_max)
     assert [tuple(int(o) for o in row) for occ in space.sectors
             for row in occ] == states
@@ -428,7 +517,8 @@ def test_fock_ladder_matches_reference(profile, n_radial, n_angular, n_max):
     assert np.array_equal(space.n_total, [len(s) for s in states])
 
     site = SpinSystem(positions=[[0.3, -0.1, 0.2]], moments=[1.0])
-    v = _mode_couplings(site, profile, grid)[1][1]  # sigma_2 of the site
+    # sigma_2 of the site on the product rule's oscillators
+    v = _mode_couplings(site, profile, grid, n_angular)[1][1]
     rows, cols, vals = _reference_creation_entries(space.n_osc, n_max, v)
     T = sp.csr_matrix((vals / math.sqrt(2.0), (rows, cols)),
                       shape=(len(states),) * 2)
@@ -491,16 +581,26 @@ def _scipy_csr(m):
     return sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
 
 
-def _full_grid_hamiltonian(system, profile, grid, n_max):
-    """H on all 2N (mode, polarization) oscillators of the grid.
+def _overcomplete_hamiltonian(system, profile, grid, n_max, rng,
+                              per_shell=36):
+    """H on per_shell oscillators of each shell, coupled through
+    V_s = W_s Q_s^H for a random complex (per_shell, 3P) isometry Q_s.
 
-    The reference for build_hamiltonian, which keeps only the coupled
-    oscillators of each shell: here each site spin component gets one
-    Segal field on its full row of _mode_couplings.
+    The reference for build_hamiltonian, which keeps only the 3P
+    oscillators of the shell factor W_s: V_s V_s^H = W_s W_s^T = G_s, so
+    each shell couples alike through 36 oscillators, as many as the two
+    polarizations of the 3 x 6 directions of an angular product rule.
+    Each site spin component gets one Segal field on its full row of V.
     """
-    spin_dim = system.spin_dim
-    omega, V = _mode_couplings(system, profile, grid)
-    space = build_fock_space(omega, n_max, spin_dim)
+    spin_dim, k = system.spin_dim, 3 * system.P
+    W = shell_couplings(system, profile, grid)[1]
+    Q = np.linalg.qr(rng.normal(size=(len(grid.radius), per_shell, k))
+                     + 1j * rng.normal(size=(len(grid.radius), per_shell,
+                                             k)))[0]
+    V = np.hstack([W[:, k * s:][:, :k] @ Q_s.conj().T
+                   for s, Q_s in enumerate(Q)])
+    space = build_fock_space(np.repeat(grid.radius, per_shell), n_max,
+                             spin_dim)
     S = [S_a for site in kron_site_spins(system.s, system.P) for S_a in site]
     h_free = sp.kron(
         sp.diags(np.concatenate([space.omega_osc[occ].sum(axis=1)
@@ -525,14 +625,15 @@ def _full_grid_hamiltonian(system, profile, grid, n_max):
        seed=st.integers(0, 2 ** 16))
 @example(s=0.5, P=1, n_max=2, n_radial=2, seed=0)  # the multiplet at n_max=2
 @example(s=0.5, P=1, n_max=3, n_radial=2, seed=1)  # full 135,050
-def test_reduced_hamiltonian_matches_full_grid(profile, s, P, n_max,
-                                               n_radial, seed):
+def test_reduced_hamiltonian_matches_overcomplete_shells(profile, s, P,
+                                                         n_max, n_radial,
+                                                         seed):
     """The ground state is exact, and so is the whole Feshbach map: the
     dropped oscillators do not reach the vacuum, so QHP and F(E) are
     the same on both spaces."""
-    grid = build_mode_grid(profile, n_radial, 6)
+    grid = build_mode_grid(profile, n_radial)
     spin_dim = round(2 * s + 1) ** P
-    full_dim = spin_dim * sum(math.comb(2 * grid.n_modes + n - 1, n)
+    full_dim = spin_dim * sum(math.comb(36 * n_radial + n - 1, n)
                               for n in range(n_max + 1))
     assume(full_dim <= 140_000)
     rng = np.random.default_rng(seed)
@@ -540,9 +641,9 @@ def test_reduced_hamiltonian_matches_full_grid(profile, s, P, n_max,
         positions=np.vstack([np.zeros(3), rng.uniform(-1.0, 1.0, (1, 3))])[:P],
         moments=rng.choice([-1.0, 1.0], P) * rng.uniform(0.3, 1.0, P), s=s)
     reduced = build_hamiltonian(system, profile, grid, n_max)
-    full = _full_grid_hamiltonian(system, profile, grid, n_max)
-    assert reduced.space.n_osc == n_radial * min(3 * P, 2 * grid.n_modes
-                                                 // n_radial)
+    full = _overcomplete_hamiltonian(system, profile, grid, n_max, rng)
+    assert reduced.space.n_osc == n_radial * 3 * P
+    assert full.space.n_osc == n_radial * 36
     got, got_v, _ = ground_state(reduced.matrix(), spin_dim=spin_dim)
     exact, exact_v, _ = ground_state(full.matrix(), spin_dim=spin_dim)
     assert abs(got - exact) <= 1e-12 * abs(exact)
@@ -642,24 +743,28 @@ def _schur_energies(system, profile, grid, t):
     Bach, Chen, Froehlich & Sigal, J. Funct. Anal. 203 (2003) 44).  Every
     eigenvalue branch of F decreases in E, so branch j meets the diagonal
     once, in (-2 t |B|_F, 0]: one root per spin state, multiplicities
-    included.  B is built on all 2N oscillators of the grid, from
-    _mode_couplings and the site spins, not from build_hamiltonian.
+    included.  For any oscillators of the grid's shells,
+    B^dag (Omega - E)^-1 B = 1/2 sum_s T_s / (r_s - E) with
+    T_s = sum_ab M_a M_b Gram_s[a, b] S_a S_b, and |B|_F^2 =
+    1/2 sum_s tr T_s.  The shells' Gram matrices are those of the plane-wave
+    couplings on a fine angular product rule (_product_rule_gram), not
+    build_hamiltonian's.
     """
-    sd = system.spin_dim
-    S = [S_a for site in kron_site_spins(system.s, system.P) for S_a in site]
-    omega, V = _mode_couplings(system, profile, grid)
-    B = sum(system.moments[a // 3] / math.sqrt(2.0) * np.kron(
-        V[a][:, None], S[a]) for a in range(3 * system.P))
-    omega = np.repeat(omega, sd)
+    S = np.array([S_a for site in kron_site_spins(system.s, system.P)
+                  for S_a in site])
+    S *= np.repeat(system.moments, 3)[:, None, None]
+    T = np.einsum("sab,aij,bjk->sik",
+                  _product_rule_gram(system, profile, grid), S, S,
+                  optimize=True)
 
     def branch_minus_e(E, j):
-        F = -t * t * (B.conj().T @ (B / (omega - E)[:, None]))
+        F = -0.5 * t * t * np.tensordot(1.0 / (grid.radius - E), T, 1)
         return np.linalg.eigvalsh(F)[j] - E
 
-    lo = -2.0 * t * np.linalg.norm(B)
+    lo = -2.0 * t * math.sqrt(0.5 * np.trace(T.sum(axis=0)).real)
     return np.array([brentq(branch_minus_e, lo, 0.0, args=(j,), xtol=1e-300,
                             rtol=4 * np.finfo(float).eps)
-                     for j in range(sd)])
+                     for j in range(system.spin_dim)])
 
 
 @pytest.mark.parametrize("grid_name", ["default_grid", "small_grid"])
@@ -914,10 +1019,10 @@ def test_multiplicity_matches_dense(profile, positions, s, expected, n_max,
                                     n_radial):
     """Energy, cluster count and overlap of the Feshbach route against a
     dense eigh of H; at n_max = 2 QHQ is not diagonal and the CG runs.
-    The pair's A_1 ground level is degenerate on 12 azimuths, not on 6.
+    The pair's A_1 ground level is degenerate on exact shells.
     The spin-1 pair's A_1 basis comes back from its real site basis, so
     its overlaps check that rotation."""
-    grid = build_mode_grid(profile, n_radial, 12)
+    grid = build_mode_grid(profile, n_radial)
     system = SpinSystem(positions=positions, moments=np.ones(len(positions)),
                         s=s)
     g_points = [0.1, 0.3, 1.0, 2.0]
@@ -957,7 +1062,7 @@ def test_ground_solve_and_multiplicity_match_dense(profile, s, P, n_radial,
     system = SpinSystem(
         positions=np.vstack([np.zeros(3), rng.uniform(-1.0, 1.0, (1, 3))])[:P],
         moments=np.ones(P), s=s)
-    grid = build_mode_grid(profile, n_radial, 12)
+    grid = build_mode_grid(profile, n_radial)
     row, = multiplicity_scan(system, profile, grid, n_max, [g])
     H = build_hamiltonian(system, profile, grid, n_max).matrix(g)
     w, V = np.linalg.eigh(H.toarray())
@@ -1064,9 +1169,10 @@ def test_discrete_k_bound_matches_reference(profile, small_grid):
     system = SpinSystem(positions=[[0, 0, 0], [0.7, -0.2, 0.4], [0, 1.1, 0]],
                         moments=[0.8, -0.5, 0.3], s=0.5)
     P, M = system.P, system.moments
-    # Gram matrix term by term over all (3P)^2 ordered pairs of site spins
+    # Gram matrix term by term over all (3P)^2 ordered pairs of site spins,
+    # on the plane-wave couplings of a fine angular product rule
     emb = kron_site_spins(system.s, P)
-    omega, V = _mode_couplings(system, profile, small_grid)
+    omega, V = _mode_couplings(system, profile, small_grid, 64)
     vs, inv_w = V.reshape(P, 3, -1), 1.0 / omega
     G = np.zeros((system.spin_dim,) * 2, dtype=complex)
     for lam in range(P):

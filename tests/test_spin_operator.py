@@ -463,9 +463,10 @@ def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
     # eigenvectors are computed only where a caller reads them; the
     # eighs inside fock.ground_state (its dressed start and Rayleigh-Ritz
     # steps), the eigh of the Feshbach map F(E_0) in fock._feshbach, the
-    # 2 x 2 eighs of verify's su2_rotate and the eigvalsh of leggauss
-    # (verify's quadrature rules, built once per process) are not A_M's
-    grid = fock.build_mode_grid(profile, 4, 6)
+    # 2 x 2 eighs of verify's su2_rotate, the eigvalsh of leggauss
+    # (verify's quadrature rules, built once per process) and the batched
+    # eigh of the shell Gram matrices in fock.shell_couplings are not A_M's
+    grid = fock.build_mode_grid(profile, 4)
     solving = []
 
     def skipped(solve):
@@ -478,6 +479,7 @@ def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
         return wrapped
 
     for where, name in [("fock", "ground_state"), ("fock", "_feshbach"),
+                        ("fock", "shell_couplings"),
                         ("cli", "su2_rotate"), ("field_energy", "leggauss"),
                         ("kernel", "leggauss")]:
         # by dotted name; spinrad.field_energy is the module, as the package

@@ -33,10 +33,11 @@ Gauss-Legendre factors and the table g = |phi|^2 / |k|^2 on the (n/2)^3
 octant nodes do not depend on x: they are built once per process for each
 key (profile, n), held read-only, and at most 4 keys are kept (2.1 MB per
 table at n = 128, 16.8 MB at n = 256).  The table is the product of the
-per-axis factors phi(k_a)^2 over |k|^2 (see _oracle_rule): on a 2-core
-x86_64 box the rule builds in 5.5-6.6 ms at n = 128, of which leggauss
-is 2.3 ms and the table 2.3 ms.  A call then costs the cosines and sines
-of x and the three marginals: 0.3 ms at n = 128.
+per-axis factors phi(k_a)^2 over |k|^2 (see _oracle_rule), divided one
+slab at a time, so no second table-sized array is touched: on a 2-core
+x86_64 box a fresh process builds the rule in 4.0-6.0 ms at n = 128, of
+which leggauss is 2.3 ms.  A call then costs the cosines and sines of x
+and the three marginals: 0.3 ms at n = 128.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_yaml, parse_config, run_manifest
-from .errors import ConfigError, SpinradError
+from .errors import ConfigError, DomainError, SpinradError
 from .field_energy import classical_current, classical_decomposition_check, \
     field_energy, rule_sizes, vector_current
 from .fock import build_mode_grid, multiplicity_scan, quadratic_fit
@@ -71,17 +71,17 @@ def _sampled_product_min(coef, s, rng):
 
 def _read_text(path, what: str) -> str:
     """The UTF-8 text of the file at path; other bytes raise a ConfigError
-    that names the file, as the OSErrors of an unreadable one do."""
+    that names the file by what, as the OSErrors of an unreadable one do."""
     try:
         return Path(path).read_text()
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{what} {path} is not UTF-8 text: {exc}") from None
+        raise ConfigError(f"{what} is not UTF-8 text: {exc}") from None
 
 
 def _load_orientations(path):
     """Float array of a YAML list of orientation vectors."""
     what = f"orientations file {path}"
-    spins = load_yaml(_read_text(path, "orientations file"), what)
+    spins = load_yaml(_read_text(path, what), what)
     try:
         return np.array(spins, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -129,10 +129,16 @@ def _verdict(checks):
 
 
 def _toy_model(cfg):
-    """System, cutoff profile and photon-mode grid of the configuration."""
+    """System, cutoff profile and photon-mode grid of the configuration.
+
+    The shells are integrated over all directions exactly, so
+    grids.n_angular shapes nothing; it is still held to its range."""
+    n_angular = cfg.grids["n_angular"]
+    if n_angular < 6 or n_angular % 2:
+        raise DomainError("need even n_angular >= 6")
     profile = cfg.profile()
-    return cfg.system(), profile, build_mode_grid(
-        profile, cfg.grids["n_radial"], cfg.grids["n_angular"])
+    return cfg.system(), profile, build_mode_grid(profile,
+                                                  cfg.grids["n_radial"])
 
 
 def suite_kernel(cfg, args):
@@ -385,7 +391,8 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        cfg = parse_config(_read_text(args.config, "configuration"))
+        cfg = parse_config(_read_text(args.config,
+                                      f"configuration {args.config}"))
         if getattr(args, "seed", None) is not None:
             cfg.seed = args.seed
         files, lines, ok = args.func(cfg, args)

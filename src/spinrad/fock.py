@@ -113,15 +113,10 @@ class ModeGrid:
     radial_weight: np.ndarray     # (n_radial,) weights for int d|k|
 
 
-def build_mode_grid(profile: CutoffProfile, n_radial: int,
-                    n_angular: int | None = None) -> ModeGrid:
-    """n_radial Gauss-Legendre nodes on (0, r_far).  n_angular, which
-    configs still carry, shapes nothing; given, it must be even and >= 6."""
+def build_mode_grid(profile: CutoffProfile, n_radial: int) -> ModeGrid:
+    """n_radial Gauss-Legendre nodes on (0, r_far)."""
     if _integer(n_radial, "n_radial") < 2:
         raise DomainError("need n_radial >= 2")
-    if n_angular is not None and (_integer(n_angular, "n_angular") < 6
-                                  or n_angular % 2):
-        raise DomainError("need even n_angular >= 6")
     half, (rn, rw) = 0.5 * profile.far_radius(), leggauss(n_radial)
     return ModeGrid(radius=half * (rn + 1.0), radial_weight=half * rw)
 

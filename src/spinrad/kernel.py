@@ -33,11 +33,10 @@ Gauss-Legendre factors and the table g = |phi|^2 / |k|^2 on the (n/2)^3
 octant nodes do not depend on x: they are built once per process for each
 key (profile, n), held read-only, and at most 4 keys are kept (2.1 MB per
 table at n = 128, 16.8 MB at n = 256).  The table is the product of the
-per-axis factors phi(k_a)^2 over |k|^2 (see _oracle_rule), divided one
-slab at a time, so no second table-sized array is touched: on a 2-core
-x86_64 box a fresh process builds the rule in 4.0-6.0 ms at n = 128, of
-which leggauss is 2.3 ms.  A call then costs the cosines and sines of x
-and the three marginals: 0.3 ms at n = 128.
+per-axis factors phi(k_a)^2 over |k|^2 (see _oracle_rule): on a 2-core
+x86_64 box the rule builds in 5.5-6.6 ms at n = 128, of which leggauss
+is 2.3 ms and the table 2.3 ms.  A call then costs the cosines and sines
+of x and the three marginals: 0.3 ms at n = 128.
 """
 
 from __future__ import annotations
@@ -137,12 +136,7 @@ def _oracle_rule(profile: CutoffProfile, n: int):
     sq = k * k
     f = phi_eval(profile, k) ** 2
     g = f[:, None, None] * f[:, None] * f
-    # divided one (b, c) slab at a time by (sq_a + sq_b) + sq_c, the sum a
-    # whole (n/2)^3 denominator would hold, through one (n/2)^2 buffer
-    sq_ab = sq[:, None] + sq
-    den = np.empty_like(sq_ab)
-    for slab, row in zip(g, sq_ab):
-        slab /= np.add(row[:, None], sq, out=den)
+    g /= sq[:, None, None] + sq[:, None] + sq
     for arr in (k, w, g):
         arr.flags.writeable = False
     return k, w, g

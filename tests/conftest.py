@@ -25,12 +25,12 @@ def two_spin_system():
 
 @pytest.fixture(scope="session")
 def default_grid(profile):
-    return build_mode_grid(profile, 24, 12)
+    return build_mode_grid(profile, 24)
 
 
 @pytest.fixture(scope="session")
 def small_grid(profile):
-    return build_mode_grid(profile, 6, 6)
+    return build_mode_grid(profile, 6)
 
 
 def random_state(rng, dim):

@@ -146,7 +146,7 @@ def test_criterion_07_operator_shape():
 
 def test_criterion_08_variational_trial_identity():
     rng = np.random.default_rng(108)
-    grid = build_mode_grid(PROFILE, 6, 6)
+    grid = build_mode_grid(PROFILE, 6)
     system = SpinSystem(positions=[[0.0, 0.0, 0.0], [0.9, -0.3, 0.4]],
                         moments=[0.8, -0.5])
     worst = 0.0
@@ -160,7 +160,7 @@ def test_criterion_08_variational_trial_identity():
 
 @pytest.fixture(scope="module")
 def default_fit():
-    grid = build_mode_grid(PROFILE, 24, 12)
+    grid = build_mode_grid(PROFILE, 24)
     system = SpinSystem(positions=[[0.0, 0.0, 0.0], [0.9, -0.3, 0.4]],
                         moments=[0.8, -0.5])
     t0 = time.monotonic()
@@ -187,7 +187,7 @@ def test_criterion_10_photon_number_scaling(default_fit):
 
 
 def test_criterion_11_ground_multiplicity():
-    grid = build_mode_grid(PROFILE, 24, 12)
+    grid = build_mode_grid(PROFILE, 24)
     system = SpinSystem(positions=[[0.0, 0.0, 0.0], [0.9, -0.3, 0.4]],
                         moments=[1.0, 1.0])
     rows = multiplicity_scan(system, PROFILE, grid, 1, [0.2, 0.1])

@@ -53,19 +53,13 @@ def test_radial_rule_weight_sum(profile, default_grid):
 
 def test_grid_validation(profile):
     with pytest.raises(DomainError):
-        build_mode_grid(profile, 1, 12)
-    with pytest.raises(DomainError):
-        build_mode_grid(profile, 8, 7)
-    with pytest.raises(DomainError):
         build_mode_grid(profile, 1)
 
 
-@pytest.mark.parametrize("n_radial, n_angular, name", [
-    (2.5, 6, "n_radial"), (True, 6, "n_radial"), (4, 6.0, "n_angular"),
-    (4, "6", "n_angular")])
-def test_grid_sizes_must_be_integers(profile, n_radial, n_angular, name):
-    with pytest.raises(DomainError, match=f"{name} must be an integer"):
-        build_mode_grid(profile, n_radial, n_angular)
+@pytest.mark.parametrize("n_radial", [2.5, True])
+def test_grid_sizes_must_be_integers(profile, n_radial):
+    with pytest.raises(DomainError, match="n_radial must be an integer"):
+        build_mode_grid(profile, n_radial)
 
 
 @pytest.mark.parametrize("n_max", [1.5, 2.0, True, None])
@@ -86,15 +80,14 @@ def _loop_radial_rule(profile, n_radial):
 @pytest.mark.parametrize("lam", [1.0, 1.7])
 @pytest.mark.parametrize("n_radial", [2, 4, 5, 24, 96])
 def test_radial_rule_matches_loop_reference(lam, n_radial):
-    # the grid is its radial rule alone, whatever n_angular says
+    # the grid is its radial rule alone
     profile = CutoffProfile(lam)
     radius, weight = _loop_radial_rule(profile, n_radial)
-    for n_angular in (None, 6, 12, 64):
-        grid = build_mode_grid(profile, n_radial, n_angular)
-        assert [f.name for f in dataclasses.fields(grid)] \
-            == ["radius", "radial_weight"]
-        assert np.array_equal(grid.radius, radius)
-        assert np.array_equal(grid.radial_weight, weight)
+    grid = build_mode_grid(profile, n_radial)
+    assert [f.name for f in dataclasses.fields(grid)] \
+        == ["radius", "radial_weight"]
+    assert np.array_equal(grid.radius, radius)
+    assert np.array_equal(grid.radial_weight, weight)
 
 
 def _polarizations(k):
@@ -314,6 +307,20 @@ def test_fock_artifacts_ignore_n_angular(tmp_path, suite, argv):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("n_angular", [4, 7])
+def test_fock_suites_refuse_n_angular_out_of_range(tmp_path, capsys,
+                                                   n_angular):
+    # the ignored key keeps its range: even and at least 6
+    doc = yaml.safe_load((CONFIGS / "single_spin.yaml").read_text())
+    doc["grids"]["n_angular"] = n_angular
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert main(["fock-fit", "--scales", "0.4,0.2,0.1,0.05",
+                 "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["ERROR need even n_angular >= 6"]
+
+
 def test_discrete_am_matches_continuum(profile, default_grid, two_spin_system):
     Ac = assemble_am(two_spin_system, profile).matrix
     Ad = _grid_am(two_spin_system, profile, default_grid).matrix
@@ -508,7 +515,7 @@ def _reference_creation_entries(n_osc, n_max, v):
 @pytest.mark.parametrize("n_radial, n_angular, n_max", [
     (2, 6, 1), (2, 6, 2), (2, 6, 3), (4, 6, 2)])
 def test_fock_ladder_matches_reference(profile, n_radial, n_angular, n_max):
-    grid = build_mode_grid(profile, n_radial, n_angular)
+    grid = build_mode_grid(profile, n_radial)
     space = build_fock_space(_oscillator_omega(grid, n_angular), n_max)
     states, _, offsets = _reference_fock_basis(space.n_osc, n_max)
     assert [tuple(int(o) for o in row) for occ in space.sectors
@@ -547,7 +554,7 @@ def test_one_pass_interaction_matches_kron_sum(profile, s, n_max):
     # n >= 3 ladder steps.  At every P the triangular shell factors put
     # exact zeros into the spin blocks, which must not reach H's pattern.
     # P runs up to 3 where the Fock space fits its budgets.
-    grid = build_mode_grid(profile, 2, 6)
+    grid = build_mode_grid(profile, 2)
     for P in (1, 2, 3):
         system = SpinSystem(
             positions=[[0.0, 0.0, 0.0], [0.9, -0.3, 0.4],
@@ -787,7 +794,7 @@ def test_one_column_solve_matches_dense(profile, monkeypatch, positions, s):
     # 6 shells: one spin-1/2 site couples to 3 oscillators per shell, so H
     # has dimension 38; every solve is one LOBPCG column from the dressed
     # vacuum.
-    grid = build_mode_grid(profile, 6, 6)
+    grid = build_mode_grid(profile, 6)
     system = SpinSystem(positions=positions, moments=np.ones(len(positions)),
                         s=s)
     toy = build_hamiltonian(system, profile, grid, 1)
@@ -840,8 +847,7 @@ def test_n_max_one_solves_end_at_step_zero(request, profile, monkeypatch,
         cfg = parse_config((CONFIGS / "single_spin.yaml").read_text())
         assert cfg.grids["n_max"] == 1
         system, profile = cfg.system(), cfg.profile()
-        grid = build_mode_grid(profile, cfg.grids["n_radial"],
-                               cfg.grids["n_angular"])
+        grid = build_mode_grid(profile, cfg.grids["n_radial"])
     else:
         system, grid = two_spin_system, request.getfixturevalue(case)
     steps = _recorded_steps(monkeypatch)
@@ -858,7 +864,7 @@ def test_cutoff_100_fit_solves_in_few_steps(two_spin_system, monkeypatch):
     system = SpinSystem(positions=two_spin_system.positions / 100.0,
                         moments=two_spin_system.moments, s=0.5)
     steps = _recorded_steps(monkeypatch)
-    quadratic_fit(system, profile, build_mode_grid(profile, 4, 6), 2,
+    quadratic_fit(system, profile, build_mode_grid(profile, 4), 2,
                   [0.4, 0.2, 0.1, 0.05], tol=1e-9)
     assert len(steps) == 4 and max(steps) < 100
 
@@ -1096,8 +1102,7 @@ def test_multiplicity_solves_one_column(profile, monkeypatch):
     # ground-state column; at n_max = 1 QHQ is diagonal and the Feshbach CG
     # takes no step, so a step limit of 0 does not stop it
     cfg = parse_config((CONFIGS / "single_spin.yaml").read_text())
-    grid = build_mode_grid(cfg.profile(), cfg.grids["n_radial"],
-                           cfg.grids["n_angular"])
+    grid = build_mode_grid(cfg.profile(), cfg.grids["n_radial"])
     solves = []
     solve = fock._lobpcg
 
@@ -1220,12 +1225,12 @@ def test_quadratic_fit_contract(profile, default_grid, two_spin_system):
             quadratic_fit(two_spin_system, profile, default_grid, 1, scales)
 
 
-@pytest.mark.parametrize("name, s, n_radial, n_angular, n_max", [
-    ("two_spins", None, 2, 6, 1), ("two_spins", None, 2, 6, 2),
-    ("two_spins", None, 2, 6, 3), ("two_spins", None, 24, 12, 1),
-    ("single_spin", None, 2, 6, 3), ("two_spins_equal", None, 4, 6, 2),
-    ("two_spins", 1.0, 2, 6, 2)])
-def test_energies_in_operator_bracket(name, s, n_radial, n_angular, n_max):
+@pytest.mark.parametrize("name, s, n_radial, n_max", [
+    ("two_spins", None, 2, 1), ("two_spins", None, 2, 2),
+    ("two_spins", None, 2, 3), ("two_spins", None, 24, 1),
+    ("single_spin", None, 2, 3), ("two_spins_equal", None, 4, 2),
+    ("two_spins", 1.0, 2, 2)])
+def test_energies_in_operator_bracket(name, s, n_radial, n_max):
     """t^2 lambda_min <= E(t) <= t^2 lambda_min / (1 + t^2 n2) at every t.
 
     With b_o = a_o + t C_o / omega_o, H(t) = sum_o omega_o b_o^dagger b_o
@@ -1242,8 +1247,7 @@ def test_energies_in_operator_bracket(name, s, n_radial, n_angular, n_max):
         system = SpinSystem(positions=system.positions,
                             moments=system.moments, s=s)
     toy = build_hamiltonian(system, profile,
-                            build_mode_grid(profile, n_radial, n_angular),
-                            n_max)
+                            build_mode_grid(profile, n_radial), n_max)
     omega, W = toy.space.omega_osc, toy.coupling
     lam_min, _, basis = ground_eigenspace(
         discrete_am(system, omega, W, vectors=True))
@@ -1272,7 +1276,7 @@ def test_odd_time_reversal_gives_kramers_pairs_on_the_fock_route(profile,
     system = SpinSystem(
         positions=np.random.default_rng(seed).uniform(-1.0, 1.0, (P, 3)),
         moments=np.ones(P), s=s)
-    grid = build_mode_grid(profile, 2, 6)
+    grid = build_mode_grid(profile, 2)
     for row in multiplicity_scan(system, profile, grid, 1, [0.1, 0.4, 1.0]):
         assert row.mult_h % 2 == 0 and row.mult_a1 % 2 == 0, row.g
 

@@ -33,8 +33,15 @@ indices and data of toy.matrix(t), dtypes included, at t = 0, 0.05,
 files against a fresh run.  A change that moves digits on purpose
 regenerates the files and lists the moved files and cases.
 
+--compare OLD NEW reads two such trees and prints one row per file
+that differs: the largest relative and absolute change of any number
+in it, and every other token that changed (compare).  A change that
+moves digits on purpose can paste the table; it exits 1 when a
+non-numeric token changed or a file is in one tree only.
+
 usage: python3 scripts/bundled_artifacts.py OUT
        python3 scripts/bundled_artifacts.py --golden
+       python3 scripts/bundled_artifacts.py --compare OLD NEW
 (spinrad is imported from the environment, e.g. PYTHONPATH=src; prints
 one line per run and exits 1 if a run did not exit 0.)
 """
@@ -42,7 +49,9 @@ one line per run and exits 1 if a run did not exit 0.)
 import contextlib
 import hashlib
 import io
+import math
 import platform
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -201,6 +210,55 @@ def read_golden(path: Path = GOLDEN):
     return env, hashes
 
 
+# a number standing alone: not part of a name such as c2 or far40
+NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?!\w)")
+
+
+def compare_text(old: str, new: str):
+    """(largest relative change, largest absolute change, changed tokens)
+    between two texts read as numbers and the text between them.  The
+    relative change of a pair is |a - b| / max(|a|, |b|), 0 when equal;
+    the changed tokens are the (old, new) pairs of text between numbers
+    that differ, or the whole texts when they hold different counts of
+    numbers."""
+    a, b = NUMBER.split(old), NUMBER.split(new)
+    if len(a) != len(b):
+        return math.nan, math.nan, [(old, new)]
+    texts = [(x, y) for x, y in zip(a, b) if x != y]
+    rel = ab = 0.0
+    for x, y in zip(map(float, NUMBER.findall(old)),
+                    map(float, NUMBER.findall(new))):
+        if x != y:
+            ab = max(ab, abs(x - y))
+            rel = max(rel, abs(x - y) / max(abs(x), abs(y)))
+    return rel, ab, texts
+
+
+def compare(old: Path, new: Path) -> int:
+    """Print a row for each file that differs between the trees old and
+    new; 1 if a non-numeric token changed or a file is in one tree only,
+    else 0."""
+    files = {p.relative_to(root).as_posix()
+             for root in (old, new) for p in root.rglob("*") if p.is_file()}
+    bad = 0
+    print("| file | largest relative change | largest absolute change "
+          "| other tokens changed |")
+    print("|---|---|---|---|")
+    for name in sorted(files):
+        if not ((old / name).is_file() and (new / name).is_file()):
+            print(f"| {name} | | | in one tree only |")
+            bad = 1
+            continue
+        x, y = (old / name).read_text(), (new / name).read_text()
+        if x == y:
+            continue
+        rel, ab, texts = compare_text(x, y)
+        bad |= bool(texts)
+        print(f"| {name} | {rel:.2g} | {ab:.2g} | "
+              f"{'; '.join(f'{u!r} -> {v!r}' for u, v in texts)} |")
+    return bad
+
+
 def write_golden() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         failed = write_all(Path(tmp))
@@ -221,6 +279,8 @@ if __name__ == "__main__":
     args = sys.argv[1:]
     if args == ["--golden"]:
         sys.exit(write_golden())
+    if len(args) == 3 and args[0] == "--compare":
+        sys.exit(compare(Path(args[1]), Path(args[2])))
     if len(args) != 1 or args[0].startswith("--"):
         sys.exit(__doc__)
     sys.exit(1 if write_all(Path(args[0])) else 0)

@@ -13,7 +13,10 @@ LOBPCG steps of each, and the wall time of the whole fit (grid, build,
 solves and the discrete A_M).  Build and solve times come from recorders
 put around fock.build_hamiltonian and fock.ground_state for the run;
 only the build is traced, as tracing would slow the solves' many small
-allocations.
+allocations.  At n_max = 1 the fit builds no H: the dimension is that of
+the n_max = 1 H, the build is the stack of the spin blocks' squares
+(fock._squared_blocks), the solves are fock._one_photon_ground's, and
+no LOBPCG step is taken (steps -).
 """
 
 import time
@@ -60,7 +63,9 @@ if __name__ == "__main__":
              for P, system in systems.items()}
     builds, solves, iterations = [], [], []
     record("build_hamiltonian", builds, traced=True)
+    record("_squared_blocks", builds, traced=True)
     record("ground_state", solves)
+    record("_one_photon_ground", solves)
     record("_lobpcg", iterations)
     print(f"{'P':>2} {'shells':>6} {'n_max':>5} {'reduced dim':>11} "
           f"{'c2/a_disc_min':>13} {'disc/cont - 1':>13} {'build ms':>8} "
@@ -74,10 +79,11 @@ if __name__ == "__main__":
         fit = quadratic_fit(system, profile, grid, n_max, SCALES,
                             tol=cfg.tolerances["eigensolver"])
         wall = time.perf_counter() - start
-        (build_s, build_peak, toy), = builds
+        (build_s, build_peak, built), = builds
+        dim = built.dim if n_max > 1 else (1 + len(built)) * system.spin_dim
         solve_ms = 1e3 * sum(s for s, _, _ in solves)
-        steps = ",".join(str(out[1]) for _, _, out in iterations)
-        print(f"{P:>2} {n_radial:>6} {n_max:>5} {toy.dim:>11,} "
+        steps = ",".join(str(out[1]) for _, _, out in iterations) or "-"
+        print(f"{P:>2} {n_radial:>6} {n_max:>5} {dim:>11,} "
               f"{fit.c2 / fit.a_disc_min:>13.5f} "
               f"{fit.a_disc_min / a_min[P] - 1.0:>13.2e} "
               f"{1e3 * build_s:>8.1f} {build_peak / 1e6:>8.1f} "

@@ -40,21 +40,27 @@ lower-triangular shell factors W (shell_couplings) kept on the
 ToyHamiltonian: A_M is the second-order operator of H's couplings, real
 symmetric and negative semidefinite.
 
-H is assembled in one pass from one spin block per oscillator, as one
-matrix h at unit scale: dGamma(omega) (x) I is its diagonal, H_int the
-rest, so H(t) is h with its off-diagonal values times t
-(CSRMatrix.scale_off_diagonal).  Its ground state comes from an
-in-package one-column LOBPCG started at the root of the Feshbach map onto
-the vacuum spin space with QHQ taken as its diagonal, which is H's ground
+H is assembled in one pass from one spin block C_o per oscillator
+(spin_blocks), as one matrix h at unit scale: dGamma(omega) (x) I is its
+diagonal, H_int the rest, so H(t) is h with its off-diagonal values
+times t (CSRMatrix.scale_off_diagonal).  At n_max = 1 the suites
+(quadratic_fit, multiplicity_scan) build no H: there the Feshbach map
+onto the vacuum spin space (Bach, Chen, Froehlich & Sigal, J. Funct.
+Anal. 203 (2003) 44) is the spin_dim x spin_dim F(E) = -t^2 sum_o C_o^2
+/ (omega_o - E), and the ground level is the root of E = lam_min F(E)
+(_one_photon_ground).  At n_max >= 2, and for any ground_state call, the
+ground state comes from an in-package one-column LOBPCG started at the
+root of that map with QHQ taken as its diagonal, which is H's ground
 vector at n_max = 1, and the multiplicity of the ground level from the
-full Feshbach map onto that spin space, whose resolvent is applied by CG.
-Both are written in numpy on spin_algebra's CSRMatrix, through its
-products, dense rows, diagonal and the states its pattern does not join
-to the start, never its layout, so the module needs nothing of scipy.
+full map, whose resolvent is applied by CG.  Both are written in numpy
+on spin_algebra's CSRMatrix, through its products, dense rows, diagonal
+and the states its pattern does not join to the start, never its
+layout, so the module needs nothing of scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations_with_replacement
@@ -79,7 +85,9 @@ MAX_TOTAL_DIM = 400_000
 # Process peaks of the build, one ground_state and one _feshbach at scale
 # 0.4: 0.45 GB at 1.7e6 (s = 2, one site, 24 shells, n_max = 3) and
 # 0.72 GB at 3.6e6 (s = 3/2, two sites, 7 shells, n_max = 3), the build's
-# 0.35 GB each included.
+# 0.35 GB each included.  At n_max = 1 the suites build no H, and it
+# bounds the stack of the n_osc spin_dim x spin_dim C_o^2 instead
+# (_squared_blocks).
 MAX_SPIN_ROW_ENTRIES = 1 << 22
 
 # Eigenpair residual tolerance ||H v - E v|| of ground_state (absolute).
@@ -191,6 +199,24 @@ class FockSpace:
         return len(self.omega_osc)
 
 
+def _sector_sizes(n_osc: int, n_max: int, spin_dim: int) -> list:
+    """Sizes of photon sectors 0..n_max over n_osc oscillators, under the
+    budgets of build_fock_space; n_max < 1 raises DomainError."""
+    n_max = _integer(n_max, "n_max")
+    if n_max < 1:
+        raise DomainError("need n_max >= 1")
+    sizes = [math.comb(n_osc + n - 1, n) for n in range(n_max + 1)]
+    if sum(sizes) * spin_dim > MAX_TOTAL_DIM:
+        raise ResourceError(
+            f"Fock dimension {sum(sizes)} x spin {spin_dim} exceeds "
+            f"budget {MAX_TOTAL_DIM}")
+    if sum(sizes) * spin_dim ** 2 > MAX_SPIN_ROW_ENTRIES:
+        raise ResourceError(
+            f"{spin_dim} dense spin rows of {sum(sizes) * spin_dim} states "
+            f"exceed budget {MAX_SPIN_ROW_ENTRIES} entries")
+    return sizes
+
+
 def build_fock_space(omega_osc: np.ndarray, n_max: int,
                      spin_dim: int = 1) -> FockSpace:
     """Occupation basis of the oscillators omega_osc up to n_max photons.
@@ -204,19 +230,9 @@ def build_fock_space(omega_osc: np.ndarray, n_max: int,
     MAX_SPIN_ROW_ENTRIES, the entries of the spin_dim dense rows that
     the solvers make.  n_max < 1 raises DomainError.
     """
-    n_max = _integer(n_max, "n_max")
-    if n_max < 1:
-        raise DomainError("need n_max >= 1")
     n_osc = len(omega_osc)
-    sizes = [math.comb(n_osc + n - 1, n) for n in range(n_max + 1)]
-    if sum(sizes) * spin_dim > MAX_TOTAL_DIM:
-        raise ResourceError(
-            f"Fock dimension {sum(sizes)} x spin {spin_dim} exceeds "
-            f"budget {MAX_TOTAL_DIM}")
-    if sum(sizes) * spin_dim ** 2 > MAX_SPIN_ROW_ENTRIES:
-        raise ResourceError(
-            f"{spin_dim} dense spin rows of {sum(sizes) * spin_dim} states "
-            f"exceed budget {MAX_SPIN_ROW_ENTRIES} entries")
+    sizes = _sector_sizes(n_osc, n_max, spin_dim)
+    n_max = len(sizes) - 1
     sectors = [np.fromiter(
         chain.from_iterable(combinations_with_replacement(range(n_osc), n)),
         dtype=np.intp, count=size * n).reshape(size, n)
@@ -301,7 +317,31 @@ class ToyHamiltonian:
         return out
 
     def photon_number_diag(self) -> np.ndarray:
-        return np.repeat(self.space.n_total, self.spin_dim)
+        """Photon number of each basis state, read-only, made once."""
+        return self._photon_numbers
+
+    @functools.cached_property
+    def _photon_numbers(self) -> np.ndarray:
+        n = np.repeat(self.space.n_total, self.spin_dim)
+        n.flags.writeable = False
+        return n
+
+
+def spin_blocks(system: SpinSystem, W: np.ndarray):
+    """The spin block C_o = sum_a M[a // 3] W[a, o] S_a / sqrt(2) of each
+    oscillator o of the couplings W (shell_couplings), Hermitian.
+
+    Returns (pattern, blocks): pattern the flat indices i * spin_dim + j,
+    ascending, where some S_a (site_spin_operators on the identity) has
+    an entry, and blocks (n_osc, len(pattern)) with row o holding C_o
+    there; C_o is zero elsewhere.
+    """
+    d = system.spin_dim
+    S = site_spin_operators(system.s, system.P, np.eye(d)).reshape(
+        3 * system.P, d * d)
+    pattern = np.flatnonzero(S.any(axis=0))
+    return pattern, (np.repeat(system.moments, 3)[:, None] * W).T \
+        @ S[:, pattern] / math.sqrt(2.0)
 
 
 def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
@@ -312,15 +352,13 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
     dropped ones carry no coupling, so every level below
     E_0 + omega_min, the ground state included, is that of H on all
     the shells' oscillators (module docstring).  H_int = T + T^dagger with
-    T = sum_o a_o^dagger (x) C_o and the spin block
-    C_o = sum_a M[a // 3] W[a, o] S_a / sqrt(2) of oscillator o, on the
-    union pattern of the dense S_a (site_spin_operators on the identity).
-    Each a^dagger entry of _creation_pattern gives sqrt(occ) times the
-    nonzero entries of its oscillator's C_o, exact zeros dropped;
-    T^dagger's entries are T's with rows and columns swapped and values
-    conjugated.  Those entries and the nonzero diagonal of
-    dGamma(omega) (x) I fill one (rows, cols, vals) triple for one
-    CSRMatrix.from_entries.
+    T = sum_o a_o^dagger (x) C_o, C_o the spin block of oscillator o
+    (spin_blocks).  Each a^dagger entry of _creation_pattern gives
+    sqrt(occ) times the nonzero entries of its oscillator's C_o, exact
+    zeros dropped; T^dagger's entries are T's with rows and columns
+    swapped and values conjugated.  Those entries and the nonzero
+    diagonal of dGamma(omega) (x) I fill one (rows, cols, vals) triple
+    for one CSRMatrix.from_entries.
     """
     spin_dim = system.spin_dim
     omega_osc, W = shell_couplings(system, profile, grid)
@@ -331,11 +369,7 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
         spin_dim)
     diag = np.flatnonzero(free)
 
-    S = site_spin_operators(system.s, system.P, np.eye(spin_dim)).reshape(
-        3 * system.P, spin_dim * spin_dim)
-    pattern = np.flatnonzero(S.any(axis=0))
-    blocks = (np.repeat(system.moments, 3)[:, None] * W).T \
-        @ S[:, pattern] / math.sqrt(2.0)
+    pattern, blocks = spin_blocks(system, W)
     rows, cols, occ, osc = _creation_pattern(space)
     keep = (blocks != 0.0)[osc]
     # the diagonal's entries, then T's at (i, j) and T^dagger's at (j, i)
@@ -387,12 +421,18 @@ def _dressed_start(H: CSRMatrix, diag: np.ndarray, spin_dim: int):
     state with only a diagonal entry is an eigenvector at it, not below P's
     smallest.  So if P couples to no Q state, QHQ is diagonal and the start
     is PHP's ground vector, H's (lam_min PHP <= min diag <= lam_min QHQ);
-    the preconditioner is then all ones.
+    the preconditioner is then all ones.  diag is H's diagonal, real; P
+    and the verdict on it read only the diagonal and the pattern, so they
+    are found once per H(t) family, which shares H.memo.
     """
-    cols = np.argsort(diag, kind="stable")[:spin_dim]
-    unreached = H.unreached(cols)
-    if len(unreached):
-        raise DomainError(f"H is reducible: {len(unreached)} coupled states "
+    key = ("dressed start", spin_dim)
+    if key not in H.memo:
+        cols = np.argsort(diag, kind="stable")[:spin_dim]
+        cols.flags.writeable = False
+        H.memo[key] = cols, len(H.unreached(cols))
+    cols, unreached = H.memo[key]
+    if unreached:
+        raise DomainError(f"H is reducible: {unreached} coupled states "
                           f"are decoupled from the start states")
     PH = H.rows(cols)
     PHP = PH[:, cols]
@@ -582,6 +622,69 @@ def _feshbach(H, energy: float, spin_dim: int, tol: float):
     return lam, X, Z
 
 
+def _squared_blocks(system: SpinSystem, omega_osc: np.ndarray,
+                    W: np.ndarray) -> np.ndarray:
+    """The stack (n_osc, spin_dim, spin_dim) of the squares C_o^2 of the
+    oscillators' spin blocks (spin_blocks), for _one_photon_ground.
+
+    It stands for the n_max = 1 H and refuses what build_fock_space would
+    refuse there (_sector_sizes): its n_osc spin_dim^2 entries are within
+    MAX_SPIN_ROW_ENTRIES.
+    """
+    d, n_osc = system.spin_dim, len(omega_osc)
+    _sector_sizes(n_osc, 1, d)
+    pattern, blocks = spin_blocks(system, W)
+    C = np.zeros((n_osc, d * d), dtype=complex)
+    C[:, pattern] = blocks
+    C = C.reshape(n_osc, d, d)
+    return C @ C
+
+
+def _one_photon_ground(C2: np.ndarray, omega_osc: np.ndarray, t: float,
+                       tol: float):
+    """Ground level of H(t) at n_max = 1 from the spin space alone.
+
+    There H(t) couples the vacuum (x) spin space P only to the one-photon
+    states, through t C_o to oscillator o, and QHQ = Omega (x) I is
+    diagonal, so the Feshbach map of _feshbach is the spin_dim x spin_dim
+    F(E) = -t^2 sum_o C_o^2 / (omega_o - E), with F(0) = t^2 A_disc: E <
+    omega_min is an eigenvalue of H exactly when it is one of F(E), with
+    eigenvector x (+) -z, z_o = t C_o x / (omega_o - E).  As in
+    _dressed_start, g(E) = lam_min F(E) - E is concave with slope
+    -(1 + n2), n2 = |z|^2 = <x, N(E) x> and N(E) = t^2 sum_o C_o^2 /
+    (omega_o - E)^2, so Newton on g falls monotonically onto its root from
+    E = 0, the first step landing on t^2 lam_min(A_disc) / (1 + n2); it
+    stops when E no longer falls, or after MAX_START_NEWTON_STEPS steps.
+    A step is one contraction of the stack C2 (_squared_blocks) with
+    [1/(omega - E), 1/(omega - E)^2] and one eigh of F(E).  The residual
+    of H on the unit ground vector is |lam_min F(E) - E| / sqrt(1 + n2);
+    above tol it raises ConvergenceError, as ground_state does.  Returns
+    (E, eig F(E) ascending, its eigenvectors as columns, N(E)); the
+    photon number of the eigenvector X[:, k] is n2 / (1 + n2) with
+    n2 = <X[:, k], N(E) X[:, k]>.
+    """
+    n_osc, d = C2.shape[:2]
+    stack = C2.reshape(n_osc, -1).view(float)
+    t2 = t * t
+    energy = 0.0
+    for step in range(MAX_START_NEWTON_STEPS + 1):
+        r = t2 / (omega_osc - energy)
+        F, N = (np.stack([-r, r / (omega_osc - energy)]) @ stack).view(
+            complex).reshape(2, d, d)
+        lam, X = np.linalg.eigh(F)
+        n2 = np.vdot(X[:, 0], N @ X[:, 0]).real
+        new = energy + (lam[0] - energy) / (1.0 + n2)
+        if step == MAX_START_NEWTON_STEPS or not new < energy:
+            break
+        energy = new
+    residual = abs(lam[0] - energy) / math.sqrt(1.0 + n2)
+    # written so that a NaN residual fails too
+    if not residual <= tol:
+        raise ConvergenceError(
+            f"eigenpair residual {residual:.3e} above tolerance {tol:.3e}")
+    return energy, lam, X, N
+
+
 # ---------------------------------------------------------------------------
 # Discrete kernel and A_M
 # ---------------------------------------------------------------------------
@@ -702,7 +805,10 @@ def quadratic_fit(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
     """Ground energy E(t) of H(t M) fitted against c2 t^2.
 
     c2 is fitted on the two smallest scales; the log-log slope of the
-    remainder E(t) - c2 t^2 is estimated from the remaining scales.
+    remainder E(t) - c2 t^2 is estimated from the remaining scales.  At
+    n_max = 1 each E(t) and its photon number come from the spin space
+    (_one_photon_ground), and no Fock space is built; otherwise from
+    ground_state on the Fock H.
     """
     scales = np.sort(np.asarray(scale_points, dtype=float))
     if len(scales) < 4 or not np.all((scales > 0) & (scales < np.inf)) \
@@ -712,13 +818,25 @@ def quadratic_fit(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
     # at M = 0 H is free: E(t) = 0 and no photon, so there is nothing to fit
     if not np.any(system.moments):
         raise DomainError("fock fit needs a nonzero moment")
-    toy = build_hamiltonian(system, profile, grid, n_max)
+    one_photon = _integer(n_max, "n_max") == 1
+    if one_photon:
+        omega_osc, W = shell_couplings(system, profile, grid)
+        C2 = _squared_blocks(system, omega_osc, W)
+    else:
+        toy = build_hamiltonian(system, profile, grid, n_max)
+        omega_osc, W = toy.space.omega_osc, toy.coupling
     energies, photons = [], []
     for t in scales:
-        energy, vector, _ = ground_state(toy.matrix(t), tol=tol,
-                                         spin_dim=toy.spin_dim)
+        if one_photon:
+            energy, _, X, N = _one_photon_ground(C2, omega_osc, t, tol)
+            n2 = np.vdot(X[:, 0], N @ X[:, 0]).real
+            photon = n2 / (1.0 + n2)
+        else:
+            energy, vector, _ = ground_state(toy.matrix(t), tol=tol,
+                                             spin_dim=toy.spin_dim)
+            photon = photon_number(toy, vector)
         energies.append(energy)
-        photons.append(photon_number(toy, vector))
+        photons.append(photon)
     energies = np.array(energies)
     photons = np.array(photons)
 
@@ -733,8 +851,7 @@ def quadratic_fit(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
     else:
         slope = float(np.polyfit(np.log(scales[usable]),
                                  np.log(np.abs(resid[usable])), 1)[0])
-    a_min = float(discrete_am(system, toy.space.omega_osc,
-                              toy.coupling).eigenvalues[0])
+    a_min = float(discrete_am(system, omega_osc, W).eigenvalues[0])
     return QuadraticFit(c2=c2, residual_slope=slope, a_disc_min=a_min,
                         scales=scales, energies=energies,
                         photon_numbers=photons,
@@ -759,12 +876,15 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
     """Ground multiplicity of H(g 1) versus that of the minimum of A_1^disc.
 
     All moments are set equal to g.  mult_h counts the eigenvalues of the
-    Feshbach map F(E_0) (_feshbach) within degeneracy_tol * g^2 *
-    rho(A_1^disc) above the ground energy E_0, rho the spectral radius.
-    Also reports the smallest overlap of those dressed states X (+) -Z X
-    with Psi_0 (x) (A_1 ground eigenspace), and the multiplet
+    Feshbach map F(E_0) within degeneracy_tol * g^2 * rho(A_1^disc) above
+    the ground energy E_0, rho the spectral radius.  Also reports the
+    smallest overlap of those dressed states X (+) -Z X with
+    Psi_0 (x) (A_1 ground eigenspace), and the multiplet
     (eig F(E_0) - E_0) / g^2, which tends to eig A_1^disc - min eig A_1^disc
-    as g -> 0.
+    as g -> 0.  At n_max = 1, E_0, F(E_0) and the norms |Z X|^2 =
+    <X, N(E_0) X> come from the spin space (_one_photon_ground), and no
+    Fock space is built; otherwise from ground_state and _feshbach on the
+    Fock H.
     """
     if np.ptp(system.moments) > 1e-12 * np.abs(system.moments).max():
         raise DomainError("multiplicity scan requires equal moments")
@@ -773,14 +893,24 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
     if not np.all(np.isfinite(g_points) & (g_points != 0)):
         raise DomainError("multiplicity scan needs nonzero finite g values")
     unit = system.with_moments(np.ones(system.P))
-    toy = build_hamiltonian(unit, profile, grid, n_max)
-    a_disc = discrete_am(unit, toy.space.omega_osc, toy.coupling, vectors=True)
+    one_photon = _integer(n_max, "n_max") == 1
+    if one_photon:
+        omega_osc, W = shell_couplings(unit, profile, grid)
+        C2 = _squared_blocks(unit, omega_osc, W)
+    else:
+        toy = build_hamiltonian(unit, profile, grid, n_max)
+        omega_osc, W = toy.space.omega_osc, toy.coupling
+    a_disc = discrete_am(unit, omega_osc, W, vectors=True)
     _, mult_a1, a_basis = ground_eigenspace(a_disc, degeneracy_tol)
     rows = []
     for g in g_points:
-        H = toy.matrix(g)
-        energy = ground_state(H, tol=tol, spin_dim=toy.spin_dim)[0]
-        lam, X, Z = _feshbach(H, energy, toy.spin_dim, tol)
+        if one_photon:
+            energy, lam, X, N = _one_photon_ground(C2, omega_osc, g, tol)
+        else:
+            H = toy.matrix(g)
+            energy = ground_state(H, tol=tol, spin_dim=toy.spin_dim)[0]
+            lam, X, Z = _feshbach(H, energy, toy.spin_dim, tol)
+            N = Z.conj() @ Z.T  # Z^H Z
         # energies scale like g^2 eig(A_1), so the window is that of A_1's
         # own cluster (ground_eigenspace) times g^2: mult_h <= mult_a1
         # then compares like with like
@@ -792,8 +922,8 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
                 f"the ground energy {energy!r}")
         mult_h = int(np.sum(lam <= energy + width))
         X = X[:, :mult_h]
-        # |X (+) -Z X|^2 = X^H (1 + Z^H Z) X, and Psi_0 (x) a_basis reads X
-        norm2 = 1.0 + np.sum(X.conj() * ((Z.conj() @ Z.T) @ X), axis=0).real
+        # |X (+) -Z X|^2 = X^H (1 + N) X, and Psi_0 (x) a_basis reads X
+        norm2 = 1.0 + np.sum(X.conj() * (N @ X), axis=0).real
         overlaps = np.sum(np.abs(a_basis.conj().T @ X) ** 2, axis=0) / norm2
         rows.append(MultiplicityRow(
             g=float(g), energy=float(energy), mult_h=mult_h, mult_a1=mult_a1,

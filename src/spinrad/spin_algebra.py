@@ -11,9 +11,9 @@ in numpy, the canonical layout of scipy.sparse (rows in order, columns
 ascending and unique in each row), read-only.  This module is the only one
 that knows that layout: the package uses only construction (from entries
 and from a dense array), products, dense rows, the diagonal, the
-off-diagonal part scaled (H(t) of the Fock Hamiltonian), the states a walk
-of the pattern cannot reach, the stored values (data) and the dense matrix
-(toarray).
+off-diagonal part scaled (H(t) of the Fock Hamiltonian, which shares the
+diagonal and a memo with h), the states a walk of the pattern cannot
+reach, the stored values (data) and the dense matrix (toarray).
 """
 
 from __future__ import annotations
@@ -156,12 +156,23 @@ class CSRMatrix:
         mask.flags.writeable = False
         return mask
 
-    def diagonal(self) -> np.ndarray:
-        """The main diagonal, zero where no entry is stored."""
+    @functools.cached_property
+    def _diagonal(self) -> np.ndarray:
         on = self._diagonal_mask
         out = np.zeros(min(self.shape), dtype=self.data.dtype)
         out[self.indices[on]] = self.data[on]
+        out.flags.writeable = False
         return out
+
+    def diagonal(self) -> np.ndarray:
+        """The main diagonal, zero where no entry is stored; read-only."""
+        return self._diagonal
+
+    @functools.cached_property
+    def memo(self) -> dict:
+        """A dict for what a caller derives from the pattern and the
+        diagonal alone, under the caller's own keys."""
+        return {}
 
     @functools.cached_property
     def _components(self) -> np.ndarray:
@@ -206,14 +217,15 @@ class CSRMatrix:
         """The matrix with every stored off-diagonal value times t, on
         this matrix's own indptr and indices; the diagonal is kept bit
         for bit.  It shares this matrix's row blocks, diagonal mask and
-        components, which depend on indptr and indices alone, so a family
-        of scales finds them once."""
+        components, which depend on indptr and indices alone, and its
+        diagonal and memo, so a family of scales finds them once."""
         data = t * self.data
         np.copyto(data, self.data, where=self._diagonal_mask)
         scaled = CSRMatrix(self.indptr, self.indices, data, self.shape)
         vars(scaled).update(_row_blocks=self._row_blocks,
                             _diagonal_mask=self._diagonal_mask,
-                            _components=self._components)
+                            _components=self._components,
+                            _diagonal=self._diagonal, memo=self.memo)
         return scaled
 
     def toarray(self) -> np.ndarray:

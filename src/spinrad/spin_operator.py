@@ -301,10 +301,17 @@ def _site_blocks(C, site_basis) -> np.ndarray:
 # machine.  An integer-spin A_M is real, 8 dim^2 bytes: measured at 3^7 =
 # 2187 (s = 1) the peaks are 0.09 GB after the build, 0.13 GB after
 # eigvalsh and 0.24 GB after eigh, and at 5^5 = 3125 (s = 2) 0.13 GB after
-# the build.  The budget sizes A alone: for P >= 2 the build also forms
-# the (9, d^4) pair basis, 9 dim^2 entries at P = 2, nine times A (2.4 GB
-# at s = 31.5, d = 64).
+# the build.  The budget sizes A, and the build holds little else: for
+# P >= 2 it keeps the pair blocks, d^4 entries each (as many as A at
+# P = 2), and forms the (9, d^4) pair basis PAIR_BASIS_COLUMNS columns at
+# a time, so a spin-15/2 pair peaks at 2.5 times A's bytes (tracemalloc).
 MAX_DENSE_DIM = 1 << 12
+
+# Columns of the (9, d^4) pair basis that _dense_operator forms at a time:
+# 288 KiB complex.  Blocks of a power of two columns keep the bits of the
+# unblocked product with the pair coefficients (compared on random
+# coefficients for every d <= 40 and P with d^P <= MAX_DENSE_DIM).
+PAIR_BASIS_COLUMNS = 1 << 11
 
 
 def _dense_operator(coef, two_s, real) -> np.ndarray:
@@ -318,9 +325,10 @@ def _dense_operator(coef, two_s, real) -> np.ndarray:
     blocks come from one matrix product with the site basis
     (sigma_j sigma_m) and, from two sites on, all pair blocks from one with
     the pair basis (sigma_j (x) sigma_m, one product m_j[a, b] m_m[c, d]
-    each, negated when real); the basis and coef fix the dtype of the
-    result.  Each block is added through a writeable einsum view of A
-    reshaped to (d,) * 2P, the diagonal in every other site.
+    each, negated when real), made and multiplied PAIR_BASIS_COLUMNS
+    columns at a time; the basis and coef fix the dtype of the result.
+    Each block is added through a writeable einsum view of A reshaped to
+    (d,) * 2P, the diagonal in every other site.
 
     Every dense spin-space array is built here, so here is where the dense
     budget and Hermiticity are checked, before any basis or anything of
@@ -342,11 +350,18 @@ def _dense_operator(coef, two_s, real) -> np.ndarray:
                        dtype=int).reshape(-1, 2).T
     pairs = ()
     if P > 1:
-        pair_basis = np.einsum("jab,mcd->jmacbd", m, m).reshape(9, d ** 4)
-        if real:
-            np.negative(pair_basis, out=pair_basis)
-        pair = C[lam, :, mu] + C[mu, :, lam].transpose(0, 2, 1)
-        pairs = (pair.reshape(-1, 9) @ pair_basis).reshape(-1, d, d, d, d)
+        pair = (C[lam, :, mu] + C[mu, :, lam].transpose(0, 2, 1)).reshape(-1, 9)
+        pairs = np.empty((len(pair), d ** 4), dtype=np.result_type(pair, m))
+        # the pair basis, one block of its columns at a time
+        for k in range(0, d ** 4, PAIR_BASIS_COLUMNS):
+            a, c, b, e = np.unravel_index(
+                np.arange(k, min(k + PAIR_BASIS_COLUMNS, d ** 4)), (d,) * 4)
+            basis = np.einsum("jk,mk->jmk", m[:, a, b], m[:, c, e],
+                              order="C").reshape(9, -1)
+            if real:
+                np.negative(basis, out=basis)
+            pairs[:, k:k + basis.shape[1]] = pair @ basis
+        pairs = pairs.reshape(-1, d, d, d, d)
     A = np.zeros((dim, dim), dtype=np.result_type(coef, site_basis))
     T = A.reshape((d,) * (2 * P))
     # einsum subscripts of T: site k's row digit is rows[k], its column

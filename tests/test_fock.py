@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import math
+import re
 import tracemalloc
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -741,8 +742,10 @@ def test_ground_state_deterministic(profile, default_grid, two_spin_system):
     assert all(np.array_equal(a, b) for a, b in zip(f1, f2))
 
 
-def _schur_energies(system, profile, grid, t):
-    """Eigenvalues of H(t) below the photon continuum at n_max = 1, ascending.
+def _schur_energies(system, profile, grid, t, count=None,
+                    gram=_product_rule_gram):
+    """Eigenvalues of H(t) below the photon continuum at n_max = 1, ascending;
+    the lowest count of them when count is given.
 
     There H = [[0, t B^dag], [t B, Omega (x) I]] with B the vacuum ->
     one-photon block of h_int, and E < omega_min is an eigenvalue exactly
@@ -755,13 +758,14 @@ def _schur_energies(system, profile, grid, t):
     T_s = sum_ab M_a M_b Gram_s[a, b] S_a S_b, and |B|_F^2 =
     1/2 sum_s tr T_s.  The shells' Gram matrices are those of the plane-wave
     couplings on a fine angular product rule (_product_rule_gram), not
-    build_hamiltonian's.
+    build_hamiltonian's, or those of gram, such as _closed_gram for sites
+    too far apart for that rule.
     """
     S = np.array([S_a for site in kron_site_spins(system.s, system.P)
                   for S_a in site])
     S *= np.repeat(system.moments, 3)[:, None, None]
     T = np.einsum("sab,aij,bjk->sik",
-                  _product_rule_gram(system, profile, grid), S, S,
+                  gram(system, profile, grid), S, S,
                   optimize=True)
 
     def branch_minus_e(E, j):
@@ -771,7 +775,7 @@ def _schur_energies(system, profile, grid, t):
     lo = -2.0 * t * math.sqrt(0.5 * np.trace(T.sum(axis=0)).real)
     return np.array([brentq(branch_minus_e, lo, 0.0, args=(j,), xtol=1e-300,
                             rtol=4 * np.finfo(float).eps)
-                     for j in range(system.spin_dim)])
+                     for j in range(count or system.spin_dim)])
 
 
 @pytest.mark.parametrize("grid_name", ["default_grid", "small_grid"])
@@ -842,7 +846,8 @@ def _recorded_steps(monkeypatch):
 def test_n_max_one_solves_end_at_step_zero(request, profile, monkeypatch,
                                            two_spin_system, case):
     # at n_max = 1 QHQ is diagonal, so the start at the root of the
-    # Feshbach map is H's ground vector and LOBPCG has nothing to do
+    # Feshbach map is H's ground vector and LOBPCG has nothing to do; the
+    # suites solve that map in the spin space, ground_state on the built H
     if case == "single_spin":
         cfg = parse_config((CONFIGS / "single_spin.yaml").read_text())
         assert cfg.grids["n_max"] == 1
@@ -851,9 +856,12 @@ def test_n_max_one_solves_end_at_step_zero(request, profile, monkeypatch,
     else:
         system, grid = two_spin_system, request.getfixturevalue(case)
     steps = _recorded_steps(monkeypatch)
-    quadratic_fit(system, profile, grid, 1, [0.4, 0.2, 0.1, 0.05])
-    multiplicity_scan(system.with_moments(np.ones(system.P)), profile, grid,
-                      1, [0.4, 0.2, 0.1])
+    for moments, scales in [(system.moments, [0.4, 0.2, 0.1, 0.05]),
+                            (np.ones(system.P), [0.4, 0.2, 0.1])]:
+        toy = build_hamiltonian(system.with_moments(moments), profile, grid,
+                                1)
+        for t in scales:
+            ground_state(toy.matrix(t), spin_dim=toy.spin_dim)
     assert steps == [0] * 7
 
 
@@ -1098,9 +1106,10 @@ def test_multiplicity_matches_schur_oracle(profile, default_grid, positions,
 
 
 def test_multiplicity_solves_one_column(profile, monkeypatch):
-    # configs/single_spin.yaml: 146 states, the Kramers pair found from one
-    # ground-state column; at n_max = 1 QHQ is diagonal and the Feshbach CG
-    # takes no step, so a step limit of 0 does not stop it
+    # configs/single_spin.yaml at n_max = 2: 5,402 states, the Kramers pair
+    # found from one ground-state column; at its own n_max = 1 the pair
+    # comes from the spin space, with no LOBPCG and no Feshbach CG, so a
+    # CG step limit of 0 does not stop it
     cfg = parse_config((CONFIGS / "single_spin.yaml").read_text())
     grid = build_mode_grid(cfg.profile(), cfg.grids["n_radial"])
     solves = []
@@ -1112,28 +1121,170 @@ def test_multiplicity_solves_one_column(profile, monkeypatch):
         return vec, steps
 
     monkeypatch.setattr("spinrad.fock._lobpcg", recorded)
+    rows = multiplicity_scan(cfg.system(), cfg.profile(), grid, 2,
+                             [0.4, 0.2, 0.1])
+    assert [r.mult_h for r in rows] == [2, 2, 2]
+    assert [(dim, shape) for dim, shape, _ in solves] == [(5402, (5402,))] * 3
+    assert all(steps <= 50 for _, _, steps in solves)
+    solves.clear()
     monkeypatch.setattr("spinrad.fock.MAX_CG_STEPS", 0)
+    assert cfg.grids["n_max"] == 1
     rows = multiplicity_scan(cfg.system(), cfg.profile(), grid,
                              cfg.grids["n_max"], [0.4, 0.2, 0.1])
     assert [r.mult_h for r in rows] == [2, 2, 2]
-    assert [(dim, shape) for dim, shape, _ in solves] == [(146, (146,))] * 3
-    assert all(steps <= 50 for _, _, steps in solves)
+    assert solves == []
 
 
-def test_feshbach_catches_a_missed_ground_state(profile, default_grid,
+def test_feshbach_catches_a_missed_ground_state(profile, small_grid,
                                                 monkeypatch):
-    # an energy above E_0 leaves an eigenvalue of F below it
-    solve = fock.ground_state
-
-    def excited(*args, **kwargs):
-        energy, vec, res = solve(*args, **kwargs)
-        return 0.5 * energy, vec, res
-
-    monkeypatch.setattr("spinrad.fock.ground_state", excited)
+    # an energy above E_0 leaves an eigenvalue of F below it: from
+    # ground_state on the Fock H, or from the spin-space solve at n_max = 1
     pair = SpinSystem(positions=[[0, 0, 0], [0.9, -0.3, 0.4]],
                       moments=[1.0, 1.0])
-    with pytest.raises(ConvergenceError, match="below the ground energy"):
-        multiplicity_scan(pair, profile, default_grid, 1, [0.2])
+    for n_max, solver in [(2, "ground_state"), (1, "_one_photon_ground")]:
+        def excited(*args, _solve=getattr(fock, solver), **kwargs):
+            energy, *rest = _solve(*args, **kwargs)
+            return 0.5 * energy, *rest
+
+        monkeypatch.setattr(fock, solver, excited)
+        with pytest.raises(ConvergenceError, match="below the ground energy"):
+            multiplicity_scan(pair, profile, small_grid, n_max, [0.2])
+
+
+def _fock_multiplicity(system, profile, grid, g):
+    """(energy, mult_h, min_overlap, multiplet, rho(A_1^disc)) of
+    multiplicity_scan at one g, from ground_state and _feshbach on the
+    built n_max = 1 H."""
+    toy = build_hamiltonian(system, profile, grid, 1)
+    H = toy.matrix(g)
+    energy = ground_state(H, spin_dim=toy.spin_dim)[0]
+    lam, X, Z = fock._feshbach(H, energy, toy.spin_dim,
+                               fock.DEFAULT_EIGENSOLVER_TOL)
+    a_disc = discrete_am(system, toy.space.omega_osc, toy.coupling,
+                         vectors=True)
+    basis = ground_eigenspace(a_disc)[2]
+    width = DEFAULT_DEGENERACY_TOL * g * g * a_disc.radius
+    mult = int(np.sum(lam <= energy + width))
+    X = X[:, :mult]
+    norm2 = 1.0 + np.sum(X.conj() * ((Z.conj() @ Z.T) @ X), axis=0).real
+    overlap = np.sum(np.abs(basis.conj().T @ X) ** 2, axis=0) / norm2
+    return energy, mult, overlap.min(), (lam - energy) / (g * g), \
+        a_disc.radius
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(s=st.sampled_from([0.5, 1.0, 1.5]), P=st.integers(1, 3),
+       n_radial=st.integers(2, 4), separation=st.floats(0.05, 40.0),
+       zero_moment=st.booleans(), t=st.floats(0.05, 2.0),
+       seed=st.integers(0, 2 ** 16))
+@example(s=1.5, P=3, n_radial=2, separation=40.0, zero_moment=True, t=2.0,
+         seed=1)
+def test_spin_space_solve_matches_the_fock_solvers(profile, s, P, n_radial,
+                                                   separation, zero_moment,
+                                                   t, seed):
+    """At n_max = 1 fock-fit and multiplicity solve E = lam_min F(E) in
+    the spin space; ground_state and _feshbach on the built H give the
+    same energies, photon numbers and min_overlap to 1e-13 relative and
+    the same multiplet to 1e-14 rho(A_1^disc), and the Schur roots on
+    scipy's Bessel functions the same energies."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(P, 3))
+    u[0] = 0.0
+    u[1:] /= np.linalg.norm(u[1:], axis=1, keepdims=True)
+    moments = rng.choice([-1.0, 1.0], P) * rng.uniform(0.3, 1.0, P)
+    if zero_moment and P > 1:
+        moments[rng.integers(P)] = 0.0
+    system = SpinSystem(positions=separation * u, moments=moments, s=s)
+    grid = build_mode_grid(profile, n_radial)
+    fit = quadratic_fit(system, profile, grid, 1, [t, t / 2, t / 4, t / 8])
+    toy = build_hamiltonian(system, profile, grid, 1)
+    for scale, energy, photons in zip(fit.scales, fit.energies,
+                                      fit.photon_numbers):
+        exact, v, _ = ground_state(toy.matrix(scale), spin_dim=toy.spin_dim)
+        assert abs(energy - exact) <= 1e-13 * abs(exact)
+        n = photon_number(toy, v)
+        assert abs(photons - n) <= 1e-13 * n
+        schur = _schur_energies(system, profile, grid, scale, count=1,
+                                gram=_closed_gram)[0]
+        assert abs(energy - schur) <= 1e-12 * abs(schur)
+    unit = system.with_moments(np.ones(P))
+    row, = multiplicity_scan(unit, profile, grid, 1, [t])
+    energy, mult, overlap, multiplet, radius = _fock_multiplicity(
+        unit, profile, grid, t)
+    assert row.mult_h == mult
+    assert abs(row.energy - energy) <= 1e-13 * abs(energy)
+    assert abs(row.min_overlap - overlap) <= 1e-13 * overlap
+    assert np.abs(row.multiplet - multiplet).max() <= 1e-14 * radius
+    schur = _schur_energies(unit, profile, grid, t, count=1,
+                            gram=_closed_gram)[0]
+    assert abs(row.energy - schur) <= 1e-12 * abs(schur)
+
+
+def test_n_max_one_suites_build_no_fock_space(monkeypatch, tmp_path):
+    # fock-fit and multiplicity on the bundled n_max = 1 configs build no
+    # Fock space and no CSR H, and run no LOBPCG and no Feshbach CG
+    def refused(*args, **kwargs):
+        raise AssertionError("a Fock solver ran at n_max = 1")
+
+    for name in ("build_fock_space", "build_hamiltonian", "ground_state",
+                 "_dressed_start", "_lobpcg", "_feshbach"):
+        monkeypatch.setattr(fock, name, refused)
+    monkeypatch.setattr(CSRMatrix, "from_entries", refused)
+    for name in ("single_spin", "two_spins_equal"):
+        config = CONFIGS / f"{name}.yaml"
+        assert parse_config(config.read_text()).grids["n_max"] == 1
+        for argv in (["fock-fit", "--scales", "0.4,0.2,0.1,0.05"],
+                     ["multiplicity", "--g", "0.4,0.2,0.1"]):
+            assert main([*argv, "--config", str(config),
+                         "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("budget, edge", [("MAX_TOTAL_DIM", 100),
+                                          ("MAX_SPIN_ROW_ENTRIES", 400)])
+def test_n_max_one_refusals_are_unchanged(profile, two_spin_system,
+                                          monkeypatch, budget, edge):
+    # 4 shells: (1 + 24) photon states x 4 spin states make 100 states and
+    # 400 dense row entries; the suites refuse where the n_max = 1 H is
+    # refused, with its message, and run at the edge of each budget
+    grid = build_mode_grid(profile, 4)
+    equal = two_spin_system.with_moments([1.0, 1.0])
+    scales = [0.4, 0.2, 0.1, 0.05]
+    monkeypatch.setattr(fock, budget, edge)
+    quadratic_fit(two_spin_system, profile, grid, 1, scales)
+    multiplicity_scan(equal, profile, grid, 1, [0.2])
+    monkeypatch.setattr(fock, budget, edge - 1)
+    with pytest.raises(ResourceError) as built:
+        build_hamiltonian(two_spin_system, profile, grid, 1)
+    message = re.escape(str(built.value))
+    with pytest.raises(ResourceError, match=message):
+        quadratic_fit(two_spin_system, profile, grid, 1, scales)
+    with pytest.raises(ResourceError, match=message):
+        multiplicity_scan(equal, profile, grid, 1, [0.2])
+    for n_max in (True, 1.0):
+        with pytest.raises(DomainError, match="n_max must be an integer"):
+            quadratic_fit(two_spin_system, profile, grid, n_max, scales)
+        with pytest.raises(DomainError, match="n_max must be an integer"):
+            multiplicity_scan(equal, profile, grid, n_max, [0.2])
+
+
+def test_n_max_one_suites_refuse_before_allocating(profile):
+    # the P = 12 chain of test_fock_space_budget_bounds_the_dense_spin_rows:
+    # its C_o^2 stack would hold as many entries as those spin rows
+    chain = SpinSystem(positions=[[0.7 * k, 0.0, 0.0] for k in range(12)],
+                       moments=np.ones(12))
+    grid = build_mode_grid(profile, 2)
+    tracemalloc.start()
+    try:
+        for run in (lambda: quadratic_fit(chain, profile, grid, 1,
+                                          [0.4, 0.2, 0.1, 0.05]),
+                    lambda: multiplicity_scan(chain, profile, grid, 1,
+                                              [0.2])):
+            with pytest.raises(ResourceError,
+                               match="4096 dense spin rows of 299008 states"):
+                run()
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_feshbach_finds_degenerate_pair(profile, default_grid):

@@ -458,14 +458,32 @@ def _count_decompositions(monkeypatch, skip):
     return calls
 
 
+def test_pair_build_peaks_near_its_operator():
+    # a spin-15/2 pair: A holds 256^2 complex entries (1 MiB), and the
+    # (9, 16^4) pair basis would hold nine times that at once
+    coef = np.random.default_rng(4).normal(size=(6, 6))
+    coef += coef.T
+    bilinear_spin_operator(coef, 7.5)  # the spin bases, cached once
+    tracemalloc.start()
+    try:
+        A = bilinear_spin_operator(coef, 7.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.shape == (256, 256)
+    assert peak < 3 * A.nbytes
+
+
 def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
                                   monkeypatch):
     # eigenvectors are computed only where a caller reads them; the
     # eighs inside fock.ground_state (its dressed start and Rayleigh-Ritz
-    # steps), the eigh of the Feshbach map F(E_0) in fock._feshbach, the
-    # 2 x 2 eighs of verify's su2_rotate, the eigvalsh of leggauss
-    # (verify's quadrature rules, built once per process) and the batched
-    # eigh of the shell Gram matrices in fock.shell_couplings are not A_M's
+    # steps), the eigh of the Feshbach map F(E_0) in fock._feshbach and of
+    # F(E) in each Newton step of fock._one_photon_ground (the n_max = 1
+    # solve), the 2 x 2 eighs of verify's su2_rotate, the eigvalsh of
+    # leggauss (verify's quadrature rules, built once per process) and the
+    # batched eigh of the shell Gram matrices in fock.shell_couplings are
+    # not A_M's
     grid = fock.build_mode_grid(profile, 4)
     solving = []
 
@@ -479,6 +497,7 @@ def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
         return wrapped
 
     for where, name in [("fock", "ground_state"), ("fock", "_feshbach"),
+                        ("fock", "_one_photon_ground"),
                         ("fock", "shell_couplings"),
                         ("cli", "su2_rotate"), ("field_energy", "leggauss"),
                         ("kernel", "leggauss")]:

@@ -31,8 +31,9 @@ Each row runs in its own interpreter, which prints:
   complex    ms for eigvalsh of the complex weight-basis A_M
              (spin_operator.bilinear_spin_operator), for integer s
              only: for half-integer s it is the eigvalsh column;
-  traced     MB, the tracemalloc peak of one build: the pair basis it
-             forms included, the spin bases it reads from the cache not;
+  traced     MB, the tracemalloc peak of one build: the pair blocks and
+             their factors included, the spin bases it reads from the
+             cache not;
   rss        MB, the interpreter's peak resident set after the build,
              after e2 vals and after e2 vecs (high-water marks; tracemalloc
              does not see LAPACK's workspace); the whole-matrix solves run

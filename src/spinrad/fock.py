@@ -453,13 +453,14 @@ def _dressed_start(H: CSRMatrix, diag: np.ndarray, spin_dim: int):
     energy = min(min(a, D[k]) - beta * beta
                  / (abs(a - D[k]) / 2 + math.hypot((a - D[k]) / 2, beta)),
                  np.nextafter(D[k], -np.inf))
-    for _ in range(MAX_START_NEWTON_STEPS):
+    for step in range(MAX_START_NEWTON_STEPS + 1):
         lam, X = np.linalg.eigh(PHP - (B / (D - energy)) @ B.conj().T)
         x = X[:, 0]
         z = (x @ B.conj()) / (D - energy)
         # a step below half an ulp of E rounds away once |z|^2 > 1
         new = energy + (lam[0] - energy) / (1.0 + np.vdot(z, z).real)
-        if not new < energy:  # at the root to roundoff, or NaN
+        # at the root to roundoff, NaN, or out of steps: x and z are E's
+        if step == MAX_START_NEWTON_STEPS or not new < energy:
             break
         energy = new
     start[cols] = x

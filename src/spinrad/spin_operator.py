@@ -245,7 +245,7 @@ def _bases(two_s, real):
     Y conj(sigma_j) Y = -sigma_j, makes V^H sigma_j V = i R_j with R_j
     real; m is then the R_j.  Row 3 j + k of the (9, d^2) site basis is
     sigma_j sigma_k in the basis V, flattened row-major: m_j m_k, or
-    -R_j R_k when real.  _dense_operator forms the pair basis from m.
+    -R_j R_k when real.  _dense_operator forms the pair blocks from m.
     """
     sig = np.array(spin_matrices(two_s / 2.0))
     V, m = None, sig
@@ -293,25 +293,19 @@ def _site_blocks(C, site_basis) -> np.ndarray:
 # checked by _dense_operator before it allocates.  A complex dim x dim
 # matrix takes 16 dim^2 bytes: 64 MiB at 2^11, 256 MiB at 2^12, 1 GiB at
 # 2^13.  Process peaks measured at 2^11, each including the interpreter's
-# 0.06 GB (scripts/am_scan.py): the build writes its blocks into that one
-# array, 0.13 GB; eigvalsh holds about two such arrays, 0.19 GB; eigh
-# about five (input copy, eigenvectors, LAPACK workspace), 0.39 GB.  Scaled
+# 0.04 GB (scripts/am_scan.py): the build writes its blocks into that one
+# array, 0.11 GB; eigvalsh holds about two such arrays, 0.18 GB; eigh
+# about five (input copy, eigenvectors, LAPACK workspace), 0.38 GB.  Scaled
 # by 4 per doubling (not measured), e2 would take about 0.6 GB at 2^12 and
-# 1.4 GB with --eigenbasis, but 2.1 and 5.3 GB at 2^13, on an 8 GB
+# 1.4 GB with --eigenbasis, but 2.3 and 5.5 GB at 2^13, on an 8 GB
 # machine.  An integer-spin A_M is real, 8 dim^2 bytes: measured at 3^7 =
-# 2187 (s = 1) the peaks are 0.09 GB after the build, 0.13 GB after
-# eigvalsh and 0.24 GB after eigh, and at 5^5 = 3125 (s = 2) 0.13 GB after
+# 2187 (s = 1) the peaks are 0.08 GB after the build, 0.12 GB after
+# eigvalsh and 0.24 GB after eigh, and at 5^5 = 3125 (s = 2) 0.12 GB after
 # the build.  The budget sizes A, and the build holds little else: for
 # P >= 2 it keeps the pair blocks, d^4 entries each (as many as A at
-# P = 2), and forms the (9, d^4) pair basis PAIR_BASIS_COLUMNS columns at
-# a time, so a spin-15/2 pair peaks at 2.5 times A's bytes (tracemalloc).
+# P = 2), and the 3 d^2 entries per pair of their factors Q_j, so a
+# spin-15/2 pair peaks at 2.2 times A's bytes (tracemalloc).
 MAX_DENSE_DIM = 1 << 12
-
-# Columns of the (9, d^4) pair basis that _dense_operator forms at a time:
-# 288 KiB complex.  Blocks of a power of two columns keep the bits of the
-# unblocked product with the pair coefficients (compared on random
-# coefficients for every d <= 40 and P with d^P <= MAX_DENSE_DIM).
-PAIR_BASIS_COLUMNS = 1 << 11
 
 
 def _dense_operator(coef, two_s, real) -> np.ndarray:
@@ -321,12 +315,13 @@ def _dense_operator(coef, two_s, real) -> np.ndarray:
     With C = coef indexed [3 lam + j, 3 mu + m], site lam gives the d x d
     block sum_jm C[lam j, lam m] sigma_j sigma_m.  Spins on different sites
     commute, so the pair lam < mu gives the d^2 x d^2 block
-    sum_jm (C[lam j, mu m] + C[mu m, lam j]) sigma_j (x) sigma_m.  All site
-    blocks come from one matrix product with the site basis
-    (sigma_j sigma_m) and, from two sites on, all pair blocks from one with
-    the pair basis (sigma_j (x) sigma_m, one product m_j[a, b] m_m[c, d]
-    each, negated when real), made and multiplied PAIR_BASIS_COLUMNS
-    columns at a time; the basis and coef fix the dtype of the result.
+    sum_jm P_jm sigma_j (x) sigma_m = sum_j sigma_j (x) Q_j, with
+    P_jm = C[lam j, mu m] + C[mu m, lam j] and Q_j = sum_m P_jm sigma_m.
+    All site blocks come from one matrix product with the site basis
+    (sigma_j sigma_m), and all pair blocks from two einsums with m, one for
+    the Q_j and one for the sums; when real, m holds the R_j and P is
+    negated (sigma_j (x) sigma_m = -R_j (x) R_m).  m and coef fix the
+    dtype of the result.
     Each block is added through a writeable einsum view of A reshaped to
     (d,) * 2P, the diagonal in every other site.
 
@@ -348,20 +343,12 @@ def _dense_operator(coef, two_s, real) -> np.ndarray:
     C = coef.reshape(P, 3, P, 3)
     lam, mu = np.array(list(itertools.combinations(range(P), 2)),
                        dtype=int).reshape(-1, 2).T
-    pairs = ()
-    if P > 1:
-        pair = (C[lam, :, mu] + C[mu, :, lam].transpose(0, 2, 1)).reshape(-1, 9)
-        pairs = np.empty((len(pair), d ** 4), dtype=np.result_type(pair, m))
-        # the pair basis, one block of its columns at a time
-        for k in range(0, d ** 4, PAIR_BASIS_COLUMNS):
-            a, c, b, e = np.unravel_index(
-                np.arange(k, min(k + PAIR_BASIS_COLUMNS, d ** 4)), (d,) * 4)
-            basis = np.einsum("jk,mk->jmk", m[:, a, b], m[:, c, e],
-                              order="C").reshape(9, -1)
-            if real:
-                np.negative(basis, out=basis)
-            pairs[:, k:k + basis.shape[1]] = pair @ basis
-        pairs = pairs.reshape(-1, d, d, d, d)
+    pair = C[lam, :, mu] + C[mu, :, lam].transpose(0, 2, 1)
+    if real:
+        pair = -pair
+    # sum_j m_j (x) Q_j, Q_j = sum_m pair[j, m] m_m; no pairs, no blocks
+    pairs = np.einsum("jab,pjce->pacbe", m,
+                      np.einsum("pjm,mce->pjce", pair, m))
     A = np.zeros((dim, dim), dtype=np.result_type(coef, site_basis))
     T = A.reshape((d,) * (2 * P))
     # einsum subscripts of T: site k's row digit is rows[k], its column

@@ -1001,6 +1001,30 @@ def test_dressed_start_ends_when_steps_round_away(monkeypatch):
     assert res <= fock.DEFAULT_EIGENSOLVER_TOL
 
 
+def test_dressed_start_stops_at_one_energy(monkeypatch):
+    # out of Newton steps, the start and the preconditioner both belong to
+    # the last energy E reached: the start is x(E) (+) -z(E), x the ground
+    # vector of F(E) and z = (D - E)^-1 B^H x, and every P entry of the
+    # preconditioner is 1 / (min D - E)
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    A = X + X.conj().T
+    monkeypatch.setattr(fock, "MAX_START_NEWTON_STEPS", 1)
+    v, precond = fock._dressed_start(CSRMatrix.of(A), A.diagonal().real, 3)
+    p = np.argsort(A.diagonal().real, kind="stable")[:3]
+    q = np.setdiff1d(np.arange(8), p)
+    D = A.diagonal().real[q]
+    energy = D.min() - 1.0 / precond[p[0]]
+    B = A[np.ix_(p, q)]
+    x = np.linalg.eigh(A[np.ix_(p, p)]
+                       - (B / (D - energy)) @ B.conj().T)[1][:, 0]
+    start = np.zeros(8, dtype=complex)
+    start[p] = x
+    start[q] = -(x @ B.conj()) / (D - energy)
+    start /= np.linalg.norm(start)
+    assert abs(abs(np.vdot(start, v)) - 1.0) <= 1e-12
+
+
 def test_dressed_start_off_the_pole():
     # P = states 0, 1 couples within itself, so the P vector (1, 1)/sqrt 2
     # that reaches state 2 sits at 1 > 0.5, and reaches it only with

@@ -458,20 +458,22 @@ def _count_decompositions(monkeypatch, skip):
     return calls
 
 
-def test_pair_build_peaks_near_its_operator():
-    # a spin-15/2 pair: A holds 256^2 complex entries (1 MiB), and the
-    # (9, 16^4) pair basis would hold nine times that at once
+@pytest.mark.parametrize("s", [7.5, 15.5])
+def test_pair_build_peaks_near_its_operator(s):
+    # a spin-15/2 pair, A 256^2 complex entries (1 MiB), and a spin-31/2
+    # pair, 1024^2 (16 MiB): the build holds A, the pair block of as many
+    # entries and its three d x d factors Q_j
     coef = np.random.default_rng(4).normal(size=(6, 6))
     coef += coef.T
-    bilinear_spin_operator(coef, 7.5)  # the spin bases, cached once
+    bilinear_spin_operator(coef, s)  # the spin bases, cached once
     tracemalloc.start()
     try:
-        A = bilinear_spin_operator(coef, 7.5)
+        A = bilinear_spin_operator(coef, s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert A.shape == (256, 256)
-    assert peak < 3 * A.nbytes
+    assert A.shape == (int(2 * s + 1) ** 2,) * 2
+    assert peak < 2.5 * A.nbytes
 
 
 def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
@@ -534,22 +536,30 @@ def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
     assert calls == [("eigvalsh", (4, 4))]
 
 
-def test_e2_eigenbasis_spans_ground_eigenspace(tmp_path):
+@pytest.mark.parametrize("name, spin, mult", [("two_spins_equal", None, 2),
+                                              ("two_spins", 1.0, 1)])
+def test_e2_eigenbasis_spans_ground_eigenspace(tmp_path, name, spin, mult):
     # two_spins_equal has a doubly degenerate ground level: its basis
-    # vectors may rotate inside the eigenspace, the projector may not
-    config = CONFIGS / "two_spins_equal.yaml"
+    # vectors may rotate inside the eigenspace, the projector may not.
+    # two_spins at spin 1 (spin1_pair of scripts/bundled_artifacts.py) has
+    # one ground vector, solved in the real basis: its phase is free too
+    doc = yaml.safe_load((CONFIGS / f"{name}.yaml").read_text())
+    if spin is not None:
+        doc["spin"] = spin
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(doc))
     assert main(["e2", "--config", str(config), "--out", str(tmp_path),
                  "--eigenbasis"]) == 0
     doc = json.loads((tmp_path / "e2.json").read_text())
     B = np.array(doc["eigenbasis"]).view(complex)[..., 0].T
-    assert doc["multiplicity"] == B.shape[1] == 2
+    assert doc["multiplicity"] == B.shape[1] == mult
     cfg = parse_config(config.read_text())
     ref = _assemble_reference(
         cfg.system(), lambda d: kernel_matrix(cfg.profile(), d).entries)
     vals, vecs = np.linalg.eigh(ref)
     assert vals[0] == pytest.approx(doc["lambda_min"], rel=1e-13)
-    G = vecs[:, :2]
-    assert vals[2] - vals[1] > 1e-3 * abs(vals[0])
+    G = vecs[:, :mult]
+    assert vals[mult] - vals[mult - 1] > 1e-3 * abs(vals[0])
     assert np.abs(B @ B.conj().T - G @ G.conj().T).max() <= 1e-10
 
 
@@ -759,8 +769,8 @@ TRIPLE = [[0.0, 0.0, 0.0], [0.9, -0.3, 0.4], [0.2, 0.7, -0.5]]
 @pytest.mark.parametrize("s, P", [(2048.0, 1), (32.0, 2), (8.0, 3)])
 def test_dense_budget_refuses_before_any_basis(profile, s, P):
     # the smallest spins past MAX_DENSE_DIM at P = 1, 2, 3: refused before
-    # the spin matrices (1 GB at d = 4097) or the (9, d^4) pair basis
-    # (2.6 GB at d = 65, 12 MB at d = 17) are built
+    # the spin matrices (1 GB at d = 4097) or the real pair blocks (140 MB
+    # at d = 65, 2 MB at d = 17) are built
     spin_operator._bases.cache_clear()
     system = SpinSystem(positions=TRIPLE[:P], moments=[0.8, -0.5, 0.6][:P],
                         s=s)
@@ -772,7 +782,7 @@ def test_dense_budget_refuses_before_any_basis(profile, s, P):
 
 
 def test_one_site_builds_no_pair_basis(profile):
-    # one spin-31/2 site: a 32 x 32 A_M, with no (9, 32^4) pair basis
+    # one spin-31/2 site: a 32 x 32 A_M, with no pair block of 32^4 entries
     spin_operator._bases.cache_clear()
     system = SpinSystem(positions=TRIPLE[:1], moments=[0.8], s=15.5)
     assert _traced_peak(lambda: assemble_am(system, profile)) < 5 << 20

@@ -51,16 +51,16 @@ Anal. 203 (2003) 44) is the spin_dim x spin_dim F(E) = -t^2 sum_o C_o^2
 (_one_photon_ground).  At n_max >= 2, and for any ground_state call, the
 ground state comes from an in-package one-column LOBPCG started at the
 root of that map with QHQ taken as its diagonal, which is H's ground
-vector at n_max = 1, and the multiplicity of the ground level from the
-full map, whose resolvent is applied by CG.  Both are written in numpy
-on spin_algebra's CSRMatrix, through its products, dense rows, diagonal
+vector at n_max = 1 (one Newton, _feshbach_root, finds the root of
+either map), and the multiplicity of the ground level from the full
+map, whose resolvent is applied by CG.  Both are written in numpy on
+spin_algebra's CSRMatrix, through its products, dense rows, diagonal
 and the states its pattern does not join to the start, never its
 layout, so the module needs nothing of scipy.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations_with_replacement
@@ -99,7 +99,7 @@ MAX_CG_STEPS = 1000
 # Step limit of the LOBPCG behind ground_state.
 MAX_LOBPCG_STEPS = 1000
 
-# Step limit of the Newton iteration behind ground_state's start; it
+# Step limit of _feshbach_root, the one Newton on the Feshbach root; it
 # takes 3-9 steps on Fock H and random dense matrices alike.
 MAX_START_NEWTON_STEPS = 100
 
@@ -316,16 +316,6 @@ class ToyHamiltonian:
         out[: self.spin_dim] = X
         return out
 
-    def photon_number_diag(self) -> np.ndarray:
-        """Photon number of each basis state, read-only, made once."""
-        return self._photon_numbers
-
-    @functools.cached_property
-    def _photon_numbers(self) -> np.ndarray:
-        n = np.repeat(self.space.n_total, self.spin_dim)
-        n.flags.writeable = False
-        return n
-
 
 def spin_blocks(system: SpinSystem, W: np.ndarray):
     """The spin block C_o = sum_a M[a // 3] W[a, o] S_a / sqrt(2) of each
@@ -394,6 +384,41 @@ def build_hamiltonian(system: SpinSystem, profile: CutoffProfile,
 # Eigensolver
 # ---------------------------------------------------------------------------
 
+def _feshbach_root(feshbach_map, energy: float):
+    """The root of g(E) = lam_min F(E) - E, by Newton from `energy`.
+
+    feshbach_map(E) returns (F(E), N(E)): the Feshbach map F(E) = PHP -
+    PHQ (QHQ - E)^-1 QHP of a Hermitian H onto a subspace P (Bach, Chen,
+    Froehlich & Sigal, J. Funct. Anal. 203 (2003) 44) and N(E) = -F'(E) =
+    PHQ (QHQ - E)^-2 QHP.  Below the spectrum of QHQ, g is concave with
+    slope -(1 + n2), n2 = <x, N(E) x> = |z|^2 for the ground vector x of
+    F(E) and z = (QHQ - E)^-1 QHP x, so Newton on g falls monotonically
+    onto its root from any E to the right of it: each step lands on the
+    Rayleigh quotient lam_min F(E) + E n2 over 1 + n2 of x (+) -z, never
+    below the root.  It stops when E no longer falls, or after
+    MAX_START_NEWTON_STEPS steps.  A non-finite E, F(E) or N(E) (at a
+    scale whose powers overflow) raises ConvergenceError before the eigh,
+    which would fail on it.  Returns (E, eig F(E) ascending, its
+    eigenvectors as columns, N(E)), all at the last E.
+    """
+    # what overflows is refused below, so numpy need not warn of it
+    with np.errstate(all="ignore"):
+        for step in range(MAX_START_NEWTON_STEPS + 1):
+            F, N = feshbach_map(energy)
+            if not (math.isfinite(energy) and np.isfinite(F).all()
+                    and np.isfinite(N).all()):
+                raise ConvergenceError(
+                    f"Feshbach map not finite at E = {float(energy)!r}")
+            lam, X = np.linalg.eigh(F)
+            n2 = np.vdot(X[:, 0], N @ X[:, 0]).real
+            # a step below half an ulp of E rounds away once n2 > 1
+            new = energy + (lam[0] - energy) / (1.0 + n2)
+            # at the root to roundoff, NaN, or out of steps: all is E's
+            if step == MAX_START_NEWTON_STEPS or not new < energy:
+                return energy, lam, X, N
+            energy = new
+
+
 def _dressed_start(H: CSRMatrix, diag: np.ndarray, spin_dim: int):
     """The spin space dressed at the root of its Feshbach map, as a unit
     vector, and the Jacobi preconditioner of H - E at that root E.
@@ -402,35 +427,26 @@ def _dressed_start(H: CSRMatrix, diag: np.ndarray, spin_dim: int):
     (x) spin for a Fock H), B the rows PH on the Q = 1 - P columns they
     couple to, and D the diagonal of H on those columns.  With QHQ taken
     as D, the map of _feshbach is F(E) = PHP - B (D - E)^-1 B^H, and
-    g(E) = lam_min F(E) - E is concave with slope -(1 + |z|^2),
-    z = (D - E)^-1 B^H x, below min D.  Newton on g then falls
-    monotonically onto its root from any E to the right of it: each step
-    lands on the Rayleigh quotient of x (+) -z under H with QHQ = D, never
-    below the root, and it stops when E no longer falls, or after
-    MAX_START_NEWTON_STEPS steps.  The first E is such a quotient too, and
-    below min D: the lower eigenvalue of H on the state of the smallest
-    entry of D and the P vector B couples to it.  The start is x (+) -z at the root: H's
-    ground vector when QHQ is diagonal (every n_max = 1 Fock H), and its
-    one-photon dressing otherwise.  Only the rows PH are made dense.  The
-    preconditioner is 1 / (max(diag, min D) - E), positive as E < min D:
-    unclamped, the P entries diag - E ~ |E| would swamp the Q entries of
-    the preconditioned residual (a one-site 2 x 6 n_max = 3 fit took 23
-    LOBPCG steps in all instead of 12).  H is refused with DomainError
-    when a coupled state lies in no component of its pattern that holds a
-    P state (CSRMatrix.unreached), as the ground level may lie there; a
-    state with only a diagonal entry is an eigenvector at it, not below P's
-    smallest.  So if P couples to no Q state, QHQ is diagonal and the start
-    is PHP's ground vector, H's (lam_min PHP <= min diag <= lam_min QHQ);
-    the preconditioner is then all ones.  diag is H's diagonal, real; P
-    and the verdict on it read only the diagonal and the pattern, so they
-    are found once per H(t) family, which shares H.memo.
+    _feshbach_root finds its root.  The first E is below min D, to the
+    right of the root: the lower eigenvalue of H on the state of the
+    smallest entry of D and the P vector B couples to it, a Rayleigh
+    quotient of H with QHQ = D.  The start is x (+) -z at the root,
+    z = (D - E)^-1 B^H x: H's ground vector when QHQ is diagonal (every
+    n_max = 1 Fock H), and its one-photon dressing otherwise.  Only the
+    rows PH are made dense.  The preconditioner is 1 / (max(diag, min D)
+    - E), positive as E < min D: unclamped, the P entries diag - E ~ |E|
+    would swamp the Q entries of the preconditioned residual (a one-site
+    2 x 6 n_max = 3 fit took 23 LOBPCG steps in all instead of 12).  H is
+    refused with DomainError when a coupled state lies in no component of
+    its pattern that holds a P state (CSRMatrix.unreached), as the ground
+    level may lie there; a state with only a diagonal entry is an
+    eigenvector at it, not below P's smallest.  So if P couples to no Q
+    state, QHQ is diagonal and the start is PHP's ground vector, H's
+    (lam_min PHP <= min diag <= lam_min QHQ); the preconditioner is then
+    all ones.  diag is H's diagonal, real.
     """
-    key = ("dressed start", spin_dim)
-    if key not in H.memo:
-        cols = np.argsort(diag, kind="stable")[:spin_dim]
-        cols.flags.writeable = False
-        H.memo[key] = cols, len(H.unreached(cols))
-    cols, unreached = H.memo[key]
+    cols = np.argsort(diag, kind="stable")[:spin_dim]
+    unreached = len(H.unreached(cols))
     if unreached:
         raise DomainError(f"H is reducible: {unreached} coupled states "
                           f"are decoupled from the start states")
@@ -446,25 +462,24 @@ def _dressed_start(H: CSRMatrix, diag: np.ndarray, spin_dim: int):
         return start, np.ones(len(diag))
     D = diag[q]
     k = np.argmin(D)
-    beta = np.linalg.norm(B[:, k])
-    a = np.vdot(B[:, k], PHP @ B[:, k]).real / (beta * beta)
-    # the 2x2 lower eigenvalue without cancellation, kept off the pole
-    # when the coupling is below roundoff of the gap
-    energy = min(min(a, D[k]) - beta * beta
-                 / (abs(a - D[k]) / 2 + math.hypot((a - D[k]) / 2, beta)),
-                 np.nextafter(D[k], -np.inf))
-    for step in range(MAX_START_NEWTON_STEPS + 1):
-        lam, X = np.linalg.eigh(PHP - (B / (D - energy)) @ B.conj().T)
-        x = X[:, 0]
-        z = (x @ B.conj()) / (D - energy)
-        # a step below half an ulp of E rounds away once |z|^2 > 1
-        new = energy + (lam[0] - energy) / (1.0 + np.vdot(z, z).real)
-        # at the root to roundoff, NaN, or out of steps: x and z are E's
-        if step == MAX_START_NEWTON_STEPS or not new < energy:
-            break
-        energy = new
-    start[cols] = x
-    start[q] = -z
+    # a coupling whose square overflows gives a NaN or infinite first E,
+    # which _feshbach_root refuses
+    with np.errstate(all="ignore"):
+        beta = np.linalg.norm(B[:, k])
+        a = np.vdot(B[:, k], PHP @ B[:, k]).real / (beta * beta)
+        # the 2x2 lower eigenvalue without cancellation, kept off the pole
+        # when the coupling is below roundoff of the gap
+        first = min(min(a, D[k]) - beta * beta
+                    / (abs(a - D[k]) / 2 + math.hypot((a - D[k]) / 2, beta)),
+                    np.nextafter(D[k], -np.inf))
+
+    def feshbach_map(energy):
+        BR = B / (D - energy)
+        return PHP - BR @ B.conj().T, BR @ BR.conj().T
+
+    energy, _, X, _ = _feshbach_root(feshbach_map, first)
+    start[cols] = X[:, 0]
+    start[q] = -(X[:, 0] @ B.conj()) / (D - energy)
     return (start / np.linalg.norm(start),
             1.0 / (np.maximum(diag, D[k]) - energy))
 
@@ -650,34 +665,27 @@ def _one_photon_ground(C2: np.ndarray, omega_osc: np.ndarray, t: float,
     diagonal, so the Feshbach map of _feshbach is the spin_dim x spin_dim
     F(E) = -t^2 sum_o C_o^2 / (omega_o - E), with F(0) = t^2 A_disc: E <
     omega_min is an eigenvalue of H exactly when it is one of F(E), with
-    eigenvector x (+) -z, z_o = t C_o x / (omega_o - E).  As in
-    _dressed_start, g(E) = lam_min F(E) - E is concave with slope
-    -(1 + n2), n2 = |z|^2 = <x, N(E) x> and N(E) = t^2 sum_o C_o^2 /
-    (omega_o - E)^2, so Newton on g falls monotonically onto its root from
-    E = 0, the first step landing on t^2 lam_min(A_disc) / (1 + n2); it
-    stops when E no longer falls, or after MAX_START_NEWTON_STEPS steps.
-    A step is one contraction of the stack C2 (_squared_blocks) with
-    [1/(omega - E), 1/(omega - E)^2] and one eigh of F(E).  The residual
-    of H on the unit ground vector is |lam_min F(E) - E| / sqrt(1 + n2);
-    above tol it raises ConvergenceError, as ground_state does.  Returns
-    (E, eig F(E) ascending, its eigenvectors as columns, N(E)); the
-    photon number of the eigenvector X[:, k] is n2 / (1 + n2) with
-    n2 = <X[:, k], N(E) X[:, k]>.
+    eigenvector x (+) -z, z_o = t C_o x / (omega_o - E), and N(E) = t^2
+    sum_o C_o^2 / (omega_o - E)^2.  _feshbach_root finds the root of that
+    map from E = 0, its first step landing on t^2 lam_min(A_disc) /
+    (1 + n2); a step is one contraction of the stack C2 (_squared_blocks)
+    with [1/(omega - E), 1/(omega - E)^2] and one eigh of F(E).  The
+    residual of H on the unit ground vector is |lam_min F(E) - E| /
+    sqrt(1 + n2), n2 = <x, N(E) x>; above tol it raises ConvergenceError,
+    as ground_state does.  Returns (E, eig F(E) ascending, its
+    eigenvectors as columns, N(E)); the photon number of the eigenvector
+    X[:, k] is n2 / (1 + n2) with n2 = <X[:, k], N(E) X[:, k]>.
     """
     n_osc, d = C2.shape[:2]
     stack = C2.reshape(n_osc, -1).view(float)
-    t2 = t * t
-    energy = 0.0
-    for step in range(MAX_START_NEWTON_STEPS + 1):
-        r = t2 / (omega_osc - energy)
-        F, N = (np.stack([-r, r / (omega_osc - energy)]) @ stack).view(
+
+    def feshbach_map(energy):
+        r = t * t / (omega_osc - energy)
+        return (np.stack([-r, r / (omega_osc - energy)]) @ stack).view(
             complex).reshape(2, d, d)
-        lam, X = np.linalg.eigh(F)
-        n2 = np.vdot(X[:, 0], N @ X[:, 0]).real
-        new = energy + (lam[0] - energy) / (1.0 + n2)
-        if step == MAX_START_NEWTON_STEPS or not new < energy:
-            break
-        energy = new
+
+    energy, lam, X, N = _feshbach_root(feshbach_map, 0.0)
+    n2 = np.vdot(X[:, 0], N @ X[:, 0]).real
     residual = abs(lam[0] - energy) / math.sqrt(1.0 + n2)
     # written so that a NaN residual fails too
     if not residual <= tol:
@@ -797,7 +805,8 @@ def photon_number(toy: ToyHamiltonian, U: np.ndarray) -> float:
     """Expectation of the total photon number N (x) I in a normalized state."""
     U = np.asarray(U, dtype=complex)
     _require_unit(U, "photon_number requires a normalized state", 1e-10)
-    return float(np.sum(toy.photon_number_diag() * np.abs(U) ** 2))
+    return float(np.sum(np.repeat(toy.space.n_total, toy.spin_dim)
+                        * np.abs(U) ** 2))
 
 
 def quadratic_fit(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
@@ -809,13 +818,22 @@ def quadratic_fit(system: SpinSystem, profile: CutoffProfile, grid: ModeGrid,
     remainder E(t) - c2 t^2 is estimated from the remaining scales.  At
     n_max = 1 each E(t) and its photon number come from the spin space
     (_one_photon_ground), and no Fock space is built; otherwise from
-    ground_state on the Fock H.
+    ground_state on the Fock H.  c2 divides by the sum of t^4, so a scale
+    below 1.22134e-77, where t^4 is no normal float, raises DomainError;
+    a scale at which F(E) overflows raises ConvergenceError
+    (_feshbach_root).
     """
     scales = np.sort(np.asarray(scale_points, dtype=float))
     if len(scales) < 4 or not np.all((scales > 0) & (scales < np.inf)) \
             or np.any(scales[1:] == scales[:-1]):
         raise DomainError("need at least 4 distinct positive finite scale "
                           "points")
+    # c2 divides by the sum of t^4 over the two smallest scales, which
+    # loses its digits below the smallest normal float and then gives NaN
+    lowest = np.finfo(float).tiny ** 0.25
+    if not scales[0] >= lowest:
+        raise DomainError(f"fock fit needs every scale t >= {lowest:.6g}, "
+                          f"where t^4 is a normal float")
     # at M = 0 H is free: E(t) = 0 and no photon, so there is nothing to fit
     if not np.any(system.moments):
         raise DomainError("fock fit needs a nonzero moment")
@@ -885,7 +903,10 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
     as g -> 0.  At n_max = 1, E_0, F(E_0) and the norms |Z X|^2 =
     <X, N(E_0) X> come from the spin space (_one_photon_ground), and no
     Fock space is built; otherwise from ground_state and _feshbach on the
-    Fock H.
+    Fock H.  A |g| below sqrt(tiny / min(1, degeneracy_tol
+    rho(A_1^disc))), tiny the smallest normal float, where g^2 or the
+    window would be no normal float, raises DomainError; a g at which F(E)
+    overflows raises ConvergenceError (_feshbach_root).
     """
     if np.ptp(system.moments) > 1e-12 * np.abs(system.moments).max():
         raise DomainError("multiplicity scan requires equal moments")
@@ -903,6 +924,15 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
         omega_osc, W = toy.space.omega_osc, toy.coupling
     a_disc = discrete_am(unit, omega_osc, W, vectors=True)
     _, mult_a1, a_basis = ground_eigenspace(a_disc, degeneracy_tol)
+    # g^2 and the degeneracy window below stay normal floats: one that
+    # underflows counts one level of a degenerate pair
+    limit = math.sqrt(np.finfo(float).tiny
+                      / min(1.0, degeneracy_tol * a_disc.radius))
+    if not np.all(np.abs(g_points) >= limit):
+        raise DomainError(
+            f"multiplicity scan needs |g| >= {limit:.6g}, where g^2 and the "
+            f"degeneracy window degeneracy_tol g^2 rho(A_1^disc) are "
+            f"normal floats")
     rows = []
     for g in g_points:
         if one_photon:

@@ -12,8 +12,8 @@ ascending and unique in each row), read-only.  This module is the only one
 that knows that layout: the package uses only construction (from entries
 and from a dense array), products, dense rows, the diagonal, the
 off-diagonal part scaled (H(t) of the Fock Hamiltonian, which shares the
-diagonal and a memo with h), the states a walk of the pattern cannot
-reach, the stored values (data) and the dense matrix (toarray).
+diagonal with h), the states a walk of the pattern cannot reach, the
+stored values (data) and the dense matrix (toarray).
 """
 
 from __future__ import annotations
@@ -169,12 +169,6 @@ class CSRMatrix:
         return self._diagonal
 
     @functools.cached_property
-    def memo(self) -> dict:
-        """A dict for what a caller derives from the pattern and the
-        diagonal alone, under the caller's own keys."""
-        return {}
-
-    @functools.cached_property
     def _components(self) -> np.ndarray:
         """First state of each state's component in the pattern, -1 for a
         state that stores no off-diagonal entry; read-only.  The pattern
@@ -218,14 +212,14 @@ class CSRMatrix:
         this matrix's own indptr and indices; the diagonal is kept bit
         for bit.  It shares this matrix's row blocks, diagonal mask and
         components, which depend on indptr and indices alone, and its
-        diagonal and memo, so a family of scales finds them once."""
+        diagonal, so a family of scales finds them once."""
         data = t * self.data
         np.copyto(data, self.data, where=self._diagonal_mask)
         scaled = CSRMatrix(self.indptr, self.indices, data, self.shape)
         vars(scaled).update(_row_blocks=self._row_blocks,
                             _diagonal_mask=self._diagonal_mask,
                             _components=self._components,
-                            _diagonal=self._diagonal, memo=self.memo)
+                            _diagonal=self._diagonal)
         return scaled
 
     def toarray(self) -> np.ndarray:

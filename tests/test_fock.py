@@ -383,7 +383,7 @@ def test_interaction_changes_photon_number_by_one(profile, small_grid,
     # H's off-diagonal entries each move one photon, and its diagonal is
     # the free field's alone: the interaction leaves nothing there
     toy = build_hamiltonian(two_spin_system, profile, small_grid, 2)
-    n_diag = toy.photon_number_diag()
+    n_diag = np.repeat(toy.space.n_total, toy.spin_dim)
     rows, cols = toy.h._row_ids(), toy.h.indices
     off = rows != cols
     assert set(np.unique(np.abs(n_diag[rows[off]] - n_diag[cols[off]]))) \
@@ -1039,6 +1039,97 @@ def test_dressed_start_off_the_pole():
     assert res <= fock.DEFAULT_EIGENSOLVER_TOL
 
 
+def _dense_feshbach_map(H, spin_dim):
+    """_dressed_start's map of H: PHP - B (D - E)^-1 B^H and its N(E), on
+    the dense rows P H of the vacuum (x) spin states."""
+    PH = H.rows(np.arange(spin_dim))
+    q = np.flatnonzero(PH.any(axis=0))
+    B, D = PH[:, q], H.diagonal().real[q]
+
+    def feshbach_map(energy):
+        BR = B / (D - energy)
+        return PH[:, :spin_dim] - BR @ B.conj().T, BR @ BR.conj().T
+    return feshbach_map
+
+
+def _spin_feshbach_map(system, profile, grid, t):
+    """_one_photon_ground's map: -t^2 sum_o C_o^2 / (omega_o - E) and its
+    N(E), from the stack of _squared_blocks."""
+    omega, W = shell_couplings(system, profile, grid)
+    C2 = fock._squared_blocks(system, omega, W)
+
+    def feshbach_map(energy):
+        r = t * t / (omega - energy)
+        return np.einsum("o,oij->ij", -r, C2), \
+            np.einsum("o,oij->ij", r / (omega - energy), C2)
+    return feshbach_map
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(s=st.sampled_from([0.5, 1.0, 1.5]), P=st.integers(1, 3),
+       n_max=st.integers(1, 3), t=st.sampled_from([0.05, 0.4, 2.0]),
+       seed=st.integers(0, 2 ** 16))
+def test_both_feshbach_maps_share_one_root(profile, s, P, n_max, t, seed):
+    """On a Fock H the P rows couple only to one-photon states, where H's
+    diagonal is omega_o, so _dressed_start's map of the built H and the
+    spin-space map of _one_photon_ground are one function: _feshbach_root
+    finds the same root from E = 0 in both."""
+    positions = np.random.default_rng(seed).uniform(-1.0, 1.0, (P, 3))
+    system = SpinSystem(positions=positions, moments=np.ones(P), s=s)
+    grid = build_mode_grid(profile, 2)
+    try:
+        toy = build_hamiltonian(system, profile, grid, n_max)
+    except ResourceError:  # s = 3/2 triples at n_max = 3
+        assume(False)
+    dense = fock._feshbach_root(
+        _dense_feshbach_map(toy.matrix(t), toy.spin_dim), 0.0)[0]
+    spin = fock._feshbach_root(
+        _spin_feshbach_map(system, profile, grid, t), 0.0)[0]
+    assert dense < 0.0
+    assert abs(dense - spin) <= 1e-14 * abs(spin)
+
+
+def test_one_photon_ground_stops_at_one_energy(profile, small_grid,
+                                               two_spin_system,
+                                               monkeypatch):
+    # out of Newton steps, lam, X and N all belong to the E returned: lam
+    # and X are F(E)'s eigenpairs and N is N(E), not those of the energy
+    # before it or of the step it did not take
+    monkeypatch.setattr(fock, "MAX_START_NEWTON_STEPS", 1)
+    omega, W = shell_couplings(two_spin_system, profile, small_grid)
+    C2 = fock._squared_blocks(two_spin_system, omega, W)
+    energy, lam, X, N = fock._one_photon_ground(C2, omega, 0.4, 1.0)
+    feshbach_map = _spin_feshbach_map(two_spin_system, profile, small_grid,
+                                      0.4)
+    # one step from E = 0, short of the root: g(E) = lam_min F(E) - E < 0
+    F_0, N_0 = feshbach_map(0.0)
+    lam_0, X_0 = np.linalg.eigh(F_0)
+    step = lam_0[0] / (1.0 + (X_0[:, 0].conj() @ N_0 @ X_0[:, 0]).real)
+    assert energy == pytest.approx(step, rel=1e-14)
+    assert lam[0] < energy
+    F_E, N_E = feshbach_map(energy)
+    scale = np.abs(F_E).max()
+    assert np.abs(lam - np.linalg.eigvalsh(F_E)).max() <= 1e-14 * scale
+    assert np.abs(F_E @ X - X * lam).max() <= 1e-14 * scale
+    assert np.abs(N - N_E).max() <= 1e-14 * np.abs(N_E).max()
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_feshbach_root_refuses_a_map_that_is_not_finite(monkeypatch, bad):
+    # the refusal comes before the eigh, which would fail or return NaN;
+    # a non-finite N(E) or first E is refused as well
+    def refused(*args, **kwargs):
+        raise AssertionError("eigh ran on a map that is not finite")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    finite = np.eye(2)
+    for feshbach_map, energy in [(lambda E: (bad * finite, finite), 0.0),
+                                 (lambda E: (finite, bad * finite), 0.0),
+                                 (lambda E: (finite, finite), bad)]:
+        with pytest.raises(ConvergenceError, match="not finite"):
+            fock._feshbach_root(feshbach_map, energy)
+
+
 def test_multiplicity_scan_needs_equal_moments(profile, small_grid):
     # unequal moments of any size, however small
     system = SpinSystem(positions=[[0.0, 0.0, 0.0], [0.9, -0.3, 0.4]],
@@ -1476,3 +1567,55 @@ def test_multiplicity_scan(profile, default_grid):
     for g in ([np.nan], [0.2, np.inf], [0.0, 0.1], [0.1, -0.0]):
         with pytest.raises(DomainError, match="nonzero finite g"):
             multiplicity_scan(pair, profile, default_grid, 1, g)
+
+
+@pytest.mark.parametrize("suite, config, flag, values", [
+    ("fock-fit", "two_spins", "--scales", "1e200,2e200,4e200,8e200"),
+    ("fock-fit", "two_spins", "--scales", "1.2e154,2e154,4e154,8e154"),
+    ("fock-fit", "two_spins", "--scales", "1e-140,2e-140,4e-140,8e-140"),
+    ("multiplicity", "two_spins_equal", "--g", "1e200"),
+    ("multiplicity", "two_spins_equal", "--g", "1e-160"),
+    ("multiplicity", "two_spins_equal", "--g", "1e-200")])
+def test_fock_suites_refuse_scales_out_of_the_float_range(
+        tmp_path, capsys, suite, config, flag, values):
+    # a square that overflows makes F(E) infinite, and a t^4, g^2 or
+    # degeneracy window below the normal floats loses its digits (c2 =
+    # NaN, or mult_h = 1 on the degenerate pair): one ERROR line each
+    assert main([suite, "--config", str(CONFIGS / f"{config}.yaml"), flag,
+                 values, "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("ERROR ")
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_fock_suites_work_up_to_the_float_limits(profile, small_grid, n_max):
+    pair = SpinSystem(positions=[[0, 0, 0], [0.9, -0.3, 0.4]],
+                      moments=[1.0, 1.0])
+    # t^4 >= the smallest normal float: c2 on it is the discrete A_M's
+    lowest = np.finfo(float).tiny ** 0.25
+    fit = quadratic_fit(pair, profile, small_grid, n_max,
+                        lowest * np.array([1.0, 2.0, 4.0, 8.0]))
+    assert abs(fit.c2 / fit.a_disc_min - 1.0) <= 1e-12
+    with pytest.raises(DomainError, match="every scale t >= 1.22134e-77"):
+        quadratic_fit(pair, profile, small_grid, n_max,
+                      [np.nextafter(lowest, 0.0), 0.2, 0.1, 0.05])
+    # g^2 and the window at the limit: the pair's level stays degenerate
+    a_disc = discrete_am(pair, *shell_couplings(pair, profile, small_grid))
+    limit = math.sqrt(np.finfo(float).tiny
+                      / (DEFAULT_DEGENERACY_TOL * a_disc.radius))
+    row, = multiplicity_scan(pair, profile, small_grid, n_max,
+                             [-1.001 * limit])
+    reference, = multiplicity_scan(pair, profile, small_grid, n_max, [1e-6])
+    assert row.mult_h == row.mult_a1 == 2
+    assert np.abs(row.multiplet - reference.multiplet).max() \
+        <= 1e-9 * a_disc.radius
+    with pytest.raises(DomainError, match=re.escape(f"|g| >= {limit:.6g}")):
+        multiplicity_scan(pair, profile, small_grid, n_max,
+                          [0.2, 0.999 * limit])
+    # squares past the float range: F(E) is not finite
+    with pytest.raises(ConvergenceError, match="not finite"):
+        quadratic_fit(pair, profile, small_grid, n_max,
+                      [1e200, 2e200, 4e200, 8e200])
+    with pytest.raises(ConvergenceError, match="not finite"):
+        multiplicity_scan(pair, profile, small_grid, n_max, [1e200])

@@ -540,6 +540,28 @@ def test_only_spin_algebra_knows_the_csr_layout():
     assert {name: uses for name, uses in found.items() if uses} == {}
 
 
+def _readers(tree, name):
+    """The top-level functions of a module's tree that read the name, in
+    order; "<module>" for a read outside every function."""
+    found = []
+    for node in tree.body:
+        if any(isinstance(n, ast.Name) and n.id == name
+               and isinstance(n.ctx, ast.Load) for n in ast.walk(node)):
+            found.append(getattr(node, "name", "<module>"))
+    return found
+
+
+def test_one_newton_reads_its_step_limit():
+    # the Feshbach root is found by one Newton loop, which owns its limit
+    found = {(path.name, reader) for path in sorted(SRC.glob("*.py"))
+             for reader in _readers(ast.parse(path.read_text()),
+                                    "MAX_START_NEWTON_STEPS")}
+    assert found == {("fock.py", "_feshbach_root")}
+    two = ("L = 3\ndef f():\n    return L\ndef g():\n    return [L]\n"
+           "h = L\n")
+    assert _readers(ast.parse(two), "L") == ["f", "g", "<module>"]
+
+
 def _names(tree):
     """The identifiers a module's tree reads, binds, imports or reads as
     an attribute."""

@@ -479,9 +479,10 @@ def test_pair_build_peaks_near_its_operator(s):
 def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
                                   monkeypatch):
     # eigenvectors are computed only where a caller reads them; the
-    # eighs inside fock.ground_state (its dressed start and Rayleigh-Ritz
-    # steps), the eigh of the Feshbach map F(E_0) in fock._feshbach and of
-    # F(E) in each Newton step of fock._one_photon_ground (the n_max = 1
+    # eighs inside fock.ground_state (the Newton steps of its dressed
+    # start and its Rayleigh-Ritz steps), the eigh of the Feshbach map
+    # F(E_0) in fock._feshbach and of F(E) in each Newton step of
+    # fock._feshbach_root under fock._one_photon_ground (the n_max = 1
     # solve), the 2 x 2 eighs of verify's su2_rotate, the eigvalsh of
     # leggauss (verify's quadrature rules, built once per process) and the
     # batched eigh of the shell Gram matrices in fock.shell_couplings are

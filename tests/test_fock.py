@@ -1043,7 +1043,9 @@ def _dense_feshbach_map(H, spin_dim):
     """_dressed_start's map of H: PHP - B (D - E)^-1 B^H and its N(E), on
     the dense rows P H of the vacuum (x) spin states."""
     PH = H.rows(np.arange(spin_dim))
-    q = np.flatnonzero(PH.any(axis=0))
+    coupled = PH.any(axis=0)
+    coupled[:spin_dim] = False
+    q = np.flatnonzero(coupled)
     B, D = PH[:, q], H.diagonal().real[q]
 
     def feshbach_map(energy):

@@ -905,8 +905,9 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
     Fock space is built; otherwise from ground_state and _feshbach on the
     Fock H.  A |g| below sqrt(tiny / min(1, degeneracy_tol
     rho(A_1^disc))), tiny the smallest normal float, where g^2 or the
-    window would be no normal float, raises DomainError; a g at which F(E)
-    overflows raises ConvergenceError (_feshbach_root).
+    window would be no normal float, raises DomainError, read from the
+    couplings before any Fock H is built; a g at which F(E) overflows
+    raises ConvergenceError (_feshbach_root).
     """
     if np.ptp(system.moments) > 1e-12 * np.abs(system.moments).max():
         raise DomainError("multiplicity scan requires equal moments")
@@ -915,13 +916,12 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
     if not np.all(np.isfinite(g_points) & (g_points != 0)):
         raise DomainError("multiplicity scan needs nonzero finite g values")
     unit = system.with_moments(np.ones(system.P))
-    one_photon = _integer(n_max, "n_max") == 1
-    if one_photon:
-        omega_osc, W = shell_couplings(unit, profile, grid)
-        C2 = _squared_blocks(unit, omega_osc, W)
-    else:
-        toy = build_hamiltonian(unit, profile, grid, n_max)
-        omega_osc, W = toy.space.omega_osc, toy.coupling
+    n_max = _integer(n_max, "n_max")
+    one_photon = n_max == 1
+    omega_osc, W = shell_couplings(unit, profile, grid)
+    # the budgets of the Fock H (or of its n_max = 1 stand-in C2) refuse
+    # before A_1^disc is decomposed
+    _sector_sizes(len(omega_osc), n_max, unit.spin_dim)
     a_disc = discrete_am(unit, omega_osc, W, vectors=True)
     _, mult_a1, a_basis = ground_eigenspace(a_disc, degeneracy_tol)
     # g^2 and the degeneracy window below stay normal floats: one that
@@ -933,6 +933,10 @@ def multiplicity_scan(system: SpinSystem, profile: CutoffProfile,
             f"multiplicity scan needs |g| >= {limit:.6g}, where g^2 and the "
             f"degeneracy window degeneracy_tol g^2 rho(A_1^disc) are "
             f"normal floats")
+    if one_photon:
+        C2 = _squared_blocks(unit, omega_osc, W)
+    else:
+        toy = build_hamiltonian(unit, profile, grid, n_max)
     rows = []
     for g in g_points:
         if one_photon:

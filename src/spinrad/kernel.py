@@ -32,11 +32,18 @@ visits only the positive octant and returns a real matrix.  Its 1-D
 Gauss-Legendre factors and the table g = |phi|^2 / |k|^2 on the (n/2)^3
 octant nodes do not depend on x: they are built once per process for each
 key (profile, n), held read-only, and at most 4 keys are kept (2.1 MB per
-table at n = 128, 16.8 MB at n = 256).  The table is the product of the
-per-axis factors phi(k_a)^2 over |k|^2 (see _oracle_rule): on a 2-core
-x86_64 box the rule builds in 5.5-6.6 ms at n = 128, of which leggauss
-is 2.3 ms and the table 2.3 ms.  A call then costs the cosines and sines
-of x and the three marginals: 0.3 ms at n = 128.
+table at n = 128, 16.8 MB at n = 256).  The axis rule comes from the
+eigenvalues of an (n/2) x (n/2) Jacobi matrix and one Newton step
+(_half_gauss_legendre), not from numpy's leggauss, which numpy tests only
+to degree 100: at n = 128 its weights are off by up to 1.4e-11 relative
+against a 40-digit reference, these by 2.4e-13.  The table is the
+product of the per-axis factors phi(k_a)^2 over |k|^2 (see _oracle_rule).
+On a 2-core x86_64 box, in a fresh process, the rule builds in 2.4-2.5 ms
+at n = 128 (5.0-5.2 ms with leggauss), of which the axis rule is 0.8 ms
+(2.4 ms) and the table about 1.6 ms, half of it the first touch of its
+2.1 MB.  A call then costs the cosines and sines of x and one pass over
+the table for its three marginals: 0.20 ms at n = 128 (0.24 ms in three
+passes).
 """
 
 from __future__ import annotations
@@ -47,7 +54,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .cutoff import CutoffProfile, phi_eval
 from .errors import DomainError, _integer
@@ -60,6 +66,10 @@ _F_SERIES = [2.0 / math.sqrt(math.pi) * (-1) ** n * 2 * n
 
 # Largest z whose cube is a finite float, 5.6e102
 _Z_CUBE_MAX = sys.float_info.max ** (1.0 / 3.0)
+
+# Rows ab of the oracle table built per block: 256 rows of 64 nodes, 128 KB
+# of table and of denominators, stay in cache from product to division
+_TABLE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -114,6 +124,46 @@ def kernel_matrix(profile: CutoffProfile, x) -> KernelMatrix:
                         - (g + 3.0 * du) * np.outer(xhat, xhat))
 
 
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) by the three-term recurrence, vectorized over x."""
+    prev, p, t = np.ones_like(x), x.copy(), np.empty_like(x)
+    for j in range(1, n):
+        # (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}, in place
+        np.multiply(x, p, out=t)
+        t *= (2 * j + 1) / (j + 1)
+        prev *= j / (j + 1)
+        t -= prev
+        prev, p, t = p, t, prev
+    return p, n * (prev - x * p) / (1.0 - x * x)
+
+
+def _half_gauss_legendre(n: int):
+    """Positive nodes x, ascending, and weights w of the n-point
+    Gauss-Legendre rule on [-1, 1], n even.
+
+    u = x^2 runs over the nodes of the n/2-point Gauss-Jacobi rule on
+    [0, 1] for the weight u^(-1/2) (alpha = 0, beta = -1/2), since
+    int_{-1}^{1} f(x^2) dx = int_0^1 f(u) u^(-1/2) du.  Golub-Welsch: u are
+    the eigenvalues of that rule's Jacobi matrix, with diagonal
+    (8j^2 + 4j - 1) / ((4j - 1)(4j + 3)) and off-diagonal
+    2j(2j - 1) / ((4j - 1) sqrt((4j + 1)(4j - 3))).  One Newton step on
+    P_n polishes x = sqrt(u), and w = 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    j = np.arange(n // 2, dtype=float)
+    diag = (8.0 * j * j + 4.0 * j - 1.0) / ((4.0 * j - 1.0) * (4.0 * j + 3.0))
+    j = j[1:]
+    off = (2.0 * j * (2.0 * j - 1.0) / (4.0 * j - 1.0)
+           / np.sqrt((4.0 * j + 1.0) * (4.0 * j - 3.0)))
+    x = np.sqrt(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1), UPLO="U"))
+    p, dp = _legendre(n, x)
+    step = p / dp
+    # P_n' at the polished node, to first order in the step; Legendre's
+    # equation (1 - x^2) P'' = 2x P' - n(n + 1) P gives P_n''
+    dp -= (2.0 * x * dp - n * (n + 1) * p) / (1.0 - x * x) * step
+    x -= step
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
 @functools.lru_cache(maxsize=4)
 def _oracle_rule(profile: CutoffProfile, n: int):
     """Positive-half axis nodes k, pair weights w and the table g of the rule.
@@ -122,21 +172,34 @@ def _oracle_rule(profile: CutoffProfile, n: int):
     since |phi|^2 decays twice as fast as phi.  g[a, b, c] = |phi(|k|)|^2 /
     |k|^2 at (k_a, k_b, k_c), (n/2)^3 values (2.1 MB at n = 128).  The
     cutoff is Gaussian, so |phi(|k|)|^2 = phi(k_a)^2 phi(k_b)^2 phi(k_c)^2
-    exactly: g is one broadcast product of the n/2 axis factors, divided in
-    place by the |k|^2 sum, with no sqrt or exp on the (n/2)^3 nodes.  All
+    exactly: g is (f_a f_b) f_c / ((s_a + s_b) + s_c), f = phi(k)^2 and
+    s = k^2 on the n/2 axis nodes, with no sqrt or exp on the (n/2)^3
+    nodes.  It is built one block of rows ab at a time: the numerators by
+    one outer product, the denominators as the product
+    [s_a + s_b, 1] @ [1, s_c]^T, whose two terms are exact, so that each
+    sum is rounded once, as by an add; no temporary has g's size.  All
     three arrays are read-only: every oracle call at (profile, n) shares
     them.
     """
     half = profile.far_radius(1e-8)
-    nodes, weights = leggauss(n)
-    # leggauss returns exactly symmetric nodes and weights, ascending: keep
-    # the positive half, its weights doubled for the +-k pair
-    k = nodes[n // 2:] * half
-    w = 2.0 * weights[n // 2:] * half
+    nodes, weights = _half_gauss_legendre(n)
+    k = nodes * half
+    w = 2.0 * weights * half  # one weight for the +-k pair
+    m = len(k)
     sq = k * k
     f = phi_eval(profile, k) ** 2
-    g = f[:, None, None] * f[:, None] * f
-    g /= sq[:, None, None] + sq[:, None] + sq
+    f_ab = np.multiply.outer(f, f).ravel()
+    pairs = np.stack([np.add.outer(sq, sq).ravel(), np.ones(m * m)], axis=1)
+    ends = np.stack([np.ones(m), sq])
+    g = np.empty((m * m, m))
+    den = np.empty((_TABLE_BLOCK, m))
+    for start in range(0, m * m, _TABLE_BLOCK):
+        rows = slice(start, start + _TABLE_BLOCK)
+        block = g[rows]
+        np.einsum("a,c->ac", f_ab[rows], f, out=block)
+        np.matmul(pairs[rows], ends, out=den[:len(block)])
+        block /= den[:len(block)]
+    g = g.reshape(m, m, m)
     for arr in (k, w, g):
         arr.flags.writeable = False
     return k, w, g
@@ -165,12 +228,18 @@ def kernel_oracle_3d(profile: CutoffProfile, x, n: int = 128) -> KernelMatrix:
     if not np.all(np.isfinite(x)):
         raise DomainError(f"displacement {x} is not finite")
     k, w, g = _oracle_rule(profile, n)
-    phase = np.outer(x, k)
-    cx, cy, cz = w * np.cos(phase)
-    sx, sy, sz = w * k * np.sin(phase)
+    m = len(k)
+    phase = np.outer(k, x)
+    c = w[:, None] * np.cos(phase)
+    cx, cy, cz = c.T
+    sx, sy, sz = ((w * k)[:, None] * np.sin(phase)).T
     sq = k * k
-    # the three 2-D marginals of g, each weighted along the summed axis
-    gxy, gxz, gyz = g @ cz, cy @ g, np.tensordot(cx, g, 1)
+    # the three 2-D marginals of g, each weighted along the summed axis, in
+    # one pass over g: column j of g @ [cx, cy, cz] sums g's last axis
+    # against c_j, and g is symmetric in its axes, so it is the marginal
+    # over axis j
+    gyz, gxz, gxy = np.moveaxis((g.reshape(m * m, m) @ c).reshape(m, m, 3),
+                                -1, 0)
     S = np.empty((3, 3))
     S[0, 0] = (sq * cx) @ gxy @ cy
     S[1, 1] = cx @ gxy @ (sq * cy)

@@ -1621,3 +1621,24 @@ def test_fock_suites_work_up_to_the_float_limits(profile, small_grid, n_max):
                       [1e200, 2e200, 4e200, 8e200])
     with pytest.raises(ConvergenceError, match="not finite"):
         multiplicity_scan(pair, profile, small_grid, n_max, [1e200])
+
+
+def test_multiplicity_refuses_before_the_fock_build(profile, small_grid,
+                                                    monkeypatch):
+    # the |g| limit and the Fock budgets are read from the couplings: a g
+    # below the limit builds no Fock H, and a space over budget decomposes
+    # no A_1^disc either
+    def refused(*args, **kwargs):
+        raise AssertionError("built after a refusal")
+
+    monkeypatch.setattr(fock, "build_hamiltonian", refused)
+    pair = SpinSystem(positions=[[0, 0, 0], [0.9, -0.3, 0.4]],
+                      moments=[1.0, 1.0])
+    with pytest.raises(DomainError, match=r"\|g\| >= "):
+        multiplicity_scan(pair, profile, small_grid, 2, [1e-160])
+    monkeypatch.setattr(fock, "discrete_am", refused)
+    chain = SpinSystem(positions=[[0.7 * k, 0.0, 0.0] for k in range(12)],
+                       moments=np.ones(12))
+    with pytest.raises(ResourceError, match="Fock dimension 2701 x spin 4096"):
+        multiplicity_scan(chain, profile, build_mode_grid(profile, 2), 2,
+                          [0.2])

@@ -484,9 +484,9 @@ def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
     # F(E_0) in fock._feshbach and of F(E) in each Newton step of
     # fock._feshbach_root under fock._one_photon_ground (the n_max = 1
     # solve), the 2 x 2 eighs of verify's su2_rotate, the eigvalsh of
-    # leggauss (verify's quadrature rules, built once per process) and the
-    # batched eigh of the shell Gram matrices in fock.shell_couplings are
-    # not A_M's
+    # leggauss and of the oracle's axis rule (verify's quadrature rules,
+    # built once per process) and the batched eigh of the shell Gram
+    # matrices in fock.shell_couplings are not A_M's
     grid = fock.build_mode_grid(profile, 4)
     solving = []
 
@@ -503,7 +503,7 @@ def test_one_decomposition_per_am(profile, two_spin_system, tmp_path,
                         ("fock", "_one_photon_ground"),
                         ("fock", "shell_couplings"),
                         ("cli", "su2_rotate"), ("field_energy", "leggauss"),
-                        ("kernel", "leggauss")]:
+                        ("kernel", "_half_gauss_legendre")]:
         # by dotted name; spinrad.field_energy is the module, as the package
         # does not export the function under its name
         module = importlib.import_module(f"spinrad.{where}")
